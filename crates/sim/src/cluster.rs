@@ -19,21 +19,29 @@
 //!   fewest outstanding queued tokens — meaningful under the event-driven
 //!   [`EventCluster`](crate::EventCluster), where queues actually form.
 //!
-//! An N=1 cluster reproduces the single-node [`Engine`](crate::Engine)
-//! byte-for-byte under every router (the parity tests below pin this), so
-//! the paper-claims suite anchors the cluster layer.
+//! [`Cluster`] is a router over N analytic [`Engine`]s: each
+//! request is served by the same per-request step `Engine::run` loops over,
+//! so an N=1 cluster reproduces the single-node engine byte-for-byte under
+//! every router (the parity test below pins this) and the paper-claims
+//! suite anchors the cluster layer. The event-driven
+//! [`EventCluster`](crate::EventCluster) shares everything here but the
+//! service discipline: the routers, the routing step, the
+//! [`ClusterBuilder`] and the [`ClusterReport`].
 
+use crate::engine::{Engine, Replica};
+use crate::executor::{BatchConfig, ServiceMode};
 use crate::gpu::GpuModel;
-use crate::report::{RequestRecord, SimReport};
+use crate::report::SimReport;
 use marconi_core::{
     CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
     TieredPrefix,
 };
-use marconi_metrics::LoadImbalance;
+use marconi_metrics::{LatencySummary, LoadImbalance, TierSplit};
 use marconi_model::ModelConfig;
-use marconi_trace::{ReloadDecision as TraceReload, ReplicaProbe, TraceEvent, Tracer};
+use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
 use marconi_workload::{Request, Token, Trace};
 use std::fmt;
+use std::marker::PhantomData;
 
 /// What a [`Router`] may see of one replica: a read-only probe plus load
 /// accounting. Probing **cannot** mutate the replica — placement probes on
@@ -51,7 +59,7 @@ impl<'a> ReplicaStatus<'a> {
     /// [`Cluster`] always passes 0 (its queues never form), the
     /// event-driven [`EventCluster`](crate::EventCluster) passes live
     /// queue depth.
-    pub(crate) fn new(index: usize, cache: &'a HybridPrefixCache, queued_tokens: u64) -> Self {
+    fn new(index: usize, cache: &'a HybridPrefixCache, queued_tokens: u64) -> Self {
         ReplicaStatus {
             index,
             cache,
@@ -273,7 +281,7 @@ impl Router for QueueAware {
 /// [`TraceEvent::RouterDecision`], built only while a tracer is enabled.
 /// Uses the same non-mutating probes the routers use, so capturing it
 /// leaves every replica byte-identical.
-pub(crate) fn trace_probes(req: &Request, statuses: &[ReplicaStatus<'_>]) -> Vec<ReplicaProbe> {
+fn trace_probes(req: &Request, statuses: &[ReplicaStatus<'_>]) -> Vec<ReplicaProbe> {
     statuses
         .iter()
         .map(|s| {
@@ -294,7 +302,7 @@ pub(crate) fn trace_probes(req: &Request, statuses: &[ReplicaStatus<'_>]) -> Vec
 /// prefix-/queue-aware total order at which a unique survivor remains.
 /// Hash- and rotation-based routers report their policy name; unknown
 /// custom routers report `custom`.
-pub(crate) fn route_tie_break(router: &str, probes: &[ReplicaProbe]) -> &'static str {
+fn route_tie_break(router: &str, probes: &[ReplicaProbe]) -> &'static str {
     if probes.len() <= 1 {
         return "single-replica";
     }
@@ -382,8 +390,45 @@ impl fmt::Display for RoutingPolicy {
     }
 }
 
-/// N cache replicas behind a router, replayed like a single
-/// [`Engine`](crate::Engine) per replica.
+/// Routes one arrival across `replicas` — each a cache and its outstanding
+/// queued tokens — and records the decision with every replica's probe.
+///
+/// # Panics
+///
+/// Panics if the router returns an out-of-range replica index.
+pub(crate) fn route<'c>(
+    router: &mut dyn Router,
+    tracer: &Tracer,
+    req: &Request,
+    replicas: impl Iterator<Item = (&'c HybridPrefixCache, u64)>,
+) -> usize {
+    let statuses: Vec<ReplicaStatus<'_>> = replicas
+        .enumerate()
+        .map(|(index, (cache, queued))| ReplicaStatus::new(index, cache, queued))
+        .collect();
+    let idx = router.route(req, &statuses);
+    let n = statuses.len();
+    assert!(
+        idx < n,
+        "router {} picked replica {idx} of {n}",
+        router.name()
+    );
+    if tracer.is_enabled() {
+        let probes = trace_probes(req, &statuses);
+        let tie_break = route_tie_break(router.name(), &probes);
+        tracer.emit(|| TraceEvent::RouterDecision {
+            ts: req.arrival,
+            request: req.id,
+            chosen: idx as u64,
+            tie_break,
+            probes,
+        });
+    }
+    idx
+}
+
+/// N cache replicas behind a router, each served like a single
+/// [`Engine`].
 ///
 /// # Examples
 ///
@@ -408,9 +453,8 @@ impl fmt::Display for RoutingPolicy {
 /// ```
 #[derive(Debug)]
 pub struct Cluster {
-    replicas: Vec<HybridPrefixCache>,
+    replicas: Vec<Engine<HybridPrefixCache>>,
     router: Box<dyn Router>,
-    gpu: GpuModel,
     tracer: Tracer,
 }
 
@@ -422,17 +466,7 @@ impl Cluster {
     /// a 4×A100 device model per replica.
     #[must_use]
     pub fn builder(model: ModelConfig) -> ClusterBuilder {
-        ClusterBuilder {
-            model,
-            replicas: 1,
-            total_capacity: 16 << 30,
-            total_host_capacity: 0,
-            reload_policy: ReloadPolicy::default(),
-            policy: EvictionPolicy::default(),
-            checkpoint_mode: CheckpointMode::Exact,
-            gpu: GpuModel::a100_x4(),
-            router: None,
-        }
+        ClusterBuilder::new(model, RoutingPolicy::PrefixAware)
     }
 
     /// Number of replicas.
@@ -448,7 +482,7 @@ impl Cluster {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
-        &self.replicas[index]
+        self.replicas[index].cache()
     }
 
     /// The active router's name.
@@ -461,120 +495,47 @@ impl Cluster {
     /// choices with per-replica probes, reload pricing). Replica caches
     /// stay untraced; trace a single-cache run for cache-level events.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        for engine in &mut self.replicas {
+            engine.set_tracer(tracer.clone());
+        }
         self.tracer = tracer;
     }
 
-    /// Replays `trace`, routing each request as it arrives.
-    ///
-    /// Mirrors [`Engine::run`](crate::Engine::run) per replica: look up the
-    /// longest reusable prefix at arrival time, charge the uncached prefill
-    /// to the device model, admit the full sequence afterwards. Cache state
-    /// persists across calls (like `Engine`), but each call reports only
-    /// its own requests.
+    /// Replays `trace`, routing each request as it arrives to the engine
+    /// that then serves it. Cache and cursor state persist across calls
+    /// (like `Engine`), but each call reports only its own requests.
     ///
     /// # Panics
     ///
     /// Panics if the router returns an out-of-range replica index.
     pub fn run(&mut self, trace: &Trace) -> ClusterReport {
-        let n = self.replicas.len();
-        let mut records: Vec<Vec<RequestRecord>> = vec![Vec::new(); n];
+        let before: Vec<CacheStats> = self.replicas.iter().map(|e| *e.cache().stats()).collect();
+        let mut records = vec![Vec::new(); self.replicas.len()];
         let mut assignments = Vec::with_capacity(trace.len());
-        let stats_before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.stats()).collect();
         for req in &trace.requests {
-            let statuses: Vec<ReplicaStatus<'_>> = self
-                .replicas
-                .iter()
-                .enumerate()
-                .map(|(index, cache)| ReplicaStatus::new(index, cache, 0))
-                .collect();
-            let idx = self.router.route(req, &statuses);
-            assert!(
-                idx < n,
-                "router {} picked replica {idx} of {n}",
-                self.router.name()
-            );
-            if self.tracer.is_enabled() {
-                let probes = trace_probes(req, &statuses);
-                let tie_break = route_tie_break(self.router.name(), &probes);
-                self.tracer.emit(|| TraceEvent::RouterDecision {
-                    ts: req.arrival,
-                    request: req.id,
-                    chosen: idx as u64,
-                    tie_break,
-                    probes,
-                });
-            }
-            let replica = &mut self.replicas[idx];
-            let hit = replica.lookup_at(&req.input, req.arrival);
-            let model = replica.model().clone();
-            let (reload_s, reload) = self.gpu.reload_secs(
-                replica.reload_policy(),
-                hit.host_bytes,
-                hit.host_reload_flops,
-            );
-            if reload != crate::gpu::ReloadDecision::None && self.tracer.is_enabled() {
-                let cache: std::sync::Arc<str> = format!("{}[{idx}]", replica.name()).into();
-                let load_secs = self.gpu.transfer_secs(hit.host_bytes);
-                let recompute_secs = self.gpu.secs_for_flops(hit.host_reload_flops);
-                self.tracer.emit(|| TraceEvent::Reload {
-                    ts: req.arrival,
-                    cache,
-                    host_bytes: hit.host_bytes,
-                    load_secs,
-                    recompute_secs,
-                    decision: match reload {
-                        crate::gpu::ReloadDecision::Recomputed => TraceReload::Recompute,
-                        _ => TraceReload::Load,
-                    },
-                });
-            }
-            let ttft_ms = self
-                .gpu
-                .ttft_ms(&model, req.input_len(), hit.tokens_matched)
-                + reload_s * 1e3;
-            let flops_spent = model.prefill_flops_with_prefix(req.input_len(), hit.tokens_matched);
-            replica.insert_at(&req.input, &req.output, req.arrival);
-            records[idx].push(RequestRecord {
-                id: req.id,
-                session_id: req.session_id,
-                arrival: req.arrival,
-                input_len: req.input_len(),
-                hit_tokens: hit.tokens_matched,
-                host_hit_tokens: hit.host_tokens,
-                raw_matched: hit.raw_matched,
-                ttft_ms,
-                reload_ms: reload_s * 1e3,
-                reload,
-                flops_spent,
-                flops_saved: hit.flops_saved,
-            });
+            // The analytic discipline never queues: every depth reads 0.
+            let caches = self.replicas.iter().map(|e| (e.cache(), 0));
+            let idx = route(&mut *self.router, &self.tracer, req, caches);
+            records[idx].push(self.replicas[idx].serve(req));
             assignments.push(idx);
         }
         let replicas = self
             .replicas
             .iter()
             .zip(records)
-            .zip(stats_before)
-            .enumerate()
-            .map(|(i, ((r, records), before))| SimReport {
-                system: format!("{}[{i}]", r.name()),
-                trace: trace.name.clone(),
-                records,
-                cache_stats: r.stats().delta_since(&before),
-            })
+            .map(|(e, records)| e.replica.report(trace, records, 0.0, 0))
             .collect();
-        ClusterReport {
-            router: self.router.name().to_owned(),
-            trace: trace.name.clone(),
-            replicas,
-            assignments,
-        }
+        ClusterReport::new(self.router.name(), trace, replicas, &before, assignments)
     }
 }
 
-/// Builder for [`Cluster`]; see [`Cluster::builder`].
+/// Builder for [`Cluster`] and, as
+/// [`EventClusterBuilder`](crate::EventClusterBuilder), for
+/// [`EventCluster`](crate::EventCluster): the type parameter is the cluster
+/// it builds. See [`Cluster::builder`] and
+/// [`EventCluster::builder`](crate::EventCluster::builder).
 #[derive(Debug)]
-pub struct ClusterBuilder {
+pub struct ClusterBuilder<T = Cluster> {
     model: ModelConfig,
     replicas: usize,
     total_capacity: u64,
@@ -582,11 +543,29 @@ pub struct ClusterBuilder {
     reload_policy: ReloadPolicy,
     policy: EvictionPolicy,
     checkpoint_mode: CheckpointMode,
-    gpu: GpuModel,
-    router: Option<Box<dyn Router>>,
+    pub(crate) service: ServiceMode,
+    pub(crate) batch: BatchConfig,
+    pub(crate) router: Box<dyn Router>,
+    builds: PhantomData<fn() -> T>,
 }
 
-impl ClusterBuilder {
+impl<T> ClusterBuilder<T> {
+    pub(crate) fn new(model: ModelConfig, routing: RoutingPolicy) -> Self {
+        ClusterBuilder {
+            model,
+            replicas: 1,
+            total_capacity: 16 << 30,
+            total_host_capacity: 0,
+            reload_policy: ReloadPolicy::default(),
+            policy: EvictionPolicy::default(),
+            checkpoint_mode: CheckpointMode::Exact,
+            service: ServiceMode::Modeled(GpuModel::a100_x4()),
+            batch: BatchConfig::default(),
+            router: routing.build(),
+            builds: PhantomData,
+        }
+    }
+
     /// Sets the replica count.
     ///
     /// # Panics
@@ -643,80 +622,74 @@ impl ClusterBuilder {
     /// Sets the per-replica device model.
     #[must_use]
     pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.gpu = gpu;
+        self.service = ServiceMode::Modeled(gpu);
         self
     }
 
     /// Selects a built-in routing policy (default
-    /// [`RoutingPolicy::PrefixAware`]).
+    /// [`RoutingPolicy::PrefixAware`] for [`Cluster`],
+    /// [`RoutingPolicy::QueueAware`] for
+    /// [`EventCluster`](crate::EventCluster)).
     #[must_use]
     pub fn routing(mut self, policy: RoutingPolicy) -> Self {
-        self.router = Some(policy.build());
+        self.router = policy.build();
         self
     }
 
     /// Installs a custom router.
     #[must_use]
     pub fn router(mut self, router: Box<dyn Router>) -> Self {
-        self.router = Some(router);
+        self.router = router;
         self
     }
 
+    /// The one place replica caches are configured: every replica gets an
+    /// equal `total / n` slice of both the device capacity and the host
+    /// budget, the same policy/checkpoint/reload knobs, and its index as
+    /// its trace label (the tuner-replica-fidelity lesson of PR 2: any new
+    /// cache knob must flow through here to reach both clusters).
+    pub(crate) fn build_replicas(&self) -> Vec<Replica<HybridPrefixCache>> {
+        let n = self.replicas as u64;
+        (0..self.replicas)
+            .map(|index| {
+                let cache = HybridPrefixCache::builder(self.model.clone())
+                    .capacity_bytes(self.total_capacity / n)
+                    .host_capacity_bytes(self.total_host_capacity / n)
+                    .policy(self.policy.clone())
+                    .checkpoint_mode(self.checkpoint_mode)
+                    .reload_policy(self.reload_policy)
+                    .build();
+                Replica::new(cache, Some(index))
+            })
+            .collect()
+    }
+}
+
+impl ClusterBuilder<Cluster> {
     /// Builds the cluster.
     pub fn build(self) -> Cluster {
+        let gpu = self
+            .service
+            .gpu()
+            .expect("invariant: only the event builder can drop the device model");
         Cluster {
-            replicas: build_replicas(
-                &self.model,
-                self.replicas,
-                self.total_capacity,
-                self.total_host_capacity,
-                &self.policy,
-                self.checkpoint_mode,
-                self.reload_policy,
-            ),
-            router: self
-                .router
-                .unwrap_or_else(|| RoutingPolicy::PrefixAware.build()),
-            gpu: self.gpu,
+            replicas: self
+                .build_replicas()
+                .into_iter()
+                .map(|replica| Engine {
+                    replica,
+                    gpu: gpu.clone(),
+                })
+                .collect(),
+            router: self.router,
             tracer: Tracer::off(),
         }
     }
 }
 
-/// The one place replica caches are configured: every replica gets an
-/// equal `total / n` slice of both the device capacity and the host
-/// budget, and the same policy/checkpoint/reload knobs. Shared by
-/// [`ClusterBuilder`] and
-/// [`EventClusterBuilder`](crate::EventClusterBuilder) so the
-/// instantaneous and event-driven clusters can never drift in how they
-/// construct replicas (the tuner-replica-fidelity lesson of PR 2: any new
-/// cache knob must flow through here to reach both).
-pub(crate) fn build_replicas(
-    model: &ModelConfig,
-    n: usize,
-    total_capacity: u64,
-    total_host_capacity: u64,
-    policy: &EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
-    reload_policy: ReloadPolicy,
-) -> Vec<HybridPrefixCache> {
-    let per_replica = total_capacity / n as u64;
-    let host_per_replica = total_host_capacity / n as u64;
-    (0..n)
-        .map(|_| {
-            HybridPrefixCache::builder(model.clone())
-                .capacity_bytes(per_replica)
-                .host_capacity_bytes(host_per_replica)
-                .policy(policy.clone())
-                .checkpoint_mode(checkpoint_mode)
-                .reload_policy(reload_policy)
-                .build()
-        })
-        .collect()
-}
-
-/// Result of one [`Cluster::run`]: per-replica breakdowns plus the
-/// assignment log.
+/// Result of one [`Cluster::run`] or
+/// [`EventCluster::run`](crate::EventCluster::run): per-replica breakdowns
+/// plus the assignment log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Router name the run used.
@@ -732,6 +705,26 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
+    /// Assembles a run's report from each replica's own, rebasing the
+    /// cumulative cache statistics onto `before` (taken at the run's start).
+    pub(crate) fn new(
+        router: &str,
+        trace: &Trace,
+        mut replicas: Vec<SimReport>,
+        before: &[CacheStats],
+        assignments: Vec<usize>,
+    ) -> Self {
+        for (rep, before) in replicas.iter_mut().zip(before) {
+            rep.cache_stats = rep.cache_stats.delta_since(before);
+        }
+        ClusterReport {
+            router: router.to_owned(),
+            trace: trace.name.clone(),
+            replicas,
+            assignments,
+        }
+    }
+
     /// Cluster-wide cache statistics: the per-replica counters summed.
     ///
     /// `peak_usage_bytes` is the sum of per-replica peaks (replicas peak at
@@ -751,6 +744,16 @@ impl ClusterReport {
     #[must_use]
     pub fn aggregate_token_hit_rate(&self) -> f64 {
         self.aggregate_stats().token_hit_rate()
+    }
+
+    /// Cluster-wide hit tokens split by serving tier.
+    #[must_use]
+    pub fn hit_tier_split(&self) -> TierSplit {
+        let mut total = TierSplit::default();
+        for rep in &self.replicas {
+            total.accumulate(&rep.hit_tier_split());
+        }
+        total
     }
 
     /// Total prefill FLOPs saved across all replicas.
@@ -799,8 +802,8 @@ impl ClusterReport {
 
     /// Cluster-wide TTFT distribution summary; `None` for an empty run.
     #[must_use]
-    pub fn ttft_summary(&self) -> Option<marconi_metrics::LatencySummary> {
-        marconi_metrics::LatencySummary::new(&self.ttfts_ms())
+    pub fn ttft_summary(&self) -> Option<LatencySummary> {
+        LatencySummary::new(&self.ttfts_ms())
     }
 }
 
@@ -866,6 +869,43 @@ mod tests {
                 assert!(report.assignments.iter().all(|&i| i == 0));
             }
         }
+    }
+
+    #[test]
+    fn cluster_resumes_session_cursors() {
+        // `Cluster` serves through `Engine`'s own per-request step, so the
+        // session fast path reaches it: later turns resume from the cursor
+        // their replica's previous turn deposited — and, hinted ≡ unhinted,
+        // the report is the one a cursor-less cluster produces.
+        use marconi_trace::RingRecorder;
+        let trace = multi_tenant_trace(17);
+        assert!(
+            trace.requests.iter().any(|r| r.turn > 0),
+            "multi-turn trace"
+        );
+        let run = |cursors: bool| {
+            let mut c = cluster(2, RoutingPolicy::SessionAffinity, 4 << 30);
+            let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 14));
+            for engine in &mut c.replicas {
+                engine.replica.cache.set_tracer(tracer.clone());
+                if !cursors {
+                    engine.set_session_cursor_capacity(0);
+                }
+            }
+            let report = c.run(&trace);
+            let resumed = recorder
+                .lock()
+                .expect("lock: test-local recorder")
+                .events()
+                .filter(|e| matches!(e.event, TraceEvent::CursorResumed { .. }))
+                .count();
+            (report, resumed)
+        };
+        let (with_cursors, resumed) = run(true);
+        let (without, cold) = run(false);
+        assert!(resumed > 0, "later turns must resume from their cursor");
+        assert_eq!(cold, 0, "capacity 0 disables the fast path");
+        assert_eq!(with_cursors, without);
     }
 
     #[test]

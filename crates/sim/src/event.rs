@@ -1,12 +1,12 @@
 //! Discrete-event serving simulation: queueing, continuous batching, and
 //! load-dependent latency.
 //!
-//! The instantaneous [`Engine`](crate::Engine) replays traces with zero
+//! The analytic [`Engine`](crate::Engine) replays traces with zero
 //! service time — arrival timestamps only *order* requests, so queueing
 //! delay, device occupancy, and the load regime where the paper's P95 TTFT
 //! reductions actually materialize are invisible. This module adds the
-//! missing layer: [`EventSim`] drives a trace through a virtual clock into
-//! a per-device FIFO admission queue and a continuous-batching
+//! missing discipline: arrivals pass through a virtual clock into a
+//! per-device FIFO admission queue and a continuous-batching
 //! [`executor`](crate::BatchConfig) (token-level scheduling: chunked
 //! prefill shared FIFO across the batch, one decode token per decoding
 //! request per iteration, completed requests free their slot mid-batch).
@@ -16,180 +16,96 @@
 //! **completion**, not arrival, so under load the cache sees the true
 //! serving interleaving.
 //!
+//! There is one event loop. [`EventCluster`] runs it over N replicas behind
+//! the same [`Router`] abstraction as the analytic cluster —
+//! [`RoutingPolicy::QueueAware`] finally lets placement trade prefix
+//! locality against real-time queue depth — and [`EventSim`] is its N = 1,
+//! router-less call.
+//!
 //! Determinism contract: the whole subsystem is a pure function of
 //! `(trace, cache configuration, BatchConfig, ServiceMode)` — no wall
 //! clock, no randomness anywhere; simultaneous events resolve executor
 //! events before arrivals, then by replica index, then FIFO. The
 //! zero-load anchor: [`ServiceMode::Instantaneous`] with empty queues
-//! reproduces the instantaneous `Engine` **byte-for-byte** (identical
-//! `CacheStats` and per-request hit tokens — the parity tests below and
+//! reproduces the analytic `Engine` **byte-for-byte** (identical
+//! `CacheStats` and per-request hit tokens — the parity test below and
 //! `ARCHITECTURE.md` pin this), so every claim established on the engine
 //! transfers to the event layer's zero-load limit.
-//!
-//! [`EventCluster`] shards the event layer across N replicas behind the
-//! same [`Router`] abstraction as the instantaneous cluster; the
-//! [`RoutingPolicy::QueueAware`] policy finally lets placement trade
-//! prefix locality against real-time queue depth.
 
-use crate::cluster::{route_tie_break, trace_probes, ReplicaStatus, Router, RoutingPolicy};
+use crate::cluster::{route, ClusterBuilder, ClusterReport, Router, RoutingPolicy};
+use crate::engine::Replica;
 use crate::executor::{BatchConfig, Executor, ServiceMode};
 use crate::gpu::GpuModel;
-use marconi_core::{
-    CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
-};
-use marconi_metrics::{LatencySummary, Percentiles, TierSplit};
+use crate::report::{RequestRecord, SimReport};
+use marconi_core::{CacheStats, HybridPrefixCache, PrefixCache};
 use marconi_model::ModelConfig;
-use marconi_trace::{TraceEvent, Tracer};
-use marconi_workload::Trace;
-use serde::{Deserialize, Serialize};
+use marconi_trace::Tracer;
+use marconi_workload::{Request, Trace};
 
-/// One request's outcome in a discrete-event run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
-    /// Request id (arrival order within the trace).
-    pub id: u64,
-    /// Session the request belonged to.
-    pub session_id: u64,
-    /// Arrival time in virtual seconds.
-    pub arrival: f64,
-    /// When the request left the FIFO queue for a batch slot.
-    pub admitted: f64,
-    /// When its last decode token finished (cache admission time).
-    pub completed: f64,
-    /// Prefill length in tokens.
-    pub input_len: u64,
-    /// Tokens served from cache at admission.
-    pub hit_tokens: u64,
-    /// The subset of [`hit_tokens`](EventRecord::hit_tokens) that was
-    /// host-resident at admission (reloaded or recomputed per the cache's
-    /// reload policy).
-    pub host_hit_tokens: u64,
-    /// Raw longest match ignoring SSM checkpoint constraints (diagnostic).
-    pub raw_matched: u64,
-    /// Queueing delay in milliseconds (admitted − arrival).
-    pub queue_ms: f64,
-    /// Time to first token in milliseconds: queueing delay + reload +
-    /// prefill service (the load-dependent generalization of the engine's
-    /// analytic TTFT).
-    pub ttft_ms: f64,
-    /// End-to-end latency in milliseconds (completed − arrival).
-    pub e2e_ms: f64,
-    /// Latency charged at admission for the host-resident share of the
-    /// hit, in milliseconds.
-    pub reload_ms: f64,
-    /// Which compute-or-load arm served the host share.
-    pub reload: crate::gpu::ReloadDecision,
-    /// Prefill FLOPs actually spent.
-    pub flops_spent: u128,
-    /// Prefill FLOPs skipped thanks to the cache.
-    pub flops_saved: u128,
-}
+/// One request's outcome in a discrete-event run: the shared record, with
+/// its queueing fields live.
+pub type EventRecord = RequestRecord;
 
 /// Aggregate result of one discrete-event run on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventReport {
-    /// System name (the cache's).
-    pub system: String,
-    /// Trace name the run used.
-    pub trace: String,
-    /// Per-request outcomes, sorted by request id (arrival order).
-    pub records: Vec<EventRecord>,
-    /// The cache's cumulative statistics after the run.
-    pub cache_stats: CacheStats,
-    /// Virtual seconds the device spent executing iterations.
-    pub busy_s: f64,
-    /// Batching iterations executed (the discrete-event count).
-    pub iterations: u64,
-    /// Virtual time of the last completion (trace start is 0).
-    pub makespan_s: f64,
-}
+pub type EventReport = SimReport;
 
-impl EventReport {
-    /// Per-request TTFTs in milliseconds, in arrival order.
-    #[must_use]
-    pub fn ttfts_ms(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.ttft_ms).collect()
-    }
+/// Result of one [`EventCluster::run`].
+pub type EventClusterReport = ClusterReport;
 
-    /// Per-request queueing delays in milliseconds, in arrival order.
-    #[must_use]
-    pub fn queue_delays_ms(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.queue_ms).collect()
-    }
+/// Builder for [`EventCluster`]; see [`EventCluster::builder`].
+pub type EventClusterBuilder = ClusterBuilder<EventCluster>;
 
-    /// TTFT percentile in milliseconds; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_percentile_ms(&self, q: f64) -> Option<f64> {
-        Percentiles::new(&self.ttfts_ms()).map(|p| p.quantile(q))
-    }
-
-    /// TTFT distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.ttfts_ms())
-    }
-
-    /// Queueing-delay distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn queue_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.queue_delays_ms())
-    }
-
-    /// Device utilization: busy time over the makespan, in `[0, 1]`
-    /// (0.0 for an empty or instantaneous run).
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_s / self.makespan_s).min(1.0)
-    }
-
-    /// Fraction of requests whose TTFT met `slo_ms`; `None` for an empty
-    /// run.
-    #[must_use]
-    pub fn slo_attainment(&self, slo_ms: f64) -> Option<f64> {
-        Percentiles::new(&self.ttfts_ms()).map(|p| p.fraction_le(slo_ms))
-    }
-
-    /// Goodput: SLO-meeting requests per virtual second of makespan
-    /// (0.0 for an empty run; an instantaneous run reports the trace's
-    /// own arrival rate, since every request trivially meets the SLO).
-    #[must_use]
-    pub fn goodput_rps(&self, slo_ms: f64) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        let met = self.records.iter().filter(|r| r.ttft_ms <= slo_ms).count();
-        met as f64 / self.makespan_s
-    }
-
-    /// Token hit rate from the cache's counters.
-    #[must_use]
-    pub fn token_hit_rate(&self) -> f64 {
-        self.cache_stats.token_hit_rate()
-    }
-
-    /// Hit tokens split by the memory tier that served them.
-    #[must_use]
-    pub fn hit_tier_split(&self) -> TierSplit {
-        TierSplit {
-            device: self.cache_stats.device_hit_tokens(),
-            host: self.cache_stats.host_hit_tokens,
+/// The event loop: replays `trace` under the virtual clock across
+/// `replicas`, one fresh executor each, and returns one report per replica.
+///
+/// Arrivals are events; the executors' iteration boundaries are the only
+/// other event source. Each arrival joins the FIFO of the replica `route`
+/// picks (given the live executors, for their queue depths). Simultaneous
+/// events resolve deterministically: executor iterations before arrivals (a
+/// completing request admits its sequence before a simultaneous arrival
+/// looks it up — matching the engine's per-request lookup→insert order in
+/// the zero-load limit), lower replica index first, then FIFO.
+fn drive<'t, C: PrefixCache>(
+    replicas: &mut [Replica<C>],
+    service: &ServiceMode,
+    batch: &BatchConfig,
+    trace: &'t Trace,
+    mut route: impl FnMut(&'t Request, &[Replica<C>], &[Executor<'_>]) -> usize,
+) -> Vec<SimReport> {
+    let mut execs: Vec<Executor<'_>> = replicas
+        .iter()
+        .map(|_| Executor::new(batch, service))
+        .collect();
+    let mut arrivals = trace.arrivals().peekable();
+    loop {
+        let exec_event = execs
+            .iter()
+            .enumerate()
+            .filter_map(|(k, e)| e.next_event().map(|t| (k, t)))
+            .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)));
+        let arrival = arrivals.peek().map(|r| r.arrival);
+        match (exec_event, arrival) {
+            (Some((k, te)), Some(ta)) if te <= ta => execs[k].advance(&mut replicas[k], te),
+            (_, Some(ta)) => {
+                let req = arrivals
+                    .next()
+                    .expect("invariant: the peeked arrival is still in the iterator");
+                let k = route(req, replicas, &execs);
+                execs[k].enqueue(req, &mut replicas[k], ta);
+            }
+            (Some((k, te)), None) => execs[k].advance(&mut replicas[k], te),
+            (None, None) => break,
         }
     }
-
-    /// Total reload latency charged across the run, in milliseconds.
-    #[must_use]
-    pub fn total_reload_ms(&self) -> f64 {
-        self.records.iter().map(|r| r.reload_ms).sum()
-    }
-
-    /// Total prefill FLOPs saved across the run.
-    #[must_use]
-    pub fn total_flops_saved(&self) -> u128 {
-        self.records.iter().map(|r| r.flops_saved).sum()
-    }
+    replicas
+        .iter()
+        .zip(&mut execs)
+        .map(|(replica, exec)| {
+            let mut records = exec.take_records();
+            records.sort_by_key(|r| r.id);
+            replica.report(trace, records, exec.busy_s(), exec.iterations())
+        })
+        .collect()
 }
 
 /// Discrete-event serving simulator for one device: FIFO admission queue
@@ -219,43 +135,40 @@ impl EventReport {
 /// ```
 #[derive(Debug)]
 pub struct EventSim<C> {
-    cache: C,
+    replica: Replica<C>,
     service: ServiceMode,
     batch: BatchConfig,
-    tracer: Tracer,
 }
 
 impl<C: PrefixCache> EventSim<C> {
+    fn with_service(cache: C, service: ServiceMode) -> Self {
+        EventSim {
+            replica: Replica::new(cache, None),
+            service,
+            batch: BatchConfig::default(),
+        }
+    }
+
     /// Creates a simulator whose iteration latencies come from `gpu`.
     #[must_use]
     pub fn new(cache: C, gpu: GpuModel) -> Self {
-        EventSim {
-            cache,
-            service: ServiceMode::Modeled(gpu),
-            batch: BatchConfig::default(),
-            tracer: Tracer::off(),
-        }
+        Self::with_service(cache, ServiceMode::Modeled(gpu))
     }
 
     /// Creates a simulator in the infinite-throughput limit: every
     /// iteration takes zero virtual time, so queues never form and the run
-    /// reproduces the instantaneous [`Engine`](crate::Engine)
+    /// reproduces the analytic [`Engine`](crate::Engine)
     /// byte-for-byte (the zero-load parity contract).
     #[must_use]
     pub fn instantaneous(cache: C) -> Self {
-        EventSim {
-            cache,
-            service: ServiceMode::Instantaneous,
-            batch: BatchConfig::default(),
-            tracer: Tracer::off(),
-        }
+        Self::with_service(cache, ServiceMode::Instantaneous)
     }
 
     /// Attaches a tracer to the executor's own decisions (queue
     /// admissions, batch-iteration boundaries, reload pricing).
     /// Cache-level events are attached on the cache itself.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.replica.tracer = tracer;
     }
 
     /// Overrides the continuous-batching knobs.
@@ -273,57 +186,23 @@ impl<C: PrefixCache> EventSim<C> {
     /// Access to the underlying cache.
     #[must_use]
     pub fn cache(&self) -> &C {
-        &self.cache
+        &self.replica.cache
     }
 
     /// Consumes the simulator and returns the cache.
     #[must_use]
     pub fn into_cache(self) -> C {
-        self.cache
+        self.replica.cache
     }
 
     /// Replays `trace` under the virtual clock and returns the report.
-    ///
-    /// Arrivals feed the FIFO queue as events; the executor's iteration
-    /// boundaries are the only other event source. At equal timestamps
-    /// executor events fire before arrivals (a completing request admits
-    /// its sequence before a simultaneous arrival looks it up — matching
-    /// the engine's per-request lookup→insert order in the zero-load
-    /// limit). Cache state persists across calls, like `Engine`.
+    /// Cache and cursor state persist across calls, like `Engine`, and
+    /// `cache_stats` is cumulative.
     pub fn run(&mut self, trace: &Trace) -> EventReport {
-        let mut exec = Executor::new(
-            self.batch.clone(),
-            self.service.clone(),
-            self.tracer.clone(),
-        );
-        let mut arrivals = trace.arrivals().peekable();
-        loop {
-            let arrival = arrivals.peek().map(|r| r.arrival);
-            match (exec.next_event(), arrival) {
-                (Some(te), Some(ta)) if te <= ta => exec.advance(&mut self.cache, te),
-                (_, Some(ta)) => {
-                    let req = arrivals
-                        .next()
-                        .expect("invariant: the peeked arrival is still in the iterator");
-                    exec.enqueue(req, &mut self.cache, ta);
-                }
-                (Some(te), None) => exec.advance(&mut self.cache, te),
-                (None, None) => break,
-            }
-        }
-        debug_assert!(exec.is_idle());
-        let mut records = exec.take_records();
-        records.sort_by_key(|r| r.id);
-        let makespan_s = records.iter().fold(0.0f64, |m, r| m.max(r.completed));
-        EventReport {
-            system: self.cache.name().to_owned(),
-            trace: trace.name.clone(),
-            records,
-            cache_stats: *self.cache.stats(),
-            busy_s: exec.busy_s(),
-            iterations: exec.iterations(),
-            makespan_s,
-        }
+        let replica = std::slice::from_mut(&mut self.replica);
+        drive(replica, &self.service, &self.batch, trace, |_, _, _| 0)
+            .pop()
+            .expect("invariant: one replica yields one report")
     }
 }
 
@@ -352,7 +231,7 @@ impl<C: PrefixCache> EventSim<C> {
 /// ```
 #[derive(Debug)]
 pub struct EventCluster {
-    replicas: Vec<HybridPrefixCache>,
+    replicas: Vec<Replica<HybridPrefixCache>>,
     router: Box<dyn Router>,
     service: ServiceMode,
     batch: BatchConfig,
@@ -368,18 +247,7 @@ impl EventCluster {
     /// [`BatchConfig`].
     #[must_use]
     pub fn builder(model: ModelConfig) -> EventClusterBuilder {
-        EventClusterBuilder {
-            model,
-            replicas: 1,
-            total_capacity: 16 << 30,
-            total_host_capacity: 0,
-            reload_policy: ReloadPolicy::default(),
-            policy: EvictionPolicy::default(),
-            checkpoint_mode: CheckpointMode::Exact,
-            service: ServiceMode::Modeled(GpuModel::a100_x4()),
-            batch: BatchConfig::default(),
-            router: None,
-        }
+        ClusterBuilder::new(model, RoutingPolicy::QueueAware)
     }
 
     /// Number of replicas.
@@ -395,7 +263,7 @@ impl EventCluster {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
-        &self.replicas[index]
+        &self.replicas[index].cache
     }
 
     /// The active router's name.
@@ -409,185 +277,47 @@ impl EventCluster {
     /// boundaries, reload pricing). Replica caches stay untraced; trace a
     /// single-cache run for cache-level events.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        for replica in &mut self.replicas {
+            replica.tracer = tracer.clone();
+        }
         self.tracer = tracer;
     }
 
     /// Replays `trace` event-by-event across all replicas.
     ///
-    /// Each arrival routes against live [`ReplicaStatus`]es — prefix probe
-    /// plus *outstanding queued tokens* — then joins the winner's FIFO.
-    /// Simultaneous events resolve deterministically: executor iterations
-    /// before arrivals, lower replica index first.
+    /// Each arrival routes against live
+    /// [`ReplicaStatus`](crate::ReplicaStatus)es — prefix probe plus
+    /// *outstanding queued tokens* — then joins the winner's FIFO. Cache
+    /// and cursor state persist across calls, but each call reports only
+    /// its own requests.
     ///
     /// # Panics
     ///
     /// Panics if the router returns an out-of-range replica index.
     pub fn run(&mut self, trace: &Trace) -> EventClusterReport {
-        let n = self.replicas.len();
-        let stats_before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.stats()).collect();
-        let mut execs: Vec<Executor<'_>> = (0..n)
-            .map(|_| {
-                Executor::new(
-                    self.batch.clone(),
-                    self.service.clone(),
-                    self.tracer.clone(),
-                )
-            })
-            .collect();
+        let before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.cache.stats()).collect();
         let mut assignments = Vec::with_capacity(trace.len());
-        let mut arrivals = trace.arrivals().peekable();
-        loop {
-            let exec_event = execs
-                .iter()
-                .enumerate()
-                .filter_map(|(k, e)| e.next_event().map(|t| (k, t)))
-                .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)));
-            let arrival = arrivals.peek().map(|r| r.arrival);
-            match (exec_event, arrival) {
-                (Some((k, te)), Some(ta)) if te <= ta => {
-                    execs[k].advance(&mut self.replicas[k], te);
-                }
-                (_, Some(ta)) => {
-                    let req = arrivals
-                        .next()
-                        .expect("invariant: the peeked arrival is still in the iterator");
-                    let statuses: Vec<ReplicaStatus<'_>> = self
-                        .replicas
-                        .iter()
-                        .zip(&execs)
-                        .enumerate()
-                        .map(|(idx, (cache, exec))| {
-                            ReplicaStatus::new(idx, cache, exec.outstanding_tokens())
-                        })
-                        .collect();
-                    let idx = self.router.route(req, &statuses);
-                    assert!(
-                        idx < n,
-                        "router {} picked replica {idx} of {n}",
-                        self.router.name()
-                    );
-                    if self.tracer.is_enabled() {
-                        let probes = trace_probes(req, &statuses);
-                        let tie_break = route_tie_break(self.router.name(), &probes);
-                        self.tracer.emit(|| TraceEvent::RouterDecision {
-                            ts: ta,
-                            request: req.id,
-                            chosen: idx as u64,
-                            tie_break,
-                            probes,
-                        });
-                    }
-                    execs[idx].enqueue(req, &mut self.replicas[idx], ta);
-                    assignments.push(idx);
-                }
-                (Some((k, te)), None) => execs[k].advance(&mut self.replicas[k], te),
-                (None, None) => break,
-            }
-        }
-        let replicas = self
-            .replicas
-            .iter()
-            .zip(&mut execs)
-            .zip(stats_before)
-            .enumerate()
-            .map(|(i, ((cache, exec), before))| {
-                let mut records = exec.take_records();
-                records.sort_by_key(|r| r.id);
-                let makespan_s = records.iter().fold(0.0f64, |m, r| m.max(r.completed));
-                EventReport {
-                    system: format!("{}[{i}]", cache.name()),
-                    trace: trace.name.clone(),
-                    records,
-                    cache_stats: cache.stats().delta_since(&before),
-                    busy_s: exec.busy_s(),
-                    iterations: exec.iterations(),
-                    makespan_s,
-                }
-            })
-            .collect();
-        EventClusterReport {
-            router: self.router.name().to_owned(),
-            trace: trace.name.clone(),
-            replicas,
-            assignments,
-        }
+        let (router, tracer) = (&mut *self.router, &self.tracer);
+        let replicas = drive(
+            &mut self.replicas,
+            &self.service,
+            &self.batch,
+            trace,
+            |req, replicas, execs| {
+                let loads = replicas
+                    .iter()
+                    .zip(execs)
+                    .map(|(r, e)| (&r.cache, e.outstanding_tokens()));
+                let idx = route(router, tracer, req, loads);
+                assignments.push(idx);
+                idx
+            },
+        );
+        ClusterReport::new(self.router.name(), trace, replicas, &before, assignments)
     }
 }
 
-/// Builder for [`EventCluster`]; see [`EventCluster::builder`].
-#[derive(Debug)]
-pub struct EventClusterBuilder {
-    model: ModelConfig,
-    replicas: usize,
-    total_capacity: u64,
-    total_host_capacity: u64,
-    reload_policy: ReloadPolicy,
-    policy: EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
-    service: ServiceMode,
-    batch: BatchConfig,
-    router: Option<Box<dyn Router>>,
-}
-
-impl EventClusterBuilder {
-    /// Sets the replica count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    #[must_use]
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "a cluster needs at least one replica");
-        self.replicas = replicas;
-        self
-    }
-
-    /// Sets the cluster-wide device capacity; each replica gets an equal
-    /// `total / N` slice.
-    #[must_use]
-    pub fn total_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.total_capacity = bytes;
-        self
-    }
-
-    /// Sets the cluster-wide host-DRAM budget, sliced `total / N` like the
-    /// device capacity (default 0 = single-tier replicas).
-    #[must_use]
-    pub fn total_host_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.total_host_capacity = bytes;
-        self
-    }
-
-    /// Sets every replica's reload policy for host-resident hits (default
-    /// [`ReloadPolicy::ComputeOrLoad`]).
-    #[must_use]
-    pub fn reload_policy(mut self, policy: ReloadPolicy) -> Self {
-        self.reload_policy = policy;
-        self
-    }
-
-    /// Sets every replica's eviction policy.
-    #[must_use]
-    pub fn policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets every replica's SSM checkpoint mode (default
-    /// [`CheckpointMode::Exact`]).
-    #[must_use]
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint_mode = mode;
-        self
-    }
-
-    /// Sets the per-replica device model.
-    #[must_use]
-    pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.service = ServiceMode::Modeled(gpu);
-        self
-    }
-
+impl ClusterBuilder<EventCluster> {
     /// Puts every replica in the infinite-throughput (zero-load) limit.
     #[must_use]
     pub fn instantaneous(mut self) -> Self {
@@ -607,37 +337,12 @@ impl EventClusterBuilder {
         self
     }
 
-    /// Selects a built-in routing policy (default
-    /// [`RoutingPolicy::QueueAware`]).
-    #[must_use]
-    pub fn routing(mut self, policy: RoutingPolicy) -> Self {
-        self.router = Some(policy.build());
-        self
-    }
-
-    /// Installs a custom router.
-    #[must_use]
-    pub fn router(mut self, router: Box<dyn Router>) -> Self {
-        self.router = Some(router);
-        self
-    }
-
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> EventCluster {
         EventCluster {
-            replicas: crate::cluster::build_replicas(
-                &self.model,
-                self.replicas,
-                self.total_capacity,
-                self.total_host_capacity,
-                &self.policy,
-                self.checkpoint_mode,
-                self.reload_policy,
-            ),
-            router: self
-                .router
-                .unwrap_or_else(|| RoutingPolicy::QueueAware.build()),
+            replicas: self.build_replicas(),
+            router: self.router,
             service: self.service,
             batch: self.batch,
             tracer: Tracer::off(),
@@ -645,80 +350,15 @@ impl EventClusterBuilder {
     }
 }
 
-/// Result of one [`EventCluster::run`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventClusterReport {
-    /// Router name the run used.
-    pub router: String,
-    /// Trace name the run used.
-    pub trace: String,
-    /// One [`EventReport`] per replica, covering this run's requests only.
-    pub replicas: Vec<EventReport>,
-    /// Replica index each request was routed to, in arrival order.
-    pub assignments: Vec<usize>,
-}
-
-impl EventClusterReport {
-    /// Cluster-wide cache statistics (per-replica counters summed; see
-    /// [`CacheStats::accumulate`] for the peak-usage caveat).
-    #[must_use]
-    pub fn aggregate_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for rep in &self.replicas {
-            total.accumulate(&rep.cache_stats);
-        }
-        total
-    }
-
-    /// Cluster-wide token hit rate.
-    #[must_use]
-    pub fn aggregate_token_hit_rate(&self) -> f64 {
-        self.aggregate_stats().token_hit_rate()
-    }
-
-    /// Cluster-wide hit tokens split by serving tier.
-    #[must_use]
-    pub fn hit_tier_split(&self) -> TierSplit {
-        let mut total = TierSplit::default();
-        for rep in &self.replicas {
-            total.accumulate(&rep.hit_tier_split());
-        }
-        total
-    }
-
-    /// All per-request TTFTs across replicas, in global arrival order.
-    #[must_use]
-    pub fn ttfts_ms(&self) -> Vec<f64> {
-        let mut with_ids: Vec<(u64, f64)> = self
-            .replicas
-            .iter()
-            .flat_map(|r| r.records.iter().map(|rec| (rec.id, rec.ttft_ms)))
-            .collect();
-        with_ids.sort_by_key(|&(id, _)| id);
-        with_ids.into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Cluster-wide TTFT distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.ttfts_ms())
-    }
-
-    /// Input tokens routed to each replica during this run.
-    #[must_use]
-    pub fn replica_loads(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.cache_stats.input_tokens)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Engine;
+    use marconi_core::{CursorTable, EvictionPolicy};
+    use marconi_metrics::Percentiles;
+    use marconi_trace::{RingRecorder, TraceEvent};
     use marconi_workload::{DatasetKind, TraceGenerator};
+    use std::sync::{Arc, Mutex};
 
     fn sharegpt(sessions: usize, seed: u64) -> Trace {
         TraceGenerator::new(DatasetKind::ShareGpt)
@@ -772,40 +412,170 @@ mod tests {
         }
     }
 
+    /// A tiered, contended 4-replica cluster on the 8-tenant trace: every
+    /// replica demotes and reloads.
+    fn tiered_cluster(trace_seed: u64) -> (EventCluster, Trace) {
+        let m = ModelConfig::hybrid_7b();
+        let trace = TraceGenerator::new(DatasetKind::ShareGpt)
+            .sessions(48)
+            .tenants(8)
+            .seed(trace_seed)
+            .generate()
+            .time_scaled(8.0);
+        let cluster = EventCluster::builder(m.clone())
+            .replicas(4)
+            .total_capacity_bytes(4 * 6000 * m.kv_bytes_per_token())
+            .total_host_capacity_bytes(64 << 30)
+            .policy(EvictionPolicy::Lru)
+            .build();
+        (cluster, trace)
+    }
+
+    fn count_events(rec: &Arc<Mutex<RingRecorder>>, pick: impl Fn(&TraceEvent) -> bool) -> usize {
+        let rec = rec.lock().expect("lock: test-local recorder");
+        rec.events().filter(|e| pick(&e.event)).count()
+    }
+
     #[test]
-    fn n1_instantaneous_event_cluster_matches_event_sim_and_engine() {
-        // The cluster-side parity anchor, mirroring the instantaneous
-        // cluster's: one event replica at infinite throughput is the
-        // single-device event sim, which is the engine.
-        let trace = sharegpt(12, 11);
-        let capacity = 2 << 30;
-        let mut engine = Engine::new(
-            marconi_cache(capacity, EvictionPolicy::Lru),
-            GpuModel::a100_x4(),
+    fn traced_reloads_name_the_replica_that_reloaded() {
+        // The label comes from the one admission step: `name[idx]` inside a
+        // cluster (so a 4-replica trace can say which replica reloaded),
+        // the plain cache name for a single-cache driver.
+        let (mut cluster, trace) = tiered_cluster(23);
+        let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+        cluster.set_tracer(tracer);
+        let report = cluster.run(&trace);
+        let labels: std::collections::BTreeSet<Arc<str>> = recorder
+            .lock()
+            .expect("lock: test-local recorder")
+            .events()
+            .filter_map(|e| match &e.event {
+                TraceEvent::Reload { cache, .. } => Some(cache.clone()),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            labels.len() >= 2,
+            "reloads on several replicas must carry distinct labels: {labels:?}"
         );
-        let expected = engine.run(&trace);
-        for routing in RoutingPolicy::ALL {
-            let mut cluster = EventCluster::builder(ModelConfig::hybrid_7b())
-                .replicas(1)
-                .total_capacity_bytes(capacity)
-                .policy(EvictionPolicy::Lru)
-                .instantaneous()
-                .routing(routing)
-                .build();
-            let report = cluster.run(&trace);
-            assert_eq!(
-                report.replicas[0].cache_stats, expected.cache_stats,
-                "{routing}: CacheStats must match the engine"
+        let systems: Vec<&str> = report.replicas.iter().map(|r| r.system.as_str()).collect();
+        for label in &labels {
+            assert!(
+                systems.contains(&label.as_ref()),
+                "{label} is not one of {systems:?}"
             );
-            let hits: Vec<u64> = report.replicas[0]
-                .records
-                .iter()
-                .map(|r| r.hit_tokens)
-                .collect();
-            let expected_hits: Vec<u64> = expected.records.iter().map(|r| r.hit_tokens).collect();
-            assert_eq!(hits, expected_hits, "{routing}: per-request hit tokens");
-            assert!(report.assignments.iter().all(|&i| i == 0));
         }
+
+        let m = ModelConfig::hybrid_7b();
+        let cache = HybridPrefixCache::builder(m.clone())
+            .capacity_bytes(6000 * m.kv_bytes_per_token())
+            .host_capacity_bytes(16 << 30)
+            .policy(EvictionPolicy::Lru)
+            .build();
+        let name: Arc<str> = cache.name().into();
+        let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+        let mut sim = EventSim::new(cache, GpuModel::a100_x4());
+        sim.set_tracer(tracer);
+        sim.run(&sharegpt(16, 7).time_scaled(4.0));
+        let reloads = count_events(&recorder, |e| matches!(e, TraceEvent::Reload { .. }));
+        let unlabelled = count_events(
+            &recorder,
+            |e| matches!(e, TraceEvent::Reload { cache, .. } if *cache == name),
+        );
+        assert!(reloads > 0, "the single-cache run must reload");
+        assert_eq!(
+            reloads, unlabelled,
+            "a single cache reloads under its own name"
+        );
+    }
+
+    #[test]
+    fn session_cursors_survive_across_runs_under_every_driver() {
+        // The cursor table lives beside the cache, not inside a per-run
+        // executor: a second `run` resumes each session where the first
+        // left it. The second run holds exactly one turn per session, so
+        // every resume it records is a first turn spending a cursor the
+        // *previous* run deposited.
+        let trace = sharegpt(8, 4);
+        let turn = |k: u32| Trace {
+            name: format!("turn{k}"),
+            requests: trace
+                .requests
+                .iter()
+                .filter(|r| r.turn == k)
+                .cloned()
+                .collect(),
+        };
+        let (first, second) = (turn(0), turn(1));
+        assert!(second.len() >= 4, "the trace must be multi-turn");
+        let resumed = |rec: &Arc<Mutex<RingRecorder>>| {
+            count_events(rec, |e| matches!(e, TraceEvent::CursorResumed { .. }))
+        };
+        let cache = || marconi_cache(1 << 40, EvictionPolicy::Lru);
+
+        let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
+        let mut engine = Engine::new(cache(), GpuModel::a100_x4());
+        let _ = engine.run(&first);
+        engine.replica.cache.set_tracer(tracer);
+        let _ = engine.run(&second);
+        assert!(resumed(&rec) >= second.len(), "Engine: {}", resumed(&rec));
+
+        let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
+        let mut sim = EventSim::new(cache(), GpuModel::a100_x4());
+        let _ = sim.run(&first);
+        sim.replica.cache.set_tracer(tracer);
+        let _ = sim.run(&second);
+        assert!(resumed(&rec) >= second.len(), "EventSim: {}", resumed(&rec));
+
+        let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
+        let mut cluster = EventCluster::builder(ModelConfig::hybrid_7b())
+            .replicas(2)
+            .total_capacity_bytes(1 << 40)
+            .policy(EvictionPolicy::Lru)
+            .routing(RoutingPolicy::PrefixAware)
+            .build();
+        let _ = cluster.run(&first);
+        for replica in &mut cluster.replicas {
+            replica.cache.set_tracer(tracer.clone());
+        }
+        let _ = cluster.run(&second);
+        assert!(
+            resumed(&rec) >= second.len(),
+            "EventCluster: {}",
+            resumed(&rec)
+        );
+    }
+
+    #[test]
+    fn cursor_capacity_zero_reproduces_the_default_reports() {
+        // Hinted ≡ unhinted at the driver level: with the session fast path
+        // disabled every request root-walks, and the reports — queueing
+        // fields, reload arms, eviction counts — do not move.
+        let trace = sharegpt(16, 7).time_scaled(4.0);
+        let m = ModelConfig::hybrid_7b();
+        let sim = |cursors: bool| {
+            let cache = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(6000 * m.kv_bytes_per_token())
+                .host_capacity_bytes(16 << 30)
+                .build();
+            let mut sim = EventSim::new(cache, GpuModel::a100_x4());
+            if !cursors {
+                sim.replica.cursors = CursorTable::new(0);
+            }
+            sim.run(&trace)
+        };
+        assert_eq!(sim(true), sim(false));
+
+        let cluster = |cursors: bool| {
+            let (mut cluster, trace) = tiered_cluster(23);
+            if !cursors {
+                for replica in &mut cluster.replicas {
+                    replica.cursors = CursorTable::new(0);
+                }
+            }
+            cluster.run(&trace)
+        };
+        assert_eq!(cluster(true), cluster(false));
     }
 
     #[test]
@@ -1340,7 +1110,7 @@ mod tests {
     /// the trace alone.
     #[test]
     fn mid_flight_misses_are_attributed() {
-        use marconi_trace::{MissCause, RingRecorder, TraceEvent, Tracer};
+        use marconi_trace::MissCause;
         let (m, capacity, trace) = mid_flight_scenario();
         let run = |pin: bool| {
             let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 14));

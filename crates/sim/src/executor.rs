@@ -15,10 +15,11 @@
 //! wall clock, no randomness — iteration durations come from the analytic
 //! device model, ties resolve in FIFO admission order.
 
-use crate::event::EventRecord;
-use crate::gpu::{GpuModel, ReloadDecision};
-use marconi_core::{CursorTable, PinTicket, PrefixCache, SessionCursor};
-use marconi_trace::{ReloadDecision as TraceReload, TraceEvent, Tracer};
+use crate::engine::{Admitted, Replica};
+use crate::gpu::GpuModel;
+use crate::report::RequestRecord;
+use marconi_core::PrefixCache;
+use marconi_trace::TraceEvent;
 use marconi_workload::Request;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -75,33 +76,28 @@ pub enum ServiceMode {
     Instantaneous,
 }
 
+impl ServiceMode {
+    /// The device model, absent in the infinite-throughput limit.
+    pub(crate) fn gpu(&self) -> Option<&GpuModel> {
+        match self {
+            ServiceMode::Modeled(gpu) => Some(gpu),
+            ServiceMode::Instantaneous => None,
+        }
+    }
+}
+
 /// A request resident in the running batch.
 #[derive(Debug)]
 struct Running<'a> {
     req: &'a Request,
+    /// The admission step's outcome, spent on completion.
+    adm: Admitted,
     admitted: f64,
-    hit_tokens: u64,
-    host_hit_tokens: u64,
-    raw_matched: u64,
-    flops_saved: u128,
-    /// Latency charged at admission for the host-resident share of the
-    /// hit (compute-or-load), and the arm that produced it.
-    reload_s: f64,
-    reload: ReloadDecision,
     /// Prefill frontier in tokens (starts at the cached prefix).
     prefill_pos: u64,
     /// Set when the prefill frontier reaches the input length — the TTFT
     /// instant.
     prefill_done_at: Option<f64>,
-    /// In-flight pin on the admission lookup's hit path, held until
-    /// completion so eviction pressure from concurrent completions cannot
-    /// reclaim KVs this request is still reading.
-    pin: PinTicket,
-    /// The session hint taken at admission, re-spent on the completion
-    /// insert. The insert revalidates it — anything that happened to the
-    /// resume path while this request was in flight makes it fall back to
-    /// the byte-identical root walk.
-    cursor: Option<SessionCursor>,
     decoded: u64,
     /// Work scheduled for the in-flight iteration.
     sched_prefill: u64,
@@ -109,13 +105,12 @@ struct Running<'a> {
 }
 
 /// One device's serving state: FIFO admission queue + running batch +
-/// in-flight iteration. Created fresh per [`run`](crate::EventSim::run);
-/// the prefix cache it drives is borrowed per call so the same executor
-/// logic serves both the single-device simulator and cluster replicas.
+/// in-flight iteration. Created fresh per run; the [`Replica`] it serves on
+/// (cache, session cursors, tracer) is borrowed per call and outlives it.
 #[derive(Debug)]
 pub(crate) struct Executor<'a> {
-    batch: BatchConfig,
-    service: ServiceMode,
+    batch: &'a BatchConfig,
+    service: &'a ServiceMode,
     queue: VecDeque<&'a Request>,
     queued_input_tokens: u64,
     running: Vec<Running<'a>>,
@@ -123,17 +118,11 @@ pub(crate) struct Executor<'a> {
     busy_until: Option<f64>,
     busy_s: f64,
     iterations: u64,
-    records: Vec<EventRecord>,
-    tracer: Tracer,
-    /// Per-session resume cursors (the PR 10 fast path): deposited by
-    /// completion inserts, spent by the next admission of the same session
-    /// on its lookup and pin, then re-spent on that request's completion
-    /// insert.
-    cursors: CursorTable,
+    records: Vec<RequestRecord>,
 }
 
 impl<'a> Executor<'a> {
-    pub(crate) fn new(batch: BatchConfig, service: ServiceMode, tracer: Tracer) -> Self {
+    pub(crate) fn new(batch: &'a BatchConfig, service: &'a ServiceMode) -> Self {
         batch.validate();
         Executor {
             batch,
@@ -145,34 +134,33 @@ impl<'a> Executor<'a> {
             busy_s: 0.0,
             iterations: 0,
             records: Vec::new(),
-            tracer,
-            cursors: CursorTable::new(crate::engine::DEFAULT_SESSION_CURSOR_CAP),
         }
     }
 
     /// Queues an arriving request; starts an iteration immediately if the
     /// device is idle.
-    pub(crate) fn enqueue<C: PrefixCache>(&mut self, req: &'a Request, cache: &mut C, now: f64) {
+    pub(crate) fn enqueue<C: PrefixCache>(
+        &mut self,
+        req: &'a Request,
+        replica: &mut Replica<C>,
+        now: f64,
+    ) {
         self.queued_input_tokens += req.input_len();
         self.queue.push_back(req);
-        self.tracer.emit(|| TraceEvent::QueueAdmission {
+        replica.tracer.emit(|| TraceEvent::QueueAdmission {
             ts: now,
             request: req.id,
             queue_depth: self.queue.len() as u64,
             queued_tokens: self.queued_input_tokens,
         });
         if self.busy_until.is_none() {
-            self.start_iteration(cache, now);
+            self.start_iteration(replica, now);
         }
     }
 
     /// Virtual time the in-flight iteration ends (`None` when idle).
     pub(crate) fn next_event(&self) -> Option<f64> {
         self.busy_until
-    }
-
-    pub(crate) fn is_idle(&self) -> bool {
-        self.busy_until.is_none()
     }
 
     /// Outstanding prefill work in tokens: inputs waiting in the FIFO plus
@@ -198,7 +186,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Completed-request records, in completion order.
-    pub(crate) fn take_records(&mut self) -> Vec<EventRecord> {
+    pub(crate) fn take_records(&mut self) -> Vec<RequestRecord> {
         std::mem::take(&mut self.records)
     }
 
@@ -206,7 +194,7 @@ impl<'a> Executor<'a> {
     /// work, finishes prefills (TTFT), completes drained requests
     /// (admitting them into the cache), and starts the next iteration if
     /// any work remains.
-    pub(crate) fn advance<C: PrefixCache>(&mut self, cache: &mut C, now: f64) {
+    pub(crate) fn advance<C: PrefixCache>(&mut self, replica: &mut Replica<C>, now: f64) {
         debug_assert!(
             self.busy_until.is_some_and(|t| t <= now),
             "advance before the iteration ended"
@@ -234,51 +222,25 @@ impl<'a> Executor<'a> {
                 continue;
             }
             let r = self.running.remove(i);
-            // Release the pin *before* admitting the completed sequence:
-            // the request is done reading its prefix, and a still-held pin
-            // would exempt that path from the admission's own eviction
-            // pressure (breaking pin-free parity even at zero load).
-            cache.unpin(r.pin);
-            let (_, next) = cache.insert_at_with(&r.req.input, &r.req.output, now, r.cursor);
-            if let Some(cursor) = next {
-                self.cursors.put(r.req.session_id, cursor);
-            }
             let ttft_at = r
                 .prefill_done_at
                 .expect("invariant: completed requests have a prefill timestamp");
-            self.records.push(EventRecord {
-                id: r.req.id,
-                session_id: r.req.session_id,
-                arrival: r.req.arrival,
-                admitted: r.admitted,
-                completed: now,
-                input_len: r.req.input_len(),
-                hit_tokens: r.hit_tokens,
-                host_hit_tokens: r.host_hit_tokens,
-                raw_matched: r.raw_matched,
-                queue_ms: (r.admitted - r.req.arrival) * 1e3,
-                ttft_ms: (ttft_at - r.req.arrival) * 1e3,
-                e2e_ms: (now - r.req.arrival) * 1e3,
-                reload_ms: r.reload_s * 1e3,
-                reload: r.reload,
-                flops_spent: cache
-                    .model()
-                    .prefill_flops_with_prefix(r.req.input_len(), r.hit_tokens),
-                flops_saved: r.flops_saved,
-            });
+            let ttft_ms = (ttft_at - r.req.arrival) * 1e3;
+            self.records
+                .push(replica.complete(r.req, r.adm, r.admitted, ttft_ms, now));
         }
         if !self.running.is_empty() || !self.queue.is_empty() {
-            self.start_iteration(cache, now);
+            self.start_iteration(replica, now);
         }
     }
 
     /// Starts one iteration at `now`: admits from the FIFO while slots are
-    /// free (the admission lookup pins each request's cached prefix and
+    /// free (the admission step pins each request's cached prefix and
     /// takes the compute-or-load decision for any host-resident share),
     /// then schedules the chunked-prefill budget FIFO plus one decode
     /// token per decoding request, and charges the device model for the
     /// total — including the admitted requests' reload charges.
-    fn start_iteration<C: PrefixCache>(&mut self, cache: &mut C, now: f64) {
+    fn start_iteration<C: PrefixCache>(&mut self, replica: &mut Replica<C>, now: f64) {
         debug_assert!(self.busy_until.is_none());
         let mut admitted_now = 0u32;
         let mut reload_now = 0.0f64;
@@ -286,67 +248,20 @@ impl<'a> Executor<'a> {
             let Some(req) = self.queue.pop_front() else {
                 break;
             };
-            debug_assert!(
-                self.queued_input_tokens >= req.input_len(),
-                "queue accounting underflow: {} queued tokens, dequeuing {}",
-                self.queued_input_tokens,
-                req.input_len()
-            );
-            self.queued_input_tokens = self.queued_input_tokens.saturating_sub(req.input_len());
-            let hint = self.cursors.take(req.session_id);
-            let hit = cache.lookup_at_with(&req.input, now, hint);
-            let pin = cache.pin_prefix_with(&req.input, hint);
-            let (reload_s, reload) = match &self.service {
-                ServiceMode::Modeled(gpu) => {
-                    let priced = gpu.reload_secs(
-                        cache.reload_policy(),
-                        hit.host_bytes,
-                        hit.host_reload_flops,
-                    );
-                    if priced.1 != ReloadDecision::None {
-                        self.tracer.emit(|| TraceEvent::Reload {
-                            ts: now,
-                            cache: cache.name().into(),
-                            host_bytes: hit.host_bytes,
-                            load_secs: gpu.transfer_secs(hit.host_bytes),
-                            recompute_secs: gpu.secs_for_flops(hit.host_reload_flops),
-                            decision: match priced.1 {
-                                ReloadDecision::Recomputed => TraceReload::Recompute,
-                                _ => TraceReload::Load,
-                            },
-                        });
-                    }
-                    priced
-                }
-                // Infinite throughput also means infinite bandwidth: host
-                // hits reload in zero time, but the recorded arm still
-                // honors the cache's policy (an AlwaysRecompute cache
-                // never transfers).
-                ServiceMode::Instantaneous => (
-                    0.0,
-                    if !hit.needs_reload() {
-                        ReloadDecision::None
-                    } else if cache.reload_policy() == marconi_core::ReloadPolicy::AlwaysRecompute {
-                        ReloadDecision::Recomputed
-                    } else {
-                        ReloadDecision::Loaded
-                    },
-                ),
-            };
-            reload_now += reload_s;
+            // A wrapped or saturated count would silently poison the
+            // `QueueAware` router's load signal; fail loudly instead.
+            self.queued_input_tokens = self
+                .queued_input_tokens
+                .checked_sub(req.input_len())
+                .expect("invariant: every dequeued request was counted into queued_input_tokens");
+            let adm = replica.admit(req, now, self.service.gpu(), true);
+            reload_now += adm.reload_s;
             self.running.push(Running {
                 req,
                 admitted: now,
-                hit_tokens: hit.tokens_matched,
-                host_hit_tokens: hit.host_tokens,
-                raw_matched: hit.raw_matched,
-                flops_saved: hit.flops_saved,
-                reload_s,
-                reload,
-                prefill_pos: hit.tokens_matched,
+                prefill_pos: adm.hit.tokens_matched,
+                adm,
                 prefill_done_at: None,
-                pin,
-                cursor: hint,
                 decoded: 0,
                 sched_prefill: 0,
                 sched_decode: false,
@@ -356,7 +271,7 @@ impl<'a> Executor<'a> {
         if self.running.is_empty() {
             return; // queue was empty too: stay idle
         }
-        let model = cache.model();
+        let model = replica.cache.model();
         let mut budget = self.batch.prefill_chunk_tokens;
         let mut flops: u128 = 0;
         for r in &mut self.running {
@@ -376,7 +291,7 @@ impl<'a> Executor<'a> {
             // prefill frontier is already at the input length, and the next
             // `advance` stamps its TTFT (queue wait + admission overhead).
         }
-        let duration = match &self.service {
+        let duration = match self.service {
             ServiceMode::Instantaneous => 0.0,
             ServiceMode::Modeled(gpu) => {
                 gpu.secs_for_flops(flops) + f64::from(admitted_now) * gpu.overhead_s() + reload_now
@@ -384,7 +299,7 @@ impl<'a> Executor<'a> {
         };
         self.busy_s += duration;
         self.iterations += 1;
-        self.tracer.emit(|| TraceEvent::BatchIteration {
+        replica.tracer.emit(|| TraceEvent::BatchIteration {
             ts: now,
             iteration: self.iterations,
             running: self.running.len() as u64,
@@ -401,11 +316,12 @@ mod tests {
     use marconi_model::ModelConfig;
     use marconi_workload::{DatasetKind, TraceGenerator};
 
-    fn cache() -> HybridPrefixCache {
-        HybridPrefixCache::builder(ModelConfig::hybrid_7b())
+    fn replica() -> Replica<HybridPrefixCache> {
+        let cache = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
             .capacity_bytes(1 << 40)
             .policy(EvictionPolicy::Lru)
-            .build()
+            .build();
+        Replica::new(cache, None)
     }
 
     /// Queue-token accounting must balance exactly: every enqueued input
@@ -417,15 +333,13 @@ mod tests {
             .sessions(6)
             .seed(5)
             .generate();
-        let mut c = cache();
-        let mut ex = Executor::new(
-            BatchConfig {
-                max_batch_requests: 2,
-                prefill_chunk_tokens: 512,
-            },
-            ServiceMode::Modeled(GpuModel::a100_x4()),
-            Tracer::off(),
-        );
+        let mut c = replica();
+        let batch = BatchConfig {
+            max_batch_requests: 2,
+            prefill_chunk_tokens: 512,
+        };
+        let service = ServiceMode::Modeled(GpuModel::a100_x4());
+        let mut ex = Executor::new(&batch, &service);
         for r in &trace.requests {
             ex.enqueue(r, &mut c, r.arrival);
         }
@@ -433,7 +347,6 @@ mod tests {
         while let Some(t) = ex.next_event() {
             ex.advance(&mut c, t);
         }
-        assert!(ex.is_idle());
         assert_eq!(
             ex.outstanding_tokens(),
             0,
@@ -442,24 +355,20 @@ mod tests {
         assert_eq!(ex.take_records().len(), trace.requests.len());
     }
 
-    /// The debug guard on admission catches queue-accounting drift (a
-    /// request dequeued without having been counted) instead of silently
-    /// wrapping `queued_input_tokens` to ~u64::MAX and poisoning the
-    /// `QueueAware` router's load signal. Release builds saturate to zero.
-    #[cfg(debug_assertions)]
+    /// Admission catches queue-accounting drift (a request dequeued without
+    /// having been counted) in every build profile, instead of wrapping or
+    /// saturating `queued_input_tokens` and poisoning the `QueueAware`
+    /// router's load signal.
     #[test]
-    #[should_panic(expected = "queue accounting underflow")]
-    fn queue_accounting_underflow_is_caught_in_debug() {
+    #[should_panic(expected = "invariant: every dequeued request was counted")]
+    fn queue_accounting_underflow_panics() {
         let trace = TraceGenerator::new(DatasetKind::ShareGpt)
             .sessions(1)
             .seed(1)
             .generate();
-        let mut c = cache();
-        let mut ex = Executor::new(
-            BatchConfig::default(),
-            ServiceMode::Instantaneous,
-            Tracer::off(),
-        );
+        let mut c = replica();
+        let (batch, service) = (BatchConfig::default(), ServiceMode::Instantaneous);
+        let mut ex = Executor::new(&batch, &service);
         // Bypass `enqueue`'s token bookkeeping to simulate drift, then let
         // admission (via `advance`'s restart path) dequeue the request.
         ex.queue.push_back(&trace.requests[0]);

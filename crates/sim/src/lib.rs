@@ -18,20 +18,23 @@
 //! much prefix reuse survives at cluster scale; see `ARCHITECTURE.md` for
 //! the layer's contract.
 //!
-//! ## The event layer (`event`)
+//! ## One step, two disciplines, one cluster front-end
 //!
-//! The engine above replays instantaneously — arrivals only *order*
-//! requests. The [`event`] module adds a deterministic discrete-event
-//! simulator: [`EventSim`] drives arrivals through a per-device FIFO
-//! admission queue into a continuous-batching executor ([`BatchConfig`]:
-//! chunked prefill shared FIFO across batch slots, one decode token per
-//! decoding request per iteration, slots freed mid-batch), with iteration
-//! latencies from the same [`GpuModel`] and cache insertion at request
-//! *completion*. [`EventReport`] adds what the instantaneous reports
-//! cannot see: queueing delay, load-dependent TTFT (= queue + prefill),
-//! device utilization, and goodput under an SLO. [`EventCluster`] shards
-//! it behind the same routers, whose [`ReplicaStatus`] then carries live
-//! queue depth.
+//! Every driver serves a request through the same admission and completion
+//! step (lookup → reload pricing, then insert → record); the service
+//! disciplines differ only in when they call it. The analytic [`Engine`]
+//! calls both at arrival — arrivals only *order* requests. The [`event`]
+//! module is the batched discipline: arrivals pass through a per-device
+//! FIFO admission queue into a continuous-batching executor
+//! ([`BatchConfig`]: chunked prefill shared FIFO across batch slots, one
+//! decode token per decoding request per iteration, slots freed mid-batch),
+//! with iteration latencies from the same [`GpuModel`] and cache insertion
+//! at request *completion*. One [`SimReport`] type serves both; under the
+//! event drivers its queueing fields come alive: queueing delay,
+//! load-dependent TTFT (= queue + prefill), device utilization, and goodput
+//! under an SLO. [`Cluster`] and [`EventCluster`] put either discipline
+//! behind the same routers, builder and [`ClusterReport`]; under the event
+//! cluster [`ReplicaStatus`] carries live queue depth.
 //!
 //! **Determinism guarantees:** the event layer is a pure function of
 //! `(trace, cache config, BatchConfig, ServiceMode)` — no wall clock and

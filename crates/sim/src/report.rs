@@ -1,4 +1,10 @@
 //! Per-request records and aggregate simulation reports.
+//!
+//! One record and one report type serve both service disciplines. Under
+//! the analytic drivers ([`Engine`](crate::Engine),
+//! [`Cluster`](crate::Cluster)) nothing queues and nothing takes virtual
+//! time: `admitted` and `completed` equal `arrival`, and `queue_ms`,
+//! `e2e_ms`, `busy_s` and `iterations` are zero.
 
 use crate::gpu::ReloadDecision;
 use marconi_core::CacheStats;
@@ -12,21 +18,32 @@ pub struct RequestRecord {
     pub id: u64,
     /// Session the request belonged to.
     pub session_id: u64,
-    /// Arrival time in seconds.
+    /// Arrival time in virtual seconds.
     pub arrival: f64,
+    /// When the request left the FIFO queue for a batch slot.
+    pub admitted: f64,
+    /// When its last decode token finished (cache admission time).
+    pub completed: f64,
     /// Prefill length in tokens.
     pub input_len: u64,
-    /// Tokens served from cache.
+    /// Tokens served from cache at admission.
     pub hit_tokens: u64,
     /// The subset of [`hit_tokens`](RequestRecord::hit_tokens) that was
-    /// host-resident and had to be reloaded or recomputed.
+    /// host-resident at admission (reloaded or recomputed per the cache's
+    /// reload policy).
     pub host_hit_tokens: u64,
     /// Raw longest match ignoring SSM checkpoint constraints (diagnostic).
     pub raw_matched: u64,
-    /// Time to first token, in milliseconds (includes any reload charge).
+    /// Queueing delay in milliseconds (admitted − arrival).
+    pub queue_ms: f64,
+    /// Time to first token in milliseconds, including any reload charge:
+    /// the analytic prefill time under [`Engine`](crate::Engine), queueing
+    /// delay + reload + prefill service under the event drivers.
     pub ttft_ms: f64,
-    /// Latency charged for the host-resident share of the hit, in
-    /// milliseconds (0 for device-only hits).
+    /// End-to-end latency in milliseconds (completed − arrival).
+    pub e2e_ms: f64,
+    /// Latency charged at admission for the host-resident share of the
+    /// hit, in milliseconds (0 for device-only hits).
     pub reload_ms: f64,
     /// Which compute-or-load arm served the host share.
     pub reload: ReloadDecision,
@@ -47,17 +64,26 @@ impl RequestRecord {
     }
 }
 
-/// Aggregate result of replaying one trace through one cache system.
+/// Aggregate result of replaying one trace through one cache system on
+/// one device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
-    /// System name (`"marconi"`, `"vllm+"`, ...).
+    /// System name (`"marconi"`, `"vllm+"`, ...; cluster replicas carry
+    /// their index, e.g. `marconi[2]`).
     pub system: String,
     /// Trace name the run used.
     pub trace: String,
-    /// Per-request outcomes, in arrival order.
+    /// Per-request outcomes, sorted by request id (arrival order).
     pub records: Vec<RequestRecord>,
-    /// The cache's own cumulative statistics.
+    /// The cache's statistics: cumulative for a single-cache driver, this
+    /// run's delta for a cluster replica.
     pub cache_stats: CacheStats,
+    /// Virtual seconds the device spent executing iterations.
+    pub busy_s: f64,
+    /// Batching iterations executed (the discrete-event count).
+    pub iterations: u64,
+    /// Virtual time of the last completion (trace start is 0).
+    pub makespan_s: f64,
 }
 
 impl SimReport {
@@ -73,10 +99,22 @@ impl SimReport {
         self.records.iter().map(|r| r.flops_saved).sum()
     }
 
-    /// Per-request TTFT values in milliseconds.
+    /// Total reload latency charged across the run, in milliseconds.
+    #[must_use]
+    pub fn total_reload_ms(&self) -> f64 {
+        self.records.iter().map(|r| r.reload_ms).sum()
+    }
+
+    /// Per-request TTFTs in milliseconds, in arrival order.
     #[must_use]
     pub fn ttfts_ms(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.ttft_ms).collect()
+    }
+
+    /// Per-request queueing delays in milliseconds, in arrival order.
+    #[must_use]
+    pub fn queue_delays_ms(&self) -> Vec<f64> {
+        self.records.iter().map(|r| r.queue_ms).collect()
     }
 
     /// TTFT percentile in milliseconds (e.g. `0.95` for the paper's P95).
@@ -94,12 +132,45 @@ impl SimReport {
     }
 
     /// TTFT distribution summary (p50/p95/p99/mean); `None` for an empty
-    /// run. The same view [`EventReport`](crate::EventReport) and
-    /// [`ClusterReport`](crate::ClusterReport) expose, so instantaneous
-    /// and event-driven runs compare side by side.
+    /// run.
     #[must_use]
     pub fn ttft_summary(&self) -> Option<LatencySummary> {
         LatencySummary::new(&self.ttfts_ms())
+    }
+
+    /// Queueing-delay distribution summary; `None` for an empty run.
+    #[must_use]
+    pub fn queue_summary(&self) -> Option<LatencySummary> {
+        LatencySummary::new(&self.queue_delays_ms())
+    }
+
+    /// Device utilization: busy time over the makespan, in `[0, 1]`
+    /// (0.0 for an empty, analytic or instantaneous run).
+    #[must_use]
+    pub fn utilization(&self) -> f64 {
+        if self.makespan_s <= 0.0 {
+            return 0.0;
+        }
+        (self.busy_s / self.makespan_s).min(1.0)
+    }
+
+    /// Fraction of requests whose TTFT met `slo_ms`; `None` for an empty
+    /// run.
+    #[must_use]
+    pub fn slo_attainment(&self, slo_ms: f64) -> Option<f64> {
+        Percentiles::new(&self.ttfts_ms()).map(|p| p.fraction_le(slo_ms))
+    }
+
+    /// Goodput: SLO-meeting requests per virtual second of makespan
+    /// (0.0 for an empty run; an instantaneous run reports the trace's
+    /// own arrival rate, since every request trivially meets the SLO).
+    #[must_use]
+    pub fn goodput_rps(&self, slo_ms: f64) -> f64 {
+        if self.makespan_s <= 0.0 {
+            return 0.0;
+        }
+        let met = self.records.iter().filter(|r| r.ttft_ms <= slo_ms).count();
+        met as f64 / self.makespan_s
     }
 
     /// Hit tokens split by the memory tier that served them.
@@ -138,11 +209,15 @@ mod tests {
             id,
             session_id: 0,
             arrival: id as f64,
+            admitted: id as f64,
+            completed: id as f64,
             input_len: input,
             hit_tokens: hit,
             host_hit_tokens: 0,
             raw_matched: hit,
+            queue_ms: 0.0,
             ttft_ms: ttft,
+            e2e_ms: 0.0,
             reload_ms: 0.0,
             reload: ReloadDecision::None,
             flops_spent: 10,
@@ -164,6 +239,9 @@ mod tests {
                 hit_tokens: 250,
                 ..CacheStats::default()
             },
+            busy_s: 0.0,
+            iterations: 0,
+            makespan_s: 2.0,
         }
     }
 
@@ -216,6 +294,9 @@ mod tests {
             trace: "t".into(),
             records: vec![],
             cache_stats: CacheStats::default(),
+            busy_s: 0.0,
+            iterations: 0,
+            makespan_s: 0.0,
         };
         assert!(r.ttft_percentile_ms(0.95).is_none());
         assert!(r.hit_rate_box().is_none());
