@@ -299,6 +299,15 @@ impl HybridPrefixCache {
         self.tree.len()
     }
 
+    /// Current length, in tokens, of the radix tree's shared edge-label
+    /// store (diagnostic): live labels plus dead ranges not yet reclaimed,
+    /// bounded by `max(2^16, 4 × live tokens)` — see
+    /// [`RadixTree::token_store_len`].
+    #[must_use]
+    pub fn token_store_len(&self) -> usize {
+        self.tree.token_store_len()
+    }
+
     /// Attaches a flight recorder: every subsequent decision (lookups with
     /// miss attribution, admissions, eviction episodes with per-victim
     /// score breakdowns, demotions/promotions, pins) is emitted through

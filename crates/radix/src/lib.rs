@@ -26,9 +26,11 @@
 //!
 //! Since PR 8 the tree is an *arena engine*: a free-list slab of
 //! generation-tagged nodes, sorted-vec children probed by binary search,
-//! edge labels as `(offset, len)` slices of one shared append-only token
-//! store (O(1) splits), and an O(log n) recency index over the candidate
-//! set ([`RadixTree::touch`] / [`RadixTree::lru_candidates`]); see
+//! edge labels as `(offset, len)` slices of one shared token store (O(1)
+//! splits) that reclaims dead ranges in place — it never holds more than
+//! `max(2^16, 4 × live tokens)`, see [`RadixTree::token_store_len`] — and
+//! an O(log n) recency index over the candidate set
+//! ([`RadixTree::touch`] / [`RadixTree::lru_candidates`]); see
 //! `docs/radix-engine.md` for design and measurements. (The pre-refactor
 //! oracle engine, retired after two parity-holding PRs, lives on only in
 //! git history; `tests/differential.rs` now replays cursor-resumed walks

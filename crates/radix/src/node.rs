@@ -55,9 +55,11 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Edge label as a `(offset, len)` slice into the tree's shared append-only
-/// token store. Splitting an edge is O(1) offset arithmetic; no token bytes
-/// move or get cloned.
+/// Edge label as a `(offset, len)` slice into the tree's shared token
+/// store. Splitting an edge is O(1) offset arithmetic; no token bytes move
+/// or get cloned. Edges are the *only* holders of store offsets, which is
+/// what lets the store slide live labels down over dead ranges (see
+/// [`RadixTree`](crate::RadixTree)) without any id or cursor noticing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EdgeRef {
     /// Start offset into [`RadixTree::store`](crate::RadixTree).
@@ -68,6 +70,29 @@ pub(crate) struct EdgeRef {
 
 impl EdgeRef {
     pub const EMPTY: EdgeRef = EdgeRef { off: 0, len: 0 };
+
+    /// The edge covering `store[off..off + len]`: the one place a store
+    /// position is narrowed to the `u32` an edge holds.
+    ///
+    /// # Panics
+    ///
+    /// In every build profile, if the range's end does not fit `u32`
+    /// addressing. The store reclaims dead ranges before it gets there, so
+    /// this fires only when *live* tokens exceed 2^32.
+    pub fn new(off: usize, len: usize) -> EdgeRef {
+        let fits = off
+            .checked_add(len)
+            .is_some_and(|end| end <= u32::MAX as usize);
+        assert!(
+            fits,
+            "invariant: live edge labels fit u32 store addressing \
+             (offset {off} + len {len} exceeds 2^32 - 1)"
+        );
+        EdgeRef {
+            off: off as u32,
+            len: len as u32,
+        }
+    }
 
     pub fn range(self) -> std::ops::Range<usize> {
         self.off as usize..(self.off + self.len) as usize
@@ -175,6 +200,24 @@ pub(crate) struct Node<D> {
     pub data: D,
 }
 
+impl<D> Node<D> {
+    /// Records a change to this node's leaf status, edge length or depth:
+    /// the one place a structure version moves.
+    ///
+    /// # Panics
+    ///
+    /// In every build profile, on the 2^32-th bump within one slot
+    /// occupancy (versions restart at 0 when a slot is recycled): cursors
+    /// and payload memos compare versions for equality, so a wrap would let
+    /// a stale one validate.
+    pub fn bump_version(&mut self) {
+        self.version = self
+            .version
+            .checked_add(1)
+            .expect("invariant: a node sees fewer than 2^32 structure changes per slot occupancy");
+    }
+}
+
 /// Arena slot: occupied node or member of the free list. Both arms carry
 /// the slot's current generation; freeing bumps it, so ids minted for an
 /// earlier occupancy stop resolving.
@@ -193,6 +236,28 @@ mod tests {
         assert_eq!(NodeId::ROOT.index(), 0);
         assert_eq!(NodeId::ROOT.generation(), 0);
         assert_eq!(NodeId::ROOT.to_string(), "n0");
+    }
+
+    #[test]
+    fn edge_ref_new_accepts_the_whole_u32_range() {
+        let e = EdgeRef::new(u32::MAX as usize - 3, 3);
+        assert_eq!(e.range(), u32::MAX as usize - 3..u32::MAX as usize);
+        assert_eq!(EdgeRef::new(0, 0), EdgeRef::EMPTY);
+    }
+
+    // The two below run in release too (`cargo test --release`): the
+    // check is a hard `assert!`, not a `debug_assert!`.
+
+    #[test]
+    #[should_panic(expected = "invariant: live edge labels fit u32 store addressing")]
+    fn edge_ref_new_rejects_an_end_past_u32() {
+        let _ = EdgeRef::new(u32::MAX as usize, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: live edge labels fit u32 store addressing")]
+    fn edge_ref_new_rejects_usize_overflow() {
+        let _ = EdgeRef::new(usize::MAX, 2);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!   ids are dense `u32` indices and stale ids are detected, not aliased;
 //! * children are a sorted vec probed by binary search (deterministic
 //!   ascending first-token order, no per-node `BTreeMap` allocations);
-//! * edge labels are `(offset, len)` slices into one shared append-only
-//!   token store, so splitting an edge is O(1) offset arithmetic;
+//! * edge labels are `(offset, len)` slices into one shared token store,
+//!   so splitting an edge is O(1) offset arithmetic; the store reclaims
+//!   the ranges dead edges leave behind by sliding live labels down in
+//!   place once dead tokens dominate (see [`RadixTree`]);
 //! * eviction candidates are mirrored into an O(log n) recency index
 //!   keyed by caller-supplied stamps ([`RadixTree::touch`]), so LRU-style
 //!   victim selection needs no linear scans.
@@ -44,15 +46,37 @@ use std::fmt;
 ///    candidate, where `stamp` is the node's current
 ///    [`touch`](RadixTree::touch) stamp.
 ///
-/// The token store is append-only: splits reference it in place, and edge
-/// merges reuse contiguous ranges (the split-then-evict hot path), copying
-/// within the store only when a merge joins non-adjacent ranges. Stored
-/// tokens are never compacted, so a long churn of inserts and removals
-/// grows the store monotonically — the trade that buys O(1) splits.
+/// # The token store
+///
+/// Inserts append their un-shared suffix to one shared store; splits
+/// reference it in place, and edge merges reuse contiguous ranges (the
+/// split-then-evict hot path), appending the joined label only when a merge
+/// joins non-adjacent ranges. Removals and non-adjacent merges leave dead
+/// ranges behind, and the store *reclaims* them: at the end of every
+/// appending insert and every removal, if the store holds at least 2^16
+/// tokens and at least 4× the live [`token_count`](RadixTree::token_count)
+/// (both fixed constants), every live edge is slid down over the dead
+/// ranges in ascending offset order, in place, and the store is truncated
+/// to exactly the live tokens. Hence the **store bound**, which holds
+/// after every `insert*` / `remove`:
+///
+/// ```text
+/// token_store_len() ≤ max(2^16, 4 × token_count())
+/// ```
+///
+/// Edges are the only holders of store offsets — [`NodeId`]s and
+/// [`MatchCursor`]s carry none — so a compaction is invisible to every
+/// caller. Sliding in offset order keeps adjacent ranges adjacent, so a
+/// split pair still merges in O(1) afterwards, and the buffer is reused,
+/// not reallocated, so later appends land on pages already resident. A
+/// compaction moves at most the live tokens and reclaims at least three
+/// dead tokens per token moved, each of which was appended exactly once:
+/// amortised, at most one token is moved per three appended.
 #[derive(Debug, Clone)]
 pub struct RadixTree<D> {
     slots: Vec<Slot<D>>,
-    /// Shared append-only backing store for every edge label.
+    /// Shared backing store for every edge label; dead ranges are
+    /// reclaimed in place by `compact_store`.
     store: Vec<Token>,
     free_head: Option<u32>,
     node_count: usize,
@@ -73,6 +97,14 @@ pub struct RadixTree<D> {
     /// tests.
     split_off_by_one: bool,
 }
+
+/// The store is never compacted below this many tokens (256 KiB of
+/// `u32`s): under it the dead ranges cost less than finding them.
+const STORE_COMPACT_FLOOR: usize = 1 << 16;
+
+/// Compaction waits until the store is this many times its live tokens, so
+/// each one reclaims at least three dead tokens per token it moves.
+const STORE_DEAD_FACTOR: u64 = 4;
 
 /// Result of [`RadixTree::match_prefix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -398,11 +430,12 @@ impl<D: Default> RadixTree<D> {
                     if was_leaf {
                         // `cur`'s leaf status flipped: structural caches on
                         // it (freed bytes) are stale.
-                        self.node_mut(cur).version += 1;
+                        self.node_mut(cur).bump_version();
                     }
                     self.candidate_add(leaf);
                     self.sync_candidate(cur);
                     self.token_count += added;
+                    self.reclaim_store();
                     return InsertOutcome {
                         end_node: leaf,
                         split_node,
@@ -462,22 +495,14 @@ impl<D: Default> RadixTree<D> {
     /// at `pos` to the shared store (one or two `extend_from_slice`
     /// memcpys, depending on whether the suffix straddles the seam).
     fn push_tokens_parts(&mut self, head: &[Token], tail: &[Token], pos: usize) -> EdgeRef {
-        let off = self.store.len();
-        let len = head.len() + tail.len() - pos;
-        debug_assert!(
-            off + len <= u32::MAX as usize,
-            "token store exceeds u32 addressing"
-        );
+        let edge = EdgeRef::new(self.store.len(), head.len() + tail.len() - pos);
         if pos < head.len() {
             self.store.extend_from_slice(&head[pos..]);
             self.store.extend_from_slice(tail);
         } else {
             self.store.extend_from_slice(&tail[pos - head.len()..]);
         }
-        EdgeRef {
-            off: off as u32,
-            len: len as u32,
-        }
+        edge
     }
 
     /// Splits `child`'s edge after `shared` tokens, inserting a new
@@ -531,7 +556,7 @@ impl<D: Default> RadixTree<D> {
             c.parent = Some(mid);
             // The child's edge shortened (and its parent changed): bump so
             // memoized per-node costs recompute.
-            c.version += 1;
+            c.bump_version();
         }
         let first = self.store[head.off as usize];
         self.node_mut(parent).children.insert(first, mid);
@@ -661,9 +686,10 @@ impl<D> RadixTree<D> {
         self.token_count
     }
 
-    /// Number of tokens ever appended to the shared edge store (≥
-    /// [`token_count`](RadixTree::token_count); the store is append-only
-    /// and never compacted).
+    /// Current length of the shared edge store in tokens: the live
+    /// [`token_count`](RadixTree::token_count) plus the dead ranges not yet
+    /// reclaimed, so at most `max(2^16, 4 × token_count())` (the store
+    /// bound; see the [type docs](RadixTree#the-token-store)).
     #[must_use]
     pub fn token_store_len(&self) -> usize {
         self.store.len()
@@ -885,15 +911,16 @@ impl<D> RadixTree<D> {
     ///
     /// # Panics
     ///
-    /// Panics if `id` refers to a removed node, or (debug builds) if a
-    /// node on the walk has no pin to release — an unpin without a
-    /// matching pin.
+    /// Panics if `id` refers to a removed node, or if a node on the walk
+    /// has no pin to release — an unpin without a matching pin.
     pub fn unpin(&mut self, id: NodeId) {
         let mut cur = id;
         while cur != NodeId::ROOT {
             let n = self.node_mut(cur);
-            debug_assert!(n.pin_count > 0, "{cur}: unpin without a matching pin");
-            n.pin_count = n.pin_count.saturating_sub(1);
+            n.pin_count = n
+                .pin_count
+                .checked_sub(1)
+                .expect("invariant: unpin without a matching pin");
             let now_free = n.pin_count == 0;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
             if now_free {
@@ -1231,11 +1258,12 @@ impl<D> RadixTree<D> {
                 if self.node(parent).children.is_empty() && parent != NodeId::ROOT {
                     // The parent just became a leaf: its freed-bytes shape
                     // changed.
-                    self.node_mut(parent).version += 1;
+                    self.node_mut(parent).bump_version();
                 }
                 // Losing a child may have dropped the parent to ≤ 1.
                 self.sync_candidate(parent);
                 self.token_count -= u64::from(node.edge.len);
+                self.reclaim_store();
                 Ok(Removed {
                     data: node.data,
                     freed_tokens: u64::from(node.edge.len),
@@ -1255,17 +1283,10 @@ impl<D> RadixTree<D> {
                     }
                 } else {
                     // Non-adjacent: append the joined label to the store.
-                    let off = self.store.len();
-                    debug_assert!(
-                        off + node.edge.len() + child_edge.len() <= u32::MAX as usize,
-                        "token store exceeds u32 addressing"
-                    );
+                    let joined = EdgeRef::new(self.store.len(), node.edge.len() + child_edge.len());
                     self.store.extend_from_within(node.edge.range());
                     self.store.extend_from_within(child_edge.range());
-                    EdgeRef {
-                        off: off as u32,
-                        len: node.edge.len + child_edge.len,
-                    }
+                    joined
                 };
                 let c = self.node_mut(child);
                 c.parent = Some(parent);
@@ -1273,8 +1294,9 @@ impl<D> RadixTree<D> {
                 // The child's edge grew (and its parent changed): bump so
                 // memoized per-node costs recompute. Its child count — and
                 // the parent's — are unchanged, so candidacies hold.
-                c.version += 1;
+                c.bump_version();
                 self.node_mut(parent).children.insert(first_tok, child);
+                self.reclaim_store();
                 Ok(Removed {
                     data: node.data,
                     freed_tokens: 0,
@@ -1282,6 +1304,63 @@ impl<D> RadixTree<D> {
                 })
             }
         }
+    }
+
+    /// Compacts the store iff dead tokens dominate it: one length compare
+    /// on stores under the floor, two otherwise. Called wherever the store
+    /// grew or tokens died — the appending insert arm and both `remove`
+    /// arms — which is what makes the store bound hold after every op.
+    fn reclaim_store(&mut self) {
+        let len = self.store.len();
+        if len >= STORE_COMPACT_FLOOR && len as u64 >= STORE_DEAD_FACTOR * self.token_count {
+            self.compact_store();
+        }
+    }
+
+    /// Slides every live edge label down over the dead ranges, in place and
+    /// in ascending offset order, and truncates the store to the live
+    /// tokens. O(arena + live nodes · log + live tokens); allocation-free
+    /// apart from the sort key vec.
+    ///
+    /// Offset order is what makes a plain forward `copy_within` safe (the
+    /// write cursor never passes an unread label) and what keeps adjacent
+    /// ranges adjacent, so split pairs still merge by offset arithmetic.
+    fn compact_store(&mut self) {
+        let mut live: Vec<(u32, u32)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter_map(|(i, s)| match s {
+                Slot::Occupied { node, .. } => Some((node.edge.off, i as u32)),
+                Slot::Free { .. } => None,
+            })
+            .collect();
+        // Live labels are non-empty and disjoint, so offsets are unique
+        // and the order is total.
+        live.sort_unstable();
+        let mut write = 0usize;
+        let mut read = 0usize;
+        for (_, idx) in live {
+            let Slot::Occupied { node, .. } = &mut self.slots[idx as usize] else {
+                unreachable!("collected from occupied slots only");
+            };
+            let src = node.edge.range();
+            assert!(
+                src.start >= read,
+                "invariant: live edge labels never overlap in the token store"
+            );
+            read = src.end;
+            let len = src.len();
+            self.store.copy_within(src, write);
+            node.edge = EdgeRef::new(write, len);
+            write += len;
+        }
+        assert_eq!(
+            write as u64, self.token_count,
+            "invariant: live edge labels hold exactly token_count tokens"
+        );
+        self.store.truncate(write);
     }
 
     fn free(&mut self, id: NodeId) -> Node<D> {
@@ -1325,6 +1404,7 @@ impl<D> RadixTree<D> {
         let mut seen_nodes = 0usize;
         let mut seen_candidates = 0usize;
         let mut seen_pinned = 0usize;
+        let mut ranges = Vec::new();
         let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
             let n = self.node(id);
@@ -1333,6 +1413,7 @@ impl<D> RadixTree<D> {
                 "{id}: edge range escapes the token store"
             );
             if id != NodeId::ROOT {
+                ranges.push((n.edge.off, n.edge.len, id));
                 seen_nodes += 1;
                 assert!(!n.edge.is_empty(), "{id}: empty edge on non-root");
                 let p = self.node(n.parent.expect("invariant: non-root nodes have a parent"));
@@ -1396,6 +1477,22 @@ impl<D> RadixTree<D> {
         }
         assert_eq!(seen_nodes, self.node_count, "node_count drift");
         assert_eq!(seen_tokens, self.token_count, "token_count drift");
+        // Compaction slides labels in offset order; that is only sound
+        // while live labels are pairwise disjoint.
+        ranges.sort_unstable();
+        for pair in ranges.windows(2) {
+            let ((off, len, id), (next_off, _, next_id)) = (pair[0], pair[1]);
+            assert!(
+                off + len <= next_off,
+                "{id} and {next_id}: edge labels overlap in the token store"
+            );
+        }
+        let len = self.store.len();
+        assert!(
+            len < STORE_COMPACT_FLOOR || (len as u64) < STORE_DEAD_FACTOR * self.token_count,
+            "store bound: {len} stored tokens for {} live",
+            self.token_count
+        );
         assert_eq!(
             seen_candidates,
             self.candidates.len(),
@@ -2128,6 +2225,146 @@ mod tests {
         assert_eq!(t.edge_tokens(child), &[1, 2, 3, 4]);
         assert_eq!(t.match_prefix(&[1, 2, 3, 4]).matched_len, 4);
         t.assert_invariants();
+    }
+
+    // -- store reclamation ------------------------------------------------
+
+    /// Inserts and removes one throwaway leaf of `len` fresh tokens
+    /// (distinct per `round`, so nothing is shared with the live tree).
+    /// Returns whether the insert, and whether the removal, compacted the
+    /// store (it only ever shrinks by compacting).
+    fn churn_once(t: &mut RadixTree<u32>, round: u32, len: u32) -> (bool, bool) {
+        let base = 1_000_000 + round * len;
+        let seq: Vec<Token> = (base..base + len).collect();
+        let before = t.token_store_len();
+        let leaf = t.insert(&seq).end_node;
+        let on_insert = t.token_store_len() < before;
+        let before = t.token_store_len();
+        t.remove(leaf).expect("fresh unpinned leaf");
+        (on_insert, t.token_store_len() < before)
+    }
+
+    /// Churns until the store compacts; panics if it never does. With
+    /// `len` ≥ 2^15 the compaction lands on a removal (such a leaf is more
+    /// than a quarter of any store it can push over the floor), so the
+    /// store comes back holding exactly the live tokens.
+    fn churn_until_compacted(t: &mut RadixTree<u32>, len: u32) {
+        for round in 0..1_000 {
+            if churn_once(t, round, len) != (false, false) {
+                return;
+            }
+        }
+        panic!("store never compacted: {} tokens", t.token_store_len());
+    }
+
+    #[test]
+    fn compaction_preserves_paths_and_outstanding_cursors() {
+        let mut t = tree();
+        // Dead tokens in front of, between and behind the live labels, so
+        // every one of them actually moves.
+        let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
+        t.insert(&[1, 2, 3, 4, 5, 6]);
+        let gap = t.insert(&(900..1300).collect::<Vec<Token>>()).end_node;
+        t.insert(&[1, 2, 3, 9, 9]); // splits [1..=6] at depth 3
+        t.insert(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        t.insert(&[40, 41, 42]);
+        t.remove(front).unwrap();
+        t.remove(gap).unwrap();
+
+        let live: Vec<NodeId> = t.node_ids().collect();
+        let paths: Vec<Vec<Token>> = live.iter().map(|&id| t.path_tokens(id)).collect();
+        let cursors: Vec<MatchCursor> = live.iter().map(|&id| t.cursor_at(id).unwrap()).collect();
+        let versions: Vec<u32> = live.iter().map(|&id| t.structure_version(id)).collect();
+
+        churn_until_compacted(&mut t, 40_000);
+        assert_eq!(
+            t.token_store_len() as u64,
+            t.token_count(),
+            "a compaction leaves exactly the live tokens"
+        );
+        t.assert_invariants();
+
+        for (i, &id) in live.iter().enumerate() {
+            assert_eq!(t.path_tokens(id), paths[i], "{id}: path changed");
+            assert_eq!(t.structure_version(id), versions[i], "{id}: version moved");
+            // Every cursor taken before the compaction still resumes, and
+            // resumes to the same answer as the root walk.
+            let mut query = paths[i].clone();
+            query.push(77);
+            assert_eq!(t.resume(&cursors[i], &query), Ok(id));
+            assert_eq!(
+                t.match_prefix_from(&cursors[i], &query).unwrap(),
+                t.match_prefix(&query)
+            );
+        }
+        // Probes stay read-only on a store that has been rewritten.
+        let before = (t.len(), t.token_count(), t.token_store_len());
+        let _ = t.speculate_insert(&[1, 2, 3, 4, 0]);
+        let _ = t.speculate_insert(&[1, 2]);
+        assert_eq!((t.len(), t.token_count(), t.token_store_len()), before);
+    }
+
+    #[test]
+    fn split_pair_stays_adjacent_across_a_compaction() {
+        let mut t = tree();
+        let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
+        t.insert(&[1, 2, 3, 4, 5, 6]);
+        let out = t.insert(&[1, 2, 3, 9]);
+        t.remove(front).unwrap(); // the pair must slide down 400 tokens
+        churn_until_compacted(&mut t, 40_000);
+        assert_eq!(t.token_store_len() as u64, t.token_count());
+
+        // split → compact → merge: the two halves are still one contiguous
+        // range, so the merge is offset arithmetic and appends nothing.
+        t.remove(out.new_leaf.unwrap()).unwrap();
+        let before_merge = t.token_store_len();
+        let merged = t.remove(out.split_node.unwrap()).unwrap();
+        assert_eq!(t.token_store_len(), before_merge, "merge grew the store");
+        assert_eq!(
+            t.edge_tokens(merged.merged_into.unwrap()),
+            &[1, 2, 3, 4, 5, 6]
+        );
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn both_insert_and_remove_can_trigger_compaction() {
+        // Small leaves cross the 2^16 floor on an *append* (the dead ratio
+        // was already past 4x below the floor)...
+        let mut t = tree();
+        t.insert(&[1, 2, 3]);
+        let on_insert = (0..200).any(|round| churn_once(&mut t, round, 1_000).0);
+        assert!(on_insert, "an appending insert must be able to compact");
+        // ...while leaves bigger than a quarter of the store only tip the
+        // ratio when they die.
+        let mut t = tree();
+        t.insert(&[1, 2, 3]);
+        let on_remove = (0..8).any(|round| churn_once(&mut t, round, 40_000).1);
+        assert!(on_remove, "a removal must be able to compact");
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn stores_under_the_floor_are_never_compacted() {
+        let mut t = tree();
+        t.insert(&[1, 2, 3]);
+        let mut expect = t.token_store_len();
+        for round in 0..60 {
+            assert_eq!(churn_once(&mut t, round, 1_000), (false, false));
+            expect += 1_000;
+            assert_eq!(t.token_store_len(), expect);
+        }
+        assert!(expect < STORE_COMPACT_FLOOR);
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: unpin without a matching pin")]
+    fn unbalanced_unpin_panics_in_every_profile() {
+        let mut t = tree();
+        let leaf = t.insert(&[1, 2, 3]).end_node;
+        t.pin(leaf);
+        t.unpin(leaf);
+        t.unpin(leaf);
     }
 
     #[test]

@@ -25,6 +25,10 @@ use proptest::prelude::*;
 /// correctly through splits, merges, and slot reuse.
 type Payload = u32;
 
+/// Below this many stored tokens the store never compacts (mirrors the
+/// engine's private constant; the bound is part of its documented contract).
+const STORE_FLOOR: usize = 1 << 16;
+
 /// One operation replayed against both sides.
 #[derive(Debug, Clone)]
 enum Op {
@@ -261,6 +265,23 @@ impl Pair {
             self.hinted.arena_capacity(),
             self.plain.arena_capacity()
         );
+        // Identical histories append — and reclaim — identically, so the
+        // two sides must compact at the very same op.
+        check!(
+            "token_store_len",
+            self.hinted.token_store_len(),
+            self.plain.token_store_len()
+        );
+        // The store bound. The trigger runs after an op's own append, so
+        // the bound holds with no allowance for the tokens that op added.
+        let bound = STORE_FLOOR.max(4 * self.hinted.token_count() as usize);
+        if self.hinted.token_store_len() > bound {
+            return Err(format!(
+                "store bound broken: {} stored tokens for {} live (bound {bound})",
+                self.hinted.token_store_len(),
+                self.hinted.token_count()
+            ));
+        }
 
         let ids = self.live_ids();
         let plain_ids: Vec<NodeId> = {
@@ -523,6 +544,89 @@ impl Rng {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
+    }
+}
+
+/// Long-label churn: sequences of thousands of tokens through a tree held
+/// to about a dozen live nodes, so the dead ranges that removals and
+/// non-adjacent merges leave behind push the store over its 2^16-token
+/// floor (and over 4x the live tokens) again and again. Every op runs the
+/// full hinted ≡ plain state check — which includes the store bound and
+/// store-length equality — so a compaction that moved a label wrongly,
+/// broke an adjacency, or fired on one side only fails at the op that did
+/// it. Returns how many ops compacted the store.
+fn store_churn_stream(seed: u64, ops: usize) -> usize {
+    let mut rng = Rng(seed);
+    let mut pair = Pair::new(false);
+    let mut next_fresh: Token = 1 << 20; // globally unique label tokens
+    let mut fresh = |n: u64| -> Vec<Token> {
+        let start = next_fresh;
+        next_fresh += n as Token;
+        (start..next_fresh).collect()
+    };
+    let mut compactions = 0;
+
+    for i in 0..ops {
+        let live = pair.hinted.len();
+        let roll = rng.below(100);
+        let k = rng.next() as u32;
+        // Extensions compound; past this the per-op path comparison, not
+        // the engine, would dominate the run.
+        let extendable = pair
+            .tracked
+            .get(k as usize % pair.tracked.len().max(1))
+            .is_some_and(|(base, _)| base.len() < 16_000);
+        let op = if live > 12 && roll < 20 {
+            Op::Unpin
+        } else if live > 12 || (live > 4 && roll < 35) {
+            Op::Remove(k)
+        } else if roll < 55 || (roll < 75 && !extendable) {
+            // One of three stems, shared to a random depth (so inserts
+            // split each other's edges mid-label), then a fresh tail.
+            let stem = rng.below(3) as Token * 10_000;
+            let mut seq: Vec<Token> = (stem..stem + rng.below(1_500) as Token).collect();
+            seq.extend(fresh(1_000 + rng.below(4_000)));
+            Op::Insert(seq)
+        } else if roll < 75 {
+            Op::Extend(k, fresh(500 + rng.below(2_500)))
+        } else if roll < 82 {
+            Op::MatchExtend(k, fresh(rng.below(8)))
+        } else if roll < 87 {
+            Op::SpeculateExtend(k, fresh(rng.below(8)))
+        } else if roll < 91 {
+            Op::Pin(k)
+        } else if roll < 95 {
+            Op::Unpin
+        } else {
+            Op::Touch(k, rng.below(1 << 40))
+        };
+        let before = pair.hinted.token_store_len();
+        if let Err(e) = pair.apply(&op) {
+            panic!("store churn (seed {seed:#x}) diverged at op {i}: {e}");
+        }
+        // The store only ever shrinks by compacting.
+        compactions += usize::from(pair.hinted.token_store_len() < before);
+    }
+    let (resumes, fallbacks) = (pair.resumes, pair.fallbacks);
+    pair.finish()
+        .unwrap_or_else(|e| panic!("store churn (seed {seed:#x}) diverged at the end: {e}"));
+    assert!(
+        resumes > 0 && fallbacks > 0,
+        "cursor paths went unexercised"
+    );
+    compactions
+}
+
+/// Every seed must cross the compaction trigger several times, with the
+/// store bound and full-state parity asserted after every single op.
+#[test]
+fn differential_store_churn_crosses_the_floor_repeatedly() {
+    for seed in [0x5709E, 0xC0FFEE, 0xDEAD_10CC, 0x1234] {
+        let compactions = store_churn_stream(seed, 600);
+        assert!(
+            compactions >= 3,
+            "seed {seed:#x}: only {compactions} compactions in 600 ops"
+        );
     }
 }
 
