@@ -1,13 +1,13 @@
 //! Criterion bench for the eviction hot path at large tree sizes.
 //!
-//! Demonstrates the asymptotic contract of the incremental candidate index:
-//! victim selection costs O(live candidates) per pressure episode, not
-//! O(arena slots × victims).
+//! Demonstrates the asymptotic contract of the tree's candidate index:
+//! victim selection walks the live candidates (at α = 0, only as far as
+//! the first eligible one), never O(arena slots × victims).
 //!
 //! Groups:
 //!
 //! * `candidate_enumeration` — collecting the candidate set from the
-//!   incremental index vs. re-deriving it by scanning every arena slot
+//!   recency index vs. re-deriving it by scanning every arena slot
 //!   (the pre-refactor pattern), on a churned tree whose arena is ~10×
 //!   its live set.
 //! * `victim_selection` — one pressure episode picking 64 victims: the
@@ -143,8 +143,8 @@ fn bench_victim_selection(c: &mut Criterion) {
         acc
     };
     let episode_indexed = |tree: &RadixTree<()>| -> f64 {
-        // Refactored pattern: collect the pool once from the incremental
-        // index, score each node once, then rescan only the cheap memoized
+        // Refactored pattern: read the candidates from the tree's index,
+        // score each node once, then rescan only the cheap memoized
         // scores per victim (min-max normalization forces the per-victim
         // rescan; the win is dropping the arena walk and the FLOP math).
         let pool: Vec<f64> = tree
@@ -324,7 +324,7 @@ impl Engine for ScanEvictTree {
     fn evict_coldest(&mut self) -> Option<usize> {
         // Pre-refactor victim selection: ignore the recency index and pay
         // a full min-scan over the candidate set per victim (the shape of
-        // the cache's scored pool loop before PR 8's LRU fast path).
+        // the cache's victim selection before PR 8's recency index).
         let id = self
             .0
             .eviction_candidates()

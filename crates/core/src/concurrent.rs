@@ -535,7 +535,8 @@ mod tests {
     }
 
     /// Satellite: concurrent probe safety. Reader threads hammer the two
-    /// non-mutating probes while a writer thread inserts a seeded trace;
+    /// non-mutating probes — taken together under one shard read lock, so
+    /// they must agree — while a writer thread inserts a seeded trace;
     /// afterwards the cache must be byte-identical (stats, usage, probe
     /// answers) to a probe-free single-threaded run of the same trace.
     #[test]
@@ -561,8 +562,15 @@ mod tests {
                     let mut i = t;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let req = &trace.requests[i % trace.requests.len()];
-                        let len = hammered.longest_cached_prefix_len(&req.input);
-                        let tiers = hammered.probe_tiers(&req.input);
+                        // Both probes under one read lock: the contract is
+                        // that they agree on one cache state, and the writer
+                        // may land between two separate acquisitions.
+                        let (len, tiers) = hammered.with_shard(0, |c| {
+                            (
+                                c.longest_cached_prefix_len(&req.input),
+                                c.probe_tiers(&req.input),
+                            )
+                        });
                         assert_eq!(tiers.tokens, len, "probe contract broken under threads");
                         i += 1;
                     }

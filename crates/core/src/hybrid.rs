@@ -15,8 +15,6 @@ use marconi_trace::{
     CursorFallbackCause, Fingerprint, MissCause, MissLedger, PressureCause, StatCounters,
     TraceEvent, TraceTier, Tracer, VictimAction, VictimRecord,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Per-node cache metadata: edge KVs are implicit (the edge's tokens); the
@@ -95,6 +93,37 @@ struct Snapshot {
     host_tokens: u64,
     host_ssm_states: u64,
     clock: f64,
+}
+
+/// Where a pressure episode draws its victims from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The tree's candidate index — non-root nodes with ≤ 1 child, oldest
+    /// first — restricted to one tier. Victims are demoted or deleted.
+    Candidates(Tier),
+    /// Every device-resident node that holds bytes, whatever its child
+    /// count, in arena order: the demotion-only pass for device bytes
+    /// stranded on branch nodes once the candidates have drained.
+    DeviceFallback,
+}
+
+impl Source {
+    /// The tier whose budget the episode enforces.
+    fn tier(self) -> Tier {
+        match self {
+            Source::Candidates(tier) => tier,
+            Source::DeviceFallback => Tier::Device,
+        }
+    }
+
+    /// The episode's label in the trace.
+    fn cause(self) -> PressureCause {
+        match self {
+            Source::Candidates(Tier::Device) => PressureCause::DeviceCapacity,
+            Source::Candidates(Tier::Host) => PressureCause::HostCapacity,
+            Source::DeviceFallback => PressureCause::DeviceFallback,
+        }
+    }
 }
 
 /// Internal tuner lifecycle (public view: [`TunerState`]).
@@ -182,7 +211,7 @@ pub struct HybridPrefixCache {
     /// tracing stays off-is-free.
     miss_ledger: MissLedger,
     /// Victim ids in eviction order; recorded so parity tests can compare
-    /// the incremental selection byte-for-byte against the scan reference.
+    /// the indexed selection byte-for-byte against the scan reference.
     #[cfg(test)]
     eviction_log: Vec<NodeId>,
     /// Route evictions through the pre-refactor full-arena-scan selection
@@ -874,49 +903,58 @@ impl HybridPrefixCache {
         meta.gdsf_priority = clock + f64::from(meta.frequency) * cost_per_byte;
     }
 
-    /// Picks the GDSF victim's position in `pool`: minimum priority, ties
-    /// toward older nodes, then lower ids — a strict total order, so the
-    /// result is independent of pool ordering.
-    fn pick_gdsf_victim_index(&self, pool: &[NodeId]) -> Option<usize> {
-        pool.iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                let (ma, mb) = (self.tree.data(a), self.tree.data(b));
-                ma.gdsf_priority
-                    .total_cmp(&mb.gdsf_priority)
-                    .then(ma.last_access.total_cmp(&mb.last_access))
-                    .then(a.cmp(&b))
-            })
-            .map(|(i, _)| i)
+    /// GDSF's victim order: minimum priority, ties toward older nodes, then
+    /// lower ids — a strict total order, so the minimum is independent of
+    /// iteration order.
+    fn gdsf_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
+        let (ma, mb) = (self.tree.data(a), self.tree.data(b));
+        ma.gdsf_priority
+            .total_cmp(&mb.gdsf_priority)
+            .then(ma.last_access.total_cmp(&mb.last_access))
+            .then(a.cmp(&b))
     }
 
     /// Resolves memory pressure on both tiers.
     ///
     /// Phase 1 (*device pressure*): while device usage exceeds the device
-    /// capacity, pick the lowest-utility device-resident candidate with the
-    /// existing victim machinery. With a host tier (`host_capacity > 0`)
-    /// the victim is **demoted** — its whole state moves to host DRAM, the
-    /// tree is untouched; without one (or for zero-byte structural nodes)
-    /// it is deleted exactly as before, so `host_capacity = 0` is
-    /// byte-identical to the single-tier cache.
+    /// capacity, pick the lowest-utility device-resident candidate. With a
+    /// host tier (`host_capacity > 0`) the victim is **demoted** — its
+    /// whole state moves to host DRAM, the tree is untouched; without one
+    /// (or for zero-byte structural nodes) it is deleted, so
+    /// `host_capacity = 0` is byte-identical to the single-tier cache.
+    ///
+    /// Demotion of the ≤ 1-child candidates can strand device bytes: a
+    /// branch node whose children were all *demoted* (not deleted) keeps
+    /// its 2+ children forever, never becomes a candidate, and its edge
+    /// KVs pin the device tier. Deletion never had this problem (removing
+    /// leaves cascades candidacy up). Demotion, however — unlike deletion
+    /// — is structurally safe for *any* node, so when the candidates drain
+    /// with the device tier still over its (hard, physical) capacity, the
+    /// same loop runs over [`Source::DeviceFallback`] and demotes the
+    /// remaining device-resident nodes by the same score until it fits.
+    /// Only reachable with a host tier (single-tier deletion always
+    /// cascades down to fit), so its O(arena) scan never touches the
+    /// single-tier path.
     ///
     /// Phase 2 (*host pressure*): while host usage exceeds the host budget,
-    /// the same victim machinery runs over the host-resident candidates and
-    /// **deletes** them (host is the last tier). Deleting a host-resident
-    /// intermediate node hands its edge to the absorbing child, re-homing
-    /// those KVs on the child's tier.
+    /// the same loop runs over the host-resident candidates and **deletes**
+    /// them (host is the last tier). Deleting a host-resident intermediate
+    /// node hands its edge to the absorbing child, re-homing those KVs on
+    /// the child's tier. Host-resident nodes that grew extra children since
+    /// demotion are not candidates (deleting a shared prefix is
+    /// structurally impossible); when only those remain the host tier stays
+    /// (softly) over budget until their descendants go.
     ///
     /// The phases repeat until both tiers fit or neither can make progress
     /// (a merge into a device child can push the device tier back over).
     ///
-    /// Complexity contract (PR 2, per tier): one pressure episode costs
-    /// O(candidates) to build the victim pool — straight off the tree's
-    /// incremental candidate index, never an arena scan — plus O(pool) of
-    /// cheap memoized score reads per victim, with in-place pool repair.
-    /// Selection at `host_capacity = 0` is deterministically identical to
-    /// re-collecting and re-scoring every candidate per victim (the
-    /// pre-refactor behavior); debug builds re-verify pool membership, memo
-    /// freshness, and tier accounting on every iteration.
+    /// There is one loop ([`tier_pressure`](Self::tier_pressure)) and one
+    /// selector ([`pick`](Self::pick)), and the selector reads the tree's
+    /// candidate index live for every victim — nothing is snapshotted, so
+    /// nothing needs repair after a deletion promotes a parent or a
+    /// demotion flips a tier. Every pick equals what re-collecting and
+    /// re-scoring every candidate by arena scan would choose, which is
+    /// exactly what debug builds re-derive next to it.
     fn evict_until_fits(&mut self, report: &mut AdmissionReport) {
         #[cfg(test)]
         if self.use_scan_eviction {
@@ -927,315 +965,206 @@ impl HybridPrefixCache {
         self.assert_tier_accounting();
         loop {
             let work_before = self.stats.evictions + self.stats.demotions;
-            self.evict_device_pressure(report);
-            self.evict_host_pressure(report);
-            let fits = self.usage() <= self.capacity && self.host_usage() <= self.host_capacity;
+            self.tier_pressure(Source::Candidates(Tier::Device), report);
+            if self.host_capacity > 0 {
+                self.tier_pressure(Source::DeviceFallback, report);
+                // In-flight pins are the one legitimate way the fallback
+                // can come up short: pinned bytes are unreclaimable until
+                // their requests complete, so the device tier spills over
+                // its budget rather than corrupting an in-flight path
+                // (graceful admit-while-over-budget, not a livelock — the
+                // no-progress check below terminates the episode).
+                debug_assert!(
+                    !self.over(Tier::Device)
+                        || self
+                            .tree
+                            .pinned_ids()
+                            .any(|id| self.tree.data(id).tier == Tier::Device),
+                    "every unpinned device byte is demotable, so the fallback must fit"
+                );
+            }
+            self.tier_pressure(Source::Candidates(Tier::Host), report);
+            let fits = !self.over(Tier::Device) && !self.over(Tier::Host);
             if fits || self.stats.evictions + self.stats.demotions == work_before {
                 break;
             }
         }
     }
 
-    /// Collects the victim pool for one tier: eviction candidates resident
-    /// on `tier` (plus the leaf-only ablation filter), excluding nodes
-    /// protected by in-flight pins.
-    ///
-    /// Pinned nodes are *filtered out* here rather than removed from the
-    /// candidate index: removal would swap-reorder the index permanently,
-    /// so even a transient pin would perturb the pin-free victim order.
-    /// Filtering leaves the index untouched — with zero pins the pool is
-    /// byte-identical to the pre-pinning build.
-    ///
-    /// The pool is drawn from the recency index's `lru_candidates()`
-    /// (the PR 8 follow-on): one candidate source for every policy
-    /// family, already in ascending `(stamp, id)` order. The scored
-    /// pickers are pool-order-independent (strict total orders), so this
-    /// only unifies the plumbing; the debug scan assert keeps proving the
-    /// membership.
-    fn tier_pool(&self, tier: Tier) -> Vec<NodeId> {
-        let leaf_only = self.leaf_only_eviction;
-        self.tree
-            .lru_candidates()
-            .map(|(_, id)| id)
-            .filter(|&id| self.tree.data(id).tier == tier)
-            .filter(|&id| !leaf_only || self.tree.is_leaf(id))
-            .filter(|&id| !self.tree.is_pinned(id))
-            .collect()
-    }
-
-    /// Phase 1: demote (or, single-tier, delete) device-resident victims
-    /// until device usage fits.
-    ///
-    /// Demotion of the ≤ 1-child candidates can strand device bytes:
-    /// a branch node whose children were all *demoted* (not deleted) keeps
-    /// its 2+ children forever, never enters the candidate pool, and its
-    /// edge KVs pin the device tier. Deletion never had this problem
-    /// (removing leaves cascaded candidacy up). Demotion, however — unlike
-    /// deletion — is structurally safe for *any* node, so when the
-    /// candidate pool drains with the device tier still over its (hard,
-    /// physical) capacity, a fallback pass demotes the remaining
-    /// device-resident nodes by the same score until it fits.
-    fn evict_device_pressure(&mut self, report: &mut AdmissionReport) {
-        if self.usage() <= self.capacity || self.tree.is_empty() {
-            return;
-        }
-        if self.lru_fast_path() {
-            self.lru_tier_pressure(Tier::Device, report);
-        } else {
-            self.scored_tier_pressure(Tier::Device, report);
-        }
-        // Fallback: the candidate pool drained but non-candidate (2+
-        // child) device nodes still hold bytes. Only reachable with a host
-        // tier (single-tier deletion always cascades down to fit), so the
-        // O(arena) scan never touches the parity path.
-        if self.host_capacity > 0 && self.usage() > self.capacity {
-            let mut rest: Vec<NodeId> = self
-                .tree
-                .node_ids()
-                .filter(|&id| self.tree.data(id).tier == Tier::Device && self.node_bytes(id) > 0)
-                .filter(|&id| !self.tree.is_pinned(id))
-                .collect();
-            let mut scored: Vec<Candidate<NodeId>> = Vec::with_capacity(rest.len());
-            let pool_len = rest.len();
-            let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-            while self.usage() > self.capacity {
-                let Some(i) = self.pick_from_pool(&rest, &mut scored) else {
-                    break;
-                };
-                let victim = rest.swap_remove(i);
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
-                }
-                self.demote_victim(victim, report);
-            }
-            if let Some(victims) = episode {
-                self.emit_episode(
-                    self.clock,
-                    Tier::Device,
-                    PressureCause::DeviceFallback,
-                    pool_len,
-                    victims,
-                );
-            }
-            // In-flight pins are the one legitimate way the fallback can
-            // come up short: pinned bytes are unreclaimable until their
-            // requests complete, so the device tier spills over its budget
-            // rather than corrupting an in-flight path (graceful
-            // admit-while-over-budget, not a livelock — the caller's
-            // no-progress check terminates the episode).
-            debug_assert!(
-                self.usage() <= self.capacity
-                    || self
-                        .tree
-                        .pinned_ids()
-                        .any(|id| self.tree.data(id).tier == Tier::Device),
-                "every unpinned device byte is demotable, so the fallback must fit"
-            );
+    /// `true` while `tier` holds more bytes than its budget.
+    fn over(&self, tier: Tier) -> bool {
+        match tier {
+            Tier::Device => self.usage() > self.capacity,
+            Tier::Host => self.host_usage() > self.host_capacity,
         }
     }
 
-    /// Phase 2: delete host-resident victims until host usage fits the
-    /// host budget. Host is the last tier, so pressure here means deletion
-    /// — same candidate set, same scoring, same pool repair as the device
-    /// phase. Host-resident nodes that grew extra children since demotion
-    /// are not candidates (deleting a shared prefix is structurally
-    /// impossible); when only those remain the pool drains and the host
-    /// tier stays (softly) over budget until their descendants go.
-    fn evict_host_pressure(&mut self, report: &mut AdmissionReport) {
-        if self.host_usage() <= self.host_capacity || self.tree.is_empty() {
-            return;
-        }
-        if self.lru_fast_path() {
-            self.lru_tier_pressure(Tier::Host, report);
-        } else {
-            self.scored_tier_pressure(Tier::Host, report);
-        }
-    }
-
-    /// One pressure episode for `tier` through the scored victim pool: the
-    /// PR 2 machinery — build the tier's pool once, re-score it per victim
-    /// with memoized cost reads, repair it in place. Device episodes
-    /// demote byte-bearing victims when a host tier exists; host episodes
-    /// (the last tier) always delete.
+    /// `true` if `id` may be taken from `source` right now: resident on
+    /// the source's tier, not protected by an in-flight pin, and — for the
+    /// candidate index — a leaf under the leaf-only ablation, or — for the
+    /// fallback — actually holding bytes to move.
     ///
-    /// Since PR 9 the pool is snapshotted off the tree's O(log n) recency
-    /// index ([`tier_pool`](Self::tier_pool) iterates `lru_candidates()`),
-    /// the same source the LRU fast path consumes — victim choice is
-    /// independent of pool ordering (strict `(score, last_access, id)` /
-    /// GDSF total orders), so selection is byte-identical to the old
-    /// `eviction_candidates()` sourcing, and the debug pool-vs-scan assert
-    /// still re-proves the membership every iteration.
-    fn scored_tier_pressure(&mut self, tier: Tier, report: &mut AdmissionReport) {
-        let mut pool = self.tier_pool(tier);
-        let mut scored: Vec<Candidate<NodeId>> = Vec::with_capacity(pool.len());
-        let pool_len = pool.len();
-        let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-        loop {
-            let pressing = match tier {
-                Tier::Device => self.usage() > self.capacity && !self.tree.is_empty(),
-                Tier::Host => self.host_usage() > self.host_capacity && !pool.is_empty(),
-            };
-            if !pressing {
-                break;
+    /// Pins are filtered here, at pick time, rather than by pulling pinned
+    /// nodes out of the candidate index: the index is an ordered set, so a
+    /// pin has no order to perturb, and leaving membership alone keeps
+    /// `pin`/`unpin` free of two B-tree operations per single-child
+    /// ancestor per request.
+    fn eligible(&self, id: NodeId, source: Source) -> bool {
+        let meta = self.tree.data(id);
+        meta.tier == source.tier()
+            && !self.tree.is_pinned(id)
+            && match source {
+                Source::Candidates(_) => !self.leaf_only_eviction || self.tree.is_leaf(id),
+                Source::DeviceFallback => self.node_bytes(id) > 0,
             }
-            #[cfg(debug_assertions)]
-            self.assert_pool_matches_scan(&pool, tier);
-            let Some(i) = self.pick_from_pool(&pool, &mut scored) else {
-                break;
-            };
-            let victim = pool.swap_remove(i);
-            // Tiered mode: demote everything that actually moves bytes;
-            // zero-byte structural nodes (no checkpoint, zero-width KVs)
-            // still merge away so the loop always progresses.
-            if tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0 {
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
-                }
-                self.demote_victim(victim, report);
-                continue;
-            }
-            if let Some(ep) = episode.as_mut() {
-                ep.push(self.victim_record(victim, VictimAction::Evicted));
-            }
-            self.delete_victim(victim, &mut pool, report, tier);
-        }
-        if let Some(victims) = episode {
-            let cause = match tier {
-                Tier::Device => PressureCause::DeviceCapacity,
-                Tier::Host => PressureCause::HostCapacity,
-            };
-            self.emit_episode(self.clock, tier, cause, pool_len, victims);
-        }
     }
 
-    /// `true` when victim selection collapses to pure LRU — a non-GDSF
-    /// policy with `effective_alpha == 0` (Lru always; FlopAware at
-    /// `α = 0`; AutoTuned until the tuner decides on a nonzero α). Under
-    /// that collapse [`pick_victim_index`] reduces to the minimum of
-    /// `(last_access, id)`, which is exactly the ascending key order of the
-    /// tree's recency index, so the O(log n) episode in
-    /// [`lru_tier_pressure`](Self::lru_tier_pressure) picks byte-identical
-    /// victims without building or re-scoring a pool.
-    fn lru_fast_path(&self) -> bool {
-        !matches!(self.policy, EvictionPolicy::Gdsf) && self.effective_alpha == 0.0
-    }
-
-    /// One pressure episode for `tier` on the LRU fast path: victims come
-    /// straight off the tree's O(log n) recency index instead of a
-    /// re-scored pool, in provably the same order as
-    /// [`pick_from_pool`](Self::pick_from_pool) (see
-    /// [`lru_fast_path`](Self::lru_fast_path); debug builds re-check every
-    /// pick against the scored reference).
-    ///
-    /// The episode snapshots the index's `(stamp, id)` entries once, then
-    /// merges in parents promoted to candidacy by mid-episode deletions
-    /// through a min-heap keyed the same way. Entries the episode itself
-    /// invalidates (deleted nodes, demoted nodes, duplicates of a
-    /// heap-promoted parent under leaf-only ablation) are rejected at
-    /// consumption time by re-checking liveness, stamp, child count, tier,
-    /// leaf status, and pins against the live tree — the same predicates
-    /// [`tier_pool`](Self::tier_pool) builds from.
-    fn lru_tier_pressure(&mut self, tier: Tier, report: &mut AdmissionReport) {
-        let over = |c: &Self| match tier {
-            Tier::Device => c.usage() > c.capacity,
-            Tier::Host => c.host_usage() > c.host_capacity,
+    /// The nodes [`eligible`](Self::eligible) for `source` at the live tree
+    /// state: the candidate index in ascending `(stamp, id)` order, or the
+    /// arena in slot order.
+    fn eligible_ids(&self, source: Source) -> impl Iterator<Item = NodeId> + '_ {
+        let (index, arena) = match source {
+            Source::Candidates(_) => (Some(self.tree.eviction_candidates()), None),
+            Source::DeviceFallback => (None, Some(self.tree.node_ids())),
         };
-        let snapshot: Vec<(u64, NodeId)> = self.tree.lru_candidates().collect();
-        let mut cursor = 0usize;
-        let mut promoted: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-        let mut sink: Vec<NodeId> = Vec::new();
-        let pool_len = snapshot.len();
-        let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-        while over(self) && !self.tree.is_empty() {
-            let victim = loop {
-                // Next entry in global (stamp, id) order across the
-                // snapshot and the promoted parents.
-                let snap = snapshot.get(cursor).copied();
-                let prom = promoted.peek().map(|r| r.0);
-                let (stamp, id) = match (snap, prom) {
-                    (None, None) => break None,
-                    (Some(s), None) => {
-                        cursor += 1;
-                        s
-                    }
-                    (None, Some(p)) => {
-                        promoted.pop();
-                        p
-                    }
-                    (Some(s), Some(p)) => {
-                        if s <= p {
-                            cursor += 1;
-                            s
-                        } else {
-                            promoted.pop();
-                            p
-                        }
-                    }
-                };
-                // Consumption-time staleness filters (tier_pool's
-                // predicates, re-evaluated against the live tree).
-                if !self.tree.contains(id) || self.tree.stamp(id) != stamp {
-                    continue;
-                }
-                if self.tree.child_count(id) > 1 || self.tree.data(id).tier != tier {
-                    continue;
-                }
-                if self.leaf_only_eviction && !self.tree.is_leaf(id) {
-                    continue;
-                }
-                if self.tree.is_pinned(id) {
-                    continue;
-                }
-                break Some(id);
-            };
-            let Some(victim) = victim else {
+        index
+            .into_iter()
+            .flatten()
+            .chain(arena.into_iter().flatten())
+            .filter(move |&id| self.eligible(id, source))
+    }
+
+    /// One pressure episode: while the source's tier is over budget, pick
+    /// a victim and demote it (device tier, host tier present, bytes to
+    /// move) or delete it. Zero-byte structural device nodes (no
+    /// checkpoint, zero-width KVs) still merge away under tiering so the
+    /// loop always progresses; host episodes (the last tier) always
+    /// delete; fallback victims hold bytes by eligibility, so they are
+    /// always demoted.
+    fn tier_pressure(&mut self, source: Source, report: &mut AdmissionReport) {
+        let tier = source.tier();
+        if !self.over(tier) {
+            return;
+        }
+        let mut episode = self
+            .tracer
+            .is_enabled()
+            .then(|| (self.eligible_ids(source).count(), Vec::new()));
+        let mut scored = Vec::new();
+        while self.over(tier) {
+            let Some(victim) = self.pick(source, &mut scored) else {
                 break;
             };
-            #[cfg(debug_assertions)]
-            self.assert_lru_victim_matches_scored_pick(victim, tier);
-            if tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0 {
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
-                }
-                self.demote_victim(victim, report);
-                continue;
+            let action =
+                if tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0 {
+                    VictimAction::Demoted
+                } else {
+                    VictimAction::Evicted
+                };
+            if let Some((_, victims)) = episode.as_mut() {
+                victims.push(self.victim_record(victim, action));
             }
-            if let Some(ep) = episode.as_mut() {
-                ep.push(self.victim_record(victim, VictimAction::Evicted));
-            }
-            // delete_victim pushes any parent that just became eligible
-            // for this tier's pool into `sink` — exactly the entries the
-            // scored loop would append — and they re-enter the merged
-            // stream through the heap at their current stamp.
-            self.delete_victim(victim, &mut sink, report, tier);
-            for parent in sink.drain(..) {
-                promoted.push(Reverse((self.tree.stamp(parent), parent)));
+            match action {
+                VictimAction::Demoted => self.demote_victim(victim, report),
+                VictimAction::Evicted => self.delete_victim(victim, report, tier),
             }
         }
-        if let Some(victims) = episode {
-            let cause = match tier {
-                Tier::Device => PressureCause::DeviceCapacity,
-                Tier::Host => PressureCause::HostCapacity,
-            };
-            self.emit_episode(self.clock, tier, cause, pool_len, victims);
+        if let Some((pool_len, victims)) = episode {
+            self.emit_episode(self.clock, tier, source.cause(), pool_len, victims);
         }
     }
 
-    /// Debug-only: the fast-path victim must equal what the scored pool
-    /// loop would have picked at this exact cache state.
-    #[cfg(debug_assertions)]
-    fn assert_lru_victim_matches_scored_pick(&mut self, victim: NodeId, tier: Tier) {
-        let pool = self.tier_pool(tier);
-        self.assert_pool_matches_scan(&pool, tier);
-        let mut scored = Vec::with_capacity(pool.len());
-        let want = self
-            .pick_from_pool(&pool, &mut scored)
-            .map(|i| pool[i])
-            .expect("invariant: fast path found a victim, so the scored pool is non-empty");
+    /// The victim selector: the lowest-utility node
+    /// [`eligible`](Self::eligible) for `source` at the live tree state, or
+    /// `None` when nothing is. Its arms are the policies:
+    ///
+    /// * GDSF — minimum `(H, last_access, id)`, advancing the inflation
+    ///   clock to the victim's priority;
+    /// * α = 0 — `pick_victim_index` collapses to the minimum of
+    ///   `(last_access, id)`, which is the candidate index's own key order,
+    ///   so the victim is its first eligible entry: O(log n + skipped),
+    ///   where skipped counts the other-tier, pinned or (leaf-only)
+    ///   non-leaf entries older than the victim;
+    /// * otherwise — `S(n) = recency + α · flop_efficiency` over every
+    ///   eligible node, O(candidates) per victim (min-max normalisation
+    ///   makes each score depend on the whole set). One pass over the source
+    ///   checks eligibility and reads each node's memoized efficiency
+    ///   together, so a node is touched once per victim; the few stale
+    ///   memos are rewritten after the pass, which needs `&mut`.
+    ///
+    /// The fallback source is in arena order, not recency order, so at
+    /// α = 0 it takes the scored arm (same minimum, found by scan).
+    /// `scored` is scratch space reused across an episode's picks.
+    fn pick(&mut self, source: Source, scored: &mut Vec<Candidate<NodeId>>) -> Option<NodeId> {
+        let victim = if matches!(self.policy, EvictionPolicy::Gdsf) {
+            let victim = self
+                .eligible_ids(source)
+                .min_by(|&a, &b| self.gdsf_order(a, b));
+            if let Some(v) = victim {
+                let h = self.tree.data(v).gdsf_priority;
+                if h.is_finite() {
+                    self.gdsf_clock = self.gdsf_clock.max(h);
+                }
+            }
+            victim
+        } else if self.effective_alpha == 0.0 && matches!(source, Source::Candidates(_)) {
+            self.eligible_ids(source).next()
+        } else {
+            scored.clear();
+            let mut stale = Vec::new();
+            self.eligible_ids(source).for_each(|id| {
+                let meta = self.tree.data(id);
+                let flop_efficiency = match meta.cost_memo {
+                    Some(memo) if memo.version == self.tree.structure_version(id) => {
+                        memo.flop_efficiency
+                    }
+                    _ => {
+                        stale.push(scored.len());
+                        f64::NAN
+                    }
+                };
+                scored.push(Candidate {
+                    id,
+                    last_access: meta.last_access,
+                    flop_efficiency,
+                });
+            });
+            for i in stale {
+                scored[i].flop_efficiency = self.node_costs(scored[i].id).1;
+            }
+            pick_victim_index(scored, self.effective_alpha).map(|i| scored[i].id)
+        };
+        #[cfg(debug_assertions)]
         assert_eq!(
-            victim, want,
-            "O(log n) LRU fast path diverged from the scored reference pick"
+            victim,
+            self.scan_pick(source),
+            "victim selection diverged from the index-free, memo-free arena scan"
         );
+        victim
+    }
+
+    /// Debug-only cross-check of [`pick`](Self::pick): re-derives the
+    /// victim from nothing but the arena — candidacy from child counts (no
+    /// index), scores from the model (no memo), one policy switch. Also
+    /// what keeps the memos honest: a stale one shows up as a different
+    /// victim here.
+    #[cfg(debug_assertions)]
+    fn scan_pick(&self, source: Source) -> Option<NodeId> {
+        let ids = self.tree.node_ids().filter(|&id| {
+            let candidate = self.tree.child_count(id) <= 1;
+            (candidate || source == Source::DeviceFallback) && self.eligible(id, source)
+        });
+        if matches!(self.policy, EvictionPolicy::Gdsf) {
+            return ids.min_by(|&a, &b| self.gdsf_order(a, b));
+        }
+        let candidates: Vec<Candidate<NodeId>> = ids
+            .map(|id| Candidate {
+                id,
+                last_access: self.tree.data(id).last_access,
+                flop_efficiency: self.node_flop_efficiency(id),
+            })
+            .collect();
+        pick_victim_index(&candidates, self.effective_alpha).map(|i| candidates[i].id)
     }
 
     /// Demotes `victim` and records the move in stats and the admission
@@ -1248,20 +1177,13 @@ impl HybridPrefixCache {
         report.bytes_demoted += moved;
     }
 
-    /// Deletes `victim` from `tier`: removes it from the tree, repairs the
-    /// live `pool` (a leaf victim's parent may become a same-tier
-    /// candidate; a merge victim changes no candidacies — its child keeps
-    /// its own children and simply absorbs the edge), updates the
+    /// Deletes `victim` from `tier`: removes it from the tree (a leaf
+    /// victim's parent may thereby become a candidate — the tree's index
+    /// picks that up; a merge victim changes no candidacies), updates the
     /// cross-tier accounting, and books the eviction. The one deletion
     /// body both pressure phases share, so their victim handling can never
     /// drift.
-    fn delete_victim(
-        &mut self,
-        victim: NodeId,
-        pool: &mut Vec<NodeId>,
-        report: &mut AdmissionReport,
-        tier: Tier,
-    ) {
+    fn delete_victim(&mut self, victim: NodeId, report: &mut AdmissionReport, tier: Tier) {
         let (freed, _) = self.node_costs(victim);
         let victim_edge = self.tree.edge_len(victim);
         if self.tracer.is_enabled() {
@@ -1287,11 +1209,6 @@ impl HybridPrefixCache {
             self.miss_ledger
                 .record_fingerprint(fp.finish(), fp.len(), cause);
         }
-        let parent = self
-            .tree
-            .parent(victim)
-            .expect("invariant: eviction victims are non-root");
-        let parent_children_before = self.tree.child_count(parent);
         let removed = self
             .tree
             .remove(victim)
@@ -1304,17 +1221,6 @@ impl HybridPrefixCache {
                 removed: victim_id,
                 merged_into: child.index() as u64,
             });
-        }
-        if removed.merged_into.is_none() && parent != self.tree.root() {
-            let newly_eligible = if self.leaf_only_eviction {
-                parent_children_before == 1
-            } else {
-                parent_children_before == 2
-            };
-            if newly_eligible && self.tree.data(parent).tier == tier && !self.tree.is_pinned(parent)
-            {
-                pool.push(parent);
-            }
         }
         self.apply_removed_accounting(victim_edge, &removed, tier);
         if removed.data.has_ssm_state {
@@ -1330,37 +1236,6 @@ impl HybridPrefixCache {
         }
         report.entries_evicted += 1;
         report.bytes_evicted += freed;
-    }
-
-    /// Shared victim picker over a tier-filtered pool: GDSF priority under
-    /// `EvictionPolicy::Gdsf` (advancing the inflation clock), the
-    /// `S(n) = recency + α·flop_efficiency` order otherwise.
-    fn pick_from_pool(
-        &mut self,
-        pool: &[NodeId],
-        scored: &mut Vec<Candidate<NodeId>>,
-    ) -> Option<usize> {
-        if matches!(self.policy, EvictionPolicy::Gdsf) {
-            let idx = self.pick_gdsf_victim_index(pool);
-            if let Some(i) = idx {
-                let h = self.tree.data(pool[i]).gdsf_priority;
-                if h.is_finite() {
-                    self.gdsf_clock = self.gdsf_clock.max(h);
-                }
-            }
-            idx
-        } else {
-            scored.clear();
-            for &id in pool {
-                let (_, eff) = self.node_costs(id);
-                scored.push(Candidate {
-                    id,
-                    last_access: self.tree.data(id).last_access,
-                    flop_efficiency: eff,
-                });
-            }
-            pick_victim_index(scored, self.effective_alpha)
-        }
     }
 
     /// Updates the host counters for a `victim_edge`-token node removed
@@ -1403,27 +1278,6 @@ impl HybridPrefixCache {
         }
     }
 
-    /// Debug-only: the incremental pool must equal the from-scratch scan of
-    /// live ≤ 1-child nodes on `tier` (at `host_capacity = 0` the device
-    /// pool is exactly the pre-refactor candidate set).
-    #[cfg(debug_assertions)]
-    fn assert_pool_matches_scan(&self, pool: &[NodeId], tier: Tier) {
-        let mut got: Vec<NodeId> = pool.to_vec();
-        got.sort_unstable();
-        got.windows(2)
-            .for_each(|w| assert_ne!(w[0], w[1], "duplicate pool entry {}", w[0]));
-        let mut want: Vec<NodeId> = self
-            .tree
-            .node_ids()
-            .filter(|&id| self.tree.child_count(id) <= 1)
-            .filter(|&id| self.tree.data(id).tier == tier)
-            .filter(|&id| !self.leaf_only_eviction || self.tree.is_leaf(id))
-            .filter(|&id| !self.tree.is_pinned(id))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "incremental victim pool diverged from scan");
-    }
-
     /// The pre-refactor eviction loop, verbatim: re-collect every candidate
     /// by scanning the arena and re-derive every score, once per victim.
     /// Kept (test-only) as the reference the parity suite replays against.
@@ -1439,7 +1293,7 @@ impl HybridPrefixCache {
                 .filter(|&id| !leaf_only || self.tree.is_leaf(id))
                 .collect();
             let victim = if matches!(self.policy, EvictionPolicy::Gdsf) {
-                let v = self.pick_gdsf_victim_index(&ids).map(|i| ids[i]);
+                let v = ids.iter().copied().min_by(|&a, &b| self.gdsf_order(a, b));
                 if let Some(v) = v {
                     let h = self.tree.data(v).gdsf_priority;
                     if h.is_finite() {
@@ -1478,10 +1332,10 @@ impl HybridPrefixCache {
     }
 
     /// Records an access on `id`: the float timestamp in the node's
-    /// metadata (what the scoring paths read) and its order-preserving
-    /// integer image in the tree's recency index (what the O(log n) LRU
-    /// fast path reads). Every `last_access` write must go through here so
-    /// the two views can never drift.
+    /// metadata (what the scoring arms read) and its order-preserving
+    /// integer image in the tree's recency index (what the α = 0 arm
+    /// reads). Every `last_access` write must go through here so the two
+    /// views can never drift.
     fn stamp_access(&mut self, id: NodeId, now: f64) {
         self.tree.data_mut(id).last_access = now;
         self.tree.touch(id, recency_stamp(now));
@@ -2854,55 +2708,131 @@ mod tests {
         assert!(c.tree.node_ids().any(|id| c.tree.data(id).frequency > 0));
     }
 
-    /// Replays a seeded trace through two identically-configured caches —
-    /// one using the pre-refactor full-scan selection, one the incremental
-    /// (now tier-aware) pipeline at `host_capacity = 0` — and demands
-    /// byte-identical victim sequences and stats. This is the single-tier
-    /// parity contract: a zero host budget must reproduce the pre-tiering
-    /// cache byte-for-byte.
+    /// The behavioural knobs the victim selector reads besides the policy.
+    /// The parity helpers replay every combination, so the selector's one
+    /// debug cross-check (`scan_pick`, next to every pick) sees the whole
+    /// matrix for every policy family.
+    #[derive(Debug, Clone, Copy)]
+    struct Knobs {
+        /// Host tier at half the device capacity (demotion, the fallback
+        /// pass, host-pressure deletion) instead of none.
+        host_tier: bool,
+        /// Hold each request's hit path pinned across the next three
+        /// requests' admissions, so several overlapping pins are live at
+        /// every pressure episode.
+        live_pins: bool,
+        /// The §4.3(1) ablation: only leaves are evictable.
+        leaf_only: bool,
+    }
+
+    impl Knobs {
+        fn matrix() -> impl Iterator<Item = Knobs> {
+            (0..8u8).map(|bits| Knobs {
+                host_tier: bits & 1 != 0,
+                live_pins: bits & 2 != 0,
+                leaf_only: bits & 4 != 0,
+            })
+        }
+
+        /// The scan reference predates tiering and pinning, so only the
+        /// single-tier pin-free combinations replay against it; the rest
+        /// rely on the per-pick cross-check and the invariant checks.
+        fn has_scan_reference(self) -> bool {
+            !self.host_tier && !self.live_pins
+        }
+    }
+
+    /// Replays `requests` through a cache configured by `policy`, `knobs`
+    /// and `capacity`, through the scan reference when `scan` is set.
+    fn replay_with_knobs<'a>(
+        policy: &EvictionPolicy,
+        capacity: u64,
+        knobs: Knobs,
+        scan: bool,
+        requests: impl Iterator<Item = (&'a [Token], &'a [Token], f64)>,
+    ) -> HybridPrefixCache {
+        let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
+            .capacity_bytes(capacity)
+            .host_capacity_bytes(if knobs.host_tier { capacity / 2 } else { 0 })
+            .leaf_only_eviction(knobs.leaf_only)
+            .policy(policy.clone())
+            .build();
+        c.use_scan_eviction = scan;
+        let mut held = std::collections::VecDeque::new();
+        for (input, output, now) in requests {
+            c.lookup_at(input, now);
+            if knobs.live_pins {
+                held.push_back(c.pin_prefix(input));
+                if held.len() > 3 {
+                    c.unpin(held.pop_front().expect("non-empty"));
+                }
+            }
+            c.insert_at(input, output, now);
+        }
+        held.into_iter().for_each(|t| c.unpin(t));
+        assert_eq!(c.pinned_node_count(), 0, "all tickets were redeemed");
+        c.tree.assert_invariants();
+        c.assert_tier_accounting();
+        c
+    }
+
+    /// The parity contract between two replays of one trace: byte-identical
+    /// victim sequences, stats, usage and α.
+    fn assert_same_decisions(
+        reference: &HybridPrefixCache,
+        indexed: &HybridPrefixCache,
+        policy: &EvictionPolicy,
+    ) {
+        assert_eq!(
+            reference.eviction_log, indexed.eviction_log,
+            "victim sequence diverged under {policy}"
+        );
+        assert_eq!(
+            reference.stats, indexed.stats,
+            "stats diverged under {policy}"
+        );
+        assert_eq!(reference.usage(), indexed.usage());
+        assert_eq!(reference.effective_alpha, indexed.effective_alpha);
+        assert_eq!(reference.tree.len(), indexed.tree.len());
+    }
+
+    /// Replays a seeded trace under every [`Knobs`] combination. Where the
+    /// scan reference applies, a second identically-configured cache runs
+    /// the pre-refactor full-scan selection and the two must agree
+    /// byte-for-byte on victim sequence and stats; at `host_capacity = 0`
+    /// that is the single-tier parity contract: a zero host budget must
+    /// reproduce the pre-tiering cache exactly.
     fn assert_eviction_parity(policy: EvictionPolicy, capacity: u64, trace_seed: u64) {
         use marconi_workload::{DatasetKind, TraceGenerator};
         let trace = TraceGenerator::new(DatasetKind::Lmsys)
             .sessions(12)
             .seed(trace_seed)
             .generate();
-        let build = |scan: bool| {
-            let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-                .capacity_bytes(capacity)
-                .host_capacity_bytes(0)
-                .policy(policy.clone())
-                .build();
-            c.use_scan_eviction = scan;
-            c
+        let requests = || {
+            trace
+                .requests
+                .iter()
+                .map(|r| (&r.input[..], &r.output[..], r.arrival))
         };
-        let mut reference = build(true);
-        let mut incremental = build(false);
-        for r in &trace.requests {
-            reference.lookup_at(&r.input, r.arrival);
-            incremental.lookup_at(&r.input, r.arrival);
-            reference.insert_at(&r.input, &r.output, r.arrival);
-            incremental.insert_at(&r.input, &r.output, r.arrival);
+        for knobs in Knobs::matrix() {
+            let indexed = replay_with_knobs(&policy, capacity, knobs, false, requests());
+            assert!(
+                indexed.stats.evictions > 0,
+                "parity trace must exercise eviction ({policy}, {knobs:?})"
+            );
+            assert_eq!(indexed.stats.demotions > 0, knobs.host_tier, "{knobs:?}");
+            if knobs.has_scan_reference() {
+                let reference = replay_with_knobs(&policy, capacity, knobs, true, requests());
+                assert_same_decisions(&reference, &indexed, &policy);
+            }
+            if !knobs.host_tier {
+                // Single-tier runs must never touch the host tier in any way.
+                assert_eq!(indexed.host_usage_bytes(), 0);
+                assert_eq!(indexed.stats.host_hits, 0);
+                assert_eq!(indexed.stats.host_hit_tokens, 0);
+                assert_eq!(indexed.stats.host_evictions, 0);
+            }
         }
-        assert!(
-            reference.stats.evictions > 0,
-            "parity trace must exercise eviction ({policy})"
-        );
-        assert_eq!(
-            reference.eviction_log, incremental.eviction_log,
-            "victim sequence diverged under {policy}"
-        );
-        assert_eq!(
-            reference.stats, incremental.stats,
-            "stats diverged under {policy}"
-        );
-        assert_eq!(reference.usage(), incremental.usage());
-        assert_eq!(reference.effective_alpha, incremental.effective_alpha);
-        // Single-tier runs must never touch the host tier in any way.
-        assert_eq!(incremental.host_usage_bytes(), 0);
-        assert_eq!(incremental.stats.demotions, 0);
-        assert_eq!(incremental.stats.host_hits, 0);
-        assert_eq!(incremental.stats.host_hit_tokens, 0);
-        assert_eq!(incremental.stats.host_evictions, 0);
     }
 
     #[test]
@@ -3119,13 +3049,15 @@ mod tests {
         out
     }
 
-    /// Replays a stress trace through the scan-reference and incremental
-    /// caches in lockstep and asserts the full PR 2/5 parity contract:
-    /// byte-identical victim logs, `CacheStats`, usage, and α.
+    /// Replays a stress trace under every [`Knobs`] combination — against
+    /// the scan reference in lockstep where it applies — and asserts the
+    /// full PR 2/5 parity contract: byte-identical victim logs,
+    /// `CacheStats`, usage, and α.
     fn assert_scale_replay_parity(policy: EvictionPolicy, trace_seed: u64) {
-        // The binding cost is the *scan reference*: O(live nodes) per
-        // victim, so full-scale runs are opt-in. (The 100k–1M-node regime
-        // is exercised by the cursor-vs-root-walk scale replay in
+        // The binding cost is the *scan*: O(live nodes) per victim in the
+        // reference and in the selector's debug cross-check, so full-scale
+        // runs are opt-in. (The 100k–1M-node regime is exercised by the
+        // cursor-vs-root-walk scale replay in
         // `crates/radix/tests/differential.rs`, where both sides are
         // O(depth) per op.)
         let requests = if std::env::var("MARCONI_STRESS_FULL").is_ok() {
@@ -3136,46 +3068,29 @@ mod tests {
         let m = ModelConfig::hybrid_7b();
         let cap = requests as u64 * 256 * m.kv_bytes_per_token();
         let trace = stress_trace(trace_seed, requests);
-        let build = |scan: bool| {
-            let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-                .capacity_bytes(cap)
-                .host_capacity_bytes(0)
-                .policy(policy.clone())
-                .build();
-            c.use_scan_eviction = scan;
-            c
+        let requests = || {
+            trace
+                .iter()
+                .enumerate()
+                .map(|(i, (input, output))| (&input[..], &output[..], i as f64))
         };
-        let mut reference = build(true);
-        let mut incremental = build(false);
-        for (i, (input, output)) in trace.iter().enumerate() {
-            let now = i as f64;
-            reference.lookup_at(input, now);
-            incremental.lookup_at(input, now);
-            reference.insert_at(input, output, now);
-            incremental.insert_at(input, output, now);
+        for knobs in Knobs::matrix() {
+            let indexed = replay_with_knobs(&policy, cap, knobs, false, requests());
+            assert!(
+                indexed.stats.evictions > 100,
+                "stress trace must sustain eviction pressure ({policy}, {knobs:?}: {} evictions)",
+                indexed.stats.evictions
+            );
+            assert!(
+                indexed.tree.len() > 1_000,
+                "stress trace must grow a large tree ({policy}, {knobs:?}: {} nodes)",
+                indexed.tree.len()
+            );
+            if knobs.has_scan_reference() {
+                let reference = replay_with_knobs(&policy, cap, knobs, true, requests());
+                assert_same_decisions(&reference, &indexed, &policy);
+            }
         }
-        assert!(
-            reference.stats.evictions > 100,
-            "stress trace must sustain eviction pressure ({policy}: {} evictions)",
-            reference.stats.evictions
-        );
-        assert!(
-            reference.tree.len() > 1_000,
-            "stress trace must grow a large tree ({policy}: {} nodes)",
-            reference.tree.len()
-        );
-        assert_eq!(
-            reference.eviction_log, incremental.eviction_log,
-            "victim sequence diverged under {policy}"
-        );
-        assert_eq!(
-            reference.stats, incremental.stats,
-            "stats diverged under {policy}"
-        );
-        assert_eq!(reference.usage(), incremental.usage());
-        assert_eq!(reference.effective_alpha, incremental.effective_alpha);
-        assert_eq!(reference.tree.len(), incremental.tree.len());
-        incremental.tree.assert_invariants();
     }
 
     #[test]
@@ -3932,6 +3847,87 @@ mod tests {
         };
         assert_eq!(run(false), 0, "unpinned: device pressure demotes A to host");
         assert_eq!(run(true), 128, "pinned: A's path stays device-resident");
+    }
+
+    /// `pool_len` means one thing under every policy: the eligible
+    /// candidates on the pressed tier at episode start. LRU and
+    /// `FlopAware { α = 0 }` pick identical victims through different
+    /// arms, so driven to the same tiered, partly pinned state they must
+    /// report identical episodes — `pool_len` included — and that count
+    /// must exclude the pinned and the other-tier candidates.
+    #[test]
+    fn pool_len_counts_eligible_candidates_under_every_policy() {
+        use marconi_trace::{RingRecorder, Tracer};
+        let m = ModelConfig::hybrid_7b();
+        let capacity = two_seq_capacity(&m);
+        let run = |policy: EvictionPolicy| {
+            let mut c = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(capacity)
+                .host_capacity_bytes(capacity)
+                .policy(policy)
+                .build();
+            let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 12));
+            c.set_tracer(tracer);
+            c.insert_at(&seq(0..96), &seq(500..532), 0.0); // A
+            c.insert_at(&seq(10_000..10_096), &seq(10_500..10_532), 1.0); // B
+            let mut resume_a: Vec<Token> = seq(0..96);
+            resume_a.extend_from_slice(&seq(500..532));
+            let ticket = c.pin_prefix(&resume_a);
+            assert!(
+                c.pinned_node_count() > 0,
+                "the state under test is partly pinned"
+            );
+            // Four more sequences: device pressure demotes around A's pin,
+            // then host pressure deletes.
+            for i in 2..6u32 {
+                let base = i * 10_000;
+                c.insert_at(
+                    &seq(base..base + 96),
+                    &seq(base + 500..base + 532),
+                    f64::from(i),
+                );
+            }
+            c.unpin(ticket);
+            assert!(c.stats.demotions > 0 && c.stats.host_evictions > 0);
+            let rec = recorder.lock().expect("lock: test-local recorder");
+            let episodes: Vec<(TraceTier, u64, Vec<u64>)> = rec
+                .events()
+                .filter_map(|e| match &e.event {
+                    TraceEvent::EvictionEpisode {
+                        tier,
+                        pool_len,
+                        victims,
+                        ..
+                    } => Some((*tier, *pool_len, victims.iter().map(|v| v.node).collect())),
+                    _ => None,
+                })
+                .collect();
+            episodes
+        };
+        let lru = run(EvictionPolicy::Lru);
+        assert_eq!(
+            lru,
+            run(EvictionPolicy::FlopAware { alpha: 0.0 }),
+            "same state, same victims: the episodes must agree, pool_len included"
+        );
+        // Every sequence is one leaf under the root (slots 1..=6 in
+        // admission order) and the device tier holds two. A (slot 1) is
+        // pinned throughout, so each device episode chooses between the
+        // previous arrival and the new one — 2 eligible, however many
+        // candidates the two tiers hold in total — and each host episode
+        // between the three demoted so far.
+        use TraceTier::{Device, Host};
+        assert_eq!(
+            lru,
+            vec![
+                (Device, 2, vec![2]),
+                (Device, 2, vec![3]),
+                (Device, 2, vec![4]),
+                (Host, 3, vec![2]),
+                (Device, 2, vec![5]),
+                (Host, 3, vec![3]),
+            ]
+        );
     }
 
     // ------------------------------------------------------------------

@@ -68,8 +68,7 @@ pub(crate) struct Candidate<Id> {
 /// Picks the eviction victim: lowest `recency + α·efficiency` after min-max
 /// normalizing both terms across the candidates (the paper normalizes "by
 /// comparing all nodes' last-accessed timestamps and FLOP saved/byte in the
-/// radix tree"). Returns the victim's *position* in `candidates` so callers
-/// keeping a live pool can `swap_remove` it in O(1).
+/// radix tree"). Returns the victim's *position* in `candidates`.
 ///
 /// Infinite-efficiency candidates (zero bytes freed) are kept unless
 /// nothing else can be evicted when `α > 0`; at `α = 0` recency alone

@@ -14,10 +14,11 @@
 //!   (§4.1): report, without mutating, whether inserting a sequence would
 //!   create a new intermediate node (a branch point whose SSM state is worth
 //!   checkpointing during prefill).
-//! * [`RadixTree::eviction_candidates`] — nodes with ≤ 1 child (§4.3),
-//!   because multi-child nodes represent hot shared prefixes. The set is
-//!   maintained incrementally (O(1) per mutation), so enumerating it costs
-//!   O(candidates) rather than O(arena), and
+//! * [`RadixTree::lru_candidates`] — nodes with ≤ 1 child (§4.3), because
+//!   multi-child nodes represent hot shared prefixes, oldest first. The set
+//!   lives in one `(stamp, id)`-ordered index updated at the tree
+//!   mutations that change a child count (O(log n) each), so enumerating it
+//!   costs O(candidates) rather than O(arena), and
 //!   [`RadixTree::structure_version`] lets callers memoize per-node derived
 //!   costs with O(1) staleness checks.
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
@@ -29,7 +30,7 @@
 //! edge labels as `(offset, len)` slices of one shared token store (O(1)
 //! splits) that reclaims dead ranges in place — it never holds more than
 //! `max(2^16, 4 × live tokens)`, see [`RadixTree::token_store_len`] — and
-//! an O(log n) recency index over the candidate set
+//! the candidate set kept as one O(log n) recency index
 //! ([`RadixTree::touch`] / [`RadixTree::lru_candidates`]); see
 //! `docs/radix-engine.md` for design and measurements. (The pre-refactor
 //! oracle engine, retired after two parity-holding PRs, lives on only in
@@ -63,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod index;
 mod node;
 mod recency;
 mod tree;

@@ -1,35 +1,58 @@
-//! O(log n) recency index over eviction candidates.
+//! The eviction-candidate set, ordered by recency.
 //!
-//! Marconi's LRU-flavored policies (paper §4.3 with α = 0, and the
-//! auto-tuner's LRU phase) pick victims by minimum `(last_access, id)`.
-//! Re-deriving that minimum by scanning the candidate set costs
-//! O(candidates) per victim; this index keeps the candidates ordered by
-//! `(stamp, id)` in a `BTreeSet`, so the current minimum is O(log n) to
-//! maintain and O(1) to read. The tree updates it on exactly the same
-//! events that maintain the candidate index — candidate entry/exit and
-//! [`RadixTree::touch`](crate::RadixTree::touch) — so membership always
-//! mirrors [`RadixTree::eviction_candidates`](crate::RadixTree).
+//! Marconi evicts only nodes with ≤ 1 child (paper §4.3), and every policy
+//! here reads that set oldest-first: LRU-flavored policies (α = 0, and the
+//! auto-tuner's LRU phase) take the first eligible entry, the scored
+//! policies walk all of it. This index *is* the candidate set — one
+//! `BTreeSet<(stamp, id)>`, the shape of the TGI radix trie's
+//! `BTreeSet<(last_accessed, NodeId)>` — so there is no second structure to
+//! keep equal to it. Candidacy is a pure function of the node
+//! (`id != ROOT && children.len() <= 1`); the tree inserts and removes
+//! entries at the four sites where that function changes value, and
+//! [`RadixTree::touch`](crate::RadixTree::touch) re-keys an entry in
+//! O(log n). An ordered set has no insertion order, so nothing that leaves
+//! membership alone — a pin, say — can perturb the order victims come out
+//! in.
+//!
+//! Both mutators check their precondition in every build profile: as the
+//! only candidate source, a missed or doubled transition must panic, not
+//! silently skew the victim order.
 
 use crate::node::NodeId;
 use std::collections::BTreeSet;
 
-/// Candidate ids ordered by `(stamp, id)` — ascending stamp, then id.
+/// Eviction-candidate ids ordered by `(stamp, id)` — ascending stamp, then
+/// id.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecencyIndex {
     set: BTreeSet<(u64, NodeId)>,
 }
 
 impl RecencyIndex {
-    /// Adds an entry. The caller guarantees `(stamp, id)` is not present.
+    /// Adds the entry of a node that just became a candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(stamp, id)` is already present.
     pub fn insert(&mut self, stamp: u64, id: NodeId) {
         let fresh = self.set.insert((stamp, id));
-        debug_assert!(fresh, "recency entry for {id} already present");
+        assert!(
+            fresh,
+            "invariant: a node enters the recency index once ({id} already present)"
+        );
     }
 
-    /// Removes an entry. The caller guarantees `(stamp, id)` is present.
+    /// Removes the entry of a node that just stopped being a candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(stamp, id)` is absent.
     pub fn remove(&mut self, stamp: u64, id: NodeId) {
         let existed = self.set.remove(&(stamp, id));
-        debug_assert!(existed, "recency entry for {id} was absent");
+        assert!(
+            existed,
+            "invariant: only indexed nodes leave the recency index ({id} absent at stamp {stamp})"
+        );
     }
 
     /// `true` if the exact `(stamp, id)` entry is present.
@@ -37,7 +60,7 @@ impl RecencyIndex {
         self.set.contains(&(stamp, id))
     }
 
-    /// Number of entries (equals the candidate count by construction).
+    /// Number of entries — the eviction-candidate count.
     pub fn len(&self) -> usize {
         self.set.len()
     }
@@ -115,5 +138,21 @@ mod tests {
         idx.remove(5, NodeId::new(1, 0));
         assert!(!idx.contains(5, NodeId::new(1, 0)));
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: a node enters the recency index once")]
+    fn doubled_insert_panics_in_every_profile() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(5, NodeId::new(1, 0));
+        idx.insert(5, NodeId::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: only indexed nodes leave the recency index")]
+    fn remove_of_an_absent_entry_panics_in_every_profile() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(5, NodeId::new(1, 0));
+        idx.remove(6, NodeId::new(1, 0));
     }
 }

@@ -11,11 +11,10 @@
 //!   so splitting an edge is O(1) offset arithmetic; the store reclaims
 //!   the ranges dead edges leave behind by sliding live labels down in
 //!   place once dead tokens dominate (see [`RadixTree`]);
-//! * eviction candidates are mirrored into an O(log n) recency index
-//!   keyed by caller-supplied stamps ([`RadixTree::touch`]), so LRU-style
-//!   victim selection needs no linear scans.
+//! * the eviction candidates *are* one O(log n) recency index keyed by
+//!   caller-supplied stamps ([`RadixTree::touch`]): the oldest candidate
+//!   is the first entry, and no second structure shadows the set.
 
-use crate::index::CandidateIndex;
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::RecencyIndex;
 use crate::Token;
@@ -34,17 +33,20 @@ use std::fmt;
 /// 3. `depth(n) = depth(parent(n)) + edge_len(n)`;
 /// 4. [`token_count`](RadixTree::token_count) equals the sum of all edge
 ///    lengths, which equals the number of distinct prefixes stored.
-/// 5. [`eviction_candidates`](RadixTree::eviction_candidates) iterates an
-///    incrementally-maintained index whose membership always equals
-///    `{ live non-root n | child_count(n) ≤ 1 }`.
-/// 6. [`pinned_ids`](RadixTree::pinned_ids) iterates an
-///    incrementally-maintained index whose membership always equals
-///    `{ live non-root n | pin_count(n) > 0 }`, and a non-root parent's
+/// 5. Candidacy is a pure function of the node — `n` is an eviction
+///    candidate iff it is a live non-root node with `child_count(n) ≤ 1` —
+///    and [`lru_candidates`](RadixTree::lru_candidates) iterates the one
+///    index of it: exactly one `(stamp, id)` entry per candidate, where
+///    `stamp` is the node's current [`touch`](RadixTree::touch) stamp, and
+///    no entry for anything else.
+///    [`eviction_candidates`](RadixTree::eviction_candidates) and
+///    [`eviction_candidate_count`](RadixTree::eviction_candidate_count) are
+///    views of the same index.
+/// 6. [`pinned_count`](RadixTree::pinned_count) equals
+///    `|{ live non-root n | pin_count(n) > 0 }|`, and a non-root parent's
 ///    pin count is at least each child's (counts are subtree-inclusive).
-/// 7. [`lru_candidates`](RadixTree::lru_candidates) iterates a recency
-///    index holding exactly one `(stamp, id)` entry per eviction
-///    candidate, where `stamp` is the node's current
-///    [`touch`](RadixTree::touch) stamp.
+///    Pins never touch the candidate index: a pinned candidate keeps its
+///    entry and is skipped by whoever reads it.
 ///
 /// # The token store
 ///
@@ -81,17 +83,13 @@ pub struct RadixTree<D> {
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
-    /// Incremental eviction-candidate set (nodes with ≤ 1 child), kept in
-    /// sync by `insert`/`split_edge`/`remove` so the eviction hot path never
-    /// re-scans the arena.
-    candidates: CandidateIndex,
-    /// Incremental protected set: nodes with `pin_count > 0`. Kept
-    /// *separate* from `candidates` — pinning must not perturb the
-    /// candidate index's internal order, so the pin-free operation history
-    /// stays byte-identical whether or not pins ever happened.
-    pinned: CandidateIndex,
-    /// Candidates ordered by `(stamp, id)`; mirrors `candidates` exactly.
+    /// The eviction candidates (non-root nodes with ≤ 1 child) ordered by
+    /// `(stamp, id)`. `insert_at_node`/`split_edge`/`remove` apply the exact
+    /// membership transition at each site that changes a child count, so
+    /// the eviction hot path never re-scans the arena.
     lru: RecencyIndex,
+    /// Number of nodes with `pin_count > 0`.
+    pinned_nodes: usize,
     /// Fault-injection knob for the differential harness's self-test: when
     /// set, edge splits cut one token too deep. Never enabled outside
     /// tests.
@@ -299,9 +297,8 @@ impl<D: Default> RadixTree<D> {
             free_head: None,
             node_count: 0,
             token_count: 0,
-            candidates: CandidateIndex::default(),
-            pinned: CandidateIndex::default(),
             lru: RecencyIndex::default(),
+            pinned_nodes: 0,
             split_off_by_one: false,
         }
     }
@@ -425,15 +422,19 @@ impl<D: Default> RadixTree<D> {
                         stamp: 0,
                         data: D::default(),
                     });
-                    let was_leaf = self.node(cur).children.is_empty();
+                    let children_before = self.node(cur).children.len();
                     self.node_mut(cur).children.insert(next_tok, leaf);
-                    if was_leaf {
+                    if children_before == 0 {
                         // `cur`'s leaf status flipped: structural caches on
                         // it (freed bytes) are stale.
                         self.node_mut(cur).bump_version();
                     }
-                    self.candidate_add(leaf);
-                    self.sync_candidate(cur);
+                    // The new leaf is a candidate (stamp 0); a second child
+                    // ends `cur`'s candidacy.
+                    self.lru.insert(0, leaf);
+                    if children_before == 1 && cur != NodeId::ROOT {
+                        self.lru.remove(self.node(cur).stamp, cur);
+                    }
                     self.token_count += added;
                     self.reclaim_store();
                     return InsertOutcome {
@@ -547,9 +548,7 @@ impl<D: Default> RadixTree<D> {
             stamp: 0,
             data: D::default(),
         });
-        if inherited_pins > 0 {
-            self.pinned.insert(mid);
-        }
+        self.pinned_nodes += usize::from(inherited_pins > 0);
         {
             let c = self.node_mut(child);
             c.edge = tail;
@@ -561,8 +560,9 @@ impl<D: Default> RadixTree<D> {
         let first = self.store[head.off as usize];
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
-        // (and candidacy) is unchanged; `mid` itself has exactly one child.
-        self.candidate_add(mid);
+        // (and candidacy) is unchanged; `mid` itself has exactly one child,
+        // so it is a candidate (stamp 0).
+        self.lru.insert(0, mid);
         // Splitting moves tokens between edges without adding any, so
         // token_count is untouched; alloc() already counted the new node.
         mid
@@ -591,35 +591,10 @@ impl<D> RadixTree<D> {
         }
     }
 
-    /// Adds `id` to the candidate index, mirroring it into the recency
-    /// index iff membership actually changed.
-    fn candidate_add(&mut self, id: NodeId) {
-        let stamp = self.node(id).stamp;
-        if self.candidates.insert(id) {
-            self.lru.insert(stamp, id);
-        }
-    }
-
-    /// Removes `id` from the candidate index, mirroring the recency index
-    /// iff membership actually changed.
-    fn candidate_drop(&mut self, id: NodeId) {
-        let stamp = self.node(id).stamp;
-        if self.candidates.remove(id) {
-            self.lru.remove(stamp, id);
-        }
-    }
-
-    /// Re-derives `id`'s candidate-index membership from its current child
-    /// count. O(log candidates); idempotent; the root is never a candidate.
-    fn sync_candidate(&mut self, id: NodeId) {
-        if id == NodeId::ROOT {
-            return;
-        }
-        if self.node(id).children.len() <= 1 {
-            self.candidate_add(id);
-        } else {
-            self.candidate_drop(id);
-        }
+    /// `true` iff `id` is an eviction candidate: a non-root node with ≤ 1
+    /// child. The recency index holds exactly the nodes this is true of.
+    fn is_candidate(&self, id: NodeId) -> bool {
+        id != NodeId::ROOT && self.node(id).children.len() <= 1
     }
 
     /// Number of leading tokens of `rest` matching `child`'s edge label.
@@ -816,18 +791,17 @@ impl<D> RadixTree<D> {
     /// requests and are not evicted directly (paper §4.3); they become
     /// candidates once their descendants are gone.
     ///
-    /// Served from an incrementally-maintained index, so iterating costs
-    /// O(candidates) — not O(arena slots) — regardless of how much the
-    /// arena has churned. Iteration order is unspecified but deterministic
-    /// (a pure function of the tree's operation history).
+    /// A view of [`lru_candidates`](RadixTree::lru_candidates) without the
+    /// stamps: O(candidates) — not O(arena slots) — regardless of how much
+    /// the arena has churned, in ascending `(stamp, id)` order.
     pub fn eviction_candidates(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.candidates.iter()
+        self.lru.iter().map(|(_, id)| id)
     }
 
     /// Number of current eviction candidates, in O(1).
     #[must_use]
     pub fn eviction_candidate_count(&self) -> usize {
-        self.candidates.len()
+        self.lru.len()
     }
 
     /// Records a recency stamp on a node in O(log candidates).
@@ -849,7 +823,7 @@ impl<D> RadixTree<D> {
         if old == stamp {
             return;
         }
-        if self.candidates.contains(id) {
+        if self.is_candidate(id) {
             self.lru.remove(old, id);
             self.lru.insert(stamp, id);
         }
@@ -867,8 +841,8 @@ impl<D> RadixTree<D> {
     }
 
     /// Eviction candidates in ascending `(stamp, id)` order, each with its
-    /// stamp — the LRU-first victim ordering for α = 0 policies, served
-    /// from the O(log n) recency index with no scan.
+    /// stamp — the one candidate index, read live by every eviction policy
+    /// (α = 0 policies take its first eligible entry).
     pub fn lru_candidates(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
         self.lru.iter()
     }
@@ -898,9 +872,7 @@ impl<D> RadixTree<D> {
             n.pin_count += 1;
             let first = n.pin_count == 1;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
-            if first {
-                self.pinned.insert(cur);
-            }
+            self.pinned_nodes += usize::from(first);
             cur = parent;
         }
     }
@@ -923,9 +895,7 @@ impl<D> RadixTree<D> {
                 .expect("invariant: unpin without a matching pin");
             let now_free = n.pin_count == 0;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
-            if now_free {
-                self.pinned.remove(cur);
-            }
+            self.pinned_nodes -= usize::from(now_free);
             cur = parent;
         }
     }
@@ -941,27 +911,33 @@ impl<D> RadixTree<D> {
         self.node(id).pin_count > 0
     }
 
-    /// Iterates over all currently protected nodes (pin count > 0), in the
-    /// index's internal (deterministic but unspecified) order.
+    /// Iterates over all currently protected nodes (pin count > 0), in
+    /// arena order. An O(arena slots) scan: for tests, diagnostics and
+    /// offline replay, not for the serving path (which asks
+    /// [`is_pinned`](RadixTree::is_pinned) per node or
+    /// [`pinned_count`](RadixTree::pinned_count)).
     pub fn pinned_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.pinned.iter()
+        self.node_ids().filter(|&id| self.is_pinned(id))
     }
 
     /// Number of currently protected nodes, in O(1).
     #[must_use]
     pub fn pinned_count(&self) -> usize {
-        self.pinned.len()
+        self.pinned_nodes
     }
 
     /// Drops every pin, returning the tree to a fully evictable state.
+    /// O(arena slots).
     ///
     /// Intended for clones handed to offline replay (e.g. the α tuner's
     /// replicas), which model no in-flight lifetimes.
     pub fn clear_pins(&mut self) {
-        let ids: Vec<NodeId> = self.pinned.drain().collect();
-        for id in ids {
-            self.node_mut(id).pin_count = 0;
+        for slot in &mut self.slots {
+            if let Slot::Occupied { node, .. } = slot {
+                node.pin_count = 0;
+            }
         }
+        self.pinned_nodes = 0;
     }
 
     /// Structure version of a node: bumped whenever the node's leaf status,
@@ -1250,18 +1226,26 @@ impl<D> RadixTree<D> {
         let child = node.children.first_id();
         let first_tok = self.store[node.edge.off as usize];
 
-        self.candidate_drop(id);
+        // A removable node has ≤ 1 child, so it is a candidate.
+        self.lru.remove(node.stamp, id);
         match child {
             None => {
                 let node = self.free(id);
                 self.node_mut(parent).children.remove(first_tok);
-                if self.node(parent).children.is_empty() && parent != NodeId::ROOT {
-                    // The parent just became a leaf: its freed-bytes shape
-                    // changed.
-                    self.node_mut(parent).bump_version();
+                if parent != NodeId::ROOT {
+                    let p = self.node_mut(parent);
+                    match p.children.len() {
+                        // The parent just became a leaf: its freed-bytes
+                        // shape changed.
+                        0 => p.bump_version(),
+                        // Down from two children to one: a candidate again.
+                        1 => {
+                            let stamp = p.stamp;
+                            self.lru.insert(stamp, parent);
+                        }
+                        _ => {}
+                    }
                 }
-                // Losing a child may have dropped the parent to ≤ 1.
-                self.sync_candidate(parent);
                 self.token_count -= u64::from(node.edge.len);
                 self.reclaim_store();
                 Ok(Removed {
@@ -1423,27 +1407,14 @@ impl<D> RadixTree<D> {
                     "{id}: depth mismatch"
                 );
                 seen_tokens += u64::from(n.edge.len);
-                let should_be_candidate = n.children.len() <= 1;
                 assert_eq!(
-                    self.candidates.contains(id),
-                    should_be_candidate,
-                    "{id}: candidate-index membership drift (child_count = {})",
-                    n.children.len()
+                    self.lru.contains(n.stamp, id),
+                    self.is_candidate(id),
+                    "{id}: recency-index membership drift (child_count = {}, stamp = {})",
+                    n.children.len(),
+                    n.stamp
                 );
-                if should_be_candidate {
-                    assert!(
-                        self.lru.contains(n.stamp, id),
-                        "{id}: recency-index entry missing or stale (stamp = {})",
-                        n.stamp
-                    );
-                }
-                seen_candidates += usize::from(should_be_candidate);
-                assert_eq!(
-                    self.pinned.contains(id),
-                    n.pin_count > 0,
-                    "{id}: pinned-index membership drift (pin_count = {})",
-                    n.pin_count
-                );
+                seen_candidates += usize::from(self.is_candidate(id));
                 seen_pinned += usize::from(n.pin_count > 0);
                 if n.parent != Some(NodeId::ROOT) {
                     assert!(
@@ -1493,29 +1464,14 @@ impl<D> RadixTree<D> {
             "store bound: {len} stored tokens for {} live",
             self.token_count
         );
-        assert_eq!(
-            seen_candidates,
-            self.candidates.len(),
-            "candidate index holds dead or duplicate entries"
-        );
+        // Every candidate has its entry (above), so equal counts leave no
+        // room for a dead, stale-stamped, duplicate or root entry.
         assert_eq!(
             self.lru.len(),
-            self.candidates.len(),
-            "recency index out of sync with the candidate index"
+            seen_candidates,
+            "recency index holds entries for non-candidates"
         );
-        assert!(
-            !self.candidates.contains(NodeId::ROOT),
-            "root must never be a candidate"
-        );
-        assert_eq!(
-            seen_pinned,
-            self.pinned.len(),
-            "pinned index holds dead or duplicate entries"
-        );
-        assert!(
-            !self.pinned.contains(NodeId::ROOT),
-            "root must never be in the pinned index"
-        );
+        assert_eq!(seen_pinned, self.pinned_nodes, "pinned-node count drift");
     }
 
     /// Graphviz `dot` rendering of the tree structure (edge labels

@@ -4,7 +4,7 @@
 //! derive ground truth for the longest stored prefix of any query and for
 //! the number of distinct prefixes (= tree token count).
 
-use marconi_radix::{NodeId, RadixTree, Token};
+use marconi_radix::{NodeId, RadixTree, RemoveError, Token};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -136,36 +136,67 @@ proptest! {
     #[test]
     fn candidate_index_matches_scan_recompute(
         seqs in seqs_strategy(),
-        ops in prop::collection::vec((0u32..2, any::<prop::sample::Index>()), 1..48),
+        ops in prop::collection::vec((0u32..4, any::<prop::sample::Index>(), 0u64..6), 1..64),
     ) {
-        // Interleave inserts and candidate removals, and after every
-        // mutation assert the incremental index equals a from-scratch
-        // recompute (`child_count ≤ 1` over `node_ids()`).
+        // Interleave inserts, candidate removals, touches and pin/unpin
+        // pairs, and after every op assert the one candidate index equals a
+        // from-scratch recompute: the sorted `(stamp, id)` scan of non-root
+        // ≤ 1-child nodes. Stamps come from a tiny range to force ties.
         let mut tree: RadixTree<()> = RadixTree::new();
-        let check = |tree: &RadixTree<()>| {
-            let mut indexed: Vec<NodeId> = tree.eviction_candidates().collect();
-            indexed.sort_unstable();
-            let mut scanned: Vec<NodeId> = tree
+        let mut held: Vec<NodeId> = Vec::new();
+        let mut next_seq = 0usize;
+        for (op, pick, stamp) in ops {
+            match op {
+                1 if !tree.is_empty() => {
+                    let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
+                    let id = candidates[pick.index(candidates.len())];
+                    match tree.remove(id) {
+                        Ok(_) => {}
+                        Err(RemoveError::Pinned) => prop_assert!(tree.is_pinned(id)),
+                        Err(e) => panic!("candidate {id} is not removable: {e}"),
+                    }
+                }
+                2 if !tree.is_empty() => {
+                    let ids: Vec<NodeId> = tree.node_ids().collect();
+                    tree.touch(ids[pick.index(ids.len())], stamp);
+                }
+                3 if !tree.is_empty() => {
+                    // Pins stay on live nodes, so an id held here never
+                    // goes stale; release the oldest every other time.
+                    if stamp % 2 == 0 || held.is_empty() {
+                        let ids: Vec<NodeId> = tree.node_ids().collect();
+                        let id = ids[pick.index(ids.len())];
+                        tree.pin(id);
+                        held.push(id);
+                    } else {
+                        tree.unpin(held.remove(0));
+                    }
+                }
+                _ => {
+                    tree.insert(&seqs[next_seq % seqs.len()]);
+                    next_seq += 1;
+                }
+            }
+            let mut scanned: Vec<(u64, NodeId)> = tree
                 .node_ids()
                 .filter(|&id| tree.child_count(id) <= 1)
+                .map(|id| (tree.stamp(id), id))
                 .collect();
             scanned.sort_unstable();
-            assert_eq!(indexed, scanned, "index drifted from scan recompute");
-            assert_eq!(tree.eviction_candidate_count(), scanned.len());
-        };
-        let mut next_seq = 0usize;
-        for (op, pick) in ops {
-            if op == 0 || tree.is_empty() {
-                tree.insert(&seqs[next_seq % seqs.len()]);
-                next_seq += 1;
-            } else {
-                let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
-                let id = candidates[pick.index(candidates.len())];
-                tree.remove(id).expect("candidate is removable");
-            }
-            check(&tree);
+            let indexed: Vec<(u64, NodeId)> = tree.lru_candidates().collect();
+            prop_assert_eq!(&indexed, &scanned, "index drifted from scan recompute");
+            prop_assert_eq!(tree.eviction_candidate_count(), scanned.len());
+            prop_assert!(tree.eviction_candidates().eq(scanned.iter().map(|&(_, id)| id)));
+            let pinned = tree.node_ids().filter(|&id| tree.is_pinned(id)).count();
+            prop_assert_eq!(tree.pinned_count(), pinned);
+            prop_assert_eq!(tree.pinned_ids().count(), pinned);
             tree.assert_invariants();
         }
+        for id in held {
+            tree.unpin(id);
+        }
+        prop_assert_eq!(tree.pinned_count(), 0);
+        tree.assert_invariants();
     }
 
     #[test]

@@ -286,8 +286,8 @@ pub enum TraceEvent {
         /// Arena index of the child that absorbed the edge.
         merged_into: u64,
     },
-    /// One pressure episode: the pool it drew from and every victim it
-    /// took, with per-victim score inputs.
+    /// One pressure episode: how many nodes it could have taken and every
+    /// victim it took, with per-victim score inputs.
     EvictionEpisode {
         /// Virtual-clock seconds.
         ts: f64,
@@ -297,7 +297,11 @@ pub enum TraceEvent {
         tier: TraceTier,
         /// Why the episode ran.
         cause: PressureCause,
-        /// Victim-pool size when the episode started.
+        /// Nodes eligible as victims when the episode started: eviction
+        /// candidates resident on `tier` and not pinned (leaves only under
+        /// the leaf-only ablation); for a `device-fallback` episode, every
+        /// unpinned byte-holding device node. The same count under every
+        /// policy.
         pool_len: u64,
         /// The α the score `recency + α · flop_efficiency` used.
         alpha: f64,
