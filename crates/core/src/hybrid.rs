@@ -1,7 +1,10 @@
 //! The Marconi prefix cache (and, with LRU eviction, the SGLang+ baseline).
 
 use crate::cursor::{CursorHint, SessionCursor};
-use crate::policy::{pick_victim_index, Candidate, EvictionPolicy};
+use crate::policy::{
+    class_lower_edge, efficiency_class, pick_victim_banded, pick_victim_index, Candidate,
+    EvictionPolicy,
+};
 use crate::result::{AdmissionReport, LookupResult};
 use crate::stats::CacheStats;
 use crate::tier::{ReloadPolicy, Tier, TieredPrefix};
@@ -200,6 +203,10 @@ pub struct HybridPrefixCache {
     session_cursors: bool,
     /// GDSF inflation clock `L` (monotone, set to each victim's priority).
     gdsf_clock: f64,
+    /// Eligible candidates the victim selector has read, over every pick
+    /// and policy. A work counter, not a statistic: it measures the
+    /// selector, not the traffic, so it stays out of [`CacheStats`].
+    candidates_scored: u64,
     /// Decision-level flight recorder ([`Tracer::off`] by default — one
     /// dead branch per emit site). **Not** a behavioral knob: emission is
     /// read-only with respect to every decision, so it is attached after
@@ -335,6 +342,24 @@ impl HybridPrefixCache {
     #[must_use]
     pub fn token_store_len(&self) -> usize {
         self.tree.token_store_len()
+    }
+
+    /// Eligible eviction candidates the victim selector has read so far,
+    /// summed over every pick (diagnostic). A deterministic work counter:
+    /// divided by [`CacheStats::evictions`] plus demotions it is the
+    /// selector's cost per victim in candidates, independent of the
+    /// machine. [`eviction_candidate_count`](Self::eviction_candidate_count)
+    /// is what a full pass would read per victim.
+    #[must_use]
+    pub fn candidates_scored(&self) -> u64 {
+        self.candidates_scored
+    }
+
+    /// Current number of eviction candidates — non-root nodes with ≤ 1
+    /// child, whatever their tier or pin state (diagnostic).
+    #[must_use]
+    pub fn eviction_candidate_count(&self) -> usize {
+        self.tree.eviction_candidate_count()
     }
 
     /// Attaches a flight recorder: every subsequent decision (lookups with
@@ -1020,8 +1045,8 @@ impl HybridPrefixCache {
     }
 
     /// The nodes [`eligible`](Self::eligible) for `source` at the live tree
-    /// state: the candidate index in ascending `(stamp, id)` order, or the
-    /// arena in slot order.
+    /// state: the candidate index band by band, each in ascending
+    /// `(stamp, id)` order, or the arena in slot order.
     fn eligible_ids(&self, source: Source) -> impl Iterator<Item = NodeId> + '_ {
         let (index, arena) = match source {
             Source::Candidates(_) => (Some(self.tree.eviction_candidates()), None),
@@ -1050,9 +1075,8 @@ impl HybridPrefixCache {
             .tracer
             .is_enabled()
             .then(|| (self.eligible_ids(source).count(), Vec::new()));
-        let mut scored = Vec::new();
         while self.over(tier) {
-            let Some(victim) = self.pick(source, &mut scored) else {
+            let Some(victim) = self.pick(source) else {
                 break;
             };
             let action =
@@ -1076,29 +1100,36 @@ impl HybridPrefixCache {
 
     /// The victim selector: the lowest-utility node
     /// [`eligible`](Self::eligible) for `source` at the live tree state, or
-    /// `None` when nothing is. Its arms are the policies:
+    /// `None` when nothing is. Two arms over the candidate index:
     ///
-    /// * GDSF — minimum `(H, last_access, id)`, advancing the inflation
-    ///   clock to the victim's priority;
-    /// * α = 0 — `pick_victim_index` collapses to the minimum of
-    ///   `(last_access, id)`, which is the candidate index's own key order,
-    ///   so the victim is its first eligible entry: O(log n + skipped),
-    ///   where skipped counts the other-tier, pinned or (leaf-only)
-    ///   non-leaf entries older than the victim;
-    /// * otherwise — `S(n) = recency + α · flop_efficiency` over every
-    ///   eligible node, O(candidates) per victim (min-max normalisation
-    ///   makes each score depend on the whole set). One pass over the source
-    ///   checks eligibility and reads each node's memoized efficiency
-    ///   together, so a node is touched once per victim; the few stale
-    ///   memos are rewritten after the pass, which needs `&mut`.
+    /// * GDSF — minimum `(H, last_access, id)` over the source, advancing
+    ///   the inflation clock to the victim's priority;
+    /// * everything else — `S(n) = recency + α · flop_efficiency` by the
+    ///   exact banded walk (`pick_victim_banded`, which states the
+    ///   argument). When `α ≠ 0` every candidate still in band 0 is first
+    ///   filed under the band of its memoized efficiency
+    ///   ([`classify_candidates`](Self::classify_candidates)), so the index
+    ///   holds two oldest-first bands per efficiency octave; the walk takes
+    ///   the stamp range from the band ends and the efficiency range from
+    ///   the two extreme bands, then visits bands from least efficient up
+    ///   and leaves each as soon as no later entry can score below the best
+    ///   so far. Floating-point scoring is monotone in stamp and
+    ///   efficiency, so the victim is the one a full pass would pick, bit
+    ///   for bit, at O(bands + visited) per victim. At `α = 0` nothing is
+    ///   ever classed, band 0 is the whole index and its first eligible
+    ///   entry is the victim: O(log n + skipped), where skipped counts the
+    ///   other-tier, pinned or (leaf-only) non-leaf entries older than it.
     ///
-    /// The fallback source is in arena order, not recency order, so at
-    /// α = 0 it takes the scored arm (same minimum, found by scan).
-    /// `scored` is scratch space reused across an episode's picks.
-    fn pick(&mut self, source: Source, scored: &mut Vec<Candidate<NodeId>>) -> Option<NodeId> {
+    /// The fallback source is the arena, which has no bands and no recency
+    /// order: there the same score is minimised by a full pass
+    /// (`pick_victim_index`).
+    fn pick(&mut self, source: Source) -> Option<NodeId> {
+        let alpha = self.effective_alpha;
+        let mut read = 0u64;
         let victim = if matches!(self.policy, EvictionPolicy::Gdsf) {
             let victim = self
                 .eligible_ids(source)
+                .inspect(|_| read += 1)
                 .min_by(|&a, &b| self.gdsf_order(a, b));
             if let Some(v) = victim {
                 let h = self.tree.data(v).gdsf_priority;
@@ -1107,33 +1138,32 @@ impl HybridPrefixCache {
                 }
             }
             victim
-        } else if self.effective_alpha == 0.0 && matches!(source, Source::Candidates(_)) {
-            self.eligible_ids(source).next()
-        } else {
-            scored.clear();
-            let mut stale = Vec::new();
-            self.eligible_ids(source).for_each(|id| {
-                let meta = self.tree.data(id);
-                let flop_efficiency = match meta.cost_memo {
-                    Some(memo) if memo.version == self.tree.structure_version(id) => {
-                        memo.flop_efficiency
-                    }
-                    _ => {
-                        stale.push(scored.len());
-                        f64::NAN
-                    }
-                };
-                scored.push(Candidate {
+        } else if source == Source::DeviceFallback {
+            let ids: Vec<NodeId> = self.eligible_ids(source).collect();
+            read += ids.len() as u64;
+            let scored: Vec<Candidate<NodeId>> = ids
+                .into_iter()
+                .map(|id| Candidate {
                     id,
-                    last_access: meta.last_access,
-                    flop_efficiency,
-                });
-            });
-            for i in stale {
-                scored[i].flop_efficiency = self.node_costs(scored[i].id).1;
+                    last_access: self.tree.data(id).last_access,
+                    flop_efficiency: self.node_costs(id).1,
+                })
+                .collect();
+            pick_victim_index(&scored, alpha).map(|i| scored[i].id)
+        } else {
+            if alpha != 0.0 {
+                self.classify_candidates();
             }
-            pick_victim_index(scored, self.effective_alpha).map(|i| scored[i].id)
+            let this = &*self;
+            let bands = this.tree.candidate_bands().map(|(class, band)| {
+                let candidates = band
+                    .filter(move |&(_, id)| this.eligible(id, source))
+                    .map(move |(_, id)| this.banded_candidate(id, alpha != 0.0));
+                (class_lower_edge(class), candidates)
+            });
+            pick_victim_banded(bands, alpha, &mut read)
         };
+        self.candidates_scored += read;
         #[cfg(debug_assertions)]
         assert_eq!(
             victim,
@@ -1143,11 +1173,56 @@ impl HybridPrefixCache {
         victim
     }
 
+    /// An index entry as the banded walk scores it. `scored` is off at
+    /// `α = 0`, where no efficiency is memoized and none is read.
+    fn banded_candidate(&self, id: NodeId, scored: bool) -> Candidate<NodeId> {
+        let meta = self.tree.data(id);
+        let flop_efficiency = if scored {
+            let memo = meta
+                .cost_memo
+                .expect("invariant: a classed candidate carries the memo its class was read from");
+            debug_assert_eq!(memo.version, self.tree.structure_version(id));
+            memo.flop_efficiency
+        } else {
+            0.0
+        };
+        Candidate {
+            id,
+            last_access: meta.last_access,
+            flop_efficiency,
+        }
+    }
+
+    /// Files every still-unclassed candidate (band 0 of the tree's index)
+    /// under the band of its efficiency, so the scored walk finds the index
+    /// fully banded. Band 0 holds exactly the candidates created or
+    /// structurally changed since the last scored pick — the tree returns a
+    /// node there on every structure-version bump and
+    /// [`checkpoint`](Self::checkpoint) does on a new SSM state, the two
+    /// events that invalidate a [`CostMemo`] — so a classed candidate always
+    /// carries a live memo of the efficiency its class was derived from.
+    fn classify_candidates(&mut self) {
+        loop {
+            let unclassed = self
+                .tree
+                .candidate_bands()
+                .next()
+                .filter(|&(class, _)| class == 0)
+                .and_then(|(_, mut band)| band.next());
+            let Some((_, id)) = unclassed else {
+                break;
+            };
+            let (_, efficiency) = self.node_costs(id);
+            self.tree.set_class(id, efficiency_class(efficiency));
+        }
+    }
+
     /// Debug-only cross-check of [`pick`](Self::pick): re-derives the
     /// victim from nothing but the arena — candidacy from child counts (no
     /// index), scores from the model (no memo), one policy switch. Also
-    /// what keeps the memos honest: a stale one shows up as a different
-    /// victim here.
+    /// what keeps the memos and the bands honest: a stale memo shows up as
+    /// a different victim here, and a candidate filed under a band its
+    /// efficiency does not belong to fails the class assert.
     #[cfg(debug_assertions)]
     fn scan_pick(&self, source: Source) -> Option<NodeId> {
         let ids = self.tree.node_ids().filter(|&id| {
@@ -1158,10 +1233,20 @@ impl HybridPrefixCache {
             return ids.min_by(|&a, &b| self.gdsf_order(a, b));
         }
         let candidates: Vec<Candidate<NodeId>> = ids
-            .map(|id| Candidate {
-                id,
-                last_access: self.tree.data(id).last_access,
-                flop_efficiency: self.node_flop_efficiency(id),
+            .map(|id| {
+                let flop_efficiency = self.node_flop_efficiency(id);
+                let class = self.tree.class(id);
+                assert!(
+                    class == 0 || class == efficiency_class(flop_efficiency),
+                    "invariant: a classed candidate sits in the band of its efficiency \
+                     ({id}: class {class}, lower edge {}, efficiency {flop_efficiency})",
+                    class_lower_edge(class)
+                );
+                Candidate {
+                    id,
+                    last_access: self.tree.data(id).last_access,
+                    flop_efficiency,
+                }
             })
             .collect();
         pick_victim_index(&candidates, self.effective_alpha).map(|i| candidates[i].id)
@@ -1332,10 +1417,11 @@ impl HybridPrefixCache {
     }
 
     /// Records an access on `id`: the float timestamp in the node's
-    /// metadata (what the scoring arms read) and its order-preserving
-    /// integer image in the tree's recency index (what the α = 0 arm
-    /// reads). Every `last_access` write must go through here so the two
-    /// views can never drift.
+    /// metadata (what scores are computed from) and its order-preserving
+    /// integer image in the tree's recency index (the order every band is
+    /// walked in). Every `last_access` write must go through here so the
+    /// two views can never drift — the banded walk's bounds assume each
+    /// band is sorted by the very stamps it scores.
     fn stamp_access(&mut self, id: NodeId, now: f64) {
         self.tree.data_mut(id).last_access = now;
         self.tree.touch(id, recency_stamp(now));
@@ -1350,7 +1436,7 @@ impl HybridPrefixCache {
         } else {
             meta.has_ssm_state = true;
             // The checkpoint changes what evicting this node frees: drop
-            // the memoized scores.
+            // the memoized scores, and the band derived from them.
             meta.cost_memo = None;
             if meta.tier == Tier::Host {
                 // Checkpointing a still-host-resident node (promotion runs
@@ -1358,6 +1444,7 @@ impl HybridPrefixCache {
                 // step.
                 self.host_ssm_states += 1;
             }
+            self.tree.set_class(id, 0);
             self.ssm_states += 1;
             1
         }
@@ -1481,6 +1568,7 @@ impl HybridPrefixCache {
             pin_in_flight: self.pin_in_flight,
             session_cursors: self.session_cursors,
             gdsf_clock: 0.0,
+            candidates_scored: 0,
             // Replicas replay silently: the tuner's grid-search probes are
             // hypotheticals, not serving decisions, so they never trace.
             tracer: Tracer::off(),
@@ -2040,6 +2128,7 @@ impl HybridPrefixCacheBuilder {
             pin_in_flight: self.pin_in_flight,
             session_cursors: self.session_cursors,
             gdsf_clock: 0.0,
+            candidates_scored: 0,
             tracer: Tracer::off(),
             miss_ledger: MissLedger::default(),
             #[cfg(test)]
@@ -2254,6 +2343,81 @@ mod tests {
             flop_hit > lru_hit,
             "flop-aware ({flop_hit}) must retain the long prefix; lru got {lru_hit}"
         );
+    }
+
+    #[test]
+    fn scored_picks_band_the_index_and_lru_picks_never_do() {
+        let m = ModelConfig::hybrid_7b();
+        let capacity = 600 * m.kv_bytes_per_token() + 8 * m.ssm_checkpoint_bytes();
+        let run = |policy: EvictionPolicy| {
+            let mut c = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(capacity)
+                .policy(policy)
+                .build();
+            for i in 0..12u32 {
+                let len = 32 << (i % 4);
+                c.insert_sequence(&seq(i * 10_000..i * 10_000 + len), &seq(900_000..900_008));
+            }
+            assert!(c.stats().evictions > 0);
+            c
+        };
+        let lru = run(EvictionPolicy::Lru);
+        assert!(lru.tree.node_ids().all(|id| lru.tree.class(id) == 0));
+        assert_eq!(lru.tree.candidate_bands().count(), 1);
+
+        let scored = run(EvictionPolicy::FlopAware { alpha: 2.0 });
+        assert!(scored.tree.candidate_bands().count() > 1);
+        for id in scored.tree.eviction_candidates() {
+            let class = scored.tree.class(id);
+            // Nodes the last admission created or restructured wait in
+            // band 0 for the next scored pick; every other candidate is
+            // filed under its efficiency, with the memo it was read from.
+            if class != 0 {
+                let memo = scored.tree.data(id).cost_memo;
+                let memo = memo.expect("invariant: a classed candidate carries its memo");
+                assert_eq!(memo.version, scored.tree.structure_version(id));
+                assert_eq!(class, efficiency_class(memo.flop_efficiency));
+                assert_eq!(class, efficiency_class(scored.node_flop_efficiency(id)));
+            }
+        }
+        // Selecting reads candidates; so the counter moved under both.
+        assert!(lru.candidates_scored() >= lru.stats().evictions);
+        assert!(scored.candidates_scored() >= scored.stats().evictions);
+    }
+
+    /// The seeded fault for the class invariant: a candidate filed one band
+    /// too high (lower edge above its true efficiency) must not survive the
+    /// next pick's debug cross-check.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "invariant: a classed candidate sits in the band of its efficiency")]
+    fn scan_pick_catches_a_candidate_filed_one_band_too_high() {
+        let m = ModelConfig::hybrid_7b();
+        let mut c = HybridPrefixCache::builder(m.clone())
+            .capacity_bytes(600 * m.kv_bytes_per_token() + 8 * m.ssm_checkpoint_bytes())
+            .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
+            .build();
+        let mut next = 0u32;
+        let mut admit = |c: &mut HybridPrefixCache| {
+            c.insert_sequence(
+                &seq(next * 10_000..next * 10_000 + 96),
+                &seq(900_000..900_008),
+            );
+            next += 1;
+        };
+        while c.stats().evictions == 0 {
+            admit(&mut c);
+        }
+        let id = c
+            .tree
+            .eviction_candidates()
+            .find(|&id| c.tree.class(id) != 0)
+            .expect("a scored pick has filed the survivors");
+        let class = c.tree.class(id);
+        c.tree.set_class(id, class + 1);
+        // The next admission evicts again, and that pick must refuse.
+        admit(&mut c);
+        admit(&mut c);
     }
 
     #[test]

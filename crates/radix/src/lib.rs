@@ -18,9 +18,12 @@
 //!   multi-child nodes represent hot shared prefixes, oldest first. The set
 //!   lives in one `(stamp, id)`-ordered index updated at the tree
 //!   mutations that change a child count (O(log n) each), so enumerating it
-//!   costs O(candidates) rather than O(arena), and
+//!   costs O(candidates) rather than O(arena);
 //!   [`RadixTree::structure_version`] lets callers memoize per-node derived
-//!   costs with O(1) staleness checks.
+//!   costs with O(1) staleness checks, and [`RadixTree::set_class`] lets
+//!   them band the index by such a cost
+//!   ([`RadixTree::candidate_bands`]) — a class is dropped whenever the
+//!   version moves, so it lives exactly as long as the memo.
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
 //!   intermediate node lets its child *absorb* the edge KVs while the SSM
 //!   state is released.

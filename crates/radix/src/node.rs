@@ -196,13 +196,20 @@ pub(crate) struct Node<D> {
     /// entry in the tree's O(log n) recency index while the node is an
     /// eviction candidate.
     pub stamp: u64,
+    /// Caller-supplied class (see
+    /// [`RadixTree::set_class`](crate::RadixTree::set_class)): which band
+    /// of the recency index holds this node's entry while it is a
+    /// candidate. 0 ("unclassed") on a new node and after every
+    /// [`bump_version`](Node::bump_version).
+    pub class: u16,
     /// Caller payload.
     pub data: D,
 }
 
 impl<D> Node<D> {
     /// Records a change to this node's leaf status, edge length or depth:
-    /// the one place a structure version moves.
+    /// the one place a structure version moves. Callers inside the tree go
+    /// through `RadixTree::bump`, which also returns the node to class 0.
     ///
     /// # Panics
     ///

@@ -1,73 +1,137 @@
-//! The eviction-candidate set, ordered by recency.
+//! The eviction-candidate set, ordered by recency within caller-named
+//! bands.
 //!
 //! Marconi evicts only nodes with ≤ 1 child (paper §4.3), and every policy
-//! here reads that set oldest-first: LRU-flavored policies (α = 0, and the
-//! auto-tuner's LRU phase) take the first eligible entry, the scored
-//! policies walk all of it. This index *is* the candidate set — one
-//! `BTreeSet<(stamp, id)>`, the shape of the TGI radix trie's
-//! `BTreeSet<(last_accessed, NodeId)>` — so there is no second structure to
-//! keep equal to it. Candidacy is a pure function of the node
-//! (`id != ROOT && children.len() <= 1`); the tree inserts and removes
-//! entries at the four sites where that function changes value, and
-//! [`RadixTree::touch`](crate::RadixTree::touch) re-keys an entry in
-//! O(log n). An ordered set has no insertion order, so nothing that leaves
-//! membership alone — a pin, say — can perturb the order victims come out
-//! in.
+//! here reads that set oldest-first. This index *is* the candidate set: one
+//! `BTreeSet<(stamp, id)>` — the shape of the TGI radix trie's
+//! `BTreeSet<(last_accessed, NodeId)>` — **per class** (a class-sorted vec
+//! of them), where a class is a
+//! `u16` the caller hangs on a node
+//! ([`RadixTree::set_class`](crate::RadixTree::set_class)) and the tree
+//! never interprets. The cache above uses it to band candidates by FLOP
+//! efficiency, so a scored pick can bound each band's walk instead of
+//! scoring every candidate; a caller that never sets a class (LRU, GDSF, a
+//! bare tree) has exactly one band, class 0, and reads the same single
+//! ordered set as before banding existed. Empty bands are dropped, so
+//! iterating the bands costs O(classes in use).
 //!
-//! Both mutators check their precondition in every build profile: as the
+//! Candidacy is a pure function of the node (`id != ROOT &&
+//! children.len() <= 1`); the tree inserts and removes entries at the four
+//! sites where that function changes value,
+//! [`RadixTree::touch`](crate::RadixTree::touch) re-keys an entry inside
+//! its band and `set_class` moves it between bands, each in O(log n). A
+//! class lives exactly as long as the node's structure version: every
+//! version bump puts the node back in class 0, so a class derived from the
+//! versioned inputs (leaf status, edge length, depth) cannot outlive them.
+//! An ordered set has no insertion order, so nothing that leaves membership
+//! alone — a pin, say — can perturb the order victims come out in.
+//!
+//! Every mutator checks its precondition in every build profile: as the
 //! only candidate source, a missed or doubled transition must panic, not
 //! silently skew the victim order.
 
 use crate::node::NodeId;
-use std::collections::BTreeSet;
+use std::collections::{btree_set, BTreeSet};
 
-/// Eviction-candidate ids ordered by `(stamp, id)` — ascending stamp, then
-/// id.
+/// One band: its candidates in ascending `(stamp, id)` order.
+pub(crate) type Band<'a> = std::iter::Copied<btree_set::Iter<'a, (u64, NodeId)>>;
+
+/// Eviction-candidate ids, one `(stamp, id)`-ordered set per class.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecencyIndex {
-    set: BTreeSet<(u64, NodeId)>,
+    /// Non-empty bands only, ascending by class. A sorted vec, not a map:
+    /// there are a few dozen bands at most, and every `touch` looks its
+    /// band up twice — on the one-band tree of an LRU cache that lookup
+    /// must cost next to nothing.
+    bands: Vec<(u16, BTreeSet<(u64, NodeId)>)>,
+    /// Entries over all bands — the eviction-candidate count.
+    len: usize,
 }
 
 impl RecencyIndex {
-    /// Adds the entry of a node that just became a candidate.
+    /// Where band `class` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, class: u16) -> Result<usize, usize> {
+        self.bands.binary_search_by_key(&class, |&(c, _)| c)
+    }
+
+    /// Adds the entry of a node that just became a candidate, or that is
+    /// being re-keyed into `class`.
     ///
     /// # Panics
     ///
-    /// Panics if `(stamp, id)` is already present.
-    pub fn insert(&mut self, stamp: u64, id: NodeId) {
-        let fresh = self.set.insert((stamp, id));
+    /// Panics if `(stamp, id)` is already present in band `class`.
+    pub fn insert(&mut self, class: u16, stamp: u64, id: NodeId) {
+        let at = self.position(class).unwrap_or_else(|at| {
+            self.bands.insert(at, (class, BTreeSet::new()));
+            at
+        });
+        let fresh = self.bands[at].1.insert((stamp, id));
         assert!(
             fresh,
-            "invariant: a node enters the recency index once ({id} already present)"
+            "invariant: a node enters the recency index once ({id} already present in band {class})"
         );
+        self.len += 1;
     }
 
-    /// Removes the entry of a node that just stopped being a candidate.
+    /// Removes the entry of a node that just stopped being a candidate, or
+    /// that is being re-keyed out of `class`.
     ///
     /// # Panics
     ///
-    /// Panics if `(stamp, id)` is absent.
-    pub fn remove(&mut self, stamp: u64, id: NodeId) {
-        let existed = self.set.remove(&(stamp, id));
+    /// Panics if `(stamp, id)` is absent from band `class`.
+    pub fn remove(&mut self, class: u16, stamp: u64, id: NodeId) {
+        let existed = self.position(class).is_ok_and(|at| {
+            let band = &mut self.bands[at].1;
+            let existed = band.remove(&(stamp, id));
+            if band.is_empty() {
+                self.bands.remove(at);
+            }
+            existed
+        });
         assert!(
             existed,
-            "invariant: only indexed nodes leave the recency index ({id} absent at stamp {stamp})"
+            "invariant: only indexed nodes leave the recency index ({id} absent at stamp {stamp} in band {class})"
+        );
+        self.len -= 1;
+    }
+
+    /// Re-keys a candidate's entry inside band `class` — a `remove` and an
+    /// `insert` behind one band lookup and no emptiness check, because
+    /// every `touch` of every lookup and admission pays for this one
+    /// (measured on `chat_fit`: −4% `request_us_p50` against the pair).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(old, id)` is absent from band `class` or `(new, id)`
+    /// already present.
+    pub fn restamp(&mut self, class: u16, old: u64, new: u64, id: NodeId) {
+        let moved = self.position(class).is_ok_and(|at| {
+            let band = &mut self.bands[at].1;
+            band.remove(&(old, id)) && band.insert((new, id))
+        });
+        assert!(
+            moved,
+            "invariant: only indexed nodes are re-stamped ({id}: {old} -> {new} in band {class})"
         );
     }
 
-    /// `true` if the exact `(stamp, id)` entry is present.
-    pub fn contains(&self, stamp: u64, id: NodeId) -> bool {
-        self.set.contains(&(stamp, id))
+    /// `true` if the exact `(stamp, id)` entry is present in band `class`.
+    pub fn contains(&self, class: u16, stamp: u64, id: NodeId) -> bool {
+        self.position(class)
+            .is_ok_and(|at| self.bands[at].1.contains(&(stamp, id)))
     }
 
     /// Number of entries — the eviction-candidate count.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.len
     }
 
-    /// Entries in ascending `(stamp, id)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.set.iter().copied()
+    /// The non-empty bands in ascending class order, each in ascending
+    /// `(stamp, id)` order.
+    pub fn bands(&self) -> impl DoubleEndedIterator<Item = (u16, Band<'_>)> + Clone + '_ {
+        self.bands
+            .iter()
+            .map(|(class, band)| (*class, band.iter().copied()))
     }
 }
 
@@ -126,17 +190,38 @@ mod tests {
         assert!(recency_stamp(-0.0) < recency_stamp(0.0));
     }
 
+    /// `(class, stamp, slot)` of every entry, in iteration order.
+    fn entries(idx: &RecencyIndex) -> Vec<(u16, u64, usize)> {
+        idx.bands()
+            .flat_map(|(class, band)| band.map(move |(s, n)| (class, s, n.index())))
+            .collect()
+    }
+
     #[test]
     fn index_orders_by_stamp_then_id() {
         let mut idx = RecencyIndex::default();
-        idx.insert(5, NodeId::new(2, 0));
-        idx.insert(5, NodeId::new(1, 0));
-        idx.insert(3, NodeId::new(9, 0));
-        let order: Vec<(u64, usize)> = idx.iter().map(|(s, n)| (s, n.index())).collect();
-        assert_eq!(order, vec![(3, 9), (5, 1), (5, 2)]);
-        assert!(idx.contains(5, NodeId::new(1, 0)));
-        idx.remove(5, NodeId::new(1, 0));
-        assert!(!idx.contains(5, NodeId::new(1, 0)));
+        idx.insert(0, 5, NodeId::new(2, 0));
+        idx.insert(0, 5, NodeId::new(1, 0));
+        idx.insert(0, 3, NodeId::new(9, 0));
+        assert_eq!(entries(&idx), vec![(0, 3, 9), (0, 5, 1), (0, 5, 2)]);
+        assert!(idx.contains(0, 5, NodeId::new(1, 0)));
+        idx.remove(0, 5, NodeId::new(1, 0));
+        assert!(!idx.contains(0, 5, NodeId::new(1, 0)));
+        assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn bands_iterate_in_class_order_and_vanish_when_empty() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(7, 1, NodeId::new(1, 0));
+        idx.insert(0, 9, NodeId::new(2, 0));
+        idx.insert(7, 0, NodeId::new(3, 0));
+        // Class first, then `(stamp, id)` inside the band: the older entry
+        // of band 7 still follows the younger entry of band 0.
+        assert_eq!(entries(&idx), vec![(0, 9, 2), (7, 0, 3), (7, 1, 1)]);
+        assert!(!idx.contains(0, 1, NodeId::new(1, 0)), "wrong band");
+        idx.remove(0, 9, NodeId::new(2, 0));
+        assert_eq!(idx.bands().count(), 1, "an emptied band is dropped");
         assert_eq!(idx.len(), 2);
     }
 
@@ -144,15 +229,50 @@ mod tests {
     #[should_panic(expected = "invariant: a node enters the recency index once")]
     fn doubled_insert_panics_in_every_profile() {
         let mut idx = RecencyIndex::default();
-        idx.insert(5, NodeId::new(1, 0));
-        idx.insert(5, NodeId::new(1, 0));
+        idx.insert(0, 5, NodeId::new(1, 0));
+        idx.insert(0, 5, NodeId::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: a node enters the recency index once")]
+    fn doubled_band_entry_panics_in_every_profile() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(3, 5, NodeId::new(1, 0));
+        idx.insert(0, 5, NodeId::new(2, 0));
+        idx.insert(3, 5, NodeId::new(1, 0));
     }
 
     #[test]
     #[should_panic(expected = "invariant: only indexed nodes leave the recency index")]
     fn remove_of_an_absent_entry_panics_in_every_profile() {
         let mut idx = RecencyIndex::default();
-        idx.insert(5, NodeId::new(1, 0));
-        idx.remove(6, NodeId::new(1, 0));
+        idx.insert(0, 5, NodeId::new(1, 0));
+        idx.remove(0, 6, NodeId::new(1, 0));
+    }
+
+    #[test]
+    fn restamp_rekeys_inside_the_band() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(4, 5, NodeId::new(1, 0));
+        idx.insert(4, 7, NodeId::new(2, 0));
+        idx.restamp(4, 5, 9, NodeId::new(1, 0));
+        assert_eq!(entries(&idx), vec![(4, 7, 2), (4, 9, 1)]);
+        assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: only indexed nodes are re-stamped")]
+    fn restamp_of_an_absent_entry_panics_in_every_profile() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(4, 5, NodeId::new(1, 0));
+        idx.restamp(0, 5, 9, NodeId::new(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: only indexed nodes leave the recency index")]
+    fn remove_from_the_wrong_band_panics_in_every_profile() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(2, 5, NodeId::new(1, 0));
+        idx.remove(0, 5, NodeId::new(1, 0));
     }
 }

@@ -12,8 +12,9 @@
 //!   the ranges dead edges leave behind by sliding live labels down in
 //!   place once dead tokens dominate (see [`RadixTree`]);
 //! * the eviction candidates *are* one O(log n) recency index keyed by
-//!   caller-supplied stamps ([`RadixTree::touch`]): the oldest candidate
-//!   is the first entry, and no second structure shadows the set.
+//!   caller-supplied stamps ([`RadixTree::touch`]) inside caller-named
+//!   bands ([`RadixTree::set_class`]): the oldest candidate of a band is
+//!   its first entry, and no second structure shadows the set.
 
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::RecencyIndex;
@@ -35,10 +36,14 @@ use std::fmt;
 ///    lengths, which equals the number of distinct prefixes stored.
 /// 5. Candidacy is a pure function of the node — `n` is an eviction
 ///    candidate iff it is a live non-root node with `child_count(n) ≤ 1` —
-///    and [`lru_candidates`](RadixTree::lru_candidates) iterates the one
-///    index of it: exactly one `(stamp, id)` entry per candidate, where
-///    `stamp` is the node's current [`touch`](RadixTree::touch) stamp, and
-///    no entry for anything else.
+///    and [`candidate_bands`](RadixTree::candidate_bands) iterates the one
+///    index of it: exactly one `(stamp, id)` entry per candidate, in the
+///    band named by the node's current [`class`](RadixTree::class) and
+///    keyed by its current [`touch`](RadixTree::touch) stamp, and no entry
+///    for anything else. A node's class is 0 from creation and from every
+///    structure-version bump until the caller's next
+///    [`set_class`](RadixTree::set_class).
+///    [`lru_candidates`](RadixTree::lru_candidates),
 ///    [`eviction_candidates`](RadixTree::eviction_candidates) and
 ///    [`eviction_candidate_count`](RadixTree::eviction_candidate_count) are
 ///    views of the same index.
@@ -83,16 +88,18 @@ pub struct RadixTree<D> {
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
-    /// The eviction candidates (non-root nodes with ≤ 1 child) ordered by
-    /// `(stamp, id)`. `insert_at_node`/`split_edge`/`remove` apply the exact
-    /// membership transition at each site that changes a child count, so
-    /// the eviction hot path never re-scans the arena.
+    /// The eviction candidates (non-root nodes with ≤ 1 child), one
+    /// `(stamp, id)`-ordered band per class. `insert_at_node`/`split_edge`/
+    /// `remove` apply the exact membership transition at each site that
+    /// changes a child count, so the eviction hot path never re-scans the
+    /// arena.
     lru: RecencyIndex,
     /// Number of nodes with `pin_count > 0`.
     pinned_nodes: usize,
     /// Fault-injection knob for the differential harness's self-test: when
-    /// set, edge splits cut one token too deep. Never enabled outside
-    /// tests.
+    /// set, edge splits cut one token too deep. Compiled only into test
+    /// builds, so a release split reads no fault flag.
+    #[cfg(any(test, feature = "fault-injection"))]
     split_off_by_one: bool,
 }
 
@@ -290,6 +297,7 @@ impl<D: Default> RadixTree<D> {
                     version: 0,
                     pin_count: 0,
                     stamp: 0,
+                    class: 0,
                     data: D::default(),
                 },
             }],
@@ -299,6 +307,7 @@ impl<D: Default> RadixTree<D> {
             token_count: 0,
             lru: RecencyIndex::default(),
             pinned_nodes: 0,
+            #[cfg(any(test, feature = "fault-injection"))]
             split_off_by_one: false,
         }
     }
@@ -420,6 +429,7 @@ impl<D: Default> RadixTree<D> {
                         version: 0,
                         pin_count: 0,
                         stamp: 0,
+                        class: 0,
                         data: D::default(),
                     });
                     let children_before = self.node(cur).children.len();
@@ -427,13 +437,14 @@ impl<D: Default> RadixTree<D> {
                     if children_before == 0 {
                         // `cur`'s leaf status flipped: structural caches on
                         // it (freed bytes) are stale.
-                        self.node_mut(cur).bump_version();
+                        self.bump(cur);
                     }
-                    // The new leaf is a candidate (stamp 0); a second child
-                    // ends `cur`'s candidacy.
-                    self.lru.insert(0, leaf);
+                    // The new leaf is a candidate (class 0, stamp 0); a
+                    // second child ends `cur`'s candidacy.
+                    self.lru.insert(0, 0, leaf);
                     if children_before == 1 && cur != NodeId::ROOT {
-                        self.lru.remove(self.node(cur).stamp, cur);
+                        let c = self.node(cur);
+                        self.lru.remove(c.class, c.stamp, cur);
                     }
                     self.token_count += added;
                     self.reclaim_store();
@@ -454,13 +465,16 @@ impl<D: Default> RadixTree<D> {
                     } else {
                         // Partial edge match: split the edge at `shared`.
                         debug_assert!(shared > 0, "child lookup guarantees 1 shared token");
+                        // Injected fault for the differential harness's
+                        // self-test: cut one token too deep.
+                        #[cfg(any(test, feature = "fault-injection"))]
                         let cut = if self.split_off_by_one {
-                            // Injected fault for the differential harness's
-                            // self-test: cut one token too deep.
                             (shared + 1).min(edge_len - 1)
                         } else {
                             shared
                         };
+                        #[cfg(not(any(test, feature = "fault-injection")))]
+                        let cut = shared;
                         let mid = self.split_edge(child, cut);
                         split_node = Some(mid);
                         pos += shared;
@@ -546,6 +560,7 @@ impl<D: Default> RadixTree<D> {
             version: 0,
             pin_count: inherited_pins,
             stamp: 0,
+            class: 0,
             data: D::default(),
         });
         self.pinned_nodes += usize::from(inherited_pins > 0);
@@ -553,16 +568,16 @@ impl<D: Default> RadixTree<D> {
             let c = self.node_mut(child);
             c.edge = tail;
             c.parent = Some(mid);
-            // The child's edge shortened (and its parent changed): bump so
-            // memoized per-node costs recompute.
-            c.bump_version();
         }
+        // The child's edge shortened (and its parent changed): bump so
+        // memoized per-node costs recompute.
+        self.bump(child);
         let first = self.store[head.off as usize];
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
         // (and candidacy) is unchanged; `mid` itself has exactly one child,
-        // so it is a candidate (stamp 0).
-        self.lru.insert(0, mid);
+        // so it is a candidate (class 0, stamp 0).
+        self.lru.insert(0, 0, mid);
         // Splitting moves tokens between edges without adding any, so
         // token_count is untouched; alloc() already counted the new node.
         mid
@@ -793,9 +808,9 @@ impl<D> RadixTree<D> {
     ///
     /// A view of [`lru_candidates`](RadixTree::lru_candidates) without the
     /// stamps: O(candidates) — not O(arena slots) — regardless of how much
-    /// the arena has churned, in ascending `(stamp, id)` order.
+    /// the arena has churned, in the same order.
     pub fn eviction_candidates(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.lru.iter().map(|(_, id)| id)
+        self.lru_candidates().map(|(_, id)| id)
     }
 
     /// Number of current eviction candidates, in O(1).
@@ -824,10 +839,61 @@ impl<D> RadixTree<D> {
             return;
         }
         if self.is_candidate(id) {
-            self.lru.remove(old, id);
-            self.lru.insert(stamp, id);
+            let class = self.node(id).class;
+            self.lru.restamp(class, old, stamp, id);
         }
         self.node_mut(id).stamp = stamp;
+    }
+
+    /// Files a node under a caller-defined class in O(log candidates).
+    ///
+    /// The recency index keeps one `(stamp, id)`-ordered band per class
+    /// ([`candidate_bands`](RadixTree::candidate_bands)); the tree never
+    /// interprets the value. A class lasts exactly as long as the node's
+    /// [`structure_version`](RadixTree::structure_version): new nodes start
+    /// in class 0 and every version bump returns the node there, so a class
+    /// derived from the versioned inputs (leaf status, edge length, depth)
+    /// can never outlive them — a caller whose class also depends on its
+    /// own payload resets it (`set_class(id, 0)`) when that payload
+    /// changes. [`touch`](RadixTree::touch) keeps the class. Setting the
+    /// class of a non-candidate just records it; the node carries it into
+    /// the index if it later becomes a candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` refers to a removed node.
+    pub fn set_class(&mut self, id: NodeId, class: u16) {
+        let (old, stamp) = {
+            let n = self.node(id);
+            (n.class, n.stamp)
+        };
+        if old == class {
+            return;
+        }
+        if self.is_candidate(id) {
+            self.lru.remove(old, stamp, id);
+            self.lru.insert(class, stamp, id);
+        }
+        self.node_mut(id).class = class;
+    }
+
+    /// The node's current class (0 if never classed, or since its last
+    /// structure-version bump).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` refers to a removed node.
+    #[must_use]
+    pub fn class(&self, id: NodeId) -> u16 {
+        self.node(id).class
+    }
+
+    /// Records a change to `id`'s leaf status, edge length or depth: bumps
+    /// its structure version and returns it to class 0, re-keying its index
+    /// entry if it is a candidate.
+    fn bump(&mut self, id: NodeId) {
+        self.node_mut(id).bump_version();
+        self.set_class(id, 0);
     }
 
     /// The node's current recency stamp (0 if never touched).
@@ -840,11 +906,27 @@ impl<D> RadixTree<D> {
         self.node(id).stamp
     }
 
-    /// Eviction candidates in ascending `(stamp, id)` order, each with its
-    /// stamp — the one candidate index, read live by every eviction policy
-    /// (α = 0 policies take its first eligible entry).
+    /// Eviction candidates with their stamps: band by band in ascending
+    /// class, each band in ascending `(stamp, id)` order. A tree nobody
+    /// called [`set_class`](RadixTree::set_class) on has one band, so this
+    /// is plain coldest-first order there.
     pub fn lru_candidates(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.lru.iter()
+        self.lru.bands().flat_map(|(_, band)| band)
+    }
+
+    /// The one candidate index, read live by every eviction policy: its
+    /// non-empty bands in ascending class order, each yielding
+    /// `(stamp, id)` oldest first (and newest first from the back).
+    pub fn candidate_bands(
+        &self,
+    ) -> impl DoubleEndedIterator<
+        Item = (
+            u16,
+            impl DoubleEndedIterator<Item = (u64, NodeId)> + Clone + '_,
+        ),
+    > + Clone
+           + '_ {
+        self.lru.bands()
     }
 
     /// Pins `id` for an in-flight request: increments the pin count of
@@ -1227,22 +1309,21 @@ impl<D> RadixTree<D> {
         let first_tok = self.store[node.edge.off as usize];
 
         // A removable node has ≤ 1 child, so it is a candidate.
-        self.lru.remove(node.stamp, id);
+        self.lru.remove(node.class, node.stamp, id);
         match child {
             None => {
                 let node = self.free(id);
                 self.node_mut(parent).children.remove(first_tok);
                 if parent != NodeId::ROOT {
-                    let p = self.node_mut(parent);
+                    let p = self.node(parent);
                     match p.children.len() {
                         // The parent just became a leaf: its freed-bytes
                         // shape changed.
-                        0 => p.bump_version(),
-                        // Down from two children to one: a candidate again.
-                        1 => {
-                            let stamp = p.stamp;
-                            self.lru.insert(stamp, parent);
-                        }
+                        0 => self.bump(parent),
+                        // Down from two children to one: a candidate again,
+                        // in the band its class names (no version moved
+                        // while it was out, so the class still holds).
+                        1 => self.lru.insert(p.class, p.stamp, parent),
                         _ => {}
                     }
                 }
@@ -1278,7 +1359,7 @@ impl<D> RadixTree<D> {
                 // The child's edge grew (and its parent changed): bump so
                 // memoized per-node costs recompute. Its child count — and
                 // the parent's — are unchanged, so candidacies hold.
-                c.bump_version();
+                self.bump(child);
                 self.node_mut(parent).children.insert(first_tok, child);
                 self.reclaim_store();
                 Ok(Removed {
@@ -1372,8 +1453,11 @@ impl<D> RadixTree<D> {
 
     /// Enables the injected edge-split fault (cut one token too deep) used
     /// by the differential harness's self-test to prove the harness catches
-    /// real divergence. Never enable outside tests.
+    /// real divergence. Exists only under `cfg(test)` or the
+    /// `fault-injection` feature, which nothing but this crate's own test
+    /// targets enables.
     #[doc(hidden)]
+    #[cfg(any(test, feature = "fault-injection"))]
     pub fn debug_set_split_off_by_one(&mut self, enabled: bool) {
         self.split_off_by_one = enabled;
     }
@@ -1408,10 +1492,11 @@ impl<D> RadixTree<D> {
                 );
                 seen_tokens += u64::from(n.edge.len);
                 assert_eq!(
-                    self.lru.contains(n.stamp, id),
+                    self.lru.contains(n.class, n.stamp, id),
                     self.is_candidate(id),
-                    "{id}: recency-index membership drift (child_count = {}, stamp = {})",
+                    "{id}: recency-index membership drift (child_count = {}, class = {}, stamp = {})",
                     n.children.len(),
+                    n.class,
                     n.stamp
                 );
                 seen_candidates += usize::from(self.is_candidate(id));
@@ -1464,13 +1549,31 @@ impl<D> RadixTree<D> {
             "store bound: {len} stored tokens for {} live",
             self.token_count
         );
-        // Every candidate has its entry (above), so equal counts leave no
-        // room for a dead, stale-stamped, duplicate or root entry.
+        // Every candidate has its entry in the band its class names
+        // (above), so equal counts leave no room for a dead, stale-stamped,
+        // wrong-band, duplicate or root entry — counted band by band, not
+        // trusted from the index's own running total.
+        let mut indexed = 0usize;
+        let mut prev_class = None;
+        for (class, band) in self.lru.bands() {
+            assert!(
+                prev_class.is_none_or(|p| p < class),
+                "bands out of class order at {class}"
+            );
+            prev_class = Some(class);
+            let entries: Vec<(u64, NodeId)> = band.collect();
+            assert!(!entries.is_empty(), "band {class} is empty but present");
+            assert!(
+                entries.windows(2).all(|w| w[0] < w[1]),
+                "band {class} is not strictly ascending by (stamp, id)"
+            );
+            indexed += entries.len();
+        }
         assert_eq!(
-            self.lru.len(),
-            seen_candidates,
+            indexed, seen_candidates,
             "recency index holds entries for non-candidates"
         );
+        assert_eq!(self.lru.len(), indexed, "recency-index length drift");
         assert_eq!(seen_pinned, self.pinned_nodes, "pinned-node count drift");
     }
 
@@ -2375,6 +2478,85 @@ mod tests {
         let mut want = vec![a, b];
         want.sort();
         assert_eq!(order, want, "equal stamps break ties by id");
+    }
+
+    /// `(class, id)` of every index entry, in iteration order.
+    fn banded(t: &RadixTree<u32>) -> Vec<(u16, NodeId)> {
+        t.candidate_bands()
+            .flat_map(|(class, band)| band.map(move |(_, id)| (class, id)))
+            .collect()
+    }
+
+    #[test]
+    fn set_class_moves_a_candidate_between_bands_and_touch_keeps_it_there() {
+        let mut t = tree();
+        let a = t.insert(&[1, 1]).end_node;
+        let b = t.insert(&[2, 2]).end_node;
+        t.touch(a, 10);
+        t.touch(b, 20);
+        assert_eq!(banded(&t), vec![(0, a), (0, b)], "new nodes are unclassed");
+        t.set_class(b, 3);
+        assert_eq!(t.class(b), 3);
+        assert_eq!(banded(&t), vec![(0, a), (3, b)]);
+        // Class first: `b` stays behind `a` however old its stamp.
+        t.touch(b, 1);
+        assert_eq!(banded(&t), vec![(0, a), (3, b)]);
+        assert_eq!(
+            t.lru_candidates().collect::<Vec<_>>(),
+            vec![(10, a), (1, b)]
+        );
+        t.set_class(b, 0);
+        assert_eq!(banded(&t), vec![(0, b), (0, a)], "back in stamp order");
+        assert_eq!(t.candidate_bands().count(), 1, "band 3 emptied and dropped");
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn every_version_bump_returns_the_node_to_class_zero() {
+        // The four bump sites: leaf gains a child, edge split shortens the
+        // child, parent becomes a leaf, merge grows the child.
+        let mut t = tree();
+        let a = t.insert(&[1, 2, 3, 4]).end_node;
+        t.set_class(a, 5);
+        let below = t.insert(&[1, 2, 3, 4, 5]).end_node; // a: leaf -> 1 child
+        assert_eq!((t.class(a), t.structure_version(a)), (0, 1));
+        t.set_class(a, 5);
+        let mid = t.insert(&[1, 2, 9]).split_node.unwrap(); // a's edge split
+        assert_eq!(t.class(a), 0);
+        t.set_class(a, 5);
+        t.remove(below).unwrap(); // a: 1 child -> leaf
+        assert_eq!(t.class(a), 0);
+        t.set_class(a, 5);
+        t.set_class(mid, 6);
+        let sibling = t.match_prefix(&[1, 2, 9]).deepest().unwrap();
+        t.remove(sibling).unwrap(); // mid: 2 -> 1 children, no bump
+        assert_eq!(banded(&t), vec![(5, a), (6, mid)], "re-enters its own band");
+        t.remove(mid).unwrap(); // a absorbs mid's edge
+        assert_eq!(t.class(a), 0);
+        assert_eq!(banded(&t), vec![(0, a)]);
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn a_class_set_while_not_a_candidate_is_carried_into_the_index() {
+        let mut t = tree();
+        t.insert(&[1, 2, 3]);
+        let out = t.insert(&[1, 2, 9]);
+        let branch = out.split_node.unwrap();
+        t.set_class(branch, 2);
+        assert!(banded(&t).iter().all(|&(_, id)| id != branch));
+        t.remove(out.new_leaf.unwrap()).unwrap();
+        assert!(banded(&t).contains(&(2, branch)));
+        t.assert_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: node ids refer to live nodes")]
+    fn set_class_on_a_removed_id_panics_in_every_profile() {
+        let mut t = tree();
+        let a = t.insert(&[1, 1]).end_node;
+        t.remove(a).unwrap();
+        t.set_class(a, 1);
     }
 
     // ------------------------------------------------------------------

@@ -136,16 +136,22 @@ proptest! {
     #[test]
     fn candidate_index_matches_scan_recompute(
         seqs in seqs_strategy(),
-        ops in prop::collection::vec((0u32..4, any::<prop::sample::Index>(), 0u64..6), 1..64),
+        ops in prop::collection::vec((0u32..5, any::<prop::sample::Index>(), 0u64..6), 1..64),
     ) {
-        // Interleave inserts, candidate removals, touches and pin/unpin
-        // pairs, and after every op assert the one candidate index equals a
-        // from-scratch recompute: the sorted `(stamp, id)` scan of non-root
-        // ≤ 1-child nodes. Stamps come from a tiny range to force ties.
+        // Interleave inserts, candidate removals, touches, pin/unpin pairs
+        // and `set_class` calls, and after every op assert the one
+        // candidate index equals a from-scratch recompute: the sorted
+        // `(class, stamp, id)` scan of non-root ≤ 1-child nodes. Stamps and
+        // classes come from tiny ranges to force ties and shared bands.
         let mut tree: RadixTree<()> = RadixTree::new();
         let mut held: Vec<NodeId> = Vec::new();
         let mut next_seq = 0usize;
         for (op, pick, stamp) in ops {
+            let before: Vec<(NodeId, u32, u16)> = tree
+                .node_ids()
+                .map(|id| (id, tree.structure_version(id), tree.class(id)))
+                .collect();
+            let mut reclassed = None;
             match op {
                 1 if !tree.is_empty() => {
                     let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
@@ -172,21 +178,56 @@ proptest! {
                         tree.unpin(held.remove(0));
                     }
                 }
+                4 if !tree.is_empty() => {
+                    // Any live node, candidate or not: a branch node keeps
+                    // the class for when it becomes a candidate again.
+                    let ids: Vec<NodeId> = tree.node_ids().collect();
+                    let id = ids[pick.index(ids.len())];
+                    tree.set_class(id, (stamp % 4) as u16);
+                    prop_assert_eq!(tree.class(id), (stamp % 4) as u16);
+                    reclassed = Some(id);
+                }
                 _ => {
                     tree.insert(&seqs[next_seq % seqs.len()]);
                     next_seq += 1;
                 }
             }
-            let mut scanned: Vec<(u64, NodeId)> = tree
+            // A class lives exactly as long as the structure version: a
+            // bump lands the node in class 0, and nothing else (bar the
+            // `set_class` above) moves a class — not a touch, not a pin,
+            // not leaving and re-entering the candidate set.
+            for (id, version, class) in before {
+                if !tree.contains(id) || reclassed == Some(id) {
+                    continue;
+                }
+                if tree.structure_version(id) == version {
+                    prop_assert_eq!(tree.class(id), class, "{} changed class unbumped", id);
+                } else {
+                    prop_assert_eq!(tree.class(id), 0, "{} kept a class across a bump", id);
+                }
+            }
+            let mut scanned: Vec<(u16, u64, NodeId)> = tree
                 .node_ids()
                 .filter(|&id| tree.child_count(id) <= 1)
-                .map(|id| (tree.stamp(id), id))
+                .map(|id| (tree.class(id), tree.stamp(id), id))
                 .collect();
             scanned.sort_unstable();
-            let indexed: Vec<(u64, NodeId)> = tree.lru_candidates().collect();
+            let indexed: Vec<(u16, u64, NodeId)> = tree
+                .candidate_bands()
+                .flat_map(|(class, band)| band.map(move |(stamp, id)| (class, stamp, id)))
+                .collect();
             prop_assert_eq!(&indexed, &scanned, "index drifted from scan recompute");
+            // The flat views walk the same bands in the same order, and the
+            // bands read the same from the back.
+            prop_assert!(tree.lru_candidates().eq(scanned.iter().map(|&(_, s, id)| (s, id))));
             prop_assert_eq!(tree.eviction_candidate_count(), scanned.len());
-            prop_assert!(tree.eviction_candidates().eq(scanned.iter().map(|&(_, id)| id)));
+            prop_assert!(tree.eviction_candidates().eq(scanned.iter().map(|&(_, _, id)| id)));
+            let reversed: Vec<(u16, u64, NodeId)> = tree
+                .candidate_bands()
+                .rev()
+                .flat_map(|(class, band)| band.rev().map(move |(stamp, id)| (class, stamp, id)))
+                .collect();
+            prop_assert!(reversed.iter().eq(scanned.iter().rev()));
             let pinned = tree.node_ids().filter(|&id| tree.is_pinned(id)).count();
             prop_assert_eq!(tree.pinned_count(), pinned);
             prop_assert_eq!(tree.pinned_ids().count(), pinned);
