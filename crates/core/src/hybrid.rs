@@ -12,7 +12,8 @@ use crate::tuner::{TunerConfig, TunerState};
 use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_radix::{
-    recency_stamp, CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree, Token,
+    recency_stamp, CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree,
+    Resumed, Token,
 };
 use marconi_trace::{
     CursorFallbackCause, Fingerprint, MissCause, MissLedger, PressureCause, StatCounters,
@@ -608,23 +609,55 @@ impl HybridPrefixCache {
     /// checks (generation, structure version, token divergence) plus the
     /// cache-level rule that the resume node's state must still be
     /// device-resident (a demoted resume path means the session has gone
-    /// cold; distrust the hint). Returns the live resume node.
+    /// cold; distrust the hint). Returns the checked resume point, which
+    /// every walk of the operation then starts from without re-checking.
     fn resolve_cursor(
         &self,
         cursor: &MatchCursor,
         query: &[Token],
-    ) -> Result<NodeId, CursorFallbackCause> {
-        let node = self.tree.resume(cursor, query).map_err(|f| match f {
+    ) -> Result<Resumed, CursorFallbackCause> {
+        let at = self.tree.resume(cursor, query).map_err(|f| match f {
             CursorFault::StaleGeneration => CursorFallbackCause::StaleGeneration,
             CursorFault::StructureChanged => CursorFallbackCause::StructureChanged,
             CursorFault::QueryTooShort | CursorFault::EdgeDivergence => {
                 CursorFallbackCause::QueryDiverged
             }
         })?;
-        if self.tree.data(node).tier != Tier::Device {
+        if self.tree.data(at.node()).tier != Tier::Device {
             return Err(CursorFallbackCause::ResumeDemoted);
         }
-        Ok(node)
+        Ok(at)
+    }
+
+    /// Resolves a hint once: the checked resume point (if it validated)
+    /// and the telemetry outcome for
+    /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
+    fn resolve_hint(&self, query: &[Token], hint: CursorHint) -> (Option<Resumed>, HintOutcome) {
+        if !self.session_cursors {
+            return (None, HintOutcome::Cold);
+        }
+        match hint {
+            CursorHint::Cold => (None, HintOutcome::Cold),
+            CursorHint::Rejected(cause) => (None, HintOutcome::Fallback(cause)),
+            CursorHint::Hint(c) => match self.resolve_cursor(&c, query) {
+                Ok(at) => (
+                    Some(at),
+                    HintOutcome::Resumed {
+                        node: at.node(),
+                        resumed_len: at.depth(),
+                    },
+                ),
+                Err(cause) => (None, HintOutcome::Fallback(cause)),
+            },
+        }
+    }
+
+    /// `match_prefix` of `query`, walking from `at` when given.
+    fn match_from(&self, at: Option<Resumed>, query: &[Token]) -> PrefixMatch {
+        match at {
+            Some(at) => self.tree.match_prefix_at(&at, query),
+            None => self.tree.match_prefix(query),
+        }
     }
 
     /// Resolves a hint and produces the prefix match for `query`: resumed
@@ -632,30 +665,8 @@ impl HybridPrefixCache {
     /// otherwise. The second value is the telemetry outcome for
     /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
     fn match_with_hint(&self, query: &[Token], hint: CursorHint) -> (PrefixMatch, HintOutcome) {
-        if !self.session_cursors {
-            return (self.tree.match_prefix(query), HintOutcome::Cold);
-        }
-        let cursor = match hint {
-            CursorHint::Cold => return (self.tree.match_prefix(query), HintOutcome::Cold),
-            CursorHint::Rejected(cause) => {
-                return (self.tree.match_prefix(query), HintOutcome::Fallback(cause));
-            }
-            CursorHint::Hint(c) => c,
-        };
-        match self.resolve_cursor(&cursor, query) {
-            Ok(node) => {
-                let m = self
-                    .tree
-                    .match_prefix_from(&cursor, query)
-                    .expect("invariant: the cursor was validated against this query");
-                let outcome = HintOutcome::Resumed {
-                    node,
-                    resumed_len: cursor.matched_len(),
-                };
-                (m, outcome)
-            }
-            Err(cause) => (self.tree.match_prefix(query), HintOutcome::Fallback(cause)),
-        }
+        let (at, outcome) = self.resolve_hint(query, hint);
+        (self.match_from(at, query), outcome)
     }
 
     /// Emits the one cursor telemetry event a hinted operation produces
@@ -695,38 +706,24 @@ impl HybridPrefixCache {
         }
     }
 
-    /// Inserts `tokens`, resuming from the validated `resume` node when a
-    /// fresh cursor can be captured there and `tokens` still extends its
-    /// prefix; falls back to the root insert otherwise. Both paths produce
-    /// byte-identical trees by the radix differential contract — the
-    /// resume is purely a walk shortcut.
+    /// Inserts the virtual concatenation `head ‖ tail` walking from `at`
+    /// when given, from the root otherwise — byte-identical trees either
+    /// way, the resume point being purely a walk shortcut.
     ///
-    /// A *fresh* cursor is captured per insert (rather than reusing the
-    /// caller's) because earlier inserts in the same admission may have
-    /// bumped the resume node's version (leaf flip, new child). The node
-    /// itself cannot die mid-admission — inserts never remove nodes and
-    /// eviction only runs after all of them — and its depth is
-    /// path-invariant, so `cursor_at` always re-captures a valid resume
-    /// point; `insert_from`'s own validation covers the rest (e.g. a
-    /// checkpoint prefix shorter than the resume depth).
-    /// The sequence arrives as the virtual concatenation `head ‖ tail`
-    /// (callers with a single slice pass an empty tail), so admitting an
-    /// input + output pair never allocates or copies the joined prompt —
-    /// the seam-aware tree walks read the segments in place.
-    fn insert_via(
-        &mut self,
-        resume: Option<NodeId>,
-        head: &[Token],
-        tail: &[Token],
-    ) -> InsertOutcome {
-        if let Some(id) = resume {
-            if let Some(c) = self.tree.cursor_at(id) {
-                if let Ok(outcome) = self.tree.insert_parts_from(&c, head, tail) {
-                    return outcome;
-                }
-            }
+    /// `at` is a point this admission already checked — the resolved hint,
+    /// or the speculation walk's deepest fully-matched node — passed only
+    /// when `head ‖ tail` starts with the tokens it was checked against
+    /// (for a checkpoint prefix: `at.depth() ≤` its length). It is not
+    /// re-checked: it stays valid for every walk of the admission however
+    /// the earlier inserts split or extended the tree around it (argument:
+    /// docs/session-fastpath.md, "Validation: each operation validates
+    /// once"). Callers with one slice pass an empty tail, so admitting an
+    /// input + output pair never allocates or copies the joined prompt.
+    fn insert_via(&mut self, at: Option<Resumed>, head: &[Token], tail: &[Token]) -> InsertOutcome {
+        match at {
+            Some(at) => self.tree.insert_parts_at(&at, head, tail),
+            None => self.tree.insert_parts(head, tail),
         }
-        self.tree.insert_parts(head, tail)
     }
 
     // ------------------------------------------------------------------
@@ -1783,45 +1780,34 @@ impl PrefixCache for HybridPrefixCache {
         let mut admitted = 0u64;
 
         // Resolve the hint once, against the input prefix the session
-        // extends. The validated node stays a correct resume anchor for
-        // every walk below (`insert_via` re-captures fresh cursors there).
-        let (resume, hint_outcome) = if !self.session_cursors {
-            (None, HintOutcome::Cold)
-        } else {
-            match Self::hint_from(hint) {
-                CursorHint::Cold => (None, HintOutcome::Cold),
-                CursorHint::Rejected(cause) => (None, HintOutcome::Fallback(cause)),
-                CursorHint::Hint(c) => match self.resolve_cursor(&c, input) {
-                    Ok(node) => (
-                        Some(node),
-                        HintOutcome::Resumed {
-                            node,
-                            resumed_len: c.matched_len(),
-                        },
-                    ),
-                    Err(cause) => (None, HintOutcome::Fallback(cause)),
-                },
-            }
-        };
+        // extends. `walk_from` is where every walk below starts: the
+        // resolved hint, until the speculation walk has matched the input
+        // and moved it down to that walk's deepest fully-matched node.
+        let (resume, hint_outcome) = self.resolve_hint(input, Self::hint_from(hint));
         self.emit_cursor_outcome(&hint_outcome, input.len(), now);
+        let mut walk_from = resume;
 
         // Purely-input reuse (§4.1): speculative insertion of the input
         // segment; a predicted intermediate node marks a shared prefix
         // whose SSM state is checkpointed during prefill.
         if self.model.has_ssm() && !input.is_empty() {
-            let spec = match resume.and_then(|id| self.tree.cursor_at(id)) {
-                Some(c) => self
-                    .tree
-                    .speculate_insert_from(&c, input)
-                    .unwrap_or_else(|_| self.tree.speculate_insert(input)),
-                None => self.tree.speculate_insert(input),
-            };
-            if let Some(branch_depth) = spec.creates_branch_at {
+            let m = self.match_from(resume, input);
+            let deepest = m.resume_point();
+            walk_from = Some(deepest);
+            if let Some(branch_depth) = m.speculation().creates_branch_at {
                 // Chunked state passing can only materialize states at
                 // chunk boundaries; two-pass/exact hits the branch itself.
                 let target = self.checkpoint_mode.checkpoint_depth(branch_depth);
                 if target > 0 {
-                    let outcome = self.insert_via(resume, &input[..target as usize], &[]);
+                    // A chunk-rounded target can be shallower than the
+                    // deepest matched node: start from the hint if it is
+                    // no deeper, from the root otherwise.
+                    let at = if target >= deepest.depth() {
+                        Some(deepest)
+                    } else {
+                        resume.filter(|r| r.depth() <= target)
+                    };
+                    let outcome = self.insert_via(at, &input[..target as usize], &[]);
                     self.inherit_split_tier(&outcome);
                     self.stamp_new_nodes(&outcome, now);
                     self.emit_split(&outcome, now);
@@ -1843,7 +1829,7 @@ impl PrefixCache for HybridPrefixCache {
         // the session-replay profile at long prompt lengths.
         let mut end_node = None;
         if !input.is_empty() || !output.is_empty() {
-            let outcome = self.insert_via(resume, input, output);
+            let outcome = self.insert_via(walk_from, input, output);
             self.inherit_split_tier(&outcome);
             self.stamp_new_nodes(&outcome, now);
             self.emit_split(&outcome, now);

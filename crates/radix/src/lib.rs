@@ -45,7 +45,10 @@
 //! [`RadixTree::match_prefix_from`] / [`RadixTree::insert_from`] /
 //! [`RadixTree::speculate_insert_from`] resume from it in O(new tokens),
 //! falling back to the root walk on any [`CursorFault`]; see
-//! `docs/session-fastpath.md`.
+//! `docs/session-fastpath.md`. Since PR 25 a validation yields a
+//! [`Resumed`] point that [`RadixTree::match_prefix_at`] /
+//! [`RadixTree::insert_parts_at`] walk from without re-checking, so a
+//! caller running several walks over one sequence validates once.
 //!
 //! # Examples
 //!
@@ -74,7 +77,7 @@ mod tree;
 pub use node::NodeId;
 pub use recency::recency_stamp;
 pub use tree::{
-    CursorFault, InsertOutcome, MatchCursor, PrefixMatch, RadixTree, RemoveError, Removed,
+    CursorFault, InsertOutcome, MatchCursor, PrefixMatch, RadixTree, RemoveError, Removed, Resumed,
     Speculation,
 };
 

@@ -225,9 +225,10 @@ impl<D> Node<D> {
     }
 }
 
-/// Arena slot: occupied node or member of the free list. Both arms carry
-/// the slot's current generation; freeing bumps it, so ids minted for an
-/// earlier occupancy stop resolving.
+/// Arena slot: occupied node or free. Both arms carry the slot's current
+/// generation; freeing bumps it, so ids minted for an earlier occupancy
+/// stop resolving. A free slot is on the free list unless it is retired
+/// (its generation reached `u32::MAX`; see `RadixTree::free`).
 #[derive(Debug, Clone)]
 pub(crate) enum Slot<D> {
     Occupied { gen: u32, node: Node<D> },

@@ -111,6 +111,35 @@ const STORE_COMPACT_FLOOR: usize = 1 << 16;
 /// each one reclaims at least three dead tokens per token it moves.
 const STORE_DEAD_FACTOR: u64 = 4;
 
+/// Tokens per step of [`common_prefix_len`].
+const COMPARE_BLOCK: usize = 16;
+
+/// Length of the longest common prefix of `a` and `b`: the one token
+/// compare every edge walk goes through. Whole 16-token blocks are
+/// compared by OR-ing the XORs of their tokens — no branch per token, so
+/// the block compiles to a few vector ops under baseline x86-64 — and
+/// only the first block that differs (or the short remainder) is scanned
+/// token by token.
+pub(crate) fn common_prefix_len(a: &[Token], b: &[Token]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let (a_blocks, _) = a.as_chunks::<COMPARE_BLOCK>();
+    let (b_blocks, _) = b.as_chunks::<COMPARE_BLOCK>();
+    let mut equal = 0;
+    for (x, y) in a_blocks.iter().zip(b_blocks) {
+        if x.iter().zip(y).fold(0, |diff, (p, q)| diff | (p ^ q)) != 0 {
+            break;
+        }
+        equal += COMPARE_BLOCK;
+    }
+    equal
+        + a[equal..]
+            .iter()
+            .zip(&b[equal..])
+            .take_while(|(p, q)| p == q)
+            .count()
+}
+
 /// Result of [`RadixTree::match_prefix`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixMatch {
@@ -130,6 +159,9 @@ pub struct PrefixMatch {
     /// partial hit — otherwise a hot, partially-matched prefix looks idle
     /// and gets evicted.
     pub mid_edge_child: Option<NodeId>,
+    /// The deepest fully-matched node (the root when `path` is empty) and
+    /// its depth; see [`resume_point`](PrefixMatch::resume_point).
+    resume_at: Resumed,
 }
 
 impl PrefixMatch {
@@ -137,6 +169,25 @@ impl PrefixMatch {
     #[must_use]
     pub fn deepest(&self) -> Option<NodeId> {
         self.path.last().copied()
+    }
+
+    /// The deepest fully-matched node as a [`Resumed`] point: its root
+    /// path is the query's first `depth()` tokens, so a later walk over
+    /// any sequence sharing those tokens — the query itself, a prefix at
+    /// least that long, the query extended — can start there.
+    pub fn resume_point(&self) -> Resumed {
+        self.resume_at
+    }
+
+    /// What inserting the query would do structurally (the paper's
+    /// speculative insertion, §4.1): a match ending inside an edge means
+    /// the insert would split it there.
+    #[must_use]
+    pub fn speculation(&self) -> Speculation {
+        Speculation {
+            matched_len: self.matched_len,
+            creates_branch_at: self.ends_mid_edge.then_some(self.matched_len),
+        }
     }
 }
 
@@ -168,6 +219,42 @@ impl MatchCursor {
     #[must_use]
     pub fn matched_len(&self) -> u64 {
         self.matched_len
+    }
+}
+
+/// A resume point that has already been checked: a live node and its
+/// depth, for walks over sequences whose first `depth()` tokens are the
+/// node's root path.
+///
+/// Minted only by the validators ([`RadixTree::resume`] and the
+/// seam-aware check behind [`RadixTree::insert_parts_from`]) and by a
+/// finished walk ([`PrefixMatch::resume_point`]), so
+/// [`match_prefix_at`](RadixTree::match_prefix_at) and
+/// [`insert_parts_at`](RadixTree::insert_parts_at) start from it without
+/// re-reading the resume edge. A point stays valid until its node is
+/// removed, for any sequence sharing the tokens it was minted against —
+/// the path-invariance argument is in `docs/session-fastpath.md`
+/// ("Validation: each operation validates once"). Using one after its node
+/// was removed panics on the generation check, like any stale id.
+#[must_use]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resumed {
+    node: NodeId,
+    depth: u64,
+}
+
+impl Resumed {
+    /// The resume node.
+    #[must_use]
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The resume node's token depth: how many leading tokens a walk from
+    /// here skips.
+    #[must_use]
+    pub fn depth(&self) -> u64 {
+        self.depth
     }
 }
 
@@ -350,9 +437,27 @@ impl<D: Default> RadixTree<D> {
         head: &[Token],
         tail: &[Token],
     ) -> Result<InsertOutcome, CursorFault> {
-        let start = self.resume_parts(cursor, head, tail)?;
-        let pos = cursor.matched_len() as usize;
-        Ok(self.insert_at_node(start, pos, head, tail))
+        let at = self.resume_parts(cursor, head, tail)?;
+        Ok(self.insert_parts_at(&at, head, tail))
+    }
+
+    /// Inserts `head ‖ tail` walking from an already-checked resume point:
+    /// only `(head ‖ tail)[at.depth()..]` is read. Byte-identical to
+    /// [`insert_parts`](RadixTree::insert_parts) provided the sequence's
+    /// first `at.depth()` tokens are the ones `at` was minted against (see
+    /// [`Resumed`]).
+    ///
+    /// # Panics
+    ///
+    /// If `at`'s node has been removed since it was minted.
+    pub fn insert_parts_at(
+        &mut self,
+        at: &Resumed,
+        head: &[Token],
+        tail: &[Token],
+    ) -> InsertOutcome {
+        debug_assert_eq!(self.node(at.node).depth, at.depth, "resume point moved");
+        self.insert_at_node(at.node, at.depth as usize, head, tail)
     }
 
     /// Resumes an insert of `seq` from `cursor` — the walk starts at the
@@ -378,9 +483,8 @@ impl<D: Default> RadixTree<D> {
         cursor: &MatchCursor,
         seq: &[Token],
     ) -> Result<InsertOutcome, CursorFault> {
-        let start = self.resume(cursor, seq)?;
-        let pos = cursor.matched_len() as usize;
-        Ok(self.insert_at_node(start, pos, seq, &[]))
+        let at = self.resume(cursor, seq)?;
+        Ok(self.insert_parts_at(&at, seq, &[]))
     }
 
     /// The insert walk from an arbitrary resume point over the virtual
@@ -614,11 +718,7 @@ impl<D> RadixTree<D> {
 
     /// Number of leading tokens of `rest` matching `child`'s edge label.
     fn shared_edge_len(&self, child: NodeId, rest: &[Token]) -> usize {
-        let edge = &self.store[self.node(child).edge.range()];
-        edge.iter()
-            .zip(rest.iter())
-            .take_while(|(a, b)| a == b)
-            .count()
+        common_prefix_len(&self.store[self.node(child).edge.range()], rest)
     }
 
     /// [`shared_edge_len`](RadixTree::shared_edge_len) against the virtual
@@ -636,20 +736,12 @@ impl<D> RadixTree<D> {
         let mut shared = 0usize;
         if pos < head.len() {
             let h = &head[pos..];
-            let n = edge.len().min(h.len());
-            shared = edge[..n].iter().zip(h).take_while(|(a, b)| a == b).count();
-            if shared < n || shared == edge.len() {
+            shared = common_prefix_len(edge, h);
+            if shared < h.len() || shared == edge.len() {
                 return shared;
             }
         }
-        let t = &tail[pos + shared - head.len()..];
-        let n = (edge.len() - shared).min(t.len());
-        shared
-            + edge[shared..shared + n]
-                .iter()
-                .zip(t)
-                .take_while(|(a, b)| a == b)
-                .count()
+        shared + common_prefix_len(&edge[shared..], &tail[pos + shared - head.len()..])
     }
 
     /// The root node id.
@@ -686,7 +778,9 @@ impl<D> RadixTree<D> {
     }
 
     /// Arena high-water mark: total slots ever allocated (live + free).
-    /// Bounded by the peak live-node count thanks to free-list reuse.
+    /// Free-list reuse bounds it by the root's slot plus the peak live-node
+    /// count plus retired slots — a slot retires on its 2^32-th free, when
+    /// its generation would wrap.
     #[must_use]
     pub fn arena_capacity(&self) -> usize {
         self.slots.len()
@@ -1042,7 +1136,11 @@ impl<D> RadixTree<D> {
     /// Finds the longest stored prefix of `query`.
     #[must_use]
     pub fn match_prefix(&self, query: &[Token]) -> PrefixMatch {
-        self.match_from(NodeId::ROOT, query)
+        let root = Resumed {
+            node: NodeId::ROOT,
+            depth: 0,
+        };
+        self.match_from(root, query)
     }
 
     /// Takes a resume cursor at a live node: a generation-tagged snapshot
@@ -1093,34 +1191,20 @@ impl<D> RadixTree<D> {
     /// # Errors
     ///
     /// The first failing check as a [`CursorFault`].
-    pub fn resume(&self, cursor: &MatchCursor, query: &[Token]) -> Result<NodeId, CursorFault> {
-        // check:allow(cursor-deref): this IS the generation check (get_node compares slot generations)
-        let id = cursor.node;
-        let n = self.get_node(id).ok_or(CursorFault::StaleGeneration)?;
-        if n.version != cursor.structure_version || n.depth != cursor.matched_len {
-            return Err(CursorFault::StructureChanged);
-        }
-        let len = cursor.matched_len as usize;
-        if query.len() < len {
-            return Err(CursorFault::QueryTooShort);
-        }
-        let edge = &self.store[n.edge.range()];
-        if query[len - edge.len()..len] != *edge {
-            return Err(CursorFault::EdgeDivergence);
-        }
-        Ok(id)
+    pub fn resume(&self, cursor: &MatchCursor, query: &[Token]) -> Result<Resumed, CursorFault> {
+        self.resume_parts(cursor, query, &[])
     }
 
     /// [`resume`](RadixTree::resume) against the virtual query
-    /// `head ‖ tail`: identical checks, with the resume-edge compare done
-    /// piecewise across the seam.
+    /// `head ‖ tail`: identical checks, with the resume edge compared as
+    /// one slice per segment it overlaps.
     fn resume_parts(
         &self,
         cursor: &MatchCursor,
         head: &[Token],
         tail: &[Token],
-    ) -> Result<NodeId, CursorFault> {
-        // check:allow(cursor-deref): generation-checked via get_node, like the single-slice resume
+    ) -> Result<Resumed, CursorFault> {
+        // check:allow(cursor-deref): this IS the generation check (get_node compares slot generations)
         let id = cursor.node;
         let n = self.get_node(id).ok_or(CursorFault::StaleGeneration)?;
         if n.version != cursor.structure_version || n.depth != cursor.matched_len {
@@ -1130,21 +1214,23 @@ impl<D> RadixTree<D> {
         if head.len() + tail.len() < len {
             return Err(CursorFault::QueryTooShort);
         }
+        // The edge covers `[start, len)` of `head ‖ tail`; `seam` is where
+        // `head` ends, clamped into that range, so each segment's share of
+        // the edge is one slice.
         let edge = &self.store[n.edge.range()];
         let start = len - edge.len();
-        let diverged = edge.iter().enumerate().any(|(i, &e)| {
-            let p = start + i;
-            let q = if p < head.len() {
-                head[p]
-            } else {
-                tail[p - head.len()]
-            };
-            q != e
-        });
-        if diverged {
+        let h = head.len();
+        let seam = h.clamp(start, len);
+        let (edge_head, edge_tail) = edge.split_at(seam - start);
+        if head[start.min(h)..seam.min(h)] != *edge_head
+            || tail[seam.saturating_sub(h)..len.saturating_sub(h)] != *edge_tail
+        {
             return Err(CursorFault::EdgeDivergence);
         }
-        Ok(id)
+        Ok(Resumed {
+            node: id,
+            depth: n.depth,
+        })
     }
 
     /// Resumes [`match_prefix`](RadixTree::match_prefix) from `cursor`:
@@ -1162,8 +1248,27 @@ impl<D> RadixTree<D> {
         cursor: &MatchCursor,
         query: &[Token],
     ) -> Result<PrefixMatch, CursorFault> {
-        let start = self.resume(cursor, query)?;
-        Ok(self.match_from(start, query))
+        let at = self.resume(cursor, query)?;
+        Ok(self.match_prefix_at(&at, query))
+    }
+
+    /// [`match_prefix`](RadixTree::match_prefix) walking from an
+    /// already-checked resume point: only `query[at.depth()..]` is read,
+    /// and the result is byte-identical to the root walk's provided
+    /// `query`'s first `at.depth()` tokens are the ones `at` was minted
+    /// against (see [`Resumed`]).
+    ///
+    /// # Panics
+    ///
+    /// If `at`'s node has been removed since it was minted.
+    #[must_use]
+    pub fn match_prefix_at(&self, at: &Resumed, query: &[Token]) -> PrefixMatch {
+        debug_assert_eq!(self.node(at.node).depth, at.depth, "resume point moved");
+        debug_assert!(
+            at.depth as usize <= query.len(),
+            "query ends above the point"
+        );
+        self.match_from(*at, query)
     }
 
     /// Resumes [`speculate_insert`](RadixTree::speculate_insert) from
@@ -1177,20 +1282,15 @@ impl<D> RadixTree<D> {
         cursor: &MatchCursor,
         seq: &[Token],
     ) -> Result<Speculation, CursorFault> {
-        let m = self.match_prefix_from(cursor, seq)?;
-        Ok(Speculation {
-            matched_len: m.matched_len,
-            creates_branch_at: m.ends_mid_edge.then_some(m.matched_len),
-        })
+        Ok(self.match_prefix_from(cursor, seq)?.speculation())
     }
 
-    /// The match walk from an arbitrary resume point, with the
-    /// fully-matched path reconstructed via parent pointers. `start`'s
-    /// root path must equal `query[..depth(start)]` (trivially true for
-    /// the root).
-    fn match_from(&self, start: NodeId, query: &[Token]) -> PrefixMatch {
+    /// The match walk from a resume point, with the fully-matched path
+    /// reconstructed via parent pointers. `start`'s root path must equal
+    /// `query[..start.depth]` (trivially true for the root).
+    fn match_from(&self, start: Resumed, query: &[Token]) -> PrefixMatch {
         let mut path = Vec::new();
-        let mut chain = Some(start);
+        let mut chain = Some(start.node);
         while let Some(c) = chain {
             if c == NodeId::ROOT {
                 break;
@@ -1200,41 +1300,37 @@ impl<D> RadixTree<D> {
         }
         path.reverse();
         let mut cur = start;
-        let mut pos = self.node(start).depth as usize;
+        let mut pos = start.depth as usize;
         loop {
-            if pos == query.len() {
+            let child = match query.get(pos) {
+                Some(&tok) => self.node(cur.node).children.get(tok),
+                None => None,
+            };
+            let Some(child) = child else {
                 return PrefixMatch {
                     path,
                     matched_len: pos as u64,
                     ends_mid_edge: false,
                     mid_edge_child: None,
+                    resume_at: cur,
+                };
+            };
+            let shared = self.shared_edge_len(child, &query[pos..]);
+            pos += shared;
+            if shared < self.node(child).edge.len() {
+                return PrefixMatch {
+                    path,
+                    matched_len: pos as u64,
+                    ends_mid_edge: true,
+                    mid_edge_child: Some(child),
+                    resume_at: cur,
                 };
             }
-            match self.node(cur).children.get(query[pos]) {
-                None => {
-                    return PrefixMatch {
-                        path,
-                        matched_len: pos as u64,
-                        ends_mid_edge: false,
-                        mid_edge_child: None,
-                    }
-                }
-                Some(child) => {
-                    let shared = self.shared_edge_len(child, &query[pos..]);
-                    pos += shared;
-                    if shared == self.node(child).edge.len() {
-                        path.push(child);
-                        cur = child;
-                    } else {
-                        return PrefixMatch {
-                            path,
-                            matched_len: pos as u64,
-                            ends_mid_edge: true,
-                            mid_edge_child: Some(child),
-                        };
-                    }
-                }
-            }
+            path.push(child);
+            cur = Resumed {
+                node: child,
+                depth: pos as u64,
+            };
         }
     }
 
@@ -1242,11 +1338,7 @@ impl<D> RadixTree<D> {
     /// the tree (the paper's *speculative insertion*, §4.1).
     #[must_use]
     pub fn speculate_insert(&self, seq: &[Token]) -> Speculation {
-        let m = self.match_prefix(seq);
-        Speculation {
-            matched_len: m.matched_len,
-            creates_branch_at: m.ends_mid_edge.then_some(m.matched_len),
-        }
+        self.match_prefix(seq).speculation()
     }
 
     /// Tokens along the path from the root to (and including) `id`'s edge.
@@ -1435,15 +1527,22 @@ impl<D> RadixTree<D> {
         };
         debug_assert_eq!(gen, id.gen, "free() with a stale id");
         // Bump the generation on the way out so ids minted for this
-        // occupancy stop resolving once the slot is recycled.
-        let slot = std::mem::replace(
-            &mut self.slots[id.index()],
-            Slot::Free {
-                gen: gen.wrapping_add(1),
-                next: self.free_head,
-            },
-        );
-        self.free_head = Some(id.idx);
+        // occupancy stop resolving once the slot is recycled. A slot whose
+        // generation would wrap is retired instead — left free and off the
+        // free list, so no id minted for it can ever resolve again. That
+        // leaks one slot per 2^32 frees of one slot.
+        let freed = match gen.checked_add(1) {
+            Some(next_gen) => {
+                let freed = Slot::Free {
+                    gen: next_gen,
+                    next: self.free_head,
+                };
+                self.free_head = Some(id.idx);
+                freed
+            }
+            None => Slot::Free { gen, next: None },
+        };
+        let slot = std::mem::replace(&mut self.slots[id.index()], freed);
         self.node_count -= 1;
         match slot {
             Slot::Occupied { node, .. } => node,
@@ -2350,7 +2449,7 @@ mod tests {
             // resumes to the same answer as the root walk.
             let mut query = paths[i].clone();
             query.push(77);
-            assert_eq!(t.resume(&cursors[i], &query), Ok(id));
+            assert_eq!(t.resume(&cursors[i], &query).map(|at| at.node()), Ok(id));
             assert_eq!(
                 t.match_prefix_from(&cursors[i], &query).unwrap(),
                 t.match_prefix(&query)
@@ -2769,7 +2868,8 @@ mod tests {
             Err(CursorFault::EdgeDivergence)
         );
         // ...and a matching resume edge passes.
-        assert_eq!(t.resume(&cur, &[1, 2, 3, 4, 5]), Ok(end));
+        let at = t.resume(&cur, &[1, 2, 3, 4, 5]).expect("matching edge");
+        assert_eq!((at.node(), at.depth()), (end, 4));
     }
 
     #[test]
@@ -2899,5 +2999,144 @@ mod tests {
             t.insert_parts_from(&cur, &[1, 2], &[3]),
             Err(CursorFault::QueryTooShort)
         ));
+    }
+
+    // -- the compare kernel ------------------------------------------------
+
+    /// The token-at-a-time loop `common_prefix_len` replaces.
+    fn scalar_prefix_len(a: &[Token], b: &[Token]) -> usize {
+        a.iter().zip(b).take_while(|(x, y)| x == y).count()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn common_prefix_len_equals_the_scalar_reference(
+            a in proptest::collection::vec(0u32..3, 0..81),
+            b in proptest::collection::vec(0u32..3, 0..81),
+            shared in 0usize..=80,
+        ) {
+            // Force a long common run so whole blocks match, then let the
+            // random tails differ (or not) anywhere.
+            let mut b = b;
+            let n = shared.min(a.len()).min(b.len());
+            b[..n].copy_from_slice(&a[..n]);
+            proptest::prop_assert_eq!(common_prefix_len(&a, &b), scalar_prefix_len(&a, &b));
+            proptest::prop_assert_eq!(common_prefix_len(&b, &a), scalar_prefix_len(&a, &b));
+        }
+    }
+
+    #[test]
+    fn common_prefix_len_finds_a_single_mismatch_at_every_index() {
+        for len_a in 0..=80usize {
+            let a: Vec<Token> = (0..len_a as Token).map(|t| t * 7 + 1).collect();
+            // Equal content, every length relation: b a prefix of a, equal,
+            // and a prefix of b.
+            for len_b in 0..=80usize {
+                let b: Vec<Token> = (0..len_b as Token).map(|t| t * 7 + 1).collect();
+                assert_eq!(
+                    common_prefix_len(&a, &b),
+                    len_a.min(len_b),
+                    "{len_a}/{len_b}"
+                );
+            }
+            // One flipped token at every index, block edges (0, 15, 16,
+            // 17, 31, 32, ...) included.
+            for at in 0..len_a {
+                let mut b = a.clone();
+                b[at] ^= 1 << 31;
+                assert_eq!(
+                    common_prefix_len(&a, &b),
+                    at,
+                    "len {len_a}, mismatch at {at}"
+                );
+                assert_eq!(common_prefix_len(&a, &b[..=at]), at);
+                assert_eq!(scalar_prefix_len(&a, &b), at);
+            }
+        }
+    }
+
+    #[test]
+    fn seam_compare_agrees_with_the_joined_compare_at_every_offset() {
+        // One 40-token edge starting at depth `p`, compared against queries
+        // that match it fully, stop short of it, or differ at a block edge;
+        // every seam position from 0 to the query's end, i.e. in front of,
+        // inside and around each 16-token block boundary of the edge.
+        let seq: Vec<Token> = (100..156).collect();
+        for p in [0usize, 5, 16] {
+            let mut t = tree();
+            if p > 0 {
+                t.insert(&seq[..p]);
+            }
+            let end = t.insert(&seq[..p + 40]).end_node;
+            assert_eq!((t.depth(end), t.edge_len(end)), ((p + 40) as u64, 40));
+            let cur = t.cursor_at(end).expect("live");
+            let mut queries: Vec<Vec<Token>> = vec![seq.clone(), seq[..p + 33].to_vec()];
+            for m in [0usize, 1, 15, 16, 17, 31, 32, 39] {
+                let mut q = seq.clone();
+                q[p + m] = 7;
+                queries.push(q);
+            }
+            for q in &queries {
+                let joined = t.shared_edge_len(end, &q[p..]);
+                assert_eq!(joined, scalar_prefix_len(t.edge_tokens(end), &q[p..]));
+                let whole = t.resume(&cur, q);
+                for seam in 0..=q.len() {
+                    let (head, tail) = q.split_at(seam);
+                    assert_eq!(
+                        t.shared_edge_len_parts(end, head, tail, p),
+                        joined,
+                        "p {p}, seam {seam}, query {q:?}"
+                    );
+                    assert_eq!(
+                        t.resume_parts(&cur, head, tail),
+                        whole,
+                        "p {p}, seam {seam}"
+                    );
+                }
+            }
+        }
+    }
+
+    // -- generation horizon --------------------------------------------------
+
+    #[test]
+    fn a_slot_whose_generation_would_wrap_is_retired_not_reused() {
+        let mut t = tree();
+        t.insert(&[1, 2, 3]);
+        let leaf = t.insert(&[1, 2, 3, 9]).end_node;
+        let idx = leaf.index();
+        t.remove(leaf).expect("unpinned leaf");
+        // Fast-forward the free slot to its last generation; the LIFO free
+        // list hands it to the next insert.
+        match &mut t.slots[idx] {
+            Slot::Free { gen, .. } => *gen = u32::MAX,
+            Slot::Occupied { .. } => unreachable!("just removed"),
+        }
+        let last = t.insert(&[1, 2, 3, 4]).end_node;
+        assert_eq!((last.index(), last.generation()), (idx, u32::MAX));
+        let cur = t.cursor_at(last).expect("live");
+        t.remove(last).expect("unpinned leaf");
+        let capacity = t.arena_capacity();
+        // Churn: every insert after the retirement takes a fresh or a
+        // recycled slot, never the retired one.
+        for round in 0..32u32 {
+            let id = t.insert(&[50 + round]).end_node;
+            assert_ne!(id.index(), idx, "round {round}: retired slot was reused");
+            if round % 2 == 0 {
+                t.remove(id).expect("fresh leaf");
+            }
+        }
+        assert!(t.arena_capacity() > capacity);
+        for gen in [0, 1, u32::MAX] {
+            assert!(
+                !t.contains(NodeId::new(idx as u32, gen)),
+                "gen {gen} resolves"
+            );
+        }
+        assert_eq!(
+            t.resume(&cur, &[1, 2, 3, 4]),
+            Err(CursorFault::StaleGeneration)
+        );
+        t.assert_invariants();
     }
 }

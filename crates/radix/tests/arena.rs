@@ -3,8 +3,11 @@
 //!
 //! These are the safety arguments for replacing the pre-refactor engine's
 //! plain slab with the generation-tagged arena: (1) churn cannot grow the
-//! arena past its live high-water mark, and (2) an id that outlives its
-//! node can never silently alias the slot's next tenant.
+//! arena past its live high-water mark (plus one retired slot per 2^32
+//! frees of a single slot — the unit test
+//! `a_slot_whose_generation_would_wrap_is_retired_not_reused` in
+//! `tree.rs` covers that end), and (2) an id that outlives its node can
+//! never silently alias the slot's next tenant.
 
 use marconi_radix::{NodeId, RadixTree, RemoveError, Token};
 use proptest::prelude::*;
@@ -46,9 +49,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The slab only grows when the live count exceeds every previous live
-    /// count: `arena_capacity() == 1 + high_water(len())` (the `1` is the
-    /// root's permanent slot). Any churn pattern that removes nodes must
-    /// recycle their slots via the free list before new slots are carved.
+    /// count: `arena_capacity() == 1 + high_water(len()) + retired` (the
+    /// `1` is the root's permanent slot; a slot retires on its 2^32-th
+    /// free, when its generation would wrap, so `retired` is 0 here). Any
+    /// churn pattern that removes nodes must recycle their slots via the
+    /// free list before new slots are carved.
     #[test]
     fn free_list_reuse_bounds_arena_growth(
         ops in prop::collection::vec(op_strategy(), 1..120)

@@ -18,7 +18,7 @@
 //! catch the resulting divergence — while the same stream passes with the
 //! fault off.
 
-use marconi_radix::{MatchCursor, NodeId, RadixTree, Token};
+use marconi_radix::{InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree, Resumed, Token};
 use proptest::prelude::*;
 
 /// Per-node payload: distinguishable values prove payloads ride along
@@ -43,6 +43,18 @@ enum Op {
     MatchExtend(u32, Vec<Token>),
     /// Speculate the same extension: resumed vs root walk, non-mutating.
     SpeculateExtend(u32, Vec<Token>),
+    /// The admission shape, validated once: resume the `k % tracked`-th
+    /// cursor against `input = tracked ‖ suffix`, then from that one
+    /// [`Resumed`] point match `input`, insert a checkpoint-length prefix
+    /// (shorter than, equal to or longer than the resume depth, picked by
+    /// `ck`) and insert `input ‖ output`. A prefix shorter than the depth
+    /// root-walks, and may split the resume node's own edge before the
+    /// main insert reuses the point.
+    Admit(u32, Vec<Token>, Vec<Token>, u32),
+    /// Match `tracked ‖ suffix` (resumed when the cursor validates), then
+    /// anchor the branch checkpoint and the `input ‖ output` insert at the
+    /// match's deepest fully-matched node, as `marconi-core` admits.
+    AnchoredInsert(u32, Vec<Token>, Vec<Token>),
     /// `match_prefix(seq)` from the root on both; must not mutate.
     Match(Vec<Token>),
     /// Remove the `k % live`-th live non-root node on both sides.
@@ -140,7 +152,18 @@ impl Pair {
             None => self.hinted.insert(seq),
         };
         let p = self.plain.insert(seq);
-        check!("insert outcome", &h, &p);
+        self.record_insert(&h, &p, seq)
+    }
+
+    /// Compares one insert's outcomes, tags the end node, and tracks a
+    /// cursor at it for `seq`.
+    fn record_insert(
+        &mut self,
+        h: &InsertOutcome,
+        p: &InsertOutcome,
+        seq: &[Token],
+    ) -> Result<(), String> {
+        check!("insert outcome", h, p);
         // Tag the end node so payloads are distinguishable when the state
         // check compares them across splits and slot reuse.
         *self.hinted.data_mut(h.end_node) = self.next_payload;
@@ -154,6 +177,44 @@ impl Pair {
             }
         }
         Ok(())
+    }
+
+    /// Inserts `head ‖ tail` on both sides, the hinted one walking from
+    /// `at` when given, then records it like any insert.
+    fn insert_from_point(
+        &mut self,
+        at: Option<Resumed>,
+        head: &[Token],
+        tail: &[Token],
+    ) -> Result<(), String> {
+        let h = match at {
+            Some(at) => self.hinted.insert_parts_at(&at, head, tail),
+            None => self.hinted.insert_parts(head, tail),
+        };
+        let p = self.plain.insert_parts(head, tail);
+        let seq: Vec<Token> = head.iter().chain(tail).copied().collect();
+        self.record_insert(&h, &p, &seq)
+    }
+
+    /// Validates `hint` against `seq` once, counting the outcome.
+    fn resume_once(&mut self, hint: Option<MatchCursor>, seq: &[Token]) -> Option<Resumed> {
+        let c = hint?;
+        self.hinted
+            .resume(&c, seq)
+            .inspect(|_| self.resumes += 1)
+            .inspect_err(|_| self.fallbacks += 1)
+            .ok()
+    }
+
+    /// `match_prefix(seq)` on both sides, the hinted one from `at`.
+    fn match_from_point(&self, at: Option<Resumed>, seq: &[Token]) -> Result<PrefixMatch, String> {
+        let h = match at {
+            Some(at) => self.hinted.match_prefix_at(&at, seq),
+            None => self.hinted.match_prefix(seq),
+        };
+        let p = self.plain.match_prefix(seq);
+        check!("match from a resume point", &h, &p);
+        Ok(h)
     }
 
     fn apply(&mut self, op: &Op) -> Result<(), String> {
@@ -189,6 +250,37 @@ impl Pair {
                 };
                 let p = self.plain.speculate_insert(&seq);
                 check!("resumed speculation", h, p);
+            }
+            Op::Admit(k, suffix, output, ck) => {
+                let (hint, input) = self.extended(*k, suffix);
+                let at = self.resume_once(hint, &input);
+                self.match_from_point(at, &input)?;
+                let depth = at.map_or(0, |a| a.depth() as usize);
+                let r = (*ck / 3) as usize;
+                let ck_len = match ck % 3 {
+                    0 => depth.saturating_sub(1 + r),
+                    1 => depth,
+                    _ => (depth + 1 + r).min(input.len()),
+                };
+                if ck_len > 0 {
+                    // Only a prefix at least as deep as the point may start
+                    // there; a shorter one root-walks, as the cache does.
+                    let ck_at = at.filter(|a| a.depth() as usize <= ck_len);
+                    self.insert_from_point(ck_at, &input[..ck_len], &[])?;
+                    self.check_state()?;
+                }
+                self.insert_from_point(at, &input, output)?;
+            }
+            Op::AnchoredInsert(k, suffix, output) => {
+                let (hint, input) = self.extended(*k, suffix);
+                let at = self.resume_once(hint, &input);
+                let m = self.match_from_point(at, &input)?;
+                let deepest = m.resume_point();
+                if let Some(branch) = m.speculation().creates_branch_at {
+                    self.insert_from_point(Some(deepest), &input[..branch as usize], &[])?;
+                    self.check_state()?;
+                }
+                self.insert_from_point(Some(deepest), &input, output)?;
             }
             Op::Match(seq) => {
                 let h = self.hinted.match_prefix(seq);
@@ -399,16 +491,17 @@ fn run_stream(ops: &[Op], inject_split_fault: bool) -> Result<(u64, u64), String
 /// Weighted op from a dense token alphabet. `alphabet`/`max_len` shape the
 /// sequence pool; `weights[i]` is the relative frequency of op kind `i` in
 /// [insert, extend, match-extend, speculate-extend, match, remove, pin,
-/// unpin, touch] order.
-fn op_strategy(alphabet: u32, max_len: usize, weights: [u32; 9]) -> impl Strategy<Value = Op> {
+/// unpin, touch, admit, anchored-insert] order.
+fn op_strategy(alphabet: u32, max_len: usize, weights: [u32; 11]) -> impl Strategy<Value = Op> {
     let total: u32 = weights.iter().sum();
     (
         0u32..total,
         prop::collection::vec(0u32..alphabet, 0..max_len),
         0u32..1 << 30,
         0u64..1 << 40,
+        prop::collection::vec(0u32..alphabet, 0..max_len),
     )
-        .prop_map(move |(mut roll, seq, k, stamp)| {
+        .prop_map(move |(mut roll, seq, k, stamp, output)| {
             let mut kind = 0;
             for (i, w) in weights.iter().enumerate() {
                 if roll < *w {
@@ -426,7 +519,9 @@ fn op_strategy(alphabet: u32, max_len: usize, weights: [u32; 9]) -> impl Strateg
                 5 => Op::Remove(k),
                 6 => Op::Pin(k),
                 7 => Op::Unpin,
-                _ => Op::Touch(k, stamp),
+                8 => Op::Touch(k, stamp),
+                9 => Op::Admit(k, seq, output, (stamp % 7) as u32),
+                _ => Op::AnchoredInsert(k, seq, output),
             }
         })
 }
@@ -445,7 +540,7 @@ proptest! {
     /// edge splitting and re-branching under live cursors.
     #[test]
     fn differential_dense_streams(
-        ops in prop::collection::vec(op_strategy(4, 10, [3, 3, 2, 1, 1, 2, 1, 1, 2]), 1..32)
+        ops in prop::collection::vec(op_strategy(4, 10, [3, 3, 2, 1, 1, 2, 1, 1, 2, 2, 1]), 1..32)
     ) {
         assert_stream_agrees(&ops);
     }
@@ -454,7 +549,7 @@ proptest! {
     /// matches, multi-token absorbs on removal.
     #[test]
     fn differential_long_streams(
-        ops in prop::collection::vec(op_strategy(8, 24, [3, 3, 2, 1, 1, 2, 1, 1, 2]), 1..24)
+        ops in prop::collection::vec(op_strategy(8, 24, [3, 3, 2, 1, 1, 2, 1, 1, 2, 2, 1]), 1..24)
     ) {
         assert_stream_agrees(&ops);
     }
@@ -463,7 +558,7 @@ proptest! {
     /// fallbacks, and edge merges (including rejected-removal paths).
     #[test]
     fn differential_removal_heavy_streams(
-        ops in prop::collection::vec(op_strategy(4, 12, [2, 3, 1, 0, 1, 6, 1, 1, 1]), 1..40)
+        ops in prop::collection::vec(op_strategy(4, 12, [2, 3, 1, 0, 1, 6, 1, 1, 1, 2, 1]), 1..40)
     ) {
         assert_stream_agrees(&ops);
     }
@@ -472,7 +567,7 @@ proptest! {
     /// recency churn and interleaved cursor reuse on the pinned set.
     #[test]
     fn differential_pin_heavy_streams(
-        ops in prop::collection::vec(op_strategy(5, 12, [2, 3, 1, 1, 1, 3, 4, 3, 3]), 1..40)
+        ops in prop::collection::vec(op_strategy(5, 12, [2, 3, 1, 1, 1, 3, 4, 3, 3, 1, 1]), 1..40)
     ) {
         assert_stream_agrees(&ops);
     }
@@ -524,6 +619,36 @@ fn streams_cover_resumes_and_fallbacks() {
     let (resumes, fallbacks) = run_stream(&ops, false).expect("stream must agree");
     assert!(resumes > 0, "no cursor resume was exercised");
     assert!(fallbacks > 0, "no stale-cursor fallback was exercised");
+}
+
+/// One validation serves every walk of an admission, including when the
+/// checkpoint insert between validation and the main insert splits the
+/// resume node's own edge; checkpoint prefixes shorter than, equal to and
+/// longer than the resume depth, then an insert anchored at a match's
+/// deepest node. The injected split fault is still caught on this stream.
+#[test]
+fn one_resume_point_serves_a_whole_admission() {
+    let ops = vec![
+        Op::Insert(vec![1, 2, 3, 4, 5, 6, 7, 8]),
+        // Resume depth 8, checkpoint at 8 − 2 = 6: root-walked, it splits
+        // the resume node's own edge before the main insert reuses it.
+        Op::Admit(0, vec![20], vec![21], 3),
+        // Resume at the new depth-6 node, checkpoint exactly there.
+        Op::Admit(1, vec![30, 31], vec![32], 1),
+        // Resume at depth 10, checkpoint two tokens deeper.
+        Op::Admit(2, vec![40, 41, 42], vec![], 5),
+        // Diverges inside [7, 8]: branch checkpoint + insert from the
+        // match's deepest node (the depth-6 node).
+        Op::AnchoredInsert(1, vec![7, 9], vec![60]),
+    ];
+    let (resumes, fallbacks) = run_stream(&ops, false).expect("clean sides must agree");
+    assert_eq!(
+        (resumes, fallbacks),
+        (4, 0),
+        "every admission validated once"
+    );
+    let err = run_stream(&ops, true).expect_err("injected split fault went uncaught");
+    assert!(err.contains("hinted side"), "got: {err}");
 }
 
 // ---------------------------------------------------------------------------
