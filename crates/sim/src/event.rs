@@ -58,13 +58,20 @@ pub type EventClusterBuilder = ClusterBuilder<EventCluster>;
 /// The event loop: replays `trace` under the virtual clock across
 /// `replicas`, one fresh executor each, and returns one report per replica.
 ///
-/// Arrivals are events; the executors' iteration boundaries are the only
+/// Arrivals are events; the ends of the executors' segments are the only
 /// other event source. Each arrival joins the FIFO of the replica `route`
 /// picks (given the live executors, for their queue depths). Simultaneous
 /// events resolve deterministically: executor iterations before arrivals (a
 /// completing request admits its sequence before a simultaneous arrival
 /// looks it up — matching the engine's per-request lookup→insert order in
 /// the zero-load limit), lower replica index first, then FIFO.
+///
+/// # Panics
+///
+/// Panics, before routing it, on an arrival that is not finite or precedes
+/// its predecessor's: an executor cuts a decode segment at the first
+/// boundary after each arrival, which is the boundary that admits it only
+/// while arrivals are in order.
 fn drive<'t, C: PrefixCache>(
     replicas: &mut [Replica<C>],
     service: &ServiceMode,
@@ -77,6 +84,7 @@ fn drive<'t, C: PrefixCache>(
         .map(|_| Executor::new(batch, service))
         .collect();
     let mut arrivals = trace.arrivals().peekable();
+    let mut last_arrival = f64::NEG_INFINITY;
     loop {
         let exec_event = execs
             .iter()
@@ -90,6 +98,17 @@ fn drive<'t, C: PrefixCache>(
                 let req = arrivals
                     .next()
                     .expect("invariant: the peeked arrival is still in the iterator");
+                assert!(
+                    ta.is_finite(),
+                    "arrival of request {} is not finite: {ta}",
+                    req.id
+                );
+                assert!(
+                    ta >= last_arrival,
+                    "arrival of request {} at {ta} precedes its predecessor's at {last_arrival}",
+                    req.id
+                );
+                last_arrival = ta;
                 let k = route(req, replicas, &execs);
                 execs[k].enqueue(req, &mut replicas[k], ta);
             }
@@ -198,6 +217,10 @@ impl<C: PrefixCache> EventSim<C> {
     /// Replays `trace` under the virtual clock and returns the report.
     /// Cache and cursor state persist across calls, like `Engine`, and
     /// `cache_stats` is cumulative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is not finite or precedes its predecessor's.
     pub fn run(&mut self, trace: &Trace) -> EventReport {
         let replica = std::slice::from_mut(&mut self.replica);
         drive(replica, &self.service, &self.batch, trace, |_, _, _| 0)
@@ -293,7 +316,8 @@ impl EventCluster {
     ///
     /// # Panics
     ///
-    /// Panics if the router returns an out-of-range replica index.
+    /// Panics if the router returns an out-of-range replica index, or if an
+    /// arrival is not finite or precedes its predecessor's.
     pub fn run(&mut self, trace: &Trace) -> EventClusterReport {
         let before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.cache.stats()).collect();
         let mut assignments = Vec::with_capacity(trace.len());
@@ -944,6 +968,104 @@ mod tests {
         assert_eq!(report.utilization(), 0.0);
         assert_eq!(report.goodput_rps(100.0), 0.0);
         assert!(report.ttft_summary().is_none());
+    }
+
+    /// Two one-turn requests arriving at `first` and `second`.
+    fn two_arrivals(first: f64, second: f64) -> Trace {
+        let mk = |id: u64, arrival| Request {
+            id,
+            session_id: id,
+            tenant_id: 0,
+            turn: 0,
+            arrival,
+            input: (0..64).map(|t| t + 1000 * id as u32).collect(),
+            output: (0..8).collect(),
+        };
+        Trace {
+            name: "arrivals".into(),
+            requests: vec![mk(0, first), mk(1, second)],
+        }
+    }
+
+    fn run_sim(trace: &Trace) -> EventReport {
+        EventSim::new(
+            marconi_cache(1 << 30, EvictionPolicy::Lru),
+            GpuModel::a100_x4(),
+        )
+        .run(trace)
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 is not finite")]
+    fn nan_arrival_rejected() {
+        let _ = run_sim(&two_arrivals(0.0, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 is not finite")]
+    fn infinite_arrival_rejected() {
+        let _ = run_sim(&two_arrivals(0.0, f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 at 0.5 precedes its predecessor's at 1")]
+    fn decreasing_arrival_rejected() {
+        let _ = run_sim(&two_arrivals(1.0, 0.5));
+    }
+
+    #[test]
+    fn equal_arrivals_are_in_order() {
+        assert_eq!(run_sim(&two_arrivals(0.25, 0.25)).records.len(), 2);
+    }
+
+    /// Segmentation never depends on the tracer: a cluster recording every
+    /// replica's batch events reports exactly what the untraced run reports,
+    /// and each replica's `BatchIteration`s number its segments' first
+    /// iterations — strictly increasing, within the report's count, and
+    /// fewer than the iterations they cover.
+    #[test]
+    fn recording_changes_nothing_a_segmented_cluster_reports() {
+        let (mut untraced, trace) = tiered_cluster(23);
+        let expected = untraced.run(&trace);
+        let (mut cluster, _) = tiered_cluster(23);
+        let (tracer, _routing) = Tracer::to_sink(RingRecorder::new(1 << 16));
+        cluster.set_tracer(tracer);
+        let recorders: Vec<_> = cluster
+            .replicas
+            .iter_mut()
+            .map(|replica| {
+                let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+                replica.tracer = tracer;
+                recorder
+            })
+            .collect();
+        let got = cluster.run(&trace);
+        assert_eq!(got, expected, "a live recorder must not move the report");
+        for (i, (recorder, report)) in recorders.iter().zip(&got.replicas).enumerate() {
+            let rec = recorder.lock().expect("lock: test-local recorder");
+            assert_eq!(rec.dropped(), 0);
+            let firsts: Vec<u64> = rec
+                .events()
+                .filter_map(|e| match e.event {
+                    TraceEvent::BatchIteration { iteration, .. } => Some(iteration),
+                    _ => None,
+                })
+                .collect();
+            assert!(!firsts.is_empty(), "replica {i} ran nothing");
+            assert!(
+                firsts.windows(2).all(|w| w[0] < w[1]),
+                "replica {i}: iteration numbers must strictly increase"
+            );
+            let last = firsts[firsts.len() - 1];
+            assert!(
+                last <= report.iterations,
+                "replica {i}: {last} is past the report"
+            );
+            assert!(
+                (firsts.len() as u64) < report.iterations,
+                "replica {i}: decode segments must span several iterations"
+            );
+        }
     }
 
     #[test]

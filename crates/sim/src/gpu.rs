@@ -373,6 +373,40 @@ mod tests {
         );
     }
 
+    /// The executor prices iteration `j` of a decode segment as
+    /// `F(c) + j·(F(c+1) − F(c))`, which is exact only while
+    /// `decode_token_flops` is affine in the context length.
+    #[test]
+    fn decode_flops_are_exactly_affine_in_the_context() {
+        let mut presets = vec![
+            ModelConfig::hybrid_7b(),
+            ModelConfig::mamba_7b(),
+            ModelConfig::transformer_7b(),
+            ModelConfig::jamba_mini_like(),
+        ];
+        presets.extend(
+            [(32, 4), (30, 5), (28, 7), (24, 12), (0, 36)]
+                .map(|(ssm, attn)| ModelConfig::with_layer_composition(ssm, attn)),
+        );
+        presets.extend([16, 32, 64, 128].map(ModelConfig::with_state_dim));
+        const TOP: u64 = 1 << 20;
+        let contexts = [0, 1, 2, 63, 4095, 4096, 30_000, 65_537, TOP / 2, TOP - 1];
+        for m in &presets {
+            for c in contexts {
+                let f = |x| decode_token_flops(m, x);
+                let slope = f(c + 1) - f(c);
+                for j in [0, 1, 2, 17, 1000, TOP - c] {
+                    assert_eq!(
+                        f(c + j),
+                        f(c) + u128::from(j) * slope,
+                        "{}: context {c} + {j}",
+                        m.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn decode_steps_sum_to_the_suffix_prefill_time() {
         // Decoding tokens one at a time costs exactly what prefilling the

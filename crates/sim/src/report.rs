@@ -80,7 +80,8 @@ pub struct SimReport {
     pub cache_stats: CacheStats,
     /// Virtual seconds the device spent executing iterations.
     pub busy_s: f64,
-    /// Batching iterations executed (the discrete-event count).
+    /// Batching iterations executed, counting every iteration of a decode
+    /// segment the executor simulated as one event.
     pub iterations: u64,
     /// Virtual time of the last completion (trace start is 0).
     pub makespan_s: f64,

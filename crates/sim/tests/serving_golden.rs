@@ -9,13 +9,19 @@
 //! plus `(queue_ms, e2e_ms)` under the event drivers — and the replica's
 //! `CacheStats`. Floats enter by bit pattern.
 //!
+//! A second table, `CLOCKS`, pins the event drivers' virtual clocks, which
+//! the first does not cover: `busy_s`, `iterations`, `makespan_s` and every
+//! record's `(id, admitted, completed)`, across batch shapes and loads
+//! chosen so that decode segments end by completion and by arrival cuts.
+//!
 //! When a change moves a fingerprint on purpose, the failing test prints the
-//! whole computed table; paste it over `GOLDEN` and say why in the commit.
+//! whole computed table; paste it over `GOLDEN` (or `CLOCKS`) and say why in
+//! the commit.
 
 use marconi_core::{EvictionPolicy, HybridPrefixCache};
 use marconi_model::ModelConfig;
 use marconi_sim::{
-    Cluster, ClusterReport, Engine, EventCluster, EventSim, GpuModel, ReloadDecision,
+    BatchConfig, Cluster, ClusterReport, Engine, EventCluster, EventSim, GpuModel, ReloadDecision,
     RoutingPolicy, SimReport,
 };
 use marconi_workload::{DatasetKind, Trace, TraceGenerator};
@@ -86,6 +92,19 @@ impl Fnv {
             self.report(r, queueing);
         }
     }
+
+    /// One replica's virtual clocks.
+    fn clocks(&mut self, rep: &SimReport) {
+        self.f64(rep.busy_s);
+        self.u64(rep.iterations);
+        self.f64(rep.makespan_s);
+        self.u64(rep.records.len() as u64);
+        for r in &rep.records {
+            self.u64(r.id);
+            self.f64(r.admitted);
+            self.f64(r.completed);
+        }
+    }
 }
 
 fn single(rep: &SimReport, queueing: bool) -> u64 {
@@ -100,15 +119,18 @@ fn fleet(rep: &ClusterReport, queueing: bool) -> u64 {
     h.0
 }
 
-/// The seeded ShareGPT 8-tenant trace, compressed in time so the modeled
-/// event drivers queue.
-fn trace() -> Trace {
+/// The seeded ShareGPT 8-tenant trace at its generated arrival times.
+fn base_trace() -> Trace {
     TraceGenerator::new(DatasetKind::ShareGpt)
         .sessions(160)
         .tenants(8)
         .seed(14)
         .generate()
-        .time_scaled(24.0)
+}
+
+/// The pinned trace, compressed in time so the modeled event drivers queue.
+fn trace() -> Trace {
+    base_trace().time_scaled(24.0)
 }
 
 fn policies() -> [(&'static str, EvictionPolicy); 3] {
@@ -196,12 +218,67 @@ fn fingerprints() -> Vec<(String, u64)> {
     out
 }
 
-#[test]
-fn every_driver_reproduces_its_pinned_fingerprint() {
-    let got = fingerprints();
+/// Batch shapes of the clock pins: the default; 3 slots with 256-token
+/// chunks, so completions end most decode segments; 64 slots with
+/// 100k-token chunks, so arrivals into free slots cut them.
+fn batches() -> [(&'static str, BatchConfig); 3] {
+    let shape = |max_batch_requests, prefill_chunk_tokens| BatchConfig {
+        max_batch_requests,
+        prefill_chunk_tokens,
+    };
+    [
+        ("b16x4096", BatchConfig::default()),
+        ("b3x256", shape(3, 256)),
+        ("b64x100k", shape(64, 100_000)),
+    ]
+}
+
+/// Every pinned clock configuration, as `(key, fingerprint)`: both event
+/// drivers on the tiered FlopAware cache, at a queueing (24×) and a sparse
+/// (2×) load.
+fn clock_fingerprints() -> Vec<(String, u64)> {
+    let base = base_trace();
+    let policy = EvictionPolicy::FlopAware { alpha: 2.0 };
+    let mut out = Vec::new();
+    for scale in [24.0, 2.0] {
+        let trace = base.time_scaled(scale);
+        for (shape, batch) in batches() {
+            let mut put = |driver: &str, reps: &[SimReport]| {
+                let mut h = Fnv::new();
+                reps.iter().for_each(|r| h.clocks(r));
+                out.push((format!("{driver}/{shape}/{scale}x"), h.0));
+            };
+            let sim = EventSim::new(cache(&policy, HOST_TOKENS), GpuModel::a100_x4());
+            put("eventsim-modeled", &[sim.batch(batch.clone()).run(&trace)]);
+            let sim = EventSim::instantaneous(cache(&policy, HOST_TOKENS));
+            put(
+                "eventsim-instantaneous",
+                &[sim.batch(batch.clone()).run(&trace)],
+            );
+            for n in [1, 4] {
+                for routing in [RoutingPolicy::QueueAware, RoutingPolicy::PrefixAware] {
+                    let report = EventCluster::builder(ModelConfig::hybrid_7b())
+                        .replicas(n)
+                        .total_capacity_bytes(bytes(DEVICE_TOKENS))
+                        .total_host_capacity_bytes(bytes(HOST_TOKENS))
+                        .policy(policy.clone())
+                        .routing(routing)
+                        .batch(batch.clone())
+                        .build()
+                        .run(&trace);
+                    put(&format!("eventcluster{n}-{routing}"), &report.replicas);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Asserts `got` equals `pinned`, printing the whole computed table if not.
+fn assert_pinned(got: &[(String, u64)], pinned: &[(&str, u64)]) {
     let moved: Vec<&str> = got
         .iter()
-        .filter(|(key, fp)| !GOLDEN.contains(&(key.as_str(), *fp)))
+        .filter(|(key, fp)| !pinned.contains(&(key.as_str(), *fp)))
         .map(|(key, _)| key.as_str())
         .collect();
     let table: String = got
@@ -209,12 +286,22 @@ fn every_driver_reproduces_its_pinned_fingerprint() {
         .map(|(key, fp)| format!("    (\"{key}\", 0x{fp:016x}),\n"))
         .collect();
     assert!(
-        moved.is_empty() && got.len() == GOLDEN.len(),
+        moved.is_empty() && got.len() == pinned.len(),
         "{} of {} fingerprints moved ({} pinned): {moved:?}\ncomputed table:\n{table}",
         moved.len(),
         got.len(),
-        GOLDEN.len()
+        pinned.len()
     );
+}
+
+#[test]
+fn every_driver_reproduces_its_pinned_fingerprint() {
+    assert_pinned(&fingerprints(), &GOLDEN);
+}
+
+#[test]
+fn every_event_driver_reproduces_its_pinned_clocks() {
+    assert_pinned(&clock_fingerprints(), &CLOCKS);
 }
 
 /// The pins mean something only while the configurations stay in the
@@ -344,4 +431,57 @@ const GOLDEN: [(&str, u64); 78] = [
     ("eventcluster1-prefix-aware/auto/tier", 0x1cf0b8cf44bf21ff),
     ("eventcluster4-queue-aware/auto/tier", 0x3b1b28033fe905a4),
     ("eventcluster4-prefix-aware/auto/tier", 0xe6e78120ae73612a),
+];
+
+/// Captured at the parent of the segmented executor (commit 5b925ba), which
+/// stepped every decode iteration through the event loop.
+const CLOCKS: [(&str, u64); 36] = [
+    ("eventsim-modeled/b16x4096/24x", 0x2ec854d37df5bdb0),
+    ("eventsim-instantaneous/b16x4096/24x", 0x7bc68fd54b719abd),
+    ("eventcluster1-queue-aware/b16x4096/24x", 0x2ec854d37df5bdb0),
+    (
+        "eventcluster1-prefix-aware/b16x4096/24x",
+        0x2ec854d37df5bdb0,
+    ),
+    ("eventcluster4-queue-aware/b16x4096/24x", 0xcde7774c2ec08f75),
+    (
+        "eventcluster4-prefix-aware/b16x4096/24x",
+        0xb1aabecab3e90304,
+    ),
+    ("eventsim-modeled/b3x256/24x", 0x7b777a4956588ab9),
+    ("eventsim-instantaneous/b3x256/24x", 0x26180a259276370d),
+    ("eventcluster1-queue-aware/b3x256/24x", 0x7b777a4956588ab9),
+    ("eventcluster1-prefix-aware/b3x256/24x", 0x7b777a4956588ab9),
+    ("eventcluster4-queue-aware/b3x256/24x", 0xec966bb7f615db58),
+    ("eventcluster4-prefix-aware/b3x256/24x", 0x6539f0c9696434a6),
+    ("eventsim-modeled/b64x100k/24x", 0x01ce4f21a4277403),
+    ("eventsim-instantaneous/b64x100k/24x", 0x7bc68fd54b719abd),
+    ("eventcluster1-queue-aware/b64x100k/24x", 0x01ce4f21a4277403),
+    (
+        "eventcluster1-prefix-aware/b64x100k/24x",
+        0x01ce4f21a4277403,
+    ),
+    ("eventcluster4-queue-aware/b64x100k/24x", 0xf40ed1e9ae36f07a),
+    (
+        "eventcluster4-prefix-aware/b64x100k/24x",
+        0x2c8af6328f3fc1be,
+    ),
+    ("eventsim-modeled/b16x4096/2x", 0xde62ffb73db816a3),
+    ("eventsim-instantaneous/b16x4096/2x", 0x2bd2953662f15d18),
+    ("eventcluster1-queue-aware/b16x4096/2x", 0xde62ffb73db816a3),
+    ("eventcluster1-prefix-aware/b16x4096/2x", 0xde62ffb73db816a3),
+    ("eventcluster4-queue-aware/b16x4096/2x", 0x4b1bc82bc15b95ca),
+    ("eventcluster4-prefix-aware/b16x4096/2x", 0xe0c78872c9b7f37b),
+    ("eventsim-modeled/b3x256/2x", 0x36d966ac3532d7c1),
+    ("eventsim-instantaneous/b3x256/2x", 0x494d5fef0c2958a8),
+    ("eventcluster1-queue-aware/b3x256/2x", 0x36d966ac3532d7c1),
+    ("eventcluster1-prefix-aware/b3x256/2x", 0x36d966ac3532d7c1),
+    ("eventcluster4-queue-aware/b3x256/2x", 0x7927e0c476d44244),
+    ("eventcluster4-prefix-aware/b3x256/2x", 0xe988a52c9755eda6),
+    ("eventsim-modeled/b64x100k/2x", 0xde62ffb73db816a3),
+    ("eventsim-instantaneous/b64x100k/2x", 0x2bd2953662f15d18),
+    ("eventcluster1-queue-aware/b64x100k/2x", 0xde62ffb73db816a3),
+    ("eventcluster1-prefix-aware/b64x100k/2x", 0xde62ffb73db816a3),
+    ("eventcluster4-queue-aware/b64x100k/2x", 0x4b1bc82bc15b95ca),
+    ("eventcluster4-prefix-aware/b64x100k/2x", 0xe0c78872c9b7f37b),
 ];

@@ -377,11 +377,15 @@ pub enum TraceEvent {
         /// Queued input tokens after admission.
         queued_tokens: u64,
     },
-    /// One batch iteration boundary in the event-sim executor.
+    /// The start of a segment in the event-sim executor: one batch
+    /// iteration, or a run of pure-decode iterations with an unchanged
+    /// batch. The segment runs up to the next `BatchIteration` of the same
+    /// executor, whose `iteration` is one past the segment's last.
     BatchIteration {
-        /// Virtual-clock seconds at the iteration's start.
+        /// Virtual-clock seconds at the segment's start.
         ts: f64,
-        /// Monotone iteration counter.
+        /// Number of the segment's first iteration (strictly increasing,
+        /// counted from 1).
         iteration: u64,
         /// Requests running in the batch.
         running: u64,
