@@ -1,6 +1,6 @@
 //! Multi-threaded throughput of the sharded concurrent cache front-end.
 //!
-//! Three measurements, each swept over 1–32 threads against one
+//! Two measurements, each swept over 1–32 threads against one
 //! [`ShardedCache`]:
 //!
 //! * `read_probe` — router-style non-mutating probes
@@ -11,28 +11,22 @@
 //!   `insert_at`) with each thread driving its own sessions; distinct
 //!   sessions hash to distinct shards, so writers serialize only within a
 //!   shard.
-//! * `eviction_pressure` — single-threaded inserts against a
-//!   capacity-saturated cache, every insertion forcing eviction work (the
-//!   same steady state as the `eviction_pressure` bench, re-measured here
-//!   so the JSON snapshot is self-contained).
 //!
-//! Results print as `ops/sec` lines and are written machine-readably to
-//! `BENCH_6.json` at the repo root, together with the read-side scaling
-//! factor from 1→8 threads and the core count (on single-core hosts the
-//! curve is flat by construction — threads add no parallelism, only
-//! scheduling overhead — so the scaling factor must be read alongside
-//! `cores`).
+//! Results print as `ops/sec` lines, followed by the read-side scaling
+//! factor from 1→8 threads and the core count: on a single-core host the
+//! curve is flat by construction (threads add no parallelism, only
+//! scheduling overhead), so the factor means nothing without `cores`.
+//! Nothing is written to disk and nothing is gated; end-to-end and
+//! per-layer costs live in the perf ledger under `benchmark/`.
 //!
-//! The sweep runs once up front (Instant-based, like the other benches'
-//! `[ratio]` lines); criterion then registers one timed case per path so
-//! regressions in per-op cost still show up in criterion's own output.
+//! ```sh
+//! cargo bench -p marconi-bench --bench concurrent_throughput
+//! ```
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use marconi_core::{
-    EvictionPolicy, HybridPrefixCache, HybridPrefixCacheBuilder, PrefixCache, ShardedCache,
-};
+use marconi_core::{EvictionPolicy, HybridPrefixCache, ShardedCache};
 use marconi_model::ModelConfig;
 use marconi_radix::Token;
+use std::hint::black_box;
 use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -40,14 +34,6 @@ const SHARDS: usize = 16;
 const SESSIONS: u32 = 512;
 /// Tokens per cached session chain (input + first-turn output).
 const SESSION_TOKENS: u32 = 64;
-
-fn builder() -> HybridPrefixCacheBuilder {
-    // Pure Transformer so per-node footprint is token KVs only — keeps the
-    // prefilled working set at SESSIONS live chains.
-    HybridPrefixCache::builder(ModelConfig::transformer_7b())
-        .capacity_bytes(1 << 40)
-        .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
-}
 
 fn session_input(s: u32) -> Vec<Token> {
     let base = s * 10_000;
@@ -59,9 +45,14 @@ fn session_output(s: u32) -> Vec<Token> {
     (base..base + 16).collect()
 }
 
-/// A sharded cache prewarmed with every session's first turn.
+/// A sharded cache prewarmed with every session's first turn. Pure
+/// Transformer so the per-node footprint is token KVs only, which keeps
+/// the working set at `SESSIONS` live chains.
 fn prewarmed() -> ShardedCache {
-    let cache = ShardedCache::new(builder(), SHARDS);
+    let builder = HybridPrefixCache::builder(ModelConfig::transformer_7b())
+        .capacity_bytes(1 << 40)
+        .policy(EvictionPolicy::FlopAware { alpha: 2.0 });
+    let cache = ShardedCache::new(builder, SHARDS);
     for s in 0..SESSIONS {
         cache.insert_at(&session_input(s), &session_output(s), f64::from(s));
     }
@@ -116,50 +107,7 @@ fn mixed_insert_ops_per_sec(cache: &ShardedCache, threads: usize, ops_per_thread
     (threads * ops_per_thread) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Single-threaded inserts at steady-state capacity, every one evicting —
-/// the `eviction_pressure` snapshot for the JSON report. Returns
-/// `(ops_per_sec, live_nodes, evictions_during_measurement)`.
-fn eviction_pressure_snapshot() -> (f64, u64, u64) {
-    let model = ModelConfig::transformer_7b();
-    let capacity = 10_000u64 * 20 * model.kv_bytes_per_token();
-    let mut cache = HybridPrefixCache::builder(model)
-        .capacity_bytes(capacity)
-        .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
-        .build();
-    let mut next = 0u32;
-    let mut insert_one = |cache: &mut HybridPrefixCache| {
-        next = next.wrapping_add(1);
-        let base = next.wrapping_mul(1_000);
-        let input: Vec<Token> = (base..base + 16).collect();
-        let output: Vec<Token> = (base + 500_000..base + 500_004).collect();
-        cache.insert_at(&input, &output, f64::from(next));
-    };
-    while cache.usage_bytes() + 21 * cache.model().kv_bytes_per_token() <= cache.capacity_bytes() {
-        insert_one(&mut cache);
-    }
-    let evictions_before = cache.stats().evictions;
-    const OPS: usize = 2_000;
-    let start = Instant::now();
-    for _ in 0..OPS {
-        insert_one(&mut cache);
-    }
-    let ops_per_sec = OPS as f64 / start.elapsed().as_secs_f64();
-    (
-        ops_per_sec,
-        cache.node_count() as u64,
-        cache.stats().evictions - evictions_before,
-    )
-}
-
-fn json_curve(points: &[(usize, f64)]) -> String {
-    let entries: Vec<String> = points
-        .iter()
-        .map(|(t, ops)| format!("    {{ \"threads\": {t}, \"ops_per_sec\": {ops:.0} }}"))
-        .collect();
-    format!("[\n{}\n  ]", entries.join(",\n"))
-}
-
-fn run_sweep_and_write_json() {
+fn main() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let cache = prewarmed();
 
@@ -167,72 +115,22 @@ fn run_sweep_and_write_json() {
     for &t in &THREAD_COUNTS {
         // Fixed total work per configuration so wall time stays flat as
         // threads grow.
-        let ops = 200_000 / t;
-        let ops_per_sec = read_probe_ops_per_sec(&cache, t, ops);
+        let ops_per_sec = black_box(read_probe_ops_per_sec(&cache, t, 200_000 / t));
         println!("concurrent_throughput/read_probe threads={t}: {ops_per_sec:.0} ops/sec");
         read_curve.push((t, ops_per_sec));
     }
-    let mut mixed_curve = Vec::new();
     for &t in &THREAD_COUNTS {
-        let ops = 8_000 / t;
-        let ops_per_sec = mixed_insert_ops_per_sec(&cache, t, ops);
+        let ops_per_sec = black_box(mixed_insert_ops_per_sec(&cache, t, 8_000 / t));
         println!("concurrent_throughput/mixed_insert threads={t}: {ops_per_sec:.0} ops/sec");
-        mixed_curve.push((t, ops_per_sec));
     }
-    let at = |curve: &[(usize, f64)], t: usize| {
-        curve
+    let at = |t: usize| {
+        read_curve
             .iter()
             .find(|(n, _)| *n == t)
             .map_or(0.0, |(_, ops)| *ops)
     };
-    let read_scaling = at(&read_curve, 8) / at(&read_curve, 1).max(f64::MIN_POSITIVE);
+    let read_scaling = at(8) / at(1).max(f64::MIN_POSITIVE);
     println!(
         "concurrent_throughput/[scaling] read_probe 1->8 threads: {read_scaling:.2}x on {cores} core(s)"
     );
-
-    let (pressure_ops, live_nodes, evictions) = eviction_pressure_snapshot();
-    println!(
-        "concurrent_throughput/eviction_pressure: {pressure_ops:.0} inserts/sec at {live_nodes} live nodes ({evictions} evictions)"
-    );
-
-    // Hand-formatted snapshot (serde_json is not vendored); schema kept
-    // flat and stable for the CI trend tooling.
-    let json = format!(
-        "{{\n  \"bench\": \"concurrent_throughput\",\n  \"model\": \"transformer_7b\",\n  \
-         \"shards\": {SHARDS},\n  \"sessions\": {SESSIONS},\n  \"cores\": {cores},\n  \
-         \"read_probe\": {},\n  \"mixed_insert\": {},\n  \
-         \"read_scaling_1_to_8\": {read_scaling:.3},\n  \"eviction_pressure\": {{\n    \
-         \"insert_evicting_ops_per_sec\": {pressure_ops:.0},\n    \
-         \"live_nodes\": {live_nodes},\n    \"evictions_measured\": {evictions}\n  }}\n}}\n",
-        json_curve(&read_curve),
-        json_curve(&mixed_curve),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("concurrent_throughput: wrote {path}"),
-        Err(e) => eprintln!("concurrent_throughput: could not write {path}: {e}"),
-    }
 }
-
-fn bench_concurrent_paths(c: &mut Criterion) {
-    run_sweep_and_write_json();
-
-    // Criterion-tracked per-op costs (single- and multi-threaded batches)
-    // so ordinary bench comparisons catch regressions in either path.
-    let cache = prewarmed();
-    let mut group = c.benchmark_group("concurrent_throughput");
-    group.sample_size(10);
-    group.bench_function("read_probe_1_thread_x1000", |b| {
-        b.iter(|| black_box(read_probe_ops_per_sec(&cache, 1, 1_000)))
-    });
-    group.bench_function("read_probe_8_threads_x125", |b| {
-        b.iter(|| black_box(read_probe_ops_per_sec(&cache, 8, 125)))
-    });
-    group.bench_function("mixed_insert_4_threads_x50", |b| {
-        b.iter(|| black_box(mixed_insert_ops_per_sec(&cache, 4, 50)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_concurrent_paths);
-criterion_main!(benches);

@@ -13,9 +13,11 @@
 //! output can be diffed against EXPERIMENTS.md. Everything is seeded and
 //! deterministic.
 //!
-//! The Criterion benches under `benches/` cover the *systems* costs
-//! (radix-tree operations, eviction sweeps, cluster routing, end-to-end
-//! replay throughput); this library covers the *paper* results.
+//! This library covers the *paper* results. The *systems* costs
+//! (radix-tree operations, eviction, routing, end-to-end replay
+//! throughput) are measured by the perf ledger under `benchmark/`; the one
+//! bench under `benches/`, `concurrent_throughput`, prices the sharded
+//! cache across threads.
 //!
 //! # Examples
 //!

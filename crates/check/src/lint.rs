@@ -55,8 +55,8 @@ impl std::fmt::Display for Violation {
 ///
 /// Benches and the figures binary live in `crates/bench` and are *not*
 /// listed: they legitimately measure wall-clock time
-/// (`eviction_pressure.rs` et al.), which is exactly the allowlist the
-/// rules intend.
+/// (`concurrent_throughput.rs`), which is exactly the allowlist the rules
+/// intend.
 pub const LINTED_CRATES: [&str; 6] = [
     "crates/core",
     "crates/radix",

@@ -73,8 +73,9 @@ pub(crate) enum CursorHint {
 /// rather than hashing so iteration (and therefore eviction order) is
 /// deterministic across runs and platforms — the same discipline the rest
 /// of the workspace follows for replay determinism. A capacity of 0
-/// disables the table entirely (every `take` misses, every `put` drops),
-/// which is how the benches express the root-walk baseline.
+/// disables the table entirely (every `take` misses, every `put` drops):
+/// every request then root-walks, the reference a hinted run is compared
+/// against.
 #[derive(Debug, Clone, Default)]
 pub struct CursorTable {
     cap: usize,

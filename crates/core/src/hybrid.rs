@@ -195,13 +195,6 @@ pub struct HybridPrefixCache {
     /// A/B-ing the headline mid-decode-reclaim bug. A behavioral knob
     /// mirrored by tuner replicas.
     pin_in_flight: bool,
-    /// Honor session-cursor hints (PR 10): hinted lookups, insertions,
-    /// and pins resume their walk from the hinted node instead of the
-    /// root. Results are byte-identical either way (the parity contract),
-    /// so the knob is behavioral only in that it decides whether
-    /// `insert_at_with` mints cursors at all; mirrored by tuner replicas
-    /// like every other knob.
-    session_cursors: bool,
     /// GDSF inflation clock `L` (monotone, set to each victim's priority).
     gdsf_clock: f64,
     /// Eligible candidates the victim selector has read, over every pick
@@ -246,7 +239,6 @@ impl HybridPrefixCache {
             refresh_ancestors: false,
             leaf_only_eviction: false,
             pin_in_flight: true,
-            session_cursors: true,
         }
     }
 
@@ -633,9 +625,6 @@ impl HybridPrefixCache {
     /// and the telemetry outcome for
     /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
     fn resolve_hint(&self, query: &[Token], hint: CursorHint) -> (Option<Resumed>, HintOutcome) {
-        if !self.session_cursors {
-            return (None, HintOutcome::Cold);
-        }
         match hint {
             CursorHint::Cold => (None, HintOutcome::Cold),
             CursorHint::Rejected(cause) => (None, HintOutcome::Fallback(cause)),
@@ -1563,7 +1552,6 @@ impl HybridPrefixCache {
             refresh_ancestors: self.refresh_ancestors,
             leaf_only_eviction: self.leaf_only_eviction,
             pin_in_flight: self.pin_in_flight,
-            session_cursors: self.session_cursors,
             gdsf_clock: 0.0,
             candidates_scored: 0,
             // Replicas replay silently: the tuner's grid-search probes are
@@ -1628,7 +1616,7 @@ fn grid_search(
 /// byte-identical apart from these events.
 #[derive(Debug, Clone, Copy)]
 enum HintOutcome {
-    /// No hint offered (or session cursors disabled): silent root walk.
+    /// No hint offered: silent root walk.
     Cold,
     /// The hint validated; the walk resumed from `node`.
     Resumed {
@@ -1877,15 +1865,10 @@ impl PrefixCache for HybridPrefixCache {
         // Mint the next turn's cursor only now: eviction and demotion have
         // settled, so a handed-out cursor always points at a live,
         // device-resident end node (and is still revalidated on return).
-        let next = if self.session_cursors {
-            end_node.and_then(|id| {
-                let cursor = self.tree.cursor_at(id)?;
-                (self.tree.data(id).tier == Tier::Device)
-                    .then_some(SessionCursor { cursor, shard: 0 })
-            })
-        } else {
-            None
-        };
+        let next = end_node.and_then(|id| {
+            let cursor = self.tree.cursor_at(id)?;
+            (self.tree.data(id).tier == Tier::Device).then_some(SessionCursor { cursor, shard: 0 })
+        });
         (report, next)
     }
 
@@ -1975,7 +1958,6 @@ pub struct HybridPrefixCacheBuilder {
     refresh_ancestors: bool,
     leaf_only_eviction: bool,
     pin_in_flight: bool,
-    session_cursors: bool,
 }
 
 impl HybridPrefixCacheBuilder {
@@ -2058,19 +2040,6 @@ impl HybridPrefixCacheBuilder {
         self
     }
 
-    /// Honor session-cursor hints ([`PrefixCache::lookup_at_with`] /
-    /// [`PrefixCache::insert_at_with`] / [`PrefixCache::pin_prefix_with`]):
-    /// a valid hint resumes the walk from the session's deep node in
-    /// O(new tokens). Default on. Results are byte-identical with the
-    /// knob off (hints are ignored and no cursors are minted) — the
-    /// switch exists for the root-walk baseline in benches and the parity
-    /// tests that pin that contract.
-    #[must_use]
-    pub fn session_cursors(mut self, enabled: bool) -> Self {
-        self.session_cursors = enabled;
-        self
-    }
-
     /// Builds the cache.
     pub fn build(self) -> HybridPrefixCache {
         let (tuner, effective_alpha) = match &self.policy {
@@ -2112,7 +2081,6 @@ impl HybridPrefixCacheBuilder {
             refresh_ancestors: self.refresh_ancestors,
             leaf_only_eviction: self.leaf_only_eviction,
             pin_in_flight: self.pin_in_flight,
-            session_cursors: self.session_cursors,
             gdsf_clock: 0.0,
             candidates_scored: 0,
             tracer: Tracer::off(),
@@ -2671,7 +2639,6 @@ mod tests {
         assert_eq!(replica.checkpoint_mode, parent.checkpoint_mode);
         assert_eq!(replica.refresh_ancestors, parent.refresh_ancestors);
         assert_eq!(replica.leaf_only_eviction, parent.leaf_only_eviction);
-        assert_eq!(replica.session_cursors, parent.session_cursors);
         assert_eq!(replica.effective_alpha, 1.5);
     }
 
@@ -4083,17 +4050,15 @@ mod tests {
     // ------------------------------------------------------------------
     // PR 10: session-cursor byte parity. Replaying a multi-turn trace with
     // session hints must leave every observable byte — victim logs, stats,
-    // occupancy, tuned α, tree contents — identical to the unhinted replay
-    // (and to a hinted replay with the knob off): a cursor is a walk
-    // shortcut, never a semantic input.
+    // occupancy, tuned α, tree contents — identical to the unhinted replay:
+    // a cursor is a walk shortcut, never a semantic input.
     // ------------------------------------------------------------------
 
     /// Drives a seeded two-tier trace the way the engine does (lookup, pin,
     /// unpin, insert per request; a per-session cursor table when hinted)
-    /// through three identically-configured caches: unhinted, hinted, and
-    /// hinted-with-cursors-disabled. Demands byte-identical end state across
-    /// all three, and that the hinted run actually resumed (so the parity
-    /// is not vacuous).
+    /// through two identically-configured caches, unhinted and hinted.
+    /// Demands byte-identical end state across both, and that the hinted
+    /// run actually resumed (so the parity is not vacuous).
     fn assert_session_cursor_parity(policy: EvictionPolicy, trace_seed: u64) {
         use crate::CursorTable;
         use marconi_trace::{RingRecorder, Tracer};
@@ -4104,12 +4069,11 @@ mod tests {
             .sessions(12)
             .seed(trace_seed)
             .generate();
-        let run = |hinted: bool, knob: bool, tracer: Option<Tracer>| {
+        let run = |hinted: bool, tracer: Option<Tracer>| {
             let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
                 .capacity_bytes(capacity)
                 .host_capacity_bytes(capacity / 2)
                 .policy(policy.clone())
-                .session_cursors(knob)
                 .build();
             if let Some(t) = tracer {
                 c.set_tracer(t);
@@ -4131,39 +4095,36 @@ mod tests {
             }
             c
         };
-        let cold = run(false, true, None);
+        let cold = run(false, None);
         assert!(
             cold.stats.evictions > 0 && cold.stats.demotions > 0,
             "parity trace must exercise eviction and demotion ({policy})"
         );
         let (traced, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
-        let hinted = run(true, true, Some(traced));
-        let knob_off = run(true, false, None);
-        for (label, other) in [("hinted", &hinted), ("knob-off", &knob_off)] {
-            assert_eq!(
-                cold.eviction_log, other.eviction_log,
-                "{label} run perturbed the victim sequence under {policy}"
-            );
-            assert_eq!(
-                cold.stats, other.stats,
-                "{label} run perturbed stats under {policy}"
-            );
-            assert_eq!(cold.usage(), other.usage(), "{label} usage ({policy})");
-            assert_eq!(
-                cold.host_usage_bytes(),
-                other.host_usage_bytes(),
-                "{label} host usage ({policy})"
-            );
-            assert_eq!(
-                cold.effective_alpha, other.effective_alpha,
-                "{label} run perturbed the tuned α under {policy}"
-            );
-            assert_eq!(
-                cold.tree.token_count(),
-                other.tree.token_count(),
-                "{label} tree contents ({policy})"
-            );
-        }
+        let hinted = run(true, Some(traced));
+        assert_eq!(
+            cold.eviction_log, hinted.eviction_log,
+            "hinted run perturbed the victim sequence under {policy}"
+        );
+        assert_eq!(
+            cold.stats, hinted.stats,
+            "hinted run perturbed stats under {policy}"
+        );
+        assert_eq!(cold.usage(), hinted.usage(), "hinted usage ({policy})");
+        assert_eq!(
+            cold.host_usage_bytes(),
+            hinted.host_usage_bytes(),
+            "hinted host usage ({policy})"
+        );
+        assert_eq!(
+            cold.effective_alpha, hinted.effective_alpha,
+            "hinted run perturbed the tuned α under {policy}"
+        );
+        assert_eq!(
+            cold.tree.token_count(),
+            hinted.tree.token_count(),
+            "hinted tree contents ({policy})"
+        );
         let rec = recorder.lock().expect("lock: test-local recorder");
         let resumed = rec
             .events()
@@ -4200,16 +4161,5 @@ mod tests {
             }),
             17,
         );
-    }
-
-    /// With the knob off the cache neither mints cursors nor honors hints.
-    #[test]
-    fn disabled_session_cursors_mint_nothing() {
-        let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-            .capacity_bytes(1 << 40)
-            .session_cursors(false)
-            .build();
-        let (_, next) = c.insert_at_with(&seq(0..64), &seq(500..532), 0.0, None);
-        assert!(next.is_none(), "knob off: no cursor minted");
     }
 }

@@ -234,6 +234,131 @@ fn cross_shard_hint_is_rejected_not_resumed() {
     assert_eq!(resumed_count(&rec), 1, "same-shard hint resumes");
 }
 
+/// Concurrent sessions in the cursor-gate trace.
+const GATE_SESSIONS: u64 = 8;
+/// Turns per session in the cursor-gate trace.
+const GATE_TURNS: u64 = 128;
+/// Tokens in each session's opening prompt.
+const GATE_OPENER_TOKENS: u64 = 256;
+/// New tokens per turn: half user extension, half decoded output.
+const GATE_TURN_TOKENS: u64 = 128;
+
+/// SplitMix64: a deterministic token stream with no RNG state to carry.
+fn mix(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One request of the gate trace.
+struct Turn {
+    session: u64,
+    input: Vec<Token>,
+    output: Vec<Token>,
+}
+
+/// A multi-turn chat trace: every input is the session's full history
+/// (previous input + previous output + this turn's new user tokens), and
+/// sessions interleave round-robin like concurrent conversations on one
+/// engine.
+fn session_trace(seed: u64) -> Vec<Turn> {
+    let token = |s: u64, i: u64| (mix(seed ^ (s << 32) ^ i) % 50_000) as Token;
+    let mut histories: Vec<Vec<Token>> = (0..GATE_SESSIONS)
+        .map(|s| (0..GATE_OPENER_TOKENS).map(|i| token(s, i)).collect())
+        .collect();
+    let mut turns = Vec::new();
+    for _ in 0..GATE_TURNS {
+        for (s, history) in (0..).zip(histories.iter_mut()) {
+            let base = history.len() as u64;
+            history.extend((0..GATE_TURN_TOKENS / 2).map(|i| token(s, base + i)));
+            let input = history.clone();
+            let output: Vec<Token> = (0..GATE_TURN_TOKENS / 2)
+                .map(|i| token(s, base + 1_000_000 + i))
+                .collect();
+            history.extend(&output);
+            turns.push(Turn {
+                session: s,
+                input,
+                output,
+            });
+        }
+    }
+    turns
+}
+
+fn flop_aware(capacity: u64) -> HybridPrefixCache {
+    builder(capacity)
+        .policy(marconi_core::EvictionPolicy::FlopAware { alpha: 2.0 })
+        .build()
+}
+
+/// Tokens one cache operation walked, read off the events it emitted: the
+/// `CursorResumed` delta when its hint validated, else the whole input (a
+/// cold or fallen-back walk starts at the root). Empties the ring for the
+/// next operation.
+fn tokens_walked(recorder: &Mutex<RingRecorder>, input_len: usize) -> u64 {
+    let mut rec = recorder.lock().expect("lock: test-local recorder");
+    assert_eq!(rec.dropped(), 0, "one operation's events fit the ring");
+    let delta = rec.events().find_map(|e| match e.event {
+        TraceEvent::CursorResumed { delta_tokens, .. } => Some(delta_tokens),
+        _ => None,
+    });
+    *rec = RingRecorder::new(1 << 12);
+    delta.unwrap_or(input_len as u64)
+}
+
+/// The session fast path's exact work gate. Replays 8 sessions × 128
+/// turns at capacity the way `Engine` serves them (a hinted lookup, then
+/// a hinted admission, with a `CursorTable` between turns) and counts the
+/// tokens each operation walks. A root walk reads the whole prompt, so
+/// the input the replay presents must be at least 5× what it walks; an
+/// unhinted twin must end in identical statistics.
+#[test]
+fn cursors_walk_a_fifth_of_the_input_at_128_turns() {
+    let trace = session_trace(7);
+    // Capacity 1/64 under the trace's whole footprint (KVs plus every
+    // speculated SSM checkpoint): the tail evicts, so stale cursors occur.
+    let mut uncapped = flop_aware(u64::MAX / 2);
+    for (t, turn) in (0u32..).zip(&trace) {
+        uncapped.insert_at(&turn.input, &turn.output, f64::from(t));
+    }
+    let peak = uncapped.stats().peak_usage_bytes;
+    let capacity = peak - peak / 64;
+
+    let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 12));
+    let mut hinted = flop_aware(capacity);
+    hinted.set_tracer(tracer);
+    let mut cold = flop_aware(capacity);
+    let mut table = marconi_core::CursorTable::new(64);
+    let (mut presented, mut walked) = (0u64, 0u64);
+    for (t, turn) in (0u32..).zip(&trace) {
+        let now = f64::from(t);
+        let hint = table.take(turn.session);
+        hinted.lookup_at_with(&turn.input, now, hint);
+        walked += tokens_walked(&recorder, turn.input.len());
+        let (_, next) = hinted.insert_at_with(&turn.input, &turn.output, now, hint);
+        walked += tokens_walked(&recorder, turn.input.len());
+        if let Some(cursor) = next {
+            table.put(turn.session, cursor);
+        }
+        presented += 2 * turn.input.len() as u64;
+        cold.lookup_at(&turn.input, now);
+        cold.insert_at(&turn.input, &turn.output, now);
+    }
+    assert!(hinted.stats().evictions > 0, "the replay runs at capacity");
+    assert_eq!(
+        *hinted.stats(),
+        *cold.stats(),
+        "cursors change no statistic, hit tokens included"
+    );
+    assert!(
+        presented >= 5 * walked,
+        "cursors walked {walked} of {presented} input tokens ({:.2}x, gate 5x)",
+        presented as f64 / walked as f64
+    );
+}
+
 /// One logical session: a growing conversation that each turn extends.
 #[derive(Debug, Clone)]
 struct Session {

@@ -245,8 +245,9 @@ impl<C: PrefixCache> Engine<C> {
 
     /// Re-bounds the per-session cursor table. A capacity of 0 disables
     /// the session fast path entirely — every request root-walks — which
-    /// is how the benches express the baseline; results are byte-identical
-    /// either way (the parity contract), only the walk cost changes.
+    /// is the reference the serving pins compare hinted runs against;
+    /// results are byte-identical either way (the parity contract), only
+    /// the walk cost changes.
     pub fn set_session_cursor_capacity(&mut self, cap: usize) {
         self.replica.cursors = CursorTable::new(cap);
     }

@@ -10,8 +10,8 @@
 //! Cache names are carried as `Arc<str>`: every emitting cache holds its
 //! name refcounted, so building an event clones a pointer instead of
 //! heap-allocating a `String` — the dominant cost of the live-recording
-//! hot path before PR 10 (BENCH_9 measured +19.7% with a `RingRecorder`
-//! attached).
+//! hot path before PR 10 (+19.7% with a `RingRecorder` attached, measured
+//! then on an at-capacity two-tier replay).
 
 /// Memory tier an event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
