@@ -13,26 +13,24 @@ use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_radix::{
     recency_stamp, CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree,
-    Resumed, Token,
+    Resumed, Token, TIER_BIT,
 };
 use marconi_trace::{
     CursorFallbackCause, Fingerprint, MissCause, MissLedger, PressureCause, StatCounters,
     TraceEvent, TraceTier, Tracer, VictimAction, VictimRecord,
 };
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Per-node cache metadata: edge KVs are implicit (the edge's tokens); the
-/// node additionally records SSM-checkpoint presence, the memory tier the
-/// node's state lives on, recency, and the counters GDSF-style policies
-/// need.
+/// node additionally records SSM-checkpoint presence, recency, and the
+/// counters GDSF-style policies need. The memory tier the node's state
+/// lives on is not here but in the tree, as the top bit of the node's class
+/// ([`HybridPrefixCache::tier`]), so the candidate index is keyed by it.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMeta {
     last_access: f64,
     has_ssm_state: bool,
-    /// Where this node's state (edge KVs + checkpoint) physically lives.
-    /// Demotion flips it to [`Tier::Host`]; re-insertion through the node
-    /// promotes it back. Always [`Tier::Device`] when `host_capacity = 0`.
-    tier: Tier,
     /// Accesses since admission (GDSF's `F`).
     frequency: u32,
     /// GDSF priority `H = L + F·C/S`, refreshed on access.
@@ -109,6 +107,15 @@ enum Source {
     /// count, in arena order: the demotion-only pass for device bytes
     /// stranded on branch nodes once the candidates have drained.
     DeviceFallback,
+}
+
+/// The class bit that files a node under `tier`'s bands of the candidate
+/// index.
+fn tier_bit(tier: Tier) -> u16 {
+    match tier {
+        Tier::Device => 0,
+        Tier::Host => TIER_BIT,
+    }
 }
 
 impl Source {
@@ -201,6 +208,11 @@ pub struct HybridPrefixCache {
     /// and policy. A work counter, not a statistic: it measures the
     /// selector, not the traffic, so it stays out of [`CacheStats`].
     candidates_scored: u64,
+    /// Entries the victim selector has read from the candidate index and
+    /// then rejected as not [`eligible`](Self::eligible). A work counter
+    /// like `candidates_scored`, and out of [`CacheStats`] for the same
+    /// reason.
+    entries_skipped: u64,
     /// Decision-level flight recorder ([`Tracer::off`] by default — one
     /// dead branch per emit site). **Not** a behavioral knob: emission is
     /// read-only with respect to every decision, so it is attached after
@@ -348,6 +360,18 @@ impl HybridPrefixCache {
         self.candidates_scored
     }
 
+    /// Candidate-index entries the victim selector has read and then
+    /// rejected as ineligible, summed over every pick (diagnostic). Each
+    /// tier walks only its own bands of the index, so what is left to skip
+    /// is pinned entries and, under the leaf-only ablation, non-leaves. A
+    /// deterministic work counter beside
+    /// [`candidates_scored`](Self::candidates_scored); reads of the
+    /// device-fallback arena pass are not index reads and never count.
+    #[must_use]
+    pub fn entries_skipped(&self) -> u64 {
+        self.entries_skipped
+    }
+
     /// Current number of eviction candidates — non-root nodes with ≤ 1
     /// child, whatever their tier or pin state (diagnostic).
     #[must_use]
@@ -444,18 +468,40 @@ impl HybridPrefixCache {
         self.tree.edge_len(id) * self.model.kv_bytes_per_token() + ssm
     }
 
+    /// Where `id`'s state (edge KVs + checkpoint) physically lives: the
+    /// tier bit of its class in the tree, the one place residency is
+    /// stored. Demotion sets it; re-insertion through the node clears it;
+    /// the tree keeps it across every structure change and copies it to
+    /// the new node of an edge split. Always [`Tier::Device`] when
+    /// `host_capacity = 0`.
+    fn tier(&self, id: NodeId) -> Tier {
+        if self.tree.class(id) & TIER_BIT == 0 {
+            Tier::Device
+        } else {
+            Tier::Host
+        }
+    }
+
+    /// Moves `id` to `tier`'s bands of the candidate index (one O(log n)
+    /// re-key), keeping its efficiency class: efficiency does not depend
+    /// on residency.
+    fn set_tier(&mut self, id: NodeId, tier: Tier) {
+        let class = self.tree.class(id);
+        self.tree
+            .set_class(id, (class & !TIER_BIT) | tier_bit(tier));
+    }
+
     /// Moves a device-resident node's state to the host tier; returns the
     /// bytes moved. Tree structure (and therefore every memoized score) is
-    /// untouched — only residency accounting changes.
+    /// untouched — only residency accounting and the node's band change.
     fn demote(&mut self, id: NodeId) -> u64 {
-        let meta = self.tree.data(id);
-        debug_assert_eq!(meta.tier, Tier::Device, "double demotion of {id}");
+        debug_assert_eq!(self.tier(id), Tier::Device, "double demotion of {id}");
         let bytes = self.node_bytes(id);
         self.host_tokens += self.tree.edge_len(id);
-        if meta.has_ssm_state {
+        if self.tree.data(id).has_ssm_state {
             self.host_ssm_states += 1;
         }
-        self.tree.data_mut(id).tier = Tier::Host;
+        self.set_tier(id, Tier::Host);
         bytes
     }
 
@@ -483,43 +529,18 @@ impl HybridPrefixCache {
         // The loop visits every node on the path except the root (which
         // carries no edge or payload).
         while let Some(parent) = self.tree.parent(cur) {
-            if self.tree.data(cur).tier == Tier::Host {
+            if self.tier(cur) == Tier::Host {
                 let edge = self.tree.edge_len(cur);
                 self.host_tokens -= edge;
                 promoted += edge;
                 if self.tree.data(cur).has_ssm_state {
                     self.host_ssm_states -= 1;
                 }
-                self.tree.data_mut(cur).tier = Tier::Device;
+                self.set_tier(cur, Tier::Device);
             }
             cur = parent;
         }
         promoted
-    }
-
-    /// Repairs tier attribution after an insertion split an edge: the new
-    /// intermediate node holds the *head* tokens of the split edge, so it
-    /// must inherit the old child's tier or host-token accounting drifts
-    /// (the tree itself default-initializes new payloads to
-    /// [`Tier::Device`]).
-    fn inherit_split_tier(&mut self, outcome: &InsertOutcome) {
-        if self.host_tokens == 0 {
-            return;
-        }
-        let Some(mid) = outcome.split_node else {
-            return;
-        };
-        let old_child = self
-            .tree
-            .children(mid)
-            .find(|&c| Some(c) != outcome.new_leaf);
-        if let Some(c) = old_child {
-            if self.tree.data(c).tier == Tier::Host {
-                // Tokens moved between two host-resident edges: the
-                // counters are already correct, only the flag was missing.
-                self.tree.data_mut(mid).tier = Tier::Host;
-            }
-        }
     }
 
     /// Reusable prefix length for a match, shared by `lookup_at`,
@@ -563,14 +584,16 @@ impl HybridPrefixCache {
             if depth > tokens_matched {
                 break;
             }
-            let meta = self.tree.data(id);
-            if meta.tier == Tier::Host {
+            if self.tier(id) == Tier::Host {
                 let edge = self.tree.edge_len(id);
                 h_tokens += edge;
                 h_bytes += edge * kv;
                 h_flops += self.model.prefill_flops(depth).total()
                     - self.model.prefill_flops(depth - edge).total();
-                if meta.has_ssm_state && depth == tokens_matched && self.model.has_ssm() {
+                if self.tree.data(id).has_ssm_state
+                    && depth == tokens_matched
+                    && self.model.has_ssm()
+                {
                     h_bytes += self.model.ssm_checkpoint_bytes();
                 }
             }
@@ -579,7 +602,7 @@ impl HybridPrefixCache {
         // tokens live in the containing child.
         if let Some(child) = m.mid_edge_child {
             let start = self.tree.depth(child) - self.tree.edge_len(child);
-            if tokens_matched > start && self.tree.data(child).tier == Tier::Host {
+            if tokens_matched > start && self.tier(child) == Tier::Host {
                 let part = tokens_matched - start;
                 h_tokens += part;
                 h_bytes += part * kv;
@@ -615,7 +638,7 @@ impl HybridPrefixCache {
                 CursorFallbackCause::QueryDiverged
             }
         })?;
-        if self.tree.data(at.node()).tier != Tier::Device {
+        if self.tier(at.node()) != Tier::Device {
             return Err(CursorFallbackCause::ResumeDemoted);
         }
         Ok(at)
@@ -809,16 +832,17 @@ impl HybridPrefixCache {
     }
 
     /// Debug/test-only: the incremental host counters must equal a
-    /// from-scratch scan of per-node tiers.
+    /// from-scratch recount over every node whose class carries the host
+    /// tier bit — so a demotion or promotion that skipped its re-key, or a
+    /// tree that dropped the bit, drifts here.
     #[cfg(any(debug_assertions, test))]
     fn assert_tier_accounting(&self) {
         let mut tokens = 0u64;
         let mut ssm = 0u64;
         for id in self.tree.node_ids() {
-            let meta = self.tree.data(id);
-            if meta.tier == Tier::Host {
+            if self.tree.class(id) & TIER_BIT != 0 {
                 tokens += self.tree.edge_len(id);
-                ssm += u64::from(meta.has_ssm_state);
+                ssm += u64::from(self.tree.data(id).has_ssm_state);
             }
         }
         assert_eq!(tokens, self.host_tokens, "host_tokens drift");
@@ -990,7 +1014,7 @@ impl HybridPrefixCache {
                         || self
                             .tree
                             .pinned_ids()
-                            .any(|id| self.tree.data(id).tier == Tier::Device),
+                            .any(|id| self.tier(id) == Tier::Device),
                     "every unpinned device byte is demotable, so the fallback must fit"
                 );
             }
@@ -1015,14 +1039,15 @@ impl HybridPrefixCache {
     /// candidate index — a leaf under the leaf-only ablation, or — for the
     /// fallback — actually holding bytes to move.
     ///
-    /// Pins are filtered here, at pick time, rather than by pulling pinned
-    /// nodes out of the candidate index: the index is an ordered set, so a
-    /// pin has no order to perturb, and leaving membership alone keeps
-    /// `pin`/`unpin` free of two B-tree operations per single-child
-    /// ancestor per request.
+    /// The tier condition is met by construction for the candidate index:
+    /// the tier is the top bit of the band key, and a pick reads only its
+    /// source tier's bands. Pins are filtered here, at pick time, rather
+    /// than by pulling pinned nodes out of the candidate index: the index
+    /// is an ordered set, so a pin has no order to perturb, and leaving
+    /// membership alone keeps `pin`/`unpin` free of two B-tree operations
+    /// per single-child ancestor per request.
     fn eligible(&self, id: NodeId, source: Source) -> bool {
-        let meta = self.tree.data(id);
-        meta.tier == source.tier()
+        self.tier(id) == source.tier()
             && !self.tree.is_pinned(id)
             && match source {
                 Source::Candidates(_) => !self.leaf_only_eviction || self.tree.is_leaf(id),
@@ -1030,19 +1055,48 @@ impl HybridPrefixCache {
             }
     }
 
+    /// [`eligible`](Self::eligible), adding 1 to `skipped` for an entry it
+    /// rejects — what [`entries_skipped`](Self::entries_skipped) counts
+    /// for the reads of the candidate index.
+    fn eligible_or_skip(&self, id: NodeId, source: Source, skipped: &Cell<u64>) -> bool {
+        let eligible = self.eligible(id, source);
+        if !eligible {
+            skipped.set(skipped.get() + 1);
+        }
+        eligible
+    }
+
     /// The nodes [`eligible`](Self::eligible) for `source` at the live tree
-    /// state: the candidate index band by band, each in ascending
-    /// `(stamp, id)` order, or the arena in slot order.
-    fn eligible_ids(&self, source: Source) -> impl Iterator<Item = NodeId> + '_ {
+    /// state: the source tier's bands of the candidate index band by band,
+    /// each in ascending `(stamp, id)` order, or the arena in slot order.
+    /// Rejected index entries are added to `skipped`.
+    fn eligible_ids<'a>(
+        &'a self,
+        source: Source,
+        skipped: &'a Cell<u64>,
+    ) -> impl Iterator<Item = NodeId> + 'a {
         let (index, arena) = match source {
-            Source::Candidates(_) => (Some(self.tree.eviction_candidates()), None),
+            Source::Candidates(tier) => (
+                Some(
+                    self.tree
+                        .tier_bands(tier_bit(tier))
+                        .flat_map(|(_, band)| band),
+                ),
+                None,
+            ),
             Source::DeviceFallback => (None, Some(self.tree.node_ids())),
         };
         index
             .into_iter()
             .flatten()
-            .chain(arena.into_iter().flatten())
-            .filter(move |&id| self.eligible(id, source))
+            .map(|(_, id)| id)
+            .filter(move |&id| self.eligible_or_skip(id, source, skipped))
+            .chain(
+                arena
+                    .into_iter()
+                    .flatten()
+                    .filter(move |&id| self.eligible(id, source)),
+            )
     }
 
     /// One pressure episode: while the source's tier is over budget, pick
@@ -1060,7 +1114,7 @@ impl HybridPrefixCache {
         let mut episode = self
             .tracer
             .is_enabled()
-            .then(|| (self.eligible_ids(source).count(), Vec::new()));
+            .then(|| (self.eligible_ids(source, &Cell::new(0)).count(), Vec::new()));
         while self.over(tier) {
             let Some(victim) = self.pick(source) else {
                 break;
@@ -1092,9 +1146,11 @@ impl HybridPrefixCache {
     ///   the inflation clock to the victim's priority;
     /// * everything else — `S(n) = recency + α · flop_efficiency` by the
     ///   exact banded walk (`pick_victim_banded`, which states the
-    ///   argument). When `α ≠ 0` every candidate still in band 0 is first
-    ///   filed under the band of its memoized efficiency
-    ///   ([`classify_candidates`](Self::classify_candidates)), so the index
+    ///   argument). The tier is the top bit of the band key, so the walk
+    ///   reads only the source tier's bands and never meets an entry of the
+    ///   other tier. When `α ≠ 0` every candidate still in that tier's
+    ///   band 0 is first filed under the band of its memoized efficiency
+    ///   ([`classify_candidates`](Self::classify_candidates)), so the tier
     ///   holds two oldest-first bands per efficiency octave; the walk takes
     ///   the stamp range from the band ends and the efficiency range from
     ///   the two extreme bands, then visits bands from least efficient up
@@ -1102,9 +1158,10 @@ impl HybridPrefixCache {
     ///   so far. Floating-point scoring is monotone in stamp and
     ///   efficiency, so the victim is the one a full pass would pick, bit
     ///   for bit, at O(bands + visited) per victim. At `α = 0` nothing is
-    ///   ever classed, band 0 is the whole index and its first eligible
-    ///   entry is the victim: O(log n + skipped), where skipped counts the
-    ///   other-tier, pinned or (leaf-only) non-leaf entries older than it.
+    ///   ever classed, the tier's band 0 is all of its candidates and its
+    ///   first eligible entry is the victim: O(log n + skipped), where
+    ///   skipped counts only the pinned or (leaf-only) non-leaf entries
+    ///   older than it ([`entries_skipped`](Self::entries_skipped)).
     ///
     /// The fallback source is the arena, which has no bands and no recency
     /// order: there the same score is minimised by a full pass
@@ -1112,9 +1169,10 @@ impl HybridPrefixCache {
     fn pick(&mut self, source: Source) -> Option<NodeId> {
         let alpha = self.effective_alpha;
         let mut read = 0u64;
+        let skipped = Cell::new(0);
         let victim = if matches!(self.policy, EvictionPolicy::Gdsf) {
             let victim = self
-                .eligible_ids(source)
+                .eligible_ids(source, &skipped)
                 .inspect(|_| read += 1)
                 .min_by(|&a, &b| self.gdsf_order(a, b));
             if let Some(v) = victim {
@@ -1125,7 +1183,7 @@ impl HybridPrefixCache {
             }
             victim
         } else if source == Source::DeviceFallback {
-            let ids: Vec<NodeId> = self.eligible_ids(source).collect();
+            let ids: Vec<NodeId> = self.eligible_ids(source, &skipped).collect();
             read += ids.len() as u64;
             let scored: Vec<Candidate<NodeId>> = ids
                 .into_iter()
@@ -1137,19 +1195,21 @@ impl HybridPrefixCache {
                 .collect();
             pick_victim_index(&scored, alpha).map(|i| scored[i].id)
         } else {
+            let tier = tier_bit(source.tier());
             if alpha != 0.0 {
-                self.classify_candidates();
+                self.classify_candidates(tier);
             }
-            let this = &*self;
-            let bands = this.tree.candidate_bands().map(|(class, band)| {
+            let (this, skipped) = (&*self, &skipped);
+            let bands = this.tree.tier_bands(tier).map(move |(class, band)| {
                 let candidates = band
-                    .filter(move |&(_, id)| this.eligible(id, source))
+                    .filter(move |&(_, id)| this.eligible_or_skip(id, source, skipped))
                     .map(move |(_, id)| this.banded_candidate(id, alpha != 0.0));
-                (class_lower_edge(class), candidates)
+                (class_lower_edge(class & !TIER_BIT), candidates)
             });
             pick_victim_banded(bands, alpha, &mut read)
         };
         self.candidates_scored += read;
+        self.entries_skipped += skipped.get();
         #[cfg(debug_assertions)]
         assert_eq!(
             victim,
@@ -1179,27 +1239,29 @@ impl HybridPrefixCache {
         }
     }
 
-    /// Files every still-unclassed candidate (band 0 of the tree's index)
-    /// under the band of its efficiency, so the scored walk finds the index
-    /// fully banded. Band 0 holds exactly the candidates created or
-    /// structurally changed since the last scored pick — the tree returns a
-    /// node there on every structure-version bump and
-    /// [`checkpoint`](Self::checkpoint) does on a new SSM state, the two
-    /// events that invalidate a [`CostMemo`] — so a classed candidate always
-    /// carries a live memo of the efficiency its class was derived from.
-    fn classify_candidates(&mut self) {
+    /// Files every still-unclassed candidate of one tier (`tier` is that
+    /// tier's class bit, so its band 0 is class `tier`) under the band of
+    /// its efficiency, so the scored walk finds the tier fully banded. Band
+    /// 0 of a tier holds exactly its candidates created or structurally
+    /// changed since its last scored pick — the tree returns a node there
+    /// on every structure-version bump and [`checkpoint`](Self::checkpoint)
+    /// does on a new SSM state, the two events that invalidate a
+    /// [`CostMemo`] — so a classed candidate always carries a live memo of
+    /// the efficiency its class was derived from. A change of tier keeps
+    /// the efficiency class, and the memo with it.
+    fn classify_candidates(&mut self, tier: u16) {
         loop {
             let unclassed = self
                 .tree
-                .candidate_bands()
+                .tier_bands(tier)
                 .next()
-                .filter(|&(class, _)| class == 0)
+                .filter(|&(class, _)| class == tier)
                 .and_then(|(_, mut band)| band.next());
             let Some((_, id)) = unclassed else {
                 break;
             };
             let (_, efficiency) = self.node_costs(id);
-            self.tree.set_class(id, efficiency_class(efficiency));
+            self.tree.set_class(id, tier | efficiency_class(efficiency));
         }
     }
 
@@ -1207,10 +1269,35 @@ impl HybridPrefixCache {
     /// victim from nothing but the arena — candidacy from child counts (no
     /// index), scores from the model (no memo), one policy switch. Also
     /// what keeps the memos and the bands honest: a stale memo shows up as
-    /// a different victim here, and a candidate filed under a band its
-    /// efficiency does not belong to fails the class assert.
+    /// a different victim here, a candidate filed under a band its
+    /// efficiency does not belong to fails the class assert, and one filed
+    /// under the other tier's bands fails the band-bit assert.
     #[cfg(debug_assertions)]
     fn scan_pick(&self, source: Source) -> Option<NodeId> {
+        if let Source::Candidates(tier) = source {
+            // The walk read the tier's bands alone: they must hold every
+            // candidate of the tier and nothing else.
+            let mut filed = 0usize;
+            for (class, band) in self.tree.tier_bands(tier_bit(tier)) {
+                for (_, id) in band {
+                    assert_eq!(
+                        self.tier(id),
+                        tier,
+                        "invariant: a candidate's band bit equals its tier ({id} in band {class:#x})"
+                    );
+                    filed += 1;
+                }
+            }
+            let resident = self
+                .tree
+                .node_ids()
+                .filter(|&id| self.tree.child_count(id) <= 1 && self.tier(id) == tier)
+                .count();
+            assert_eq!(
+                filed, resident,
+                "invariant: every {tier} candidate is filed under the {tier} bands"
+            );
+        }
         let ids = self.tree.node_ids().filter(|&id| {
             let candidate = self.tree.child_count(id) <= 1;
             (candidate || source == Source::DeviceFallback) && self.eligible(id, source)
@@ -1221,7 +1308,7 @@ impl HybridPrefixCache {
         let candidates: Vec<Candidate<NodeId>> = ids
             .map(|id| {
                 let flop_efficiency = self.node_flop_efficiency(id);
-                let class = self.tree.class(id);
+                let class = self.tree.class(id) & !TIER_BIT;
                 assert!(
                     class == 0 || class == efficiency_class(flop_efficiency),
                     "invariant: a classed candidate sits in the band of its efficiency \
@@ -1325,7 +1412,7 @@ impl HybridPrefixCache {
                 // A device leaf's tokens were device-resident; only a merge
                 // into a host-resident child moves tokens across tiers.
                 if let Some(child) = removed.merged_into {
-                    if self.tree.data(child).tier == Tier::Host {
+                    if self.tier(child) == Tier::Host {
                         self.host_tokens += victim_edge;
                     }
                 }
@@ -1338,7 +1425,7 @@ impl HybridPrefixCache {
                     // Host leaf deleted outright.
                     None => self.host_tokens -= victim_edge,
                     Some(child) => {
-                        if self.tree.data(child).tier == Tier::Device {
+                        if self.tier(child) == Tier::Device {
                             // The absorbed edge re-homes on the device
                             // child.
                             self.host_tokens -= victim_edge;
@@ -1418,22 +1505,22 @@ impl HybridPrefixCache {
         self.stamp_access(id, now);
         let meta = self.tree.data_mut(id);
         if meta.has_ssm_state {
-            0
-        } else {
-            meta.has_ssm_state = true;
-            // The checkpoint changes what evicting this node frees: drop
-            // the memoized scores, and the band derived from them.
-            meta.cost_memo = None;
-            if meta.tier == Tier::Host {
-                // Checkpointing a still-host-resident node (promotion runs
-                // after all checkpoints land): keep the tier counters in
-                // step.
-                self.host_ssm_states += 1;
-            }
-            self.tree.set_class(id, 0);
-            self.ssm_states += 1;
-            1
+            return 0;
         }
+        meta.has_ssm_state = true;
+        // The checkpoint changes what evicting this node frees: drop the
+        // memoized scores, and the band derived from them — back to band 0
+        // of the node's tier.
+        meta.cost_memo = None;
+        let tier = self.tier(id);
+        if tier == Tier::Host {
+            // Checkpointing a still-host-resident node (promotion runs
+            // after all checkpoints land): keep the tier counters in step.
+            self.host_ssm_states += 1;
+        }
+        self.tree.set_class(id, tier_bit(tier));
+        self.ssm_states += 1;
+        1
     }
 
     /// Stamps recency on any nodes an insertion created and seeds their
@@ -1554,6 +1641,7 @@ impl HybridPrefixCache {
             pin_in_flight: self.pin_in_flight,
             gdsf_clock: 0.0,
             candidates_scored: 0,
+            entries_skipped: 0,
             // Replicas replay silently: the tuner's grid-search probes are
             // hypotheticals, not serving decisions, so they never trace.
             tracer: Tracer::off(),
@@ -1796,7 +1884,6 @@ impl PrefixCache for HybridPrefixCache {
                         resume.filter(|r| r.depth() <= target)
                     };
                     let outcome = self.insert_via(at, &input[..target as usize], &[]);
-                    self.inherit_split_tier(&outcome);
                     self.stamp_new_nodes(&outcome, now);
                     self.emit_split(&outcome, now);
                     let node = outcome.end_node;
@@ -1818,7 +1905,6 @@ impl PrefixCache for HybridPrefixCache {
         let mut end_node = None;
         if !input.is_empty() || !output.is_empty() {
             let outcome = self.insert_via(walk_from, input, output);
-            self.inherit_split_tier(&outcome);
             self.stamp_new_nodes(&outcome, now);
             self.emit_split(&outcome, now);
             if self.model.has_ssm() {
@@ -1867,7 +1953,7 @@ impl PrefixCache for HybridPrefixCache {
         // device-resident end node (and is still revalidated on return).
         let next = end_node.and_then(|id| {
             let cursor = self.tree.cursor_at(id)?;
-            (self.tree.data(id).tier == Tier::Device).then_some(SessionCursor { cursor, shard: 0 })
+            (self.tier(id) == Tier::Device).then_some(SessionCursor { cursor, shard: 0 })
         });
         (report, next)
     }
@@ -2083,6 +2169,7 @@ impl HybridPrefixCacheBuilder {
             pin_in_flight: self.pin_in_flight,
             gdsf_clock: 0.0,
             candidates_scored: 0,
+            entries_skipped: 0,
             tracer: Tracer::off(),
             miss_ledger: MissLedger::default(),
             #[cfg(test)]

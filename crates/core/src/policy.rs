@@ -246,12 +246,14 @@ fn band_extreme<Id, B: Iterator<Item = Candidate<Id>>>(
 /// 1. `ts_min` is the oldest band front. At `α = 0` that front is already
 ///    the victim: with no efficiency term the score is a non-decreasing
 ///    function of the stamp and ties break toward the older stamp, so it
-///    wins under any normalisation — and the newest eligible entry, which
-///    on a tiered cache hides behind every candidate of the other tier, is
-///    never looked for. (Only the front's own finiteness is checked here: a
-///    stamp spread wider than `f64::MAX` is outside this exit's contract,
-///    the reference's scores being `∞ / ∞` there, a NaN of platform-defined
-///    sign.)
+///    wins under any normalisation, and it is returned there. The exit is
+///    what keeps α = 0 at one read per band: past it, `alpha > 0.0` fails
+///    and α = 0 would fall through to the full-pass reference, and were
+///    that guard relaxed, every α = 0 candidate sits in one unclassed band
+///    (edge 0, finite), so `band_extreme` would scan the whole band. (Only
+///    the front's own finiteness is checked here: a stamp spread wider than
+///    `f64::MAX` is outside this exit's contract, the reference's scores
+///    being `∞ / ∞` there, a NaN of platform-defined sign.)
 /// 2. Otherwise `ts_max` is the newest band back, and `eff_min`/`eff_max`
 ///    come from scanning the first and the last band with a finite edge.
 /// 3. Bands are walked in ascending edge, each oldest first. By the
@@ -528,6 +530,8 @@ mod tests {
         );
         assert!(efficiency_class(f64::MAX) < efficiency_class(f64::INFINITY));
         assert_eq!(class_lower_edge(0), 0.0);
+        // The top class bit is the tree's tier bit: no efficiency reaches it.
+        assert!(efficiency_class(f64::INFINITY) < marconi_radix::TIER_BIT);
     }
 
     /// A candidate identified by its position in the set under test.

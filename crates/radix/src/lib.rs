@@ -23,7 +23,10 @@
 //!   costs with O(1) staleness checks, and [`RadixTree::set_class`] lets
 //!   them band the index by such a cost
 //!   ([`RadixTree::candidate_bands`]) — a class is dropped whenever the
-//!   version moves, so it lives exactly as long as the memo.
+//!   version moves, so it lives exactly as long as the memo. Its top bit,
+//!   [`TIER_BIT`], is the exception: it names the node's tier, survives
+//!   every version bump, and splits the index into per-tier runs of bands
+//!   ([`RadixTree::tier_bands`]).
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
 //!   intermediate node lets its child *absorb* the edge KVs while the SSM
 //!   state is released.
@@ -75,7 +78,7 @@ mod recency;
 mod tree;
 
 pub use node::NodeId;
-pub use recency::recency_stamp;
+pub use recency::{recency_stamp, TIER_BIT};
 pub use tree::{
     CursorFault, InsertOutcome, MatchCursor, PrefixMatch, RadixTree, RemoveError, Removed, Resumed,
     Speculation,

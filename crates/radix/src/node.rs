@@ -199,8 +199,10 @@ pub(crate) struct Node<D> {
     /// Caller-supplied class (see
     /// [`RadixTree::set_class`](crate::RadixTree::set_class)): which band
     /// of the recency index holds this node's entry while it is a
-    /// candidate. 0 ("unclassed") on a new node and after every
-    /// [`bump_version`](Node::bump_version).
+    /// candidate. 0 ("unclassed") on a new node; after every
+    /// [`bump_version`](Node::bump_version) only its tier bit
+    /// ([`TIER_BIT`](crate::TIER_BIT)) is left, and a split's new node
+    /// starts with the tier bit of the node it split off.
     pub class: u16,
     /// Caller payload.
     pub data: D,
@@ -209,7 +211,8 @@ pub(crate) struct Node<D> {
 impl<D> Node<D> {
     /// Records a change to this node's leaf status, edge length or depth:
     /// the one place a structure version moves. Callers inside the tree go
-    /// through `RadixTree::bump`, which also returns the node to class 0.
+    /// through `RadixTree::bump`, which also returns the node to class 0
+    /// of its tier.
     ///
     /// # Panics
     ///

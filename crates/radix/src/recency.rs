@@ -7,22 +7,29 @@
 //! `BTreeSet<(last_accessed, NodeId)>` — **per class** (a class-sorted vec
 //! of them), where a class is a
 //! `u16` the caller hangs on a node
-//! ([`RadixTree::set_class`](crate::RadixTree::set_class)) and the tree
-//! never interprets. The cache above uses it to band candidates by FLOP
-//! efficiency, so a scored pick can bound each band's walk instead of
-//! scoring every candidate; a caller that never sets a class (LRU, GDSF, a
-//! bare tree) has exactly one band, class 0, and reads the same single
-//! ordered set as before banding existed. Empty bands are dropped, so
-//! iterating the bands costs O(classes in use).
+//! ([`RadixTree::set_class`](crate::RadixTree::set_class)). The tree reads
+//! one thing into it: the top bit, [`TIER_BIT`], names the node's *tier*.
+//! Every other bit is the caller's; the cache above uses them to band
+//! candidates by FLOP efficiency, so a scored pick can bound each band's
+//! walk instead of scoring every candidate. Because the tier is part of the
+//! key, the bands of one tier are a contiguous run
+//! ([`RadixTree::tier_bands`](crate::RadixTree::tier_bands)), and a walk
+//! over one tier never reads an entry of the other. A caller that never
+//! sets a class (LRU, GDSF, a bare tree) has exactly one band, class 0, and
+//! reads the same single ordered set as before banding existed. Empty bands
+//! are dropped, so iterating the bands costs O(classes in use).
 //!
 //! Candidacy is a pure function of the node (`id != ROOT &&
 //! children.len() <= 1`); the tree inserts and removes entries at the four
 //! sites where that function changes value,
 //! [`RadixTree::touch`](crate::RadixTree::touch) re-keys an entry inside
-//! its band and `set_class` moves it between bands, each in O(log n). A
-//! class lives exactly as long as the node's structure version: every
-//! version bump puts the node back in class 0, so a class derived from the
-//! versioned inputs (leaf status, edge length, depth) cannot outlive them.
+//! its band and `set_class` moves it between bands, each in O(log n). The
+//! class bits below [`TIER_BIT`] live exactly as long as the node's
+//! structure version: every version bump puts the node back in class 0 of
+//! its tier, so a class derived from the versioned inputs (leaf status,
+//! edge length, depth) cannot outlive them. The tier bit outlives every
+//! bump — residency belongs to the tokens, not to the shape — and the new
+//! node of an edge split copies it from the node whose tokens it takes.
 //! An ordered set has no insertion order, so nothing that leaves membership
 //! alone — a pin, say — can perturb the order victims come out in.
 //!
@@ -32,6 +39,12 @@
 
 use crate::node::NodeId;
 use std::collections::{btree_set, BTreeSet};
+
+/// The top bit of a class: the node's tier. Set, the node sits in the
+/// upper tier's bands, which all sort after every band without it. A
+/// version bump keeps it and an edge split copies it to the new node (see
+/// [`RadixTree::set_class`](crate::RadixTree::set_class)).
+pub const TIER_BIT: u16 = 1 << 15;
 
 /// One band: its candidates in ascending `(stamp, id)` order.
 pub(crate) type Band<'a> = std::iter::Copied<btree_set::Iter<'a, (u64, NodeId)>>;
@@ -129,7 +142,31 @@ impl RecencyIndex {
     /// The non-empty bands in ascending class order, each in ascending
     /// `(stamp, id)` order.
     pub fn bands(&self) -> impl DoubleEndedIterator<Item = (u16, Band<'_>)> + Clone + '_ {
-        self.bands
+        Self::view(&self.bands)
+    }
+
+    /// The bands of one tier — `tier` is `0` or [`TIER_BIT`] — in the
+    /// order of [`bands`](Self::bands). The tier bit is the top bit of the
+    /// sort key, so they are one run of the vec, found by one binary
+    /// search.
+    pub fn tier_bands(
+        &self,
+        tier: u16,
+    ) -> impl DoubleEndedIterator<Item = (u16, Band<'_>)> + Clone + '_ {
+        debug_assert_eq!(
+            tier & !TIER_BIT,
+            0,
+            "a tier is 0 or TIER_BIT, got {tier:#x}"
+        );
+        let split = self.bands.partition_point(|&(class, _)| class < TIER_BIT);
+        let (lower, upper) = self.bands.split_at(split);
+        Self::view(if tier == 0 { lower } else { upper })
+    }
+
+    fn view(
+        bands: &[(u16, BTreeSet<(u64, NodeId)>)],
+    ) -> impl DoubleEndedIterator<Item = (u16, Band<'_>)> + Clone + '_ {
+        bands
             .iter()
             .map(|(class, band)| (*class, band.iter().copied()))
     }
@@ -223,6 +260,30 @@ mod tests {
         idx.remove(0, 9, NodeId::new(2, 0));
         assert_eq!(idx.bands().count(), 1, "an emptied band is dropped");
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn tier_bands_split_the_bands_at_the_tier_bit() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(TIER_BIT | 3, 1, NodeId::new(1, 0));
+        idx.insert(7, 9, NodeId::new(2, 0));
+        idx.insert(TIER_BIT, 0, NodeId::new(3, 0));
+        idx.insert(0, 4, NodeId::new(4, 0));
+        let classes =
+            |idx: &RecencyIndex, tier| idx.tier_bands(tier).map(|(c, _)| c).collect::<Vec<_>>();
+        assert_eq!(classes(&idx, 0), vec![0, 7]);
+        assert_eq!(classes(&idx, TIER_BIT), vec![TIER_BIT, TIER_BIT | 3]);
+        // The two runs are the whole index, lower tier first.
+        let mut both = classes(&idx, 0);
+        both.extend(classes(&idx, TIER_BIT));
+        assert_eq!(both, idx.bands().map(|(c, _)| c).collect::<Vec<_>>());
+        idx.remove(TIER_BIT | 3, 1, NodeId::new(1, 0));
+        idx.remove(TIER_BIT, 0, NodeId::new(3, 0));
+        assert!(
+            classes(&idx, TIER_BIT).is_empty(),
+            "an empty tier has no bands"
+        );
+        assert_eq!(classes(&idx, 0), vec![0, 7]);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!   place once dead tokens dominate (see [`RadixTree`]);
 //! * the eviction candidates *are* one O(log n) recency index keyed by
 //!   caller-supplied stamps ([`RadixTree::touch`]) inside caller-named
-//!   bands ([`RadixTree::set_class`]): the oldest candidate of a band is
-//!   its first entry, and no second structure shadows the set.
+//!   bands ([`RadixTree::set_class`]) whose top class bit names a tier:
+//!   the oldest candidate of a band is its first entry, each tier's bands
+//!   are one run of the index, and no second structure shadows the set.
 
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
-use crate::recency::RecencyIndex;
+use crate::recency::{RecencyIndex, TIER_BIT};
 use crate::Token;
 use std::error::Error;
 use std::fmt;
@@ -40,9 +41,10 @@ use std::fmt;
 ///    index of it: exactly one `(stamp, id)` entry per candidate, in the
 ///    band named by the node's current [`class`](RadixTree::class) and
 ///    keyed by its current [`touch`](RadixTree::touch) stamp, and no entry
-///    for anything else. A node's class is 0 from creation and from every
-///    structure-version bump until the caller's next
-///    [`set_class`](RadixTree::set_class).
+///    for anything else. A node's class is 0 from creation, and class 0
+///    of its tier ([`TIER_BIT`]) from every structure-version bump, until
+///    the caller's next [`set_class`](RadixTree::set_class); a split's new
+///    node starts in class 0 of the split child's tier.
 ///    [`lru_candidates`](RadixTree::lru_candidates),
 ///    [`eviction_candidates`](RadixTree::eviction_candidates) and
 ///    [`eviction_candidate_count`](RadixTree::eviction_candidate_count) are
@@ -634,9 +636,9 @@ impl<D: Default> RadixTree<D> {
             .node(child)
             .parent
             .expect("invariant: split children are non-root");
-        let (edge, child_depth, inherited_pins) = {
+        let (edge, child_depth, inherited_pins, tier) = {
             let c = self.node(child);
-            (c.edge, c.depth, c.pin_count)
+            (c.edge, c.depth, c.pin_count, c.class & TIER_BIT)
         };
         let shared = shared as u32;
         let head = EdgeRef {
@@ -655,7 +657,9 @@ impl<D: Default> RadixTree<D> {
         // are subtree-inclusive, and every upward walk that used to reach
         // `child` directly now passes through `mid` first. Copying keeps
         // later `unpin` walks balanced and keeps the head of a pinned edge
-        // protected (the split moved those KVs onto `mid`).
+        // protected (the split moved those KVs onto `mid`). It also
+        // inherits the child's tier: the head tokens it takes over still
+        // live where they lived.
         let mid = self.alloc(Node {
             parent: Some(parent),
             edge: head,
@@ -664,7 +668,7 @@ impl<D: Default> RadixTree<D> {
             version: 0,
             pin_count: inherited_pins,
             stamp: 0,
-            class: 0,
+            class: tier,
             data: D::default(),
         });
         self.pinned_nodes += usize::from(inherited_pins > 0);
@@ -680,8 +684,8 @@ impl<D: Default> RadixTree<D> {
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
         // (and candidacy) is unchanged; `mid` itself has exactly one child,
-        // so it is a candidate (class 0, stamp 0).
-        self.lru.insert(0, 0, mid);
+        // so it is a candidate (class 0 of the child's tier, stamp 0).
+        self.lru.insert(tier, 0, mid);
         // Splitting moves tokens between edges without adding any, so
         // token_count is untouched; alloc() already counted the new node.
         mid
@@ -942,13 +946,19 @@ impl<D> RadixTree<D> {
     /// Files a node under a caller-defined class in O(log candidates).
     ///
     /// The recency index keeps one `(stamp, id)`-ordered band per class
-    /// ([`candidate_bands`](RadixTree::candidate_bands)); the tree never
-    /// interprets the value. A class lasts exactly as long as the node's
+    /// ([`candidate_bands`](RadixTree::candidate_bands)). The top bit,
+    /// [`TIER_BIT`], names the node's tier, and the tree reads it in two
+    /// places: a version bump keeps it, and an edge split copies it from
+    /// the child to the new intermediate (the head tokens it takes over
+    /// stay where they were). Re-keying a node between tiers is this
+    /// call with the bit flipped; [`tier_bands`](RadixTree::tier_bands)
+    /// then reads one tier's bands alone. The other bits are the caller's
+    /// and last exactly as long as the node's
     /// [`structure_version`](RadixTree::structure_version): new nodes start
-    /// in class 0 and every version bump returns the node there, so a class
-    /// derived from the versioned inputs (leaf status, edge length, depth)
-    /// can never outlive them — a caller whose class also depends on its
-    /// own payload resets it (`set_class(id, 0)`) when that payload
+    /// in class 0 and every version bump returns the node to class 0 of its
+    /// tier, so a class derived from the versioned inputs (leaf status,
+    /// edge length, depth) can never outlive them — a caller whose class
+    /// also depends on its own payload clears those bits when that payload
     /// changes. [`touch`](RadixTree::touch) keeps the class. Setting the
     /// class of a non-candidate just records it; the node carries it into
     /// the index if it later becomes a candidate.
@@ -971,8 +981,8 @@ impl<D> RadixTree<D> {
         self.node_mut(id).class = class;
     }
 
-    /// The node's current class (0 if never classed, or since its last
-    /// structure-version bump).
+    /// The node's current class (0 if never classed; only its tier bit
+    /// since its last structure-version bump).
     ///
     /// # Panics
     ///
@@ -983,11 +993,13 @@ impl<D> RadixTree<D> {
     }
 
     /// Records a change to `id`'s leaf status, edge length or depth: bumps
-    /// its structure version and returns it to class 0, re-keying its index
-    /// entry if it is a candidate.
+    /// its structure version and returns it to class 0 of its tier,
+    /// re-keying its index entry if it is a candidate.
     fn bump(&mut self, id: NodeId) {
-        self.node_mut(id).bump_version();
-        self.set_class(id, 0);
+        let node = self.node_mut(id);
+        node.bump_version();
+        let tier = node.class & TIER_BIT;
+        self.set_class(id, tier);
     }
 
     /// The node's current recency stamp (0 if never touched).
@@ -1021,6 +1033,24 @@ impl<D> RadixTree<D> {
     > + Clone
            + '_ {
         self.lru.bands()
+    }
+
+    /// [`candidate_bands`](RadixTree::candidate_bands) restricted to one
+    /// tier: `tier` is `0` or [`TIER_BIT`], and the bands are those whose
+    /// class carries exactly that top bit. The tier is the top of the band
+    /// key, so this costs one binary search over the bands, and a walk of
+    /// one tier never reads an entry of the other.
+    pub fn tier_bands(
+        &self,
+        tier: u16,
+    ) -> impl DoubleEndedIterator<
+        Item = (
+            u16,
+            impl DoubleEndedIterator<Item = (u64, NodeId)> + Clone + '_,
+        ),
+    > + Clone
+           + '_ {
+        self.lru.tier_bands(tier)
     }
 
     /// Pins `id` for an in-flight request: increments the pin count of
@@ -1673,6 +1703,19 @@ impl<D> RadixTree<D> {
             "recency index holds entries for non-candidates"
         );
         assert_eq!(self.lru.len(), indexed, "recency-index length drift");
+        // The two tiers' runs are the whole index, each band in its own.
+        let mut tiered = 0usize;
+        for tier in [0, TIER_BIT] {
+            for (class, band) in self.lru.tier_bands(tier) {
+                assert_eq!(
+                    class & TIER_BIT,
+                    tier,
+                    "band {class} read as tier {tier:#x}"
+                );
+                tiered += band.count();
+            }
+        }
+        assert_eq!(tiered, indexed, "the tier runs do not cover the index");
         assert_eq!(seen_pinned, self.pinned_nodes, "pinned-node count drift");
     }
 
@@ -2611,28 +2654,72 @@ mod tests {
     }
 
     #[test]
-    fn every_version_bump_returns_the_node_to_class_zero() {
+    fn every_version_bump_returns_the_node_to_class_zero_of_its_tier() {
         // The four bump sites: leaf gains a child, edge split shortens the
-        // child, parent becomes a leaf, merge grows the child.
+        // child, parent becomes a leaf, merge grows the child. Each clears
+        // the caller's bits and keeps the tier bit, in either tier.
+        for tier in [0, TIER_BIT] {
+            let mut t = tree();
+            let a = t.insert(&[1, 2, 3, 4]).end_node;
+            t.set_class(a, tier | 5);
+            let below = t.insert(&[1, 2, 3, 4, 5]).end_node; // a: leaf -> 1 child
+            assert_eq!((t.class(a), t.structure_version(a)), (tier, 1));
+            t.set_class(a, tier | 5);
+            let mid = t.insert(&[1, 2, 9]).split_node.unwrap(); // a's edge split
+            assert_eq!(t.class(a), tier);
+            assert_eq!(t.class(mid), tier, "the split's new node takes a's tier");
+            t.set_class(a, tier | 5);
+            t.remove(below).unwrap(); // a: 1 child -> leaf
+            assert_eq!(t.class(a), tier);
+            t.set_class(a, tier | 5);
+            t.set_class(mid, 6);
+            let sibling = t.match_prefix(&[1, 2, 9]).deepest().unwrap();
+            t.remove(sibling).unwrap(); // mid: 2 -> 1 children, no bump
+            let mut own_bands = vec![(tier | 5, a), (6, mid)];
+            own_bands.sort();
+            assert_eq!(banded(&t), own_bands, "re-enters its own band");
+            t.remove(mid).unwrap(); // a absorbs mid's edge
+            assert_eq!(t.class(a), tier);
+            assert_eq!(banded(&t), vec![(tier, a)]);
+            t.assert_invariants();
+        }
+    }
+
+    /// Ids of one tier's candidates, in band order.
+    fn tier_ids(t: &RadixTree<u32>, tier: u16) -> Vec<NodeId> {
+        t.tier_bands(tier)
+            .flat_map(|(_, band)| band.map(|(_, id)| id))
+            .collect()
+    }
+
+    #[test]
+    fn a_split_node_starts_in_class_zero_of_the_split_childs_tier() {
         let mut t = tree();
         let a = t.insert(&[1, 2, 3, 4]).end_node;
-        t.set_class(a, 5);
-        let below = t.insert(&[1, 2, 3, 4, 5]).end_node; // a: leaf -> 1 child
-        assert_eq!((t.class(a), t.structure_version(a)), (0, 1));
-        t.set_class(a, 5);
-        let mid = t.insert(&[1, 2, 9]).split_node.unwrap(); // a's edge split
-        assert_eq!(t.class(a), 0);
-        t.set_class(a, 5);
-        t.remove(below).unwrap(); // a: 1 child -> leaf
-        assert_eq!(t.class(a), 0);
-        t.set_class(a, 5);
-        t.set_class(mid, 6);
-        let sibling = t.match_prefix(&[1, 2, 9]).deepest().unwrap();
-        t.remove(sibling).unwrap(); // mid: 2 -> 1 children, no bump
-        assert_eq!(banded(&t), vec![(5, a), (6, mid)], "re-enters its own band");
-        t.remove(mid).unwrap(); // a absorbs mid's edge
-        assert_eq!(t.class(a), 0);
-        assert_eq!(banded(&t), vec![(0, a)]);
+        let b = t.insert(&[7, 7]).end_node;
+        t.set_class(a, TIER_BIT | 9);
+        t.set_class(b, 3);
+        // A split with no new leaf leaves the new node a candidate: its
+        // entry must land in the child's tier.
+        let mid = t.insert(&[1, 2]).split_node.unwrap();
+        assert_eq!(
+            t.class(mid),
+            TIER_BIT,
+            "the head tokens stay where they were"
+        );
+        assert_eq!(
+            t.class(a),
+            TIER_BIT,
+            "the shortened child was bumped, tier kept"
+        );
+        assert_eq!(tier_ids(&t, TIER_BIT), vec![a, mid]);
+        assert_eq!(tier_ids(&t, 0), vec![b]);
+        // A split in the lower tier stays there, and a new leaf starts in it.
+        let out = t.insert(&[7, 1]);
+        assert_eq!(t.class(out.split_node.unwrap()), 0);
+        assert_eq!(t.class(out.new_leaf.unwrap()), 0);
+        assert!(tier_ids(&t, 0).contains(&out.new_leaf.unwrap()));
+        assert_eq!(tier_ids(&t, TIER_BIT), vec![a, mid]);
         t.assert_invariants();
     }
 

@@ -4,7 +4,7 @@
 //! derive ground truth for the longest stored prefix of any query and for
 //! the number of distinct prefixes (= tree token count).
 
-use marconi_radix::{NodeId, RadixTree, RemoveError, Token};
+use marconi_radix::{NodeId, RadixTree, RemoveError, Token, TIER_BIT};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -139,10 +139,11 @@ proptest! {
         ops in prop::collection::vec((0u32..5, any::<prop::sample::Index>(), 0u64..6), 1..64),
     ) {
         // Interleave inserts, candidate removals, touches, pin/unpin pairs
-        // and `set_class` calls, and after every op assert the one
-        // candidate index equals a from-scratch recompute: the sorted
-        // `(class, stamp, id)` scan of non-root ≤ 1-child nodes. Stamps and
-        // classes come from tiny ranges to force ties and shared bands.
+        // and `set_class` calls (half of them in the upper tier), and after
+        // every op assert the one candidate index equals a from-scratch
+        // recompute: the sorted `(class, stamp, id)` scan of non-root
+        // ≤ 1-child nodes. Stamps and classes come from tiny ranges to force
+        // ties and shared bands.
         let mut tree: RadixTree<()> = RadixTree::new();
         let mut held: Vec<NodeId> = Vec::new();
         let mut next_seq = 0usize;
@@ -152,6 +153,7 @@ proptest! {
                 .map(|id| (id, tree.structure_version(id), tree.class(id)))
                 .collect();
             let mut reclassed = None;
+            let mut inserted = None;
             match op {
                 1 if !tree.is_empty() => {
                     let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
@@ -183,19 +185,20 @@ proptest! {
                     // the class for when it becomes a candidate again.
                     let ids: Vec<NodeId> = tree.node_ids().collect();
                     let id = ids[pick.index(ids.len())];
-                    tree.set_class(id, (stamp % 4) as u16);
-                    prop_assert_eq!(tree.class(id), (stamp % 4) as u16);
+                    let class = (stamp % 4) as u16 | if stamp >= 3 { TIER_BIT } else { 0 };
+                    tree.set_class(id, class);
+                    prop_assert_eq!(tree.class(id), class);
                     reclassed = Some(id);
                 }
                 _ => {
-                    tree.insert(&seqs[next_seq % seqs.len()]);
+                    inserted = Some(tree.insert(&seqs[next_seq % seqs.len()]));
                     next_seq += 1;
                 }
             }
             // A class lives exactly as long as the structure version: a
-            // bump lands the node in class 0, and nothing else (bar the
-            // `set_class` above) moves a class — not a touch, not a pin,
-            // not leaving and re-entering the candidate set.
+            // bump lands the node in class 0 of its tier, and nothing else
+            // (bar the `set_class` above) moves a class — not a touch, not
+            // a pin, not leaving and re-entering the candidate set.
             for (id, version, class) in before {
                 if !tree.contains(id) || reclassed == Some(id) {
                     continue;
@@ -203,7 +206,26 @@ proptest! {
                 if tree.structure_version(id) == version {
                     prop_assert_eq!(tree.class(id), class, "{} changed class unbumped", id);
                 } else {
-                    prop_assert_eq!(tree.class(id), 0, "{} kept a class across a bump", id);
+                    prop_assert_eq!(
+                        tree.class(id),
+                        class & TIER_BIT,
+                        "{} kept a class, or lost its tier, across a bump",
+                        id
+                    );
+                }
+            }
+            // New nodes: a leaf starts in class 0, a split's new node in
+            // class 0 of the tier of the child it split off.
+            if let Some(out) = inserted {
+                if let Some(leaf) = out.new_leaf {
+                    prop_assert_eq!(tree.class(leaf), 0);
+                }
+                if let Some(mid) = out.split_node {
+                    let child = tree
+                        .children(mid)
+                        .find(|&c| Some(c) != out.new_leaf)
+                        .expect("a split node keeps the child it split off");
+                    prop_assert_eq!(tree.class(mid), tree.class(child) & TIER_BIT);
                 }
             }
             let mut scanned: Vec<(u16, u64, NodeId)> = tree
@@ -228,6 +250,13 @@ proptest! {
                 .flat_map(|(class, band)| band.rev().map(move |(stamp, id)| (class, stamp, id)))
                 .collect();
             prop_assert!(reversed.iter().eq(scanned.iter().rev()));
+            // Each tier's bands are exactly its candidates, lower tier first.
+            let by_tier: Vec<(u16, u64, NodeId)> = [0, TIER_BIT]
+                .into_iter()
+                .flat_map(|tier| tree.tier_bands(tier))
+                .flat_map(|(class, band)| band.map(move |(stamp, id)| (class, stamp, id)))
+                .collect();
+            prop_assert_eq!(&by_tier, &scanned, "tier runs drifted from the scan");
             let pinned = tree.node_ids().filter(|&id| tree.is_pinned(id)).count();
             prop_assert_eq!(tree.pinned_count(), pinned);
             prop_assert_eq!(tree.pinned_ids().count(), pinned);
