@@ -37,7 +37,6 @@ fn run_arrival(arrival: ArrivalConfig, label: String, cache_gb: u64) -> ArrivalP
     let tuner = marconi_core::TunerConfig {
         bootstrap_multiplier: 5.0,
         alpha_grid: vec![0.0, 0.25, 0.5],
-        parallel: true,
     };
     let result = Comparison::new(ModelConfig::hybrid_7b(), cache_gb * GB)
         .marconi_tuner(tuner)

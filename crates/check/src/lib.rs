@@ -2,19 +2,14 @@
 //! model checker.
 //!
 //! Every guarantee this reproduction rests on — byte-parity contracts, the
-//! no-wall-clock / no-unseeded-randomness rule for the event sim, the
-//! tuner-replica knob-mirroring contract, and PR 6's pin lifetimes — was
-//! enforced only by convention and scattered `debug_assert`s. This crate
-//! turns them into CI gates:
+//! no-wall-clock / no-unseeded-randomness rule for the event sim, and PR
+//! 6's pin lifetimes — was enforced only by convention and scattered
+//! `debug_assert`s. This crate turns them into CI gates:
 //!
 //! * [`lint`] — a token-level static pass (self-contained lexer in
 //!   [`lexer`]; no syn, which is not vendorable offline) enforcing the
 //!   repo-specific contract rules over
-//!   `crates/{core,radix,sim,workload,metrics}`;
-//! * [`mirror`] — the tuner-fidelity check: every behavioral knob on
-//!   `HybridPrefixCacheBuilder` must be mirrored into
-//!   `HybridPrefixCache::replica`, structurally (the exact bug PR 2 fixed
-//!   by hand can no longer be reintroduced silently);
+//!   `crates/{core,radix,sim,workload,metrics,trace}`;
 //! * [`mc`] + [`scenarios`] — a mini-loom: a deterministic virtual
 //!   scheduler over modeled shard locks that exhaustively explores bounded
 //!   interleavings of `pin_prefix`/`probe`/`insert`/eviction on the real
@@ -33,5 +28,4 @@
 pub mod lexer;
 pub mod lint;
 pub mod mc;
-pub mod mirror;
 pub mod scenarios;

@@ -321,7 +321,7 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
 }
 
 /// Lints every `src/**/*.rs` file of the six deterministic crates under
-/// `root`, plus the tuner-fidelity mirror check on `hybrid.rs`.
+/// `root`.
 ///
 /// # Errors
 ///
@@ -343,14 +343,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         let rel = f.strip_prefix(root).unwrap_or(&f);
         out.extend(lint_source(rel, &src));
     }
-    let hybrid = root.join("crates/core/src/hybrid.rs");
-    let src = std::fs::read_to_string(&hybrid)
-        .map_err(|e| format!("cannot read {}: {e}", hybrid.display()))?;
-    out.extend(crate::mirror::check_mirror_source(
-        Path::new("crates/core/src/hybrid.rs"),
-        &src,
-        &crate::mirror::MirrorSpec::hybrid(),
-    ));
     Ok(out)
 }
 

@@ -11,8 +11,7 @@
 //! (model-check schedule budget, default 4096). Exit code 0 iff every
 //! requested stage passes.
 
-use marconi_check::lint::{lint_source, lint_workspace, Violation};
-use marconi_check::mirror::{check_mirror_source, MirrorSpec};
+use marconi_check::lint::{lint_source, lint_workspace};
 use marconi_check::scenarios;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -143,8 +142,6 @@ fn run_self_test(root: &Path) -> bool {
             ok = false;
         }
     }
-    // The mirror fixture goes through the mirror checker.
-    ok &= check_fixture_mirror(&dir);
     // And the clean fixture must stay clean.
     let clean = dir.join("clean.rs");
     match std::fs::read_to_string(&clean) {
@@ -171,26 +168,6 @@ fn run_self_test(root: &Path) -> bool {
         }
     );
     ok
-}
-
-fn check_fixture_mirror(dir: &Path) -> bool {
-    let path = dir.join("unmirrored_knob.rs");
-    let Ok(src) = std::fs::read_to_string(&path) else {
-        println!("self-test: cannot read {}", path.display());
-        return false;
-    };
-    let found: Vec<Violation> =
-        check_mirror_source(Path::new("unmirrored_knob.rs"), &src, &MirrorSpec::hybrid());
-    let caught = found
-        .iter()
-        .any(|v| v.rule == "replica-mirror" && v.message.contains("speculative_depth"));
-    if !caught {
-        println!(
-            "self-test: FIXTURE NOT REJECTED — unmirrored_knob.rs must trip \
-             `replica-mirror` on `speculative_depth` (the mirror check has rotted)"
-        );
-    }
-    caught
 }
 
 /// The bounded-interleaving suite. The unpinned mid-decode scenario must

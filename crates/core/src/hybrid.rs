@@ -1,6 +1,7 @@
 //! The Marconi prefix cache (and, with LRU eviction, the SGLang+ baseline).
 
 use crate::cursor::{CursorHint, SessionCursor};
+use crate::oracle::{replay, SequenceEvent};
 use crate::policy::{
     class_lower_edge, efficiency_class, pick_victim_banded, pick_victim_index, Candidate,
     EvictionPolicy,
@@ -8,7 +9,7 @@ use crate::policy::{
 use crate::result::{AdmissionReport, LookupResult};
 use crate::stats::CacheStats;
 use crate::tier::{ReloadPolicy, Tier, TieredPrefix};
-use crate::tuner::{TunerConfig, TunerState};
+use crate::tuner::{best, sweep, TunerConfig, TunerState};
 use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_radix::{
@@ -85,18 +86,6 @@ impl CheckpointMode {
     }
 }
 
-/// Bootstrap snapshot: the tree and its derived byte accounting (both
-/// tiers' counters, so a tiered cache's replay replicas start from the
-/// exact same residency state).
-#[derive(Debug, Clone)]
-struct Snapshot {
-    tree: RadixTree<NodeMeta>,
-    ssm_states: u64,
-    host_tokens: u64,
-    host_ssm_states: u64,
-    clock: f64,
-}
-
 /// Where a pressure episode draws its victims from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
@@ -146,8 +135,11 @@ enum Tuner {
     },
     Bootstrapping {
         config: TunerConfig,
-        snapshot: Box<Snapshot>,
-        recorded: Vec<(Vec<Token>, Vec<Token>, f64)>,
+        /// A [`replica`](HybridPrefixCache::replica) taken at the first
+        /// pressure event; each α replays the window against a replica
+        /// of it.
+        snapshot: Box<HybridPrefixCache>,
+        recorded: Vec<SequenceEvent>,
         target: u64,
     },
     Tuned {
@@ -326,7 +318,7 @@ impl HybridPrefixCache {
     #[must_use]
     pub fn probe_tiers(&self, input: &[Token]) -> TieredPrefix {
         let m = self.tree.match_prefix(input);
-        let tokens = self.reusable_len(&m);
+        let (_, tokens) = self.hit(&m);
         let (host_tokens, _, _) = self.host_share(&m, tokens);
         TieredPrefix {
             tokens,
@@ -543,20 +535,30 @@ impl HybridPrefixCache {
         promoted
     }
 
-    /// Reusable prefix length for a match, shared by `lookup_at`,
-    /// `longest_cached_prefix_len`, and `probe_tiers` so the three can
-    /// never disagree. All-or-nothing for SSM models (deepest checkpointed
-    /// node on the path); the raw match for pure Transformers.
-    fn reusable_len(&self, m: &PrefixMatch) -> u64 {
+    /// The node a hit on `m` is served from, and the reusable prefix
+    /// length: the one statement of the all-or-nothing hit rule, shared by
+    /// `lookup_at`, `pin_prefix`, `longest_cached_prefix_len` and
+    /// `probe_tiers` so they can never disagree.
+    ///
+    /// For SSM models reuse stops at the deepest checkpointed node on the
+    /// path. A pure Transformer's KVs slice at any token boundary, so it
+    /// reuses the raw match; a match ending mid-edge is served from the
+    /// *containing child's* KVs, so that child is the node whose recency
+    /// the hit must refresh (crediting only `deepest()`, or nothing at the
+    /// root, would leave a hot, partially-matched prefix looking idle until
+    /// LRU pressure evicts it) and that a pin must protect.
+    fn hit(&self, m: &PrefixMatch) -> (Option<NodeId>, u64) {
         if self.model.has_ssm() {
             m.path
                 .iter()
                 .rev()
                 .copied()
                 .find(|&id| self.tree.data(id).has_ssm_state)
-                .map_or(0, |id| self.tree.depth(id))
+                .map_or((None, 0), |id| (Some(id), self.tree.depth(id)))
+        } else if m.ends_mid_edge {
+            (m.mid_edge_child, m.matched_len)
         } else {
-            m.matched_len
+            (m.deepest(), m.matched_len)
         }
     }
 
@@ -1557,13 +1559,7 @@ impl HybridPrefixCache {
                     let target = config.window_len(requests_seen);
                     Tuner::Bootstrapping {
                         config,
-                        snapshot: Box::new(Snapshot {
-                            tree: self.tree.clone(),
-                            ssm_states: self.ssm_states,
-                            host_tokens: self.host_tokens,
-                            host_ssm_states: self.host_ssm_states,
-                            clock: self.clock,
-                        }),
+                        snapshot: Box::new(self.replica(self.effective_alpha)),
                         recorded: Vec::new(),
                         target,
                     }
@@ -1580,7 +1576,11 @@ impl HybridPrefixCache {
                 mut recorded,
                 target,
             } => {
-                recorded.push((input.to_vec(), output.to_vec(), now));
+                recorded.push(SequenceEvent {
+                    input: input.to_vec(),
+                    output: output.to_vec(),
+                    at: now,
+                });
                 if (recorded.len() as u64) < target {
                     Tuner::Bootstrapping {
                         config,
@@ -1589,13 +1589,10 @@ impl HybridPrefixCache {
                         target,
                     }
                 } else {
-                    let alpha = grid_search(
-                        self,
-                        &snapshot,
-                        &recorded,
-                        &config.alpha_grid,
-                        config.parallel,
-                    );
+                    let sweep = sweep(&config.alpha_grid, |alpha| {
+                        replay(&mut snapshot.replica(alpha), &recorded).token_hit_rate()
+                    });
+                    let (alpha, _) = best(&sweep);
                     self.effective_alpha = alpha;
                     Tuner::Tuned { alpha }
                 }
@@ -1604,97 +1601,34 @@ impl HybridPrefixCache {
         });
     }
 
-    /// Builds a fixed-α replica seeded from a snapshot, for replay.
+    /// A fixed-α copy of this cache, for replay.
     ///
-    /// The replica mirrors every behavioral knob of the live cache —
-    /// checkpoint mode, ancestor refresh, leaf-only eviction, in-flight
-    /// pinning, and the tier knobs (host capacity, reload policy) —
-    /// differing only in its (fixed) α. Anything less and the tuner grades each α against replay
-    /// dynamics the live cache will never exhibit: e.g. a tiered cache's
-    /// demoted entries keep hitting, so a single-tier replica would
-    /// systematically underestimate reuse.
-    fn replica(&self, snapshot: &Snapshot, alpha: f64) -> Self {
-        // The snapshot may have been taken while requests were in flight;
-        // replay models no request lifetimes, so the replica starts with
-        // every pin released (the live cache's pins drain by completion
-        // anyway — a replica keeping them would protect paths forever).
-        let mut tree = snapshot.tree.clone();
-        tree.clear_pins();
-        HybridPrefixCache {
-            name: "replica".into(),
-            model: self.model.clone(),
-            capacity: self.capacity,
-            host_capacity: self.host_capacity,
-            reload_policy: self.reload_policy,
-            tree,
-            ssm_states: snapshot.ssm_states,
-            host_tokens: snapshot.host_tokens,
-            host_ssm_states: snapshot.host_ssm_states,
-            policy: EvictionPolicy::FlopAware { alpha },
-            tuner: None,
-            effective_alpha: alpha,
-            stats: CacheStats::default(),
-            clock: snapshot.clock,
-            checkpoint_mode: self.checkpoint_mode,
-            refresh_ancestors: self.refresh_ancestors,
-            leaf_only_eviction: self.leaf_only_eviction,
-            pin_in_flight: self.pin_in_flight,
-            gdsf_clock: 0.0,
-            candidates_scored: 0,
-            entries_skipped: 0,
-            // Replicas replay silently: the tuner's grid-search probes are
-            // hypotheticals, not serving decisions, so they never trace.
-            tracer: Tracer::off(),
-            miss_ledger: MissLedger::default(),
-            #[cfg(test)]
-            eviction_log: Vec::new(),
-            #[cfg(test)]
-            use_scan_eviction: self.use_scan_eviction,
-        }
+    /// A clone, so it keeps every behavioral knob — present or future —
+    /// and the exact tree and residency state; it differs only in what a
+    /// replay must not inherit. Anything less and the tuner grades each α
+    /// against replay dynamics the live cache will never exhibit: e.g. a
+    /// tiered cache's demoted entries keep hitting, so a single-tier
+    /// replica would systematically underestimate reuse.
+    fn replica(&self, alpha: f64) -> Self {
+        let mut r = self.clone();
+        // The live cache may have requests in flight; replay models no
+        // request lifetimes, so the replica starts with every pin released
+        // (the live pins drain by completion anyway — a replica keeping
+        // them would protect paths forever).
+        r.tree.clear_pins();
+        r.name = "replica".into();
+        r.policy = EvictionPolicy::FlopAware { alpha };
+        r.tuner = None;
+        r.effective_alpha = alpha;
+        r.stats = CacheStats::default();
+        // Replicas replay silently: the tuner's grid-search probes are
+        // hypotheticals, not serving decisions, so they never trace.
+        r.tracer = Tracer::off();
+        r.miss_ledger = MissLedger::default();
+        #[cfg(test)]
+        r.eviction_log.clear();
+        r
     }
-}
-
-/// Replays the bootstrap window for each α and returns the hit-rate
-/// maximizer (ties break toward the smaller α, so LRU wins when FLOP
-/// awareness adds nothing).
-fn grid_search(
-    parent: &HybridPrefixCache,
-    snapshot: &Snapshot,
-    events: &[(Vec<Token>, Vec<Token>, f64)],
-    grid: &[f64],
-    parallel: bool,
-) -> f64 {
-    assert!(!grid.is_empty(), "alpha grid must be non-empty");
-    let score = |alpha: f64| -> f64 {
-        let mut cache = parent.replica(snapshot, alpha);
-        for (input, output, at) in events {
-            cache.lookup_at(input, *at);
-            cache.insert_at(input, output, *at);
-        }
-        cache.stats.token_hit_rate()
-    };
-    let scores: Vec<(f64, f64)> = if parallel {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = grid
-                .iter()
-                .map(|&alpha| s.spawn(move || (alpha, score(alpha))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("invariant: replica replay threads do not panic")
-                })
-                .collect()
-        })
-    } else {
-        grid.iter().map(|&a| (a, score(a))).collect()
-    };
-    scores
-        .into_iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.total_cmp(&a.0)))
-        .map(|(alpha, _)| alpha)
-        .expect("invariant: the α grid is non-empty")
 }
 
 /// How a hinted operation obtained its prefix match — the telemetry
@@ -1731,7 +1665,7 @@ impl PrefixCache for HybridPrefixCache {
         // never mutates, no timestamps are stamped, no stats move, and no
         // speculative insertion fires — the whole point of the probe.
         let m = self.tree.match_prefix(input);
-        self.reusable_len(&m)
+        self.hit(&m).1
     }
 
     fn lookup_at(&mut self, input: &[Token], now: f64) -> LookupResult {
@@ -1747,48 +1681,13 @@ impl PrefixCache for HybridPrefixCache {
         self.clock = self.clock.max(now);
         let (m, hint_outcome) = self.match_with_hint(input, Self::hint_from(hint));
         self.emit_cursor_outcome(&hint_outcome, input.len(), now);
-        let mut result = if self.model.has_ssm() {
-            // All-or-nothing: reuse stops at the deepest checkpointed node.
-            let hit = m
-                .path
-                .iter()
-                .rev()
-                .copied()
-                .find(|&id| self.tree.data(id).has_ssm_state);
-            match hit {
-                Some(node) => {
-                    let depth = self.tree.depth(node);
-                    LookupResult {
-                        tokens_matched: depth,
-                        raw_matched: m.matched_len,
-                        node: Some(node),
-                        flops_saved: self.model.flops_saved(depth),
-                        ..LookupResult::MISS
-                    }
-                }
-                None => LookupResult {
-                    raw_matched: m.matched_len,
-                    ..LookupResult::MISS
-                },
-            }
-        } else {
-            // Pure Transformer: KVs slice at any token boundary. A match
-            // ending mid-edge is served from the *containing child's* KVs,
-            // so that child is the node whose recency the hit must refresh;
-            // crediting only `deepest()` (or nothing, at the root) would
-            // leave a hot, partially-matched prefix looking idle until LRU
-            // pressure evicts it.
-            LookupResult {
-                tokens_matched: m.matched_len,
-                raw_matched: m.matched_len,
-                node: if m.ends_mid_edge {
-                    m.mid_edge_child
-                } else {
-                    m.deepest()
-                },
-                flops_saved: self.model.flops_saved(m.matched_len),
-                ..LookupResult::MISS
-            }
+        let (node, tokens_matched) = self.hit(&m);
+        let mut result = LookupResult {
+            tokens_matched,
+            raw_matched: m.matched_len,
+            node,
+            flops_saved: self.model.flops_saved(tokens_matched),
+            ..LookupResult::MISS
         };
         // Tier split of the hit: which part of the reused prefix must cross
         // PCIe (or be recomputed) before it is usable on the device.
@@ -1982,25 +1881,15 @@ impl PrefixCache for HybridPrefixCache {
         if !self.pin_in_flight {
             return PinTicket::default();
         }
-        // Mirror of `lookup_at`'s hit-node selection over the same match,
-        // so the pinned node is exactly the node whose KVs (and, through
-        // the subtree-inclusive pin walk, whose ancestors' KVs) the
-        // in-flight request reads while decoding. No recency, stats, or
-        // GDSF state moves: pinning composes with the non-mutating-probe
-        // discipline even though it needs `&mut` for the refcounts.
+        // `lookup_at`'s hit node over the same match, so the pinned node is
+        // exactly the node whose KVs (and, through the subtree-inclusive
+        // pin walk, whose ancestors' KVs) the in-flight request reads while
+        // decoding. No recency, stats, or GDSF state moves: pinning
+        // composes with the non-mutating-probe discipline even though it
+        // needs `&mut` for the refcounts.
         let (m, hint_outcome) = self.match_with_hint(input, Self::hint_from(hint));
         self.emit_cursor_outcome(&hint_outcome, input.len(), self.clock);
-        let node = if self.model.has_ssm() {
-            m.path
-                .iter()
-                .rev()
-                .copied()
-                .find(|&id| self.tree.data(id).has_ssm_state)
-        } else if m.ends_mid_edge {
-            m.mid_edge_child
-        } else {
-            m.deepest()
-        };
+        let (node, _) = self.hit(&m);
         if let Some(id) = node {
             self.tree.pin(id);
             self.tracer.emit(|| TraceEvent::Pin {
@@ -2470,7 +2359,6 @@ mod tests {
             .policy(EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }))
             .build();
         assert_eq!(c.tuner_state(), Some(TunerState::WaitingForFirstEviction));
@@ -2488,16 +2376,15 @@ mod tests {
     }
 
     #[test]
-    fn tuner_grid_search_is_deterministic_across_parallelism() {
+    fn tuner_grid_search_is_deterministic() {
         let m = ModelConfig::hybrid_7b();
         let capacity = 3 * (160 * m.kv_bytes_per_token() + 2 * m.ssm_checkpoint_bytes());
-        let run = |parallel: bool| {
+        let run = || {
             let mut c = HybridPrefixCache::builder(m.clone())
                 .capacity_bytes(capacity)
                 .policy(EvictionPolicy::AutoTuned(TunerConfig {
                     bootstrap_multiplier: 5.0,
                     alpha_grid: vec![0.0, 0.5, 2.0],
-                    parallel,
                 }))
                 .build();
             for i in 0..200u32 {
@@ -2508,7 +2395,7 @@ mod tests {
             }
             c.current_alpha()
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -2715,14 +2602,7 @@ mod tests {
             .refresh_ancestors(true)
             .leaf_only_eviction(true)
             .build();
-        let snapshot = Snapshot {
-            tree: parent.tree.clone(),
-            ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
-            host_ssm_states: parent.host_ssm_states,
-            clock: parent.clock,
-        };
-        let replica = parent.replica(&snapshot, 1.5);
+        let replica = parent.replica(1.5);
         assert_eq!(replica.checkpoint_mode, parent.checkpoint_mode);
         assert_eq!(replica.refresh_ancestors, parent.refresh_ancestors);
         assert_eq!(replica.leaf_only_eviction, parent.leaf_only_eviction);
@@ -2739,14 +2619,7 @@ mod tests {
             .capacity_bytes(1 << 42)
             .checkpoint_mode(CheckpointMode::Chunked { chunk_size: 32 })
             .build();
-        let snapshot = Snapshot {
-            tree: parent.tree.clone(),
-            ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
-            host_ssm_states: parent.host_ssm_states,
-            clock: parent.clock,
-        };
-        let mut replica = parent.replica(&snapshot, 0.5);
+        let mut replica = parent.replica(0.5);
         let prompt = seq(0..80);
         let mk = |tag: u32| {
             let mut v = prompt.clone();
@@ -2761,6 +2634,68 @@ mod tests {
             "replica must inherit the parent's chunked checkpointing"
         );
         assert_eq!(replica.lookup(&mk(3000)).tokens_matched, 64);
+    }
+
+    /// The tuner's fidelity contract, stated as behaviour: a replica taken
+    /// mid-trace replays the rest of the trace exactly like its parent,
+    /// under every knob a lookup-then-insert replay can observe. A knob
+    /// the replica dropped or reset splits the two replays.
+    #[test]
+    fn a_replica_replays_exactly_like_its_parent_under_every_knob() {
+        use marconi_workload::{DatasetKind, TraceGenerator};
+        let m = ModelConfig::hybrid_7b();
+        let capacity = 9000 * m.kv_bytes_per_token();
+        let events: Vec<SequenceEvent> = TraceGenerator::new(DatasetKind::ShareGpt)
+            .sessions(48)
+            .tenants(4)
+            .seed(23)
+            .generate()
+            .requests
+            .into_iter()
+            .map(|r| SequenceEvent {
+                input: r.input,
+                output: r.output,
+                at: r.arrival,
+            })
+            .collect();
+        let (warm, window) = events.split_at(events.len() / 2);
+        for bits in 0..16u8 {
+            let (host_tier, chunked, refresh, leaf_only) =
+                (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0, bits & 8 != 0);
+            let knobs = format!(
+                "host_tier={host_tier} chunked={chunked} refresh={refresh} leaf_only={leaf_only}"
+            );
+            let mut parent = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(capacity)
+                .host_capacity_bytes(if host_tier { capacity / 2 } else { 0 })
+                .checkpoint_mode(if chunked {
+                    CheckpointMode::Chunked { chunk_size: 32 }
+                } else {
+                    CheckpointMode::Exact
+                })
+                .refresh_ancestors(refresh)
+                .leaf_only_eviction(leaf_only)
+                .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
+                .build();
+            replay(&mut parent, warm);
+            let mut replica = parent.replica(2.0);
+            let (before, logged) = (parent.stats, parent.eviction_log.len());
+            let mut expected = replay(&mut parent, window).delta_since(&before);
+            let mut got = replay(&mut replica, window);
+            // A high-water mark, not a counter: the parent's spans both
+            // halves.
+            expected.peak_usage_bytes = 0;
+            got.peak_usage_bytes = 0;
+            assert!(got.evictions > 0, "the window must evict ({knobs})");
+            assert_eq!(got, expected, "stats diverged ({knobs})");
+            assert_eq!(
+                replica.eviction_log,
+                parent.eviction_log[logged..],
+                "victims diverged ({knobs})"
+            );
+            assert_eq!(replica.usage(), parent.usage(), "{knobs}");
+            assert_eq!(replica.host_usage(), parent.host_usage(), "{knobs}");
+        }
     }
 
     #[test]
@@ -3070,7 +3005,6 @@ mod tests {
             EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }),
             cap,
             17,
@@ -3178,7 +3112,6 @@ mod tests {
             EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }),
             17,
         );
@@ -3190,9 +3123,8 @@ mod tests {
     // churn the arena engine's whole split/merge lifecycle: every request
     // forks an earlier same-tenant sequence at a random depth (usually
     // mid-edge, forcing an edge split on insert), and sustained capacity
-    // pressure deletes and merges those nodes back out. Default size keeps
-    // the scan reference affordable in debug builds; set
-    // MARCONI_STRESS_FULL=1 to replay at 100k+ live nodes.
+    // pressure deletes and merges those nodes back out, at a size that
+    // keeps the scan reference affordable in debug builds.
     // ------------------------------------------------------------------
 
     /// Tiny deterministic PRNG (splitmix64) for the stress traces.
@@ -3259,16 +3191,11 @@ mod tests {
     /// `CacheStats`, usage, and α.
     fn assert_scale_replay_parity(policy: EvictionPolicy, trace_seed: u64) {
         // The binding cost is the *scan*: O(live nodes) per victim in the
-        // reference and in the selector's debug cross-check, so full-scale
-        // runs are opt-in. (The 100k–1M-node regime is exercised by the
-        // cursor-vs-root-walk scale replay in
+        // reference and in the selector's debug cross-check. (The 100k-node
+        // regime is exercised by the cursor-vs-root-walk scale replay in
         // `crates/radix/tests/differential.rs`, where both sides are
         // O(depth) per op.)
-        let requests = if std::env::var("MARCONI_STRESS_FULL").is_ok() {
-            20_000
-        } else {
-            2_000
-        };
+        let requests = 2_000;
         let m = ModelConfig::hybrid_7b();
         let cap = requests as u64 * 256 * m.kv_bytes_per_token();
         let trace = stress_trace(trace_seed, requests);
@@ -3318,7 +3245,6 @@ mod tests {
             EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 2.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }),
             109,
         );
@@ -3515,7 +3441,6 @@ mod tests {
             EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }),
         ] {
             let run = |host: u64| {
@@ -3562,14 +3487,7 @@ mod tests {
             .host_capacity_bytes(3 << 30)
             .reload_policy(ReloadPolicy::AlwaysReload)
             .build();
-        let snapshot = Snapshot {
-            tree: parent.tree.clone(),
-            ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
-            host_ssm_states: parent.host_ssm_states,
-            clock: parent.clock,
-        };
-        let replica = parent.replica(&snapshot, 1.0);
+        let replica = parent.replica(1.0);
         assert_eq!(replica.host_capacity, parent.host_capacity);
         assert_eq!(replica.reload_policy, parent.reload_policy);
         assert_eq!(replica.reload_policy(), ReloadPolicy::AlwaysReload);
@@ -3589,7 +3507,6 @@ mod tests {
             .policy(EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }))
             .build();
         let mut i = 0u32;
@@ -3622,7 +3539,6 @@ mod tests {
             .policy(EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }))
             .build();
         let mut i = 0u32;
@@ -3774,7 +3690,6 @@ mod tests {
                 EvictionPolicy::AutoTuned(TunerConfig {
                     bootstrap_multiplier: 5.0,
                     alpha_grid: vec![0.0, 1.0, 4.0],
-                    parallel: false,
                 }),
                 17,
             ),
@@ -3983,14 +3898,7 @@ mod tests {
         let ticket = parent.pin_prefix(&resume);
         assert!(parent.pinned_node_count() > 0);
 
-        let snapshot = Snapshot {
-            tree: parent.tree.clone(),
-            ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
-            host_ssm_states: parent.host_ssm_states,
-            clock: parent.clock,
-        };
-        let replica = parent.replica(&snapshot, 1.0);
+        let replica = parent.replica(1.0);
         assert!(replica.pin_in_flight, "knob mirrored");
         assert_eq!(replica.pinned_node_count(), 0, "live pins not inherited");
         assert_eq!(replica.pinned_bytes(), 0);
@@ -4000,14 +3908,7 @@ mod tests {
             .capacity_bytes(1 << 30)
             .in_flight_pinning(false)
             .build();
-        let snapshot = Snapshot {
-            tree: unpinning.tree.clone(),
-            ssm_states: unpinning.ssm_states,
-            host_tokens: unpinning.host_tokens,
-            host_ssm_states: unpinning.host_ssm_states,
-            clock: unpinning.clock,
-        };
-        let replica = unpinning.replica(&snapshot, 1.0);
+        let replica = unpinning.replica(1.0);
         assert!(!replica.pin_in_flight, "knob-off mirrored too");
         // And a knob-off cache never pins in the first place.
         let mut off = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
@@ -4244,7 +4145,6 @@ mod tests {
             EvictionPolicy::AutoTuned(TunerConfig {
                 bootstrap_multiplier: 5.0,
                 alpha_grid: vec![0.0, 1.0, 4.0],
-                parallel: false,
             }),
             17,
         );

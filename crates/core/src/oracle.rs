@@ -1,11 +1,14 @@
-//! Offline-optimal static-α oracle (the artifact's eviction policy "V3").
+//! Offline-optimal static-α oracle (the artifact's eviction policy "V3"),
+//! and the lookup-then-insert [`replay`] every α sweep runs.
 //!
 //! Sweeps α over a grid by replaying an *entire* recorded trace per value
 //! and reports the hit-rate-maximizing choice — an upper bound for any
 //! static-α configuration that Marconi's online tuner tries to approach
-//! with only a bootstrap window of information.
+//! with only a bootstrap window of information. The sweep is the tuner's
+//! own (`tuner::sweep`); only the replayed cache and window differ.
 
 use crate::policy::EvictionPolicy;
+use crate::tuner::{best, sweep};
 use crate::{CacheStats, HybridPrefixCache, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_radix::Token;
@@ -34,6 +37,16 @@ pub struct OracleOutcome {
     pub sweep: Vec<(f64, f64)>,
 }
 
+/// Replays `events` through `cache` — a lookup, then the admission, per
+/// request — and returns its stats.
+pub fn replay(cache: &mut HybridPrefixCache, events: &[SequenceEvent]) -> CacheStats {
+    for e in events {
+        cache.lookup_at(&e.input, e.at);
+        cache.insert_at(&e.input, &e.output, e.at);
+    }
+    *cache.stats()
+}
+
 /// Replays `events` through a fresh fixed-α cache and returns its stats.
 #[must_use]
 pub fn replay_with_alpha(
@@ -46,15 +59,11 @@ pub fn replay_with_alpha(
         .capacity_bytes(capacity_bytes)
         .policy(EvictionPolicy::FlopAware { alpha })
         .build();
-    for e in events {
-        cache.lookup_at(&e.input, e.at);
-        cache.insert_at(&e.input, &e.output, e.at);
-    }
-    *cache.stats()
+    replay(&mut cache, events)
 }
 
-/// Sweeps the α grid over the full trace (optionally one thread per α) and
-/// returns the best static configuration.
+/// Sweeps the α grid over the full trace, one thread per α, and returns
+/// the best static configuration.
 ///
 /// Ties break toward the smaller α, like the online tuner.
 ///
@@ -67,33 +76,11 @@ pub fn best_static_alpha(
     capacity_bytes: u64,
     events: &[SequenceEvent],
     grid: &[f64],
-    parallel: bool,
 ) -> OracleOutcome {
-    assert!(!grid.is_empty(), "alpha grid must be non-empty");
-    let eval = |alpha: f64| {
-        (
-            alpha,
-            replay_with_alpha(model, capacity_bytes, events, alpha).token_hit_rate(),
-        )
-    };
-    let sweep: Vec<(f64, f64)> = if parallel {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = grid.iter().map(|&a| s.spawn(move || eval(a))).collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("invariant: oracle replay threads do not panic")
-                })
-                .collect()
-        })
-    } else {
-        grid.iter().map(|&a| eval(a)).collect()
-    };
-    let &(best_alpha, best_hit_rate) = sweep
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.total_cmp(&a.0)))
-        .expect("invariant: the α grid is non-empty");
+    let sweep = sweep(grid, |alpha| {
+        replay_with_alpha(model, capacity_bytes, events, alpha).token_hit_rate()
+    });
+    let (best_alpha, best_hit_rate) = best(&sweep);
     OracleOutcome {
         best_alpha,
         best_hit_rate,
@@ -138,21 +125,11 @@ mod tests {
     #[test]
     fn oracle_never_underperforms_lru_on_the_grid() {
         let m = ModelConfig::hybrid_7b();
-        let outcome =
-            best_static_alpha(&m, small_capacity(), &toy_trace(), &[0.0, 1.0, 4.0], false);
+        let outcome = best_static_alpha(&m, small_capacity(), &toy_trace(), &[0.0, 1.0, 4.0]);
         let lru = outcome.sweep[0].1;
         assert_eq!(outcome.sweep[0].0, 0.0);
         assert!(outcome.best_hit_rate >= lru);
         assert_eq!(outcome.sweep.len(), 3);
-    }
-
-    #[test]
-    fn parallel_and_serial_sweeps_agree() {
-        let m = ModelConfig::hybrid_7b();
-        let grid = [0.0, 2.0];
-        let a = best_static_alpha(&m, small_capacity(), &toy_trace(), &grid, false);
-        let b = best_static_alpha(&m, small_capacity(), &toy_trace(), &grid, true);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -167,6 +144,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_grid_panics() {
         let m = ModelConfig::hybrid_7b();
-        let _ = best_static_alpha(&m, 1 << 30, &[], &[], false);
+        let _ = best_static_alpha(&m, 1 << 30, &[], &[]);
     }
 }

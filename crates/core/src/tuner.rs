@@ -1,5 +1,13 @@
-//! Online α tuning: bootstrap snapshot + parallel grid-search replay
-//! (paper §4.2, "Managing the balance").
+//! Online α tuning (paper §4.2, "Managing the balance"): the tuner's
+//! configuration and the one α sweep both it and the offline oracle run.
+//!
+//! A sweep scores every α of a grid on its own thread — the paper
+//! parallelizes the grid search across CPU cores — and [`best`] adopts the
+//! hit-rate maximizer. The online tuner scores an α by replaying its
+//! bootstrap window against a replica of the live cache
+//! (`HybridPrefixCache::replica`); the oracle replays a whole trace
+//! against a fresh cache ([`crate::oracle::best_static_alpha`]). Both
+//! replays go through [`crate::oracle::replay`].
 
 use serde::{Deserialize, Serialize};
 
@@ -9,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// snapshot the radix tree; keep serving with LRU while recording
 /// token-level request information for a bootstrap window of 5–15× the
 /// requests seen before the first eviction; then grid-search α by replaying
-/// the window against the snapshot (parallelized across cores) and adopt
-/// the hit-rate-maximizing value.
+/// the window against the snapshot (one thread per α) and adopt the
+/// hit-rate-maximizing value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TunerConfig {
     /// Bootstrap window length as a multiple of the requests seen before
@@ -19,9 +27,6 @@ pub struct TunerConfig {
     /// α values to grid-search. Must be non-empty; 0 (pure LRU) is worth
     /// including so tuning can conclude recency alone is best.
     pub alpha_grid: Vec<f64>,
-    /// Run the grid search on one thread per α (the paper parallelizes
-    /// across CPU cores). Disable for single-threaded determinism checks.
-    pub parallel: bool,
 }
 
 impl Default for TunerConfig {
@@ -29,7 +34,6 @@ impl Default for TunerConfig {
         TunerConfig {
             bootstrap_multiplier: 10.0,
             alpha_grid: vec![0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0],
-            parallel: true,
         }
     }
 }
@@ -61,6 +65,37 @@ pub enum TunerState {
         /// The adopted balance parameter.
         alpha: f64,
     },
+}
+
+/// Scores every α of `grid`, one scoped thread per α, and returns
+/// `(α, score)` in grid order.
+///
+/// # Panics
+///
+/// Panics if `grid` is empty.
+pub(crate) fn sweep(grid: &[f64], score: impl Fn(f64) -> f64 + Sync) -> Vec<(f64, f64)> {
+    assert!(!grid.is_empty(), "alpha grid must be non-empty");
+    let score = &score;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = grid
+            .iter()
+            .map(|&alpha| s.spawn(move || (alpha, score(alpha))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("invariant: α replay threads do not panic"))
+            .collect()
+    })
+}
+
+/// The sweep's best `(α, score)`. Ties break toward the smaller α, so LRU
+/// wins when FLOP awareness adds nothing.
+pub(crate) fn best(sweep: &[(f64, f64)]) -> (f64, f64) {
+    sweep
+        .iter()
+        .copied()
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.total_cmp(&a.0)))
+        .expect("invariant: the α grid is non-empty")
 }
 
 #[cfg(test)]

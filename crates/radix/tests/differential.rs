@@ -652,7 +652,7 @@ fn one_resume_point_serves_a_whole_admission() {
 }
 
 // ---------------------------------------------------------------------------
-// Scale replay: 100k live nodes (1M with MARCONI_STRESS_FULL=1).
+// Scale replay: 100k live nodes.
 // ---------------------------------------------------------------------------
 
 /// splitmix64: deterministic, seedable, no external dependency.
@@ -865,15 +865,9 @@ fn scale_replay(seed: u64, target: usize) {
         .unwrap_or_else(|e| panic!("scale replay diverged at {target} live nodes: {e}"));
 }
 
-/// 100k live nodes by default; 1M with `MARCONI_STRESS_FULL=1`. Both sides
-/// stay O(depth) per op (the hinted side better), so even the full run is
-/// minutes, not hours.
+/// 100k live nodes. Both sides stay O(depth) per op (the hinted side
+/// better).
 #[test]
 fn scale_replay_with_cursors_matches_root_walks() {
-    let target = if std::env::var("MARCONI_STRESS_FULL").is_ok() {
-        1_000_000
-    } else {
-        100_000
-    };
-    scale_replay(0xD1FF8, target);
+    scale_replay(0xD1FF8, 100_000);
 }

@@ -205,7 +205,6 @@ impl Comparison {
                         self.capacity_bytes,
                         &events,
                         &self.oracle_grid,
-                        true,
                     );
                     oracle_alpha = Some(outcome.best_alpha);
                     self.run_one(

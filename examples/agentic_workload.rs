@@ -111,7 +111,6 @@ fn main() {
         capacity,
         &events,
         &[0.0, 0.5, 1.0, 2.0, 4.0],
-        true,
     );
     println!(
         "\noffline-optimal static α = {} → {:.1}% hit rate (online tuner reached {:.1}%)",

@@ -64,7 +64,7 @@ fn main() {
     println!("\n{:>10} | token hit rate by α (0 = LRU)", "cache");
     for cache_gb in [1u64, 2, 4, 8] {
         let capacity = cache_gb * 1_000_000_000;
-        let outcome = best_static_alpha(&model, capacity, &events, &[0.0, 0.25, 1.0, 4.0], true);
+        let outcome = best_static_alpha(&model, capacity, &events, &[0.0, 0.25, 1.0, 4.0]);
         let cells: Vec<String> = outcome
             .sweep
             .iter()

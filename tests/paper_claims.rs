@@ -178,7 +178,6 @@ fn s42_flop_aware_eviction_beats_lru_under_contention() {
         1_000_000_000,
         &events,
         &[0.0, 0.5, 1.0, 2.0],
-        true,
     );
     let lru = outcome.sweep[0].1;
     assert!(
