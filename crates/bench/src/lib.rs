@@ -15,9 +15,7 @@
 //!
 //! This library covers the *paper* results. The *systems* costs
 //! (radix-tree operations, eviction, routing, end-to-end replay
-//! throughput) are measured by the perf ledger under `benchmark/`; the one
-//! bench under `benches/`, `concurrent_throughput`, prices the sharded
-//! cache across threads.
+//! throughput) are measured by the perf ledger under `benchmark/`.
 //!
 //! # Examples
 //!

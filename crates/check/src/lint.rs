@@ -53,9 +53,8 @@ impl std::fmt::Display for Violation {
 
 /// Which crates the lint pass walks, relative to the workspace root.
 ///
-/// Benches and the figures binary live in `crates/bench` and are *not*
-/// listed: they legitimately measure wall-clock time
-/// (`concurrent_throughput.rs`), which is exactly the allowlist the rules
+/// `crates/bench` is *not* listed: its `figures` binary legitimately times
+/// each experiment with `Instant`, which is exactly the allowlist the rules
 /// intend.
 pub const LINTED_CRATES: [&str; 6] = [
     "crates/core",

@@ -8,10 +8,10 @@
 //! of the admitted sequence, handed back by the serving layer on the
 //! session's next turn, and validated in O(1) + O(resume edge) before the
 //! walk resumes from the deep node. Any validation failure — stale
-//! generation, structure drift, token divergence, a demoted resume path,
-//! or a cross-shard hint — falls back to the byte-identical root walk, so
-//! hints are *only* a shortcut, never a semantic input (the parity
-//! contract in `docs/session-fastpath.md`).
+//! generation, structure drift, token divergence, or a demoted resume
+//! path — falls back to the byte-identical root walk, so hints are *only*
+//! a shortcut, never a semantic input (the parity contract in
+//! `docs/session-fastpath.md`).
 //!
 //! [`CursorTable`] is the bounded per-session store the sim layers use:
 //! a deterministic LRU (BTree-backed, no hash iteration) so replays are
@@ -22,19 +22,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A generation-tagged resume handle for one session's cached prefix.
 ///
-/// Wraps the radix layer's [`MatchCursor`] together with the shard that
-/// minted it (0 for unsharded caches), so a sharded front-end can reject
-/// cross-shard hints by construction. The handle is `Copy` and carries no
-/// lifetime: it never dangles, because every use revalidates the node's
-/// generation and structure version before trusting it.
+/// Wraps the radix layer's [`MatchCursor`]. The handle is `Copy` and
+/// carries no lifetime: it never dangles, because every use revalidates
+/// the node's generation and structure version before trusting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "a session cursor only helps if passed back on the next turn"]
 pub struct SessionCursor {
     /// The radix-level resume handle.
     pub(crate) cursor: MatchCursor,
-    /// The shard that minted the handle (0 for plain caches). Cursors are
-    /// shard-local: a sharded cache rejects hints minted elsewhere.
-    pub(crate) shard: usize,
 }
 
 impl SessionCursor {
@@ -44,27 +39,6 @@ impl SessionCursor {
     pub fn matched_len(&self) -> u64 {
         self.cursor.matched_len()
     }
-
-    /// The shard that minted this handle (0 for unsharded caches).
-    #[must_use]
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-/// How a hinted cache operation received (or lost) its session hint —
-/// the internal currency between the sharded front-end and the hinted
-/// method bodies, so a hint rejected *before* reaching the tree (e.g.
-/// cross-shard) still surfaces as a `CursorFallback` trace event from the
-/// cache that ran the root walk.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CursorHint {
-    /// No hint offered: plain root walk, no cursor telemetry.
-    Cold,
-    /// A shard-validated hint to try against the tree.
-    Hint(MatchCursor),
-    /// A hint rejected upstream; root walk plus a fallback event.
-    Rejected(marconi_trace::CursorFallbackCause),
 }
 
 /// A bounded, deterministic per-session cursor store (LRU eviction).
@@ -161,7 +135,6 @@ mod tests {
         let end = t.insert(tokens).end_node;
         SessionCursor {
             cursor: t.cursor_at(end).expect("live node"),
-            shard: 0,
         }
     }
 

@@ -1,6 +1,6 @@
 //! The Marconi prefix cache (and, with LRU eviction, the SGLang+ baseline).
 
-use crate::cursor::{CursorHint, SessionCursor};
+use crate::cursor::SessionCursor;
 use crate::oracle::{replay, SequenceEvent};
 use crate::policy::{
     class_lower_edge, efficiency_class, pick_victim_banded, pick_victim_index, Candidate,
@@ -649,11 +649,14 @@ impl HybridPrefixCache {
     /// Resolves a hint once: the checked resume point (if it validated)
     /// and the telemetry outcome for
     /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
-    fn resolve_hint(&self, query: &[Token], hint: CursorHint) -> (Option<Resumed>, HintOutcome) {
+    fn resolve_hint(
+        &self,
+        query: &[Token],
+        hint: Option<MatchCursor>,
+    ) -> (Option<Resumed>, HintOutcome) {
         match hint {
-            CursorHint::Cold => (None, HintOutcome::Cold),
-            CursorHint::Rejected(cause) => (None, HintOutcome::Fallback(cause)),
-            CursorHint::Hint(c) => match self.resolve_cursor(&c, query) {
+            None => (None, HintOutcome::Cold),
+            Some(c) => match self.resolve_cursor(&c, query) {
                 Ok(at) => (
                     Some(at),
                     HintOutcome::Resumed {
@@ -678,7 +681,11 @@ impl HybridPrefixCache {
     /// from the hinted node when the hint validates, the root walk
     /// otherwise. The second value is the telemetry outcome for
     /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
-    fn match_with_hint(&self, query: &[Token], hint: CursorHint) -> (PrefixMatch, HintOutcome) {
+    fn match_with_hint(
+        &self,
+        query: &[Token],
+        hint: Option<MatchCursor>,
+    ) -> (PrefixMatch, HintOutcome) {
         let (at, outcome) = self.resolve_hint(query, hint);
         (self.match_from(at, query), outcome)
     }
@@ -705,18 +712,6 @@ impl HybridPrefixCache {
                     cause,
                 });
             }
-        }
-    }
-
-    /// Maps the public `Option<SessionCursor>` hint into the internal
-    /// [`CursorHint`]. An unsharded cache only honors shard-0 handles: a
-    /// hint minted by a sharded front-end surfaces as a cross-shard
-    /// fallback instead of silently resuming in the wrong tree.
-    fn hint_from(hint: Option<SessionCursor>) -> CursorHint {
-        match hint {
-            None => CursorHint::Cold,
-            Some(h) if h.shard == 0 => CursorHint::Hint(h.cursor),
-            Some(_) => CursorHint::Rejected(CursorFallbackCause::CrossShard),
         }
     }
 
@@ -1679,7 +1674,7 @@ impl PrefixCache for HybridPrefixCache {
         hint: Option<SessionCursor>,
     ) -> LookupResult {
         self.clock = self.clock.max(now);
-        let (m, hint_outcome) = self.match_with_hint(input, Self::hint_from(hint));
+        let (m, hint_outcome) = self.match_with_hint(input, hint.map(|h| h.cursor));
         self.emit_cursor_outcome(&hint_outcome, input.len(), now);
         let (node, tokens_matched) = self.hit(&m);
         let mut result = LookupResult {
@@ -1758,7 +1753,7 @@ impl PrefixCache for HybridPrefixCache {
         // extends. `walk_from` is where every walk below starts: the
         // resolved hint, until the speculation walk has matched the input
         // and moved it down to that walk's deepest fully-matched node.
-        let (resume, hint_outcome) = self.resolve_hint(input, Self::hint_from(hint));
+        let (resume, hint_outcome) = self.resolve_hint(input, hint.map(|h| h.cursor));
         self.emit_cursor_outcome(&hint_outcome, input.len(), now);
         let mut walk_from = resume;
 
@@ -1852,7 +1847,7 @@ impl PrefixCache for HybridPrefixCache {
         // device-resident end node (and is still revalidated on return).
         let next = end_node.and_then(|id| {
             let cursor = self.tree.cursor_at(id)?;
-            (self.tier(id) == Tier::Device).then_some(SessionCursor { cursor, shard: 0 })
+            (self.tier(id) == Tier::Device).then_some(SessionCursor { cursor })
         });
         (report, next)
     }
@@ -1887,7 +1882,7 @@ impl PrefixCache for HybridPrefixCache {
         // decoding. No recency, stats, or GDSF state moves: pinning
         // composes with the non-mutating-probe discipline even though it
         // needs `&mut` for the refcounts.
-        let (m, hint_outcome) = self.match_with_hint(input, Self::hint_from(hint));
+        let (m, hint_outcome) = self.match_with_hint(input, hint.map(|h| h.cursor));
         self.emit_cursor_outcome(&hint_outcome, input.len(), self.clock);
         let (node, _) = self.hit(&m);
         if let Some(id) = node {
@@ -1898,7 +1893,7 @@ impl PrefixCache for HybridPrefixCache {
                 node: id.index() as u64,
             });
         }
-        PinTicket { node, shard: 0 }
+        PinTicket { node }
     }
 
     fn unpin(&mut self, mut ticket: PinTicket) {
@@ -3880,6 +3875,24 @@ mod tests {
         assert!(empty.is_empty());
         c.unpin(empty);
         assert_eq!(c.pinned_bytes(), 0);
+    }
+
+    /// The debug-build leak detector: a ticket that pins a hit and is
+    /// dropped without `unpin` panics, instead of leaving its path
+    /// protected forever.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "PinTicket leaked")]
+    fn an_unredeemed_pin_ticket_panics_on_drop() {
+        let mut c = marconi(1 << 40);
+        let input = seq(0..96);
+        let output = seq(500..532);
+        c.insert_sequence(&input, &output);
+        let mut resume: Vec<Token> = input.clone();
+        resume.extend_from_slice(&output);
+        let ticket = c.pin_prefix(&resume);
+        assert!(!ticket.is_empty(), "the hit is pinned");
+        drop(ticket);
     }
 
     #[test]

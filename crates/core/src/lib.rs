@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod block;
-mod concurrent;
 mod cursor;
 mod hybrid;
 pub mod oracle;
@@ -70,7 +69,6 @@ mod tuner;
 mod vanilla;
 
 pub use block::{BlockCache, BlockReuseReport};
-pub use concurrent::{ShardedCache, ShardedCacheHandle};
 pub use cursor::{CursorTable, SessionCursor};
 pub use hybrid::{CheckpointMode, HybridPrefixCache, HybridPrefixCacheBuilder};
 pub use policy::EvictionPolicy;
@@ -107,9 +105,6 @@ pub struct PinTicket {
     /// Pinned nodes are never removed and keep their id across edge
     /// splits, so the id stays valid for the lifetime of the ticket.
     pub(crate) node: Option<NodeId>,
-    /// Which shard of a [`ShardedCache`] issued the ticket (0 for plain
-    /// caches), so `unpin` routes the release back to the right tree.
-    pub(crate) shard: usize,
 }
 
 impl PinTicket {
@@ -138,8 +133,8 @@ impl Drop for PinTicket {
         if self.node.is_some() && !std::thread::panicking() {
             panic!(
                 "PinTicket leaked: dropped while still pinning node {:?} \
-                 (shard {}) — every pin_prefix must be paired with unpin",
-                self.node, self.shard
+                 — every pin_prefix must be paired with unpin",
+                self.node
             );
         }
     }

@@ -3,18 +3,15 @@
 //!
 //! Every way a cursor can go stale — its resume node evicted
 //! (stale-generation), a split landing under it (structure-changed), the
-//! next query diverging inside the resume edge (query-diverged), the
-//! resume path demoted off the device tier (resume-demoted), or a hint
-//! presented to the wrong shard (cross-shard) — must (a) fall back to the
-//! root walk with results byte-identical to never having offered the
-//! hint, and (b) name its cause in a `CursorFallback` trace event. The
-//! closing property test replays random session interleavings, randomly
-//! dropping and spending hints, and demands hinted and unhinted runs
-//! agree on every per-request result and all end-state counters.
+//! next query diverging inside the resume edge (query-diverged), or the
+//! resume path demoted off the device tier (resume-demoted) — must (a)
+//! fall back to the root walk with results byte-identical to never having
+//! offered the hint, and (b) name its cause in a `CursorFallback` trace
+//! event. The closing property test replays random session interleavings,
+//! randomly dropping and spending hints, and demands hinted and unhinted
+//! runs agree on every per-request result and all end-state counters.
 
-use marconi_core::{
-    HybridPrefixCache, HybridPrefixCacheBuilder, PrefixCache, SessionCursor, ShardedCache,
-};
+use marconi_core::{HybridPrefixCache, HybridPrefixCacheBuilder, PrefixCache, SessionCursor};
 use marconi_model::ModelConfig;
 use marconi_radix::Token;
 use marconi_trace::{RingRecorder, TraceEvent, Tracer};
@@ -187,51 +184,6 @@ fn demotion_suppresses_cursor_minting() {
         next.is_none(),
         "a 128-token path cannot stay device-resident under a 64-token cap"
     );
-}
-
-#[test]
-fn cross_shard_hint_is_rejected_not_resumed() {
-    let sharded = ShardedCache::new(builder(1 << 40), 4);
-    let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
-    sharded.set_tracer(tracer);
-    // Two session roots on different shards.
-    let a_root = 100u32;
-    let b_root = (101..10_000)
-        .find(|&t| sharded.shard_of(&[t]) != sharded.shard_of(&[a_root]))
-        .expect("some token routes elsewhere among 4 shards");
-    let a: Vec<Token> = std::iter::once(a_root).chain(0..95).collect();
-    let b: Vec<Token> = std::iter::once(b_root).chain(0..95).collect();
-    let (_, cursor) = sharded.insert_at_with(&a, &seq(500..532), 0.0, None);
-    let cursor = cursor.expect("shard admission mints a cursor");
-    assert_eq!(
-        cursor.shard(),
-        sharded.shard_of(&a),
-        "cursor carries its minting shard"
-    );
-    sharded.insert_at(&b, &seq(600..632), 1.0);
-    // Spend A's cursor on B's session (routes to a different shard): the
-    // owning shard must reject it and root-walk, byte-identical to no hint.
-    let mut b_resume = b.clone();
-    b_resume.extend(seq(600..632));
-    b_resume.push(42);
-    let hinted = sharded.lookup_at_with(&b_resume, 2.0, Some(cursor));
-    let reference = ShardedCache::new(builder(1 << 40), 4);
-    reference.insert_at(&a, &seq(500..532), 0.0);
-    reference.insert_at(&b, &seq(600..632), 1.0);
-    let cold = reference.lookup_at(&b_resume, 2.0);
-    assert_eq!(hinted, cold, "cross-shard fallback must match root walk");
-    assert_eq!(sharded.stats(), reference.stats());
-    assert_eq!(fallback_causes(&rec), ["cross-shard"]);
-    // A hint on its own shard still resumes.
-    let mut a_resume = a.clone();
-    a_resume.extend(seq(500..532));
-    let (_, again) = sharded.insert_at_with(&a_resume, &seq(700..716), 3.0, None);
-    let again = again.expect("cursor re-minted");
-    let mut a_next = a_resume.clone();
-    a_next.extend(seq(700..716));
-    a_next.push(43);
-    sharded.lookup_at_with(&a_next, 4.0, Some(again));
-    assert_eq!(resumed_count(&rec), 1, "same-shard hint resumes");
 }
 
 /// Concurrent sessions in the cursor-gate trace.

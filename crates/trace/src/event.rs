@@ -167,9 +167,6 @@ pub enum CursorFallbackCause {
     /// The resume node's state was demoted off the device tier; the
     /// session has gone cold enough that the hint is not trusted.
     ResumeDemoted,
-    /// The hint was minted by a different shard of a sharded cache;
-    /// cursors are shard-local by construction.
-    CrossShard,
 }
 
 impl CursorFallbackCause {
@@ -181,7 +178,6 @@ impl CursorFallbackCause {
             CursorFallbackCause::StructureChanged => "structure-changed",
             CursorFallbackCause::QueryDiverged => "query-diverged",
             CursorFallbackCause::ResumeDemoted => "resume-demoted",
-            CursorFallbackCause::CrossShard => "cross-shard",
         }
     }
 }
