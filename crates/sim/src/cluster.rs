@@ -16,19 +16,19 @@
 //!   [`PrefixCache::longest_cached_prefix_len`]) and routes to the best
 //!   match, breaking ties toward the least-loaded replica;
 //! * [`QueueAware`] — like [`PrefixAware`], but ties break toward the
-//!   fewest outstanding queued tokens — meaningful under the event-driven
-//!   [`EventCluster`](crate::EventCluster), where queues actually form.
+//!   fewest outstanding queued tokens, so among equally warm replicas a
+//!   request joins the shortest queue.
 //!
-//! [`Cluster`] is a router over N analytic [`Engine`]s: each
-//! request is served by the same per-request step `Engine::run` loops over,
-//! so an N=1 cluster reproduces the single-node engine byte-for-byte under
-//! every router (the parity test below pins this) and the paper-claims
-//! suite anchors the cluster layer. The event-driven
-//! [`EventCluster`](crate::EventCluster) shares everything here but the
-//! service discipline: the routers, the routing step, the
-//! [`ClusterBuilder`] and the [`ClusterReport`].
+//! The fleet itself is [`EventCluster`]; this module holds what it is built
+//! from and what it reports — the routers, the routing step, the
+//! [`ClusterBuilder`] and the [`ClusterReport`]. In the zero-load limit
+//! ([`ClusterBuilder::instantaneous`]) queues never form and an N=1 cluster
+//! reproduces the single-node [`Engine`](crate::Engine)'s cache decisions
+//! under every router (the parity test below pins this), so the
+//! paper-claims suite anchors the cluster layer.
 
-use crate::engine::{Engine, Replica};
+use crate::engine::Replica;
+use crate::event::EventCluster;
 use crate::executor::{BatchConfig, ServiceMode};
 use crate::gpu::GpuModel;
 use crate::report::SimReport;
@@ -41,7 +41,6 @@ use marconi_model::ModelConfig;
 use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
 use marconi_workload::{Request, Token, Trace};
 use std::fmt;
-use std::marker::PhantomData;
 
 /// What a [`Router`] may see of one replica: a read-only probe plus load
 /// accounting. Probing **cannot** mutate the replica — placement probes on
@@ -55,10 +54,7 @@ pub struct ReplicaStatus<'a> {
 
 impl<'a> ReplicaStatus<'a> {
     /// Builds the router-facing view of one replica. `queued_tokens` is the
-    /// replica's outstanding prefill backlog; the instantaneous
-    /// [`Cluster`] always passes 0 (its queues never form), the
-    /// event-driven [`EventCluster`](crate::EventCluster) passes live
-    /// queue depth.
+    /// replica's live outstanding prefill backlog.
     fn new(index: usize, cache: &'a HybridPrefixCache, queued_tokens: u64) -> Self {
         ReplicaStatus {
             index,
@@ -75,7 +71,8 @@ impl<'a> ReplicaStatus<'a> {
 
     /// Outstanding prefill backlog in tokens: inputs waiting in the
     /// replica's admission queue plus un-prefilled remainders of its
-    /// running batch. Always 0 under the instantaneous [`Cluster`].
+    /// running batch. Always 0 in the zero-load limit
+    /// ([`ClusterBuilder::instantaneous`]).
     #[must_use]
     pub fn queued_tokens(&self) -> u64 {
         self.queued_tokens
@@ -242,12 +239,12 @@ impl Router for PrefixAware {
 /// the fewest *outstanding queued tokens*, then fewest routed tokens,
 /// then the lowest index.
 ///
-/// Under the instantaneous [`Cluster`] every queue reads 0 and this
-/// degenerates to exactly [`PrefixAware`]; under the event-driven
-/// [`EventCluster`](crate::EventCluster) it is the policy that finally
-/// trades prefix locality against real-time load — a deep cached prefix
-/// on a replica with a long backlog can still win, but among equally-warm
-/// replicas the request joins the shortest queue.
+/// In the zero-load limit ([`ClusterBuilder::instantaneous`]) every queue
+/// reads 0 and this degenerates to exactly [`PrefixAware`]; under a modeled
+/// device it is the policy that trades prefix locality against real-time
+/// load — a deep cached prefix on a replica with a long backlog can still
+/// win, but among equally-warm replicas the request joins the shortest
+/// queue.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueAware;
 
@@ -265,8 +262,8 @@ impl Router for QueueAware {
                     .cmp(&pb.tokens)
                     .then(pb.host_tokens.cmp(&pa.host_tokens))
                     .then(b.queued_tokens.cmp(&a.queued_tokens))
-                    // Queues tie (e.g. an idle fleet, or the instantaneous
-                    // cluster where depth is always 0): spread by
+                    // Queues tie (e.g. an idle fleet, or the zero-load
+                    // limit where depth is always 0): spread by
                     // cumulative routed load like `PrefixAware`, so the
                     // policy never funnels cold traffic to replica 0.
                     .then(b.routed_tokens().cmp(&a.routed_tokens()))
@@ -427,115 +424,9 @@ pub(crate) fn route<'c>(
     idx
 }
 
-/// N cache replicas behind a router, each served like a single
-/// [`Engine`].
-///
-/// # Examples
-///
-/// ```
-/// use marconi_model::ModelConfig;
-/// use marconi_sim::{Cluster, RoutingPolicy};
-/// use marconi_workload::{DatasetKind, TraceGenerator};
-///
-/// let trace = TraceGenerator::new(DatasetKind::ShareGpt)
-///     .sessions(8)
-///     .tenants(4)
-///     .seed(3)
-///     .generate();
-/// let mut cluster = Cluster::builder(ModelConfig::hybrid_7b())
-///     .replicas(4)
-///     .total_capacity_bytes(16 << 30)
-///     .routing(RoutingPolicy::PrefixAware)
-///     .build();
-/// let report = cluster.run(&trace);
-/// assert_eq!(report.assignments.len(), trace.len());
-/// assert_eq!(report.replicas.len(), 4);
-/// ```
+/// Builder for [`EventCluster`]; see [`EventCluster::builder`].
 #[derive(Debug)]
-pub struct Cluster {
-    replicas: Vec<Engine<HybridPrefixCache>>,
-    router: Box<dyn Router>,
-    tracer: Tracer,
-}
-
-impl Cluster {
-    /// Starts building a cluster of caches for `model`.
-    ///
-    /// Defaults: 1 replica, 16 GiB total capacity, the cache's default
-    /// (Marconi auto-tuned) eviction policy, [`RoutingPolicy::PrefixAware`],
-    /// a 4×A100 device model per replica.
-    #[must_use]
-    pub fn builder(model: ModelConfig) -> ClusterBuilder {
-        ClusterBuilder::new(model, RoutingPolicy::PrefixAware)
-    }
-
-    /// Number of replicas.
-    #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Read access to one replica's cache (diagnostics and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
-        self.replicas[index].cache()
-    }
-
-    /// The active router's name.
-    #[must_use]
-    pub fn router_name(&self) -> &str {
-        self.router.name()
-    }
-
-    /// Attaches a tracer to the cluster layer's own decisions (routing
-    /// choices with per-replica probes, reload pricing). Replica caches
-    /// stay untraced; trace a single-cache run for cache-level events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        for engine in &mut self.replicas {
-            engine.set_tracer(tracer.clone());
-        }
-        self.tracer = tracer;
-    }
-
-    /// Replays `trace`, routing each request as it arrives to the engine
-    /// that then serves it. Cache and cursor state persist across calls
-    /// (like `Engine`), but each call reports only its own requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router returns an out-of-range replica index.
-    pub fn run(&mut self, trace: &Trace) -> ClusterReport {
-        let before: Vec<CacheStats> = self.replicas.iter().map(|e| *e.cache().stats()).collect();
-        let mut records = vec![Vec::new(); self.replicas.len()];
-        let mut assignments = Vec::with_capacity(trace.len());
-        for req in &trace.requests {
-            // The analytic discipline never queues: every depth reads 0.
-            let caches = self.replicas.iter().map(|e| (e.cache(), 0));
-            let idx = route(&mut *self.router, &self.tracer, req, caches);
-            records[idx].push(self.replicas[idx].serve(req));
-            assignments.push(idx);
-        }
-        let replicas = self
-            .replicas
-            .iter()
-            .zip(records)
-            .map(|(e, records)| e.replica.report(trace, records, 0.0, 0))
-            .collect();
-        ClusterReport::new(self.router.name(), trace, replicas, &before, assignments)
-    }
-}
-
-/// Builder for [`Cluster`] and, as
-/// [`EventClusterBuilder`](crate::EventClusterBuilder), for
-/// [`EventCluster`](crate::EventCluster): the type parameter is the cluster
-/// it builds. See [`Cluster::builder`] and
-/// [`EventCluster::builder`](crate::EventCluster::builder).
-#[derive(Debug)]
-pub struct ClusterBuilder<T = Cluster> {
+pub struct ClusterBuilder {
     model: ModelConfig,
     replicas: usize,
     total_capacity: u64,
@@ -543,14 +434,13 @@ pub struct ClusterBuilder<T = Cluster> {
     reload_policy: ReloadPolicy,
     policy: EvictionPolicy,
     checkpoint_mode: CheckpointMode,
-    pub(crate) service: ServiceMode,
-    pub(crate) batch: BatchConfig,
-    pub(crate) router: Box<dyn Router>,
-    builds: PhantomData<fn() -> T>,
+    service: ServiceMode,
+    batch: BatchConfig,
+    router: Box<dyn Router>,
 }
 
-impl<T> ClusterBuilder<T> {
-    pub(crate) fn new(model: ModelConfig, routing: RoutingPolicy) -> Self {
+impl ClusterBuilder {
+    pub(crate) fn new(model: ModelConfig) -> Self {
         ClusterBuilder {
             model,
             replicas: 1,
@@ -561,8 +451,7 @@ impl<T> ClusterBuilder<T> {
             checkpoint_mode: CheckpointMode::Exact,
             service: ServiceMode::Modeled(GpuModel::a100_x4()),
             batch: BatchConfig::default(),
-            router: routing.build(),
-            builds: PhantomData,
+            router: RoutingPolicy::QueueAware.build(),
         }
     }
 
@@ -627,9 +516,7 @@ impl<T> ClusterBuilder<T> {
     }
 
     /// Selects a built-in routing policy (default
-    /// [`RoutingPolicy::PrefixAware`] for [`Cluster`],
-    /// [`RoutingPolicy::QueueAware`] for
-    /// [`EventCluster`](crate::EventCluster)).
+    /// [`RoutingPolicy::QueueAware`]).
     #[must_use]
     pub fn routing(mut self, policy: RoutingPolicy) -> Self {
         self.router = policy.build();
@@ -643,14 +530,34 @@ impl<T> ClusterBuilder<T> {
         self
     }
 
-    /// The one place replica caches are configured: every replica gets an
-    /// equal `total / n` slice of both the device capacity and the host
-    /// budget, the same policy/checkpoint/reload knobs, and its index as
-    /// its trace label (the tuner-replica-fidelity lesson of PR 2: any new
-    /// cache knob must flow through here to reach both clusters).
-    pub(crate) fn build_replicas(&self) -> Vec<Replica<HybridPrefixCache>> {
+    /// Puts every replica in the infinite-throughput (zero-load) limit.
+    #[must_use]
+    pub fn instantaneous(mut self) -> Self {
+        self.service = ServiceMode::Instantaneous;
+        self
+    }
+
+    /// Overrides the per-replica continuous-batching knobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a knob is zero.
+    #[must_use]
+    pub fn batch(mut self, batch: BatchConfig) -> Self {
+        batch.validate();
+        self.batch = batch;
+        self
+    }
+
+    /// Builds the cluster. This is the one place replica caches are
+    /// configured: every replica gets an equal `total / n` slice of both
+    /// the device capacity and the host budget, the same
+    /// policy/checkpoint/reload knobs, and its index as its trace label
+    /// (any new cache knob must flow through here to reach the replicas).
+    #[must_use]
+    pub fn build(self) -> EventCluster {
         let n = self.replicas as u64;
-        (0..self.replicas)
+        let replicas = (0..self.replicas)
             .map(|index| {
                 let cache = HybridPrefixCache::builder(self.model.clone())
                     .capacity_bytes(self.total_capacity / n)
@@ -661,35 +568,19 @@ impl<T> ClusterBuilder<T> {
                     .build();
                 Replica::new(cache, Some(index))
             })
-            .collect()
-    }
-}
-
-impl ClusterBuilder<Cluster> {
-    /// Builds the cluster.
-    pub fn build(self) -> Cluster {
-        let gpu = self
-            .service
-            .gpu()
-            .expect("invariant: only the event builder can drop the device model");
-        Cluster {
-            replicas: self
-                .build_replicas()
-                .into_iter()
-                .map(|replica| Engine {
-                    replica,
-                    gpu: gpu.clone(),
-                })
-                .collect(),
+            .collect();
+        EventCluster {
+            replicas,
             router: self.router,
+            service: self.service,
+            batch: self.batch,
             tracer: Tracer::off(),
         }
     }
 }
 
-/// Result of one [`Cluster::run`] or
-/// [`EventCluster::run`](crate::EventCluster::run): per-replica breakdowns
-/// plus the assignment log.
+/// Result of one [`EventCluster::run`]: per-replica breakdowns plus the
+/// assignment log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Router name the run used.
@@ -725,7 +616,7 @@ impl ClusterReport {
         }
     }
 
-    /// Cluster-wide cache statistics: the per-replica counters summed.
+    /// Fleet-wide cache statistics: the per-replica counters summed.
     ///
     /// `peak_usage_bytes` is the sum of per-replica peaks (replicas peak at
     /// different times, so this bounds — rather than equals — the true
@@ -739,14 +630,14 @@ impl ClusterReport {
         total
     }
 
-    /// Cluster-wide token hit rate: hit tokens over input tokens, summed
+    /// Fleet-wide token hit rate: hit tokens over input tokens, summed
     /// across replicas.
     #[must_use]
     pub fn aggregate_token_hit_rate(&self) -> f64 {
         self.aggregate_stats().token_hit_rate()
     }
 
-    /// Cluster-wide hit tokens split by serving tier.
+    /// Fleet-wide hit tokens split by serving tier.
     #[must_use]
     pub fn hit_tier_split(&self) -> TierSplit {
         let mut total = TierSplit::default();
@@ -800,7 +691,7 @@ impl ClusterReport {
         with_ids.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// Cluster-wide TTFT distribution summary; `None` for an empty run.
+    /// Fleet-wide TTFT distribution summary; `None` for an empty run.
     #[must_use]
     pub fn ttft_summary(&self) -> Option<LatencySummary> {
         LatencySummary::new(&self.ttfts_ms())
@@ -821,21 +712,40 @@ mod tests {
             .generate()
     }
 
-    fn cluster(n: usize, policy: RoutingPolicy, capacity: u64) -> Cluster {
-        Cluster::builder(ModelConfig::hybrid_7b())
+    /// An N-replica LRU cluster in the zero-load limit, where queues never
+    /// form and every replica admits each request at its arrival.
+    fn cluster(n: usize, policy: RoutingPolicy, capacity: u64) -> EventCluster {
+        EventCluster::builder(ModelConfig::hybrid_7b())
             .replicas(n)
             .total_capacity_bytes(capacity)
             .policy(EvictionPolicy::Lru)
             .routing(policy)
+            .instantaneous()
             .build()
     }
 
     #[test]
     fn n1_cluster_reproduces_single_node_engine_under_every_router() {
-        // The parity anchor: a cluster of one replica is the single-node
-        // simulator, byte for byte, regardless of router — so everything
-        // the paper-claims suite establishes about the engine transfers.
+        // The parity anchor: a zero-load cluster of one replica makes the
+        // single-node engine's cache decisions, regardless of router — so
+        // everything the paper-claims suite establishes about the engine
+        // transfers. TTFT is the one field that differs: the engine prices
+        // prefill, the zero-load limit takes no time.
         let trace = multi_tenant_trace(11);
+        let decisions = |rep: &SimReport| -> Vec<_> {
+            rep.records
+                .iter()
+                .map(|r| {
+                    (
+                        r.id,
+                        r.hit_tokens,
+                        r.raw_matched,
+                        r.flops_spent,
+                        r.flops_saved,
+                    )
+                })
+                .collect()
+        };
         for policy in [
             EvictionPolicy::Lru,
             EvictionPolicy::FlopAware { alpha: 2.0 },
@@ -851,61 +761,27 @@ mod tests {
             );
             let single = engine.run(&trace);
             for routing in RoutingPolicy::ALL {
-                let mut c = Cluster::builder(ModelConfig::hybrid_7b())
+                let mut c = EventCluster::builder(ModelConfig::hybrid_7b())
                     .replicas(1)
                     .total_capacity_bytes(capacity)
                     .policy(policy.clone())
                     .routing(routing)
+                    .instantaneous()
                     .build();
                 let report = c.run(&trace);
+                let got = &report.replicas[0];
                 assert_eq!(
-                    report.replicas[0].cache_stats, single.cache_stats,
+                    got.cache_stats, single.cache_stats,
                     "{routing}/{policy}: CacheStats must be byte-identical"
                 );
                 assert_eq!(
-                    report.replicas[0].records, single.records,
+                    decisions(got),
+                    decisions(&single),
                     "{routing}/{policy}: per-request records must match"
                 );
                 assert!(report.assignments.iter().all(|&i| i == 0));
             }
         }
-    }
-
-    #[test]
-    fn cluster_resumes_session_cursors() {
-        // `Cluster` serves through `Engine`'s own per-request step, so the
-        // session fast path reaches it: later turns resume from the cursor
-        // their replica's previous turn deposited — and, hinted ≡ unhinted,
-        // the report is the one a cursor-less cluster produces.
-        use marconi_trace::RingRecorder;
-        let trace = multi_tenant_trace(17);
-        assert!(
-            trace.requests.iter().any(|r| r.turn > 0),
-            "multi-turn trace"
-        );
-        let run = |cursors: bool| {
-            let mut c = cluster(2, RoutingPolicy::SessionAffinity, 4 << 30);
-            let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 14));
-            for engine in &mut c.replicas {
-                engine.replica.cache.set_tracer(tracer.clone());
-                if !cursors {
-                    engine.set_session_cursor_capacity(0);
-                }
-            }
-            let report = c.run(&trace);
-            let resumed = recorder
-                .lock()
-                .expect("lock: test-local recorder")
-                .events()
-                .filter(|e| matches!(e.event, TraceEvent::CursorResumed { .. }))
-                .count();
-            (report, resumed)
-        };
-        let (with_cursors, resumed) = run(true);
-        let (without, cold) = run(false);
-        assert!(resumed > 0, "later turns must resume from their cursor");
-        assert_eq!(cold, 0, "capacity 0 disables the fast path");
-        assert_eq!(with_cursors, without);
     }
 
     #[test]
@@ -952,10 +828,10 @@ mod tests {
 
     #[test]
     fn queue_aware_degenerates_to_prefix_aware_without_queues() {
-        // The instantaneous cluster never forms queues (queued_tokens is
-        // always 0), so queue-aware routing must reproduce prefix-aware
-        // assignments exactly — the queue tie-breaker only bites in the
-        // event-driven cluster.
+        // The zero-load cluster never forms queues (queued_tokens is always
+        // 0), so queue-aware routing must reproduce prefix-aware
+        // assignments exactly — the queue tie-breaker only bites under a
+        // modeled device.
         let trace = multi_tenant_trace(5);
         let run = |routing: RoutingPolicy| {
             let mut c = cluster(4, routing, 8 << 30);
@@ -973,11 +849,12 @@ mod tests {
         // must leave that replica byte-identical, even though the router
         // probed its tree.
         let model = ModelConfig::hybrid_7b();
-        let mut c = Cluster::builder(model.clone())
+        let mut c = EventCluster::builder(model.clone())
             .replicas(2)
             .total_capacity_bytes(8 << 30)
             .policy(EvictionPolicy::Lru)
             .routing(RoutingPolicy::PrefixAware)
+            .instantaneous()
             .build();
         let session_a: Vec<Token> = (0..400).collect();
         let session_b: Vec<Token> = (100_000..100_400).collect();
@@ -1039,10 +916,10 @@ mod tests {
 
     #[test]
     fn host_capacity_and_reload_policy_reach_every_replica() {
-        // The build_replicas fidelity rule extended to the tier knobs: a
+        // The builder's fidelity rule extended to the tier knobs: a
         // cluster-wide host budget slices like the device capacity, and
         // the reload policy reaches each cache.
-        let c = Cluster::builder(ModelConfig::hybrid_7b())
+        let c = EventCluster::builder(ModelConfig::hybrid_7b())
             .replicas(4)
             .total_capacity_bytes(16 << 30)
             .total_host_capacity_bytes(64 << 30)

@@ -9,12 +9,12 @@
 //! [`executor`](crate::BatchConfig) calls `admit` when a batch slot frees
 //! and `complete` when the last decode token finishes.
 
-use crate::gpu::{GpuModel, ReloadDecision};
+use crate::gpu::GpuModel;
 use crate::report::{RequestRecord, SimReport};
 use marconi_core::{
     CursorTable, LookupResult, PinTicket, PrefixCache, ReloadPolicy, SessionCursor,
 };
-use marconi_trace::{ReloadDecision as TraceReload, TraceEvent, Tracer};
+use marconi_trace::{ReloadDecision, TraceEvent, Tracer};
 use marconi_workload::{Request, Trace};
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ pub(crate) struct Admitted {
     /// Latency charged for the host-resident share of the hit
     /// (compute-or-load), and the arm that produced it.
     pub(crate) reload_s: f64,
-    reload: ReloadDecision,
+    reload: Option<ReloadDecision>,
     /// The session hint taken at admission, re-spent on the completion
     /// insert. The insert revalidates it — anything that happened to the
     /// resume path while the request was in flight makes it fall back to
@@ -96,21 +96,20 @@ impl<C: PrefixCache> Replica<C> {
             // Infinite throughput also means infinite bandwidth: host hits
             // reload in zero time, but the recorded arm still honors the
             // cache's policy (an AlwaysRecompute cache never transfers).
-            None if !hit.needs_reload() => (0.0, ReloadDecision::None),
-            None if policy == ReloadPolicy::AlwaysRecompute => (0.0, ReloadDecision::Recomputed),
-            None => (0.0, ReloadDecision::Loaded),
+            None if !hit.needs_reload() => (0.0, None),
+            None if policy == ReloadPolicy::AlwaysRecompute => {
+                (0.0, Some(ReloadDecision::Recompute))
+            }
+            None => (0.0, Some(ReloadDecision::Load)),
         };
-        if let Some(gpu) = gpu.filter(|_| reload != ReloadDecision::None) {
+        if let (Some(gpu), Some(decision)) = (gpu, reload) {
             self.tracer.emit(|| TraceEvent::Reload {
                 ts: now,
                 cache: self.label.clone(),
                 host_bytes: hit.host_bytes,
                 load_secs: gpu.transfer_secs(hit.host_bytes),
                 recompute_secs: gpu.secs_for_flops(hit.host_reload_flops),
-                decision: match reload {
-                    ReloadDecision::Recomputed => TraceReload::Recompute,
-                    _ => TraceReload::Load,
-                },
+                decision,
             });
         }
         Admitted {
@@ -191,6 +190,27 @@ impl<C: PrefixCache> Replica<C> {
     }
 }
 
+/// Checks that `req` may follow an arrival at `last` and returns its own
+/// arrival: every driver serves arrivals in order.
+///
+/// # Panics
+///
+/// Panics if the arrival is not finite or precedes `last`.
+pub(crate) fn check_arrival(req: &Request, last: f64) -> f64 {
+    let t = req.arrival;
+    assert!(
+        t.is_finite(),
+        "arrival of request {} is not finite: {t}",
+        req.id
+    );
+    assert!(
+        t >= last,
+        "arrival of request {} at {t} precedes its predecessor's at {last}",
+        req.id
+    );
+    t
+}
+
 /// Replays traces against one cache, mirroring an inference engine's
 /// lookup → prefill → decode → admit loop (paper §2.2):
 ///
@@ -227,8 +247,8 @@ impl<C: PrefixCache> Replica<C> {
 /// ```
 #[derive(Debug)]
 pub struct Engine<C> {
-    pub(crate) replica: Replica<C>,
-    pub(crate) gpu: GpuModel,
+    replica: Replica<C>,
+    gpu: GpuModel,
 }
 
 impl<C: PrefixCache> Engine<C> {
@@ -272,27 +292,34 @@ impl<C: PrefixCache> Engine<C> {
         self.replica.cache
     }
 
-    /// Serves one request at its arrival time.
+    /// Replays `trace`, serving each request at its arrival time, and
+    /// produces the per-request report. Cache and cursor state persist
+    /// across calls; `cache_stats` is cumulative.
     ///
     /// A hit whose prefix is partly host-resident additionally charges the
     /// reload latency on top of the uncached-suffix prefill, and the record
     /// carries which arm was taken. Single-tier caches never report host
     /// bytes, so their TTFTs are unchanged.
-    pub(crate) fn serve(&mut self, req: &Request) -> RequestRecord {
-        let now = req.arrival;
-        let adm = self.replica.admit(req, now, Some(&self.gpu), false);
-        let model = self.replica.cache.model();
-        let ttft_ms = self
-            .gpu
-            .ttft_ms(model, req.input_len(), adm.hit.tokens_matched)
-            + adm.reload_s * 1e3;
-        self.replica.complete(req, adm, now, ttft_ms, now)
-    }
-
-    /// Replays `trace` and produces the per-request report. Cache and
-    /// cursor state persist across calls; `cache_stats` is cumulative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is not finite or precedes its predecessor's.
     pub fn run(&mut self, trace: &Trace) -> SimReport {
-        let records = trace.requests.iter().map(|req| self.serve(req)).collect();
+        let mut now = f64::NEG_INFINITY;
+        let records = trace
+            .requests
+            .iter()
+            .map(|req| {
+                now = check_arrival(req, now);
+                let adm = self.replica.admit(req, now, Some(&self.gpu), false);
+                let model = self.replica.cache.model();
+                let ttft_ms = self
+                    .gpu
+                    .ttft_ms(model, req.input_len(), adm.hit.tokens_matched)
+                    + adm.reload_s * 1e3;
+                self.replica.complete(req, adm, now, ttft_ms, now)
+            })
+            .collect();
         self.replica.report(trace, records, 0.0, 0)
     }
 }
@@ -388,7 +415,7 @@ mod tests {
         assert!(!host_hits.is_empty(), "trace must produce host hits");
         for r in &host_hits {
             assert!(r.reload_ms > 0.0, "req {}: host hits charge reload", r.id);
-            assert_ne!(r.reload, crate::gpu::ReloadDecision::None);
+            assert!(r.reload.is_some());
         }
         assert!(
             col.records.iter().any(|r| r.host_hit_tokens == 0),

@@ -17,43 +17,36 @@
 //! serving interleaving.
 //!
 //! There is one event loop. [`EventCluster`] runs it over N replicas behind
-//! the same [`Router`] abstraction as the analytic cluster —
-//! [`RoutingPolicy::QueueAware`] finally lets placement trade prefix
-//! locality against real-time queue depth — and [`EventSim`] is its N = 1,
-//! router-less call.
+//! a [`Router`] — [`QueueAware`](crate::QueueAware) lets placement trade
+//! prefix locality against real-time queue depth — and [`EventSim`] is its
+//! N = 1, router-less call.
 //!
 //! Determinism contract: the whole subsystem is a pure function of
-//! `(trace, cache configuration, BatchConfig, ServiceMode)` — no wall
+//! `(trace, cache configuration, BatchConfig, service mode)` — no wall
 //! clock, no randomness anywhere; simultaneous events resolve executor
 //! events before arrivals, then by replica index, then FIFO. The
-//! zero-load anchor: [`ServiceMode::Instantaneous`] with empty queues
-//! reproduces the analytic `Engine` **byte-for-byte** (identical
-//! `CacheStats` and per-request hit tokens — the parity test below and
-//! `ARCHITECTURE.md` pin this), so every claim established on the engine
-//! transfers to the event layer's zero-load limit.
+//! zero-load anchor: the infinite-throughput limit
+//! ([`EventSim::instantaneous`], [`ClusterBuilder::instantaneous`]) with
+//! empty queues reproduces the analytic `Engine` **byte-for-byte**
+//! (identical `CacheStats` and per-request hit tokens — the parity tests
+//! and `ARCHITECTURE.md` pin this), so every claim established on the
+//! engine transfers to the event layer's zero-load limit.
 
-use crate::cluster::{route, ClusterBuilder, ClusterReport, Router, RoutingPolicy};
-use crate::engine::Replica;
+use crate::cluster::{route, ClusterBuilder, ClusterReport, Router};
+use crate::engine::{check_arrival, Replica};
 use crate::executor::{BatchConfig, Executor, ServiceMode};
 use crate::gpu::GpuModel;
-use crate::report::{RequestRecord, SimReport};
+use crate::report::SimReport;
 use marconi_core::{CacheStats, HybridPrefixCache, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_trace::Tracer;
 use marconi_workload::{Request, Trace};
-
-/// One request's outcome in a discrete-event run: the shared record, with
-/// its queueing fields live.
-pub type EventRecord = RequestRecord;
 
 /// Aggregate result of one discrete-event run on one device.
 pub type EventReport = SimReport;
 
 /// Result of one [`EventCluster::run`].
 pub type EventClusterReport = ClusterReport;
-
-/// Builder for [`EventCluster`]; see [`EventCluster::builder`].
-pub type EventClusterBuilder = ClusterBuilder<EventCluster>;
 
 /// The event loop: replays `trace` under the virtual clock across
 /// `replicas`, one fresh executor each, and returns one report per replica.
@@ -98,17 +91,7 @@ fn drive<'t, C: PrefixCache>(
                 let req = arrivals
                     .next()
                     .expect("invariant: the peeked arrival is still in the iterator");
-                assert!(
-                    ta.is_finite(),
-                    "arrival of request {} is not finite: {ta}",
-                    req.id
-                );
-                assert!(
-                    ta >= last_arrival,
-                    "arrival of request {} at {ta} precedes its predecessor's at {last_arrival}",
-                    req.id
-                );
-                last_arrival = ta;
+                last_arrival = check_arrival(req, last_arrival);
                 let k = route(req, replicas, &execs);
                 execs[k].enqueue(req, &mut replicas[k], ta);
             }
@@ -254,23 +237,23 @@ impl<C: PrefixCache> EventSim<C> {
 /// ```
 #[derive(Debug)]
 pub struct EventCluster {
-    replicas: Vec<Replica<HybridPrefixCache>>,
-    router: Box<dyn Router>,
-    service: ServiceMode,
-    batch: BatchConfig,
-    tracer: Tracer,
+    pub(crate) replicas: Vec<Replica<HybridPrefixCache>>,
+    pub(crate) router: Box<dyn Router>,
+    pub(crate) service: ServiceMode,
+    pub(crate) batch: BatchConfig,
+    pub(crate) tracer: Tracer,
 }
 
 impl EventCluster {
     /// Starts building an event-driven cluster for `model`.
     ///
     /// Defaults: 1 replica, 16 GiB total capacity, the cache's default
-    /// (Marconi auto-tuned) eviction policy,
-    /// [`RoutingPolicy::QueueAware`], a 4×A100 device per replica, default
-    /// [`BatchConfig`].
+    /// (Marconi auto-tuned) eviction policy, queue-aware routing
+    /// ([`QueueAware`](crate::QueueAware)), a modeled 4×A100 device per
+    /// replica, default [`BatchConfig`].
     #[must_use]
-    pub fn builder(model: ModelConfig) -> EventClusterBuilder {
-        ClusterBuilder::new(model, RoutingPolicy::QueueAware)
+    pub fn builder(model: ModelConfig) -> ClusterBuilder {
+        ClusterBuilder::new(model)
     }
 
     /// Number of replicas.
@@ -341,43 +324,10 @@ impl EventCluster {
     }
 }
 
-impl ClusterBuilder<EventCluster> {
-    /// Puts every replica in the infinite-throughput (zero-load) limit.
-    #[must_use]
-    pub fn instantaneous(mut self) -> Self {
-        self.service = ServiceMode::Instantaneous;
-        self
-    }
-
-    /// Overrides the per-replica continuous-batching knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a knob is zero.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchConfig) -> Self {
-        batch.validate();
-        self.batch = batch;
-        self
-    }
-
-    /// Builds the cluster.
-    #[must_use]
-    pub fn build(self) -> EventCluster {
-        EventCluster {
-            replicas: self.build_replicas(),
-            router: self.router,
-            service: self.service,
-            batch: self.batch,
-            tracer: Tracer::off(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, RoutingPolicy};
     use marconi_core::{CursorTable, EvictionPolicy};
     use marconi_metrics::Percentiles;
     use marconi_trace::{RingRecorder, TraceEvent};
@@ -537,12 +487,17 @@ mod tests {
         };
         let cache = || marconi_cache(1 << 40, EvictionPolicy::Lru);
 
+        // The engine's cache is traced from the start; the resumes of the
+        // first run are subtracted.
         let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
-        let mut engine = Engine::new(cache(), GpuModel::a100_x4());
+        let mut traced = cache();
+        traced.set_tracer(tracer);
+        let mut engine = Engine::new(traced, GpuModel::a100_x4());
         let _ = engine.run(&first);
-        engine.replica.cache.set_tracer(tracer);
+        let before = resumed(&rec);
         let _ = engine.run(&second);
-        assert!(resumed(&rec) >= second.len(), "Engine: {}", resumed(&rec));
+        let engine_resumed = resumed(&rec) - before;
+        assert!(engine_resumed >= second.len(), "Engine: {engine_resumed}");
 
         let (tracer, rec) = Tracer::to_sink(RingRecorder::new(1 << 12));
         let mut sim = EventSim::new(cache(), GpuModel::a100_x4());
@@ -866,7 +821,7 @@ mod tests {
         assert!(
             col.records
                 .iter()
-                .any(|r| r.reload == crate::gpu::ReloadDecision::Loaded),
+                .any(|r| r.reload == Some(marconi_trace::ReloadDecision::Load)),
             "PCIe transfers must win for long prefixes"
         );
         let p95_col = col.ttft_percentile_ms(0.95).unwrap();
@@ -1013,9 +968,36 @@ mod tests {
         let _ = run_sim(&two_arrivals(1.0, 0.5));
     }
 
+    fn run_engine(trace: &Trace) -> SimReport {
+        Engine::new(
+            marconi_cache(1 << 30, EvictionPolicy::Lru),
+            GpuModel::a100_x4(),
+        )
+        .run(trace)
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 is not finite")]
+    fn engine_rejects_nan_arrival() {
+        let _ = run_engine(&two_arrivals(0.0, f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 is not finite")]
+    fn engine_rejects_infinite_arrival() {
+        let _ = run_engine(&two_arrivals(0.0, f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of request 1 at 0.5 precedes its predecessor's at 1")]
+    fn engine_rejects_decreasing_arrival() {
+        let _ = run_engine(&two_arrivals(1.0, 0.5));
+    }
+
     #[test]
     fn equal_arrivals_are_in_order() {
         assert_eq!(run_sim(&two_arrivals(0.25, 0.25)).records.len(), 2);
+        assert_eq!(run_engine(&two_arrivals(0.25, 0.25)).records.len(), 2);
     }
 
     /// Segmentation never depends on the tracer: a cluster recording every

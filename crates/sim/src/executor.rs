@@ -72,7 +72,7 @@ impl BatchConfig {
 
 /// How iteration durations are produced.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ServiceMode {
+pub(crate) enum ServiceMode {
     /// Durations from the analytic [`GpuModel`]: iteration FLOPs over
     /// sustained throughput, plus the fixed per-request overhead charged
     /// once at admission.

@@ -2,19 +2,8 @@
 
 use marconi_core::ReloadPolicy;
 use marconi_model::{MemoryBandwidths, ModelConfig};
+use marconi_trace::ReloadDecision;
 use serde::{Deserialize, Serialize};
-
-/// Which arm of the compute-or-load decision served a host-tier hit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReloadDecision {
-    /// The hit had no host-resident share (or there was no hit).
-    #[default]
-    None,
-    /// The host bytes were transferred over PCIe.
-    Loaded,
-    /// The host spans were recomputed on the device.
-    Recomputed,
-}
 
 /// Roofline-style device model: prefill is compute-bound, so latency is
 /// FLOPs over sustained throughput, plus a fixed per-request overhead
@@ -154,23 +143,19 @@ impl GpuModel {
         policy: ReloadPolicy,
         host_bytes: u64,
         host_reload_flops: u128,
-    ) -> (f64, ReloadDecision) {
+    ) -> (f64, Option<ReloadDecision>) {
         if host_bytes == 0 && host_reload_flops == 0 {
-            return (0.0, ReloadDecision::None);
+            return (0.0, None);
         }
         let load = self.transfer_secs(host_bytes);
         let recompute = self.secs_for_flops(host_reload_flops);
-        match policy {
-            ReloadPolicy::AlwaysReload => (load, ReloadDecision::Loaded),
-            ReloadPolicy::AlwaysRecompute => (recompute, ReloadDecision::Recomputed),
-            ReloadPolicy::ComputeOrLoad => {
-                if load <= recompute {
-                    (load, ReloadDecision::Loaded)
-                } else {
-                    (recompute, ReloadDecision::Recomputed)
-                }
-            }
-        }
+        let (secs, decision) = match policy {
+            ReloadPolicy::AlwaysReload => (load, ReloadDecision::Load),
+            ReloadPolicy::AlwaysRecompute => (recompute, ReloadDecision::Recompute),
+            ReloadPolicy::ComputeOrLoad if load <= recompute => (load, ReloadDecision::Load),
+            ReloadPolicy::ComputeOrLoad => (recompute, ReloadDecision::Recompute),
+        };
+        (secs, Some(decision))
     }
 
     /// TTFT of an `input_len`-token request whose cached prefix of
@@ -328,21 +313,21 @@ mod tests {
         let gpu = GpuModel::a100_x4();
         // Cheap transfer, expensive recompute: load wins.
         let (t, d) = gpu.reload_secs(ReloadPolicy::ComputeOrLoad, 1 << 20, 1 << 50);
-        assert_eq!(d, ReloadDecision::Loaded);
+        assert_eq!(d, Some(ReloadDecision::Load));
         assert!((t - gpu.transfer_secs(1 << 20)).abs() < 1e-15);
         // Expensive transfer, cheap recompute: compute wins.
         let (t, d) = gpu.reload_secs(ReloadPolicy::ComputeOrLoad, 1 << 33, 1 << 20);
-        assert_eq!(d, ReloadDecision::Recomputed);
+        assert_eq!(d, Some(ReloadDecision::Recompute));
         assert!((t - gpu.secs_for_flops(1 << 20)).abs() < 1e-15);
         // Forced arms.
         let (_, d) = gpu.reload_secs(ReloadPolicy::AlwaysReload, 1 << 33, 1 << 20);
-        assert_eq!(d, ReloadDecision::Loaded);
+        assert_eq!(d, Some(ReloadDecision::Load));
         let (_, d) = gpu.reload_secs(ReloadPolicy::AlwaysRecompute, 1 << 20, 1 << 50);
-        assert_eq!(d, ReloadDecision::Recomputed);
+        assert_eq!(d, Some(ReloadDecision::Recompute));
         // No host share: free.
         assert_eq!(
             gpu.reload_secs(ReloadPolicy::ComputeOrLoad, 0, 0),
-            (0.0, ReloadDecision::None)
+            (0.0, None)
         );
     }
 

@@ -12,13 +12,13 @@
 //! every baseline (vanilla, vLLM+, SGLang+, and the offline static-α
 //! oracle) for the paper's end-to-end experiments.
 //!
-//! Beyond the paper's single-replica setting, the [`cluster`] module shards
-//! the cache across N replicas behind a pluggable [`Router`] (round-robin,
-//! session-affinity, prefix-aware, or queue-aware placement) to study how
-//! much prefix reuse survives at cluster scale; see `ARCHITECTURE.md` for
-//! the layer's contract.
+//! Beyond the paper's single-replica setting, [`EventCluster`] shards the
+//! cache across N replicas behind a pluggable [`Router`] (round-robin,
+//! session-affinity, prefix-aware, or queue-aware placement; see the
+//! [`cluster`] module) to study how much prefix reuse survives at cluster
+//! scale; see `ARCHITECTURE.md` for the layer's contract.
 //!
-//! ## One step, two disciplines, one cluster front-end
+//! ## One step, two disciplines, one cluster
 //!
 //! Every driver serves a request through the same admission and completion
 //! step (lookup → reload pricing, then insert → record); the service
@@ -32,16 +32,18 @@
 //! at request *completion*. One [`SimReport`] type serves both; under the
 //! event drivers its queueing fields come alive: queueing delay,
 //! load-dependent TTFT (= queue + prefill), device utilization, and goodput
-//! under an SLO. [`Cluster`] and [`EventCluster`] put either discipline
-//! behind the same routers, builder and [`ClusterReport`]; under the event
-//! cluster [`ReplicaStatus`] carries live queue depth.
+//! under an SLO. [`EventCluster`] puts the batched discipline behind the
+//! routers, the [`ClusterBuilder`] and the [`ClusterReport`], and its
+//! [`ReplicaStatus`] carries live queue depth.
 //!
 //! **Determinism guarantees:** the event layer is a pure function of
-//! `(trace, cache config, BatchConfig, ServiceMode)` — no wall clock and
+//! `(trace, cache config, BatchConfig, service mode)` — no wall clock and
 //! no unseeded randomness anywhere in the subsystem; simultaneous events
 //! resolve executor-before-arrival, then by replica index, then FIFO. In
-//! the [`ServiceMode::Instantaneous`] limit it reproduces [`Engine`]
-//! **byte-for-byte** (the zero-load parity contract in `ARCHITECTURE.md`).
+//! the infinite-throughput limit ([`EventSim::instantaneous`],
+//! [`ClusterBuilder::instantaneous`]) it reproduces [`Engine`]'s cache
+//! decisions **byte-for-byte** (the zero-load parity contract in
+//! `ARCHITECTURE.md`).
 //!
 //! # Examples
 //!
@@ -75,14 +77,12 @@ mod gpu;
 mod report;
 
 pub use cluster::{
-    Cluster, ClusterBuilder, ClusterReport, PrefixAware, QueueAware, ReplicaStatus, RoundRobin,
-    Router, RoutingPolicy, SessionAffinity,
+    ClusterBuilder, ClusterReport, PrefixAware, QueueAware, ReplicaStatus, RoundRobin, Router,
+    RoutingPolicy, SessionAffinity,
 };
 pub use comparison::{Comparison, ComparisonResult, SystemKind};
 pub use engine::Engine;
-pub use event::{
-    EventCluster, EventClusterBuilder, EventClusterReport, EventRecord, EventReport, EventSim,
-};
-pub use executor::{BatchConfig, ServiceMode};
-pub use gpu::{decode_token_flops, GpuModel, ReloadDecision};
+pub use event::{EventCluster, EventClusterReport, EventReport, EventSim};
+pub use executor::BatchConfig;
+pub use gpu::{decode_token_flops, GpuModel};
 pub use report::{RequestRecord, SimReport};

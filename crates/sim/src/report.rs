@@ -1,14 +1,13 @@
 //! Per-request records and aggregate simulation reports.
 //!
 //! One record and one report type serve both service disciplines. Under
-//! the analytic drivers ([`Engine`](crate::Engine),
-//! [`Cluster`](crate::Cluster)) nothing queues and nothing takes virtual
-//! time: `admitted` and `completed` equal `arrival`, and `queue_ms`,
-//! `e2e_ms`, `busy_s` and `iterations` are zero.
+//! the analytic [`Engine`](crate::Engine) nothing queues and nothing takes
+//! virtual time: `admitted` and `completed` equal `arrival`, and
+//! `queue_ms`, `e2e_ms`, `busy_s` and `iterations` are zero.
 
-use crate::gpu::ReloadDecision;
 use marconi_core::CacheStats;
 use marconi_metrics::{BinnedMean, BoxStats, Cdf, LatencySummary, Percentiles, TierSplit};
+use marconi_trace::ReloadDecision;
 use serde::{Deserialize, Serialize};
 
 /// One request's outcome in a simulation run.
@@ -45,8 +44,9 @@ pub struct RequestRecord {
     /// Latency charged at admission for the host-resident share of the
     /// hit, in milliseconds (0 for device-only hits).
     pub reload_ms: f64,
-    /// Which compute-or-load arm served the host share.
-    pub reload: ReloadDecision,
+    /// Which compute-or-load arm served the host share; `None` when the
+    /// hit had no host-resident share (or there was no hit).
+    pub reload: Option<ReloadDecision>,
     /// Prefill FLOPs actually spent.
     pub flops_spent: u128,
     /// Prefill FLOPs skipped thanks to the cache.
@@ -220,7 +220,7 @@ mod tests {
             ttft_ms: ttft,
             e2e_ms: 0.0,
             reload_ms: 0.0,
-            reload: ReloadDecision::None,
+            reload: None,
             flops_spent: 10,
             flops_saved: 5,
         }

@@ -1,7 +1,7 @@
 //! Behaviour pins for the serving layer.
 //!
 //! One FNV-1a fingerprint per seeded configuration of every driver
-//! (`Engine`, `Cluster`, `EventSim`, `EventCluster`), captured at the commit
+//! (`Engine`, `EventSim`, `EventCluster`), captured at the commit
 //! before the drivers were collapsed onto one serving step (PR 14) and
 //! reproduced bit-for-bit since. A fingerprint covers the assignment log
 //! and, per replica, every record's `(id, hit_tokens, host_hit_tokens,
@@ -21,9 +21,9 @@
 use marconi_core::{EvictionPolicy, HybridPrefixCache};
 use marconi_model::ModelConfig;
 use marconi_sim::{
-    BatchConfig, Cluster, ClusterReport, Engine, EventCluster, EventSim, GpuModel, ReloadDecision,
-    RoutingPolicy, SimReport,
+    BatchConfig, ClusterReport, Engine, EventCluster, EventSim, GpuModel, RoutingPolicy, SimReport,
 };
+use marconi_trace::ReloadDecision;
 use marconi_workload::{DatasetKind, Trace, TraceGenerator};
 
 /// Device budget in tokens of KV: a quarter of it (one replica at N = 4)
@@ -69,9 +69,9 @@ impl Fnv {
             self.f64(r.ttft_ms);
             self.f64(r.reload_ms);
             self.u64(match r.reload {
-                ReloadDecision::None => 0,
-                ReloadDecision::Loaded => 1,
-                ReloadDecision::Recomputed => 2,
+                None => 0,
+                Some(ReloadDecision::Load) => 1,
+                Some(ReloadDecision::Recompute) => 2,
             });
             self.u128(r.flops_spent);
             self.u128(r.flops_saved);
@@ -173,33 +173,13 @@ fn fingerprints() -> Vec<(String, u64)> {
             );
             put("engine", with_cursors);
 
-            for n in [1, 4] {
-                for routing in [
-                    RoutingPolicy::RoundRobin,
-                    RoutingPolicy::SessionAffinity,
-                    RoutingPolicy::PrefixAware,
-                ] {
-                    let mut cluster = Cluster::builder(ModelConfig::hybrid_7b())
-                        .replicas(n)
-                        .total_capacity_bytes(bytes(DEVICE_TOKENS))
-                        .total_host_capacity_bytes(bytes(host_tokens))
-                        .policy(policy.clone())
-                        .routing(routing)
-                        .build();
-                    put(
-                        &format!("cluster{n}-{routing}"),
-                        fleet(&cluster.run(&trace), false),
-                    );
-                }
-            }
-
             let mut sim = EventSim::new(cache(&policy, host_tokens), GpuModel::a100_x4());
             put("eventsim-modeled", single(&sim.run(&trace), true));
             let mut sim = EventSim::instantaneous(cache(&policy, host_tokens));
             put("eventsim-instantaneous", single(&sim.run(&trace), true));
 
             for n in [1, 4] {
-                for routing in [RoutingPolicy::QueueAware, RoutingPolicy::PrefixAware] {
+                for routing in RoutingPolicy::ALL {
                     let mut cluster = EventCluster::builder(ModelConfig::hybrid_7b())
                         .replicas(n)
                         .total_capacity_bytes(bytes(DEVICE_TOKENS))
@@ -351,86 +331,106 @@ fn the_pinned_configurations_evict_demote_reload_and_queue() {
         .all(|r| r.ttft_ms > 0.0 && r.queue_ms == 0.0));
 }
 
-/// Captured at the parent of PR 14 (commit 8ca9443).
-const GOLDEN: [(&str, u64); 78] = [
+/// Captured at commit 8ca9443, before the drivers shared one serving step;
+/// the `round-robin` and `session-affinity` event-cluster rows at commit
+/// c2602f3, the last with the analytic cluster.
+const GOLDEN: [(&str, u64); 66] = [
     ("engine/lru/dev", 0x27c6398aec60d652),
-    ("cluster1-round-robin/lru/dev", 0xedeecc11cf4352c8),
-    ("cluster1-session-affinity/lru/dev", 0xedeecc11cf4352c8),
-    ("cluster1-prefix-aware/lru/dev", 0xedeecc11cf4352c8),
-    ("cluster4-round-robin/lru/dev", 0xcad1f896f8237bf7),
-    ("cluster4-session-affinity/lru/dev", 0xafedf511909b68b6),
-    ("cluster4-prefix-aware/lru/dev", 0xd44eab6b26c99063),
     ("eventsim-modeled/lru/dev", 0xd8e319165bd91cc4),
     ("eventsim-instantaneous/lru/dev", 0x26935fba88d98dd2),
-    ("eventcluster1-queue-aware/lru/dev", 0x272ff1179374f346),
+    ("eventcluster1-round-robin/lru/dev", 0x272ff1179374f346),
+    ("eventcluster1-session-affinity/lru/dev", 0x272ff1179374f346),
     ("eventcluster1-prefix-aware/lru/dev", 0x272ff1179374f346),
-    ("eventcluster4-queue-aware/lru/dev", 0xd39cbf0103831d4a),
+    ("eventcluster1-queue-aware/lru/dev", 0x272ff1179374f346),
+    ("eventcluster4-round-robin/lru/dev", 0x533ed78a63623353),
+    ("eventcluster4-session-affinity/lru/dev", 0xe326a584bd3e7f43),
     ("eventcluster4-prefix-aware/lru/dev", 0x5d26d929e315ef81),
+    ("eventcluster4-queue-aware/lru/dev", 0xd39cbf0103831d4a),
     ("engine/flop2/dev", 0x3f42452cdb6f9f4b),
-    ("cluster1-round-robin/flop2/dev", 0xdaf5d097361669b1),
-    ("cluster1-session-affinity/flop2/dev", 0xdaf5d097361669b1),
-    ("cluster1-prefix-aware/flop2/dev", 0xdaf5d097361669b1),
-    ("cluster4-round-robin/flop2/dev", 0xd07e505474f8aaca),
-    ("cluster4-session-affinity/flop2/dev", 0xd3c44322602edfb2),
-    ("cluster4-prefix-aware/flop2/dev", 0x1c8f4ecc8aadd32d),
     ("eventsim-modeled/flop2/dev", 0x453669e39c7234a7),
     ("eventsim-instantaneous/flop2/dev", 0x467d044c8bacce0d),
-    ("eventcluster1-queue-aware/flop2/dev", 0x4662af8054d70c49),
+    ("eventcluster1-round-robin/flop2/dev", 0x4662af8054d70c49),
+    (
+        "eventcluster1-session-affinity/flop2/dev",
+        0x4662af8054d70c49,
+    ),
     ("eventcluster1-prefix-aware/flop2/dev", 0x4662af8054d70c49),
-    ("eventcluster4-queue-aware/flop2/dev", 0x1326bde4a514d063),
+    ("eventcluster1-queue-aware/flop2/dev", 0x4662af8054d70c49),
+    ("eventcluster4-round-robin/flop2/dev", 0xc94f57d9fa6fb9c5),
+    (
+        "eventcluster4-session-affinity/flop2/dev",
+        0xfc347f48ff7fa3ee,
+    ),
     ("eventcluster4-prefix-aware/flop2/dev", 0x365a79e3161304e3),
+    ("eventcluster4-queue-aware/flop2/dev", 0x1326bde4a514d063),
     ("engine/auto/dev", 0x538502a71c3f498b),
-    ("cluster1-round-robin/auto/dev", 0x44cfb651b0090741),
-    ("cluster1-session-affinity/auto/dev", 0x44cfb651b0090741),
-    ("cluster1-prefix-aware/auto/dev", 0x44cfb651b0090741),
-    ("cluster4-round-robin/auto/dev", 0x5f17d8554a622788),
-    ("cluster4-session-affinity/auto/dev", 0xd089198b8d89d836),
-    ("cluster4-prefix-aware/auto/dev", 0x3a369b6ebcded63c),
     ("eventsim-modeled/auto/dev", 0x8b01c6b30695c50b),
     ("eventsim-instantaneous/auto/dev", 0x4c1c92edadcd55f7),
-    ("eventcluster1-queue-aware/auto/dev", 0xf46f5fb91f4c88dd),
+    ("eventcluster1-round-robin/auto/dev", 0xf46f5fb91f4c88dd),
+    (
+        "eventcluster1-session-affinity/auto/dev",
+        0xf46f5fb91f4c88dd,
+    ),
     ("eventcluster1-prefix-aware/auto/dev", 0xf46f5fb91f4c88dd),
-    ("eventcluster4-queue-aware/auto/dev", 0xc11be57dfaf8ed35),
+    ("eventcluster1-queue-aware/auto/dev", 0xf46f5fb91f4c88dd),
+    ("eventcluster4-round-robin/auto/dev", 0xbdcd6f5ef9d45e40),
+    (
+        "eventcluster4-session-affinity/auto/dev",
+        0xa597dea149fe1904,
+    ),
     ("eventcluster4-prefix-aware/auto/dev", 0x5dec018b95c2e3e3),
+    ("eventcluster4-queue-aware/auto/dev", 0xc11be57dfaf8ed35),
     ("engine/lru/tier", 0x506de1e429d1ebdd),
-    ("cluster1-round-robin/lru/tier", 0x3fc257593bb93223),
-    ("cluster1-session-affinity/lru/tier", 0x3fc257593bb93223),
-    ("cluster1-prefix-aware/lru/tier", 0x3fc257593bb93223),
-    ("cluster4-round-robin/lru/tier", 0x37260c7a060bcf9d),
-    ("cluster4-session-affinity/lru/tier", 0x2e6d3bfaa4d08d11),
-    ("cluster4-prefix-aware/lru/tier", 0x5a14558720678f65),
     ("eventsim-modeled/lru/tier", 0xb13a300bc6205599),
     ("eventsim-instantaneous/lru/tier", 0xdb71248b841f3413),
-    ("eventcluster1-queue-aware/lru/tier", 0x1cf0b8cf44bf21ff),
+    ("eventcluster1-round-robin/lru/tier", 0x1cf0b8cf44bf21ff),
+    (
+        "eventcluster1-session-affinity/lru/tier",
+        0x1cf0b8cf44bf21ff,
+    ),
     ("eventcluster1-prefix-aware/lru/tier", 0x1cf0b8cf44bf21ff),
-    ("eventcluster4-queue-aware/lru/tier", 0x3b1b28033fe905a4),
+    ("eventcluster1-queue-aware/lru/tier", 0x1cf0b8cf44bf21ff),
+    ("eventcluster4-round-robin/lru/tier", 0xe081828eb1b8754c),
+    (
+        "eventcluster4-session-affinity/lru/tier",
+        0xe96521705fbb643a,
+    ),
     ("eventcluster4-prefix-aware/lru/tier", 0x97fe9d495a96d9c8),
+    ("eventcluster4-queue-aware/lru/tier", 0x3b1b28033fe905a4),
     ("engine/flop2/tier", 0xcab918c0e80b60ec),
-    ("cluster1-round-robin/flop2/tier", 0xf061167f7913722e),
-    ("cluster1-session-affinity/flop2/tier", 0xf061167f7913722e),
-    ("cluster1-prefix-aware/flop2/tier", 0xf061167f7913722e),
-    ("cluster4-round-robin/flop2/tier", 0xddb3d33b076d13d0),
-    ("cluster4-session-affinity/flop2/tier", 0x7ad3c7401d8fcc37),
-    ("cluster4-prefix-aware/flop2/tier", 0x38e73cdffc4b083c),
     ("eventsim-modeled/flop2/tier", 0xfc18016248b691f3),
     ("eventsim-instantaneous/flop2/tier", 0x967ce9517400dfd3),
-    ("eventcluster1-queue-aware/flop2/tier", 0x47a65e12c7e380c9),
+    ("eventcluster1-round-robin/flop2/tier", 0x47a65e12c7e380c9),
+    (
+        "eventcluster1-session-affinity/flop2/tier",
+        0x47a65e12c7e380c9,
+    ),
     ("eventcluster1-prefix-aware/flop2/tier", 0x47a65e12c7e380c9),
-    ("eventcluster4-queue-aware/flop2/tier", 0xfc994217e50d94ff),
+    ("eventcluster1-queue-aware/flop2/tier", 0x47a65e12c7e380c9),
+    ("eventcluster4-round-robin/flop2/tier", 0x923840402eca85d5),
+    (
+        "eventcluster4-session-affinity/flop2/tier",
+        0x0e5ce76a1e6fde52,
+    ),
     ("eventcluster4-prefix-aware/flop2/tier", 0xc99729a399954e39),
+    ("eventcluster4-queue-aware/flop2/tier", 0xfc994217e50d94ff),
     ("engine/auto/tier", 0x506de1e429d1ebdd),
-    ("cluster1-round-robin/auto/tier", 0x3fc257593bb93223),
-    ("cluster1-session-affinity/auto/tier", 0x3fc257593bb93223),
-    ("cluster1-prefix-aware/auto/tier", 0x3fc257593bb93223),
-    ("cluster4-round-robin/auto/tier", 0x37260c7a060bcf9d),
-    ("cluster4-session-affinity/auto/tier", 0x2e6d3bfaa4d08d11),
-    ("cluster4-prefix-aware/auto/tier", 0x5a14558720678f65),
     ("eventsim-modeled/auto/tier", 0xb13a300bc6205599),
     ("eventsim-instantaneous/auto/tier", 0xdb71248b841f3413),
-    ("eventcluster1-queue-aware/auto/tier", 0x1cf0b8cf44bf21ff),
+    ("eventcluster1-round-robin/auto/tier", 0x1cf0b8cf44bf21ff),
+    (
+        "eventcluster1-session-affinity/auto/tier",
+        0x1cf0b8cf44bf21ff,
+    ),
     ("eventcluster1-prefix-aware/auto/tier", 0x1cf0b8cf44bf21ff),
-    ("eventcluster4-queue-aware/auto/tier", 0x3b1b28033fe905a4),
+    ("eventcluster1-queue-aware/auto/tier", 0x1cf0b8cf44bf21ff),
+    ("eventcluster4-round-robin/auto/tier", 0xe081828eb1b8754c),
+    (
+        "eventcluster4-session-affinity/auto/tier",
+        0xe96521705fbb643a,
+    ),
     ("eventcluster4-prefix-aware/auto/tier", 0xe6e78120ae73612a),
+    ("eventcluster4-queue-aware/auto/tier", 0x3b1b28033fe905a4),
 ];
 
 /// Captured at the parent of the segmented executor (commit 5b925ba), which

@@ -2,12 +2,13 @@
 //!
 //! Replays one seeded multi-tenant ShareGPT-like trace (32 sessions across
 //! 8 tenants, so prefix reuse exists within — but not across — tenants)
-//! through clusters of 1–8 cache replicas at a fixed *total* capacity,
-//! under each routing policy. Adding replicas never adds memory here; it
-//! only fragments the radix trees, so whatever hit rate survives is down to
-//! the router's placement.
+//! through event-driven clusters of 1–8 cache replicas at a fixed *total*
+//! capacity, under each routing policy. Each replica is a modeled 4×A100
+//! device with its own queue, so the P95 TTFT column includes queueing.
+//! Adding replicas never adds memory here; it only fragments the radix
+//! trees, so whatever hit rate survives is down to the router's placement.
 //!
-//! Expected qualitative result: prefix-aware ≥ session-affinity ≥
+//! Expected qualitative result: prefix-/queue-aware ≥ session-affinity ≥
 //! round-robin, with round-robin collapsing as N grows (conversation
 //! histories scatter across replicas) while prefix-aware holds close to the
 //! single-node hit rate.
@@ -42,7 +43,7 @@ fn main() {
     );
     for &n in &[1usize, 2, 4, 8] {
         for routing in RoutingPolicy::ALL {
-            let mut cluster = Cluster::builder(ModelConfig::hybrid_7b())
+            let mut cluster = EventCluster::builder(ModelConfig::hybrid_7b())
                 .replicas(n)
                 .total_capacity_bytes(2 * GB)
                 .policy(EvictionPolicy::FlopAware { alpha: 2.0 })

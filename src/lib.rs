@@ -81,13 +81,13 @@ pub mod prelude {
         FlopBreakdown, LayerKind, MemoryBandwidths, ModelConfig, StateFootprint,
     };
     pub use marconi_radix::{RadixTree, Token};
-    // `marconi_trace::ReloadDecision` (the trace-event payload) stays out
-    // of the prelude: `sim::ReloadDecision` below owns the short name.
     pub use marconi_sim::{
-        BatchConfig, Cluster, ClusterReport, Comparison, Engine, EventCluster, EventReport,
-        EventSim, GpuModel, ReloadDecision, RequestRecord, Router, RoutingPolicy, SimReport,
+        BatchConfig, ClusterReport, Comparison, Engine, EventCluster, EventReport, EventSim,
+        GpuModel, RequestRecord, Router, RoutingPolicy, SimReport,
     };
-    pub use marconi_trace::{MissReport, NullSink, RingRecorder, TraceEvent, TraceSink, Tracer};
+    pub use marconi_trace::{
+        MissReport, NullSink, ReloadDecision, RingRecorder, TraceEvent, TraceSink, Tracer,
+    };
     pub use marconi_workload::{
         ArrivalConfig, DatasetKind, RateSchedule, Request, Trace, TraceGenerator,
     };
