@@ -188,12 +188,6 @@ pub struct HybridPrefixCache {
     /// §4.3(1) ablation: restrict eviction candidates to leaves, like
     /// pre-Marconi systems, leaving single-child nodes' SSM states pinned.
     leaf_only_eviction: bool,
-    /// Honor in-flight pins ([`PrefixCache::pin_prefix`]): pinned nodes
-    /// are excluded from eviction *and* demotion in both tiers. Off, the
-    /// cache ignores pin requests entirely (tickets come back empty), for
-    /// A/B-ing the headline mid-decode-reclaim bug. A behavioral knob
-    /// mirrored by tuner replicas.
-    pin_in_flight: bool,
     /// GDSF inflation clock `L` (monotone, set to each victim's priority).
     gdsf_clock: f64,
     /// Eligible candidates the victim selector has read, over every pick
@@ -242,7 +236,6 @@ impl HybridPrefixCache {
             checkpoint_mode: CheckpointMode::Exact,
             refresh_ancestors: false,
             leaf_only_eviction: false,
-            pin_in_flight: true,
         }
     }
 
@@ -291,13 +284,6 @@ impl HybridPrefixCache {
     #[must_use]
     pub fn host_usage_bytes(&self) -> u64 {
         self.host_usage()
-    }
-
-    /// `true` if the cache honors in-flight pins (the default); see
-    /// [`HybridPrefixCacheBuilder::in_flight_pinning`].
-    #[must_use]
-    pub fn pins_in_flight(&self) -> bool {
-        self.pin_in_flight
     }
 
     /// Number of nodes currently protected by in-flight pins (diagnostic;
@@ -1873,9 +1859,6 @@ impl PrefixCache for HybridPrefixCache {
     }
 
     fn pin_prefix_with(&mut self, input: &[Token], hint: Option<SessionCursor>) -> PinTicket {
-        if !self.pin_in_flight {
-            return PinTicket::default();
-        }
         // `lookup_at`'s hit node over the same match, so the pinned node is
         // exactly the node whose KVs (and, through the subtree-inclusive
         // pin walk, whose ancestors' KVs) the in-flight request reads while
@@ -1927,7 +1910,6 @@ pub struct HybridPrefixCacheBuilder {
     checkpoint_mode: CheckpointMode,
     refresh_ancestors: bool,
     leaf_only_eviction: bool,
-    pin_in_flight: bool,
 }
 
 impl HybridPrefixCacheBuilder {
@@ -1998,18 +1980,6 @@ impl HybridPrefixCacheBuilder {
         self
     }
 
-    /// Honor in-flight pins ([`PrefixCache::pin_prefix`]): pinned paths
-    /// are excluded from eviction and demotion in both tiers until their
-    /// requests complete, at the cost of the device tier spilling over its
-    /// byte budget when everything reclaimable is pinned. Default on;
-    /// turning it off reproduces the pre-pinning behavior where pressure
-    /// can reclaim a path an in-flight request is still decoding against.
-    #[must_use]
-    pub fn in_flight_pinning(mut self, enabled: bool) -> Self {
-        self.pin_in_flight = enabled;
-        self
-    }
-
     /// Builds the cache.
     pub fn build(self) -> HybridPrefixCache {
         let (tuner, effective_alpha) = match &self.policy {
@@ -2050,7 +2020,6 @@ impl HybridPrefixCacheBuilder {
             checkpoint_mode: self.checkpoint_mode,
             refresh_ancestors: self.refresh_ancestors,
             leaf_only_eviction: self.leaf_only_eviction,
-            pin_in_flight: self.pin_in_flight,
             gdsf_clock: 0.0,
             candidates_scored: 0,
             entries_skipped: 0,
@@ -2911,23 +2880,38 @@ mod tests {
     }
 
     /// The parity contract between two replays of one trace: byte-identical
-    /// victim sequences, stats, usage and α.
-    fn assert_same_decisions(
+    /// victim sequences, stats, device and host usage, α, node count and
+    /// token count. `label` names the replay under test in every failure.
+    fn assert_same_end_state(
+        label: &str,
         reference: &HybridPrefixCache,
-        indexed: &HybridPrefixCache,
-        policy: &EvictionPolicy,
+        other: &HybridPrefixCache,
     ) {
         assert_eq!(
-            reference.eviction_log, indexed.eviction_log,
-            "victim sequence diverged under {policy}"
+            reference.eviction_log, other.eviction_log,
+            "{label}: victim sequence diverged"
+        );
+        assert_eq!(reference.stats, other.stats, "{label}: stats diverged");
+        assert_eq!(reference.usage(), other.usage(), "{label}: usage");
+        assert_eq!(
+            reference.host_usage_bytes(),
+            other.host_usage_bytes(),
+            "{label}: host usage"
         );
         assert_eq!(
-            reference.stats, indexed.stats,
-            "stats diverged under {policy}"
+            reference.effective_alpha, other.effective_alpha,
+            "{label}: tuned α diverged"
         );
-        assert_eq!(reference.usage(), indexed.usage());
-        assert_eq!(reference.effective_alpha, indexed.effective_alpha);
-        assert_eq!(reference.tree.len(), indexed.tree.len());
+        assert_eq!(
+            reference.tree.len(),
+            other.tree.len(),
+            "{label}: node count"
+        );
+        assert_eq!(
+            reference.tree.token_count(),
+            other.tree.token_count(),
+            "{label}: tree contents"
+        );
     }
 
     /// Replays a seeded trace under every [`Knobs`] combination. Where the
@@ -2957,7 +2941,7 @@ mod tests {
             assert_eq!(indexed.stats.demotions > 0, knobs.host_tier, "{knobs:?}");
             if knobs.has_scan_reference() {
                 let reference = replay_with_knobs(&policy, capacity, knobs, true, requests());
-                assert_same_decisions(&reference, &indexed, &policy);
+                assert_same_end_state(&format!("{policy}, {knobs:?}"), &reference, &indexed);
             }
             if !knobs.host_tier {
                 // Single-tier runs must never touch the host tier in any way.
@@ -3051,29 +3035,7 @@ mod tests {
         let (traced, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
         let ring = run(Some(traced));
         for (label, other) in [("NullSink", &null), ("RingRecorder", &ring)] {
-            assert_eq!(
-                bare.eviction_log, other.eviction_log,
-                "{label} perturbed the victim sequence under {policy}"
-            );
-            assert_eq!(
-                bare.stats, other.stats,
-                "{label} perturbed stats under {policy}"
-            );
-            assert_eq!(bare.usage(), other.usage(), "{label} usage ({policy})");
-            assert_eq!(
-                bare.host_usage_bytes(),
-                other.host_usage_bytes(),
-                "{label} host usage ({policy})"
-            );
-            assert_eq!(
-                bare.effective_alpha, other.effective_alpha,
-                "{label} perturbed the tuned α under {policy}"
-            );
-            assert_eq!(
-                bare.tree.token_count(),
-                other.tree.token_count(),
-                "{label} tree contents ({policy})"
-            );
+            assert_same_end_state(&format!("{label} under {policy}"), &bare, other);
         }
         let rec = recorder.lock().expect("lock: test-local recorder");
         assert!(
@@ -3214,7 +3176,7 @@ mod tests {
             );
             if knobs.has_scan_reference() {
                 let reference = replay_with_knobs(&policy, cap, knobs, true, requests());
-                assert_same_decisions(&reference, &indexed, &policy);
+                assert_same_end_state(&format!("{policy}, {knobs:?}"), &reference, &indexed);
             }
         }
     }
@@ -3667,11 +3629,11 @@ mod tests {
     // path must survive eviction pressure until the request completes.
     // ------------------------------------------------------------------
 
-    /// Pinning parity: with the knob on but zero *overlapping* lifetimes
-    /// (each request pins at lookup and unpins before its own insertion,
-    /// like a serial executor), the victim sequence and stats must be
-    /// byte-identical to a knob-off run — pins that never coincide with
-    /// pressure must be invisible.
+    /// Pinning parity: with zero *overlapping* lifetimes (each request pins
+    /// at lookup and unpins before its own insertion, like a serial
+    /// executor), the victim sequence and stats must be byte-identical to
+    /// a pin-free run — pins that never coincide with pressure must be
+    /// invisible.
     #[test]
     fn non_overlapping_pins_preserve_byte_parity() {
         use marconi_workload::{DatasetKind, TraceGenerator};
@@ -3694,15 +3656,14 @@ mod tests {
                 .sessions(12)
                 .seed(seed)
                 .generate();
-            let build = |pin: bool| {
+            let build = || {
                 HybridPrefixCache::builder(ModelConfig::hybrid_7b())
                     .capacity_bytes(capacity)
                     .policy(policy.clone())
-                    .in_flight_pinning(pin)
                     .build()
             };
-            let mut reference = build(false);
-            let mut pinned = build(true);
+            let mut reference = build();
+            let mut pinned = build();
             for r in &trace.requests {
                 reference.lookup_at(&r.input, r.arrival);
                 reference.insert_at(&r.input, &r.output, r.arrival);
@@ -3718,16 +3679,7 @@ mod tests {
                 reference.stats.evictions > 0,
                 "parity trace must exercise eviction ({policy})"
             );
-            assert_eq!(
-                reference.eviction_log, pinned.eviction_log,
-                "victim sequence diverged under {policy}"
-            );
-            assert_eq!(
-                reference.stats, pinned.stats,
-                "stats diverged under {policy}"
-            );
-            assert_eq!(reference.usage(), pinned.usage());
-            assert_eq!(reference.effective_alpha, pinned.effective_alpha);
+            assert_same_end_state(&format!("pinned run under {policy}"), &reference, &pinned);
             assert_eq!(pinned.pinned_node_count(), 0, "all tickets were redeemed");
         }
     }
@@ -3754,15 +3706,18 @@ mod tests {
             let mut c = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
                 .capacity_bytes(capacity)
                 .policy(EvictionPolicy::Lru)
-                .in_flight_pinning(pin)
                 .build();
             c.insert_at(&a_in, &a_out, 0.0);
             c.insert_at(&b_in, &b_out, 1.0);
             // Request R resumes session A and starts decoding: lookup hits
-            // 128 tokens, the pin marks them in use.
+            // 128 tokens, the pin (when taken) marks them in use.
             let hit = c.lookup_at(&resume_a, 2.0);
             assert_eq!(hit.tokens_matched, 128);
-            let ticket = c.pin_prefix(&resume_a);
+            let ticket = if pin {
+                c.pin_prefix(&resume_a)
+            } else {
+                PinTicket::default()
+            };
             // Session B is touched afterwards, so A's path is now the LRU
             // victim — exactly the shape where unpinned eviction corrupts R.
             c.lookup_at(&resume_b, 3.0);
@@ -3896,10 +3851,10 @@ mod tests {
     }
 
     #[test]
-    fn replica_mirrors_the_pinning_knob_and_clears_live_pins() {
+    fn replica_clears_live_pins() {
         // Replay replicas model completed-request traces — no request is
-        // in flight during a grid-search replay, so a replica must mirror
-        // the knob but drop the parent's live pins.
+        // in flight during a grid-search replay, so a replica must drop the
+        // parent's live pins.
         let mut parent = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
             .capacity_bytes(1 << 30)
             .build();
@@ -3912,26 +3867,9 @@ mod tests {
         assert!(parent.pinned_node_count() > 0);
 
         let replica = parent.replica(1.0);
-        assert!(replica.pin_in_flight, "knob mirrored");
         assert_eq!(replica.pinned_node_count(), 0, "live pins not inherited");
         assert_eq!(replica.pinned_bytes(), 0);
         parent.unpin(ticket);
-
-        let unpinning = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-            .capacity_bytes(1 << 30)
-            .in_flight_pinning(false)
-            .build();
-        let replica = unpinning.replica(1.0);
-        assert!(!replica.pin_in_flight, "knob-off mirrored too");
-        // And a knob-off cache never pins in the first place.
-        let mut off = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-            .capacity_bytes(1 << 30)
-            .in_flight_pinning(false)
-            .build();
-        off.insert_sequence(&input, &output);
-        let t = off.pin_prefix(&resume);
-        assert!(t.is_empty());
-        assert_eq!(off.pinned_node_count(), 0);
     }
 
     /// Pins protect against *demotion* too: a tiered cache under device
@@ -3946,14 +3884,17 @@ mod tests {
                 .capacity_bytes(capacity)
                 .host_capacity_bytes(1 << 40)
                 .policy(EvictionPolicy::Lru)
-                .in_flight_pinning(pin)
                 .build();
             c.insert_at(&seq(0..96), &seq(500..532), 0.0); // A
             c.insert_at(&seq(10_000..10_096), &seq(10_500..10_532), 1.0); // B
             let mut resume_a: Vec<Token> = seq(0..96);
             resume_a.extend_from_slice(&seq(500..532));
             c.lookup_at(&resume_a, 2.0);
-            let ticket = c.pin_prefix(&resume_a);
+            let ticket = if pin {
+                c.pin_prefix(&resume_a)
+            } else {
+                PinTicket::default()
+            };
             let mut resume_b: Vec<Token> = seq(10_000..10_096);
             resume_b.extend_from_slice(&seq(10_500..10_532));
             c.lookup_at(&resume_b, 3.0); // B younger than A's pin
@@ -4103,29 +4044,7 @@ mod tests {
         );
         let (traced, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
         let hinted = run(true, Some(traced));
-        assert_eq!(
-            cold.eviction_log, hinted.eviction_log,
-            "hinted run perturbed the victim sequence under {policy}"
-        );
-        assert_eq!(
-            cold.stats, hinted.stats,
-            "hinted run perturbed stats under {policy}"
-        );
-        assert_eq!(cold.usage(), hinted.usage(), "hinted usage ({policy})");
-        assert_eq!(
-            cold.host_usage_bytes(),
-            hinted.host_usage_bytes(),
-            "hinted host usage ({policy})"
-        );
-        assert_eq!(
-            cold.effective_alpha, hinted.effective_alpha,
-            "hinted run perturbed the tuned α under {policy}"
-        );
-        assert_eq!(
-            cold.tree.token_count(),
-            hinted.tree.token_count(),
-            "hinted tree contents ({policy})"
-        );
+        assert_same_end_state(&format!("hinted run under {policy}"), &cold, &hinted);
         let rec = recorder.lock().expect("lock: test-local recorder");
         let resumed = rec
             .events()
@@ -4161,5 +4080,57 @@ mod tests {
             }),
             17,
         );
+    }
+
+    /// Timestamps are not validated at the cache boundary: `lookup_at` and
+    /// `insert_at` tolerate a NaN, ±∞ or decreasing `now`. The clock only
+    /// moves forward (`f64::max` ignores a NaN), recency stamps order every
+    /// float totally, and a non-finite `last_access` normalises to an
+    /// infinite recency term, so the victim walk, the debug `scan_pick`
+    /// cross-check, the tree and the device bound all hold. (`Engine::run`
+    /// and `event::drive` reject such arrivals before they reach a cache.)
+    #[test]
+    fn non_finite_and_decreasing_timestamps_are_tolerated() {
+        use marconi_workload::{DatasetKind, TraceGenerator};
+        let m = ModelConfig::hybrid_7b();
+        let capacity = 9000 * m.kv_bytes_per_token();
+        // Shared system prompts give the sequences common prefixes, so
+        // hits, splits and branch checkpoints all see the bad clocks.
+        let trace = TraceGenerator::new(DatasetKind::ShareGpt)
+            .sessions(40)
+            .seed(29)
+            .generate();
+        let clock = |i: usize| match i % 5 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 1e6 - i as f64,
+            _ => i as f64,
+        };
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::FlopAware { alpha: 2.0 },
+            EvictionPolicy::Gdsf,
+        ] {
+            let mut c = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(capacity)
+                .policy(policy.clone())
+                .build();
+            for (i, r) in trace.requests.iter().enumerate() {
+                c.lookup_at(&r.input, clock(i));
+                c.insert_at(&r.input, &r.output, clock(i + 1));
+                c.tree.assert_invariants();
+                c.assert_tier_accounting();
+                assert!(
+                    c.usage_bytes() <= c.capacity_bytes(),
+                    "device bound broken at request {i} under {policy}"
+                );
+            }
+            assert!(
+                c.stats.evictions > 0,
+                "the trace must evict under the bad clocks ({policy})"
+            );
+            assert_eq!(c.stats.lookups, trace.len() as u64);
+        }
     }
 }

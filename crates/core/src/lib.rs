@@ -264,76 +264,3 @@ pub trait PrefixCache {
         self.pin_prefix(input)
     }
 }
-
-impl PrefixCache for Box<dyn PrefixCache> {
-    fn name(&self) -> &str {
-        self.as_ref().name()
-    }
-
-    fn model(&self) -> &ModelConfig {
-        self.as_ref().model()
-    }
-
-    fn lookup_at(&mut self, input: &[Token], now: f64) -> LookupResult {
-        self.as_mut().lookup_at(input, now)
-    }
-
-    fn longest_cached_prefix_len(&self, input: &[Token]) -> u64 {
-        self.as_ref().longest_cached_prefix_len(input)
-    }
-
-    fn insert_at(&mut self, input: &[Token], output: &[Token], now: f64) -> AdmissionReport {
-        self.as_mut().insert_at(input, output, now)
-    }
-
-    fn stats(&self) -> &CacheStats {
-        self.as_ref().stats()
-    }
-
-    fn usage_bytes(&self) -> u64 {
-        self.as_ref().usage_bytes()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.as_ref().capacity_bytes()
-    }
-
-    fn reload_policy(&self) -> ReloadPolicy {
-        self.as_ref().reload_policy()
-    }
-
-    fn pin_prefix(&mut self, input: &[Token]) -> PinTicket {
-        self.as_mut().pin_prefix(input)
-    }
-
-    fn unpin(&mut self, ticket: PinTicket) {
-        self.as_mut().unpin(ticket)
-    }
-
-    fn pinned_bytes(&self) -> u64 {
-        self.as_ref().pinned_bytes()
-    }
-
-    fn lookup_at_with(
-        &mut self,
-        input: &[Token],
-        now: f64,
-        hint: Option<SessionCursor>,
-    ) -> LookupResult {
-        self.as_mut().lookup_at_with(input, now, hint)
-    }
-
-    fn insert_at_with(
-        &mut self,
-        input: &[Token],
-        output: &[Token],
-        now: f64,
-        hint: Option<SessionCursor>,
-    ) -> (AdmissionReport, Option<SessionCursor>) {
-        self.as_mut().insert_at_with(input, output, now, hint)
-    }
-
-    fn pin_prefix_with(&mut self, input: &[Token], hint: Option<SessionCursor>) -> PinTicket {
-        self.as_mut().pin_prefix_with(input, hint)
-    }
-}

@@ -32,10 +32,7 @@ use crate::event::EventCluster;
 use crate::executor::{BatchConfig, ServiceMode};
 use crate::gpu::GpuModel;
 use crate::report::SimReport;
-use marconi_core::{
-    CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
-    TieredPrefix,
-};
+use marconi_core::{CacheStats, EvictionPolicy, HybridPrefixCache, PrefixCache, TieredPrefix};
 use marconi_metrics::{LatencySummary, LoadImbalance, TierSplit};
 use marconi_model::ModelConfig;
 use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
@@ -431,9 +428,7 @@ pub struct ClusterBuilder {
     replicas: usize,
     total_capacity: u64,
     total_host_capacity: u64,
-    reload_policy: ReloadPolicy,
     policy: EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
     service: ServiceMode,
     batch: BatchConfig,
     router: Box<dyn Router>,
@@ -446,9 +441,7 @@ impl ClusterBuilder {
             replicas: 1,
             total_capacity: 16 << 30,
             total_host_capacity: 0,
-            reload_policy: ReloadPolicy::default(),
             policy: EvictionPolicy::default(),
-            checkpoint_mode: CheckpointMode::Exact,
             service: ServiceMode::Modeled(GpuModel::a100_x4()),
             batch: BatchConfig::default(),
             router: RoutingPolicy::QueueAware.build(),
@@ -484,34 +477,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets every replica's reload policy for host-resident hits (default
-    /// [`ReloadPolicy::ComputeOrLoad`]).
-    #[must_use]
-    pub fn reload_policy(mut self, policy: ReloadPolicy) -> Self {
-        self.reload_policy = policy;
-        self
-    }
-
     /// Sets every replica's eviction policy (default: the cache's default,
     /// Marconi's auto-tuned FLOP-aware policy).
     #[must_use]
     pub fn policy(mut self, policy: EvictionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets every replica's SSM checkpoint mode (default
-    /// [`CheckpointMode::Exact`]).
-    #[must_use]
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint_mode = mode;
-        self
-    }
-
-    /// Sets the per-replica device model.
-    #[must_use]
-    pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.service = ServiceMode::Modeled(gpu);
         self
     }
 
@@ -551,8 +521,8 @@ impl ClusterBuilder {
 
     /// Builds the cluster. This is the one place replica caches are
     /// configured: every replica gets an equal `total / n` slice of both
-    /// the device capacity and the host budget, the same
-    /// policy/checkpoint/reload knobs, and its index as its trace label
+    /// the device capacity and the host budget, the same eviction policy,
+    /// and its index as its trace label
     /// (any new cache knob must flow through here to reach the replicas).
     #[must_use]
     pub fn build(self) -> EventCluster {
@@ -563,8 +533,6 @@ impl ClusterBuilder {
                     .capacity_bytes(self.total_capacity / n)
                     .host_capacity_bytes(self.total_host_capacity / n)
                     .policy(self.policy.clone())
-                    .checkpoint_mode(self.checkpoint_mode)
-                    .reload_policy(self.reload_policy)
                     .build();
                 Replica::new(cache, Some(index))
             })
@@ -915,23 +883,17 @@ mod tests {
     }
 
     #[test]
-    fn host_capacity_and_reload_policy_reach_every_replica() {
-        // The builder's fidelity rule extended to the tier knobs: a
-        // cluster-wide host budget slices like the device capacity, and
-        // the reload policy reaches each cache.
+    fn host_capacity_is_sliced_evenly_across_replicas() {
+        // The builder's fidelity rule extended to the host tier: a
+        // cluster-wide host budget slices like the device capacity.
         let c = EventCluster::builder(ModelConfig::hybrid_7b())
             .replicas(4)
             .total_capacity_bytes(16 << 30)
             .total_host_capacity_bytes(64 << 30)
-            .reload_policy(marconi_core::ReloadPolicy::AlwaysReload)
             .routing(RoutingPolicy::PrefixAware)
             .build();
         for i in 0..4 {
             assert_eq!(c.replica_cache(i).host_capacity_bytes(), 16 << 30);
-            assert_eq!(
-                c.replica_cache(i).reload_policy(),
-                marconi_core::ReloadPolicy::AlwaysReload
-            );
         }
     }
 

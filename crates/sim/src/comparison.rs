@@ -60,6 +60,9 @@ impl fmt::Display for SystemKind {
     }
 }
 
+/// The static α values the offline oracle replays the trace under.
+const ORACLE_GRID: [f64; 8] = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0];
+
 /// Configures and runs the same trace through a set of systems.
 ///
 /// See the [crate example](crate) for usage.
@@ -67,9 +70,6 @@ impl fmt::Display for SystemKind {
 pub struct Comparison {
     model: ModelConfig,
     capacity_bytes: u64,
-    gpu: GpuModel,
-    block_size: u64,
-    oracle_grid: Vec<f64>,
     systems: Vec<SystemKind>,
     tuner: TunerConfig,
 }
@@ -107,16 +107,14 @@ impl ComparisonResult {
 
 impl Comparison {
     /// Creates a comparison for a model and cache capacity, defaulting to
-    /// all five systems, a 4×A100 device model, block size 32, and the
-    /// default oracle α grid.
+    /// all five systems. Every system is served on a 4×A100 device model,
+    /// vLLM+ with its default 32-token blocks (§5.1), and the oracle
+    /// searches α ∈ {0, 0.05, 0.1, 0.25, 0.5, 1, 2, 4}.
     #[must_use]
     pub fn new(model: ModelConfig, capacity_bytes: u64) -> Self {
         Comparison {
             model,
             capacity_bytes,
-            gpu: GpuModel::a100_x4(),
-            block_size: 32,
-            oracle_grid: vec![0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0],
             systems: SystemKind::ALL.to_vec(),
             tuner: TunerConfig::default(),
         }
@@ -126,27 +124,6 @@ impl Comparison {
     #[must_use]
     pub fn marconi_tuner(mut self, tuner: TunerConfig) -> Self {
         self.tuner = tuner;
-        self
-    }
-
-    /// Sets the device model.
-    #[must_use]
-    pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Sets vLLM+'s token-block size (default 32, per §5.1).
-    #[must_use]
-    pub fn block_size(mut self, block_size: u64) -> Self {
-        self.block_size = block_size;
-        self
-    }
-
-    /// Sets the oracle's α grid.
-    #[must_use]
-    pub fn oracle_grid(mut self, grid: Vec<f64>) -> Self {
-        self.oracle_grid = grid;
         self
     }
 
@@ -169,9 +146,8 @@ impl Comparison {
                 SystemKind::VllmPlus => {
                     let cache = BlockCache::builder(self.model.clone())
                         .capacity_bytes(self.capacity_bytes)
-                        .block_size(self.block_size)
                         .build();
-                    let mut engine = Engine::new(cache, self.gpu.clone());
+                    let mut engine = Engine::new(cache, GpuModel::a100_x4());
                     let report = engine.run(trace);
                     block_reuse = Some(engine.cache().reuse_report());
                     report
@@ -200,12 +176,8 @@ impl Comparison {
                             at: r.arrival,
                         })
                         .collect();
-                    let outcome = best_static_alpha(
-                        &self.model,
-                        self.capacity_bytes,
-                        &events,
-                        &self.oracle_grid,
-                    );
+                    let outcome =
+                        best_static_alpha(&self.model, self.capacity_bytes, &events, &ORACLE_GRID);
                     oracle_alpha = Some(outcome.best_alpha);
                     self.run_one(
                         HybridPrefixCache::builder(self.model.clone())
@@ -229,7 +201,7 @@ impl Comparison {
     }
 
     fn run_one<C: PrefixCache>(&self, cache: C, trace: &Trace) -> SimReport {
-        Engine::new(cache, self.gpu.clone()).run(trace)
+        Engine::new(cache, GpuModel::a100_x4()).run(trace)
     }
 }
 

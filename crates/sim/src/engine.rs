@@ -227,16 +227,14 @@ pub(crate) fn check_arrival(req: &Request, last: f64) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use marconi_core::{HybridPrefixCache, PrefixCache};
+/// use marconi_core::HybridPrefixCache;
 /// use marconi_model::ModelConfig;
 /// use marconi_sim::{Engine, GpuModel};
 /// use marconi_workload::{DatasetKind, TraceGenerator};
 ///
-/// let cache: Box<dyn PrefixCache> = Box::new(
-///     HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-///         .capacity_bytes(8 << 30)
-///         .build(),
-/// );
+/// let cache = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
+///     .capacity_bytes(8 << 30)
+///     .build();
 /// let mut engine = Engine::new(cache, GpuModel::a100_x4());
 /// let trace = TraceGenerator::new(DatasetKind::ShareGpt)
 ///     .sessions(3)
@@ -253,8 +251,6 @@ pub struct Engine<C> {
 
 impl<C: PrefixCache> Engine<C> {
     /// Creates an engine around a cache and a device model.
-    ///
-    /// `C` may be a concrete cache type or `Box<dyn PrefixCache>`.
     #[must_use]
     pub fn new(cache: C, gpu: GpuModel) -> Self {
         Engine {

@@ -328,10 +328,12 @@ impl EventCluster {
 mod tests {
     use super::*;
     use crate::{Engine, RoutingPolicy};
-    use marconi_core::{CursorTable, EvictionPolicy};
+    use marconi_core::{
+        AdmissionReport, CursorTable, EvictionPolicy, LookupResult, ReloadPolicy, SessionCursor,
+    };
     use marconi_metrics::Percentiles;
     use marconi_trace::{RingRecorder, TraceEvent};
-    use marconi_workload::{DatasetKind, TraceGenerator};
+    use marconi_workload::{DatasetKind, Token, TraceGenerator};
     use std::sync::{Arc, Mutex};
 
     fn sharegpt(sessions: usize, seed: u64) -> Trace {
@@ -796,7 +798,6 @@ mod tests {
         // compute-or-load rule (min of transfer and recompute per request)
         // yields a P95 TTFT no worse than forcing every host hit through
         // recompute — and the host tier actually carries traffic.
-        use marconi_core::ReloadPolicy;
         let trace = sharegpt(16, 7).time_scaled(4.0);
         let m = ModelConfig::hybrid_7b();
         let capacity = 6000 * m.kv_bytes_per_token();
@@ -837,7 +838,6 @@ mod tests {
         // One demoted entry, one sparse follow-up: the event TTFT must be
         // exactly the analytic uncached-prefill TTFT plus the reload
         // charge the GpuModel computes for the hit's host share.
-        use marconi_core::ReloadPolicy;
         let m = ModelConfig::hybrid_7b();
         let capacity = 2 * (2048 + 32) * m.kv_bytes_per_token() + 2 * m.ssm_checkpoint_bytes() + 1;
         let cache = HybridPrefixCache::builder(m.clone())
@@ -1151,6 +1151,68 @@ mod tests {
         (m, capacity, trace)
     }
 
+    /// A cache that never pins: every method but the pin family forwards to
+    /// the wrapped cache, so the trait's defaults hand out empty tickets.
+    /// The pre-pinning reference the mid-flight tests compare against.
+    struct Unpinned(HybridPrefixCache);
+
+    impl PrefixCache for Unpinned {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn model(&self) -> &ModelConfig {
+            self.0.model()
+        }
+
+        fn lookup_at(&mut self, input: &[Token], now: f64) -> LookupResult {
+            self.0.lookup_at(input, now)
+        }
+
+        fn longest_cached_prefix_len(&self, input: &[Token]) -> u64 {
+            self.0.longest_cached_prefix_len(input)
+        }
+
+        fn insert_at(&mut self, input: &[Token], output: &[Token], now: f64) -> AdmissionReport {
+            self.0.insert_at(input, output, now)
+        }
+
+        fn stats(&self) -> &CacheStats {
+            self.0.stats()
+        }
+
+        fn usage_bytes(&self) -> u64 {
+            self.0.usage_bytes()
+        }
+
+        fn capacity_bytes(&self) -> u64 {
+            self.0.capacity_bytes()
+        }
+
+        fn reload_policy(&self) -> ReloadPolicy {
+            self.0.reload_policy()
+        }
+
+        fn lookup_at_with(
+            &mut self,
+            input: &[Token],
+            now: f64,
+            hint: Option<SessionCursor>,
+        ) -> LookupResult {
+            self.0.lookup_at_with(input, now, hint)
+        }
+
+        fn insert_at_with(
+            &mut self,
+            input: &[Token],
+            output: &[Token],
+            now: f64,
+            hint: Option<SessionCursor>,
+        ) -> (AdmissionReport, Option<SessionCursor>) {
+            self.0.insert_at_with(input, output, now, hint)
+        }
+    }
+
     /// The headline bug PR 6 fixes, demonstrated end-to-end under the
     /// modeled clock: a long-decoding request's admission-time hit path is
     /// reclaimed by eviction pressure from concurrently *completing*
@@ -1165,10 +1227,12 @@ mod tests {
             let cache = HybridPrefixCache::builder(m.clone())
                 .capacity_bytes(capacity)
                 .policy(EvictionPolicy::Lru)
-                .in_flight_pinning(pin)
                 .build();
-            let mut sim = EventSim::new(cache, GpuModel::a100_x4());
-            let rep = sim.run(&trace);
+            let rep = if pin {
+                EventSim::new(cache, GpuModel::a100_x4()).run(&trace)
+            } else {
+                EventSim::new(Unpinned(cache), GpuModel::a100_x4()).run(&trace)
+            };
             // Self-validate the overlap the scenario depends on: all the
             // pressure completed, and both probes were admitted, while
             // request 1 was still decoding.
@@ -1221,10 +1285,13 @@ mod tests {
             let mut cache = HybridPrefixCache::builder(m.clone())
                 .capacity_bytes(capacity)
                 .policy(EvictionPolicy::Lru)
-                .in_flight_pinning(pin)
                 .build();
             cache.set_tracer(tracer);
-            EventSim::new(cache, GpuModel::a100_x4()).run(&trace);
+            if pin {
+                EventSim::new(cache, GpuModel::a100_x4()).run(&trace);
+            } else {
+                EventSim::new(Unpinned(cache), GpuModel::a100_x4()).run(&trace);
+            }
             recorder
         };
         // The probes are the only lookups with (their input length, zero

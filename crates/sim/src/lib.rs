@@ -49,7 +49,7 @@
 //!
 //! ```
 //! use marconi_model::ModelConfig;
-//! use marconi_sim::{Comparison, GpuModel, SystemKind};
+//! use marconi_sim::{Comparison, SystemKind};
 //! use marconi_workload::{DatasetKind, TraceGenerator};
 //!
 //! let trace = TraceGenerator::new(DatasetKind::ShareGpt)
@@ -57,7 +57,6 @@
 //!     .seed(1)
 //!     .generate();
 //! let cmp = Comparison::new(ModelConfig::hybrid_7b(), 4 << 30)
-//!     .gpu(GpuModel::a100_x4())
 //!     .systems(&[SystemKind::Vanilla, SystemKind::Marconi])
 //!     .run(&trace);
 //! let marconi = cmp.report(SystemKind::Marconi).unwrap();

@@ -1,43 +1,36 @@
-//! Request arrival processes (paper Fig. 13's two knobs, plus load
-//! modulation for the event-driven serving experiments).
+//! Request arrival processes (paper Fig. 13's two knobs).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Arrival dynamics: Poisson session arrivals plus exponential think time
-/// between a session's turns, optionally modulated by a [`RateSchedule`].
+/// between a session's turns.
 ///
 /// `sessions_per_second` controls cross-session contention (Fig. 13a);
 /// `mean_response_time` is the average gap between receiving a response
 /// and sending the next turn — human typing or an agent's environment
-/// interaction (Fig. 13b). A schedule multiplies the *session arrival*
-/// rate over time (bursts, diurnal cycles) while think times stay
-/// unmodulated; without one the process is exactly the original
-/// homogeneous Poisson stream, draw for draw.
+/// interaction (Fig. 13b).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrivalConfig {
     /// Mean new sessions per second (Poisson process rate).
     pub sessions_per_second: f64,
     /// Mean seconds between a session's consecutive requests.
     pub mean_response_time: f64,
-    /// Optional rate-multiplier schedule over the session arrival rate.
-    pub schedule: Option<RateSchedule>,
 }
 
 impl Default for ArrivalConfig {
     /// One session per second, five-second think time (the midpoints of
-    /// the paper's sweeps), no modulation.
+    /// the paper's sweeps).
     fn default() -> Self {
         ArrivalConfig {
             sessions_per_second: 1.0,
             mean_response_time: 5.0,
-            schedule: None,
         }
     }
 }
 
 impl ArrivalConfig {
-    /// Creates an unmodulated config, validating both rates.
+    /// Creates a config, validating both rates.
     ///
     /// # Panics
     ///
@@ -55,43 +48,12 @@ impl ArrivalConfig {
         ArrivalConfig {
             sessions_per_second,
             mean_response_time,
-            schedule: None,
         }
     }
 
-    /// Attaches a session-rate modulation schedule (burst / diurnal
-    /// shaping). The instantaneous session rate at time `t` becomes
-    /// `sessions_per_second · schedule.multiplier_at(t)`.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: RateSchedule) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Draws the gap until the next session start, ignoring any schedule
-    /// (the homogeneous process; kept for API compatibility).
+    /// Draws the gap until the next session start.
     pub fn next_session_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         exponential(rng, self.sessions_per_second)
-    }
-
-    /// Draws the gap until the next session start for a process currently
-    /// at time `now`, honouring the schedule if one is set.
-    ///
-    /// Modulation uses time rescaling: one unit-exponential variate is
-    /// drawn (the *same single RNG draw* as the unmodulated path, so the
-    /// stream stays aligned) and the piecewise-constant cumulative rate is
-    /// inverted analytically. With `schedule == None` this is exactly
-    /// [`next_session_gap`](ArrivalConfig::next_session_gap), bit for bit.
-    pub fn next_session_gap_at<R: Rng + ?Sized>(&self, rng: &mut R, now: f64) -> f64 {
-        match &self.schedule {
-            None => exponential(rng, self.sessions_per_second),
-            Some(schedule) => {
-                // ∫ λ·m(t) dt over the gap must equal a unit exponential:
-                // invert the multiplier's cumulative area from `now`.
-                let area = unit_exponential(rng) / self.sessions_per_second;
-                schedule.invert_area(now, area)
-            }
-        }
     }
 
     /// Draws the think time before a session's next turn.
@@ -100,171 +62,13 @@ impl ArrivalConfig {
     }
 }
 
-/// A seeded-deterministic, piecewise-constant rate-multiplier schedule that
-/// cycles with period `period_s`: the period is split into
-/// `multipliers.len()` equal slots and slot `i` scales the base session
-/// rate by `multipliers[i]`.
-///
-/// This is the burst/diurnal knob of the event-driven serving experiments:
-/// the *content* of a trace (sessions, turns, token streams) is untouched —
-/// only inter-session gaps stretch and compress — and everything remains a
-/// pure function of the seed (no wall clock, no extra randomness: gap
-/// inversion is analytic).
-///
-/// # Examples
-///
-/// ```
-/// use marconi_workload::RateSchedule;
-///
-/// // 60 s cycle: 30 s at 4× (burst), 30 s at 1× (calm).
-/// let s = RateSchedule::new(60.0, vec![4.0, 1.0]);
-/// assert_eq!(s.multiplier_at(10.0), 4.0);
-/// assert_eq!(s.multiplier_at(45.0), 1.0);
-/// assert_eq!(s.multiplier_at(70.0), 4.0); // cycles
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RateSchedule {
-    period_s: f64,
-    multipliers: Vec<f64>,
-}
-
-impl RateSchedule {
-    /// Creates a schedule from a cycle period and per-slot multipliers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_s` is non-positive/non-finite, `multipliers` is
-    /// empty, or any multiplier is non-positive/non-finite (a zero rate
-    /// would make the next arrival undefined).
-    #[must_use]
-    pub fn new(period_s: f64, multipliers: Vec<f64>) -> Self {
-        assert!(
-            period_s > 0.0 && period_s.is_finite(),
-            "period_s must be positive"
-        );
-        assert!(!multipliers.is_empty(), "at least one multiplier slot");
-        assert!(
-            multipliers.iter().all(|&m| m > 0.0 && m.is_finite()),
-            "multipliers must be positive"
-        );
-        RateSchedule {
-            period_s,
-            multipliers,
-        }
-    }
-
-    /// An on/off burst cycle: the first `duty` fraction of each period runs
-    /// at `burst_multiplier`, the rest at 1×. `duty` is clamped to slot
-    /// granularity (20 slots per period).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duty` is outside `(0, 1)` or the multiplier is invalid.
-    #[must_use]
-    pub fn burst(period_s: f64, burst_multiplier: f64, duty: f64) -> Self {
-        assert!(
-            duty > 0.0 && duty < 1.0,
-            "duty must be a fraction in (0, 1)"
-        );
-        const SLOTS: usize = 20;
-        let on = ((duty * SLOTS as f64).round() as usize).clamp(1, SLOTS - 1);
-        let mut multipliers = vec![burst_multiplier; on];
-        multipliers.resize(SLOTS, 1.0);
-        RateSchedule::new(period_s, multipliers)
-    }
-
-    /// A smooth diurnal cycle: 24 slots per period tracing a raised cosine
-    /// from `trough` (start of period, the "night") up to `peak` (middle of
-    /// period) and back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trough` or `peak` is non-positive/non-finite.
-    #[must_use]
-    pub fn diurnal(period_s: f64, trough: f64, peak: f64) -> Self {
-        const SLOTS: usize = 24;
-        let multipliers = (0..SLOTS)
-            .map(|i| {
-                // Slot midpoint phase in [0, 2π).
-                let phase = (i as f64 + 0.5) / SLOTS as f64 * std::f64::consts::TAU;
-                let raised = (1.0 - phase.cos()) / 2.0; // 0 at start, 1 mid-period
-                trough + (peak - trough) * raised
-            })
-            .collect();
-        RateSchedule::new(period_s, multipliers)
-    }
-
-    /// Cycle period in seconds.
-    #[must_use]
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
-    /// Number of equal slots the period is split into.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.multipliers.len()
-    }
-
-    /// Rate multiplier in effect at time `t` (cycling).
-    #[must_use]
-    pub fn multiplier_at(&self, t: f64) -> f64 {
-        self.multipliers[self.slot_index(t.rem_euclid(self.period_s))]
-    }
-
-    /// Mean multiplier over a full period (the long-run load scale).
-    #[must_use]
-    pub fn mean_multiplier(&self) -> f64 {
-        self.multipliers.iter().sum::<f64>() / self.multipliers.len() as f64
-    }
-
-    fn slot_len(&self) -> f64 {
-        self.period_s / self.multipliers.len() as f64
-    }
-
-    fn slot_index(&self, pos_in_period: f64) -> usize {
-        ((pos_in_period / self.slot_len()) as usize).min(self.multipliers.len() - 1)
-    }
-
-    /// Smallest `dt ≥ 0` with `∫_now^{now+dt} multiplier_at(t) dt = area`:
-    /// walks slots from `now`, consuming each slot's multiplier·length
-    /// until the remaining area fits inside one slot.
-    fn invert_area(&self, now: f64, area: f64) -> f64 {
-        let mut remaining = area;
-        let mut dt = 0.0;
-        // Position within the cycle of the walk frontier.
-        let mut pos = now.rem_euclid(self.period_s);
-        loop {
-            let slot = self.slot_index(pos);
-            let slot_end = (slot as f64 + 1.0) * self.slot_len();
-            let span = (slot_end - pos).max(f64::MIN_POSITIVE);
-            let m = self.multipliers[slot];
-            let slot_area = m * span;
-            if remaining <= slot_area {
-                return dt + remaining / m;
-            }
-            remaining -= slot_area;
-            dt += span;
-            pos = if slot + 1 == self.multipliers.len() {
-                0.0
-            } else {
-                slot_end
-            };
-        }
-    }
-}
-
-/// Exponential variate with the given rate.
+/// Exponential variate with the given rate (one `f64` draw, rejecting
+/// denormal zero).
 fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    unit_exponential(rng) / rate
-}
-
-/// Unit-rate exponential variate (one `f64` draw, rejecting denormal zero).
-fn unit_exponential<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u: f64 = rng.gen::<f64>();
         if u > f64::MIN_POSITIVE {
-            return -u.ln();
+            return -u.ln() / rate;
         }
     }
 }
@@ -280,7 +84,6 @@ mod tests {
         let c = ArrivalConfig::default();
         assert_eq!(c.sessions_per_second, 1.0);
         assert_eq!(c.mean_response_time, 5.0);
-        assert!(c.schedule.is_none());
     }
 
     #[test]
@@ -309,137 +112,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
         let _ = ArrivalConfig::new(0.0, 5.0);
-    }
-
-    #[test]
-    fn unscheduled_gap_at_matches_plain_gap_bit_for_bit() {
-        // The modulation hook must be invisible when no schedule is set:
-        // same draws, same arithmetic, same bits — regardless of `now`.
-        let c = ArrivalConfig::new(1.3, 5.0);
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for i in 0..500 {
-            let plain = c.next_session_gap(&mut a);
-            let at = c.next_session_gap_at(&mut b, i as f64 * 0.37);
-            assert_eq!(plain.to_bits(), at.to_bits(), "draw {i}");
-        }
-    }
-
-    #[test]
-    fn schedule_consumes_one_draw_per_gap() {
-        // Modulated and unmodulated paths must stay stream-aligned: after N
-        // gaps both RNGs have advanced identically.
-        let plain = ArrivalConfig::new(1.0, 5.0);
-        let modulated = ArrivalConfig::new(1.0, 5.0)
-            .with_schedule(RateSchedule::new(10.0, vec![3.0, 0.5, 1.0]));
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        let mut now = 0.0;
-        for _ in 0..200 {
-            let _ = plain.next_session_gap_at(&mut a, now);
-            now += modulated.next_session_gap_at(&mut b, now);
-        }
-        // Both streams are at the same point: the next raw draws agree.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn constant_schedule_scales_the_mean_rate() {
-        let doubled =
-            ArrivalConfig::new(1.0, 5.0).with_schedule(RateSchedule::new(10.0, vec![2.0]));
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 20_000;
-        let mut now = 0.0;
-        let mut total = 0.0;
-        for _ in 0..n {
-            let gap = doubled.next_session_gap_at(&mut rng, now);
-            now += gap;
-            total += gap;
-        }
-        let mean = total / f64::from(n);
-        // 2× rate ⇒ 0.5 s mean gap.
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn burst_slots_arrive_denser_than_calm_slots() {
-        // 4× burst for the first half of each 100 s cycle: arrivals landing
-        // in burst slots must outnumber calm-slot arrivals roughly 4:1.
-        let c = ArrivalConfig::new(1.0, 5.0).with_schedule(RateSchedule::burst(100.0, 4.0, 0.5));
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut now = 0.0;
-        let (mut bursty, mut calm) = (0u32, 0u32);
-        for _ in 0..20_000 {
-            now += c.next_session_gap_at(&mut rng, now);
-            if now.rem_euclid(100.0) < 50.0 {
-                bursty += 1;
-            } else {
-                calm += 1;
-            }
-        }
-        let ratio = f64::from(bursty) / f64::from(calm);
-        assert!((3.0..5.0).contains(&ratio), "burst/calm ratio {ratio}");
-    }
-
-    #[test]
-    fn diurnal_peak_is_denser_than_trough() {
-        let c = ArrivalConfig::new(1.0, 5.0).with_schedule(RateSchedule::diurnal(200.0, 0.25, 4.0));
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut now = 0.0;
-        let (mut peak, mut trough) = (0u32, 0u32);
-        for _ in 0..30_000 {
-            now += c.next_session_gap_at(&mut rng, now);
-            let pos = now.rem_euclid(200.0);
-            if (75.0..125.0).contains(&pos) {
-                peak += 1; // middle quarter of the cycle
-            } else if !(25.0..175.0).contains(&pos) {
-                trough += 1; // outer quarter
-            }
-        }
-        assert!(
-            f64::from(peak) > 3.0 * f64::from(trough),
-            "peak {peak} vs trough {trough}"
-        );
-    }
-
-    #[test]
-    fn invert_area_is_exact_on_piecewise_constant_rates() {
-        // ∫ multiplier over the returned gap must reproduce the requested
-        // area (up to float tolerance), including across slot and period
-        // boundaries.
-        let s = RateSchedule::new(12.0, vec![2.0, 0.5, 1.0]);
-        for (now, area) in [(0.0, 1.0), (3.9, 6.0), (11.9, 0.3), (7.0, 25.0)] {
-            let dt = s.invert_area(now, area);
-            // Numerically integrate the multiplier over [now, now+dt].
-            let steps = 200_000;
-            let h = dt / steps as f64;
-            let integral: f64 = (0..steps)
-                .map(|i| s.multiplier_at(now + (i as f64 + 0.5) * h) * h)
-                .sum();
-            assert!(
-                (integral - area).abs() < 1e-3 * area.max(1.0),
-                "now={now} area={area}: got {integral}"
-            );
-        }
-    }
-
-    #[test]
-    fn mean_multiplier_averages_slots() {
-        let s = RateSchedule::new(10.0, vec![4.0, 1.0, 1.0, 2.0]);
-        assert_eq!(s.mean_multiplier(), 2.0);
-        assert_eq!(s.slots(), 4);
-        assert_eq!(s.period_s(), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_multiplier_rejected() {
-        let _ = RateSchedule::new(10.0, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot")]
-    fn empty_schedule_rejected() {
-        let _ = RateSchedule::new(10.0, vec![]);
     }
 }

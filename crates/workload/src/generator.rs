@@ -144,10 +144,7 @@ impl TraceGenerator {
         for session_id in 0..self.sessions as u64 {
             let tenant_id = session_id % self.tenants as u64;
             let prompts = &pools[tenant_id as usize];
-            // The `_at` variant honours the burst/diurnal schedule; without
-            // one it is bit-identical to the original homogeneous draw, so
-            // every pre-schedule seeded trace is unchanged.
-            session_start += self.arrival.next_session_gap_at(&mut rng, session_start);
+            session_start += self.arrival.next_session_gap(&mut rng);
             let turns = spec.turns.sample(&mut rng).max(1) as u32;
 
             // Conversation state.
@@ -193,30 +190,21 @@ impl TraceGenerator {
         for (i, r) in requests.iter_mut().enumerate() {
             r.id = i as u64;
         }
-        // The tenant and schedule tags appear only when those modes are on,
-        // so pre-existing trace names (keys into golden expectations) are
-        // unchanged.
+        // The tenant tag appears only in multi-tenant mode, so single-tenant
+        // trace names (keys into golden expectations) are unchanged.
         let tenant_tag = if self.tenants > 1 {
             format!("-x{}", self.tenants)
         } else {
             String::new()
         };
-        let schedule_tag = self
-            .arrival
-            .schedule
-            .as_ref()
-            .map_or_else(String::new, |s| {
-                format!("-mod{}p{:.0}", s.slots(), s.period_s())
-            });
         Trace {
             name: format!(
-                "{}-s{}{}-r{:.2}-t{:.1}{}-seed{}",
+                "{}-s{}{}-r{:.2}-t{:.1}-seed{}",
                 self.kind,
                 self.sessions,
                 tenant_tag,
                 self.arrival.sessions_per_second,
                 self.arrival.mean_response_time,
-                schedule_tag,
                 self.seed
             ),
             requests,
@@ -232,7 +220,6 @@ fn fresh_segment(rng: &mut StdRng, len: u64) -> Vec<Token> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrival::RateSchedule;
 
     fn small(kind: DatasetKind) -> Trace {
         TraceGenerator::new(kind).sessions(20).seed(11).generate()
@@ -454,11 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn default_schedule_keeps_the_exact_pre_schedule_rng_stream() {
+    fn arrivals_keep_their_golden_rng_stream() {
         // Golden pin (same discipline as `tenants == 1`): these arrival bit
-        // patterns were captured from the generator *before* the schedule
-        // knob existed. A default (schedule-free) ArrivalConfig must keep
-        // reproducing them forever — any drift means the RNG stream moved.
+        // patterns are captured values. The generator must keep reproducing
+        // them forever — any drift means the RNG stream moved.
         let sharegpt = TraceGenerator::new(DatasetKind::ShareGpt)
             .sessions(6)
             .arrival(ArrivalConfig::new(1.0, 5.0))
@@ -498,57 +484,6 @@ mod tests {
         for (r, &bits) in lmsys.requests.iter().zip(&golden_lmsys) {
             assert_eq!(r.arrival.to_bits(), bits, "request {}", r.id);
         }
-    }
-
-    #[test]
-    fn scheduled_trace_keeps_content_but_reshapes_arrivals() {
-        // Modulation draws the same RNG stream (one variate per gap), so
-        // the *content* of every request — sessions, turns, token ids — is
-        // byte-identical to the unmodulated trace; only arrivals move.
-        let base = TraceGenerator::new(DatasetKind::ShareGpt)
-            .sessions(12)
-            .arrival(ArrivalConfig::new(1.0, 5.0))
-            .seed(17);
-        let plain = base.clone().generate();
-        let bursty = base
-            .arrival(
-                ArrivalConfig::new(1.0, 5.0).with_schedule(RateSchedule::burst(30.0, 6.0, 0.25)),
-            )
-            .generate();
-        assert_eq!(plain.len(), bursty.len());
-        let sort = |t: &Trace| {
-            let mut reqs: Vec<_> = t.requests.clone();
-            reqs.sort_by_key(|r| (r.session_id, r.turn));
-            reqs
-        };
-        let mut moved = 0;
-        for (a, b) in sort(&plain).iter().zip(&sort(&bursty)) {
-            assert_eq!(a.session_id, b.session_id);
-            assert_eq!(a.turn, b.turn);
-            assert_eq!(
-                a.input, b.input,
-                "token content must not depend on schedule"
-            );
-            assert_eq!(a.output, b.output);
-            moved += u32::from(a.arrival.to_bits() != b.arrival.to_bits());
-        }
-        assert!(moved > 0, "schedule must actually move arrivals");
-        assert!(bursty.name.contains("-mod20p30"), "got {}", bursty.name);
-    }
-
-    #[test]
-    fn scheduled_traces_are_deterministic() {
-        let make = || {
-            TraceGenerator::new(DatasetKind::Lmsys)
-                .sessions(10)
-                .arrival(
-                    ArrivalConfig::new(1.5, 6.0)
-                        .with_schedule(RateSchedule::diurnal(120.0, 0.5, 3.0)),
-                )
-                .seed(23)
-                .generate()
-        };
-        assert_eq!(make(), make());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!   distribution from hundreds to tens of thousands of tokens);
 //! * arrival dynamics — Poisson session arrivals and exponential think
 //!   times between turns, the two knobs of the paper's Fig. 13, with an
-//!   optional seeded burst/diurnal rate schedule ([`RateSchedule`]) and an
 //!   open-loop load-sweep helper ([`Trace::time_scaled`]) for the
 //!   event-driven serving experiments;
 //! * an optional multi-tenant mode ([`TraceGenerator::tenants`]) that
@@ -57,7 +56,7 @@ mod generator;
 mod spec;
 mod trace;
 
-pub use arrival::{ArrivalConfig, RateSchedule};
+pub use arrival::ArrivalConfig;
 pub use dist::LenDist;
 pub use generator::TraceGenerator;
 pub use spec::{DatasetKind, SessionSpec};

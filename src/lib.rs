@@ -88,7 +88,5 @@ pub mod prelude {
     pub use marconi_trace::{
         MissReport, NullSink, ReloadDecision, RingRecorder, TraceEvent, TraceSink, Tracer,
     };
-    pub use marconi_workload::{
-        ArrivalConfig, DatasetKind, RateSchedule, Request, Trace, TraceGenerator,
-    };
+    pub use marconi_workload::{ArrivalConfig, DatasetKind, Request, Trace, TraceGenerator};
 }

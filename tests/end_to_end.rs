@@ -196,5 +196,4 @@ fn prelude_exposes_the_advertised_api() {
     let batch = BatchConfig::default();
     assert!(batch.max_batch_requests > 0);
     let _: RoutingPolicy = RoutingPolicy::QueueAware;
-    let _: RateSchedule = RateSchedule::burst(60.0, 4.0, 0.25);
 }
