@@ -151,16 +151,6 @@ impl ModelConfig {
         self.bytes_per_param
     }
 
-    /// Number of layers of the given kind.
-    #[must_use]
-    pub fn layer_count(&self, kind: LayerKind) -> u64 {
-        match kind {
-            LayerKind::Attention => self.n_attention,
-            LayerKind::Ssm => self.n_ssm,
-            LayerKind::Mlp => self.n_mlp,
-        }
-    }
-
     /// `true` if the model mixes Attention and SSM layers.
     #[must_use]
     pub fn is_hybrid(&self) -> bool {

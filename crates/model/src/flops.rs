@@ -76,13 +76,6 @@ impl FlopBreakdown {
         }
         self.of_kind(kind) as f64 / total as f64
     }
-
-    /// Total FLOPs as `f64` (convenient for plotting/rates; exact up to
-    /// 2^53).
-    #[must_use]
-    pub fn total_f64(&self) -> f64 {
-        self.total() as f64
-    }
 }
 
 impl Add for FlopBreakdown {

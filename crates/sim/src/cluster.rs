@@ -173,7 +173,7 @@ pub struct SessionAffinity;
 
 /// SplitMix64: a fixed, portable integer hash so assignments never depend
 /// on process- or platform-specific hasher state.
-fn splitmix64(seed: u64) -> u64 {
+pub(crate) fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -282,12 +282,6 @@ impl<C: PrefixCache> Engine<C> {
         &self.replica.cache
     }
 
-    /// Consumes the engine and returns the cache.
-    #[must_use]
-    pub fn into_cache(self) -> C {
-        self.replica.cache
-    }
-
     /// Replays `trace`, serving each request at its arrival time, and
     /// produces the per-request report. Cache and cursor state persist
     /// across calls; `cache_stats` is cumulative.

@@ -191,12 +191,6 @@ impl<C: PrefixCache> EventSim<C> {
         &self.replica.cache
     }
 
-    /// Consumes the simulator and returns the cache.
-    #[must_use]
-    pub fn into_cache(self) -> C {
-        self.replica.cache
-    }
-
     /// Replays `trace` under the virtual clock and returns the report.
     /// Cache and cursor state persist across calls, like `Engine`, and
     /// `cache_stats` is cumulative.
@@ -270,12 +264,6 @@ impl EventCluster {
     #[must_use]
     pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
         &self.replicas[index].cache
-    }
-
-    /// The active router's name.
-    #[must_use]
-    pub fn router_name(&self) -> &str {
-        self.router.name()
     }
 
     /// Attaches a tracer to the cluster layer's own decisions (routing

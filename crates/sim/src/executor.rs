@@ -116,6 +116,8 @@ struct Running<'a> {
 
 /// The iterations in flight, planned at one boundary: a single iteration,
 /// or a pure-decode segment whose iteration `j` costs `flops + j·slope`.
+/// FLOPs are `u64`: planning narrows them once, checking that the last
+/// iteration's count fits (see [`Segment::narrow`]).
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     /// Virtual time the first iteration starts.
@@ -123,17 +125,36 @@ struct Segment {
     /// The executor's `busy_s` before the first iteration.
     busy_before: f64,
     /// FLOPs of the first iteration.
-    flops: u128,
+    flops: u64,
     /// FLOPs each further iteration adds (0 for a single iteration).
-    slope: u128,
+    slope: u64,
     /// Requests admitted, and their reload charges, at the first iteration
     /// (both zero in a segment of more than one iteration).
     admitted: u32,
     reload_s: f64,
-    /// Iterations planned.
+    /// Iterations planned (at least one).
     len: u64,
     /// Virtual time the last planned iteration ends.
     end: f64,
+}
+
+impl Segment {
+    /// Narrows a segment's first-iteration FLOPs and slope to `u64`, given
+    /// its last iteration's FLOPs `last`. Every count the walk forms lies
+    /// in `flops..=last` and the slope is at most `last`, so checking
+    /// `last` checks them all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` exceeds `u64::MAX`.
+    fn narrow(flops: u128, slope: u128, last: u128) -> (u64, u64) {
+        assert!(
+            u64::try_from(last).is_ok(),
+            "segment FLOPs overflow u64: the last iteration costs {last} FLOPs"
+        );
+        // Lossless: both are at most `last`.
+        (flops as u64, slope as u64)
+    }
 }
 
 /// One device's serving state: FIFO admission queue + running batch +
@@ -344,11 +365,12 @@ impl<'a> Executor<'a> {
                 len = 1;
             }
         }
-        let slope = if len > 1 {
+        let (slope, last) = if len > 1 {
             self.decode_slope(model, flops, len)
         } else {
-            0
+            (0, flops)
         };
+        let (flops, slope) = Segment::narrow(flops, slope, last);
         let mut seg = Segment {
             start: now,
             busy_before: self.busy_s,
@@ -371,11 +393,11 @@ impl<'a> Executor<'a> {
     }
 
     /// FLOPs each further iteration of a pure-decode segment adds to its
-    /// first iteration's `flops`. [`decode_token_flops`] is affine in the
-    /// context length, so iteration `j` costs exactly `flops + j·slope`;
-    /// the segment's last iteration is recomputed directly to hold that to
-    /// account in every profile.
-    fn decode_slope(&self, model: &ModelConfig, flops: u128, len: u64) -> u128 {
+    /// first iteration's `flops`, and the FLOPs of its last iteration.
+    /// [`decode_token_flops`] is affine in the context length, so iteration
+    /// `j` costs exactly `flops + j·slope`; the segment's last iteration is
+    /// recomputed directly to hold that to account in every profile.
+    fn decode_slope(&self, model: &ModelConfig, flops: u128, len: u64) -> (u128, u128) {
         let (mut slope, mut last) = (0u128, 0u128);
         for r in &self.running {
             let context = r.req.input_len() + r.decoded;
@@ -387,7 +409,7 @@ impl<'a> Executor<'a> {
             "invariant: decode FLOPs are affine in the context length, so a segment's last \
              iteration costs its first plus one slope per further iteration"
         );
-        slope
+        (slope, last)
     }
 
     /// Walks `seg` from its start with the stepped loop's own arithmetic —
@@ -395,29 +417,35 @@ impl<'a> Executor<'a> {
     /// `busy += d`, in that order — through its `len` iterations, or up to
     /// the first boundary strictly after `until`. Returns the iterations
     /// walked, the boundary reached, and the busy time there.
+    ///
+    /// FLOPs step in `u64` and stop at the last iteration's, so no count
+    /// past the one [`Segment::narrow`] checked is ever formed.
     fn walk(&self, seg: &Segment, until: f64) -> (u64, f64, f64) {
         let (mut t, mut busy, mut flops) = (seg.start, seg.busy_before, seg.flops);
         let mut walked = 0;
-        while walked < seg.len {
+        loop {
             let d = self.duration(flops, seg.admitted, seg.reload_s);
             t += d;
             busy += d;
             walked += 1;
-            if t > until {
-                break;
+            if walked == seg.len || t > until {
+                return (walked, t, busy);
             }
             flops += seg.slope;
         }
-        (walked, t, busy)
     }
 
     /// Virtual seconds of one iteration of `flops` that admits `admitted`
-    /// requests with `reload_s` of reload charges.
-    fn duration(&self, flops: u128, admitted: u32, reload_s: f64) -> f64 {
+    /// requests with `reload_s` of reload charges. The sum is formed left
+    /// to right, exactly as the stepped loop formed it; regrouping the
+    /// per-admission terms would change its rounding.
+    fn duration(&self, flops: u64, admitted: u32, reload_s: f64) -> f64 {
         match self.service {
             ServiceMode::Instantaneous => 0.0,
             ServiceMode::Modeled(gpu) => {
-                gpu.secs_for_flops(flops) + f64::from(admitted) * gpu.overhead_s() + reload_s
+                gpu.secs_for_segment_flops(flops)
+                    + f64::from(admitted) * gpu.overhead_s()
+                    + reload_s
             }
         }
     }
@@ -644,6 +672,122 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The stepped loop a segment walk stands for: iteration `j`'s FLOPs
+    /// formed in `u128` as `flops + j·slope` and timed by the public
+    /// [`GpuModel::secs_for_flops`], one iteration at a time.
+    fn stepped(gpu: &GpuModel, seg: &Segment, until: f64) -> (u64, f64, f64) {
+        let (flops, slope) = (u128::from(seg.flops), u128::from(seg.slope));
+        let (mut t, mut busy) = (seg.start, seg.busy_before);
+        for j in 0..seg.len {
+            let d = gpu.secs_for_flops(flops + u128::from(j) * slope)
+                + f64::from(seg.admitted) * gpu.overhead_s()
+                + seg.reload_s;
+            t += d;
+            busy += d;
+            if t > until {
+                return (j + 1, t, busy);
+            }
+        }
+        (seg.len, t, busy)
+    }
+
+    /// Seeded random segments over first-iteration FLOPs (up to 2^64, so
+    /// well past `f64`'s 53-bit mantissa), slope, length, admissions,
+    /// reload charge and cut point: the `u64` walk reproduces the `u128`
+    /// stepped loop bit for bit, uncut, cut anywhere, and cut exactly on
+    /// or just before a boundary. A quarter of the segments are single
+    /// iterations that admit requests and charge a reload, where
+    /// regrouping `secs + admitted·overhead + reload` would round
+    /// differently.
+    #[test]
+    fn segment_walk_matches_a_u128_stepped_reference() {
+        let gpus = [
+            GpuModel::a100_x4(),
+            GpuModel::new("odd", 3.3e14 + 7.0, 0.003_1),
+        ];
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            crate::cluster::splitmix64(n)
+        };
+        for gpu in &gpus {
+            let service = ServiceMode::Modeled(gpu.clone());
+            let batch = BatchConfig::default();
+            let ex = Executor::new(&batch, &service);
+            for _ in 0..1500 {
+                let single = next() % 4 == 0;
+                let len = if single { 1 } else { 2 + next() % 2000 };
+                let slope = if single {
+                    0
+                } else {
+                    u128::from(next() >> (24 + next() % 40))
+                };
+                // An eighth of the multi-iteration segments end on exactly
+                // `u64::MAX` FLOPs, so stepping once past the last
+                // iteration would overflow.
+                let ceiling = u128::from(u64::MAX) - u128::from(len - 1) * slope;
+                let flops = if !single && next() % 8 == 0 {
+                    ceiling
+                } else {
+                    u128::from(next() >> (next() % 44)).min(ceiling)
+                };
+                let last = flops + u128::from(len - 1) * slope;
+                let (flops, slope) = Segment::narrow(flops, slope, last);
+                let (admitted, reload_s) = if single || next() % 8 == 0 {
+                    (1 + (next() % 4) as u32, (next() % 1_000_000) as f64 * 1e-9)
+                } else {
+                    (0, 0.0)
+                };
+                let seg = Segment {
+                    start: (next() % 1_000_000_000) as f64 * 1e-6,
+                    busy_before: (next() % 1_000_000_000) as f64 * 1e-6,
+                    flops,
+                    slope,
+                    admitted,
+                    reload_s,
+                    len,
+                    end: 0.0,
+                };
+                let bits = |(n, t, busy): (u64, f64, f64)| (n, t.to_bits(), busy.to_bits());
+                let (_, end, _) = stepped(gpu, &seg, f64::INFINITY);
+                let cut = seg.start + (end - seg.start) * (next() % 1024) as f64 / 1024.0;
+                let (_, boundary, _) = stepped(gpu, &seg, cut);
+                for until in [f64::INFINITY, cut, boundary, boundary.next_down()] {
+                    assert_eq!(
+                        bits(ex.walk(&seg, until)),
+                        bits(stepped(gpu, &seg, until)),
+                        "{seg:?} until {until}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A decode segment whose first iteration fits in `u64` FLOPs but whose
+    /// last does not is rejected by name when planned: one attention layer
+    /// of width ~1.5·10^9 costs just under `u64::MAX` FLOPs per decode
+    /// token at a short context, and each further token adds ~1.2·10^10.
+    #[test]
+    #[should_panic(expected = "segment FLOPs overflow u64")]
+    fn a_segment_past_u64_flops_is_rejected() {
+        let model = ModelConfig::builder("wide")
+            .d_model(1_518_500_248)
+            .layers(1, 0, 0)
+            .build()
+            .expect("a valid attention-only model");
+        assert!(decode_token_flops(&model, 1) <= u128::from(u64::MAX));
+        assert!(decode_token_flops(&model, 8) > u128::from(u64::MAX));
+        let cache = HybridPrefixCache::builder(model)
+            .capacity_bytes(1 << 50)
+            .policy(EvictionPolicy::Lru)
+            .build();
+        let trace = Trace {
+            name: "wide".into(),
+            requests: vec![request(0, 0.0, vec![1], 8)],
+        };
+        crate::EventSim::new(cache, GpuModel::a100_x4()).run(&trace);
     }
 
     /// Admission catches queue-accounting drift (a request dequeued without

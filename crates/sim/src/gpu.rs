@@ -209,6 +209,16 @@ impl GpuModel {
         flops as f64 / self.effective_flops
     }
 
+    /// [`secs_for_flops`](GpuModel::secs_for_flops) for a count that fits
+    /// in `u64`: the executor's per-iteration unit inside a segment. Both
+    /// casts round the same integer to the nearest `f64`, so the result is
+    /// bit-equal; the `u64` cast takes a few instructions, the `u128` one
+    /// a longer software conversion (no 128-bit conversion in hardware).
+    #[must_use]
+    pub(crate) fn secs_for_segment_flops(&self, flops: u64) -> f64 {
+        flops as f64 / self.effective_flops
+    }
+
     /// Seconds for one decode step of a request whose context (input plus
     /// already-decoded tokens) is `context_len` tokens: the incremental
     /// FLOPs of token `context_len + 1`. The continuous-batching executor
