@@ -78,8 +78,8 @@ const EXPECT_PREFIXES: [&str; 2] = ["invariant:", "lock:"];
 /// forfeits the session fast path back to O(prompt) root walks).
 const MUST_USE_SUFFIXES: [&str; 4] = ["Ticket", "Guard", "Handle", "Cursor"];
 
-/// Methods banned by `edge-clone` in radix hot paths: since PR 8 edge
-/// labels are `(offset, len)` slices of the tree's shared token store, and
+/// Methods banned by `edge-clone` in radix hot paths: edge labels are
+/// chains of `(offset, len)` ranges of the tree's shared token store, and
 /// these calls are how O(edge) byte copies sneak back in.
 const EDGE_CLONE_METHODS: [&str; 2] = ["clone", "to_vec"];
 
@@ -222,9 +222,9 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
                     "edge-clone",
                     format!(
                         "`.{}()` in a radix hot path materializes token bytes; \
-                         edge labels are (offset, len) slices of the shared \
-                         store — use `edge_tokens()` / offset arithmetic, or \
-                         waive with a reason",
+                         edge labels are chains of (offset, len) ranges of \
+                         the shared store — use `edge_parts()` / offset \
+                         arithmetic, or waive with a reason",
                         name.text
                     ),
                 );

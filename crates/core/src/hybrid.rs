@@ -14,7 +14,7 @@ use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_radix::{
     recency_stamp, CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree,
-    Resumed, Token, TIER_BIT,
+    Resumed, StoreCounters, Token, TIER_BIT,
 };
 use marconi_trace::{
     CursorFallbackCause, Fingerprint, MissCause, MissLedger, PressureCause, StatCounters,
@@ -336,6 +336,16 @@ impl HybridPrefixCache {
     #[must_use]
     pub fn candidates_scored(&self) -> u64 {
         self.candidates_scored
+    }
+
+    /// Work the radix tree's token store has done so far, by cause
+    /// (diagnostic; see [`StoreCounters`]): tokens inserts appended, tokens
+    /// merges copied (none: merges splice labels), tokens compactions
+    /// moved, and compactions run. Deterministic work counters beside
+    /// [`candidates_scored`](Self::candidates_scored).
+    #[must_use]
+    pub fn store_counters(&self) -> StoreCounters {
+        self.tree.store_counters()
     }
 
     /// Candidate-index entries the victim selector has read and then
@@ -1340,7 +1350,9 @@ impl HybridPrefixCache {
             }
             let mut fp = Fingerprint::new();
             for &id in chain.iter().rev() {
-                fp.update(self.tree.edge_tokens(id));
+                for part in self.tree.edge_parts(id) {
+                    fp.update(part);
+                }
             }
             let cause = if self.tree.pinned_count() > 0 {
                 MissCause::PinnedBystander

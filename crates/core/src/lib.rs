@@ -78,6 +78,10 @@ pub use tier::{ReloadPolicy, Tier, TieredPrefix};
 pub use tuner::{TunerConfig, TunerState};
 pub use vanilla::VanillaCache;
 
+/// The token-store work counters [`HybridPrefixCache::store_counters`]
+/// reports.
+pub use marconi_radix::StoreCounters;
+
 /// The flight-recorder crate, re-exported so callers holding only a
 /// `marconi-core` dependency can build sinks and attach tracers.
 pub use marconi_trace as trace;

@@ -29,12 +29,15 @@
 //!   ([`RadixTree::tier_bands`]).
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
 //!   intermediate node lets its child *absorb* the edge KVs while the SSM
-//!   state is released.
+//!   state is released. The merge splices the two labels' chains of store
+//!   ranges in O(1), so no token is copied.
 //!
 //! Since PR 8 the tree is an *arena engine*: a free-list slab of
 //! generation-tagged nodes, sorted-vec children probed by binary search,
-//! edge labels as `(offset, len)` slices of one shared token store (O(1)
-//! splits) that reclaims dead ranges in place — it never holds more than
+//! edge labels as chains of `(offset, len)` ranges of one shared token
+//! store (splits and merges move no token; [`RadixTree::edge_parts`] reads
+//! a label's ranges) that only inserts write and that reclaims dead
+//! ranges in place — it never holds more than
 //! `max(2^16, 4 × live tokens)`, see [`RadixTree::token_store_len`] — and
 //! the candidate set kept as one O(log n) recency index
 //! ([`RadixTree::touch`] / [`RadixTree::lru_candidates`]); see
@@ -73,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod label;
 mod node;
 mod recency;
 mod tree;
@@ -81,7 +85,7 @@ pub use node::NodeId;
 pub use recency::{recency_stamp, TIER_BIT};
 pub use tree::{
     CursorFault, InsertOutcome, MatchCursor, PrefixMatch, RadixTree, RemoveError, Removed, Resumed,
-    Speculation,
+    Speculation, StoreCounters,
 };
 
 /// A token identifier, as produced by a tokenizer.

@@ -1,5 +1,6 @@
 //! Node identifiers and internal node representation.
 
+use crate::label::Label;
 use crate::Token;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -55,10 +56,12 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Edge label as a `(offset, len)` slice into the tree's shared token
-/// store. Splitting an edge is O(1) offset arithmetic; no token bytes move
-/// or get cloned. Edges are the *only* holders of store offsets, which is
-/// what lets the store slide live labels down over dead ranges (see
+/// One range of an edge label: an `(offset, len)` slice of the tree's
+/// shared token store. A label is a chain of these
+/// ([`Label`](crate::label::Label)), so splitting or merging edges is
+/// offset arithmetic and no token bytes move or get cloned. Labels are
+/// the *only* holders of store offsets, which is what lets the store
+/// slide live ranges down over dead ones (see
 /// [`RadixTree`](crate::RadixTree)) without any id or cursor noticing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EdgeRef {
@@ -100,10 +103,6 @@ impl EdgeRef {
 
     pub fn len(self) -> usize {
         self.len as usize
-    }
-
-    pub fn is_empty(self) -> bool {
-        self.len == 0
     }
 }
 
@@ -172,8 +171,8 @@ pub(crate) struct Node<D> {
     /// Parent node (`None` only for the root).
     pub parent: Option<NodeId>,
     /// Tokens on the edge from `parent` to this node (empty only for root),
-    /// as a slice of the tree's shared token store.
-    pub edge: EdgeRef,
+    /// as a chain of ranges of the tree's shared token store.
+    pub edge: Label,
     /// Children keyed by the first token of their edge.
     pub children: ChildSet,
     /// Token depth: number of tokens from the root through this node's edge.

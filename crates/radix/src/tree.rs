@@ -7,16 +7,18 @@
 //!   ids are dense `u32` indices and stale ids are detected, not aliased;
 //! * children are a sorted vec probed by binary search (deterministic
 //!   ascending first-token order, no per-node `BTreeMap` allocations);
-//! * edge labels are `(offset, len)` slices into one shared token store,
-//!   so splitting an edge is O(1) offset arithmetic; the store reclaims
-//!   the ranges dead edges leave behind by sliding live labels down in
-//!   place once dead tokens dominate (see [`RadixTree`]);
+//! * edge labels are chains of `(offset, len)` ranges of one shared token
+//!   store, so splitting an edge cuts a chain and merging two splices
+//!   them, and neither moves a token; the store reclaims the ranges dead
+//!   edges leave behind by rewriting live labels down in place once dead
+//!   tokens dominate (see [`RadixTree`]);
 //! * the eviction candidates *are* one O(log n) recency index keyed by
 //!   caller-supplied stamps ([`RadixTree::touch`]) inside caller-named
 //!   bands ([`RadixTree::set_class`]) whose top class bit names a tier:
 //!   the oldest candidate of a band is its first entry, each tier's bands
 //!   are one run of the index, and no second structure shadows the set.
 
+use crate::label::{Label, Links};
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::{RecencyIndex, TIER_BIT};
 use crate::Token;
@@ -57,36 +59,44 @@ use std::fmt;
 ///
 /// # The token store
 ///
-/// Inserts append their un-shared suffix to one shared store; splits
-/// reference it in place, and edge merges reuse contiguous ranges (the
-/// split-then-evict hot path), appending the joined label only when a merge
-/// joins non-adjacent ranges. Removals and non-adjacent merges leave dead
-/// ranges behind, and the store *reclaims* them: at the end of every
-/// appending insert and every removal, if the store holds at least 2^16
-/// tokens and at least 4× the live [`token_count`](RadixTree::token_count)
-/// (both fixed constants), every live edge is slid down over the dead
-/// ranges in ascending offset order, in place, and the store is truncated
-/// to exactly the live tokens. Hence the **store bound**, which holds
-/// after every `insert*` / `remove`:
+/// Inserts append their un-shared suffix to one shared store, and inserts
+/// are the only operation that writes it: an edge label is a chain of
+/// store ranges, so a split cuts the chain and a merge splices two chains
+/// (coalescing the seam when the two ranges are adjacent, as a split pair
+/// is), both in place. Removals leave dead ranges behind, and the store
+/// *reclaims* them: at the end of every appending insert and every
+/// removal, if the store holds at least 2^16 tokens and at least 4× the
+/// live [`token_count`](RadixTree::token_count) (both fixed constants),
+/// every live label is rewritten as one range, packed down over the dead
+/// ones in place, and the store is truncated to exactly the live tokens.
+/// Hence the **store bound**, which holds after every `insert*` /
+/// `remove`:
 ///
 /// ```text
 /// token_store_len() ≤ max(2^16, 4 × token_count())
 /// ```
 ///
-/// Edges are the only holders of store offsets — [`NodeId`]s and
+/// Labels are the only holders of store offsets — [`NodeId`]s and
 /// [`MatchCursor`]s carry none — so a compaction is invisible to every
-/// caller. Sliding in offset order keeps adjacent ranges adjacent, so a
-/// split pair still merges in O(1) afterwards, and the buffer is reused,
-/// not reallocated, so later appends land on pages already resident. A
-/// compaction moves at most the live tokens and reclaims at least three
-/// dead tokens per token moved, each of which was appended exactly once:
-/// amortised, at most one token is moved per three appended.
+/// caller. Sliding in offset order keeps adjacent one-range labels
+/// adjacent, so a split pair still merges into one range afterwards, and
+/// the buffer is reused, not reallocated, so later appends land on pages
+/// already resident. A compaction moves each live token at most twice (a
+/// chained label out to a buffer and back; a one-range label once) and
+/// reclaims at least three dead tokens per live token, each of which an
+/// insert appended exactly once: amortised, fewer than one token is moved
+/// per token appended. [`store_counters`](RadixTree::store_counters)
+/// counts both sides exactly.
 #[derive(Debug, Clone)]
 pub struct RadixTree<D> {
     slots: Vec<Slot<D>>,
     /// Shared backing store for every edge label; dead ranges are
     /// reclaimed in place by `compact_store`.
     store: Vec<Token>,
+    /// Every range of a chained label past its first.
+    links: Links,
+    /// Tokens written to `store`, by cause.
+    counters: StoreCounters,
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
@@ -103,6 +113,26 @@ pub struct RadixTree<D> {
     /// builds, so a release split reads no fault flag.
     #[cfg(any(test, feature = "fault-injection"))]
     split_off_by_one: bool,
+    /// Fault-injection knob, as above: when set, a compare across a
+    /// label seam stops one token short of it.
+    #[cfg(any(test, feature = "fault-injection"))]
+    seam_short: bool,
+}
+
+/// Work the token store has done, as exact counts
+/// ([`RadixTree::store_counters`]). Machine-independent, so two commits
+/// replaying one trace can be compared for equality.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCounters {
+    /// Tokens inserts appended.
+    pub appended: u64,
+    /// Tokens the store grew by inside merges. Merges splice labels, so
+    /// this stays 0; a merge that copied would show here.
+    pub merge_copied: u64,
+    /// Tokens compactions copied to a new position.
+    pub compaction_moved: u64,
+    /// Compactions run.
+    pub compactions: u64,
 }
 
 /// The store is never compacted below this many tokens (256 KiB of
@@ -140,6 +170,25 @@ pub(crate) fn common_prefix_len(a: &[Token], b: &[Token]) -> usize {
             .zip(&b[equal..])
             .take_while(|(p, q)| p == q)
             .count()
+}
+
+/// Length of the longest common prefix of `edge` and the virtual sequence
+/// `head ‖ tail` from `pos` (at most its length): `edge` is compared
+/// against the segment(s) it overlaps, so a compare straddling the seam
+/// never materializes the concatenation. Inlined: the insert walk calls
+/// it once per edge, and `chat_fit`'s replay measured ~7% slower with the
+/// call left out of line.
+#[inline]
+fn seam_prefix_len(edge: &[Token], head: &[Token], tail: &[Token], pos: usize) -> usize {
+    let mut shared = 0usize;
+    if pos < head.len() {
+        let h = &head[pos..];
+        shared = common_prefix_len(edge, h);
+        if shared < h.len() || shared == edge.len() {
+            return shared;
+        }
+    }
+    shared + common_prefix_len(&edge[shared..], &tail[pos + shared - head.len()..])
 }
 
 /// Result of [`RadixTree::match_prefix`].
@@ -380,7 +429,7 @@ impl<D: Default> RadixTree<D> {
                 gen: 0,
                 node: Node {
                     parent: None,
-                    edge: EdgeRef::EMPTY,
+                    edge: Label::EMPTY,
                     children: ChildSet::default(),
                     depth: 0,
                     version: 0,
@@ -391,6 +440,8 @@ impl<D: Default> RadixTree<D> {
                 },
             }],
             store: Vec::new(),
+            links: Links::default(),
+            counters: StoreCounters::default(),
             free_head: None,
             node_count: 0,
             token_count: 0,
@@ -398,6 +449,8 @@ impl<D: Default> RadixTree<D> {
             pinned_nodes: 0,
             #[cfg(any(test, feature = "fault-injection"))]
             split_off_by_one: false,
+            #[cfg(any(test, feature = "fault-injection"))]
+            seam_short: false,
         }
     }
 
@@ -529,7 +582,7 @@ impl<D: Default> RadixTree<D> {
                     let depth = self.node(cur).depth + added;
                     let leaf = self.alloc(Node {
                         parent: Some(cur),
-                        edge,
+                        edge: Label::single(edge),
                         children: ChildSet::default(),
                         depth,
                         version: 0,
@@ -623,14 +676,16 @@ impl<D: Default> RadixTree<D> {
         } else {
             self.store.extend_from_slice(&tail[pos - head.len()..]);
         }
+        self.counters.appended += u64::from(edge.len);
         edge
     }
 
     /// Splits `child`'s edge after `shared` tokens, inserting a new
     /// intermediate node (returned) between `child` and its parent.
     ///
-    /// Both halves keep referencing the shared store — the split itself is
-    /// pure offset arithmetic, no token is copied or moved.
+    /// Both halves keep referencing the shared store — the split cuts the
+    /// label's chain of ranges, O(ranges before the cut), and no token is
+    /// copied or moved.
     fn split_edge(&mut self, child: NodeId, shared: usize) -> NodeId {
         let parent = self
             .node(child)
@@ -640,19 +695,11 @@ impl<D: Default> RadixTree<D> {
             let c = self.node(child);
             (c.edge, c.depth, c.pin_count, c.class & TIER_BIT)
         };
-        let shared = shared as u32;
-        let head = EdgeRef {
-            off: edge.off,
-            len: shared,
-        };
-        let tail = EdgeRef {
-            off: edge.off + shared,
-            len: edge.len - shared,
-        };
+        let (head, tail) = self.links.cut(edge, shared as u32);
         let mid_depth = child_depth - u64::from(tail.len);
 
         let mut mid_children = ChildSet::default();
-        mid_children.insert(self.store[tail.off as usize], child);
+        mid_children.insert(self.store[tail.first.off as usize], child);
         // The new intermediate inherits the child's pin count: pin counts
         // are subtree-inclusive, and every upward walk that used to reach
         // `child` directly now passes through `mid` first. Copying keeps
@@ -680,7 +727,7 @@ impl<D: Default> RadixTree<D> {
         // The child's edge shortened (and its parent changed): bump so
         // memoized per-node costs recompute.
         self.bump(child);
-        let first = self.store[head.off as usize];
+        let first = self.store[head.first.off as usize];
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
         // (and candidacy) is unchanged; `mid` itself has exactly one child,
@@ -722,7 +769,11 @@ impl<D> RadixTree<D> {
 
     /// Number of leading tokens of `rest` matching `child`'s edge label.
     fn shared_edge_len(&self, child: NodeId, rest: &[Token]) -> usize {
-        common_prefix_len(&self.store[self.node(child).edge.range()], rest)
+        let edge = self.node(child).edge;
+        if edge.is_single() {
+            return common_prefix_len(&self.store[edge.first.range()], rest);
+        }
+        self.shared_chain_len(edge, rest, &[], 0)
     }
 
     /// [`shared_edge_len`](RadixTree::shared_edge_len) against the virtual
@@ -736,16 +787,39 @@ impl<D> RadixTree<D> {
         tail: &[Token],
         pos: usize,
     ) -> usize {
-        let edge = &self.store[self.node(child).edge.range()];
-        let mut shared = 0usize;
-        if pos < head.len() {
-            let h = &head[pos..];
-            shared = common_prefix_len(edge, h);
-            if shared < h.len() || shared == edge.len() {
-                return shared;
+        self.shared_label_len(self.node(child).edge, head, tail, pos)
+    }
+
+    /// Common prefix length of `edge` and `head ‖ tail` from `pos`: one
+    /// branch to the one-range compare, or the range-by-range one.
+    fn shared_label_len(&self, edge: Label, head: &[Token], tail: &[Token], pos: usize) -> usize {
+        if edge.is_single() {
+            return seam_prefix_len(&self.store[edge.first.range()], head, tail, pos);
+        }
+        self.shared_chain_len(edge, head, tail, pos)
+    }
+
+    /// [`shared_label_len`](RadixTree::shared_label_len) of a chained
+    /// label: each range is compared in turn, and the compare carries on
+    /// across a label seam only while the range before it matched whole.
+    #[cold]
+    fn shared_chain_len(&self, edge: Label, head: &[Token], tail: &[Token], pos: usize) -> usize {
+        let mut shared = 0;
+        for part in self.links.parts(edge) {
+            let part = &self.store[part.range()];
+            let n = seam_prefix_len(part, head, tail, pos + shared);
+            shared += n;
+            if n < part.len() {
+                break;
+            }
+            // Injected fault for the differential harness's self-test:
+            // stop one token short of a label seam.
+            #[cfg(any(test, feature = "fault-injection"))]
+            if self.seam_short && shared < edge.len() {
+                return shared - 1;
             }
         }
-        shared + common_prefix_len(&edge[shared..], &tail[pos + shared - head.len()..])
+        shared
     }
 
     /// The root node id.
@@ -837,14 +911,26 @@ impl<D> RadixTree<D> {
         u64::from(self.node(id).edge.len)
     }
 
-    /// The tokens on the edge from the node's parent (empty for the root).
+    /// The tokens on the edge from the node's parent, as the slices of
+    /// the token store that hold them, in order (none for the root). A
+    /// label that merges have joined is several slices until the next
+    /// compaction rewrites it as one; nothing is materialized.
     ///
     /// # Panics
     ///
     /// Panics if `id` refers to a removed node.
+    pub fn edge_parts(&self, id: NodeId) -> impl Iterator<Item = &[Token]> + '_ {
+        self.links
+            .parts(self.node(id).edge)
+            .map(|part| &self.store[part.range()])
+    }
+
+    /// Work the token store has done so far, by cause: tokens inserts
+    /// appended, tokens merges copied (none: merges splice), tokens
+    /// compactions moved, and compactions run.
     #[must_use]
-    pub fn edge_tokens(&self, id: NodeId) -> &[Token] {
-        &self.store[self.node(id).edge.range()]
+    pub fn store_counters(&self) -> StoreCounters {
+        self.counters
     }
 
     /// Parent of a node (`None` for the root).
@@ -1215,8 +1301,8 @@ impl<D> RadixTree<D> {
     ///    consistency check; a live node's depth is path-invariant);
     /// 4. **query length** — `query` is long enough to extend the cursor;
     /// 5. **resume edge** — the query tokens under the node's own edge
-    ///    match it (O(edge) divergence check against the `(offset, len)`
-    ///    slice; catches cursors replayed against a foreign query).
+    ///    match it (O(edge) divergence check against the label's store
+    ///    ranges; catches cursors replayed against a foreign query).
     ///
     /// # Errors
     ///
@@ -1226,8 +1312,8 @@ impl<D> RadixTree<D> {
     }
 
     /// [`resume`](RadixTree::resume) against the virtual query
-    /// `head ‖ tail`: identical checks, with the resume edge compared as
-    /// one slice per segment it overlaps.
+    /// `head ‖ tail`: identical checks, with the resume edge compared by
+    /// the seam-aware walk compare.
     fn resume_parts(
         &self,
         cursor: &MatchCursor,
@@ -1244,17 +1330,10 @@ impl<D> RadixTree<D> {
         if head.len() + tail.len() < len {
             return Err(CursorFault::QueryTooShort);
         }
-        // The edge covers `[start, len)` of `head ‖ tail`; `seam` is where
-        // `head` ends, clamped into that range, so each segment's share of
-        // the edge is one slice.
-        let edge = &self.store[n.edge.range()];
-        let start = len - edge.len();
-        let h = head.len();
-        let seam = h.clamp(start, len);
-        let (edge_head, edge_tail) = edge.split_at(seam - start);
-        if head[start.min(h)..seam.min(h)] != *edge_head
-            || tail[seam.saturating_sub(h)..len.saturating_sub(h)] != *edge_tail
-        {
+        // The edge covers `[start, len)` of `head ‖ tail`, which holds at
+        // least `len` tokens: it matches iff the common prefix is all of it.
+        let start = len - n.edge.len();
+        if self.shared_label_len(n.edge, head, tail, start) != n.edge.len() {
             return Err(CursorFault::EdgeDivergence);
         }
         Ok(Resumed {
@@ -1383,14 +1462,14 @@ impl<D> RadixTree<D> {
         let mut chain = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let n = self.node(c);
-            chain.push(n.edge);
-            cur = n.parent;
+            chain.push(c);
+            cur = self.node(c).parent;
         }
-        chain.reverse();
-        let mut out = Vec::with_capacity(chain.iter().map(|e| e.len()).sum());
-        for e in chain {
-            out.extend_from_slice(&self.store[e.range()]);
+        let mut out = Vec::with_capacity(self.node(id).depth as usize);
+        for &c in chain.iter().rev() {
+            for part in self.edge_parts(c) {
+                out.extend_from_slice(part);
+            }
         }
         out
     }
@@ -1400,10 +1479,12 @@ impl<D> RadixTree<D> {
     /// * Leaf: the node and its edge tokens leave the tree.
     /// * Single child: the node is spliced out and its edge label is
     ///   *prepended* to the child's (the child absorbs the KVs; only the
-    ///   node's payload — e.g. its SSM state — is released). When the two
-    ///   edges are adjacent in the store — always true for a split pair —
-    ///   the merge is O(1) range concatenation; otherwise the joined label
-    ///   is appended to the store once.
+    ///   node's payload — e.g. its SSM state — is released). The merge is
+    ///   an O(1) splice of the two labels' chains of store ranges, and no
+    ///   token is copied: where the node's last range ends exactly where
+    ///   the child's first begins — always for a split pair — the two
+    ///   ranges become one, otherwise the child's label gains a seam until
+    ///   the next compaction rewrites it as one range.
     ///
     /// # Errors
     ///
@@ -1428,7 +1509,7 @@ impl<D> RadixTree<D> {
             .parent
             .expect("invariant: non-root nodes have a parent");
         let child = node.children.first_id();
-        let first_tok = self.store[node.edge.off as usize];
+        let first_tok = self.store[node.edge.first.off as usize];
 
         // A removable node has ≤ 1 child, so it is a candidate.
         self.lru.remove(node.class, node.stamp, id);
@@ -1450,6 +1531,7 @@ impl<D> RadixTree<D> {
                     }
                 }
                 self.token_count -= u64::from(node.edge.len);
+                self.links.release(node.edge);
                 self.reclaim_store();
                 Ok(Removed {
                     data: node.data,
@@ -1459,22 +1541,11 @@ impl<D> RadixTree<D> {
             }
             Some(child) => {
                 let node = self.free(id);
-                // Child absorbs the edge: tokens (KVs) stay in the tree.
-                let child_edge = self.node(child).edge;
-                let merged = if node.edge.off + node.edge.len == child_edge.off {
-                    // Adjacent ranges (the split-then-evict hot path):
-                    // concatenation is pure offset arithmetic.
-                    EdgeRef {
-                        off: node.edge.off,
-                        len: node.edge.len + child_edge.len,
-                    }
-                } else {
-                    // Non-adjacent: append the joined label to the store.
-                    let joined = EdgeRef::new(self.store.len(), node.edge.len() + child_edge.len());
-                    self.store.extend_from_within(node.edge.range());
-                    self.store.extend_from_within(child_edge.range());
-                    joined
-                };
+                // Child absorbs the edge: tokens (KVs) stay in the tree,
+                // and stay where they are in the store.
+                let stored = self.store.len();
+                let merged = self.links.join(node.edge, self.node(child).edge);
+                self.counters.merge_copied += (self.store.len() - stored) as u64;
                 let c = self.node_mut(child);
                 c.parent = Some(parent);
                 c.edge = merged;
@@ -1504,25 +1575,42 @@ impl<D> RadixTree<D> {
         }
     }
 
-    /// Slides every live edge label down over the dead ranges, in place and
-    /// in ascending offset order, and truncates the store to the live
-    /// tokens. O(arena + live nodes · log + live tokens); allocation-free
-    /// apart from the sort key vec.
+    /// Rewrites every live edge label as one range of a store holding
+    /// exactly the live tokens, in place, and empties the range arena.
+    /// O(arena + live nodes · log + live tokens); allocation-free apart
+    /// from the sort key vec and, when merges have chained labels since
+    /// the last compaction, one buffer of their tokens.
     ///
-    /// Offset order is what makes a plain forward `copy_within` safe (the
-    /// write cursor never passes an unread label) and what keeps adjacent
-    /// ranges adjacent, so split pairs still merge by offset arithmetic.
+    /// Chained labels are copied out whole first. The one-range labels
+    /// then slide down over every dead range in ascending offset order —
+    /// which is what makes a plain forward `copy_within` safe (the write
+    /// cursor never passes an unread label) and what keeps adjacent labels
+    /// adjacent, so split pairs still merge into one range — and the
+    /// chained labels follow them, each as one range.
     fn compact_store(&mut self) {
-        let mut live: Vec<(u32, u32)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter_map(|(i, s)| match s {
-                Slot::Occupied { node, .. } => Some((node.edge.off, i as u32)),
-                Slot::Free { .. } => None,
-            })
-            .collect();
+        self.counters.compactions += 1;
+        let mut live: Vec<(u32, u32)> = Vec::with_capacity(self.node_count);
+        let mut chained: Vec<u32> = Vec::new();
+        let mut chained_len = 0usize;
+        for (i, slot) in self.slots.iter().enumerate().skip(1) {
+            if let Slot::Occupied { node, .. } = slot {
+                if node.edge.is_single() {
+                    live.push((node.edge.first.off, i as u32));
+                } else {
+                    chained.push(i as u32);
+                    chained_len += node.edge.len();
+                }
+            }
+        }
+        let mut staged: Vec<Token> = Vec::with_capacity(chained_len);
+        for &idx in &chained {
+            let Slot::Occupied { node, .. } = &self.slots[idx as usize] else {
+                unreachable!("collected from occupied slots only");
+            };
+            for part in self.links.parts(node.edge) {
+                staged.extend_from_slice(&self.store[part.range()]);
+            }
+        }
         // Live labels are non-empty and disjoint, so offsets are unique
         // and the order is total.
         live.sort_unstable();
@@ -1532,22 +1620,37 @@ impl<D> RadixTree<D> {
             let Slot::Occupied { node, .. } = &mut self.slots[idx as usize] else {
                 unreachable!("collected from occupied slots only");
             };
-            let src = node.edge.range();
+            let src = node.edge.first.range();
             assert!(
                 src.start >= read,
                 "invariant: live edge labels never overlap in the token store"
             );
             read = src.end;
             let len = src.len();
-            self.store.copy_within(src, write);
-            node.edge = EdgeRef::new(write, len);
+            if src.start != write {
+                self.store.copy_within(src, write);
+                node.edge = Label::single(EdgeRef::new(write, len));
+                self.counters.compaction_moved += len as u64;
+            }
             write += len;
         }
+        self.store.truncate(write);
+        self.store.extend_from_slice(&staged);
+        for idx in chained {
+            let Slot::Occupied { node, .. } = &mut self.slots[idx as usize] else {
+                unreachable!("collected from occupied slots only");
+            };
+            let len = node.edge.len();
+            node.edge = Label::single(EdgeRef::new(write, len));
+            write += len;
+        }
+        // Out to the buffer and back in.
+        self.counters.compaction_moved += 2 * staged.len() as u64;
+        self.links.clear();
         assert_eq!(
             write as u64, self.token_count,
             "invariant: live edge labels hold exactly token_count tokens"
         );
-        self.store.truncate(write);
     }
 
     fn free(&mut self, id: NodeId) -> Node<D> {
@@ -1591,6 +1694,17 @@ impl<D> RadixTree<D> {
         self.split_off_by_one = enabled;
     }
 
+    /// Enables the injected seam fault: a compare that matched one range
+    /// of a chained label whole stops one token short of the next, so walks
+    /// across a label seam split one token early. For the differential
+    /// harness's self-test; compiled like
+    /// [`debug_set_split_off_by_one`](RadixTree::debug_set_split_off_by_one).
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub fn debug_set_seam_short(&mut self, enabled: bool) {
+        self.seam_short = enabled;
+    }
+
     /// Exhaustively checks the structural invariants; for tests.
     ///
     /// # Panics
@@ -1602,17 +1716,27 @@ impl<D> RadixTree<D> {
         let mut seen_candidates = 0usize;
         let mut seen_pinned = 0usize;
         let mut ranges = Vec::new();
+        let mut links = 0usize;
         let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
             let n = self.node(id);
-            assert!(
-                n.edge.off as usize + n.edge.len() <= self.store.len(),
-                "{id}: edge range escapes the token store"
-            );
+            let mut label_len = 0u32;
+            let mut parts = 0usize;
+            for part in self.links.parts(n.edge) {
+                parts += 1;
+                assert!(
+                    part.off as usize + part.len() <= self.store.len(),
+                    "{id}: edge range escapes the token store"
+                );
+                assert!(part.len > 0, "{id}: empty range in a label");
+                ranges.push((part.off, part.len, id));
+                label_len += part.len;
+            }
+            assert_eq!(label_len, n.edge.len, "{id}: label length != its ranges");
+            links += parts.saturating_sub(1);
             if id != NodeId::ROOT {
-                ranges.push((n.edge.off, n.edge.len, id));
                 seen_nodes += 1;
-                assert!(!n.edge.is_empty(), "{id}: empty edge on non-root");
+                assert!(n.edge.len > 0, "{id}: empty edge on non-root");
                 let p = self.node(n.parent.expect("invariant: non-root nodes have a parent"));
                 assert_eq!(
                     p.depth + u64::from(n.edge.len),
@@ -1654,7 +1778,7 @@ impl<D> RadixTree<D> {
                 let c = self.node(cid);
                 assert_eq!(c.parent, Some(id), "{cid}: bad parent pointer");
                 assert_eq!(
-                    self.store[c.edge.off as usize], tok,
+                    self.store[c.edge.first.off as usize], tok,
                     "{cid}: child key != first edge token"
                 );
                 stack.push(cid);
@@ -1662,8 +1786,8 @@ impl<D> RadixTree<D> {
         }
         assert_eq!(seen_nodes, self.node_count, "node_count drift");
         assert_eq!(seen_tokens, self.token_count, "token_count drift");
-        // Compaction slides labels in offset order; that is only sound
-        // while live labels are pairwise disjoint.
+        // Compaction slides ranges in offset order; that is only sound
+        // while live label ranges are pairwise disjoint.
         ranges.sort_unstable();
         for pair in ranges.windows(2) {
             let ((off, len, id), (next_off, _, next_id)) = (pair[0], pair[1]);
@@ -1672,6 +1796,7 @@ impl<D> RadixTree<D> {
                 "{id} and {next_id}: edge labels overlap in the token store"
             );
         }
+        self.links.assert_accounting(links);
         let len = self.store.len();
         assert!(
             len < STORE_COMPACT_FLOOR || (len as u64) < STORE_DEAD_FACTOR * self.token_count,
@@ -1729,14 +1854,17 @@ impl<D> RadixTree<D> {
         while let Some(id) = stack.pop() {
             let n = self.node(id);
             for (_, cid) in n.children.iter() {
-                let edge = self.edge_tokens(cid);
-                let label: Vec<String> = if edge.len() <= 6 {
-                    edge.iter().map(|t| t.to_string()).collect()
-                } else {
-                    let mut v: Vec<String> = edge[..3].iter().map(|t| t.to_string()).collect();
-                    v.push(format!("…(+{})", edge.len() - 3));
-                    v
-                };
+                let len = self.node(cid).edge.len();
+                let shown = if len <= 6 { len } else { 3 };
+                let mut label: Vec<String> = self
+                    .edge_parts(cid)
+                    .flatten()
+                    .take(shown)
+                    .map(|t| t.to_string())
+                    .collect();
+                if shown < len {
+                    label.push(format!("…(+{})", len - 3));
+                }
                 let _ = writeln!(out, "  {id} -> {cid} [label=\"{}\"];", label.join(" "));
                 stack.push(cid);
             }
@@ -2411,10 +2539,15 @@ mod tests {
         t.assert_invariants();
     }
 
+    /// A label's store slices, materialized for comparison.
+    fn parts(t: &RadixTree<u32>, id: NodeId) -> Vec<Vec<Token>> {
+        t.edge_parts(id).map(<[Token]>::to_vec).collect()
+    }
+
     #[test]
-    fn non_adjacent_merge_appends_joined_label() {
+    fn non_adjacent_merge_splices_without_copying() {
         // An unrelated insertion between [1,2] and its extension [3,4]
-        // separates their store ranges; merging them must copy.
+        // separates their store ranges; the merge chains the two ranges.
         let mut t = tree();
         let a = t.insert(&[1, 2]).end_node;
         t.insert(&[7]);
@@ -2422,10 +2555,127 @@ mod tests {
         let before = t.token_store_len();
         let removed = t.remove(a).unwrap();
         let child = removed.merged_into.unwrap();
-        assert_eq!(t.token_store_len(), before + 4, "joined label appended");
-        assert_eq!(t.edge_tokens(child), &[1, 2, 3, 4]);
+        assert_eq!(t.token_store_len(), before, "a merge writes no token");
+        assert_eq!(parts(&t, child), [vec![1, 2], vec![3, 4]]);
+        assert_eq!(t.edge_len(child), 4);
         assert_eq!(t.match_prefix(&[1, 2, 3, 4]).matched_len, 4);
+        assert_eq!(t.match_prefix(&[1, 2, 3, 9]).matched_len, 3);
+        assert_eq!(t.store_counters().merge_copied, 0);
         t.assert_invariants();
+    }
+
+    /// `[0] → [1, 2] → [3, 4]`, each label laid out apart from the next by
+    /// an unrelated insert, so every merge below joins non-adjacent ranges.
+    fn spaced_chain(t: &mut RadixTree<u32>) -> (NodeId, NodeId, NodeId) {
+        let top = t.insert(&[0]).end_node;
+        t.insert(&[90]);
+        let mid = t.insert(&[0, 1, 2]).end_node;
+        t.insert(&[91]);
+        let leaf = t.insert(&[0, 1, 2, 3, 4]).end_node;
+        (top, mid, leaf)
+    }
+
+    #[test]
+    fn merging_an_already_merged_label_chains_three_ranges() {
+        let mut t = tree();
+        let (top, mid, leaf) = spaced_chain(&mut t);
+        let stored = t.token_store_len();
+        // Bottom-up: the leaf absorbs [1, 2], then [0] in front of that.
+        assert_eq!(t.remove(mid).unwrap().merged_into, Some(leaf));
+        assert_eq!(parts(&t, leaf), [vec![1, 2], vec![3, 4]]);
+        assert_eq!(t.remove(top).unwrap().merged_into, Some(leaf));
+        assert_eq!(parts(&t, leaf), [vec![0], vec![1, 2], vec![3, 4]]);
+        assert_eq!(t.path_tokens(leaf), [0, 1, 2, 3, 4]);
+        assert_eq!(t.token_store_len(), stored);
+        t.assert_invariants();
+
+        // Two chains joined: `[0] | [1, 2]` over `[3, 4] | [5, 6]`.
+        let mut u = tree();
+        let (top, mid, low) = spaced_chain(&mut u);
+        u.insert(&[92]);
+        let leaf = u.insert(&[0, 1, 2, 3, 4, 5, 6]).end_node;
+        u.remove(top).unwrap();
+        u.remove(low).unwrap();
+        assert_eq!(parts(&u, mid), [vec![0], vec![1, 2]]);
+        assert_eq!(parts(&u, leaf), [vec![3, 4], vec![5, 6]]);
+        assert_eq!(u.remove(mid).unwrap().merged_into, Some(leaf));
+        let four = [vec![0], vec![1, 2], vec![3, 4], vec![5, 6]];
+        assert_eq!(parts(&u, leaf), four);
+        assert_eq!(u.path_tokens(leaf), [0, 1, 2, 3, 4, 5, 6]);
+        u.assert_invariants();
+        // A cut on a seam moves whole ranges; a cut inside one splits it.
+        let seam = u.insert(&[0, 1, 2, 3, 4, 9]).split_node.unwrap();
+        assert_eq!(parts(&u, seam), [vec![0], vec![1, 2], vec![3, 4]]);
+        assert_eq!(parts(&u, leaf), [vec![5, 6]]);
+        let inside = u.insert(&[0, 1, 8]).split_node.unwrap();
+        assert_eq!(parts(&u, inside), [vec![0], vec![1]]);
+        assert_eq!(parts(&u, seam), [vec![2], vec![3, 4]]);
+        assert_eq!(u.path_tokens(leaf), [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(u.store_counters().merge_copied, 0);
+        u.assert_invariants();
+    }
+
+    #[test]
+    fn compaction_relinearises_a_chained_label() {
+        let mut t = tree();
+        let (top, mid, leaf) = spaced_chain(&mut t);
+        t.remove(mid).unwrap();
+        t.remove(top).unwrap();
+        let cur = t.cursor_at(leaf).expect("live");
+        assert_eq!(t.edge_parts(leaf).count(), 3);
+        let before = t.store_counters();
+        churn_until_compacted(&mut t, 40_000);
+        let after = t.store_counters();
+        assert!(after.compactions > before.compactions);
+        assert!(after.compaction_moved >= 5, "the chain moved");
+        assert_eq!(t.token_store_len() as u64, t.token_count());
+        assert_eq!(parts(&t, leaf), [vec![0, 1, 2, 3, 4]]);
+        assert_eq!(t.path_tokens(leaf), [0, 1, 2, 3, 4]);
+        // The cursor taken across the seams still resumes, and still
+        // rejects a query that diverges where a seam was.
+        let at = t
+            .resume(&cur, &[0, 1, 2, 3, 4, 5])
+            .expect("cursor survives");
+        assert_eq!(at.node(), leaf);
+        assert_eq!(
+            t.resume(&cur, &[0, 1, 9, 3, 4]),
+            Err(CursorFault::EdgeDivergence)
+        );
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn walks_compare_across_label_seams() {
+        let mut t = tree();
+        let (top, mid, leaf) = spaced_chain(&mut t);
+        t.remove(mid).unwrap();
+        t.remove(top).unwrap();
+        // [0] | [1, 2] | [3, 4]: a query diverging at each token, seams
+        // included, and the full path.
+        let full = [0, 1, 2, 3, 4];
+        for at in 0..=full.len() {
+            let mut q = full.to_vec();
+            if at < full.len() {
+                q[at] = 77;
+            }
+            assert_eq!(t.match_prefix(&q).matched_len, at as u64, "diverge at {at}");
+            let cur = t.cursor_at(leaf).expect("live");
+            let want = if at < full.len() {
+                Err(CursorFault::EdgeDivergence)
+            } else {
+                Ok(leaf)
+            };
+            for seam in 0..=q.len() {
+                let (head, tail) = q.split_at(seam);
+                assert_eq!(t.shared_edge_len_parts(leaf, head, tail, 0), at);
+                assert_eq!(t.resume_parts(&cur, head, tail).map(|r| r.node()), want);
+            }
+        }
+        // The seam fault stops one token short of each seam it reaches.
+        assert_eq!(t.shared_edge_len(leaf, &[0, 1, 2, 3]), 4);
+        t.debug_set_seam_short(true);
+        assert_eq!(t.shared_edge_len(leaf, &[0, 1, 2, 3]), 0);
+        assert_eq!(t.match_prefix(&full).matched_len, 0);
     }
 
     // -- store reclamation ------------------------------------------------
@@ -2522,8 +2772,8 @@ mod tests {
         let merged = t.remove(out.split_node.unwrap()).unwrap();
         assert_eq!(t.token_store_len(), before_merge, "merge grew the store");
         assert_eq!(
-            t.edge_tokens(merged.merged_into.unwrap()),
-            &[1, 2, 3, 4, 5, 6]
+            parts(&t, merged.merged_into.unwrap()),
+            [vec![1, 2, 3, 4, 5, 6]]
         );
         t.assert_invariants();
     }
@@ -3165,7 +3415,8 @@ mod tests {
             }
             for q in &queries {
                 let joined = t.shared_edge_len(end, &q[p..]);
-                assert_eq!(joined, scalar_prefix_len(t.edge_tokens(end), &q[p..]));
+                let edge: Vec<Token> = t.edge_parts(end).flatten().copied().collect();
+                assert_eq!(joined, scalar_prefix_len(&edge, &q[p..]));
                 let whole = t.resume(&cur, q);
                 for seam in 0..=q.len() {
                     let (head, tail) = q.split_at(seam);

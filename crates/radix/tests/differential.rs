@@ -12,13 +12,16 @@
 //! observable state — ids included, since identical histories allocate
 //! identical arena slots — must stay equal after every op.
 //!
-//! The harness itself is validated by a seeded-mutation self-test:
+//! The harness itself is validated by seeded-mutation self-tests:
 //! [`RadixTree::debug_set_split_off_by_one`] injects an off-by-one into
-//! the hinted side's edge splitting, and the harness must (and does)
-//! catch the resulting divergence — while the same stream passes with the
-//! fault off.
+//! the hinted side's edge splitting, and
+//! [`RadixTree::debug_set_seam_short`] makes its compares stop one token
+//! short of a label seam; the harness must (and does) catch the resulting
+//! divergence — while the same streams pass with the faults off.
 
-use marconi_radix::{InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree, Resumed, Token};
+use marconi_radix::{
+    CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree, Resumed, Token,
+};
 use proptest::prelude::*;
 
 /// Per-node payload: distinguishable values prove payloads ride along
@@ -65,6 +68,28 @@ enum Op {
     Unpin,
     /// `touch(id, stamp)` on both sides.
     Touch(u32, u64),
+    /// Remove the `k % n`-th live unpinned single-child node whose child's
+    /// label already has several ranges (any single-child node when none
+    /// has), so a merged label is merged again before a compaction
+    /// rewrites it as one range.
+    ChainMerge(u32),
+    /// Insert the root path of the `k % n`-th chained node cut `delta`
+    /// tokens past one of its label's seams (−1, 0 or +1), then `fresh`:
+    /// an edge split exactly on a seam or one token to either side.
+    SeamSplit(u32, i8, Token),
+    /// Take a fresh cursor at the `k % n`-th chained node and track it, so
+    /// later extension ops resume onto a chained edge; first check, on
+    /// both sides, that it resumes against its own root path and that a
+    /// path changed at a seam token is [`CursorFault::EdgeDivergence`].
+    ResumeChained(u32),
+}
+
+/// The fault the hinted side runs with, for the harness's self-tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    None,
+    SplitOffByOne,
+    SeamShort,
 }
 
 /// Returns `Err` on the first observable divergence.
@@ -101,12 +126,26 @@ struct Pair {
     /// the suite can't silently stop exercising the fast path.
     resumes: u64,
     fallbacks: u64,
+    /// Coverage of the chain ops, asserted by the store-churn profile.
+    chains: ChainCoverage,
+}
+
+/// What the chain ops reached, so a profile can assert they did.
+#[derive(Debug, Default)]
+struct ChainCoverage {
+    /// Most ranges seen on one label.
+    max_ranges: usize,
+    /// Splits made on a seam's position −1, 0 and +1.
+    seam_splits: [u64; 3],
+    /// Cursors resumed against a chained label's own path.
+    chained_resumes: u64,
 }
 
 impl Pair {
-    fn new(inject_split_fault: bool) -> Self {
+    fn new(fault: Fault) -> Self {
         let mut hinted = RadixTree::new();
-        hinted.debug_set_split_off_by_one(inject_split_fault);
+        hinted.debug_set_split_off_by_one(fault == Fault::SplitOffByOne);
+        hinted.debug_set_seam_short(fault == Fault::SeamShort);
         Pair {
             hinted,
             plain: RadixTree::new(),
@@ -117,6 +156,38 @@ impl Pair {
             next_stamp: 1,
             resumes: 0,
             fallbacks: 0,
+            chains: ChainCoverage::default(),
+        }
+    }
+
+    /// Live nodes whose label is more than one store range, by index.
+    fn chained(&self) -> Vec<NodeId> {
+        self.live_ids()
+            .into_iter()
+            .filter(|&id| self.hinted.edge_parts(id).nth(1).is_some())
+            .collect()
+    }
+
+    /// Root depths at which `id`'s label passes from one range to the next.
+    fn seams(&self, id: NodeId) -> Vec<usize> {
+        let mut at = (self.hinted.depth(id) - self.hinted.edge_len(id)) as usize;
+        let mut parts = self.hinted.edge_parts(id).peekable();
+        let mut seams = Vec::new();
+        while let Some(part) = parts.next() {
+            at += part.len();
+            if parts.peek().is_some() {
+                seams.push(at);
+            }
+        }
+        seams
+    }
+
+    /// Tracks `cur` for `seq`, replacing slot `k % 64` once 64 are tracked.
+    fn track(&mut self, k: usize, seq: Vec<Token>, cur: MatchCursor) {
+        if self.tracked.len() < 64 {
+            self.tracked.push((seq, cur));
+        } else {
+            self.tracked[k % 64] = (seq, cur);
         }
     }
 
@@ -170,11 +241,7 @@ impl Pair {
         *self.plain.data_mut(p.end_node) = self.next_payload;
         self.next_payload += 1;
         if let Some(cur) = self.hinted.cursor_at(h.end_node) {
-            if self.tracked.len() < 64 {
-                self.tracked.push((seq.to_vec(), cur));
-            } else {
-                self.tracked[(self.next_payload as usize) % 64] = (seq.to_vec(), cur);
-            }
+            self.track(self.next_payload as usize, seq.to_vec(), cur);
         }
         Ok(())
     }
@@ -329,6 +396,95 @@ impl Pair {
                 self.plain.touch(id, stamp + self.next_stamp);
                 self.next_stamp += 1;
             }
+            Op::ChainMerge(k) => {
+                let merging: Vec<NodeId> = self
+                    .live_ids()
+                    .into_iter()
+                    .filter(|&id| self.hinted.child_count(id) == 1 && !self.hinted.is_pinned(id))
+                    .collect();
+                let onto_chain: Vec<NodeId> = merging
+                    .iter()
+                    .copied()
+                    .filter(|&id| {
+                        let child = self.hinted.children(id).next().expect("one child");
+                        self.hinted.edge_parts(child).nth(1).is_some()
+                    })
+                    .collect();
+                let pool = if onto_chain.is_empty() {
+                    merging
+                } else {
+                    onto_chain
+                };
+                if pool.is_empty() {
+                    return self.check_state();
+                }
+                let id = pool[*k as usize % pool.len()];
+                let h = self.hinted.remove(id);
+                let p = self.plain.remove(id);
+                check!("chain merge", format!("{h:?}"), format!("{p:?}"));
+                self.dead.push(id);
+                let child = h.map_err(|e| e.to_string())?.merged_into;
+                let ranges = child.map_or(0, |c| self.hinted.edge_parts(c).count());
+                self.chains.max_ranges = self.chains.max_ranges.max(ranges);
+            }
+            Op::SeamSplit(k, delta, fresh) => {
+                let chained = self.chained();
+                if chained.is_empty() {
+                    return self.check_state();
+                }
+                let id = chained[*k as usize % chained.len()];
+                let seams = self.seams(id);
+                let seam = seams[(*k as usize / chained.len()) % seams.len()];
+                let cut = seam
+                    .checked_add_signed(isize::from(*delta))
+                    .expect("seams are deeper than 0");
+                let mut seq = self.hinted.path_tokens(id);
+                seq.truncate(cut);
+                seq.push(*fresh);
+                let h = self.hinted.insert(&seq);
+                let p = self.plain.insert(&seq);
+                if h.split_node
+                    .is_some_and(|mid| self.hinted.depth(mid) == cut as u64)
+                {
+                    self.chains.seam_splits[(*delta + 1) as usize] += 1;
+                }
+                self.record_insert(&h, &p, &seq)?;
+            }
+            Op::ResumeChained(k) => {
+                let chained = self.chained();
+                if chained.is_empty() {
+                    return self.check_state();
+                }
+                let id = chained[*k as usize % chained.len()];
+                let path = self.hinted.path_tokens(id);
+                let (h_cur, p_cur) = (
+                    self.hinted.cursor_at(id).expect("live"),
+                    self.plain.cursor_at(id).expect("live"),
+                );
+                let resumed =
+                    |t: &RadixTree<Payload>, c, q: &[Token]| t.resume(c, q).map(|at| at.node());
+                check!(
+                    "resume on a chained edge",
+                    resumed(&self.hinted, &h_cur, &path),
+                    resumed(&self.plain, &p_cur, &path)
+                );
+                for seam in self.seams(id) {
+                    // The first token past the seam, and the last before it.
+                    for at in [seam, seam - 1] {
+                        let mut q = path.clone();
+                        q[at] = q[at].wrapping_add(1);
+                        let h = resumed(&self.hinted, &h_cur, &q);
+                        check!(
+                            "resume diverging at a seam",
+                            h,
+                            resumed(&self.plain, &p_cur, &q)
+                        );
+                        check!("seam divergence fault", h, Err(CursorFault::EdgeDivergence));
+                    }
+                }
+                self.chains.chained_resumes += 1;
+                self.track(*k as usize, path, h_cur);
+            }
         }
         self.check_state()
     }
@@ -472,8 +628,8 @@ impl Pair {
 
 /// Replays `ops` through both sides, checking after every op. Returns the
 /// resume/fallback counts on success so callers can assert coverage.
-fn run_stream(ops: &[Op], inject_split_fault: bool) -> Result<(u64, u64), String> {
-    let mut pair = Pair::new(inject_split_fault);
+fn run_stream(ops: &[Op], fault: Fault) -> Result<(u64, u64), String> {
+    let mut pair = Pair::new(fault);
     pair.check_state()?;
     for (i, op) in ops.iter().enumerate() {
         pair.apply(op)
@@ -528,7 +684,7 @@ fn op_strategy(alphabet: u32, max_len: usize, weights: [u32; 11]) -> impl Strate
 
 /// Panics (failing the proptest case) on any divergence.
 fn assert_stream_agrees(ops: &[Op]) {
-    if let Err(e) = run_stream(ops, false) {
+    if let Err(e) = run_stream(ops, Fault::None) {
         panic!("hinted and plain sides diverged: {e}\nstream: {ops:#?}");
     }
 }
@@ -591,9 +747,9 @@ fn harness_catches_injected_split_fault() {
         Op::Insert(vec![1, 2, 9]),
         Op::Match(vec![1, 2, 9]),
     ];
-    run_stream(&ops, false).expect("clean sides must agree on the stream");
-    let err =
-        run_stream(&ops, true).expect_err("harness failed to catch the injected split off-by-one");
+    run_stream(&ops, Fault::None).expect("clean sides must agree on the stream");
+    let err = run_stream(&ops, Fault::SplitOffByOne)
+        .expect_err("harness failed to catch the injected split off-by-one");
     // The divergence must be caught by the mid-stream differential
     // comparison (the faulted tree is internally consistent, so invariant
     // checks alone would miss it).
@@ -616,7 +772,7 @@ fn streams_cover_resumes_and_fallbacks() {
             ops.push(Op::Remove(turn));
         }
     }
-    let (resumes, fallbacks) = run_stream(&ops, false).expect("stream must agree");
+    let (resumes, fallbacks) = run_stream(&ops, Fault::None).expect("stream must agree");
     assert!(resumes > 0, "no cursor resume was exercised");
     assert!(fallbacks > 0, "no stale-cursor fallback was exercised");
 }
@@ -641,13 +797,14 @@ fn one_resume_point_serves_a_whole_admission() {
         // match's deepest node (the depth-6 node).
         Op::AnchoredInsert(1, vec![7, 9], vec![60]),
     ];
-    let (resumes, fallbacks) = run_stream(&ops, false).expect("clean sides must agree");
+    let (resumes, fallbacks) = run_stream(&ops, Fault::None).expect("clean sides must agree");
     assert_eq!(
         (resumes, fallbacks),
         (4, 0),
         "every admission validated once"
     );
-    let err = run_stream(&ops, true).expect_err("injected split fault went uncaught");
+    let err =
+        run_stream(&ops, Fault::SplitOffByOne).expect_err("injected split fault went uncaught");
     assert!(err.contains("hinted side"), "got: {err}");
 }
 
@@ -672,24 +829,36 @@ impl Rng {
     }
 }
 
+/// What one store-churn stream reached.
+#[derive(Debug)]
+struct Churn {
+    /// Ops that compacted the store.
+    compactions: usize,
+    /// Of those, the ones that found a chained label to rewrite.
+    chained_compactions: usize,
+    chains: ChainCoverage,
+}
+
 /// Long-label churn: sequences of thousands of tokens through a tree held
-/// to about a dozen live nodes, so the dead ranges that removals and
-/// non-adjacent merges leave behind push the store over its 2^16-token
-/// floor (and over 4x the live tokens) again and again. Every op runs the
-/// full hinted ≡ plain state check — which includes the store bound and
-/// store-length equality — so a compaction that moved a label wrongly,
-/// broke an adjacency, or fired on one side only fails at the op that did
-/// it. Returns how many ops compacted the store.
-fn store_churn_stream(seed: u64, ops: usize) -> usize {
+/// to about a dozen live nodes, so the dead ranges that removals leave
+/// behind push the store over its 2^16-token floor (and over 4x the live
+/// tokens) again and again. Merges chain labels (a merged label merged
+/// again gains a third range), inserts split them on and beside their
+/// seams, and fresh cursors are resumed onto them, all under the
+/// compactions that rewrite them. Every op runs the full hinted ≡ plain
+/// state check — which includes the store bound and store-length
+/// equality — so a compaction that moved a label wrongly, broke an
+/// adjacency, or fired on one side only fails at the op that did it.
+fn store_churn_stream(seed: u64, ops: usize, fault: Fault) -> Result<Churn, String> {
     let mut rng = Rng(seed);
-    let mut pair = Pair::new(false);
+    let mut pair = Pair::new(fault);
     let mut next_fresh: Token = 1 << 20; // globally unique label tokens
     let mut fresh = |n: u64| -> Vec<Token> {
         let start = next_fresh;
         next_fresh += n as Token;
         (start..next_fresh).collect()
     };
-    let mut compactions = 0;
+    let (mut compactions, mut chained_compactions) = (0, 0);
 
     for i in 0..ops {
         let live = pair.hinted.len();
@@ -701,7 +870,14 @@ fn store_churn_stream(seed: u64, ops: usize) -> usize {
             .tracked
             .get(k as usize % pair.tracked.len().max(1))
             .is_some_and(|(base, _)| base.len() < 16_000);
-        let op = if live > 12 && roll < 20 {
+        let chain_roll = rng.below(100);
+        let op = if chain_roll < 10 {
+            Op::ChainMerge(k)
+        } else if chain_roll < 16 {
+            Op::SeamSplit(k, (k % 3) as i8 - 1, fresh(1)[0])
+        } else if chain_roll < 20 {
+            Op::ResumeChained(k)
+        } else if live > 12 && roll < 20 {
             Op::Unpin
         } else if live > 12 || (live > 4 && roll < 35) {
             Op::Remove(k)
@@ -726,33 +902,82 @@ fn store_churn_stream(seed: u64, ops: usize) -> usize {
             Op::Touch(k, rng.below(1 << 40))
         };
         let before = pair.hinted.token_store_len();
-        if let Err(e) = pair.apply(&op) {
-            panic!("store churn (seed {seed:#x}) diverged at op {i}: {e}");
-        }
+        let chained = !pair.chained().is_empty();
+        pair.apply(&op)
+            .map_err(|e| format!("store churn (seed {seed:#x}) diverged at op {i} {op:?}: {e}"))?;
         // The store only ever shrinks by compacting.
-        compactions += usize::from(pair.hinted.token_store_len() < before);
+        let compacted = pair.hinted.token_store_len() < before;
+        compactions += usize::from(compacted);
+        chained_compactions += usize::from(compacted && chained);
     }
     let (resumes, fallbacks) = (pair.resumes, pair.fallbacks);
+    let chains = std::mem::take(&mut pair.chains);
     pair.finish()
-        .unwrap_or_else(|e| panic!("store churn (seed {seed:#x}) diverged at the end: {e}"));
+        .map_err(|e| format!("store churn (seed {seed:#x}) diverged at the end: {e}"))?;
     assert!(
         resumes > 0 && fallbacks > 0,
         "cursor paths went unexercised"
     );
-    compactions
+    Ok(Churn {
+        compactions,
+        chained_compactions,
+        chains,
+    })
 }
 
 /// Every seed must cross the compaction trigger several times, with the
-/// store bound and full-state parity asserted after every single op.
+/// store bound and full-state parity asserted after every single op; and
+/// every chain op must have reached what it is there for: labels of three
+/// ranges and more, splits on a seam and one token to either side,
+/// cursors resumed onto chained edges, compactions that rewrite chains
+/// while those cursors are outstanding.
 #[test]
 fn differential_store_churn_crosses_the_floor_repeatedly() {
     for seed in [0x5709E, 0xC0FFEE, 0xDEAD_10CC, 0x1234] {
-        let compactions = store_churn_stream(seed, 600);
+        let churn = store_churn_stream(seed, 600, Fault::None).unwrap_or_else(|e| panic!("{e}"));
+        let Churn {
+            compactions,
+            chained_compactions,
+            chains,
+        } = &churn;
         assert!(
-            compactions >= 3,
+            *compactions >= 3,
             "seed {seed:#x}: only {compactions} compactions in 600 ops"
         );
+        assert!(
+            *chained_compactions > 0
+                && chains.max_ranges >= 3
+                && chains.seam_splits.iter().all(|&n| n > 0)
+                && chains.chained_resumes > 0,
+            "seed {seed:#x}: chain ops under-covered: {churn:?}"
+        );
     }
+}
+
+/// The seam fault — a compare that stops one token short of a label
+/// seam — is caught: on a hand-built three-range label, and on a store
+/// churn stream, while both pass with the fault off.
+#[test]
+fn harness_catches_injected_seam_fault() {
+    let ops = vec![
+        // `[0] → [1, 2] → [3, 4]`, each label apart from the next in the
+        // store, then merged bottom-up into one label of three ranges.
+        Op::Insert(vec![0]),
+        Op::Insert(vec![90]),
+        Op::Insert(vec![0, 1, 2]),
+        Op::Insert(vec![91]),
+        Op::Insert(vec![0, 1, 2, 3, 4]),
+        Op::ChainMerge(0),
+        Op::ChainMerge(0),
+        Op::Match(vec![0, 1, 2, 3, 4]),
+    ];
+    run_stream(&ops, Fault::None).expect("clean sides must agree");
+    let err = run_stream(&ops, Fault::SeamShort).expect_err("seam fault went uncaught");
+    assert!(err.contains("hinted side"), "got: {err}");
+    store_churn_stream(0x5709E, 600, Fault::None).expect("clean churn must agree");
+    let err = store_churn_stream(0x5709E, 600, Fault::SeamShort)
+        .expect_err("seam fault went uncaught on the churn stream");
+    assert!(err.contains("hinted side"), "got: {err}");
 }
 
 /// Grows both sides to `target` live nodes with a fork-and-extend trace
@@ -762,7 +987,7 @@ fn differential_store_churn_crosses_the_floor_repeatedly() {
 /// state equality at the end.
 fn scale_replay(seed: u64, target: usize) {
     let mut rng = Rng(seed);
-    let mut pair = Pair::new(false);
+    let mut pair = Pair::new(Fault::None);
     // Recently-created end nodes: fork sources and remove/touch targets.
     type Recent = (Vec<Token>, NodeId, Option<MatchCursor>);
     let mut recent: Vec<Recent> = Vec::new();
