@@ -8,6 +8,11 @@
 //! cargo run --release -p marconi-bench --bin figures -- list
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock progress timing of each experiment, printed to stderr; no reported number reads it"
+)]
+
 use std::time::Instant;
 
 const EXPERIMENTS: &[&str] = &[

@@ -25,9 +25,6 @@
 //! assert_eq!(marconi_bench::times(2.25), "2.2×");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ablations;
 pub mod analytic;
 pub mod architecture;

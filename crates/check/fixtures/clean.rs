@@ -31,12 +31,12 @@ pub fn point_lookups_are_fine(index: &std::collections::HashMap<u64, u64>) -> Op
 
 #[cfg(test)]
 mod tests {
-    use std::time::Instant;
+    use std::collections::HashMap;
 
     #[test]
-    fn tests_may_time_and_unwrap() {
-        let t = Instant::now();
-        let v: Option<u32> = Some(1);
-        let _ = (t.elapsed(), v.unwrap());
+    fn tests_may_iterate_hash_maps_and_expect_freely() {
+        let m: HashMap<u32, u32> = HashMap::from([(1, 2)]);
+        let v: Option<u32> = m.values().next().copied();
+        let _ = v.expect("test data");
     }
 }

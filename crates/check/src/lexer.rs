@@ -1,7 +1,7 @@
 //! A minimal token-level Rust lexer.
 //!
 //! `marconi-check`'s contract rules are *lexical*: they match token
-//! patterns like `. unwrap (` or `struct FooTicket`, so a full parse (syn)
+//! patterns like `. expect (` or `struct FooTicket`, so a full parse (syn)
 //! is unnecessary — and unavailable offline. The lexer therefore only has
 //! to get the hard lexical cases right, because a mis-lexed string or
 //! comment would produce false findings:

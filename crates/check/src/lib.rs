@@ -1,12 +1,13 @@
 //! `marconi-check`: the workspace contract linter.
 //!
-//! Every guarantee this reproduction rests on — byte-parity contracts, the
-//! no-wall-clock / no-unseeded-randomness rule for the event sim, and
-//! handle lifetimes — was enforced only by convention and scattered
-//! `debug_assert`s. This crate turns the static ones into a CI gate:
-//! [`lint`] is a token-level pass (self-contained lexer in [`lexer`]; no
-//! syn, which is not vendorable offline) enforcing the repo-specific
-//! contract rules over `crates/{core,radix,sim,workload,metrics,trace}`.
+//! The contracts this reproduction rests on that no compiler lint states —
+//! deterministic iteration order, panic messages that name the violated
+//! contract, must-use handles, and radix hot paths that never copy edge
+//! tokens — are a CI gate here: [`lint`] is a token-level pass
+//! (self-contained lexer in [`lexer`]; no syn, which is not vendorable
+//! offline) over `crates/{core,radix,sim,workload,metrics,trace}`. The
+//! wall-clock, `unwrap` and print bans are clippy lints denied in the root
+//! `Cargo.toml` instead.
 //!
 //! The binary (`cargo run -p marconi-check -- --workspace`) is the CI
 //! gate; `--self-test` checks the seeded-violation fixtures under

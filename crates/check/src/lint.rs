@@ -1,21 +1,21 @@
 //! The `marconi-check` contract rules.
 //!
 //! Each rule encodes an invariant this repository's results depend on (see
-//! `docs/verification.md` for the catalog). Rules operate on the token
-//! stream from [`crate::lexer`], skipping `#[cfg(test)]` / `#[test]` spans
-//! — the contracts constrain *lib* code, while tests may freely use
-//! wall-clocks or `unwrap()`.
+//! `docs/verification.md` for the catalog) that no compiler lint states.
+//! Rules operate on the token stream from [`crate::lexer`], skipping
+//! `#[cfg(test)]` / `#[test]` spans — the contracts constrain *lib* code.
 //!
 //! | rule id | contract |
 //! |---|---|
-//! | `wall-clock` | reports are pure functions of trace + config: no `Instant`, `SystemTime`, or `thread_rng` in the deterministic crates |
 //! | `hash-iter` | no iteration over `HashMap`/`HashSet` (nondeterministic order) in the deterministic crates |
-//! | `unwrap` | no `.unwrap()` in non-test lib code |
 //! | `expect-message` | every `.expect(...)` names the violated contract (`"invariant: …"` or `"lock: …"`) |
 //! | `must-use-handle` | leak-prone handle types (`*Ticket`, `*Guard`, `*Handle`, `*Cursor`) carry `#[must_use]` |
 //! | `edge-clone` | radix hot paths never materialize edge tokens: no `.clone()`/`.to_vec()` in `crates/radix/src` |
-//! | `no-print` | deterministic lib code never writes to stdio: no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` — observability goes through a `TraceSink` |
-//! | `cursor-deref` | a cursor's node id is only meaningful after its generation check: no `<cursor>.node` outside the `resume` validators (PR 10) |
+//!
+//! The wall-clock, `unwrap` and print bans are clippy lints denied in the
+//! root `Cargo.toml` (`disallowed_types`, `unwrap_used`, `print_stdout`,
+//! `print_stderr`, `dbg_macro`), and a session cursor's node id is private
+//! to the module that holds its generation check.
 //!
 //! A line can waive a rule with `// check:allow(rule-id): reason` on the
 //! same or the preceding line; the reason is mandatory so waivers stay
@@ -32,7 +32,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line.
     pub line: u32,
-    /// Rule id, e.g. `wall-clock`.
+    /// Rule id, e.g. `hash-iter`.
     pub rule: &'static str,
     /// Human-readable description of the violated contract.
     pub message: String,
@@ -51,11 +51,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Which crates the lint pass walks, relative to the workspace root.
-///
-/// `crates/bench` is *not* listed: its `figures` binary legitimately times
-/// each experiment with `Instant`, which is exactly the allowlist the rules
-/// intend.
+/// Which crates the lint pass walks, relative to the workspace root: the
+/// deterministic crates whose lib code produces the reported numbers.
 pub const LINTED_CRATES: [&str; 6] = [
     "crates/core",
     "crates/radix",
@@ -64,9 +61,6 @@ pub const LINTED_CRATES: [&str; 6] = [
     "crates/metrics",
     "crates/trace",
 ];
-
-/// Identifiers banned by the `wall-clock` rule.
-const WALL_CLOCK_IDENTS: [&str; 3] = ["Instant", "SystemTime", "thread_rng"];
 
 /// `.expect(...)` messages must start with one of these, naming the
 /// contract whose violation makes the panic unreachable.
@@ -82,11 +76,6 @@ const MUST_USE_SUFFIXES: [&str; 4] = ["Ticket", "Guard", "Handle", "Cursor"];
 /// chains of `(offset, len)` ranges of the tree's shared token store, and
 /// these calls are how O(edge) byte copies sneak back in.
 const EDGE_CLONE_METHODS: [&str; 2] = ["clone", "to_vec"];
-
-/// Stdio macros banned by `no-print`: the flight recorder exists precisely
-/// so lib code never narrates to a terminal, and `dbg!` left behind after a
-/// debugging session perturbs timing and pollutes captured output.
-const PRINT_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
 
 /// Hash-container iteration methods with order-dependent results.
 const HASH_ITER_METHODS: [&str; 7] = [
@@ -131,61 +120,7 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
         if test[i] {
             continue;
         }
-        // wall-clock: reports must be pure functions of trace + config.
-        if t.kind == TokKind::Ident && WALL_CLOCK_IDENTS.contains(&t.text.as_str()) {
-            push(
-                t.line,
-                "wall-clock",
-                format!(
-                    "`{}` breaks determinism: reports must be pure functions of \
-                     trace + config (benches in crates/bench may time things)",
-                    t.text
-                ),
-            );
-        }
-        // no-print: lib code must stay silent; tracing goes through sinks.
-        // The bracket check distinguishes `dbg!(x)` from `dbg != x`.
-        if t.kind == TokKind::Ident
-            && PRINT_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|b| b.is_punct('!'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|b| b.is_punct('(') || b.is_punct('[') || b.is_punct('{'))
-        {
-            push(
-                t.line,
-                "no-print",
-                format!(
-                    "`{}!` writes to stdio from deterministic lib code; emit a \
-                     trace event through the attached `TraceSink` instead (or \
-                     waive with a reason for CLI surfaces)",
-                    t.text
-                ),
-            );
-        }
-        // cursor-deref: a cursor's `node` is a generation-tagged id whose
-        // slot may have been freed or recycled; the only sound dereference
-        // is through the `resume*` validators (which carry the waiver).
-        // Flags `cursor.node` field reads and `.node()` calls alike on any
-        // receiver whose name contains "cursor".
-        if t.is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_ident("node"))
-            && i > 0
-            && toks[i - 1].kind == TokKind::Ident
-            && toks[i - 1].text.to_ascii_lowercase().contains("cursor")
-        {
-            push(
-                t.line,
-                "cursor-deref",
-                format!(
-                    "`{}.node` reads a cursor's node id without the generation \
-                     check; resume through `RadixTree::resume`/`cursor_at` (or \
-                     waive with a reason inside a validator)",
-                    toks[i - 1].text
-                ),
-            );
-        }
-        // unwrap / expect-message.
+        // expect-message, edge-clone and hash-iter method calls.
         if t.is_punct('.') {
             let (Some(name), paren) = (toks.get(i + 1), toks.get(i + 2)) else {
                 continue;
@@ -193,16 +128,7 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
             if !paren.is_some_and(|p| p.is_punct('(')) {
                 continue;
             }
-            if name.is_ident("unwrap") {
-                push(
-                    name.line,
-                    "unwrap",
-                    "`.unwrap()` in non-test lib code: convert to \
-                     `.expect(\"invariant: …\")` naming the violated contract, \
-                     or propagate the error"
-                        .to_owned(),
-                );
-            } else if name.is_ident("expect") {
+            if name.is_ident("expect") {
                 let msg = toks.get(i + 3);
                 let ok = msg.is_some_and(|m| {
                     m.kind == TokKind::Str && EXPECT_PREFIXES.iter().any(|p| m.text.starts_with(p))
@@ -581,50 +507,36 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_denied_outside_tests() {
-        assert_eq!(rules("fn f() { let t = Instant::now(); }"), ["wall-clock"]);
-        assert_eq!(
-            rules("use std::time::SystemTime;\nfn g() {}"),
-            ["wall-clock"]
-        );
-        assert_eq!(rules("fn f() { let r = thread_rng(); }"), ["wall-clock"]);
-    }
-
-    #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); Instant::now(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n fn f(m: &HashMap<u8, u8>) { m.keys(); x.expect(\"oops\"); }\n}";
         assert!(lint(src).is_empty());
-        let src = "#[test]\nfn t() { x.unwrap(); }";
+        let src = "#[test]\nfn t() { x.expect(\"oops\"); }";
         assert!(lint(src).is_empty());
-        let src = "#[cfg(test)]\nuse std::time::Instant;\nfn f() { let _ = 1; }";
+        let src = "#[cfg(test)]\npub struct PinTicket;\nfn f() { let _ = 1; }";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn cfg_test_field_is_exempt_but_siblings_are_not() {
-        let src = "struct S {\n #[cfg(test)]\n log: Instant,\n later: SystemTime,\n}";
-        assert_eq!(rules(src), ["wall-clock"]);
-        assert_eq!(lint(src)[0].line, 4);
-    }
-
-    #[test]
-    fn instantaneous_is_not_instant() {
-        assert!(lint("fn f() { let m = ServiceMode::Instantaneous; }").is_empty());
+        let src = "fn f() -> S {\n S {\n #[cfg(test)]\n log: x.expect(\"oops\"),\n \
+                   later: y.expect(\"oops\"),\n }\n}";
+        assert_eq!(rules(src), ["expect-message"]);
+        assert_eq!(lint(src)[0].line, 5);
     }
 
     #[test]
     fn strings_and_comments_do_not_trip_rules() {
-        assert!(lint("fn f() { let s = \"Instant .unwrap()\"; } // Instant").is_empty());
+        let src = "fn f() { let s = \"x.expect(y) e.to_vec() struct PinTicket\"; } // e.clone()";
+        assert!(lint_source(Path::new("crates/radix/src/tree.rs"), src).is_empty());
     }
 
     #[test]
-    fn unwrap_denied_expect_needs_contract_prefix() {
-        assert_eq!(rules("fn f() { x.unwrap(); }"), ["unwrap"]);
+    fn expect_needs_contract_prefix() {
         assert_eq!(rules("fn f() { x.expect(\"oops\"); }"), ["expect-message"]);
         assert!(lint("fn f() { x.expect(\"invariant: tree is non-empty\"); }").is_empty());
         assert!(lint("fn f() { l.read().expect(\"lock: shard poisoned\"); }").is_empty());
-        // unwrap_or and friends are fine.
-        assert!(lint("fn f() { x.unwrap_or(0); y.unwrap_or_default(); }").is_empty());
+        // `.unwrap()` is clippy's `unwrap_used`, and its relatives are fine.
+        assert!(lint("fn f() { x.unwrap(); x.unwrap_or(0); y.unwrap_or_default(); }").is_empty());
     }
 
     #[test]
@@ -673,29 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_node_deref_needs_generation_check() {
-        assert_eq!(
-            rules("fn f(cursor: &C) -> u32 { cursor.node }"),
-            ["cursor-deref"]
-        );
-        // Method-call form and compound receiver names are caught too.
-        assert_eq!(
-            rules("fn f() { let id = my_cursor.node(); }"),
-            ["cursor-deref"]
-        );
-        // Non-cursor receivers and other cursor fields are fine.
-        assert!(lint("fn f(tree: &T) -> u32 { tree.node }").is_empty());
-        assert!(lint("fn f(cursor: &C) -> u64 { cursor.matched_len }").is_empty());
-        // The resume validators waive the rule with a reason.
-        let src = "// check:allow(cursor-deref): this IS the generation check\n\
-                   fn resume(cursor: &C) -> u32 { cursor.node }";
-        assert!(lint(src).is_empty());
-        // Tests dissect cursors freely.
-        let src = "#[test]\nfn t() { assert_eq!(cursor.node, expected); }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
     fn edge_clone_denied_in_radix_hot_paths_only() {
         let src = "fn merge(head: &[u32]) -> Vec<u32> { head.to_vec() }";
         let hot = Path::new("crates/radix/src/tree.rs");
@@ -721,31 +610,14 @@ mod tests {
     }
 
     #[test]
-    fn print_macros_denied_outside_tests() {
-        assert_eq!(rules("fn f() { println!(\"hi\"); }"), ["no-print"]);
-        assert_eq!(rules("fn f() { eprintln!(\"warn\"); }"), ["no-print"]);
-        assert_eq!(rules("fn f() { let v = dbg!(x); }"), ["no-print"]);
-        // `!=` is not a macro bang; writeln! targets a caller's writer.
-        assert!(lint("fn f(x: u32) -> bool { dbg != x }").is_empty());
-        assert!(lint("fn f(w: &mut W) { writeln!(w, \"ok\"); }").is_empty());
-        // Tests may print freely.
-        let src = "#[test]\nfn t() { println!(\"debugging a test\"); }";
-        assert!(lint(src).is_empty());
-        // Waivers carry the usual reason requirement.
-        let src = "// check:allow(no-print): CLI progress line, not lib code\n\
-                   fn f() { println!(\"running\"); }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
     fn waiver_with_reason_suppresses_waiver_without_does_not() {
-        let src = "// check:allow(wall-clock): bench timing, not a report\n\
-                   fn f() { let t = Instant::now(); }";
+        let src = "// check:allow(expect-message): third-party error text\n\
+                   fn f() { x.expect(\"oops\"); }";
         assert!(lint(src).is_empty());
-        let src = "// check:allow(wall-clock)\nfn f() { let t = Instant::now(); }";
-        assert_eq!(rules(src), ["wall-clock"]);
+        let src = "// check:allow(expect-message)\nfn f() { x.expect(\"oops\"); }";
+        assert_eq!(rules(src), ["expect-message"]);
         // Waiving one rule does not waive another.
-        let src = "// check:allow(unwrap): reviewed\nfn f() { Instant::now(); }";
-        assert_eq!(rules(src), ["wall-clock"]);
+        let src = "// check:allow(must-use-handle): reviewed\nfn f() { x.expect(\"oops\"); }";
+        assert_eq!(rules(src), ["expect-message"]);
     }
 }

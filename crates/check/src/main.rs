@@ -85,11 +85,10 @@ fn run_self_test(root: &Path) -> bool {
     // only constrains `crates/radix/src`, so its fixture is presented
     // under that prefix.
     let expectations: &[(&str, &str, &[&str])] = &[
-        ("wall_clock.rs", "wall_clock.rs", &["wall-clock"]),
         (
-            "unwrap_in_lib.rs",
-            "unwrap_in_lib.rs",
-            &["unwrap", "expect-message"],
+            "expect_message.rs",
+            "expect_message.rs",
+            &["expect-message"],
         ),
         ("hash_iteration.rs", "hash_iteration.rs", &["hash-iter"]),
         (
@@ -102,8 +101,9 @@ fn run_self_test(root: &Path) -> bool {
             "crates/radix/src/edge_clone.rs",
             &["edge-clone"],
         ),
-        ("print_in_lib.rs", "print_in_lib.rs", &["no-print"]),
-        ("cursor_deref.rs", "cursor_deref.rs", &["cursor-deref"]),
+        // The clean fixture trips nothing: a false positive there would
+        // make the gate unenforceable in practice.
+        ("clean.rs", "clean.rs", &[]),
     ];
     let dir = root.join("crates/check/fixtures");
     let mut ok = true;
@@ -125,27 +125,10 @@ fn run_self_test(root: &Path) -> bool {
             }
         }
         // Fixtures embed test modules to prove the exemption works: no
-        // finding may point into them (wall_clock.rs keeps an Instant in
-        // its tests on purpose).
+        // finding may point into them (expect_message.rs keeps a bare
+        // `.expect` in its tests on purpose).
         if let Some(unexpected) = found.iter().find(|v| !rules.contains(&v.rule)) {
             println!("self-test: unexpected finding in {file}: {unexpected}");
-            ok = false;
-        }
-    }
-    // And the clean fixture must stay clean.
-    let clean = dir.join("clean.rs");
-    match std::fs::read_to_string(&clean) {
-        Ok(src) => {
-            let found = lint_source(Path::new("clean.rs"), &src);
-            if !found.is_empty() {
-                for v in &found {
-                    println!("self-test: FALSE POSITIVE on clean fixture: {v}");
-                }
-                ok = false;
-            }
-        }
-        Err(_) => {
-            println!("self-test: cannot read {}", clean.display());
             ok = false;
         }
     }

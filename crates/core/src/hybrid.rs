@@ -3346,6 +3346,47 @@ mod tests {
         c.assert_tier_accounting();
     }
 
+    /// One admission larger than device + host together is tolerated, not
+    /// rejected: the sequence is admitted whole, pressure demotes it and
+    /// deletes it from the host like any other victim, and each tier ends
+    /// inside its budget. Under LRU the older residents go first, so the
+    /// episode empties both tiers. The next normal request is served from
+    /// the device as usual.
+    #[test]
+    fn sequence_larger_than_device_plus_host_is_tolerated() {
+        let m = ModelConfig::hybrid_7b();
+        let host_cap = 128 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes();
+        let mut c = tiered(two_seq_capacity(&m), host_cap);
+        c.insert_at(&seq(0..96), &seq(500..532), 0.0);
+        c.insert_at(&seq(10_000..10_096), &seq(10_500..10_532), 1.0);
+
+        let (input, output) = (seq(50_000..52_000), seq(60_000..60_500));
+        let bytes = 2_500 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes();
+        assert!(
+            bytes > c.capacity_bytes() + c.host_capacity_bytes(),
+            "the shape under test"
+        );
+        let report = c.insert_at(&input, &output, 2.0);
+        assert_eq!(report.bytes_added, bytes, "admitted whole");
+        assert_eq!(report.entries_demoted, 3, "both residents, then itself");
+        assert_eq!(report.entries_evicted, 3, "…and all three off the host");
+        assert!(c.usage_bytes() <= c.capacity_bytes());
+        assert!(c.host_usage_bytes() <= c.host_capacity_bytes());
+        assert_eq!(c.node_count(), 0);
+        c.assert_tier_accounting();
+
+        let (a, b) = (seq(70_000..70_096), seq(70_500..70_532));
+        c.insert_at(&a, &b, 3.0);
+        let mut turn = a.clone();
+        turn.extend_from_slice(&b);
+        let hit = c.lookup(&turn);
+        assert_eq!(hit.tokens_matched, 128);
+        assert_eq!(hit.host_tokens, 0);
+        assert!(c.usage_bytes() <= c.capacity_bytes());
+        assert_eq!(c.host_usage_bytes(), 0);
+        c.assert_tier_accounting();
+    }
+
     #[test]
     fn probe_tiers_matches_lookup_and_stays_non_mutating() {
         let m = ModelConfig::hybrid_7b();

@@ -54,9 +54,6 @@
 //! assert_eq!(hit.tokens_matched as usize, turn.len() + 3);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod block;
 mod cursor;
 mod hybrid;

@@ -20,9 +20,6 @@
 //! assert_eq!(p.quantile(1.0), 5.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod binned;
 mod boxstats;
 mod cdf;

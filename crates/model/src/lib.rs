@@ -37,9 +37,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bandwidth;
 mod config;
 mod efficiency;

@@ -73,9 +73,6 @@
 //! assert_eq!(tree.depth(branch), 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod label;
 mod node;
 mod recency;

@@ -64,9 +64,6 @@
 //! assert!(marconi.token_hit_rate() >= vanilla.token_hit_rate());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cluster;
 mod comparison;
 mod engine;

@@ -44,9 +44,6 @@
 //! only while a tracer is enabled, so it costs nothing when tracing is
 //! off.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod event;
 mod export;
 mod ledger;

@@ -47,9 +47,6 @@
 //! assert_eq!(trace, again);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod arrival;
 mod dist;
 mod generator;
