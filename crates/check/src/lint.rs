@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(lint_source(hot, src)[0].rule, "edge-clone");
         // Other crates clone freely; every radix source is a hot path now
         // that the `legacy.rs` oracle is retired.
-        assert!(lint_source(Path::new("crates/core/src/hybrid.rs"), src).is_empty());
+        assert!(lint_source(Path::new("crates/core/src/hybrid/mod.rs"), src).is_empty());
         assert_eq!(
             lint_source(Path::new("crates/radix/src/legacy.rs"), src)[0].rule,
             "edge-clone"

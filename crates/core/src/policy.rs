@@ -342,14 +342,6 @@ where
     best.map(|(.., id)| id)
 }
 
-/// Id-returning convenience over [`pick_victim_index`]; the pre-refactor
-/// entry point, kept for the scan-based reference eviction the parity tests
-/// replay against.
-#[cfg(test)]
-pub(crate) fn pick_victim<Id: Copy + Ord>(candidates: &[Candidate<Id>], alpha: f64) -> Option<Id> {
-    pick_victim_index(candidates, alpha).map(|i| candidates[i].id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,13 +356,17 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_none() {
-        assert_eq!(pick_victim::<u32>(&[], 1.0), None);
+        assert_eq!(pick_victim_index::<u32>(&[], 1.0), None);
     }
 
     #[test]
     fn alpha_zero_is_pure_lru() {
         let cands = [cand(1, 5.0, 100.0), cand(2, 1.0, 1e9), cand(3, 3.0, 0.0)];
-        assert_eq!(pick_victim(&cands, 0.0), Some(2), "oldest wins under LRU");
+        assert_eq!(
+            pick_victim_index(&cands, 0.0),
+            Some(1),
+            "oldest wins under LRU"
+        );
     }
 
     #[test]
@@ -378,8 +374,8 @@ mod tests {
         // Node 1 is oldest but extremely FLOP-efficient; node 2 is fresh but
         // inefficient. With a large α the inefficient node goes first.
         let cands = [cand(1, 0.0, 1e6), cand(2, 10.0, 1.0)];
-        assert_eq!(pick_victim(&cands, 0.0), Some(1));
-        assert_eq!(pick_victim(&cands, 100.0), Some(2));
+        assert_eq!(pick_victim_index(&cands, 0.0), Some(0));
+        assert_eq!(pick_victim_index(&cands, 100.0), Some(1));
     }
 
     #[test]
@@ -389,10 +385,10 @@ mod tests {
         // platform happens to produce. The zero-byte node here is strictly
         // older, so pure recency must evict it first, deterministically.
         let cands = [cand(1, 2.0, f64::INFINITY), cand(2, 5.0, 100.0)];
-        assert_eq!(pick_victim(&cands, 0.0), Some(1));
+        assert_eq!(pick_victim_index(&cands, 0.0), Some(0));
         // ...and when it is younger, the finite node goes first.
         let cands = [cand(1, 9.0, f64::INFINITY), cand(2, 5.0, 100.0)];
-        assert_eq!(pick_victim(&cands, 0.0), Some(2));
+        assert_eq!(pick_victim_index(&cands, 0.0), Some(1));
     }
 
     #[test]
@@ -400,16 +396,16 @@ mod tests {
         let cands = [cand(1, 0.0, f64::INFINITY), cand(2, 9.0, 5.0)];
         // Despite being older, the zero-byte node is never preferred when a
         // finite candidate exists and α > 0.
-        assert_eq!(pick_victim(&cands, 1.0), Some(2));
+        assert_eq!(pick_victim_index(&cands, 1.0), Some(1));
         // ...but when everything is infinite, recency decides.
         let all_inf = [cand(1, 4.0, f64::INFINITY), cand(2, 2.0, f64::INFINITY)];
-        assert_eq!(pick_victim(&all_inf, 1.0), Some(2));
+        assert_eq!(pick_victim_index(&all_inf, 1.0), Some(1));
     }
 
     #[test]
     fn degenerate_ranges_fall_back_to_id_order() {
         let cands = [cand(7, 1.0, 3.0), cand(3, 1.0, 3.0)];
-        assert_eq!(pick_victim(&cands, 1.0), Some(3));
+        assert_eq!(pick_victim_index(&cands, 1.0), Some(1), "id 3 before id 7");
     }
 
     // ------------------------------------------------------------------
@@ -427,10 +423,10 @@ mod tests {
             cand(2, 5.0, 300.0),
             cand(3, 10.0, 200.0),
         ];
-        assert_eq!(pick_victim(&cands, 1.0), Some(1));
+        assert_eq!(pick_victim_index(&cands, 1.0), Some(0));
         // With α = 4: S = {0, 4.5, 3} → still evict 1 (old AND inefficient
         // dominates at any α ≥ 0).
-        assert_eq!(pick_victim(&cands, 4.0), Some(1));
+        assert_eq!(pick_victim_index(&cands, 4.0), Some(0));
     }
 
     #[test]
@@ -440,9 +436,9 @@ mod tests {
         // SSM state dominates its footprint). Normalized: node 1 scores
         // 0 + α·1, node 2 scores 1 + α·0 — the crossover is exactly α = 1.
         let cands = [cand(1, 0.0, 1000.0), cand(2, 10.0, 10.0)];
-        assert_eq!(pick_victim(&cands, 0.0), Some(1), "LRU picks oldest");
-        assert_eq!(pick_victim(&cands, 0.5), Some(1), "below crossover");
-        assert_eq!(pick_victim(&cands, 2.0), Some(2), "above crossover");
+        assert_eq!(pick_victim_index(&cands, 0.0), Some(0), "LRU picks oldest");
+        assert_eq!(pick_victim_index(&cands, 0.5), Some(0), "below crossover");
+        assert_eq!(pick_victim_index(&cands, 2.0), Some(1), "above crossover");
     }
 
     #[test]
@@ -453,7 +449,7 @@ mod tests {
         // change the decision.
         let base = [cand(1, 1.0, 7.0), cand(2, 3.0, 2.0), cand(3, 9.0, 5.0)];
         for alpha in [0.0, 0.5, 1.0, 2.0, 8.0] {
-            let want = pick_victim(&base, alpha);
+            let want = pick_victim_index(&base, alpha);
             let shifted: Vec<_> = base
                 .iter()
                 .map(|c| {
@@ -464,7 +460,7 @@ mod tests {
                     )
                 })
                 .collect();
-            assert_eq!(pick_victim(&shifted, alpha), want, "α = {alpha}");
+            assert_eq!(pick_victim_index(&shifted, alpha), want, "α = {alpha}");
         }
     }
 
@@ -479,12 +475,12 @@ mod tests {
             cand(2, 5.0, 500.0),
             cand(3, 10.0, 100.0),
         ];
-        let sweep: Vec<u32> = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0]
+        let sweep: Vec<usize> = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0]
             .iter()
-            .map(|&a| pick_victim(&cands, a).unwrap())
+            .map(|&a| pick_victim_index(&cands, a).unwrap())
             .collect();
-        assert_eq!(*sweep.first().unwrap(), 1, "α=0 is LRU");
-        assert_eq!(*sweep.last().unwrap(), 3, "large α is pure efficiency");
+        assert_eq!(*sweep.first().unwrap(), 0, "α=0 is LRU");
+        assert_eq!(*sweep.last().unwrap(), 2, "large α is pure efficiency");
         assert!(
             sweep.windows(2).all(|w| w[0] <= w[1]),
             "monotone: {sweep:?}"

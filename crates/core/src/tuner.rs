@@ -1,5 +1,7 @@
 //! Online α tuning (paper §4.2, "Managing the balance"): the tuner's
-//! configuration and the one α sweep both it and the offline oracle run.
+//! configuration, its state machine inside [`HybridPrefixCache`], the
+//! replicas it replays against, and the one α sweep both it and the
+//! offline oracle run.
 //!
 //! A sweep scores every α of a grid on its own thread — the paper
 //! parallelizes the grid search across CPU cores — and [`best`] adopts the
@@ -9,6 +11,12 @@
 //! against a fresh cache ([`crate::oracle::best_static_alpha`]). Both
 //! replays go through [`crate::oracle::replay`].
 
+use crate::oracle::{replay, SequenceEvent};
+use crate::policy::EvictionPolicy;
+use crate::stats::CacheStats;
+use crate::HybridPrefixCache;
+use marconi_radix::Token;
+use marconi_trace::{MissLedger, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of Marconi's online α tuner.
@@ -96,6 +104,122 @@ pub(crate) fn best(sweep: &[(f64, f64)]) -> (f64, f64) {
         .copied()
         .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.total_cmp(&a.0)))
         .expect("invariant: the α grid is non-empty")
+}
+
+/// Internal tuner lifecycle (public view: [`TunerState`]).
+#[derive(Debug, Clone)]
+pub(crate) enum Tuner {
+    Waiting {
+        config: TunerConfig,
+        requests_seen: u64,
+    },
+    Bootstrapping {
+        config: TunerConfig,
+        /// A [`replica`](HybridPrefixCache::replica) taken at the first
+        /// pressure event; each α replays the window against a replica
+        /// of it.
+        snapshot: Box<HybridPrefixCache>,
+        recorded: Vec<SequenceEvent>,
+        target: u64,
+    },
+    Tuned {
+        alpha: f64,
+    },
+}
+
+impl HybridPrefixCache {
+    /// Runs the α tuner state machine after an admission.
+    pub(crate) fn observe_for_tuning(&mut self, input: &[Token], output: &[Token], now: f64) {
+        let Some(tuner) = self.tuner.take() else {
+            return;
+        };
+        self.tuner = Some(match tuner {
+            Tuner::Waiting {
+                config,
+                requests_seen,
+            } => {
+                let requests_seen = requests_seen + 1;
+                if self.stats.evictions + self.stats.demotions > 0 {
+                    // First pressure event — a deletion, or (tiered) a
+                    // demotion: snapshot and start the bootstrap window
+                    // (recording begins with the *next* request). A tiered
+                    // cache with an ample host budget may never delete,
+                    // but α starts mattering at the first demotion: it
+                    // decides which nodes stay device-resident vs pay a
+                    // PCIe reload.
+                    let target = config.window_len(requests_seen);
+                    Tuner::Bootstrapping {
+                        config,
+                        snapshot: Box::new(self.replica(self.effective_alpha)),
+                        recorded: Vec::new(),
+                        target,
+                    }
+                } else {
+                    Tuner::Waiting {
+                        config,
+                        requests_seen,
+                    }
+                }
+            }
+            Tuner::Bootstrapping {
+                config,
+                snapshot,
+                mut recorded,
+                target,
+            } => {
+                recorded.push(SequenceEvent {
+                    input: input.to_vec(),
+                    output: output.to_vec(),
+                    at: now,
+                });
+                if (recorded.len() as u64) < target {
+                    Tuner::Bootstrapping {
+                        config,
+                        snapshot,
+                        recorded,
+                        target,
+                    }
+                } else {
+                    let sweep = sweep(&config.alpha_grid, |alpha| {
+                        replay(&mut snapshot.replica(alpha), &recorded).token_hit_rate()
+                    });
+                    let (alpha, _) = best(&sweep);
+                    self.effective_alpha = alpha;
+                    Tuner::Tuned { alpha }
+                }
+            }
+            tuned @ Tuner::Tuned { .. } => tuned,
+        });
+    }
+
+    /// A fixed-α copy of this cache, for replay.
+    ///
+    /// A clone, so it keeps every behavioral knob — present or future —
+    /// and the exact tree and residency state; it differs only in what a
+    /// replay must not inherit. Anything less and the tuner grades each α
+    /// against replay dynamics the live cache will never exhibit: e.g. a
+    /// tiered cache's demoted entries keep hitting, so a single-tier
+    /// replica would systematically underestimate reuse.
+    pub(crate) fn replica(&self, alpha: f64) -> Self {
+        let mut r = self.clone();
+        // The live cache may have requests in flight; replay models no
+        // request lifetimes, so the replica starts with every pin released
+        // (the live pins drain by completion anyway — a replica keeping
+        // them would protect paths forever).
+        r.tree.clear_pins();
+        r.name = "replica".into();
+        r.policy = EvictionPolicy::FlopAware { alpha };
+        r.tuner = None;
+        r.effective_alpha = alpha;
+        r.stats = CacheStats::default();
+        // Replicas replay silently: the tuner's grid-search probes are
+        // hypotheticals, not serving decisions, so they never trace.
+        r.tracer = Tracer::off();
+        r.miss_ledger = MissLedger::default();
+        #[cfg(test)]
+        r.eviction_log.clear();
+        r
+    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@
 //!
 //! PR 10 adds the *session fast path*: [`RadixTree::cursor_at`] takes a
 //! generation-tagged [`MatchCursor`] at a node, and
-//! [`RadixTree::match_prefix_from`] / [`RadixTree::insert_from`] /
+//! [`RadixTree::match_prefix_from`] / [`RadixTree::insert_parts_from`] /
 //! [`RadixTree::speculate_insert_from`] resume from it in O(new tokens),
 //! falling back to the root walk on any [`CursorFault`]; see
 //! `docs/session-fastpath.md`. Since PR 25 a validation yields a

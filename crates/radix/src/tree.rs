@@ -421,9 +421,18 @@ impl<D: Default> RadixTree<D> {
         self.insert_at_node(NodeId::ROOT, 0, head, tail)
     }
 
-    /// Resumes an insert of `head ‖ tail` from `cursor`: the two-segment
-    /// counterpart of [`insert_from`](RadixTree::insert_from), with the
-    /// same contract and validation.
+    /// Resumes an insert of `head ‖ tail` from `cursor` — the walk starts
+    /// at the cursor's node and only consumes the sequence past
+    /// `cursor.matched_len()`, so an insert extending a previously-inserted
+    /// sequence costs O(new tokens) instead of O(sequence).
+    ///
+    /// The outcome is byte-identical to
+    /// [`insert_parts`](RadixTree::insert_parts) of the same sequence
+    /// **provided** its first `cursor.matched_len()` tokens equal the cursor
+    /// node's root path — guaranteed whenever it extends the sequence the
+    /// cursor was taken from (see [`cursor_at`](RadixTree::cursor_at)'s
+    /// contract). Validation ([`resume`](RadixTree::resume)) rejects stale
+    /// cursors; on `Err` the caller falls back to the root walk.
     ///
     /// # Errors
     ///
@@ -456,33 +465,6 @@ impl<D: Default> RadixTree<D> {
     ) -> InsertOutcome {
         debug_assert_eq!(self.node(at.node).depth, at.depth, "resume point moved");
         self.insert_at_node(at.node, at.depth as usize, head, tail)
-    }
-
-    /// Resumes an insert of `seq` from `cursor` — the walk starts at the
-    /// cursor's node and only consumes `seq[cursor.matched_len()..]`, so an
-    /// insert extending a previously-inserted sequence costs O(new tokens)
-    /// instead of O(seq).
-    ///
-    /// The outcome is byte-identical to [`insert`](RadixTree::insert) of the
-    /// same `seq` **provided** `seq[..cursor.matched_len()]` equals the
-    /// cursor node's root path — guaranteed whenever `seq` extends the
-    /// sequence the cursor was taken from (see [`cursor_at`]'s contract).
-    /// Validation ([`resume`](RadixTree::resume)) rejects stale cursors; on
-    /// `Err` the caller falls back to the root walk.
-    ///
-    /// [`cursor_at`]: RadixTree::cursor_at
-    ///
-    /// # Errors
-    ///
-    /// Any [`CursorFault`] from [`resume`](RadixTree::resume); the tree is
-    /// untouched on error.
-    pub fn insert_from(
-        &mut self,
-        cursor: &MatchCursor,
-        seq: &[Token],
-    ) -> Result<InsertOutcome, CursorFault> {
-        let at = self.resume(cursor, seq)?;
-        Ok(self.insert_parts_at(&at, seq, &[]))
     }
 
     /// The insert walk from an arbitrary resume point over the virtual
@@ -2983,7 +2965,9 @@ mod tests {
         let cur = a.cursor_at(end_a).expect("live");
 
         let seq = [5, 6, 7, 8, 9];
-        let via_cursor = a.insert_from(&cur, &seq).expect("cursor is fresh");
+        let via_cursor = a
+            .insert_parts_from(&cur, &seq, &[])
+            .expect("cursor is fresh");
         let via_root = b.insert(&seq);
         assert_eq!(via_cursor.end_node, via_root.end_node);
         assert_eq!(via_cursor.split_node, via_root.split_node);

@@ -72,7 +72,7 @@ impl fmt::Display for CursorFault {
 impl<D> RadixTree<D> {
     /// Takes a resume cursor at a live node: a generation-tagged snapshot
     /// of `(node, depth, structure_version)` that a later
-    /// [`match_prefix_from`] / [`insert_from`] / [`speculate_insert_from`]
+    /// [`match_prefix_from`] / [`insert_parts_from`] / [`speculate_insert_from`]
     /// can resume from in O(new tokens).
     ///
     /// **Contract:** resumed operations are byte-identical to their
@@ -88,7 +88,7 @@ impl<D> RadixTree<D> {
     /// Returns `None` for a dead id.
     ///
     /// [`match_prefix_from`]: RadixTree::match_prefix_from
-    /// [`insert_from`]: RadixTree::insert_from
+    /// [`insert_parts_from`]: RadixTree::insert_parts_from
     /// [`speculate_insert_from`]: RadixTree::speculate_insert_from
     #[must_use]
     pub fn cursor_at(&self, id: NodeId) -> Option<MatchCursor> {

@@ -214,7 +214,7 @@ impl Pair {
     fn do_insert(&mut self, hint: Option<MatchCursor>, seq: &[Token]) -> Result<(), String> {
         let h = match hint.and_then(|c| {
             self.hinted
-                .insert_from(&c, seq)
+                .insert_parts_from(&c, seq, &[])
                 .inspect(|_| self.resumes += 1)
                 .inspect_err(|_| self.fallbacks += 1)
                 .ok()
@@ -1019,7 +1019,7 @@ fn scale_replay(seed: u64, target: usize) {
                 seq.push(fresh);
                 fresh += 1;
             }
-            let h = match hint.and_then(|c| pair.hinted.insert_from(&c, &seq).ok()) {
+            let h = match hint.and_then(|c| pair.hinted.insert_parts_from(&c, &seq, &[]).ok()) {
                 Some(outcome) => outcome,
                 None => pair.hinted.insert(&seq),
             };
