@@ -3,7 +3,7 @@
 
 use crate::sweep::{run_dataset, SweepCell, MAIN_SYSTEMS};
 use crate::{pct, times};
-use marconi_metrics::{BoxStats, Cdf};
+use marconi_metrics::{BoxStats, Percentiles};
 use marconi_sim::SystemKind;
 use marconi_workload::DatasetKind;
 use std::fmt::Write as _;
@@ -122,7 +122,7 @@ pub fn fig9(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
                     Some(s / v)
                 })
                 .collect();
-            let cdf = Cdf::new(&ratios).expect("non-empty sweep");
+            let cdf = Percentiles::new(&ratios).expect("non-empty sweep");
             let pts: Vec<String> = cdf
                 .points()
                 .into_iter()

@@ -82,13 +82,12 @@ impl BlockReuseReport {
 ///     .block_size(32)
 ///     .build();
 /// let input: Vec<u32> = (0..100).collect();
-/// cache.insert_sequence(&input, &[]);
+/// cache.insert_at(&input, &[], 1.0);
 /// // 100 tokens = 3 full blocks of 32; hits are block-quantized.
-/// assert_eq!(cache.lookup(&input).tokens_matched, 96);
+/// assert_eq!(cache.lookup_at(&input, 2.0).tokens_matched, 96);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockCache {
-    name: String,
     model: ModelConfig,
     capacity: u64,
     block_size: u64,
@@ -98,7 +97,6 @@ pub struct BlockCache {
     live_blocks: u64,
     stats: CacheStats,
     reuse: BlockReuseReport,
-    clock: f64,
 }
 
 impl BlockCache {
@@ -112,40 +110,13 @@ impl BlockCache {
             model,
             capacity: 16 << 30,
             block_size: 32,
-            name: None,
         }
-    }
-
-    /// Token-block size.
-    #[must_use]
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Live cached blocks.
-    #[must_use]
-    pub fn block_count(&self) -> u64 {
-        self.live_blocks
     }
 
     /// Cumulative reuse accounting (Fig. 3a).
     #[must_use]
     pub fn reuse_report(&self) -> BlockReuseReport {
         self.reuse
-    }
-
-    /// Convenience [`PrefixCache::lookup_at`] with an internal clock.
-    pub fn lookup(&mut self, input: &[Token]) -> LookupResult {
-        self.clock += 1.0;
-        let now = self.clock;
-        self.lookup_at(input, now)
-    }
-
-    /// Convenience [`PrefixCache::insert_at`] with an internal clock.
-    pub fn insert_sequence(&mut self, input: &[Token], output: &[Token]) -> AdmissionReport {
-        self.clock += 1.0;
-        let now = self.clock;
-        self.insert_at(input, output, now)
     }
 
     // ------------------------------------------------------------------
@@ -244,7 +215,7 @@ impl BlockCache {
 
 impl PrefixCache for BlockCache {
     fn name(&self) -> &str {
-        &self.name
+        "vllm+"
     }
 
     fn model(&self) -> &ModelConfig {
@@ -258,7 +229,6 @@ impl PrefixCache for BlockCache {
     }
 
     fn lookup_at(&mut self, input: &[Token], now: f64) -> LookupResult {
-        self.clock = self.clock.max(now);
         let matched = self.match_blocks(input);
         let tokens = matched.len() as u64 * self.block_size;
         for (i, &id) in matched.iter().enumerate() {
@@ -297,7 +267,6 @@ impl PrefixCache for BlockCache {
     }
 
     fn insert_at(&mut self, input: &[Token], output: &[Token], now: f64) -> AdmissionReport {
-        self.clock = self.clock.max(now);
         let mut full: Vec<Token> = Vec::with_capacity(input.len() + output.len());
         full.extend_from_slice(input);
         full.extend_from_slice(output);
@@ -377,7 +346,6 @@ pub struct BlockCacheBuilder {
     model: ModelConfig,
     capacity: u64,
     block_size: u64,
-    name: Option<String>,
 }
 
 impl BlockCacheBuilder {
@@ -400,17 +368,9 @@ impl BlockCacheBuilder {
         self
     }
 
-    /// Overrides the system name used in reports.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
-    }
-
     /// Builds the cache.
     pub fn build(self) -> BlockCache {
         BlockCache {
-            name: self.name.unwrap_or_else(|| "vllm+".to_owned()),
             model: self.model,
             capacity: self.capacity,
             block_size: self.block_size,
@@ -420,7 +380,6 @@ impl BlockCacheBuilder {
             live_blocks: 0,
             stats: CacheStats::default(),
             reuse: BlockReuseReport::default(),
-            clock: 0.0,
         }
     }
 }
@@ -429,10 +388,42 @@ impl BlockCacheBuilder {
 mod tests {
     use super::*;
 
-    fn cache(capacity: u64) -> BlockCache {
-        BlockCache::builder(ModelConfig::hybrid_7b())
-            .capacity_bytes(capacity)
-            .build()
+    /// A cache driven on a logical clock: each call is one tick later.
+    struct Clocked {
+        cache: BlockCache,
+        now: f64,
+    }
+
+    impl Clocked {
+        fn lookup(&mut self, input: &[Token]) -> LookupResult {
+            self.now += 1.0;
+            self.cache.lookup_at(input, self.now)
+        }
+
+        fn insert_sequence(&mut self, input: &[Token], output: &[Token]) {
+            self.now += 1.0;
+            self.cache.insert_at(input, output, self.now);
+        }
+    }
+
+    impl std::ops::Deref for Clocked {
+        type Target = BlockCache;
+
+        fn deref(&self) -> &BlockCache {
+            &self.cache
+        }
+    }
+
+    fn clocked(cache: BlockCache) -> Clocked {
+        Clocked { cache, now: 0.0 }
+    }
+
+    fn cache(capacity: u64) -> Clocked {
+        clocked(
+            BlockCache::builder(ModelConfig::hybrid_7b())
+                .capacity_bytes(capacity)
+                .build(),
+        )
     }
 
     fn seq(range: std::ops::Range<u32>) -> Vec<Token> {
@@ -446,7 +437,7 @@ mod tests {
         assert_eq!(c.lookup(&seq(0..100)).tokens_matched, 96);
         assert_eq!(c.lookup(&seq(0..64)).tokens_matched, 64);
         assert_eq!(c.lookup(&seq(0..31)).tokens_matched, 0, "sub-block miss");
-        assert_eq!(c.block_count(), 3, "partial tail block not cached");
+        assert_eq!(c.live_blocks, 3, "partial tail block not cached");
     }
 
     #[test]
@@ -475,17 +466,17 @@ mod tests {
         other.extend(seq(700..764));
         c.insert_sequence(&other, &[]);
         // 2 shared + 2 unshared blocks.
-        assert_eq!(c.block_count(), 4);
+        assert_eq!(c.live_blocks, 4);
     }
 
     #[test]
     fn lru_eviction_prefers_leaf_blocks() {
         let m = ModelConfig::hybrid_7b();
         let per_block = 32 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes();
-        let mut c = BlockCache::builder(m).capacity_bytes(3 * per_block).build();
+        let mut c = clocked(BlockCache::builder(m).capacity_bytes(3 * per_block).build());
         c.insert_sequence(&seq(0..96), &[]); // 3 blocks, chain
         c.insert_sequence(&seq(1000..1032), &[]); // forces one eviction
-        assert_eq!(c.block_count(), 3);
+        assert_eq!(c.live_blocks, 3);
         // The tail block of the old chain was evicted, not its root: the
         // first 64 tokens still hit.
         assert_eq!(c.lookup(&seq(0..96)).tokens_matched, 64);
@@ -527,7 +518,7 @@ mod tests {
         let mut c = cache(1 << 42);
         c.insert_sequence(&seq(0..64), &[]);
         c.insert_sequence(&seq(0..64), &seq(64..128));
-        assert_eq!(c.block_count(), 4);
+        assert_eq!(c.live_blocks, 4);
         let mut q = seq(0..64);
         q.extend(seq(64..128));
         assert_eq!(c.lookup(&q).tokens_matched, 128);
@@ -550,7 +541,7 @@ mod tests {
     fn zero_capacity_evicts_everything() {
         let mut c = cache(0);
         c.insert_sequence(&seq(0..128), &[]);
-        assert_eq!(c.block_count(), 0);
+        assert_eq!(c.live_blocks, 0);
         assert_eq!(c.usage_bytes(), 0);
     }
 }

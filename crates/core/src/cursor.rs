@@ -33,15 +33,6 @@ pub struct SessionCursor {
     pub(crate) cursor: MatchCursor,
 }
 
-impl SessionCursor {
-    /// Tokens the cursor memoizes (the matched-prefix length a valid
-    /// resume skips).
-    #[must_use]
-    pub fn matched_len(&self) -> u64 {
-        self.cursor.matched_len()
-    }
-}
-
 /// End of the recency list.
 const NIL: usize = usize::MAX;
 

@@ -179,12 +179,6 @@ impl HybridPrefixCache {
         }
     }
 
-    /// The eviction policy this cache was built with.
-    #[must_use]
-    pub fn policy(&self) -> &EvictionPolicy {
-        &self.policy
-    }
-
     /// The α currently applied by eviction scoring (0 while the tuner is
     /// still in its LRU phase).
     #[must_use]
@@ -318,13 +312,6 @@ impl HybridPrefixCache {
         self.tracer = tracer;
     }
 
-    /// The attached tracer (a clone can be handed to sibling components so
-    /// one recorder receives the merged stream).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Convenience [`PrefixCache::lookup_at`] using an internal logical
     /// clock.
     pub fn lookup(&mut self, input: &[Token]) -> LookupResult {
@@ -379,10 +366,7 @@ impl HybridPrefixCache {
     /// LRU pressure evicts it) and that a pin must protect.
     fn hit(&self, m: &PrefixMatch) -> (Option<NodeId>, u64) {
         if self.model.has_ssm() {
-            m.path
-                .iter()
-                .rev()
-                .copied()
+            self.matched_nodes(m)
                 .find(|&id| self.tree.data(id).has_ssm_state)
                 .map_or((None, 0), |id| (Some(id), self.tree.depth(id)))
         } else if m.ends_mid_edge {
@@ -390,6 +374,14 @@ impl HybridPrefixCache {
         } else {
             (m.deepest(), m.matched_len)
         }
+    }
+
+    /// `m`'s fully-matched nodes, deepest first: `m.deepest()` and its
+    /// ancestors up to (not including) the root, by parent pointers.
+    fn matched_nodes<'a>(&'a self, m: &PrefixMatch) -> impl Iterator<Item = NodeId> + 'a {
+        std::iter::successors(m.deepest(), |&id| {
+            self.tree.parent(id).filter(|&p| p != NodeId::ROOT)
+        })
     }
 
     /// Records an access on `id`: the float timestamp in the node's
@@ -491,11 +483,10 @@ impl PrefixCache for HybridPrefixCache {
                 self.stamp_access(node, now);
                 self.refresh_gdsf(node, true);
                 if self.refresh_ancestors {
-                    let hit_depth = self.tree.depth(node);
-                    for &id in &m.path {
-                        if self.tree.depth(id) <= hit_depth {
-                            self.stamp_access(id, now);
-                        }
+                    let mut up = self.tree.parent(node);
+                    while let Some(id) = up.filter(|&p| p != NodeId::ROOT) {
+                        self.stamp_access(id, now);
+                        up = self.tree.parent(id);
                     }
                 }
             }

@@ -122,7 +122,8 @@ impl HybridPrefixCache {
     /// Host-resident share of a hit of `tokens_matched` tokens along `m`:
     /// `(host tokens, bytes to transfer, FLOPs to recompute)`.
     ///
-    /// Walks the matched path once; each host-tier node contributes its
+    /// Walks the matched nodes once, up from the deepest by parent
+    /// pointers; each host-tier node within the hit contributes its
     /// edge KV bytes and its span's incremental prefill FLOPs, and the hit
     /// node's SSM checkpoint contributes its bytes when host-resident. The
     /// recompute arm is idealized roll-forward accounting: a span `[a, b)`
@@ -138,10 +139,10 @@ impl HybridPrefixCache {
         let mut h_tokens = 0u64;
         let mut h_bytes = 0u64;
         let mut h_flops = 0u128;
-        for &id in &m.path {
+        for id in self.matched_nodes(m) {
             let depth = self.tree.depth(id);
             if depth > tokens_matched {
-                break;
+                continue;
             }
             if self.tier(id) == Tier::Host {
                 let edge = self.tree.edge_len(id);

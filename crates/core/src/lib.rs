@@ -146,8 +146,8 @@ impl Drop for PinTicket {
 ///
 /// Timestamps (`now`) are caller-supplied so replay is deterministic and so
 /// recency can reflect *workload* time (request arrivals) rather than
-/// processing order. The inherent `lookup`/`insert_sequence` conveniences on
-/// each implementation advance an internal logical clock instead.
+/// processing order. [`HybridPrefixCache`]'s inherent `lookup` /
+/// `insert_sequence` conveniences advance an internal logical clock instead.
 pub trait PrefixCache {
     /// Human-readable system name (e.g. `"marconi"`, `"vllm+"`).
     fn name(&self) -> &str;

@@ -54,28 +54,11 @@ impl LookupResult {
         self.tokens_matched > 0
     }
 
-    /// Token hit rate for a single request: matched over total input.
-    ///
-    /// Returns 0.0 for an empty input.
-    #[must_use]
-    pub fn hit_rate(&self, input_len: usize) -> f64 {
-        if input_len == 0 {
-            return 0.0;
-        }
-        self.tokens_matched as f64 / input_len as f64
-    }
-
     /// `true` if serving this hit touches host-resident state (a transfer
     /// or recompute is needed before the prefix is usable on the device).
     #[must_use]
     pub fn needs_reload(&self) -> bool {
         self.host_tokens > 0
-    }
-
-    /// Tokens of the matched prefix resident on the device tier.
-    #[must_use]
-    pub fn device_tokens(&self) -> u64 {
-        self.tokens_matched - self.host_tokens
     }
 }
 
@@ -108,20 +91,6 @@ mod tests {
     #[test]
     fn miss_is_not_a_hit() {
         assert!(!LookupResult::MISS.is_hit());
-        assert_eq!(LookupResult::MISS.hit_rate(100), 0.0);
-    }
-
-    #[test]
-    fn hit_rate_handles_empty_input() {
-        let r = LookupResult {
-            tokens_matched: 5,
-            raw_matched: 5,
-            flops_saved: 1,
-            ..LookupResult::MISS
-        };
-        assert_eq!(r.hit_rate(0), 0.0);
-        assert_eq!(r.hit_rate(10), 0.5);
-        assert!(r.is_hit());
     }
 
     #[test]
@@ -135,7 +104,7 @@ mod tests {
             ..LookupResult::MISS
         };
         assert!(r.needs_reload());
-        assert_eq!(r.device_tokens(), 60);
+        assert!(r.is_hit());
         assert!(!LookupResult::MISS.needs_reload());
     }
 }

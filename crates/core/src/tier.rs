@@ -76,14 +76,6 @@ pub struct TieredPrefix {
     pub host_tokens: u64,
 }
 
-impl TieredPrefix {
-    /// Tokens servable straight from device HBM.
-    #[must_use]
-    pub fn device_tokens(&self) -> u64 {
-        self.tokens - self.host_tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,16 +85,7 @@ mod tests {
         assert_eq!(Tier::default(), Tier::Device);
         assert_eq!(ReloadPolicy::default(), ReloadPolicy::ComputeOrLoad);
         let p = TieredPrefix::default();
-        assert_eq!(p.device_tokens(), 0);
-    }
-
-    #[test]
-    fn device_tokens_subtracts_host_share() {
-        let p = TieredPrefix {
-            tokens: 100,
-            host_tokens: 30,
-        };
-        assert_eq!(p.device_tokens(), 70);
+        assert_eq!((p.tokens, p.host_tokens), (0, 0));
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl BinnedMean {
         }
     }
 
-    /// Bin width.
-    #[must_use]
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
-
     /// Records an observation. Negative `x` clamps into the first bin.
     pub fn add(&mut self, x: f64, y: f64) {
         let idx = (x.max(0.0) / self.bin_width).floor() as usize;
@@ -74,12 +68,6 @@ impl BinnedMean {
             })
             .collect()
     }
-
-    /// Number of observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.bins.iter().map(|&(_, c)| c).sum()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +83,7 @@ mod tests {
         let means = b.means();
         assert_eq!(means[0].1, Some(3.0));
         assert_eq!(means[1].1, Some(100.0));
-        assert_eq!(b.count(), 3);
+        assert_eq!(b.bins, [(6.0, 2), (100.0, 1)]);
     }
 
     #[test]
@@ -109,7 +97,6 @@ mod tests {
     fn empty_accumulator() {
         let b = BinnedMean::new(1.0);
         assert!(b.means().is_empty());
-        assert_eq!(b.count(), 0);
     }
 
     #[test]

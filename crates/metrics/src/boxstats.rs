@@ -49,12 +49,6 @@ impl BoxStats {
             mean,
         })
     }
-
-    /// Interquartile range.
-    #[must_use]
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 impl fmt::Display for BoxStats {
@@ -79,7 +73,6 @@ mod tests {
         assert!(b.q1 <= b.median);
         assert!(b.median <= b.q3);
         assert!(b.q3 <= b.whisker_hi);
-        assert!(b.iqr() >= 0.0);
     }
 
     #[test]

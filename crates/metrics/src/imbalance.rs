@@ -5,11 +5,9 @@ use serde::{Deserialize, Serialize};
 /// How unevenly a quantity (routed tokens, requests, bytes) is spread
 /// across the replicas of a cluster.
 ///
-/// The headline number is [`factor`](LoadImbalance::factor) — the classic
+/// The number is [`factor`](LoadImbalance::factor) — the classic
 /// *imbalance factor* `max / mean`, 1.0 for a perfectly balanced cluster
-/// and up to `n` when one of `n` replicas carries everything. The
-/// coefficient of variation ([`cv`](LoadImbalance::cv)) complements it with
-/// a spread measure that is not dominated by a single outlier.
+/// and up to `n` when one of `n` replicas carries everything.
 ///
 /// # Examples
 ///
@@ -18,25 +16,21 @@ use serde::{Deserialize, Serialize};
 ///
 /// let balanced = LoadImbalance::new(&[10.0, 10.0, 10.0]).unwrap();
 /// assert_eq!(balanced.factor(), 1.0);
-/// assert_eq!(balanced.cv(), 0.0);
 ///
 /// let skewed = LoadImbalance::new(&[30.0, 0.0, 0.0]).unwrap();
 /// assert_eq!(skewed.factor(), 3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LoadImbalance {
-    min: f64,
     max: f64,
     mean: f64,
-    cv: f64,
 }
 
 impl LoadImbalance {
     /// Computes imbalance statistics over per-replica loads.
     ///
     /// Returns `None` for an empty slice. An all-zero cluster (no load
-    /// anywhere) is defined as perfectly balanced: `factor() == 1.0`,
-    /// `cv() == 0.0`.
+    /// anywhere) is defined as perfectly balanced: `factor() == 1.0`.
     #[must_use]
     pub fn new(loads: &[f64]) -> Option<LoadImbalance> {
         if loads.is_empty() {
@@ -44,29 +38,8 @@ impl LoadImbalance {
         }
         let n = loads.len() as f64;
         let mean = loads.iter().sum::<f64>() / n;
-        let min = loads.iter().copied().fold(f64::INFINITY, f64::min);
         let max = loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let var = loads.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        Some(LoadImbalance { min, max, mean, cv })
-    }
-
-    /// The lightest replica's load.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// The heaviest replica's load.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Mean load per replica.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
+        Some(LoadImbalance { max, mean })
     }
 
     /// Imbalance factor `max / mean` (≥ 1.0; 1.0 = perfectly balanced).
@@ -77,13 +50,6 @@ impl LoadImbalance {
         } else {
             1.0
         }
-    }
-
-    /// Coefficient of variation: population standard deviation over mean
-    /// (0.0 = perfectly balanced).
-    #[must_use]
-    pub fn cv(&self) -> f64 {
-        self.cv
     }
 }
 
@@ -100,31 +66,26 @@ mod tests {
     fn balanced_cluster_scores_one() {
         let b = LoadImbalance::new(&[5.0, 5.0, 5.0, 5.0]).unwrap();
         assert_eq!(b.factor(), 1.0);
-        assert_eq!(b.cv(), 0.0);
-        assert_eq!(b.min(), 5.0);
-        assert_eq!(b.max(), 5.0);
-        assert_eq!(b.mean(), 5.0);
+        assert_eq!(b.max, 5.0);
+        assert_eq!(b.mean, 5.0);
     }
 
     #[test]
     fn fully_skewed_cluster_scores_n() {
         let s = LoadImbalance::new(&[0.0, 0.0, 0.0, 40.0]).unwrap();
         assert_eq!(s.factor(), 4.0);
-        assert!(s.cv() > 1.0);
     }
 
     #[test]
     fn idle_cluster_counts_as_balanced() {
         let z = LoadImbalance::new(&[0.0, 0.0]).unwrap();
         assert_eq!(z.factor(), 1.0);
-        assert_eq!(z.cv(), 0.0);
     }
 
     #[test]
     fn moderate_skew_sits_between() {
         let m = LoadImbalance::new(&[10.0, 20.0, 30.0]).unwrap();
-        assert!((m.mean() - 20.0).abs() < 1e-12);
+        assert!((m.mean - 20.0).abs() < 1e-12);
         assert!((m.factor() - 1.5).abs() < 1e-12);
-        assert!(m.cv() > 0.0 && m.cv() < 1.0);
     }
 }

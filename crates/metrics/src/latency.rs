@@ -3,8 +3,9 @@
 use crate::percentile::Percentiles;
 use serde::{Deserialize, Serialize};
 
-/// The latency distribution view every serving report exposes: count, mean,
-/// and the paper's named order statistics (P50/P95/P99) plus the extremes.
+/// The latency distribution view every serving report exposes: the paper's
+/// named order statistics (P50/P95/P99), printed with the count, the mean
+/// and the maximum.
 ///
 /// Built once from a sample via [`Percentiles`]; units follow the sample
 /// (this repo always summarizes milliseconds).
@@ -15,10 +16,11 @@ use serde::{Deserialize, Serialize};
 /// use marconi_metrics::LatencySummary;
 ///
 /// let s = LatencySummary::new(&[10.0, 20.0, 30.0, 40.0]).unwrap();
-/// assert_eq!(s.count(), 4);
-/// assert_eq!(s.mean(), 25.0);
 /// assert_eq!(s.p50(), 25.0);
-/// assert_eq!(s.max(), 40.0);
+/// assert_eq!(
+///     s.to_string(),
+///     "n=4 mean=25.0 p50=25.0 p95=38.5 p99=39.7 max=40.0"
+/// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
@@ -27,7 +29,6 @@ pub struct LatencySummary {
     p50: f64,
     p95: f64,
     p99: f64,
-    min: f64,
     max: f64,
 }
 
@@ -43,21 +44,8 @@ impl LatencySummary {
             p50: p.median(),
             p95: p.p95(),
             p99: p.p99(),
-            min: p.min(),
             max: p.max(),
         })
-    }
-
-    /// Number of samples summarized.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Arithmetic mean.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
     }
 
     /// Median (50th percentile).
@@ -76,18 +64,6 @@ impl LatencySummary {
     #[must_use]
     pub fn p99(&self) -> f64 {
         self.p99
-    }
-
-    /// Minimum sample value.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum sample value.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -116,19 +92,18 @@ mod tests {
         let values: Vec<f64> = (1..=100).map(f64::from).collect();
         let s = LatencySummary::new(&values).unwrap();
         let p = Percentiles::new(&values).unwrap();
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.mean(), 50.5);
+        assert_eq!(s.count, 100);
+        assert_eq!(s.mean, 50.5);
         assert_eq!(s.p50(), p.median());
         assert_eq!(s.p95(), p.p95());
         assert_eq!(s.p99(), p.p99());
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 100.0);
+        assert_eq!(s.max, 100.0);
     }
 
     #[test]
     fn single_sample_is_degenerate() {
         let s = LatencySummary::new(&[42.0]).unwrap();
-        assert_eq!(s.mean(), 42.0);
+        assert_eq!(s.mean, 42.0);
         assert_eq!(s.p50(), 42.0);
         assert_eq!(s.p99(), 42.0);
     }

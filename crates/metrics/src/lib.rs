@@ -1,14 +1,14 @@
 //! Statistics utilities for serving experiments.
 //!
 //! Small, dependency-free implementations of exactly the aggregations the
-//! Marconi evaluation reports: order-statistic percentiles (P5/P50/P95
-//! TTFT), empirical CDFs (Fig. 9, Fig. 10b), five-number box statistics
-//! with P5/P95 whiskers (Fig. 7), binned means (Fig. 10a), running
-//! summaries, load-imbalance statistics for the sharded-cluster
-//! experiments ([`LoadImbalance`]), the latency distribution view
-//! every serving report shares ([`LatencySummary`], with SLO attainment
-//! via [`Percentiles::fraction_le`]), and the device/host tier breakdown
-//! of the tiered cache's hits ([`TierSplit`]).
+//! Marconi evaluation reports: order statistics over one sorted sample
+//! ([`Percentiles`]: P5/P50/P95 TTFT, and the empirical CDF's points and
+//! inverse for Fig. 9), five-number box statistics with P5/P95 whiskers
+//! (Fig. 7), binned means (Fig. 10a), the load-imbalance factor of the
+//! sharded-cluster experiments ([`LoadImbalance`]), the latency
+//! distribution view every serving report shares ([`LatencySummary`], with
+//! SLO attainment via [`Percentiles::fraction_le`]), and the device/host
+//! tier breakdown of the tiered cache's hits ([`TierSplit`]).
 //!
 //! # Examples
 //!
@@ -22,18 +22,14 @@
 
 mod binned;
 mod boxstats;
-mod cdf;
 mod imbalance;
 mod latency;
 mod percentile;
-mod summary;
 mod tier;
 
 pub use binned::BinnedMean;
 pub use boxstats::BoxStats;
-pub use cdf::Cdf;
 pub use imbalance::LoadImbalance;
 pub use latency::LatencySummary;
 pub use percentile::Percentiles;
-pub use summary::Summary;
 pub use tier::TierSplit;

@@ -1,4 +1,5 @@
-//! Order-statistic percentiles with linear interpolation.
+//! Order statistics over one sorted sample: percentiles with linear
+//! interpolation, and the empirical CDF (Fig. 9, Fig. 10b).
 
 use serde::{Deserialize, Serialize};
 
@@ -107,12 +108,6 @@ impl Percentiles {
         self.quantile(0.99)
     }
 
-    /// Minimum sample value.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
     /// Maximum sample value.
     #[must_use]
     pub fn max(&self) -> f64 {
@@ -120,12 +115,6 @@ impl Percentiles {
             .sorted
             .last()
             .expect("invariant: sorted samples are non-empty")
-    }
-
-    /// The sorted sample.
-    #[must_use]
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Fraction of samples `≤ threshold` — SLO attainment when the sample
@@ -146,6 +135,47 @@ impl Percentiles {
         let met = self.sorted.partition_point(|&v| v <= threshold);
         met as f64 / self.sorted.len() as f64
     }
+
+    /// Inverse CDF at `q ∈ (0, 1]` (nearest rank): the smallest sample `x`
+    /// with [`fraction_le(x)`](Percentiles::fraction_le) `≥ q`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use marconi_metrics::Percentiles;
+    ///
+    /// let p = Percentiles::new(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+    /// assert_eq!(p.inverse(0.5), 2.0);
+    /// assert_eq!(p.inverse(0.51), 3.0);
+    /// assert_eq!(p.inverse(1.0), 4.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `(0, 1]`.
+    #[must_use]
+    pub fn inverse(&self, q: f64) -> f64 {
+        assert!(q > 0.0 && q <= 1.0, "q {q} outside (0, 1]");
+        let n = self.sorted.len();
+        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
+        self.sorted[idx]
+    }
+
+    /// The empirical CDF's `(x, P(X ≤ x))` plotting points: one per sample,
+    /// deduplicated on `x`.
+    #[must_use]
+    pub fn points(&self) -> Vec<(f64, f64)> {
+        let n = self.sorted.len() as f64;
+        let mut pts: Vec<(f64, f64)> = Vec::new();
+        for (i, &x) in self.sorted.iter().enumerate() {
+            let y = (i + 1) as f64 / n;
+            match pts.last_mut() {
+                Some(last) if last.0 == x => last.1 = y,
+                _ => pts.push((x, y)),
+            }
+        }
+        pts
+    }
 }
 
 #[cfg(test)]
@@ -161,7 +191,7 @@ mod tests {
     #[test]
     fn single_value() {
         let p = Percentiles::new(&[7.0]).unwrap();
-        assert_eq!(p.min(), 7.0);
+        assert_eq!(p.quantile(0.0), 7.0);
         assert_eq!(p.max(), 7.0);
         assert_eq!(p.median(), 7.0);
         assert_eq!(p.p95(), 7.0);
@@ -179,7 +209,7 @@ mod tests {
     #[test]
     fn unsorted_input_is_sorted() {
         let p = Percentiles::new(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(p.sorted_values(), &[1.0, 2.0, 3.0]);
+        assert_eq!(p.sorted, [1.0, 2.0, 3.0]);
         assert_eq!(p.median(), 2.0);
     }
 
@@ -199,5 +229,31 @@ mod tests {
     fn out_of_range_quantile_panics() {
         let p = Percentiles::new(&[1.0]).unwrap();
         let _ = p.quantile(1.5);
+    }
+
+    #[test]
+    fn step_behaviour_with_duplicates() {
+        let p = Percentiles::new(&[1.0, 1.0, 2.0]).unwrap();
+        assert!((p.fraction_le(1.0) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(p.fraction_le(2.0), 1.0);
+        let pts = p.points();
+        assert_eq!(pts.len(), 2, "duplicates collapse");
+        assert_eq!(pts[0], (1.0, 2.0 / 3.0));
+    }
+
+    #[test]
+    fn inverse_round_trips() {
+        let values: Vec<f64> = (1..=100).map(f64::from).collect();
+        let p = Percentiles::new(&values).unwrap();
+        assert_eq!(p.inverse(0.5), 50.0);
+        assert_eq!(p.inverse(1.0), 100.0);
+        assert_eq!(p.inverse(0.01), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn inverse_zero_panics() {
+        let p = Percentiles::new(&[1.0]).unwrap();
+        let _ = p.inverse(0.0);
     }
 }

@@ -41,12 +41,6 @@ impl TierSplit {
         }
         self.host as f64 / total as f64
     }
-
-    /// Adds another split into this one (cluster aggregation).
-    pub fn accumulate(&mut self, other: &TierSplit) {
-        self.device += other.device;
-        self.host += other.host;
-    }
 }
 
 impl fmt::Display for TierSplit {
@@ -70,21 +64,6 @@ mod tests {
         let s = TierSplit::default();
         assert_eq!(s.total(), 0);
         assert_eq!(s.host_fraction(), 0.0);
-    }
-
-    #[test]
-    fn accumulate_sums_tiers() {
-        let mut s = TierSplit {
-            device: 10,
-            host: 5,
-        };
-        s.accumulate(&TierSplit {
-            device: 30,
-            host: 15,
-        });
-        assert_eq!(s.device, 40);
-        assert_eq!(s.host, 20);
-        assert!((s.host_fraction() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

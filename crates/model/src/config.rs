@@ -30,7 +30,7 @@ use std::fmt;
 ///     .layers(1, 6, 7)
 ///     .build()?;
 /// assert_eq!(model.n_ssm(), 6);
-/// assert!(model.is_hybrid());
+/// assert!(model.has_ssm());
 /// # Ok::<(), marconi_model::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,8 +55,6 @@ pub enum ConfigError {
     ZeroStateDim,
     /// At least one compute layer (Attention or SSM) is required.
     NoComputeLayers,
-    /// Precision must be 1, 2, or 4 bytes per parameter.
-    BadPrecision(u64),
 }
 
 impl fmt::Display for ConfigError {
@@ -69,9 +67,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NoComputeLayers => {
                 write!(f, "model must contain at least one attention or SSM layer")
             }
-            ConfigError::BadPrecision(b) => {
-                write!(f, "bytes per parameter must be 1, 2, or 4, got {b}")
-            }
         }
     }
 }
@@ -81,19 +76,17 @@ impl Error for ConfigError {}
 impl ModelConfig {
     /// Starts building a model configuration with the given display name.
     ///
-    /// Defaults: `d_model = 4096`, `d_state = 128`, `d_conv = 4`,
-    /// `expand = 2`, fp16 precision, and no layers (must be set).
+    /// Defaults: `d_model = 4096`, `d_state = 128`, and no layers (must be
+    /// set). Every built config has `d_conv = 4`, `expand = 2` and fp16
+    /// precision.
     pub fn builder(name: impl Into<String>) -> ModelConfigBuilder {
         ModelConfigBuilder {
             name: name.into(),
             d_model: 4096,
             d_state: 128,
-            d_conv: 4,
-            expand: 2,
             n_attention: 0,
             n_ssm: 0,
             n_mlp: 0,
-            bytes_per_param: 2,
         }
     }
 
@@ -151,24 +144,11 @@ impl ModelConfig {
         self.bytes_per_param
     }
 
-    /// `true` if the model mixes Attention and SSM layers.
-    #[must_use]
-    pub fn is_hybrid(&self) -> bool {
-        self.n_attention > 0 && self.n_ssm > 0
-    }
-
     /// `true` if the model has at least one SSM layer, meaning prefix reuse
     /// is constrained to SSM-state checkpoint boundaries ("all or nothing").
     #[must_use]
     pub fn has_ssm(&self) -> bool {
         self.n_ssm > 0
-    }
-
-    /// `true` if the model has at least one Attention layer, meaning cached
-    /// prefixes carry per-token KV state.
-    #[must_use]
-    pub fn has_attention(&self) -> bool {
-        self.n_attention > 0
     }
 
     // ------------------------------------------------------------------
@@ -311,12 +291,9 @@ pub struct ModelConfigBuilder {
     name: String,
     d_model: u64,
     d_state: u64,
-    d_conv: u64,
-    expand: u64,
     n_attention: u64,
     n_ssm: u64,
     n_mlp: u64,
-    bytes_per_param: u64,
 }
 
 impl ModelConfigBuilder {
@@ -334,20 +311,6 @@ impl ModelConfigBuilder {
         self
     }
 
-    /// Sets the Mamba conv1d kernel width (default 4).
-    #[must_use]
-    pub fn d_conv(mut self, d_conv: u64) -> Self {
-        self.d_conv = d_conv;
-        self
-    }
-
-    /// Sets the inner-dimension expansion factor (default 2).
-    #[must_use]
-    pub fn expand(mut self, expand: u64) -> Self {
-        self.expand = expand;
-        self
-    }
-
     /// Sets the layer composition: counts of Attention, SSM, and MLP layers.
     #[must_use]
     pub fn layers(mut self, n_attention: u64, n_ssm: u64, n_mlp: u64) -> Self {
@@ -357,20 +320,13 @@ impl ModelConfigBuilder {
         self
     }
 
-    /// Sets numeric precision in bytes per parameter (default 2 = fp16).
-    #[must_use]
-    pub fn bytes_per_param(mut self, bytes: u64) -> Self {
-        self.bytes_per_param = bytes;
-        self
-    }
-
     /// Validates the parameters and builds the [`ModelConfig`].
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if `d_model` is zero, if SSM layers are
-    /// present with a zero `d_state`, if there are no compute layers at all,
-    /// or if the precision is not 1, 2, or 4 bytes.
+    /// present with a zero `d_state`, or if there are no compute layers at
+    /// all.
     pub fn build(self) -> Result<ModelConfig, ConfigError> {
         if self.d_model == 0 {
             return Err(ConfigError::ZeroModelDim);
@@ -381,19 +337,16 @@ impl ModelConfigBuilder {
         if self.n_attention == 0 && self.n_ssm == 0 {
             return Err(ConfigError::NoComputeLayers);
         }
-        if !matches!(self.bytes_per_param, 1 | 2 | 4) {
-            return Err(ConfigError::BadPrecision(self.bytes_per_param));
-        }
         Ok(ModelConfig {
             name: self.name,
             d_model: self.d_model,
             d_state: self.d_state,
-            d_conv: self.d_conv,
-            expand: self.expand,
+            d_conv: 4,
+            expand: 2,
             n_attention: self.n_attention,
             n_ssm: self.n_ssm,
             n_mlp: self.n_mlp,
-            bytes_per_param: self.bytes_per_param,
+            bytes_per_param: 2,
         })
     }
 }
@@ -522,20 +475,13 @@ mod tests {
             ModelConfig::builder("x").layers(0, 0, 5).build(),
             Err(ConfigError::NoComputeLayers)
         );
-        assert_eq!(
-            ModelConfig::builder("x")
-                .layers(1, 0, 0)
-                .bytes_per_param(3)
-                .build(),
-            Err(ConfigError::BadPrecision(3))
-        );
     }
 
     #[test]
     fn pure_transformer_has_no_ssm_constraint() {
         let t = ModelConfig::transformer_7b();
         assert!(!t.has_ssm());
-        assert!(t.has_attention());
+        assert!(t.n_attention() > 0);
         assert_eq!(t.ssm_checkpoint_bytes(), 0);
     }
 
@@ -552,7 +498,6 @@ mod tests {
             ConfigError::ZeroModelDim.to_string(),
             ConfigError::ZeroStateDim.to_string(),
             ConfigError::NoComputeLayers.to_string(),
-            ConfigError::BadPrecision(3).to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'));

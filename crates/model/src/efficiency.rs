@@ -1,6 +1,6 @@
 //! FLOP efficiency (paper Eq. 1 and Table 1 closed forms).
 
-use crate::{LayerKind, ModelConfig};
+use crate::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 /// Closed-form FLOP-efficiency helpers matching the last rows of Table 1.
@@ -56,25 +56,12 @@ impl FlopEfficiency {
         let n = self.d_state as f64;
         len as f64 * (6.0 * d / n + 8.0 + 5.0 / (d * n))
     }
-
-    /// Per-layer FLOPs saved per byte for the given stateful layer kind.
-    ///
-    /// Returns `None` for stateless layers (MLP), which occupy no cache
-    /// space.
-    #[must_use]
-    pub fn layer_flops_per_byte(&self, kind: LayerKind, len: u64) -> Option<f64> {
-        match kind {
-            LayerKind::Attention => Some(self.attention_flops_per_byte(len)),
-            LayerKind::Ssm => Some(self.ssm_flops_per_byte(len)),
-            LayerKind::Mlp => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModelConfig;
+    use crate::LayerKind;
 
     #[test]
     fn table1_7b_closed_forms() {
@@ -140,15 +127,5 @@ mod tests {
         let slope = |m: &ModelConfig| m.flop_efficiency(2000) - m.flop_efficiency(1000);
         assert!(slope(&mamba) > slope(&hybrid));
         assert!(slope(&hybrid) > slope(&transformer));
-    }
-
-    #[test]
-    fn mlp_has_no_state() {
-        let eff = FlopEfficiency::new(&ModelConfig::hybrid_7b());
-        assert!(eff.layer_flops_per_byte(LayerKind::Mlp, 100).is_none());
-        assert!(eff
-            .layer_flops_per_byte(LayerKind::Attention, 100)
-            .is_some());
-        assert!(eff.layer_flops_per_byte(LayerKind::Ssm, 100).is_some());
     }
 }

@@ -24,9 +24,8 @@ use std::fmt;
 /// ```
 /// use marconi_model::LayerKind;
 ///
-/// assert!(LayerKind::Attention.is_stateful());
-/// assert!(LayerKind::Ssm.is_stateful());
-/// assert!(!LayerKind::Mlp.is_stateful());
+/// assert_eq!(LayerKind::Ssm.to_string(), "SSM");
+/// assert_eq!(LayerKind::ALL.len(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum LayerKind {
@@ -43,23 +42,6 @@ pub enum LayerKind {
 impl LayerKind {
     /// All layer kinds, in display order.
     pub const ALL: [LayerKind; 3] = [LayerKind::Attention, LayerKind::Ssm, LayerKind::Mlp];
-
-    /// Returns `true` if the layer keeps inference-time state that a prefix
-    /// cache must store (Attention KVs or SSM recurrent state).
-    #[must_use]
-    pub fn is_stateful(self) -> bool {
-        matches!(self, LayerKind::Attention | LayerKind::Ssm)
-    }
-
-    /// Returns `true` if the layer's state can be *rolled back* to represent
-    /// an arbitrary prefix of the tokens it has consumed.
-    ///
-    /// KVs have a sequence dimension and can be sliced; SSM states are
-    /// overwritten in place, so they cannot (paper §3, property 2).
-    #[must_use]
-    pub fn is_rollbackable(self) -> bool {
-        matches!(self, LayerKind::Attention)
-    }
 }
 
 impl fmt::Display for LayerKind {
@@ -76,20 +58,6 @@ impl fmt::Display for LayerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn statefulness_matches_paper_taxonomy() {
-        assert!(LayerKind::Attention.is_stateful());
-        assert!(LayerKind::Ssm.is_stateful());
-        assert!(!LayerKind::Mlp.is_stateful());
-    }
-
-    #[test]
-    fn only_attention_rolls_back() {
-        assert!(LayerKind::Attention.is_rollbackable());
-        assert!(!LayerKind::Ssm.is_rollbackable());
-        assert!(!LayerKind::Mlp.is_rollbackable());
-    }
 
     #[test]
     fn display_names() {

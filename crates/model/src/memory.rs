@@ -31,12 +31,6 @@ pub struct StateFootprint {
 }
 
 impl StateFootprint {
-    /// The empty footprint.
-    pub const ZERO: StateFootprint = StateFootprint {
-        kv_bytes: 0,
-        ssm_bytes: 0,
-    };
-
     /// Total bytes across both state kinds.
     #[must_use]
     pub fn total(&self) -> u64 {

@@ -102,7 +102,6 @@ mod tests {
         );
         assert_eq!(m.d_model(), 4096);
         assert_eq!(m.d_state(), 128);
-        assert!(m.is_hybrid());
     }
 
     #[test]
@@ -114,8 +113,8 @@ mod tests {
 
     #[test]
     fn pure_models_are_not_hybrid() {
-        assert!(!ModelConfig::mamba_7b().is_hybrid());
-        assert!(!ModelConfig::transformer_7b().is_hybrid());
+        assert_eq!(ModelConfig::mamba_7b().n_attention(), 0);
+        assert_eq!(ModelConfig::transformer_7b().n_ssm(), 0);
     }
 
     #[test]

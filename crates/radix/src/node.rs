@@ -100,10 +100,6 @@ impl EdgeRef {
     pub fn range(self) -> std::ops::Range<usize> {
         self.off as usize..(self.off + self.len) as usize
     }
-
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
 }
 
 /// Children of a node: a sorted vec keyed by the first token of each child's

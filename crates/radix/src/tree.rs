@@ -195,13 +195,14 @@ fn seam_prefix_len(edge: &[Token], head: &[Token], tail: &[Token], pos: usize) -
     shared + common_prefix_len(&edge[shared..], &tail[pos + shared - head.len()..])
 }
 
-/// Result of [`RadixTree::match_prefix`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of [`RadixTree::match_prefix`]: a point in the tree, not a path.
+///
+/// The fully-matched nodes — those whose entire edge the query covers —
+/// are [`deepest`](PrefixMatch::deepest) and its ancestors; a reader that
+/// needs them walks parent pointers up from there
+/// ([`RadixTree::parent`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixMatch {
-    /// Fully-matched nodes along the path, shallowest first (root excluded).
-    ///
-    /// A node appears here iff the query covers its entire edge.
-    pub path: Vec<NodeId>,
     /// Number of leading query tokens present in the tree (may end inside an
     /// edge).
     pub matched_len: u64,
@@ -214,16 +215,18 @@ pub struct PrefixMatch {
     /// partial hit — otherwise a hot, partially-matched prefix looks idle
     /// and gets evicted.
     pub mid_edge_child: Option<NodeId>,
-    /// The deepest fully-matched node (the root when `path` is empty) and
-    /// its depth; see [`resume_point`](PrefixMatch::resume_point).
+    /// The deepest fully-matched node (the root when no edge is fully
+    /// matched) and its depth; see
+    /// [`resume_point`](PrefixMatch::resume_point).
     resume_at: Resumed,
 }
 
 impl PrefixMatch {
-    /// Deepest fully-matched node, if any.
+    /// Deepest fully-matched node, if any (the root does not count).
     #[must_use]
     pub fn deepest(&self) -> Option<NodeId> {
-        self.path.last().copied()
+        let node = self.resume_at.node;
+        (node != NodeId::ROOT).then_some(node)
     }
 
     /// The deepest fully-matched node as a [`Resumed`] point: its root
@@ -747,12 +750,6 @@ impl<D> RadixTree<D> {
         shared
     }
 
-    /// The root node id.
-    #[must_use]
-    pub fn root(&self) -> NodeId {
-        NodeId::ROOT
-    }
-
     /// Number of live non-root nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -1185,11 +1182,9 @@ impl<D> RadixTree<D> {
     }
 
     /// Resumes [`match_prefix`](RadixTree::match_prefix) from `cursor`:
-    /// walks only `query[cursor.matched_len()..]` and reconstructs the
-    /// fully-matched path by walking parent pointers (O(path nodes), no
-    /// token comparisons), so the returned [`PrefixMatch`] — path order
-    /// included — is byte-identical to the root walk's under the
-    /// [`cursor_at`](RadixTree::cursor_at) contract.
+    /// walks only `query[cursor.matched_len()..]`, so the returned
+    /// [`PrefixMatch`] is byte-identical to the root walk's under the
+    /// [`cursor_at`](RadixTree::cursor_at) contract at O(new tokens).
     ///
     /// # Errors
     ///
@@ -1236,20 +1231,9 @@ impl<D> RadixTree<D> {
         Ok(self.match_prefix_from(cursor, seq)?.speculation())
     }
 
-    /// The match walk from a resume point, with the fully-matched path
-    /// reconstructed via parent pointers. `start`'s root path must equal
+    /// The match walk from a resume point. `start`'s root path must equal
     /// `query[..start.depth]` (trivially true for the root).
     fn match_from(&self, start: Resumed, query: &[Token]) -> PrefixMatch {
-        let mut path = Vec::new();
-        let mut chain = Some(start.node);
-        while let Some(c) = chain {
-            if c == NodeId::ROOT {
-                break;
-            }
-            path.push(c);
-            chain = self.node(c).parent;
-        }
-        path.reverse();
         let mut cur = start;
         let mut pos = start.depth as usize;
         loop {
@@ -1259,7 +1243,6 @@ impl<D> RadixTree<D> {
             };
             let Some(child) = child else {
                 return PrefixMatch {
-                    path,
                     matched_len: pos as u64,
                     ends_mid_edge: false,
                     mid_edge_child: None,
@@ -1270,14 +1253,12 @@ impl<D> RadixTree<D> {
             pos += shared;
             if shared < self.node(child).edge.len() {
                 return PrefixMatch {
-                    path,
                     matched_len: pos as u64,
                     ends_mid_edge: true,
                     mid_edge_child: Some(child),
                     resume_at: cur,
                 };
             }
-            path.push(child);
             cur = Resumed {
                 node: child,
                 depth: pos as u64,
@@ -1567,7 +1548,7 @@ impl<D> RadixTree<D> {
             for part in self.links.parts(n.edge) {
                 parts += 1;
                 assert!(
-                    part.off as usize + part.len() <= self.store.len(),
+                    part.range().end <= self.store.len(),
                     "{id}: edge range escapes the token store"
                 );
                 assert!(part.len > 0, "{id}: empty range in a label");
@@ -1731,7 +1712,7 @@ mod tests {
         assert_eq!(t.token_count(), 0);
         let m = t.match_prefix(&[1, 2, 3]);
         assert_eq!(m.matched_len, 0);
-        assert!(m.path.is_empty());
+        assert!(m.deepest().is_none());
         t.assert_invariants();
     }
 
@@ -1816,17 +1797,25 @@ mod tests {
         let m = t.match_prefix(&[1, 2, 3, 4]);
         assert_eq!(m.matched_len, 4);
         assert!(!m.ends_mid_edge);
-        assert_eq!(m.path.len(), 2); // branch node at depth 2, leaf at 4
+        let leaf = m.deepest().unwrap();
+        assert_eq!(t.depth(leaf), 4);
+        let branch = t.parent(leaf).unwrap();
+        assert_eq!(t.depth(branch), 2);
+        assert_eq!(t.parent(branch), Some(NodeId::ROOT));
 
         let m = t.match_prefix(&[1, 2, 3, 7]);
         assert_eq!(m.matched_len, 3);
         assert!(m.ends_mid_edge);
-        assert_eq!(m.path.len(), 1); // only the branch node fully matched
+        assert_eq!(
+            m.deepest(),
+            Some(branch),
+            "only the branch node fully matched"
+        );
 
         let m = t.match_prefix(&[1, 2]);
         assert_eq!(m.matched_len, 2);
         assert!(!m.ends_mid_edge);
-        assert_eq!(m.deepest(), m.path.last().copied());
+        assert_eq!(m.deepest(), Some(branch));
 
         let m = t.match_prefix(&[7]);
         assert_eq!(m.matched_len, 0);
@@ -1992,7 +1981,7 @@ mod tests {
         let m = t.match_prefix(&[1, 2, 3]);
         assert!(m.ends_mid_edge);
         assert_eq!(m.mid_edge_child, Some(out.end_node));
-        assert!(m.path.is_empty());
+        assert!(m.deepest().is_none());
         // Full match: no mid-edge child.
         let m = t.match_prefix(&[1, 2, 3, 4]);
         assert!(!m.ends_mid_edge);

@@ -33,7 +33,7 @@ use crate::executor::{BatchConfig, ServiceMode};
 use crate::gpu::GpuModel;
 use crate::report::SimReport;
 use marconi_core::{CacheStats, EvictionPolicy, HybridPrefixCache, PrefixCache, TieredPrefix};
-use marconi_metrics::{LatencySummary, LoadImbalance, TierSplit};
+use marconi_metrics::{LatencySummary, LoadImbalance};
 use marconi_model::ModelConfig;
 use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
 use marconi_workload::{Request, Token, Trace};
@@ -101,31 +101,6 @@ impl<'a> ReplicaStatus<'a> {
     #[must_use]
     pub fn routed_tokens(&self) -> u64 {
         self.cache.stats().input_tokens
-    }
-
-    /// Bytes of model states currently resident on this replica's device
-    /// tier.
-    #[must_use]
-    pub fn usage_bytes(&self) -> u64 {
-        self.cache.usage_bytes()
-    }
-
-    /// This replica's device-capacity slice in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cache.capacity_bytes()
-    }
-
-    /// Bytes of model states demoted to this replica's host tier.
-    #[must_use]
-    pub fn host_usage_bytes(&self) -> u64 {
-        self.cache.host_usage_bytes()
-    }
-
-    /// This replica's host-budget slice in bytes (0 = single-tier).
-    #[must_use]
-    pub fn host_capacity_bytes(&self) -> u64 {
-        self.cache.host_capacity_bytes()
     }
 }
 
@@ -605,16 +580,6 @@ impl ClusterReport {
         self.aggregate_stats().token_hit_rate()
     }
 
-    /// Fleet-wide hit tokens split by serving tier.
-    #[must_use]
-    pub fn hit_tier_split(&self) -> TierSplit {
-        let mut total = TierSplit::default();
-        for rep in &self.replicas {
-            total.accumulate(&rep.hit_tier_split());
-        }
-        total
-    }
-
     /// Total prefill FLOPs saved across all replicas.
     #[must_use]
     pub fn total_flops_saved(&self) -> u128 {
@@ -628,16 +593,6 @@ impl ClusterReport {
             .iter()
             .map(|r| r.cache_stats.input_tokens)
             .collect()
-    }
-
-    /// Requests routed to each replica during this run.
-    #[must_use]
-    pub fn assignment_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.replicas.len()];
-        for &idx in &self.assignments {
-            counts[idx] += 1;
-        }
-        counts
     }
 
     /// Load-imbalance statistics over per-replica routed input tokens.
@@ -971,7 +926,10 @@ mod tests {
         let trace = multi_tenant_trace(3);
         let mut c = cluster(4, RoutingPolicy::RoundRobin, 8 << 30);
         let report = c.run(&trace);
-        let counts = report.assignment_counts();
+        let mut counts = [0usize; 4];
+        for &to in &report.assignments {
+            counts[to] += 1;
+        }
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(max - min <= 1, "round-robin counts differ: {counts:?}");
         let imbalance = report.load_imbalance().unwrap();

@@ -37,14 +37,6 @@ impl SystemKind {
         SystemKind::Marconi,
         SystemKind::OracleStaticAlpha,
     ];
-
-    /// The caching systems (everything but vanilla).
-    pub const CACHES: [SystemKind; 4] = [
-        SystemKind::VllmPlus,
-        SystemKind::SglangPlus,
-        SystemKind::Marconi,
-        SystemKind::OracleStaticAlpha,
-    ];
 }
 
 impl fmt::Display for SystemKind {
@@ -93,15 +85,6 @@ impl ComparisonResult {
             .iter()
             .find(|(s, _)| *s == system)
             .map(|(_, r)| r)
-    }
-
-    /// Token-hit-rate ratio of `a` over `b` (the paper's "X× higher hit
-    /// rate" comparisons). `None` if either is missing or `b` is zero.
-    #[must_use]
-    pub fn hit_rate_ratio(&self, a: SystemKind, b: SystemKind) -> Option<f64> {
-        let ra = self.report(a)?.token_hit_rate();
-        let rb = self.report(b)?.token_hit_rate();
-        (rb > 0.0).then(|| ra / rb)
     }
 }
 
@@ -260,17 +243,6 @@ mod tests {
             oracle >= sglang - 1e-9,
             "oracle (α includes 0) can't lose to LRU: {oracle} vs {sglang}"
         );
-    }
-
-    #[test]
-    fn hit_rate_ratio_computes() {
-        let cmp = Comparison::new(ModelConfig::hybrid_7b(), tight_capacity())
-            .systems(&[SystemKind::VllmPlus, SystemKind::Marconi])
-            .run(&trace());
-        let ratio = cmp.hit_rate_ratio(SystemKind::Marconi, SystemKind::VllmPlus);
-        if let Some(r) = ratio {
-            assert!(r > 0.0);
-        }
     }
 
     #[test]

@@ -79,13 +79,6 @@ impl GpuModel {
             .with_bandwidths(MemoryBandwidths::a100(4))
     }
 
-    /// Eight A100-40GB (the paper's p4d.24xlarge host).
-    #[must_use]
-    pub fn a100_x8() -> Self {
-        GpuModel::new("8xA100-40GB", 8.0 * 312e12 * 0.4, 0.015)
-            .with_bandwidths(MemoryBandwidths::a100(8))
-    }
-
     /// Device name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -137,6 +130,28 @@ impl GpuModel {
     /// recompute of `host_reload_flops`, or — under
     /// [`ReloadPolicy::ComputeOrLoad`] — whichever is faster. `(0.0,
     /// None)` when the hit has no host share.
+    ///
+    /// # Examples
+    ///
+    /// A fully host-resident 8000-token hit is still far cheaper to load
+    /// over PCIe than to prefill from scratch — the tiered cache's raison
+    /// d'être — while compute-or-load never does worse than either arm:
+    ///
+    /// ```
+    /// use marconi_core::ReloadPolicy;
+    /// use marconi_model::ModelConfig;
+    /// use marconi_sim::GpuModel;
+    ///
+    /// let gpu = GpuModel::a100_x4();
+    /// let m = ModelConfig::hybrid_7b();
+    /// let bytes = 8000 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes();
+    /// let flops = m.prefill_flops(8000).total();
+    /// let (reload, _) = gpu.reload_secs(ReloadPolicy::ComputeOrLoad, bytes, flops);
+    /// let (recompute, _) = gpu.reload_secs(ReloadPolicy::AlwaysRecompute, bytes, flops);
+    /// let cold = gpu.ttft_s(&m, 8192, 0);
+    /// assert!(gpu.ttft_s(&m, 8192, 8000) + reload < cold, "reloading beats a cold prefill");
+    /// assert!(reload <= recompute, "compute-or-load never loses");
+    /// ```
     #[must_use]
     pub fn reload_secs(
         &self,
@@ -156,50 +171,6 @@ impl GpuModel {
             ReloadPolicy::ComputeOrLoad => (recompute, ReloadDecision::Recompute),
         };
         (secs, Some(decision))
-    }
-
-    /// TTFT of an `input_len`-token request whose cached prefix of
-    /// `hit`-tokens must partly be reloaded from the host tier: the
-    /// analytic [`ttft_s`](GpuModel::ttft_s) of the uncached suffix plus
-    /// the [`reload_secs`](GpuModel::reload_secs) charge.
-    ///
-    /// # Examples
-    ///
-    /// A fully host-resident 8000-token hit is still far cheaper to load
-    /// over PCIe than to prefill from scratch — the tiered cache's raison
-    /// d'être — while compute-or-load never does worse than either arm:
-    ///
-    /// ```
-    /// use marconi_core::{LookupResult, ReloadPolicy};
-    /// use marconi_model::ModelConfig;
-    /// use marconi_sim::GpuModel;
-    ///
-    /// let gpu = GpuModel::a100_x4();
-    /// let m = ModelConfig::hybrid_7b();
-    /// let hit = LookupResult {
-    ///     tokens_matched: 8000,
-    ///     raw_matched: 8000,
-    ///     host_tokens: 8000,
-    ///     host_bytes: 8000 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes(),
-    ///     host_reload_flops: m.prefill_flops(8000).total(),
-    ///     ..LookupResult::MISS
-    /// };
-    /// let cold = gpu.ttft_s(&m, 8192, 0);
-    /// let reload = gpu.reload_ttft_s(&m, 8192, &hit, ReloadPolicy::ComputeOrLoad);
-    /// let recompute = gpu.reload_ttft_s(&m, 8192, &hit, ReloadPolicy::AlwaysRecompute);
-    /// assert!(reload < cold, "reloading beats a cold prefill");
-    /// assert!(reload <= recompute, "compute-or-load never loses");
-    /// ```
-    #[must_use]
-    pub fn reload_ttft_s(
-        &self,
-        model: &ModelConfig,
-        input_len: u64,
-        hit: &marconi_core::LookupResult,
-        policy: ReloadPolicy,
-    ) -> f64 {
-        let (reload, _) = self.reload_secs(policy, hit.host_bytes, hit.host_reload_flops);
-        self.ttft_s(model, input_len, hit.tokens_matched) + reload
     }
 
     /// Seconds to execute `flops` at sustained throughput (no overhead) —
@@ -344,7 +315,8 @@ mod tests {
     #[test]
     fn bandwidths_scale_between_presets() {
         let x4 = GpuModel::a100_x4();
-        let x8 = GpuModel::a100_x8();
+        let x8 = GpuModel::new("8xA100-40GB", 8.0 * 312e12 * 0.4, 0.015)
+            .with_bandwidths(MemoryBandwidths::a100(8));
         assert!(x8.bandwidths().pcie_bytes_per_s > x4.bandwidths().pcie_bytes_per_s);
         // Same bytes, twice the links: half the transfer time.
         let bytes = 1 << 28;

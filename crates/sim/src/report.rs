@@ -6,7 +6,7 @@
 //! `queue_ms`, `e2e_ms`, `busy_s` and `iterations` are zero.
 
 use marconi_core::CacheStats;
-use marconi_metrics::{BinnedMean, BoxStats, Cdf, LatencySummary, Percentiles, TierSplit};
+use marconi_metrics::{BinnedMean, LatencySummary, Percentiles, TierSplit};
 use marconi_trace::ReloadDecision;
 use serde::{Deserialize, Serialize};
 
@@ -126,23 +126,11 @@ impl SimReport {
         Percentiles::new(&self.ttfts_ms()).map(|p| p.quantile(q))
     }
 
-    /// TTFT distribution for CDF plots (Fig. 10b).
-    #[must_use]
-    pub fn ttft_cdf(&self) -> Option<Cdf> {
-        Cdf::new(&self.ttfts_ms())
-    }
-
     /// TTFT distribution summary (p50/p95/p99/mean); `None` for an empty
     /// run.
     #[must_use]
     pub fn ttft_summary(&self) -> Option<LatencySummary> {
         LatencySummary::new(&self.ttfts_ms())
-    }
-
-    /// Queueing-delay distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn queue_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.queue_delays_ms())
     }
 
     /// Device utilization: busy time over the makespan, in `[0, 1]`
@@ -162,18 +150,6 @@ impl SimReport {
         Percentiles::new(&self.ttfts_ms()).map(|p| p.fraction_le(slo_ms))
     }
 
-    /// Goodput: SLO-meeting requests per virtual second of makespan
-    /// (0.0 for an empty run; an instantaneous run reports the trace's
-    /// own arrival rate, since every request trivially meets the SLO).
-    #[must_use]
-    pub fn goodput_rps(&self, slo_ms: f64) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        let met = self.records.iter().filter(|r| r.ttft_ms <= slo_ms).count();
-        met as f64 / self.makespan_s
-    }
-
     /// Hit tokens split by the memory tier that served them.
     #[must_use]
     pub fn hit_tier_split(&self) -> TierSplit {
@@ -181,13 +157,6 @@ impl SimReport {
             device: self.cache_stats.device_hit_tokens(),
             host: self.cache_stats.host_hit_tokens,
         }
-    }
-
-    /// Box statistics of per-request hit rates.
-    #[must_use]
-    pub fn hit_rate_box(&self) -> Option<BoxStats> {
-        let rates: Vec<f64> = self.records.iter().map(RequestRecord::hit_rate).collect();
-        BoxStats::new(&rates)
     }
 
     /// Mean per-request hit rate binned by input length (Fig. 10a).
@@ -256,14 +225,13 @@ mod tests {
         let r = report();
         let p95 = r.ttft_percentile_ms(0.95).unwrap();
         assert!(p95 > 400.0 && p95 <= 500.0);
-        assert!(r.ttft_cdf().is_some());
     }
 
     #[test]
     fn ttft_summary_matches_percentiles() {
         let r = report();
         let s = r.ttft_summary().unwrap();
-        assert_eq!(s.count(), 3);
+        assert!(s.to_string().starts_with("n=3 "), "{s}");
         assert_eq!(s.p95(), r.ttft_percentile_ms(0.95).unwrap());
         assert_eq!(s.p50(), r.ttft_percentile_ms(0.5).unwrap());
     }
@@ -300,7 +268,7 @@ mod tests {
             makespan_s: 0.0,
         };
         assert!(r.ttft_percentile_ms(0.95).is_none());
-        assert!(r.hit_rate_box().is_none());
+        assert!(r.ttft_summary().is_none());
         assert_eq!(r.total_flops_saved(), 0);
     }
 }

@@ -156,15 +156,9 @@ impl MissLedger {
         }
     }
 
-    /// Records that the prefix `path` was deleted for `cause`
-    /// (re-recording an already-known prefix just updates its cause).
-    pub fn record_eviction(&mut self, path: &[u32], cause: MissCause) {
-        self.record_fingerprint(fingerprint(path), path.len(), cause);
-    }
-
-    /// [`record_eviction`](MissLedger::record_eviction) for callers that
-    /// streamed the path through a [`Fingerprint`] instead of
-    /// materializing it.
+    /// Records that a `path_len`-token prefix with fingerprint `fp` (see
+    /// [`Fingerprint`]) was deleted for `cause` (re-recording an
+    /// already-known prefix just updates its cause).
     pub fn record_fingerprint(&mut self, fp: u64, path_len: usize, cause: MissCause) {
         let key = entry_key(fp, path_len);
         if self.entries.insert(key, cause).is_none() {
@@ -220,30 +214,16 @@ impl MissLedger {
         }
         keys.iter().rev().find_map(|k| self.entries.get(k).copied())
     }
-
-    /// Number of remembered prefixes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is remembered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Forgets everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.lengths.clear();
-        self.order.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The path the cache streams, materialized.
+    fn record(l: &mut MissLedger, path: &[u32], cause: MissCause) {
+        l.record_fingerprint(fingerprint(path), path.len(), cause);
+    }
 
     #[test]
     fn fingerprint_is_prefix_sensitive() {
@@ -272,9 +252,9 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // …but the ledger still tells different *lengths* apart.
         let mut l = MissLedger::new(16);
-        l.record_eviction(&a[..a.len() - 4], MissCause::CapacityEvicted);
-        l.record_eviction(&a, MissCause::PinnedBystander);
-        assert_eq!(l.len(), 2);
+        record(&mut l, &a[..a.len() - 4], MissCause::CapacityEvicted);
+        record(&mut l, &a, MissCause::PinnedBystander);
+        assert_eq!(l.entries.len(), 2);
         assert_eq!(l.deepest_match(&a, 0), Some(MissCause::PinnedBystander));
         assert_eq!(
             l.deepest_match(&a[..a.len() - 4], 0),
@@ -285,8 +265,8 @@ mod tests {
     #[test]
     fn deepest_match_beyond_matched_only() {
         let mut l = MissLedger::new(16);
-        l.record_eviction(&[1, 2], MissCause::CapacityEvicted);
-        l.record_eviction(&[1, 2, 3, 4], MissCause::PinnedBystander);
+        record(&mut l, &[1, 2], MissCause::CapacityEvicted);
+        record(&mut l, &[1, 2, 3, 4], MissCause::PinnedBystander);
         // Matched 2 tokens: only the depth-4 entry is beyond the match.
         assert_eq!(
             l.deepest_match(&[1, 2, 3, 4, 5], 2),
@@ -306,10 +286,10 @@ mod tests {
     #[test]
     fn cap_drops_oldest_first() {
         let mut l = MissLedger::new(2);
-        l.record_eviction(&[1], MissCause::CapacityEvicted);
-        l.record_eviction(&[2], MissCause::CapacityEvicted);
-        l.record_eviction(&[3], MissCause::CapacityEvicted);
-        assert_eq!(l.len(), 2);
+        record(&mut l, &[1], MissCause::CapacityEvicted);
+        record(&mut l, &[2], MissCause::CapacityEvicted);
+        record(&mut l, &[3], MissCause::CapacityEvicted);
+        assert_eq!(l.entries.len(), 2);
         assert_eq!(l.deepest_match(&[1], 0), None);
         assert_eq!(l.deepest_match(&[3], 0), Some(MissCause::CapacityEvicted));
     }
@@ -317,9 +297,9 @@ mod tests {
     #[test]
     fn re_recording_updates_cause_without_duplicating() {
         let mut l = MissLedger::new(2);
-        l.record_eviction(&[1], MissCause::CapacityEvicted);
-        l.record_eviction(&[1], MissCause::PinnedBystander);
-        assert_eq!(l.len(), 1);
+        record(&mut l, &[1], MissCause::CapacityEvicted);
+        record(&mut l, &[1], MissCause::PinnedBystander);
+        assert_eq!(l.entries.len(), 1);
         assert_eq!(l.deepest_match(&[1], 0), Some(MissCause::PinnedBystander));
     }
 }

@@ -103,19 +103,6 @@ pub struct SessionSpec {
     pub max_context: u64,
 }
 
-impl SessionSpec {
-    /// Rough expected total context after all turns — useful for sizing
-    /// caches in tests and benches.
-    #[must_use]
-    pub fn expected_context(&self) -> f64 {
-        let turns = self.turns.mean().max(1.0);
-        (1.0 - self.no_prompt_prob) * self.prompt_len.mean()
-            + self.first_input_len.mean()
-            + (turns - 1.0) * self.turn_input_len.mean()
-            + turns * self.output_len.mean()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,17 +118,9 @@ mod tests {
         // ShareGPT contexts are short.
         assert!(sharegpt.max_context <= 5_000);
         // SWE-Bench trajectories are the longest and always share a prompt.
-        assert!(swebench.expected_context() > lmsys.expected_context());
+        assert!(swebench.max_context > lmsys.max_context);
         assert_eq!(swebench.no_prompt_prob, 0.0);
         assert!(swebench.turns.mean() > lmsys.turns.mean());
-    }
-
-    #[test]
-    fn expected_context_is_positive_and_finite() {
-        for kind in DatasetKind::ALL {
-            let e = kind.spec().expected_context();
-            assert!(e.is_finite() && e > 0.0, "{kind}: {e}");
-        }
     }
 
     #[test]

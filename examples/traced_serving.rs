@@ -71,6 +71,15 @@ fn main() {
             rate * 100.0
         );
     }
+    if let Some(TraceEvent::Gauges {
+        usage_bytes,
+        host_usage_bytes,
+        pinned_nodes,
+        ..
+    }) = rec.latest_gauges().map(|g| &g.event)
+    {
+        println!("occupancy at the last gauge: {usage_bytes} B device, {host_usage_bytes} B host, {pinned_nodes} nodes pinned");
+    }
     println!("miss attribution: {}", rec.miss_attribution());
 
     let out_dir = "target/traces";

@@ -76,7 +76,7 @@ pub mod prelude {
         BlockCache, CacheStats, EvictionPolicy, HybridPrefixCache, LookupResult, PrefixCache,
         ReloadPolicy, Tier, TieredPrefix, VanillaCache,
     };
-    pub use marconi_metrics::{BoxStats, Cdf, LatencySummary, Percentiles, Summary, TierSplit};
+    pub use marconi_metrics::{BoxStats, LatencySummary, Percentiles, TierSplit};
     pub use marconi_model::{
         FlopBreakdown, LayerKind, MemoryBandwidths, ModelConfig, StateFootprint,
     };

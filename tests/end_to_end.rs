@@ -187,11 +187,7 @@ fn prelude_exposes_the_advertised_api() {
     let stats: CacheStats = CacheStats::default();
     assert_eq!(stats.token_hit_rate(), 0.0);
     assert!(Percentiles::new(&[1.0]).is_some());
-    assert!(Cdf::new(&[1.0]).is_some());
     assert!(BoxStats::new(&[1.0]).is_some());
-    let mut s = Summary::new();
-    s.record(1.0);
-    assert_eq!(s.count(), 1);
     assert!(LatencySummary::new(&[1.0]).is_some());
     let batch = BatchConfig::default();
     assert!(batch.max_batch_requests > 0);
