@@ -31,7 +31,7 @@ fn arch_trace() -> Trace {
 /// Bytes the whole trace's distinct prefixes would occupy for `model`
 /// (per-session final context KVs + two checkpoints per session).
 fn working_set_bytes(model: &ModelConfig, trace: &Trace) -> u64 {
-    let mut final_len: std::collections::HashMap<u64, u64> = Default::default();
+    let mut final_len: std::collections::BTreeMap<u64, u64> = Default::default();
     for r in &trace.requests {
         let e = final_len.entry(r.session_id).or_insert(0);
         *e = (*e).max(r.total_len());

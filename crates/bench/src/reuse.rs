@@ -1,9 +1,9 @@
 //! Fig. 3a: token-block reuse rates under fine-grained checkpointing.
 
 use crate::{pct, times, GB};
-use marconi_core::{BlockCache, BlockReuseReport};
+use marconi_core::BlockReuseReport;
 use marconi_model::ModelConfig;
-use marconi_sim::{Engine, GpuModel};
+use marconi_sim::{vllm_plus, Engine, GpuModel};
 use marconi_workload::{DatasetKind, TraceGenerator};
 use std::fmt::Write as _;
 
@@ -42,15 +42,16 @@ pub fn run(block_sizes: &[u64]) -> Vec<ReusePoint> {
     block_sizes
         .iter()
         .map(|&block_size| {
-            let cache = BlockCache::builder(ModelConfig::hybrid_7b())
-                .capacity_bytes(400 * GB) // ample: measure reuse, not eviction
-                .block_size(block_size)
-                .build();
+            // Ample capacity: measure reuse, not eviction.
+            let cache = vllm_plus(ModelConfig::hybrid_7b(), 400 * GB, block_size);
             let mut engine = Engine::new(cache, GpuModel::a100_x4());
             let _ = engine.run(&trace);
             ReusePoint {
                 block_size,
-                report: engine.cache().reuse_report(),
+                report: engine
+                    .cache()
+                    .block_reuse()
+                    .expect("invariant: a vLLM+ cache counts block reuse"),
             }
         })
         .collect()
@@ -113,5 +114,24 @@ mod tests {
         for b in ["32", "64", "128"] {
             assert!(s.contains(b));
         }
+    }
+
+    #[test]
+    fn fig3a_counters_are_pinned() {
+        let counters: Vec<(u64, u64, u64, u64)> = run(&[32, 64, 128])
+            .iter()
+            .map(|p| {
+                let r = p.report;
+                (p.block_size, r.blocks_created, r.kv_reused, r.ssm_reused)
+            })
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                (32, 8689, 6500, 143),
+                (64, 4337, 3242, 142),
+                (128, 2165, 1615, 138)
+            ]
+        );
     }
 }

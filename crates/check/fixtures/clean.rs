@@ -23,20 +23,11 @@ pub fn first_row(t: &ReportTicket) -> (u64, u64) {
     *t.rows.first().expect("invariant: reports have at least one row")
 }
 
-pub fn point_lookups_are_fine(index: &std::collections::HashMap<u64, u64>) -> Option<u64> {
-    // get/insert/remove on a hash map are deterministic; only iteration
-    // is banned.
-    index.get(&1).copied()
-}
-
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
-    fn tests_may_iterate_hash_maps_and_expect_freely() {
-        let m: HashMap<u32, u32> = HashMap::from([(1, 2)]);
-        let v: Option<u32> = m.values().next().copied();
+    fn tests_may_expect_freely() {
+        let v: Option<u32> = Some(2);
         let _ = v.expect("test data");
     }
 }

@@ -6,6 +6,7 @@
 //! below; if it ever passes, a contract has lost its level or its
 //! `clippy.toml` entry.
 
+use std::collections::{HashMap, HashSet};
 use std::time::{Instant, SystemTime};
 
 /// `disallowed_types`, twice: a wall clock in report-producing code.
@@ -13,6 +14,12 @@ pub fn wall_ms() -> f64 {
     let t0 = Instant::now();
     let _stamp = SystemTime::now();
     t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// `disallowed_types`, twice more: std hash containers, whose iteration
+/// order `RandomState` changes from run to run.
+pub fn tenants(hits: &HashMap<u64, u64>) -> HashSet<u64> {
+    hits.keys().copied().collect()
 }
 
 /// `unwrap_used`: a panic that names no contract.

@@ -7,15 +7,14 @@
 //!
 //! | rule id | contract |
 //! |---|---|
-//! | `hash-iter` | no iteration over `HashMap`/`HashSet` (nondeterministic order) in the deterministic crates |
 //! | `expect-message` | every `.expect(...)` names the violated contract (`"invariant: …"` or `"lock: …"`) |
 //! | `must-use-handle` | leak-prone handle types (`*Ticket`, `*Guard`, `*Handle`, `*Cursor`) carry `#[must_use]` |
 //! | `edge-clone` | radix hot paths never materialize edge tokens: no `.clone()`/`.to_vec()` in `crates/radix/src` |
 //!
-//! The wall-clock, `unwrap` and print bans are clippy lints denied in the
-//! root `Cargo.toml` (`disallowed_types`, `unwrap_used`, `print_stdout`,
-//! `print_stderr`, `dbg_macro`), and a session cursor's node id is private
-//! to the module that holds its generation check.
+//! The wall-clock, hash-container, `unwrap` and print bans are clippy lints
+//! denied in the root `Cargo.toml` (`disallowed_types`, `unwrap_used`,
+//! `print_stdout`, `print_stderr`, `dbg_macro`), and a session cursor's
+//! node id is private to the module that holds its generation check.
 //!
 //! A line can waive a rule with `// check:allow(rule-id): reason` on the
 //! same or the preceding line; the reason is mandatory so waivers stay
@@ -32,7 +31,7 @@ pub struct Violation {
     pub file: PathBuf,
     /// 1-based line.
     pub line: u32,
-    /// Rule id, e.g. `hash-iter`.
+    /// Rule id, e.g. `expect-message`.
     pub rule: &'static str,
     /// Human-readable description of the violated contract.
     pub message: String,
@@ -77,17 +76,6 @@ const MUST_USE_SUFFIXES: [&str; 4] = ["Ticket", "Guard", "Handle", "Cursor"];
 /// these calls are how O(edge) byte copies sneak back in.
 const EDGE_CLONE_METHODS: [&str; 2] = ["clone", "to_vec"];
 
-/// Hash-container iteration methods with order-dependent results.
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-];
-
 /// Lints one file's source, returning all findings.
 #[must_use]
 pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
@@ -113,14 +101,13 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
         }
     };
 
-    let hash_bound = hash_bound_idents(toks);
     let radix_hot = is_radix_hot_path(file);
 
     for (i, t) in toks.iter().enumerate() {
         if test[i] {
             continue;
         }
-        // expect-message, edge-clone and hash-iter method calls.
+        // expect-message and edge-clone method calls.
         if t.is_punct('.') {
             let (Some(name), paren) = (toks.get(i + 1), toks.get(i + 2)) else {
                 continue;
@@ -154,69 +141,6 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
                         name.text
                     ),
                 );
-            } else if HASH_ITER_METHODS.contains(&name.text.as_str())
-                && i > 0
-                && toks[i - 1].kind == TokKind::Ident
-                && hash_bound.contains(&toks[i - 1].text)
-            {
-                push(
-                    name.line,
-                    "hash-iter",
-                    format!(
-                        "iterating hash container `{}` yields nondeterministic \
-                         order; use a BTree container or sort first",
-                        toks[i - 1].text
-                    ),
-                );
-            }
-        }
-        // hash-iter via for loops: `for x in &map` / `for x in map`.
-        if t.is_ident("for") {
-            // Find the matching `in` at depth 0 (patterns can contain
-            // parens/brackets but not braces).
-            let mut depth = 0i32;
-            for j in i + 1..toks.len().min(i + 40) {
-                let u = &toks[j];
-                if u.is_punct('(') || u.is_punct('[') {
-                    depth += 1;
-                } else if u.is_punct(')') || u.is_punct(']') {
-                    depth -= 1;
-                } else if u.is_punct('{') {
-                    break;
-                } else if depth == 0 && u.is_ident("in") {
-                    let mut k = j + 1;
-                    while toks
-                        .get(k)
-                        .is_some_and(|v| v.is_punct('&') || v.is_ident("mut"))
-                    {
-                        k += 1;
-                    }
-                    // Walk a field path `a.b.c` to its final segment.
-                    while toks.get(k).is_some_and(|v| v.kind == TokKind::Ident)
-                        && toks.get(k + 1).is_some_and(|v| v.is_punct('.'))
-                        && toks.get(k + 2).is_some_and(|v| v.kind == TokKind::Ident)
-                    {
-                        k += 2;
-                    }
-                    if let Some(v) = toks.get(k) {
-                        if v.kind == TokKind::Ident
-                            && hash_bound.contains(&v.text)
-                            && toks.get(k + 1).is_some_and(|w| w.is_punct('{'))
-                        {
-                            push(
-                                v.line,
-                                "hash-iter",
-                                format!(
-                                    "`for … in {}` iterates a hash container in \
-                                     nondeterministic order; use a BTree container \
-                                     or sort first",
-                                    v.text
-                                ),
-                            );
-                        }
-                    }
-                    break;
-                }
             }
         }
         // must-use-handle.
@@ -373,45 +297,6 @@ fn matching(toks: &[Tok], open: usize, o: char, c: char) -> Option<usize> {
     None
 }
 
-/// Identifiers bound to `HashMap`/`HashSet` anywhere in the file, from
-/// `name: HashMap<…>` (fields, params) and `let name = HashMap::new()`
-/// style bindings. File-local and flow-insensitive — good enough, since
-/// shadowing a hash map with a non-hash binding of the same name would be
-/// its own readability bug.
-fn hash_bound_idents(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
-            continue;
-        }
-        // Walk back over the path qualifier `std :: collections ::` and
-        // reference sigils (`&`, `&'a mut`).
-        let mut j = i;
-        loop {
-            if j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':') {
-                j -= 3; // over `:: segment`
-            } else if j >= 1
-                && (toks[j - 1].is_punct('&')
-                    || toks[j - 1].is_ident("mut")
-                    || toks[j - 1].kind == TokKind::Lifetime)
-            {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        // `name : [std::collections::] HashMap` — fields, lets, params.
-        if j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].kind == TokKind::Ident {
-            out.insert(toks[j - 2].text.clone());
-        }
-        // `let [mut] name = HashMap::…` / `= HashSet::…`.
-        if j >= 2 && toks[j - 1].is_punct('=') && toks[j - 2].kind == TokKind::Ident {
-            out.insert(toks[j - 2].text.clone());
-        }
-    }
-    out
-}
-
 /// `true` if the item starting at token `item` (e.g. a `struct` keyword)
 /// has `#[must_use]` among the attributes immediately preceding it.
 fn has_preceding_attr(toks: &[Tok], item: usize, attr: &str) -> bool {
@@ -537,31 +422,6 @@ mod tests {
         assert!(lint("fn f() { l.read().expect(\"lock: shard poisoned\"); }").is_empty());
         // `.unwrap()` is clippy's `unwrap_used`, and its relatives are fine.
         assert!(lint("fn f() { x.unwrap(); x.unwrap_or(0); y.unwrap_or_default(); }").is_empty());
-    }
-
-    #[test]
-    fn hash_iteration_is_denied_direct_and_for_loops() {
-        let src = "struct S { index: HashMap<u32, u32> }\n\
-                   fn f(s: &S) { for (k, v) in &s.index {} }";
-        // field access `s.index` — the final ident before `{` is `index`.
-        assert_eq!(rules(src), ["hash-iter"]);
-        let src = "fn f() { let mut m = HashMap::new(); for k in m.keys() {} }";
-        assert_eq!(rules(src), ["hash-iter"]);
-        let src = "fn f(m: &HashMap<u32, u32>) { let v: Vec<_> = m.values().collect(); }";
-        assert_eq!(rules(src), ["hash-iter"]);
-    }
-
-    #[test]
-    fn hash_point_lookups_are_fine() {
-        let src = "struct S { index: HashMap<u64, u32> }\n\
-                   fn f(s: &mut S) { s.index.get(&1); s.index.insert(1, 2); s.index.remove(&1); }";
-        assert!(lint(src).is_empty());
-    }
-
-    #[test]
-    fn btree_iteration_is_fine() {
-        let src = "fn f(m: &BTreeMap<u32, u32>) { for (k, v) in m { let _ = (k, v); } }";
-        assert!(lint(src).is_empty());
     }
 
     #[test]

@@ -90,7 +90,6 @@ fn run_self_test(root: &Path) -> bool {
             "expect_message.rs",
             &["expect-message"],
         ),
-        ("hash_iteration.rs", "hash_iteration.rs", &["hash-iter"]),
         (
             "missing_must_use.rs",
             "missing_must_use.rs",

@@ -19,7 +19,17 @@
 //! byte-identical and the table cannot grow with session count.
 
 use marconi_radix::MatchCursor;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::BuildHasherDefault;
+
+/// The workspace's one hash map: SipHash with fixed keys instead of
+/// `RandomState`'s per-process ones, at the same cost, so even its
+/// iteration order is a pure function of the operations applied to it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher removes the per-run order that bans std hash containers"
+)]
+type FixedHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// A generation-tagged resume handle for one session's cached prefix.
 ///
@@ -63,7 +73,7 @@ struct Slot {
 pub struct CursorTable {
     cap: usize,
     /// session → slot. Point lookups only: never iterated.
-    index: HashMap<u64, usize>,
+    index: FixedHashMap<u64, usize>,
     slots: Vec<Slot>,
     /// Slots vacated by `take` or eviction, reused before the slab grows.
     free: Vec<usize>,
@@ -85,7 +95,7 @@ impl CursorTable {
     pub fn new(cap: usize) -> Self {
         CursorTable {
             cap,
-            index: HashMap::new(),
+            index: FixedHashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             oldest: NIL,

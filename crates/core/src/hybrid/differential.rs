@@ -8,9 +8,9 @@
 //! knob) — under every combination of the knobs. After every op the two
 //! must agree on the op's result, [`CacheStats`], device and host usage,
 //! α and the tuner's state, the bytes under pins, and the victims in
-//! order (as root-path token sequences, demoted or deleted); every
-//! [`RESIDENT_EVERY`] requests and at the end, on the whole resident set
-//! (path, checkpoint, tier).
+//! order (as root-path token sequences, demoted or deleted), and Fig. 3a's
+//! block-reuse counters; every [`RESIDENT_EVERY`] requests and at the end,
+//! on the whole resident set (path, checkpoint, tier).
 
 use super::spec::{Fault, Hostile, NodeIds, Rules, SpecCache};
 use super::{CheckpointMode, HybridPrefixCache};
@@ -49,8 +49,9 @@ pub(super) fn auto_tuned() -> EvictionPolicy {
 pub(super) struct Knobs {
     /// A host tier of half the device capacity.
     pub host_tier: bool,
-    /// Branch checkpoints rounded down to 32-token chunks.
-    pub chunked: bool,
+    /// Where checkpoints go: Marconi's exact branch point, rounded down to
+    /// 32-token chunks, or vLLM+'s every 48-token block.
+    pub checkpoint: CheckpointMode,
     /// Each request's pin held across the next three requests.
     pub live_pins: bool,
     /// §4.3(1) ablation: only leaves are evictable.
@@ -64,17 +65,30 @@ pub(super) struct Knobs {
 }
 
 impl Knobs {
-    /// Every combination of the cache knobs, driven `hinted` and `traced`
-    /// as given.
+    /// Every combination of the cache knobs the builder accepts, driven
+    /// `hinted` and `traced` as given. `EveryBlock` runs without a host
+    /// tier and with leaf-only eviction, which it requires.
     pub(super) fn matrix(hinted: bool, traced: bool) -> impl Iterator<Item = Knobs> {
-        (0..32u8).map(move |bits| Knobs {
-            host_tier: bits & 1 != 0,
-            chunked: bits & 2 != 0,
-            live_pins: bits & 4 != 0,
-            leaf_only: bits & 8 != 0,
-            refresh_ancestors: bits & 16 != 0,
-            hinted,
-            traced,
+        let modes = [
+            CheckpointMode::Exact,
+            CheckpointMode::Chunked { chunk_size: 32 },
+            CheckpointMode::EveryBlock { block_size: 48 },
+        ];
+        modes.into_iter().flat_map(move |checkpoint| {
+            (0..16u8)
+                .map(move |bits| Knobs {
+                    host_tier: bits & 1 != 0,
+                    checkpoint,
+                    live_pins: bits & 2 != 0,
+                    leaf_only: bits & 4 != 0,
+                    refresh_ancestors: bits & 8 != 0,
+                    hinted,
+                    traced,
+                })
+                .filter(|k| {
+                    !matches!(k.checkpoint, CheckpointMode::EveryBlock { .. })
+                        || (!k.host_tier && k.leaf_only)
+                })
         })
     }
 }
@@ -236,6 +250,9 @@ pub(super) struct Outcome {
     /// Recorded trace events (traced runs).
     pub events: u64,
     pub episodes: u64,
+    /// Victims neither demoted nor booked as evictions: `EveryBlock` split
+    /// points that are no block.
+    pub unbooked: u64,
     pub resumes: u64,
     pub hints: u64,
     /// Hints taken from another session's cursor.
@@ -295,11 +312,7 @@ impl NodeIds for ReplayIds {
 /// The builder and the spec rules for one configuration.
 fn build(policy: &EvictionPolicy, capacity: u64, knobs: Knobs) -> (HybridPrefixCache, Rules) {
     let host_capacity = if knobs.host_tier { capacity / 2 } else { 0 };
-    let checkpoint_mode = if knobs.chunked {
-        CheckpointMode::Chunked { chunk_size: 32 }
-    } else {
-        CheckpointMode::Exact
-    };
+    let checkpoint_mode = knobs.checkpoint;
     let cache = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
         .capacity_bytes(capacity)
         .host_capacity_bytes(host_capacity)
@@ -445,6 +458,8 @@ pub(super) fn run(
     cache.tree.assert_invariants();
     cache.assert_tier_accounting();
     outcome.stats = cache.stats;
+    outcome.unbooked =
+        cache.eviction_log.len() as u64 - cache.stats.evictions - cache.stats.demotions;
     outcome.tuned = matches!(cache.tuner, Some(Tuner::Tuned { .. }));
     if let Some(recorder) = recorder {
         let rec = recorder.lock().expect("lock: test-local recorder");
@@ -491,6 +506,13 @@ fn compare(cache: &HybridPrefixCache, spec: &SpecCache, resident: bool) -> Resul
             "stats {:?}, spec {:?}",
             cache.stats(),
             spec.stats()
+        ));
+    }
+    if cache.block_reuse() != spec.block_reuse() {
+        return Err(format!(
+            "block reuse {:?}, spec {:?}",
+            cache.block_reuse(),
+            spec.block_reuse()
         ));
     }
     if cache.tuner_state() != spec.tuner_state() {
@@ -581,9 +603,11 @@ impl Drive {
 /// Replays a stream seeded with `seed` through every combination of the
 /// cache knobs for one policy family, driven as `drive` says, and panics
 /// on the first divergence from the spec. Non-vacuity: every run evicts,
-/// a host tier demotes (and only a host tier), a traced run records
-/// eviction episodes, a hinted traced run resumes, the tuner tunes, and
-/// the stream carries every hostile case.
+/// a host tier demotes (and only a host tier), an LRU `EveryBlock` run
+/// takes a split point that is no block (and only `EveryBlock` runs
+/// do), a traced run
+/// records eviction episodes, a hinted traced run resumes, the tuner
+/// tunes, and the stream carries every hostile case.
 pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
     let capacity = capacity() * drive.scale;
     let tokens = capacity / ModelConfig::hybrid_7b().kv_bytes_per_token();
@@ -606,6 +630,17 @@ pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
                 outcome.stats.host_hits + outcome.stats.host_evictions,
                 0,
                 "{label}"
+            );
+        }
+        let every_block = matches!(knobs.checkpoint, CheckpointMode::EveryBlock { .. });
+        assert!(
+            every_block || outcome.unbooked == 0,
+            "only EveryBlock leaves victims unbooked ({label})"
+        );
+        if every_block && policy == EvictionPolicy::Lru {
+            assert!(
+                outcome.unbooked > 0,
+                "an LRU EveryBlock run must take a split point that is no block ({label})"
             );
         }
         if knobs.traced {
@@ -637,12 +672,19 @@ pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
 }
 
 /// The self-test: a spec whose candidate filter also drops the oldest
-/// eligible candidate must be reported as diverging, under every family.
+/// eligible candidate must be reported as diverging, under every family,
+/// with Marconi's checkpoints and with vLLM+'s.
 #[test]
 fn parity_harness_reports_a_spec_that_skips_the_oldest_candidate() {
     let stream = stream(5, 64, 20_000);
-    for policy in families() {
-        let knobs = Knobs::matrix(false, false).next().expect("non-empty");
+    let marconi = Knobs::matrix(false, false).next().expect("non-empty");
+    let vllm = Knobs::matrix(false, false)
+        .find(|k| matches!(k.checkpoint, CheckpointMode::EveryBlock { .. }))
+        .expect("the matrix covers EveryBlock");
+    for (policy, knobs) in families()
+        .into_iter()
+        .flat_map(|p| [(p.clone(), marconi), (p, vllm)])
+    {
         run(&policy, capacity(), knobs, &stream, None)
             .unwrap_or_else(|e| panic!("the unfaulted spec diverged: {e}"));
         let err = run(

@@ -1,7 +1,7 @@
 //! Victim selection and the pressure loop (paper §4.3).
 
 use super::tiering::tier_bit;
-use super::{CostMemo, HybridPrefixCache};
+use super::{CheckpointMode, CostMemo, HybridPrefixCache};
 use crate::policy::{
     class_lower_edge, efficiency_class, pick_victim_banded, pick_victim_index, Candidate,
     EvictionPolicy,
@@ -45,18 +45,15 @@ impl Source {
 
 impl HybridPrefixCache {
     /// Bytes that evicting `id` would free: a leaf releases its edge KVs
-    /// and checkpoint; an intermediate node only its checkpoint (the child
-    /// absorbs the edge KVs, §4.3).
+    /// and checkpoint ([`node_bytes`](Self::node_bytes)); an intermediate
+    /// node only its checkpoint (the child absorbs the edge KVs, §4.3).
     fn freed_bytes(&self, id: NodeId) -> u64 {
-        let ssm = if self.tree.data(id).has_ssm_state {
-            self.model.ssm_checkpoint_bytes()
+        if self.tree.is_leaf(id) {
+            self.node_bytes(id)
+        } else if self.tree.data(id).has_ssm_state {
+            self.charges().1
         } else {
             0
-        };
-        if self.tree.is_leaf(id) {
-            self.tree.edge_len(id) * self.model.kv_bytes_per_token() + ssm
-        } else {
-            ssm
         }
     }
 
@@ -218,23 +215,22 @@ impl HybridPrefixCache {
 
     /// `true` if `id` may be taken from `source` right now: resident on
     /// the source's tier, not protected by an in-flight pin, and — for the
-    /// candidate index — a leaf under the leaf-only ablation, or — for the
     /// fallback — actually holding bytes to move.
     ///
     /// The tier condition is met by construction for the candidate index:
     /// the tier is the top bit of the band key, and a pick reads only its
-    /// source tier's bands. Pins are filtered here, at pick time, rather
-    /// than by pulling pinned nodes out of the candidate index: the index
+    /// source tier's bands. So is the leaf-only ablation's: its tree files
+    /// leaves alone
+    /// ([`with_leaf_candidates`](marconi_radix::RadixTree::with_leaf_candidates)).
+    /// Pins are filtered here, at pick time, rather than by pulling pinned
+    /// nodes out of the candidate index: the index
     /// is an ordered set, so a pin has no order to perturb, and leaving
     /// membership alone keeps `pin`/`unpin` free of two B-tree operations
     /// per single-child ancestor per request.
     fn eligible(&self, id: NodeId, source: Source) -> bool {
         self.tier(id) == source.tier()
             && !self.tree.is_pinned(id)
-            && match source {
-                Source::Candidates(_) => !self.leaf_only_eviction || self.tree.is_leaf(id),
-                Source::DeviceFallback => self.node_bytes(id) > 0,
-            }
+            && (source != Source::DeviceFallback || self.node_bytes(id) > 0)
     }
 
     /// [`eligible`](Self::eligible), adding 1 to `skipped` for an entry it
@@ -345,8 +341,8 @@ impl HybridPrefixCache {
     ///   for bit, at O(bands + visited) per victim. At `α = 0` nothing is
     ///   ever classed, the tier's band 0 is all of its candidates and its
     ///   first eligible entry is the victim: O(log n + skipped), where
-    ///   skipped counts only the pinned or (leaf-only) non-leaf entries
-    ///   older than it ([`entries_skipped`](Self::entries_skipped)).
+    ///   skipped counts only the pinned entries older than it
+    ///   ([`entries_skipped`](Self::entries_skipped)).
     ///
     /// The fallback source is the arena, which has no bands and no recency
     /// order: there the same score is minimised by a full pass
@@ -451,12 +447,12 @@ impl HybridPrefixCache {
     }
 
     /// Debug-only cross-check of [`pick`](Self::pick): re-derives the
-    /// victim from nothing but the arena — candidacy from child counts (no
-    /// index), scores from the model (no memo), one policy switch. Also
-    /// what keeps the memos and the bands honest: a stale memo shows up as
-    /// a different victim here, a candidate filed under a band its
-    /// efficiency does not belong to fails the class assert, and one filed
-    /// under the other tier's bands fails the band-bit assert.
+    /// victim from nothing but the arena — candidacy from each node's child
+    /// count (no index), scores from the model (no memo), one policy
+    /// switch. Also what keeps the memos and the bands honest: a stale memo
+    /// shows up as a different victim here, a candidate filed under a band
+    /// its efficiency does not belong to fails the class assert, and one
+    /// filed under the other tier's bands fails the band-bit assert.
     #[cfg(debug_assertions)]
     fn scan_pick(&self, source: Source) -> Option<NodeId> {
         if let Source::Candidates(tier) = source {
@@ -476,7 +472,7 @@ impl HybridPrefixCache {
             let resident = self
                 .tree
                 .node_ids()
-                .filter(|&id| self.tree.child_count(id) <= 1 && self.tier(id) == tier)
+                .filter(|&id| self.tree.is_candidate(id) && self.tier(id) == tier)
                 .count();
             assert_eq!(
                 filed, resident,
@@ -484,8 +480,8 @@ impl HybridPrefixCache {
             );
         }
         let ids = self.tree.node_ids().filter(|&id| {
-            let candidate = self.tree.child_count(id) <= 1;
-            (candidate || source == Source::DeviceFallback) && self.eligible(id, source)
+            (self.tree.is_candidate(id) || source == Source::DeviceFallback)
+                && self.eligible(id, source)
         });
         if matches!(self.policy, EvictionPolicy::Gdsf) {
             return ids.min_by(|&a, &b| self.gdsf_order(a, b));
@@ -513,11 +509,12 @@ impl HybridPrefixCache {
     /// Deletes `victim` from `tier`: removes it from the tree (a leaf
     /// victim's parent may thereby become a candidate — the tree's index
     /// picks that up; a merge victim changes no candidacies), updates the
-    /// cross-tier accounting, and books the eviction. The one deletion
-    /// body both pressure phases share, so their victim handling can never
-    /// drift.
+    /// cross-tier accounting, and books the eviction — unless the victim is
+    /// a [`CheckpointMode::EveryBlock`] node without a checkpoint, a split
+    /// point that is no block and frees nothing. The one deletion body both
+    /// pressure phases share, so their victim handling can never drift.
     fn delete_victim(&mut self, victim: NodeId, report: &mut AdmissionReport, tier: Tier) {
-        let (freed, _) = self.node_costs(victim);
+        let freed = self.freed_bytes(victim);
         let victim_edge = self.tree.edge_len(victim);
         if self.tracer.is_enabled() {
             // Ledger first, while the path still exists: a later
@@ -560,6 +557,8 @@ impl HybridPrefixCache {
         self.apply_removed_accounting(victim_edge, &removed, tier);
         if removed.data.has_ssm_state {
             self.ssm_states -= 1;
+        } else if let CheckpointMode::EveryBlock { .. } = self.checkpoint_mode {
+            return;
         }
         self.stats.evictions += 1;
         self.stats.bytes_evicted += freed;

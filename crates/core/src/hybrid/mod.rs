@@ -1,4 +1,5 @@
-//! The Marconi prefix cache (and, with LRU eviction, the SGLang+ baseline).
+//! The Marconi prefix cache (and, with LRU eviction, the SGLang+ baseline;
+//! with a checkpoint at every token block, the vLLM+ baseline).
 
 #[cfg(test)]
 mod differential;
@@ -13,13 +14,13 @@ mod tiering;
 
 use crate::cursor::SessionCursor;
 use crate::policy::EvictionPolicy;
-use crate::result::{AdmissionReport, LookupResult};
+use crate::result::{AdmissionReport, BlockReuseReport, LookupResult};
 use crate::stats::CacheStats;
 use crate::tier::{ReloadPolicy, Tier, TieredPrefix};
 use crate::tuner::{Tuner, TunerState};
 use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
-use marconi_radix::{recency_stamp, NodeId, PrefixMatch, RadixTree, StoreCounters, Token};
+use marconi_radix::{recency_stamp, NodeId, PrefixMatch, RadixTree, Resumed, StoreCounters, Token};
 #[cfg(test)]
 use marconi_trace::VictimAction;
 use marconi_trace::{MissLedger, TraceEvent, Tracer};
@@ -35,6 +36,11 @@ use tiering::tier_bit;
 pub(crate) struct NodeMeta {
     last_access: f64,
     has_ssm_state: bool,
+    /// Fig. 3a latches, set under [`CheckpointMode::EveryBlock`] only: a
+    /// later hit read this block's KVs, and a later hit was served from
+    /// its checkpoint. They sit in the padding after `has_ssm_state`.
+    kv_reused: bool,
+    ssm_reused: bool,
     /// Accesses since admission (GDSF's `F`).
     frequency: u32,
     /// GDSF priority `H = L + F·C/S`, refreshed on access.
@@ -56,8 +62,9 @@ struct CostMemo {
     flop_efficiency: f64,
 }
 
-/// How SSM states are materialized at a branch point during prefill
-/// (paper §4.1, "Obtaining states during prefill").
+/// Where SSM checkpoints are placed along an admitted sequence: Marconi's
+/// branch point, materialized as paper §4.1 ("Obtaining states during
+/// prefill") describes, or vLLM+'s every token block (§3, §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
 pub enum CheckpointMode {
     /// Two-pass prefill (or a custom roll-forward kernel): the state is
@@ -72,11 +79,29 @@ pub enum CheckpointMode {
         /// Prefill chunk size (e.g. 64 or 256).
         chunk_size: u64,
     },
+    /// vLLM+'s fine-grained checkpointing: only whole `block_size`-token
+    /// blocks of input ‖ output are admitted, every block boundary holds a
+    /// checkpoint, and no speculative branch checkpoint is taken. Every
+    /// model's hit is then the deepest checkpointed node, so hits come in
+    /// whole blocks. Bytes are charged per block: a checkpointed node
+    /// costs `block_size` tokens' KVs plus the checkpoint, and a node a
+    /// mid-block divergence split off costs nothing, like vLLM's block
+    /// table, which shares no part of a block. Needs
+    /// [`leaf_only_eviction`](HybridPrefixCacheBuilder::leaf_only_eviction)
+    /// (evicting an inner block would strand its descendants) and no host
+    /// tier; vLLM+ also runs [`EvictionPolicy::Lru`] with
+    /// [`refresh_ancestors`](HybridPrefixCacheBuilder::refresh_ancestors).
+    EveryBlock {
+        /// Token-block size (vLLM's default and largest native size is 32).
+        block_size: u64,
+    },
 }
 
 impl CheckpointMode {
     /// The depth actually checkpointed for a branch at `branch_depth`.
-    /// Returns 0 (no checkpoint) if no boundary precedes the branch.
+    /// Returns 0 (no checkpoint) if no boundary precedes the branch, and
+    /// always under [`EveryBlock`](CheckpointMode::EveryBlock), which takes
+    /// no branch checkpoint.
     #[must_use]
     pub fn checkpoint_depth(self, branch_depth: u64) -> u64 {
         match self {
@@ -85,6 +110,7 @@ impl CheckpointMode {
                 assert!(chunk_size > 0, "chunk size must be positive");
                 (branch_depth / chunk_size) * chunk_size
             }
+            CheckpointMode::EveryBlock { .. } => 0,
         }
     }
 }
@@ -94,7 +120,9 @@ impl CheckpointMode {
 ///
 /// With the default [`EvictionPolicy::AutoTuned`] this is **Marconi**; with
 /// [`EvictionPolicy::Lru`] it is the paper's **SGLang+** baseline (same
-/// judicious admission, recency-only eviction).
+/// judicious admission, recency-only eviction); with
+/// [`CheckpointMode::EveryBlock`], LRU over leaves and ancestor refresh it
+/// is the **vLLM+** baseline.
 ///
 /// See the [crate docs](crate) for the policy description and an example.
 #[derive(Debug, Clone)]
@@ -127,9 +155,11 @@ pub struct HybridPrefixCache {
     /// §4.3(2) ablation: refresh every ancestor's timestamp on a hit, like
     /// pre-Marconi systems, instead of only the accessed node's.
     refresh_ancestors: bool,
-    /// §4.3(1) ablation: restrict eviction candidates to leaves, like
-    /// pre-Marconi systems, leaving single-child nodes' SSM states pinned.
-    leaf_only_eviction: bool,
+    /// Blocks whose KVs, and blocks whose checkpoint, a hit has read (the
+    /// [`NodeMeta`] latches counted as they set); see
+    /// [`block_reuse`](Self::block_reuse).
+    pub(crate) kv_reused_blocks: u64,
+    pub(crate) ssm_reused_blocks: u64,
     /// GDSF inflation clock `L` (monotone, set to each victim's priority).
     gdsf_clock: f64,
     /// Eligible candidates the victim selector has read, over every pick
@@ -246,6 +276,21 @@ impl HybridPrefixCache {
         }
     }
 
+    /// Fig. 3a's block-reuse counters, under [`CheckpointMode::EveryBlock`]
+    /// (`None` otherwise): blocks admitted, blocks whose KVs a later hit
+    /// read, and blocks a later hit was served from. Each block counts
+    /// once, when its latch first sets.
+    #[must_use]
+    pub fn block_reuse(&self) -> Option<BlockReuseReport> {
+        matches!(self.checkpoint_mode, CheckpointMode::EveryBlock { .. }).then_some(
+            BlockReuseReport {
+                blocks_created: self.stats.ssm_states_admitted,
+                kv_reused: self.kv_reused_blocks,
+                ssm_reused: self.ssm_reused_blocks,
+            },
+        )
+    }
+
     /// Number of live radix-tree nodes (diagnostic).
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -284,8 +329,9 @@ impl HybridPrefixCache {
 
     /// Candidate-index entries the victim selector has read and then
     /// rejected as ineligible, summed over every pick (diagnostic). Each
-    /// tier walks only its own bands of the index, so what is left to skip
-    /// is pinned entries and, under the leaf-only ablation, non-leaves. A
+    /// tier walks only its own bands of the index, and under the leaf-only
+    /// ablation the index holds leaves alone, so what is left to skip is
+    /// pinned entries. A
     /// deterministic work counter beside
     /// [`candidates_scored`](Self::candidates_scored); reads of the
     /// device-fallback arena pass are not index reads and never count.
@@ -358,14 +404,18 @@ impl HybridPrefixCache {
     /// `probe_tiers` so they can never disagree.
     ///
     /// For SSM models reuse stops at the deepest checkpointed node on the
-    /// path. A pure Transformer's KVs slice at any token boundary, so it
-    /// reuses the raw match; a match ending mid-edge is served from the
-    /// *containing child's* KVs, so that child is the node whose recency
-    /// the hit must refresh (crediting only `deepest()`, or nothing at the
-    /// root, would leave a hot, partially-matched prefix looking idle until
-    /// LRU pressure evicts it) and that a pin must protect.
+    /// path, and so does every model's under
+    /// [`CheckpointMode::EveryBlock`], whose checkpoints are the block
+    /// boundaries. A pure Transformer's KVs otherwise slice at any token
+    /// boundary, so it reuses the raw match; a match ending mid-edge is
+    /// served from the *containing child's* KVs, so that child is the node
+    /// whose recency the hit must refresh (crediting only `deepest()`, or
+    /// nothing at the root, would leave a hot, partially-matched prefix
+    /// looking idle until LRU pressure evicts it) and that a pin must
+    /// protect.
     fn hit(&self, m: &PrefixMatch) -> (Option<NodeId>, u64) {
-        if self.model.has_ssm() {
+        if self.model.has_ssm() || matches!(self.checkpoint_mode, CheckpointMode::EveryBlock { .. })
+        {
             self.matched_nodes(m)
                 .find(|&id| self.tree.data(id).has_ssm_state)
                 .map_or((None, 0), |id| (Some(id), self.tree.depth(id)))
@@ -416,6 +466,129 @@ impl HybridPrefixCache {
         self.tree.set_class(id, tier_bit(tier));
         self.ssm_states += 1;
         1
+    }
+
+    /// Sets the Fig. 3a latches for a hit served from `node`: every
+    /// checkpointed node on its path had its KVs read, and `node` its
+    /// checkpoint.
+    fn latch_block_reuse(&mut self, node: NodeId) {
+        let meta = self.tree.data_mut(node);
+        self.ssm_reused_blocks += u64::from(!meta.ssm_reused);
+        meta.ssm_reused = true;
+        let mut cur = node;
+        while cur != NodeId::ROOT {
+            let meta = self.tree.data_mut(cur);
+            if meta.has_ssm_state {
+                self.kv_reused_blocks += u64::from(!meta.kv_reused);
+                meta.kv_reused = true;
+            }
+            cur = self.tree.parent(cur).unwrap_or(NodeId::ROOT);
+        }
+    }
+
+    /// Marconi's admission (§4.1), under [`CheckpointMode::Exact`] and
+    /// [`CheckpointMode::Chunked`]: the branch checkpoint speculative
+    /// insertion predicts, then the whole sequence with a checkpoint at its
+    /// last decoded token. `resume` is the resolved hint, where every walk
+    /// starts until the speculation walk has matched the input and moved it
+    /// down to that walk's deepest fully-matched node. Returns the
+    /// sequence's end node (`None` for an empty one) and the checkpoints
+    /// added.
+    fn admit_sequence(
+        &mut self,
+        resume: Option<Resumed>,
+        input: &[Token],
+        output: &[Token],
+        now: f64,
+        report: &mut AdmissionReport,
+    ) -> (Option<NodeId>, u64) {
+        let mut walk_from = resume;
+        let mut admitted = 0;
+        // Purely-input reuse (§4.1): speculative insertion of the input
+        // segment; a predicted intermediate node marks a shared prefix
+        // whose SSM state is checkpointed during prefill.
+        if self.model.has_ssm() && !input.is_empty() {
+            let m = self.match_from(resume, input);
+            let deepest = m.resume_point();
+            walk_from = Some(deepest);
+            if let Some(branch_depth) = m.speculation().creates_branch_at {
+                // Chunked state passing can only materialize states at
+                // chunk boundaries; two-pass/exact hits the branch itself.
+                let target = self.checkpoint_mode.checkpoint_depth(branch_depth);
+                if target > 0 {
+                    // A chunk-rounded target can be shallower than the
+                    // deepest matched node: start from the hint if it is
+                    // no deeper, from the root otherwise.
+                    let at = if target >= deepest.depth() {
+                        Some(deepest)
+                    } else {
+                        resume.filter(|r| r.depth() <= target)
+                    };
+                    let outcome = self.insert_via(at, &input[..target as usize], &[]);
+                    self.stamp_new_nodes(&outcome, now);
+                    self.emit_split(&outcome, now);
+                    let node = outcome.end_node;
+                    debug_assert_eq!(self.tree.depth(node), target);
+                    admitted += self.checkpoint(node, now);
+                    report.branch_checkpoint_depth = Some(target);
+                }
+            }
+        }
+
+        // Input-and-output reuse (§4.1): the full sequence's KVs are cached
+        // along the path and the state at the last decoded token is always
+        // checkpointed (conversations resume from it). The sequence is the
+        // virtual concatenation input ‖ output, handed to the seam-aware
+        // tree inserts as two slices: materializing the join cost an
+        // O(prompt) allocate-and-copy per admission — the last full read
+        // of the prompt left on the cursor-resumed path — and dominated
+        // the session-replay profile at long prompt lengths.
+        if input.is_empty() && output.is_empty() {
+            return (None, admitted);
+        }
+        let outcome = self.insert_via(walk_from, input, output);
+        self.stamp_new_nodes(&outcome, now);
+        self.emit_split(&outcome, now);
+        if self.model.has_ssm() {
+            admitted += self.checkpoint(outcome.end_node, now);
+        }
+        (Some(outcome.end_node), admitted)
+    }
+
+    /// vLLM+'s admission ([`CheckpointMode::EveryBlock`]): the whole
+    /// `block_size`-token blocks of `input ‖ output`, inserted block by
+    /// block from the previous block's node, each boundary stamped and
+    /// checkpointed. No session hint shortens it: every block on the path
+    /// is re-stamped, so the walk reads the whole sequence anyway. Returns
+    /// the last block's node (`None` when the sequence holds no whole
+    /// block) and the checkpoints added.
+    fn admit_blocks(
+        &mut self,
+        input: &[Token],
+        output: &[Token],
+        block_size: u64,
+        now: f64,
+    ) -> (Option<NodeId>, u64) {
+        let block = block_size as usize;
+        let blocks = (input.len() + output.len()) / block;
+        let mut at = None;
+        let mut end = None;
+        let mut admitted = 0;
+        for k in 1..=blocks {
+            let len = k * block;
+            let (head, tail) = if len <= input.len() {
+                (&input[..len], &[][..])
+            } else {
+                (input, &output[..len - input.len()])
+            };
+            let outcome = self.insert_via(at, head, tail);
+            self.stamp_new_nodes(&outcome, now);
+            self.emit_split(&outcome, now);
+            admitted += self.checkpoint(outcome.end_node, now);
+            at = Some(outcome.end_point());
+            end = Some(outcome.end_node);
+        }
+        (end, admitted)
     }
 
     /// Stamps recency on any nodes an insertion created and seeds their
@@ -489,6 +662,9 @@ impl PrefixCache for HybridPrefixCache {
                         up = self.tree.parent(id);
                     }
                 }
+                if let CheckpointMode::EveryBlock { .. } = self.checkpoint_mode {
+                    self.latch_block_reuse(node);
+                }
             }
         }
         self.stats.lookups += 1;
@@ -531,65 +707,17 @@ impl PrefixCache for HybridPrefixCache {
         self.clock = self.clock.max(now);
         let mut report = AdmissionReport::default();
         let tokens_before = self.tree.token_count();
-        let mut admitted = 0u64;
 
         // Resolve the hint once, against the input prefix the session
-        // extends. `walk_from` is where every walk below starts: the
-        // resolved hint, until the speculation walk has matched the input
-        // and moved it down to that walk's deepest fully-matched node.
+        // extends.
         let (resume, hint_outcome) = self.resolve_hint(input, hint.map(|h| h.cursor));
         self.emit_cursor_outcome(&hint_outcome, input.len(), now);
-        let mut walk_from = resume;
-
-        // Purely-input reuse (§4.1): speculative insertion of the input
-        // segment; a predicted intermediate node marks a shared prefix
-        // whose SSM state is checkpointed during prefill.
-        if self.model.has_ssm() && !input.is_empty() {
-            let m = self.match_from(resume, input);
-            let deepest = m.resume_point();
-            walk_from = Some(deepest);
-            if let Some(branch_depth) = m.speculation().creates_branch_at {
-                // Chunked state passing can only materialize states at
-                // chunk boundaries; two-pass/exact hits the branch itself.
-                let target = self.checkpoint_mode.checkpoint_depth(branch_depth);
-                if target > 0 {
-                    // A chunk-rounded target can be shallower than the
-                    // deepest matched node: start from the hint if it is
-                    // no deeper, from the root otherwise.
-                    let at = if target >= deepest.depth() {
-                        Some(deepest)
-                    } else {
-                        resume.filter(|r| r.depth() <= target)
-                    };
-                    let outcome = self.insert_via(at, &input[..target as usize], &[]);
-                    self.stamp_new_nodes(&outcome, now);
-                    self.emit_split(&outcome, now);
-                    let node = outcome.end_node;
-                    debug_assert_eq!(self.tree.depth(node), target);
-                    admitted += self.checkpoint(node, now);
-                    report.branch_checkpoint_depth = Some(target);
-                }
+        let (end_node, admitted) = match self.checkpoint_mode {
+            CheckpointMode::EveryBlock { block_size } => {
+                self.admit_blocks(input, output, block_size, now)
             }
-        }
-
-        // Input-and-output reuse (§4.1): the full sequence's KVs are cached
-        // along the path and the state at the last decoded token is always
-        // checkpointed (conversations resume from it). The sequence is the
-        // virtual concatenation input ‖ output, handed to the seam-aware
-        // tree inserts as two slices: materializing the join cost an
-        // O(prompt) allocate-and-copy per admission — the last full read
-        // of the prompt left on the cursor-resumed path — and dominated
-        // the session-replay profile at long prompt lengths.
-        let mut end_node = None;
-        if !input.is_empty() || !output.is_empty() {
-            let outcome = self.insert_via(walk_from, input, output);
-            self.stamp_new_nodes(&outcome, now);
-            self.emit_split(&outcome, now);
-            if self.model.has_ssm() {
-                admitted += self.checkpoint(outcome.end_node, now);
-            }
-            end_node = Some(outcome.end_node);
-        }
+            _ => self.admit_sequence(resume, input, output, now, &mut report),
+        };
 
         // Serving this request (re)materialized its whole path's states on
         // the device — whether by prefill, reload, or recompute — so any
@@ -605,9 +733,10 @@ impl PrefixCache for HybridPrefixCache {
             });
         }
 
-        let kv_added = (self.tree.token_count() - tokens_before) * self.model.kv_bytes_per_token();
+        let new_tokens = self.tree.token_count() - tokens_before;
         report.ssm_states_admitted = admitted;
-        report.bytes_added = kv_added + admitted * self.model.ssm_checkpoint_bytes();
+        let (token_bytes, checkpoint_bytes) = self.charges();
+        report.bytes_added = new_tokens * token_bytes + admitted * checkpoint_bytes;
         self.stats.insertions += 1;
         self.stats.ssm_states_admitted += admitted;
         self.stats.peak_usage_bytes = self.stats.peak_usage_bytes.max(self.usage());
@@ -771,7 +900,7 @@ impl HybridPrefixCacheBuilder {
 
     /// Ablation switch (§4.3(1)): restrict eviction to leaf nodes, like
     /// pre-Marconi systems, pinning single-child nodes' SSM states.
-    /// Default off.
+    /// Default off; required by [`CheckpointMode::EveryBlock`].
     #[must_use]
     pub fn leaf_only_eviction(mut self, enabled: bool) -> Self {
         self.leaf_only_eviction = enabled;
@@ -779,7 +908,27 @@ impl HybridPrefixCacheBuilder {
     }
 
     /// Builds the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the combination, on one the executable spec does not
+    /// state: [`CheckpointMode::EveryBlock`] with a zero block size, with a
+    /// host tier, or without leaf-only eviction.
     pub fn build(self) -> HybridPrefixCache {
+        if let CheckpointMode::EveryBlock { block_size } = self.checkpoint_mode {
+            assert!(
+                block_size > 0,
+                "CheckpointMode::EveryBlock: block size must be positive"
+            );
+            assert!(
+                self.host_capacity == 0,
+                "CheckpointMode::EveryBlock with a host tier is not supported"
+            );
+            assert!(
+                self.leaf_only_eviction,
+                "CheckpointMode::EveryBlock needs leaf_only_eviction(true)"
+            );
+        }
         let (tuner, effective_alpha) = match &self.policy {
             EvictionPolicy::Lru | EvictionPolicy::Gdsf => (None, 0.0),
             EvictionPolicy::FlopAware { alpha } => (None, *alpha),
@@ -806,7 +955,11 @@ impl HybridPrefixCacheBuilder {
             capacity: self.capacity,
             host_capacity: self.host_capacity,
             reload_policy: self.reload_policy,
-            tree: RadixTree::new(),
+            tree: if self.leaf_only_eviction {
+                RadixTree::with_leaf_candidates()
+            } else {
+                RadixTree::new()
+            },
             ssm_states: 0,
             host_tokens: 0,
             host_ssm_states: 0,
@@ -817,7 +970,8 @@ impl HybridPrefixCacheBuilder {
             clock: 0.0,
             checkpoint_mode: self.checkpoint_mode,
             refresh_ancestors: self.refresh_ancestors,
-            leaf_only_eviction: self.leaf_only_eviction,
+            kv_reused_blocks: 0,
+            ssm_reused_blocks: 0,
             gdsf_clock: 0.0,
             candidates_scored: 0,
             entries_skipped: 0,

@@ -11,9 +11,14 @@
 //!
 //! * admission (§4.1): the speculative-insertion branch checkpoint, rounded
 //!   down to a chunk boundary under [`CheckpointMode::Chunked`], and the
-//!   checkpoint at the last decoded token — at most two per sequence;
+//!   checkpoint at the last decoded token — at most two per sequence; or,
+//!   under [`CheckpointMode::EveryBlock`] (vLLM+), the whole blocks of the
+//!   sequence with a checkpoint at every block boundary, bytes charged per
+//!   checkpointed block, and a split point that is no block freeing and
+//!   booking nothing when it goes;
 //! * the all-or-nothing hit rule: a hit is served from the deepest
-//!   checkpointed node the input covers entirely;
+//!   checkpointed node the input covers entirely (and, under
+//!   `EveryBlock`, sets Fig. 3a's reuse latches on the blocks it reads);
 //! * eviction (§4.3) over non-root nodes with ≤ 1 child: LRU is `α = 0`,
 //!   `S(n) = recency + α · flop_efficiency` min–max normalised over the
 //!   *eligible* candidates, and GDSF's `H = L + F · C/S`;
@@ -39,7 +44,7 @@
 //! for candidates that tie at the minimum.
 
 use super::CheckpointMode;
-use crate::result::{AdmissionReport, LookupResult};
+use crate::result::{AdmissionReport, BlockReuseReport, LookupResult};
 use crate::stats::CacheStats;
 use crate::tier::Tier;
 use crate::tuner::{TunerConfig, TunerState};
@@ -119,6 +124,9 @@ struct Node {
     parent: usize,
     children: Vec<usize>,
     checkpoint: bool,
+    /// Fig. 3a: a hit read this block's KVs; a hit was served from it.
+    kv_reused: bool,
+    ssm_reused: bool,
     tier: Tier,
     last_access: f64,
     frequency: u32,
@@ -132,6 +140,8 @@ impl Node {
             parent,
             children: Vec::new(),
             checkpoint: false,
+            kv_reused: false,
+            ssm_reused: false,
             tier,
             last_access: 0.0,
             frequency: 0,
@@ -191,8 +201,15 @@ const ROOT: usize = 0;
 pub(super) struct SpecCache {
     model: ModelConfig,
     rules: Rules,
-    /// Slot 0 is the root; a removed node's slot stays empty.
+    /// What a cached token and a checkpoint cost: the model's KV bytes per
+    /// token and checkpoint bytes; under [`CheckpointMode::EveryBlock`],
+    /// nothing per token and a whole block's KVs plus the checkpoint per
+    /// checkpoint, so a node that is no block costs nothing.
+    charges: (u64, u64),
+    /// Slot 0 is the root; a removed node's slot stays empty until `free`
+    /// hands it to a new node.
     nodes: Vec<Option<Node>>,
+    free: Vec<usize>,
     /// One entry per outstanding pin: the pinned node (its ancestors are
     /// protected with it).
     pins: Vec<usize>,
@@ -201,6 +218,9 @@ pub(super) struct SpecCache {
     stats: CacheStats,
     /// `(action, root path)` of every victim, in order.
     victims: Vec<(VictimAction, Vec<Token>)>,
+    /// Fig. 3a's counts: blocks whose KVs, and blocks whose checkpoint, a
+    /// hit has read.
+    reused: (u64, u64),
     fault: Option<Fault>,
 }
 
@@ -211,15 +231,23 @@ impl SpecCache {
             .tuner
             .clone()
             .map(|config| (config, Tuning::Waiting { requests: 0 }));
+        let (kv, ssm) = (model.kv_bytes_per_token(), model.ssm_checkpoint_bytes());
+        let charges = match rules.checkpoint_mode {
+            CheckpointMode::EveryBlock { block_size } => (0, block_size * kv + ssm),
+            _ => (kv, ssm),
+        };
         SpecCache {
             model,
             rules,
+            charges,
             nodes: vec![Some(Node::new(Vec::new(), ROOT, Tier::Device))],
+            free: Vec::new(),
             pins: Vec::new(),
             tuning,
             gdsf_clock: 0.0,
             stats: CacheStats::default(),
             victims: Vec::new(),
+            reused: (0, 0),
             fault: None,
         }
     }
@@ -238,6 +266,15 @@ impl SpecCache {
 
     pub(super) fn victims(&self) -> &[(VictimAction, Vec<Token>)] {
         &self.victims
+    }
+
+    /// Fig. 3a's counters under [`CheckpointMode::EveryBlock`].
+    pub(super) fn block_reuse(&self) -> Option<BlockReuseReport> {
+        self.every_block().then_some(BlockReuseReport {
+            blocks_created: self.stats.ssm_states_admitted,
+            kv_reused: self.reused.0,
+            ssm_reused: self.reused.1,
+        })
     }
 
     pub(super) fn tuner_state(&self) -> Option<TunerState> {
@@ -300,6 +337,22 @@ impl SpecCache {
                     }
                 }
             }
+            if self.every_block() {
+                // Every block the hit covers had its KVs read; the hit node
+                // its checkpoint too.
+                for &a in &walk.path {
+                    if self.depth(a) <= tokens && self.node(a).checkpoint {
+                        let node = self.node_mut(a);
+                        let fresh = !node.kv_reused;
+                        node.kv_reused = true;
+                        self.reused.0 += u64::from(fresh);
+                    }
+                }
+                let node = self.node_mut(n);
+                let fresh = !node.ssm_reused;
+                node.ssm_reused = true;
+                self.reused.1 += u64::from(fresh);
+            }
         }
         let result = LookupResult {
             tokens_matched: tokens,
@@ -351,39 +404,17 @@ impl SpecCache {
     ) -> (AdmissionReport, bool) {
         let mut report = AdmissionReport::default();
         let tokens_before = self.tokens();
-        let mut admitted = 0;
-        // Speculative insertion: an input ending inside a label would
-        // split it, so the split point is a prefix shared by two requests.
-        let walk = self.walk(input);
-        if walk.mid_edge {
-            let target = match self.rules.checkpoint_mode {
-                CheckpointMode::Exact => walk.matched,
-                CheckpointMode::Chunked { chunk_size } => {
-                    walk.matched / chunk_size as usize * chunk_size as usize
-                }
-            };
-            if target > 0 {
-                let end = self.admit(&input[..target], now);
-                admitted += self.checkpoint(end, now);
-                report.branch_checkpoint_depth = Some(target as u64);
-            }
-        }
-        // The state at the last decoded token.
-        let mut end = None;
-        if !input.is_empty() || !output.is_empty() {
-            let n = self.admit(&[input, output].concat(), now);
-            admitted += self.checkpoint(n, now);
-            end = Some(n);
-        }
+        let (admitted, end) = self.admit(input, output, now, &mut report);
         // Serving the request put its whole path on the device.
         let mut cur = end.unwrap_or(ROOT);
         while cur != ROOT {
             self.node_mut(cur).tier = Tier::Device;
             cur = self.node(cur).parent;
         }
+        let (token_bytes, checkpoint_bytes) = self.charges;
         report.ssm_states_admitted = admitted;
-        report.bytes_added = (self.tokens() - tokens_before) * self.model.kv_bytes_per_token()
-            + admitted * self.model.ssm_checkpoint_bytes();
+        report.bytes_added =
+            (self.tokens() - tokens_before) * token_bytes + admitted * checkpoint_bytes;
         self.stats.insertions += 1;
         self.stats.ssm_states_admitted += admitted;
         self.stats.peak_usage_bytes = self.stats.peak_usage_bytes.max(self.usage(Tier::Device));
@@ -411,10 +442,65 @@ impl SpecCache {
             .find(|&n| self.node(n).checkpoint)
     }
 
-    /// Inserts `seq`, stamps the nodes the insert created and the one it
-    /// ends at, and returns that end node.
-    fn admit(&mut self, seq: &[Token], now: f64) -> usize {
-        let (mut cur, mut pos) = (ROOT, 0);
+    /// The checkpoints an admission places, and the node of the admitted
+    /// sequence (`None` when nothing was admitted).
+    ///
+    /// Marconi's placement: speculative insertion — an input ending inside
+    /// a label would split it, so the split point is a prefix shared by two
+    /// requests and gets a checkpoint, rounded down to a chunk boundary
+    /// under chunked state passing — and the state at the last decoded
+    /// token. vLLM+'s ([`CheckpointMode::EveryBlock`]): every whole block of
+    /// input ‖ output, each boundary checkpointed, nothing else.
+    fn admit(
+        &mut self,
+        input: &[Token],
+        output: &[Token],
+        now: f64,
+        report: &mut AdmissionReport,
+    ) -> (u64, Option<usize>) {
+        let mut admitted = 0;
+        if let CheckpointMode::EveryBlock { block_size } = self.rules.checkpoint_mode {
+            let seq = [input, output].concat();
+            let block = block_size as usize;
+            let mut end = None;
+            for len in (block..=seq.len()).step_by(block) {
+                let n = self.grow(
+                    end.map_or((ROOT, 0), |n| (n, len - block)),
+                    &seq[..len],
+                    now,
+                );
+                admitted += self.checkpoint(n, now);
+                end = Some(n);
+            }
+            return (admitted, end);
+        }
+        let walk = self.walk(input);
+        if walk.mid_edge {
+            let target = match self.rules.checkpoint_mode {
+                CheckpointMode::Chunked { chunk_size } => {
+                    walk.matched / chunk_size as usize * chunk_size as usize
+                }
+                _ => walk.matched,
+            };
+            if target > 0 {
+                let end = self.grow((ROOT, 0), &input[..target], now);
+                admitted += self.checkpoint(end, now);
+                report.branch_checkpoint_depth = Some(target as u64);
+            }
+        }
+        if input.is_empty() && output.is_empty() {
+            return (admitted, None);
+        }
+        let n = self.grow((ROOT, 0), &[input, output].concat(), now);
+        admitted += self.checkpoint(n, now);
+        (admitted, Some(n))
+    }
+
+    /// Inserts `seq`, walking from `at` (a node whose root path is the
+    /// first `at.1` tokens of `seq`, the root at 0), stamps the nodes the
+    /// insert created and the one it ends at, and returns that end node.
+    fn grow(&mut self, at: (usize, usize), seq: &[Token], now: f64) -> usize {
+        let (mut cur, mut pos) = at;
         let mut split = None;
         let mut leaf = None;
         while pos < seq.len() {
@@ -537,7 +623,13 @@ impl SpecCache {
                 self.victims.push((VictimAction::Demoted, path));
             } else {
                 let freed = self.freed_bytes(v);
+                let entry = self.node(v).checkpoint || !self.every_block();
                 self.remove(v);
+                self.victims.push((VictimAction::Evicted, path));
+                if !entry {
+                    // A split point that is no block: nothing to book.
+                    continue;
+                }
                 self.stats.evictions += 1;
                 self.stats.bytes_evicted += freed;
                 if tier == Tier::Host {
@@ -546,7 +638,6 @@ impl SpecCache {
                 }
                 report.entries_evicted += 1;
                 report.bytes_evicted += freed;
-                self.victims.push((VictimAction::Evicted, path));
             }
         }
     }
@@ -659,6 +750,7 @@ impl SpecCache {
     /// hands its label to the child (the child keeps its own state).
     fn remove(&mut self, n: usize) {
         let node = self.nodes[n].take().expect("invariant: victims are live");
+        self.free.push(n);
         let siblings = &mut self.node_mut(node.parent).children;
         let at = siblings.iter().position(|&s| s == n);
         let at = at.expect("invariant: a child is listed under its parent");
@@ -677,9 +769,16 @@ impl SpecCache {
     }
 
     /// Bytes a node's state occupies on its tier: its label's KVs and its
-    /// checkpoint.
+    /// checkpoint, as `charges` prices them.
     fn node_bytes(&self, n: usize) -> u64 {
-        self.node(n).label.len() as u64 * self.model.kv_bytes_per_token() + self.ssm_bytes(n)
+        self.node(n).label.len() as u64 * self.charges.0 + self.ssm_bytes(n)
+    }
+
+    fn every_block(&self) -> bool {
+        matches!(
+            self.rules.checkpoint_mode,
+            CheckpointMode::EveryBlock { .. }
+        )
     }
 
     /// Bytes deleting `n` frees: a leaf's label KVs and checkpoint; only
@@ -694,7 +793,7 @@ impl SpecCache {
 
     fn ssm_bytes(&self, n: usize) -> u64 {
         if self.node(n).checkpoint {
-            self.model.ssm_checkpoint_bytes()
+            self.charges.1
         } else {
             0
         }
@@ -841,6 +940,10 @@ impl SpecCache {
     }
 
     fn push(&mut self, node: Node) -> usize {
+        if let Some(n) = self.free.pop() {
+            self.nodes[n] = Some(node);
+            return n;
+        }
         self.nodes.push(Some(node));
         self.nodes.len() - 1
     }
@@ -878,7 +981,8 @@ impl SpecCache {
             labels.push(&self.node(cur).label[..]);
             cur = self.node(cur).parent;
         }
-        labels.into_iter().rev().flatten().copied().collect()
+        labels.reverse();
+        labels.concat()
     }
 
     fn tokens(&self) -> u64 {

@@ -83,3 +83,4 @@ include!("tuner.rs");
 include!("parity.rs");
 include!("tiering.rs");
 include!("pins.rs");
+include!("every_block.rs");

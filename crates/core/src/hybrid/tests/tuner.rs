@@ -60,10 +60,16 @@ fn replica_mirrors_parent_configuration() {
         .refresh_ancestors(true)
         .leaf_only_eviction(true)
         .build();
+    let mut parent = parent;
+    let seq: Vec<Token> = (0..64).collect();
+    parent.insert_sequence(&seq, &[]);
+    parent.insert_sequence(&seq[..32], &[]);
     let replica = parent.replica(1.5);
     assert_eq!(replica.checkpoint_mode, parent.checkpoint_mode);
     assert_eq!(replica.refresh_ancestors, parent.refresh_ancestors);
-    assert_eq!(replica.leaf_only_eviction, parent.leaf_only_eviction);
+    // Leaf-only eviction lives in the tree: the one-child node at 32 is
+    // no candidate in the replica either.
+    assert_eq!(replica.eviction_candidate_count(), 1);
     assert_eq!(replica.effective_alpha, 1.5);
 }
 

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | Marconi | [`HybridPrefixCache`] | judicious (≤ 2 SSM states/sequence) | FLOP-aware, auto-tuned α |
 //! | SGLang+ | [`HybridPrefixCache`] with [`EvictionPolicy::Lru`] | judicious | LRU |
-//! | vLLM+ | [`BlockCache`] | every token block | LRU over leaf blocks |
+//! | vLLM+ | [`HybridPrefixCache`] with [`CheckpointMode::EveryBlock`] | every token block | LRU over leaf blocks |
 //! | vanilla | [`VanillaCache`] | none | — |
 //! | oracle (artifact V3) | [`oracle::best_static_alpha`] | judicious | FLOP-aware, offline-optimal static α |
 //!
@@ -54,7 +54,6 @@
 //! assert_eq!(hit.tokens_matched as usize, turn.len() + 3);
 //! ```
 
-mod block;
 mod cursor;
 mod hybrid;
 pub mod oracle;
@@ -65,11 +64,10 @@ mod tier;
 mod tuner;
 mod vanilla;
 
-pub use block::{BlockCache, BlockReuseReport};
 pub use cursor::{CursorTable, SessionCursor};
 pub use hybrid::{CheckpointMode, HybridPrefixCache, HybridPrefixCacheBuilder};
 pub use policy::EvictionPolicy;
-pub use result::{AdmissionReport, LookupResult};
+pub use result::{AdmissionReport, BlockReuseReport, LookupResult};
 pub use stats::CacheStats;
 pub use tier::{ReloadPolicy, Tier, TieredPrefix};
 pub use tuner::{TunerConfig, TunerState};

@@ -66,7 +66,8 @@ impl LookupResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct AdmissionReport {
     /// SSM checkpoints newly admitted for this sequence (≤ 2 under
-    /// Marconi's judicious admission; one per token block under vLLM+).
+    /// Marconi's judicious admission; one per new token block under
+    /// vLLM+'s [`CheckpointMode::EveryBlock`](crate::CheckpointMode::EveryBlock)).
     pub ssm_states_admitted: u64,
     /// Token depth of the branch-point checkpoint taken during prefill, if
     /// speculative insertion predicted a new intermediate node.
@@ -82,6 +83,41 @@ pub struct AdmissionReport {
     pub entries_demoted: u64,
     /// Bytes moved device → host by those demotions.
     pub bytes_demoted: u64,
+}
+
+/// Cumulative block-reuse accounting under
+/// [`CheckpointMode::EveryBlock`](crate::CheckpointMode::EveryBlock), for
+/// regenerating Fig. 3a ([`HybridPrefixCache::block_reuse`](crate::HybridPrefixCache::block_reuse)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BlockReuseReport {
+    /// Token blocks ever admitted.
+    pub blocks_created: u64,
+    /// Blocks whose KVs were reused by at least one later request.
+    pub kv_reused: u64,
+    /// Blocks whose SSM checkpoint was reused by at least one later
+    /// request (only the *last* block of a matched prefix reuses its SSM
+    /// state — the source of sparsely-hit entries).
+    pub ssm_reused: u64,
+}
+
+impl BlockReuseReport {
+    /// Fraction of blocks whose KVs were ever reused.
+    #[must_use]
+    pub fn kv_reuse_fraction(&self) -> f64 {
+        if self.blocks_created == 0 {
+            return 0.0;
+        }
+        self.kv_reused as f64 / self.blocks_created as f64
+    }
+
+    /// Fraction of blocks whose SSM state was ever reused.
+    #[must_use]
+    pub fn ssm_reuse_fraction(&self) -> f64 {
+        if self.blocks_created == 0 {
+            return 0.0;
+        }
+        self.ssm_reused as f64 / self.blocks_created as f64
+    }
 }
 
 #[cfg(test)]

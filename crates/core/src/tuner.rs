@@ -212,6 +212,8 @@ impl HybridPrefixCache {
         r.tuner = None;
         r.effective_alpha = alpha;
         r.stats = CacheStats::default();
+        r.kv_reused_blocks = 0;
+        r.ssm_reused_blocks = 0;
         // Replicas replay silently: the tuner's grid-search probes are
         // hypotheticals, not serving decisions, so they never trace.
         r.tracer = Tracer::off();

@@ -13,9 +13,11 @@
 //!
 //! [`HybridPrefixCache::entries_skipped`] counts the other waste: index
 //! entries a pick read and then rejected as ineligible. The tier is the top
-//! bit of the band key, so on a two-tier cache with no pins it is zero.
+//! bit of the band key, and under leaf-only eviction the tree files leaves
+//! alone, so with no pins it is zero on a two-tier cache and on a leaf-only
+//! one.
 
-use marconi_core::{EvictionPolicy, HybridPrefixCache, PrefixCache};
+use marconi_core::{CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache};
 use marconi_model::ModelConfig;
 use marconi_workload::{DatasetKind, TraceGenerator};
 
@@ -118,6 +120,55 @@ fn a_tiered_pick_never_reads_an_entry_of_the_other_tier() {
                 "{policy}: picks read {skipped} ineligible index entries for {} demotions \
                  and {} evictions",
                 stats.demotions, stats.evictions
+            );
+        }
+    }
+}
+
+/// Under leaf-only eviction the recency index holds leaves alone, so a pick
+/// never reads a one-child node it may not take: with no pins nothing is
+/// skipped, under the recency-only and the scored walk, with Marconi's
+/// checkpoints and with vLLM+'s block chains, where nearly every node has
+/// one child.
+#[test]
+fn a_leaf_only_pick_never_reads_an_inner_node() {
+    let model = ModelConfig::hybrid_7b();
+    let capacity = TIER_TOKENS * model.kv_bytes_per_token();
+    let trace = TraceGenerator::new(DatasetKind::ShareGpt)
+        .sessions(300)
+        .seed(11)
+        .generate();
+    for mode in [
+        CheckpointMode::Exact,
+        CheckpointMode::EveryBlock { block_size: 32 },
+    ] {
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::FlopAware { alpha: 2.0 },
+        ] {
+            let mut cache = HybridPrefixCache::builder(model.clone())
+                .capacity_bytes(capacity)
+                .checkpoint_mode(mode)
+                .leaf_only_eviction(true)
+                .policy(policy.clone())
+                .build();
+            for req in &trace.requests {
+                cache.lookup_at(&req.input, req.arrival);
+                cache.insert_at(&req.input, &req.output, req.arrival);
+            }
+            let evictions = cache.stats().evictions;
+            assert!(
+                evictions >= TIER_VICTIMS,
+                "{mode:?}, {policy}: only {evictions} evictions"
+            );
+            assert!(
+                cache.node_count() > cache.eviction_candidate_count(),
+                "{mode:?}, {policy}: no inner node left to skip"
+            );
+            assert_eq!(
+                cache.entries_skipped(),
+                0,
+                "{mode:?}, {policy}: picks read inner nodes for {evictions} evictions"
             );
         }
     }

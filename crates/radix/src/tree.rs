@@ -42,7 +42,9 @@ use std::fmt;
 /// 4. [`token_count`](RadixTree::token_count) equals the sum of all edge
 ///    lengths, which equals the number of distinct prefixes stored.
 /// 5. Candidacy is a pure function of the node — `n` is an eviction
-///    candidate iff it is a live non-root node with `child_count(n) ≤ 1` —
+///    candidate iff it is a live non-root node with `child_count(n) ≤ 1`,
+///    or, in a tree built by
+///    [`with_leaf_candidates`](RadixTree::with_leaf_candidates), a leaf —
 ///    and [`candidate_bands`](RadixTree::candidate_bands) iterates the one
 ///    index of it: exactly one `(stamp, id)` entry per candidate, in the
 ///    band named by the node's current [`class`](RadixTree::class) and
@@ -104,12 +106,16 @@ pub struct RadixTree<D> {
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
-    /// The eviction candidates (non-root nodes with ≤ 1 child), one
-    /// `(stamp, id)`-ordered band per class. `insert_at_node`/`split_edge`/
+    /// The eviction candidates (non-root nodes with at most
+    /// `candidate_children` children), one `(stamp, id)`-ordered band per
+    /// class. `insert_at_node`/`split_edge`/
     /// `remove` apply the exact membership transition at each site that
     /// changes a child count, so the eviction hot path never re-scans the
     /// arena.
     lru: RecencyIndex,
+    /// The most children a candidate may have: 1, or 0 when only leaves
+    /// are candidates.
+    candidate_children: usize,
     /// Number of nodes with `pin_count > 0`.
     pinned_nodes: usize,
     /// Fault-injection knob for the differential harness's self-test: when
@@ -255,7 +261,8 @@ impl PrefixMatch {
 ///
 /// Minted only by the validators ([`RadixTree::resume`] and the
 /// seam-aware check behind [`RadixTree::insert_parts_from`]) and by a
-/// finished walk ([`PrefixMatch::resume_point`]), so
+/// finished walk ([`PrefixMatch::resume_point`],
+/// [`InsertOutcome::end_point`]), so
 /// [`match_prefix_at`](RadixTree::match_prefix_at) and
 /// [`insert_parts_at`](RadixTree::insert_parts_at) start from it without
 /// re-reading the resume edge. A point stays valid until its node is
@@ -314,6 +321,18 @@ pub struct InsertOutcome {
     /// Tokens newly added to the tree (the un-shared suffix length); the
     /// KV-byte footprint of the insertion is proportional to this.
     pub added_tokens: u64,
+    /// `end_node` and its depth; see
+    /// [`end_point`](InsertOutcome::end_point).
+    end_at: Resumed,
+}
+
+impl InsertOutcome {
+    /// The end node as a [`Resumed`] point: its root path is the inserted
+    /// sequence, so a later walk over that sequence extended — the next
+    /// block of it, say — can start there.
+    pub fn end_point(&self) -> Resumed {
+        self.end_at
+    }
 }
 
 /// Payload and accounting returned by [`RadixTree::remove`].
@@ -392,11 +411,23 @@ impl<D: Default> RadixTree<D> {
             node_count: 0,
             token_count: 0,
             lru: RecencyIndex::default(),
+            candidate_children: 1,
             pinned_nodes: 0,
             #[cfg(any(test, feature = "fault-injection"))]
             split_off_by_one: false,
             #[cfg(any(test, feature = "fault-injection"))]
             seam_short: false,
+        }
+    }
+
+    /// Creates an empty tree whose eviction candidates are its leaves
+    /// alone, for a cache that only ever evicts leaves: the recency index
+    /// then holds no entry such a cache would read and skip.
+    #[must_use]
+    pub fn with_leaf_candidates() -> Self {
+        RadixTree {
+            candidate_children: 0,
+            ..Self::new()
         }
     }
 
@@ -493,6 +524,10 @@ impl<D: Default> RadixTree<D> {
                     split_node,
                     new_leaf: None,
                     added_tokens: 0,
+                    end_at: Resumed {
+                        node: cur,
+                        depth: total as u64,
+                    },
                 };
             }
             let next_tok = if pos < head.len() {
@@ -520,19 +555,21 @@ impl<D: Default> RadixTree<D> {
                         data: D::default(),
                     });
                     let children_before = self.node(cur).children.len();
+                    // One child past the candidate bound ends `cur`'s
+                    // candidacy: its second child, or with leaf candidates
+                    // its first.
+                    if children_before == self.candidate_children && cur != NodeId::ROOT {
+                        let c = self.node(cur);
+                        self.lru.remove(c.class, c.stamp, cur);
+                    }
                     self.node_mut(cur).children.insert(next_tok, leaf);
                     if children_before == 0 {
                         // `cur`'s leaf status flipped: structural caches on
                         // it (freed bytes) are stale.
                         self.bump(cur);
                     }
-                    // The new leaf is a candidate (class 0, stamp 0); a
-                    // second child ends `cur`'s candidacy.
+                    // The new leaf is a candidate (class 0, stamp 0).
                     self.lru.insert(0, 0, leaf);
-                    if children_before == 1 && cur != NodeId::ROOT {
-                        let c = self.node(cur);
-                        self.lru.remove(c.class, c.stamp, cur);
-                    }
                     self.token_count += added;
                     self.reclaim_store();
                     return InsertOutcome {
@@ -540,6 +577,7 @@ impl<D: Default> RadixTree<D> {
                         split_node,
                         new_leaf: Some(leaf),
                         added_tokens: added,
+                        end_at: Resumed { node: leaf, depth },
                     };
                 }
                 Some(child) => {
@@ -659,8 +697,11 @@ impl<D: Default> RadixTree<D> {
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
         // (and candidacy) is unchanged; `mid` itself has exactly one child,
-        // so it is a candidate (class 0 of the child's tier, stamp 0).
-        self.lru.insert(tier, 0, mid);
+        // so it is a candidate (class 0 of the child's tier, stamp 0) unless
+        // only leaves are.
+        if self.is_candidate(mid) {
+            self.lru.insert(tier, 0, mid);
+        }
         // Splitting moves tokens between edges without adding any, so
         // token_count is untouched; alloc() already counted the new node.
         mid
@@ -690,9 +731,15 @@ impl<D> RadixTree<D> {
     }
 
     /// `true` iff `id` is an eviction candidate: a non-root node with ≤ 1
-    /// child. The recency index holds exactly the nodes this is true of.
-    fn is_candidate(&self, id: NodeId) -> bool {
-        id != NodeId::ROOT && self.node(id).children.len() <= 1
+    /// child (no child in a tree of leaf candidates). The recency index
+    /// holds exactly the nodes this is true of; this reads the node alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` refers to a removed node.
+    #[must_use]
+    pub fn is_candidate(&self, id: NodeId) -> bool {
+        id != NodeId::ROOT && self.node(id).children.len() <= self.candidate_children
     }
 
     /// Number of leading tokens of `rest` matching `child`'s edge label.
@@ -906,7 +953,9 @@ impl<D> RadixTree<D> {
             })
     }
 
-    /// Nodes eligible for eviction: live non-root nodes with ≤ 1 child.
+    /// Nodes eligible for eviction: live non-root nodes with ≤ 1 child
+    /// (leaves, in a tree built by
+    /// [`with_leaf_candidates`](RadixTree::with_leaf_candidates)).
     ///
     /// Nodes with multiple children are common prefixes shared by multiple
     /// requests and are not evicted directly (paper §4.3); they become
@@ -1334,23 +1383,30 @@ impl<D> RadixTree<D> {
         let child = node.children.first_id();
         let first_tok = self.store[node.edge.first.off as usize];
 
-        // A removable node has ≤ 1 child, so it is a candidate.
-        self.lru.remove(node.class, node.stamp, id);
+        // A removable node has ≤ 1 child, so it is a candidate, unless it
+        // has one and only leaves are.
+        if self.is_candidate(id) {
+            let node = self.node(id);
+            self.lru.remove(node.class, node.stamp, id);
+        }
         match child {
             None => {
                 let node = self.free(id);
+                if parent != NodeId::ROOT && self.node(parent).children.len() == 1 {
+                    // The parent is about to become a leaf: its freed-bytes
+                    // shape changes. Bumped while its candidacy still
+                    // reflects its one child.
+                    self.bump(parent);
+                }
                 self.node_mut(parent).children.remove(first_tok);
                 if parent != NodeId::ROOT {
                     let p = self.node(parent);
-                    match p.children.len() {
-                        // The parent just became a leaf: its freed-bytes
-                        // shape changed.
-                        0 => self.bump(parent),
-                        // Down from two children to one: a candidate again,
-                        // in the band its class names (no version moved
-                        // while it was out, so the class still holds).
-                        1 => self.lru.insert(p.class, p.stamp, parent),
-                        _ => {}
+                    if p.children.len() == self.candidate_children {
+                        // Down to the candidate bound: a candidate again (or
+                        // for the first time), in the band its class names
+                        // (no version moved while it was out, or the bump
+                        // above just reset it).
+                        self.lru.insert(p.class, p.stamp, parent);
                     }
                 }
                 self.token_count -= u64::from(node.edge.len);
@@ -1698,1616 +1754,4 @@ impl<D> RadixTree<D> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tree() -> RadixTree<u32> {
-        RadixTree::new()
-    }
-
-    #[test]
-    fn empty_tree() {
-        let t = tree();
-        assert!(t.is_empty());
-        assert_eq!(t.token_count(), 0);
-        let m = t.match_prefix(&[1, 2, 3]);
-        assert_eq!(m.matched_len, 0);
-        assert!(m.deepest().is_none());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn insert_single_sequence() {
-        let mut t = tree();
-        let out = t.insert(&[1, 2, 3]);
-        assert_eq!(out.added_tokens, 3);
-        assert!(out.split_node.is_none());
-        assert_eq!(out.new_leaf, Some(out.end_node));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.token_count(), 3);
-        assert_eq!(t.depth(out.end_node), 3);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn insert_empty_sequence_is_noop() {
-        let mut t = tree();
-        let out = t.insert(&[]);
-        assert_eq!(out.end_node, NodeId::ROOT);
-        assert_eq!(out.added_tokens, 0);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn reinsert_is_structural_noop() {
-        let mut t = tree();
-        let first = t.insert(&[5, 6, 7]);
-        let second = t.insert(&[5, 6, 7]);
-        assert_eq!(second.end_node, first.end_node);
-        assert_eq!(second.added_tokens, 0);
-        assert!(second.split_node.is_none());
-        assert!(second.new_leaf.is_none());
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn diverging_sequences_split_edge() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2, 9, 9]);
-        let mid = out.split_node.expect("split");
-        assert_eq!(t.depth(mid), 2);
-        assert_eq!(t.child_count(mid), 2);
-        assert_eq!(out.added_tokens, 2);
-        assert_eq!(t.token_count(), 6); // [1,2] + [3,4] + [9,9]
-        assert_eq!(t.len(), 3);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn extension_creates_leaf_without_split() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2]);
-        let b = t.insert(&[1, 2, 3, 4]);
-        assert!(b.split_node.is_none());
-        assert_eq!(b.added_tokens, 2);
-        assert_eq!(t.parent(b.end_node), Some(a.end_node));
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn prefix_of_existing_edge_splits_with_single_child() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2]);
-        let mid = out.split_node.expect("split");
-        assert_eq!(out.end_node, mid);
-        assert_eq!(t.child_count(mid), 1);
-        assert_eq!(out.added_tokens, 0);
-        assert_eq!(t.token_count(), 4);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn match_prefix_full_and_partial() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        t.insert(&[1, 2, 9, 9]);
-
-        let m = t.match_prefix(&[1, 2, 3, 4]);
-        assert_eq!(m.matched_len, 4);
-        assert!(!m.ends_mid_edge);
-        let leaf = m.deepest().unwrap();
-        assert_eq!(t.depth(leaf), 4);
-        let branch = t.parent(leaf).unwrap();
-        assert_eq!(t.depth(branch), 2);
-        assert_eq!(t.parent(branch), Some(NodeId::ROOT));
-
-        let m = t.match_prefix(&[1, 2, 3, 7]);
-        assert_eq!(m.matched_len, 3);
-        assert!(m.ends_mid_edge);
-        assert_eq!(
-            m.deepest(),
-            Some(branch),
-            "only the branch node fully matched"
-        );
-
-        let m = t.match_prefix(&[1, 2]);
-        assert_eq!(m.matched_len, 2);
-        assert!(!m.ends_mid_edge);
-        assert_eq!(m.deepest(), Some(branch));
-
-        let m = t.match_prefix(&[7]);
-        assert_eq!(m.matched_len, 0);
-    }
-
-    #[test]
-    fn speculation_matches_insert_behaviour() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-
-        // Divergence mid-edge: would split.
-        let s = t.speculate_insert(&[1, 2, 9]);
-        assert_eq!(
-            s,
-            Speculation {
-                matched_len: 2,
-                creates_branch_at: Some(2)
-            }
-        );
-
-        // Pure extension past a leaf: no split.
-        let s = t.speculate_insert(&[1, 2, 3, 4, 5]);
-        assert_eq!(s.creates_branch_at, None);
-        assert_eq!(s.matched_len, 4);
-
-        // Strict prefix ending mid-edge: would split (single-child mid).
-        let s = t.speculate_insert(&[1, 2, 3]);
-        assert_eq!(s.creates_branch_at, Some(3));
-
-        // Fresh sequence: no split.
-        let s = t.speculate_insert(&[8, 8]);
-        assert_eq!(
-            s,
-            Speculation {
-                matched_len: 0,
-                creates_branch_at: None
-            }
-        );
-    }
-
-    #[test]
-    fn speculation_never_mutates() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let before = (t.len(), t.token_count(), t.token_store_len());
-        let _ = t.speculate_insert(&[1, 2, 9]);
-        let _ = t.speculate_insert(&[1, 2, 3]);
-        assert_eq!(
-            (t.len(), t.token_count(), t.token_store_len()),
-            before,
-            "probes must not mutate, not even the backing store"
-        );
-    }
-
-    #[test]
-    fn remove_leaf_frees_tokens() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2, 9, 9]);
-        let leaf = out.new_leaf.unwrap();
-        let removed = t.remove(leaf).unwrap();
-        assert_eq!(removed.freed_tokens, 2);
-        assert_eq!(removed.merged_into, None);
-        assert_eq!(t.token_count(), 4);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn remove_intermediate_merges_edge_into_child() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2]); // splits, mid has one child
-        let mid = out.split_node.unwrap();
-        let removed = t.remove(mid).unwrap();
-        assert_eq!(removed.freed_tokens, 0, "KVs absorbed by child");
-        let child = removed.merged_into.unwrap();
-        assert_eq!(t.edge_len(child), 4);
-        assert_eq!(t.depth(child), 4);
-        assert_eq!(t.token_count(), 4);
-        // The merged path still matches fully.
-        assert_eq!(t.match_prefix(&[1, 2, 3, 4]).matched_len, 4);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn remove_branch_node_rejected_until_children_gone() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2, 9, 9]);
-        let branch = out.split_node.unwrap();
-        assert_eq!(t.remove(branch), Err(RemoveError::HasMultipleChildren));
-        // Evict one child; the branch becomes removable.
-        let leaf = out.new_leaf.unwrap();
-        t.remove(leaf).unwrap();
-        assert!(t.remove(branch).is_ok());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn remove_root_rejected() {
-        let mut t = tree();
-        assert_eq!(t.remove(NodeId::ROOT), Err(RemoveError::IsRoot));
-    }
-
-    #[test]
-    fn remove_dead_id_rejected() {
-        let mut t = tree();
-        let out = t.insert(&[1]);
-        t.remove(out.end_node).unwrap();
-        assert_eq!(t.remove(out.end_node), Err(RemoveError::NotFound));
-        assert!(!t.contains(out.end_node));
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut t = tree();
-        let a = t.insert(&[1]).end_node;
-        t.remove(a).unwrap();
-        let b = t.insert(&[2]).end_node;
-        assert_eq!(a.index(), b.index(), "freed slot reused");
-    }
-
-    #[test]
-    fn eviction_candidates_exclude_branch_nodes() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        t.insert(&[1, 2, 9, 9]);
-        let cands: Vec<_> = t.eviction_candidates().collect();
-        // Two leaves are candidates; the 2-child branch node is not.
-        assert_eq!(cands.len(), 2);
-        assert_eq!(t.eviction_candidate_count(), 2);
-        for c in cands {
-            assert!(t.is_leaf(c));
-        }
-    }
-
-    #[test]
-    fn candidate_index_tracks_branch_transitions() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2, 3, 4]);
-        // One leaf: one candidate.
-        assert_eq!(t.eviction_candidate_count(), 1);
-        // Split creates a branch (2 children, not a candidate) + new leaf.
-        let b = t.insert(&[1, 2, 9, 9]);
-        let branch = b.split_node.unwrap();
-        assert!(!t.eviction_candidates().any(|id| id == branch));
-        // A third diverging child keeps the branch out.
-        t.insert(&[1, 2, 7, 7]);
-        assert!(!t.eviction_candidates().any(|id| id == branch));
-        // Remove two of the three leaves: the branch drops to one child and
-        // becomes a candidate.
-        t.remove(a.end_node).unwrap();
-        t.remove(b.new_leaf.unwrap()).unwrap();
-        assert!(t.eviction_candidates().any(|id| id == branch));
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn match_prefix_exposes_mid_edge_child() {
-        let mut t = tree();
-        let out = t.insert(&[1, 2, 3, 4]);
-        // Ends inside the single leaf's edge.
-        let m = t.match_prefix(&[1, 2, 3]);
-        assert!(m.ends_mid_edge);
-        assert_eq!(m.mid_edge_child, Some(out.end_node));
-        assert!(m.deepest().is_none());
-        // Full match: no mid-edge child.
-        let m = t.match_prefix(&[1, 2, 3, 4]);
-        assert!(!m.ends_mid_edge);
-        assert_eq!(m.mid_edge_child, None);
-        // Miss at a node boundary: no mid-edge child either.
-        let m = t.match_prefix(&[9]);
-        assert_eq!(m.mid_edge_child, None);
-    }
-
-    #[test]
-    fn structure_version_bumps_only_on_shape_changes() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2, 3, 4]);
-        let leaf = a.end_node;
-        let v0 = t.structure_version(leaf);
-
-        // Splitting the leaf's edge shortens it: version bumps.
-        let b = t.insert(&[1, 2, 9, 9]);
-        let branch = b.split_node.unwrap();
-        assert!(t.structure_version(leaf) > v0, "split must bump the child");
-
-        // Adding a *third* child to the branch leaves every existing node's
-        // shape alone.
-        let v_leaf = t.structure_version(leaf);
-        let v_branch = t.structure_version(branch);
-        t.insert(&[1, 2, 7, 7]);
-        assert_eq!(t.structure_version(leaf), v_leaf);
-        assert_eq!(t.structure_version(branch), v_branch);
-
-        // Extending past the leaf gives it its first child: leaf status
-        // flipped, version bumps.
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-        assert!(t.structure_version(leaf) > v_leaf);
-    }
-
-    #[test]
-    fn structure_version_bumps_on_merge_and_leaf_loss() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2]); // split: mid with a single child
-        let mid = out.split_node.unwrap();
-        let m = t.match_prefix(&[1, 2, 3, 4]);
-        let child = m.deepest().unwrap();
-        let v_child = t.structure_version(child);
-        // Removing the single-child mid merges its edge into the child.
-        let removed = t.remove(mid).unwrap();
-        assert_eq!(removed.merged_into, Some(child));
-        assert!(
-            t.structure_version(child) > v_child,
-            "absorbing an edge must bump the child"
-        );
-
-        // Removing a node's last child turns the parent into a leaf: bump.
-        let mut t = tree();
-        t.insert(&[1, 2]);
-        let ext = t.insert(&[1, 2, 3, 4]);
-        let parent = t.parent(ext.end_node).unwrap();
-        let v_parent = t.structure_version(parent);
-        t.remove(ext.end_node).unwrap();
-        assert!(
-            t.structure_version(parent) > v_parent,
-            "losing the last child must bump the parent"
-        );
-    }
-
-    #[test]
-    fn path_tokens_roundtrip() {
-        let mut t = tree();
-        let out = t.insert(&[1, 2, 3, 4, 5]);
-        t.insert(&[1, 2, 9]);
-        assert_eq!(t.path_tokens(out.end_node), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn data_is_mutable_per_node() {
-        let mut t = tree();
-        let out = t.insert(&[1, 2]);
-        *t.data_mut(out.end_node) = 42;
-        assert_eq!(*t.data(out.end_node), 42);
-        // Splitting preserves the child's payload and defaults the mid.
-        let out2 = t.insert(&[1, 9]);
-        let mid = out2.split_node.unwrap();
-        assert_eq!(*t.data(mid), 0);
-        // The old node kept its data through the split.
-        let m = t.match_prefix(&[1, 2]);
-        assert_eq!(*t.data(m.deepest().unwrap()), 42);
-    }
-
-    #[test]
-    fn node_ids_iterates_live_nodes_only() {
-        let mut t = tree();
-        t.insert(&[1, 2]);
-        let out = t.insert(&[3, 4]);
-        t.remove(out.end_node).unwrap();
-        assert_eq!(t.node_ids().count(), 1);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn to_dot_contains_edges() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
-        t.insert(&[1, 2, 9]);
-        let dot = t.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"));
-        assert!(dot.contains('…'), "long edges abbreviated");
-    }
-
-    // ------------------------------------------------------------------
-    // Speculative insertion as the checkpoint trigger (paper §4.1): the
-    // speculation must fire iff the insert would create a *new* branch
-    // point, because that signal is exactly what admits an SSM checkpoint
-    // during prefill. False positives waste cache bytes; false negatives
-    // forfeit purely-input reuse.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn speculation_fires_only_for_new_branch_points() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-
-        // Mid-edge divergence: a new intermediate node would be created at
-        // exactly the shared depth — checkpoint there.
-        let s = t.speculate_insert(&[1, 2, 3, 9, 9]);
-        assert_eq!(s.creates_branch_at, Some(3));
-        assert_eq!(s.matched_len, 3);
-
-        // Exact duplicate: nothing new would be created — no checkpoint.
-        let s = t.speculate_insert(&[1, 2, 3, 4, 5, 6]);
-        assert_eq!(s.creates_branch_at, None);
-        assert_eq!(s.matched_len, 6);
-
-        // Disjoint sequence: a fresh root child, not a branch point.
-        let s = t.speculate_insert(&[7, 7, 7]);
-        assert_eq!(s.creates_branch_at, None);
-        assert_eq!(s.matched_len, 0);
-    }
-
-    #[test]
-    fn speculation_silent_at_existing_branch_points() {
-        // Once a branch node exists at depth 2, a third sequence diverging
-        // at that same depth must NOT re-fire: the node (and its
-        // checkpoint) already exist, and inserting would only add a new
-        // child edge, not split anything.
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2, 5, 6]);
-        let branch = out.split_node.expect("second sequence splits");
-        assert_eq!(t.depth(branch), 2);
-
-        let s = t.speculate_insert(&[1, 2, 7, 8]);
-        assert_eq!(s.matched_len, 2, "shares the prompt");
-        assert_eq!(
-            s.creates_branch_at, None,
-            "divergence at an existing node is not a new branch point"
-        );
-        // Insert confirms the prediction: no split happens.
-        let out = t.insert(&[1, 2, 7, 8]);
-        assert!(out.split_node.is_none());
-        assert_eq!(t.child_count(branch), 3);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn speculation_silent_for_pure_extensions() {
-        // Conversation growth (history + new turn) extends past a leaf; the
-        // branch-point trigger must stay silent — resume reuse is handled by
-        // the separate last-decoded-token checkpoint, not this one.
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let s = t.speculate_insert(&[1, 2, 3, 4, 5]);
-        assert_eq!(s.matched_len, 3);
-        assert_eq!(s.creates_branch_at, None);
-    }
-
-    #[test]
-    fn speculation_branch_depth_equals_matched_len_when_present() {
-        // The paper checkpoints the state *at the branch depth*; the two
-        // fields must agree so the cache checkpoints the right prefix.
-        let mut t = tree();
-        let seq: Vec<Token> = (0..128).collect();
-        t.insert(&seq);
-        for cut in [1usize, 17, 63, 127] {
-            let mut probe = seq[..cut].to_vec();
-            probe.push(999);
-            let s = t.speculate_insert(&probe);
-            assert_eq!(s.creates_branch_at, Some(cut as u64));
-            assert_eq!(s.matched_len, cut as u64);
-        }
-    }
-
-    #[test]
-    fn speculation_on_empty_tree_and_empty_sequence() {
-        let t = tree();
-        let s = t.speculate_insert(&[1, 2, 3]);
-        assert_eq!(s.creates_branch_at, None, "empty tree has no edges");
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let s = t.speculate_insert(&[]);
-        assert_eq!(s.matched_len, 0);
-        assert_eq!(s.creates_branch_at, None);
-    }
-
-    // ------------------------------------------------------------------
-    // In-flight pinning: refcounts protect a matched path against removal
-    // while a request is still decoding against its KVs (PR 6).
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn pin_protects_the_whole_path() {
-        let mut t = tree();
-        t.insert(&[1, 2]);
-        let deep = t.insert(&[1, 2, 3, 4]).end_node;
-        let mid = t.parent(deep).unwrap();
-        t.pin(deep);
-        assert!(t.is_pinned(deep));
-        assert!(t.is_pinned(mid), "ancestors are protected transitively");
-        assert_eq!(t.pinned_count(), 2);
-        assert_eq!(t.remove(deep), Err(RemoveError::Pinned));
-        assert_eq!(t.remove(mid), Err(RemoveError::Pinned));
-        t.assert_invariants();
-        t.unpin(deep);
-        assert!(!t.is_pinned(deep));
-        assert!(!t.is_pinned(mid));
-        assert_eq!(t.pinned_count(), 0);
-        assert!(t.remove(deep).is_ok());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn pin_is_refcounted() {
-        let mut t = tree();
-        let leaf = t.insert(&[1, 2, 3]).end_node;
-        t.pin(leaf);
-        t.pin(leaf);
-        t.unpin(leaf);
-        assert!(t.is_pinned(leaf), "one of two pins still holds");
-        assert_eq!(t.remove(leaf), Err(RemoveError::Pinned));
-        t.unpin(leaf);
-        assert!(t.remove(leaf).is_ok());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn split_inherits_pins_and_unpin_stays_balanced() {
-        let mut t = tree();
-        let leaf = t.insert(&[1, 2, 3, 4]).end_node;
-        t.pin(leaf);
-        // Another request diverges mid-edge while the first is in flight:
-        // the new intermediate holds the head of the pinned edge and must
-        // be protected too.
-        let out = t.insert(&[1, 2, 9, 9]);
-        let mid = out.split_node.expect("split");
-        assert!(t.is_pinned(mid), "split head of a pinned edge stays pinned");
-        assert!(t.is_pinned(leaf));
-        assert!(!t.is_pinned(out.new_leaf.unwrap()));
-        assert_eq!(t.remove(mid), Err(RemoveError::HasMultipleChildren));
-        t.assert_invariants();
-        // Unpinning by the original id walks through the new intermediate
-        // and releases everything.
-        t.unpin(leaf);
-        assert_eq!(t.pinned_count(), 0);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn clear_pins_resets_all_counts() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2, 3, 4]).end_node;
-        let b = t.insert(&[1, 2, 9]).end_node;
-        t.pin(a);
-        t.pin(a);
-        t.pin(b);
-        assert!(t.pinned_count() > 0);
-        t.clear_pins();
-        assert_eq!(t.pinned_count(), 0);
-        assert!(!t.is_pinned(a));
-        assert!(t.remove(a).is_ok());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn recycled_slots_start_unpinned() {
-        let mut t = tree();
-        let a = t.insert(&[1]).end_node;
-        t.pin(a);
-        t.unpin(a);
-        t.remove(a).unwrap();
-        let b = t.insert(&[2]).end_node;
-        assert_eq!(a.index(), b.index(), "slot reused");
-        assert!(!t.is_pinned(b));
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn pinning_root_is_a_noop() {
-        let mut t = tree();
-        t.insert(&[1, 2]);
-        t.pin(NodeId::ROOT);
-        t.unpin(NodeId::ROOT);
-        assert_eq!(t.pinned_count(), 0);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn deep_chain_of_splits() {
-        // Repeatedly inserting prefixes creates a chain of single-child
-        // intermediates.
-        let mut t = tree();
-        let seq: Vec<Token> = (0..64).collect();
-        t.insert(&seq);
-        for cut in (8..64).step_by(8).rev() {
-            let out = t.insert(&seq[..cut]);
-            assert!(out.split_node.is_some(), "cut {cut} should split");
-        }
-        assert_eq!(t.token_count(), 64);
-        t.assert_invariants();
-        // Every prefix node matches exactly.
-        for cut in (8..=64).step_by(8) {
-            let m = t.match_prefix(&seq[..cut]);
-            assert_eq!(m.matched_len, cut as u64);
-            assert!(!m.ends_mid_edge);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Arena engine specifics: generation tags, the shared token store,
-    // and the O(log n) recency index.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn generation_tags_detect_stale_ids() {
-        let mut t = tree();
-        let a = t.insert(&[1]).end_node;
-        t.remove(a).unwrap();
-        let b = t.insert(&[2]).end_node;
-        assert_eq!(a.index(), b.index(), "slot reused");
-        assert_ne!(
-            a.generation(),
-            b.generation(),
-            "recycling must mint a fresh generation"
-        );
-        // The stale id is dead even though its slot is occupied again.
-        assert!(!t.contains(a));
-        assert!(t.contains(b));
-        assert_eq!(t.remove(a), Err(RemoveError::NotFound));
-        assert!(t.contains(b), "stale-id remove must not hit the new tenant");
-        t.assert_invariants();
-    }
-
-    #[test]
-    #[should_panic(expected = "stale or freed id")]
-    fn stale_id_access_panics_loudly() {
-        let mut t = tree();
-        let a = t.insert(&[1]).end_node;
-        t.remove(a).unwrap();
-        t.insert(&[2]); // recycles a's slot under a new generation
-        let _ = t.data(a);
-    }
-
-    #[test]
-    fn split_is_zero_copy_and_split_merge_reuses_store() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-        let stored = t.token_store_len();
-        // Splitting allocates no new store space: both halves alias the
-        // original range.
-        let out = t.insert(&[1, 2, 3, 9]);
-        assert_eq!(
-            t.token_store_len(),
-            stored + 1,
-            "only the new leaf's suffix [9] is appended"
-        );
-        // Removing the split leaf and then the branch merges the two
-        // adjacent halves back — again without growing the store.
-        t.remove(out.new_leaf.unwrap()).unwrap();
-        let before_merge = t.token_store_len();
-        t.remove(out.split_node.unwrap()).unwrap();
-        assert_eq!(
-            t.token_store_len(),
-            before_merge,
-            "adjacent-range merge is O(1) offset arithmetic"
-        );
-        assert_eq!(t.match_prefix(&[1, 2, 3, 4, 5, 6]).matched_len, 6);
-        t.assert_invariants();
-    }
-
-    /// A label's store slices, materialized for comparison.
-    fn parts(t: &RadixTree<u32>, id: NodeId) -> Vec<Vec<Token>> {
-        t.edge_parts(id).map(<[Token]>::to_vec).collect()
-    }
-
-    #[test]
-    fn non_adjacent_merge_splices_without_copying() {
-        // An unrelated insertion between [1,2] and its extension [3,4]
-        // separates their store ranges; the merge chains the two ranges.
-        let mut t = tree();
-        let a = t.insert(&[1, 2]).end_node;
-        t.insert(&[7]);
-        t.insert(&[1, 2, 3, 4]);
-        let before = t.token_store_len();
-        let removed = t.remove(a).unwrap();
-        let child = removed.merged_into.unwrap();
-        assert_eq!(t.token_store_len(), before, "a merge writes no token");
-        assert_eq!(parts(&t, child), [vec![1, 2], vec![3, 4]]);
-        assert_eq!(t.edge_len(child), 4);
-        assert_eq!(t.match_prefix(&[1, 2, 3, 4]).matched_len, 4);
-        assert_eq!(t.match_prefix(&[1, 2, 3, 9]).matched_len, 3);
-        assert_eq!(t.store_counters().merge_copied, 0);
-        t.assert_invariants();
-    }
-
-    /// `[0] → [1, 2] → [3, 4]`, each label laid out apart from the next by
-    /// an unrelated insert, so every merge below joins non-adjacent ranges.
-    fn spaced_chain(t: &mut RadixTree<u32>) -> (NodeId, NodeId, NodeId) {
-        let top = t.insert(&[0]).end_node;
-        t.insert(&[90]);
-        let mid = t.insert(&[0, 1, 2]).end_node;
-        t.insert(&[91]);
-        let leaf = t.insert(&[0, 1, 2, 3, 4]).end_node;
-        (top, mid, leaf)
-    }
-
-    #[test]
-    fn merging_an_already_merged_label_chains_three_ranges() {
-        let mut t = tree();
-        let (top, mid, leaf) = spaced_chain(&mut t);
-        let stored = t.token_store_len();
-        // Bottom-up: the leaf absorbs [1, 2], then [0] in front of that.
-        assert_eq!(t.remove(mid).unwrap().merged_into, Some(leaf));
-        assert_eq!(parts(&t, leaf), [vec![1, 2], vec![3, 4]]);
-        assert_eq!(t.remove(top).unwrap().merged_into, Some(leaf));
-        assert_eq!(parts(&t, leaf), [vec![0], vec![1, 2], vec![3, 4]]);
-        assert_eq!(t.path_tokens(leaf), [0, 1, 2, 3, 4]);
-        assert_eq!(t.token_store_len(), stored);
-        t.assert_invariants();
-
-        // Two chains joined: `[0] | [1, 2]` over `[3, 4] | [5, 6]`.
-        let mut u = tree();
-        let (top, mid, low) = spaced_chain(&mut u);
-        u.insert(&[92]);
-        let leaf = u.insert(&[0, 1, 2, 3, 4, 5, 6]).end_node;
-        u.remove(top).unwrap();
-        u.remove(low).unwrap();
-        assert_eq!(parts(&u, mid), [vec![0], vec![1, 2]]);
-        assert_eq!(parts(&u, leaf), [vec![3, 4], vec![5, 6]]);
-        assert_eq!(u.remove(mid).unwrap().merged_into, Some(leaf));
-        let four = [vec![0], vec![1, 2], vec![3, 4], vec![5, 6]];
-        assert_eq!(parts(&u, leaf), four);
-        assert_eq!(u.path_tokens(leaf), [0, 1, 2, 3, 4, 5, 6]);
-        u.assert_invariants();
-        // A cut on a seam moves whole ranges; a cut inside one splits it.
-        let seam = u.insert(&[0, 1, 2, 3, 4, 9]).split_node.unwrap();
-        assert_eq!(parts(&u, seam), [vec![0], vec![1, 2], vec![3, 4]]);
-        assert_eq!(parts(&u, leaf), [vec![5, 6]]);
-        let inside = u.insert(&[0, 1, 8]).split_node.unwrap();
-        assert_eq!(parts(&u, inside), [vec![0], vec![1]]);
-        assert_eq!(parts(&u, seam), [vec![2], vec![3, 4]]);
-        assert_eq!(u.path_tokens(leaf), [0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(u.store_counters().merge_copied, 0);
-        u.assert_invariants();
-    }
-
-    #[test]
-    fn compaction_relinearises_a_chained_label() {
-        let mut t = tree();
-        let (top, mid, leaf) = spaced_chain(&mut t);
-        t.remove(mid).unwrap();
-        t.remove(top).unwrap();
-        let cur = t.cursor_at(leaf).expect("live");
-        assert_eq!(t.edge_parts(leaf).count(), 3);
-        let before = t.store_counters();
-        churn_until_compacted(&mut t, 40_000);
-        let after = t.store_counters();
-        assert!(after.compactions > before.compactions);
-        assert!(after.compaction_moved >= 5, "the chain moved");
-        assert_eq!(t.token_store_len() as u64, t.token_count());
-        assert_eq!(parts(&t, leaf), [vec![0, 1, 2, 3, 4]]);
-        assert_eq!(t.path_tokens(leaf), [0, 1, 2, 3, 4]);
-        // The cursor taken across the seams still resumes, and still
-        // rejects a query that diverges where a seam was.
-        let at = t
-            .resume(&cur, &[0, 1, 2, 3, 4, 5])
-            .expect("cursor survives");
-        assert_eq!(at.node(), leaf);
-        assert_eq!(
-            t.resume(&cur, &[0, 1, 9, 3, 4]),
-            Err(CursorFault::EdgeDivergence)
-        );
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn walks_compare_across_label_seams() {
-        let mut t = tree();
-        let (top, mid, leaf) = spaced_chain(&mut t);
-        t.remove(mid).unwrap();
-        t.remove(top).unwrap();
-        // [0] | [1, 2] | [3, 4]: a query diverging at each token, seams
-        // included, and the full path.
-        let full = [0, 1, 2, 3, 4];
-        for at in 0..=full.len() {
-            let mut q = full.to_vec();
-            if at < full.len() {
-                q[at] = 77;
-            }
-            assert_eq!(t.match_prefix(&q).matched_len, at as u64, "diverge at {at}");
-            let cur = t.cursor_at(leaf).expect("live");
-            let want = if at < full.len() {
-                Err(CursorFault::EdgeDivergence)
-            } else {
-                Ok(leaf)
-            };
-            for seam in 0..=q.len() {
-                let (head, tail) = q.split_at(seam);
-                assert_eq!(t.shared_edge_len_parts(leaf, head, tail, 0), at);
-                assert_eq!(t.resume_parts(&cur, head, tail).map(|r| r.node()), want);
-            }
-        }
-        // The seam fault stops one token short of each seam it reaches.
-        assert_eq!(t.shared_edge_len(leaf, &[0, 1, 2, 3]), 4);
-        t.debug_set_seam_short(true);
-        assert_eq!(t.shared_edge_len(leaf, &[0, 1, 2, 3]), 0);
-        assert_eq!(t.match_prefix(&full).matched_len, 0);
-    }
-
-    // -- store reclamation ------------------------------------------------
-
-    /// Inserts and removes one throwaway leaf of `len` fresh tokens
-    /// (distinct per `round`, so nothing is shared with the live tree).
-    /// Returns whether the insert, and whether the removal, compacted the
-    /// store (it only ever shrinks by compacting).
-    fn churn_once(t: &mut RadixTree<u32>, round: u32, len: u32) -> (bool, bool) {
-        let base = 1_000_000 + round * len;
-        let seq: Vec<Token> = (base..base + len).collect();
-        let before = t.token_store_len();
-        let leaf = t.insert(&seq).end_node;
-        let on_insert = t.token_store_len() < before;
-        let before = t.token_store_len();
-        t.remove(leaf).expect("fresh unpinned leaf");
-        (on_insert, t.token_store_len() < before)
-    }
-
-    /// Churns until the store compacts; panics if it never does. With
-    /// `len` ≥ 2^15 the compaction lands on a removal (such a leaf is more
-    /// than a quarter of any store it can push over the floor), so the
-    /// store comes back holding exactly the live tokens.
-    fn churn_until_compacted(t: &mut RadixTree<u32>, len: u32) {
-        for round in 0..1_000 {
-            if churn_once(t, round, len) != (false, false) {
-                return;
-            }
-        }
-        panic!("store never compacted: {} tokens", t.token_store_len());
-    }
-
-    #[test]
-    fn compaction_preserves_paths_and_outstanding_cursors() {
-        let mut t = tree();
-        // Dead tokens in front of, between and behind the live labels, so
-        // every one of them actually moves.
-        let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-        let gap = t.insert(&(900..1300).collect::<Vec<Token>>()).end_node;
-        t.insert(&[1, 2, 3, 9, 9]); // splits [1..=6] at depth 3
-        t.insert(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        t.insert(&[40, 41, 42]);
-        t.remove(front).unwrap();
-        t.remove(gap).unwrap();
-
-        let live: Vec<NodeId> = t.node_ids().collect();
-        let paths: Vec<Vec<Token>> = live.iter().map(|&id| t.path_tokens(id)).collect();
-        let cursors: Vec<MatchCursor> = live.iter().map(|&id| t.cursor_at(id).unwrap()).collect();
-        let versions: Vec<u32> = live.iter().map(|&id| t.structure_version(id)).collect();
-
-        churn_until_compacted(&mut t, 40_000);
-        assert_eq!(
-            t.token_store_len() as u64,
-            t.token_count(),
-            "a compaction leaves exactly the live tokens"
-        );
-        t.assert_invariants();
-
-        for (i, &id) in live.iter().enumerate() {
-            assert_eq!(t.path_tokens(id), paths[i], "{id}: path changed");
-            assert_eq!(t.structure_version(id), versions[i], "{id}: version moved");
-            // Every cursor taken before the compaction still resumes, and
-            // resumes to the same answer as the root walk.
-            let mut query = paths[i].clone();
-            query.push(77);
-            assert_eq!(t.resume(&cursors[i], &query).map(|at| at.node()), Ok(id));
-            assert_eq!(
-                t.match_prefix_from(&cursors[i], &query).unwrap(),
-                t.match_prefix(&query)
-            );
-        }
-        // Probes stay read-only on a store that has been rewritten.
-        let before = (t.len(), t.token_count(), t.token_store_len());
-        let _ = t.speculate_insert(&[1, 2, 3, 4, 0]);
-        let _ = t.speculate_insert(&[1, 2]);
-        assert_eq!((t.len(), t.token_count(), t.token_store_len()), before);
-    }
-
-    #[test]
-    fn split_pair_stays_adjacent_across_a_compaction() {
-        let mut t = tree();
-        let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-        let out = t.insert(&[1, 2, 3, 9]);
-        t.remove(front).unwrap(); // the pair must slide down 400 tokens
-        churn_until_compacted(&mut t, 40_000);
-        assert_eq!(t.token_store_len() as u64, t.token_count());
-
-        // split → compact → merge: the two halves are still one contiguous
-        // range, so the merge is offset arithmetic and appends nothing.
-        t.remove(out.new_leaf.unwrap()).unwrap();
-        let before_merge = t.token_store_len();
-        let merged = t.remove(out.split_node.unwrap()).unwrap();
-        assert_eq!(t.token_store_len(), before_merge, "merge grew the store");
-        assert_eq!(
-            parts(&t, merged.merged_into.unwrap()),
-            [vec![1, 2, 3, 4, 5, 6]]
-        );
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn both_insert_and_remove_can_trigger_compaction() {
-        // Small leaves cross the 2^16 floor on an *append* (the dead ratio
-        // was already past 4x below the floor)...
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let on_insert = (0..200).any(|round| churn_once(&mut t, round, 1_000).0);
-        assert!(on_insert, "an appending insert must be able to compact");
-        // ...while leaves bigger than a quarter of the store only tip the
-        // ratio when they die.
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let on_remove = (0..8).any(|round| churn_once(&mut t, round, 40_000).1);
-        assert!(on_remove, "a removal must be able to compact");
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn stores_under_the_floor_are_never_compacted() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let mut expect = t.token_store_len();
-        for round in 0..60 {
-            assert_eq!(churn_once(&mut t, round, 1_000), (false, false));
-            expect += 1_000;
-            assert_eq!(t.token_store_len(), expect);
-        }
-        assert!(expect < STORE_COMPACT_FLOOR);
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant: unpin without a matching pin")]
-    fn unbalanced_unpin_panics_in_every_profile() {
-        let mut t = tree();
-        let leaf = t.insert(&[1, 2, 3]).end_node;
-        t.pin(leaf);
-        t.unpin(leaf);
-        t.unpin(leaf);
-    }
-
-    #[test]
-    fn touch_orders_lru_candidates() {
-        let mut t = tree();
-        let a = t.insert(&[1, 1]).end_node;
-        let b = t.insert(&[2, 2]).end_node;
-        let c = t.insert(&[3, 3]).end_node;
-        t.touch(a, 30);
-        t.touch(b, 10);
-        t.touch(c, 20);
-        let order: Vec<NodeId> = t.lru_candidates().map(|(_, id)| id).collect();
-        assert_eq!(order, vec![b, c, a], "ascending stamp order");
-        assert_eq!(t.stamp(a), 30);
-        // Re-touching reorders in O(log n).
-        t.touch(b, 40);
-        let order: Vec<NodeId> = t.lru_candidates().map(|(_, id)| id).collect();
-        assert_eq!(order, vec![c, a, b]);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn lru_tracks_candidate_entry_and_exit() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2, 3, 4]).end_node;
-        t.touch(a, 5);
-        // Splitting makes a branch with 2 children: the branch is not a
-        // candidate, so it must not appear in the recency index.
-        let out = t.insert(&[1, 2, 9, 9]);
-        let branch = out.split_node.unwrap();
-        assert!(t.lru_candidates().all(|(_, id)| id != branch));
-        // Stamps survive candidacy changes: touch the branch while it is
-        // out, then drop it to one child — it re-enters with its stamp.
-        t.touch(branch, 77);
-        t.remove(out.new_leaf.unwrap()).unwrap();
-        assert!(t.lru_candidates().any(|(s, id)| id == branch && s == 77));
-        // Removal drops the entry.
-        t.remove(a).unwrap();
-        assert!(t.lru_candidates().all(|(_, id)| id != a));
-        assert_eq!(t.lru_candidates().count(), t.eviction_candidate_count());
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn ties_break_by_id_in_lru_order() {
-        let mut t = tree();
-        let a = t.insert(&[1, 1]).end_node;
-        let b = t.insert(&[2, 2]).end_node;
-        t.touch(a, 9);
-        t.touch(b, 9);
-        let order: Vec<NodeId> = t.lru_candidates().map(|(_, id)| id).collect();
-        let mut want = vec![a, b];
-        want.sort();
-        assert_eq!(order, want, "equal stamps break ties by id");
-    }
-
-    /// `(class, id)` of every index entry, in iteration order.
-    fn banded(t: &RadixTree<u32>) -> Vec<(u16, NodeId)> {
-        t.candidate_bands()
-            .flat_map(|(class, band)| band.map(move |(_, id)| (class, id)))
-            .collect()
-    }
-
-    #[test]
-    fn set_class_moves_a_candidate_between_bands_and_touch_keeps_it_there() {
-        let mut t = tree();
-        let a = t.insert(&[1, 1]).end_node;
-        let b = t.insert(&[2, 2]).end_node;
-        t.touch(a, 10);
-        t.touch(b, 20);
-        assert_eq!(banded(&t), vec![(0, a), (0, b)], "new nodes are unclassed");
-        t.set_class(b, 3);
-        assert_eq!(t.class(b), 3);
-        assert_eq!(banded(&t), vec![(0, a), (3, b)]);
-        // Class first: `b` stays behind `a` however old its stamp.
-        t.touch(b, 1);
-        assert_eq!(banded(&t), vec![(0, a), (3, b)]);
-        assert_eq!(
-            t.lru_candidates().collect::<Vec<_>>(),
-            vec![(10, a), (1, b)]
-        );
-        t.set_class(b, 0);
-        assert_eq!(banded(&t), vec![(0, b), (0, a)], "back in stamp order");
-        assert_eq!(t.candidate_bands().count(), 1, "band 3 emptied and dropped");
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn every_version_bump_returns_the_node_to_class_zero_of_its_tier() {
-        // The four bump sites: leaf gains a child, edge split shortens the
-        // child, parent becomes a leaf, merge grows the child. Each clears
-        // the caller's bits and keeps the tier bit, in either tier.
-        for tier in [0, TIER_BIT] {
-            let mut t = tree();
-            let a = t.insert(&[1, 2, 3, 4]).end_node;
-            t.set_class(a, tier | 5);
-            let below = t.insert(&[1, 2, 3, 4, 5]).end_node; // a: leaf -> 1 child
-            assert_eq!((t.class(a), t.structure_version(a)), (tier, 1));
-            t.set_class(a, tier | 5);
-            let mid = t.insert(&[1, 2, 9]).split_node.unwrap(); // a's edge split
-            assert_eq!(t.class(a), tier);
-            assert_eq!(t.class(mid), tier, "the split's new node takes a's tier");
-            t.set_class(a, tier | 5);
-            t.remove(below).unwrap(); // a: 1 child -> leaf
-            assert_eq!(t.class(a), tier);
-            t.set_class(a, tier | 5);
-            t.set_class(mid, 6);
-            let sibling = t.match_prefix(&[1, 2, 9]).deepest().unwrap();
-            t.remove(sibling).unwrap(); // mid: 2 -> 1 children, no bump
-            let mut own_bands = vec![(tier | 5, a), (6, mid)];
-            own_bands.sort();
-            assert_eq!(banded(&t), own_bands, "re-enters its own band");
-            t.remove(mid).unwrap(); // a absorbs mid's edge
-            assert_eq!(t.class(a), tier);
-            assert_eq!(banded(&t), vec![(tier, a)]);
-            t.assert_invariants();
-        }
-    }
-
-    /// Ids of one tier's candidates, in band order.
-    fn tier_ids(t: &RadixTree<u32>, tier: u16) -> Vec<NodeId> {
-        t.tier_bands(tier)
-            .flat_map(|(_, band)| band.map(|(_, id)| id))
-            .collect()
-    }
-
-    #[test]
-    fn a_split_node_starts_in_class_zero_of_the_split_childs_tier() {
-        let mut t = tree();
-        let a = t.insert(&[1, 2, 3, 4]).end_node;
-        let b = t.insert(&[7, 7]).end_node;
-        t.set_class(a, TIER_BIT | 9);
-        t.set_class(b, 3);
-        // A split with no new leaf leaves the new node a candidate: its
-        // entry must land in the child's tier.
-        let mid = t.insert(&[1, 2]).split_node.unwrap();
-        assert_eq!(
-            t.class(mid),
-            TIER_BIT,
-            "the head tokens stay where they were"
-        );
-        assert_eq!(
-            t.class(a),
-            TIER_BIT,
-            "the shortened child was bumped, tier kept"
-        );
-        assert_eq!(tier_ids(&t, TIER_BIT), vec![a, mid]);
-        assert_eq!(tier_ids(&t, 0), vec![b]);
-        // A split in the lower tier stays there, and a new leaf starts in it.
-        let out = t.insert(&[7, 1]);
-        assert_eq!(t.class(out.split_node.unwrap()), 0);
-        assert_eq!(t.class(out.new_leaf.unwrap()), 0);
-        assert!(tier_ids(&t, 0).contains(&out.new_leaf.unwrap()));
-        assert_eq!(tier_ids(&t, TIER_BIT), vec![a, mid]);
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn a_class_set_while_not_a_candidate_is_carried_into_the_index() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let out = t.insert(&[1, 2, 9]);
-        let branch = out.split_node.unwrap();
-        t.set_class(branch, 2);
-        assert!(banded(&t).iter().all(|&(_, id)| id != branch));
-        t.remove(out.new_leaf.unwrap()).unwrap();
-        assert!(banded(&t).contains(&(2, branch)));
-        t.assert_invariants();
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant: node ids refer to live nodes")]
-    fn set_class_on_a_removed_id_panics_in_every_profile() {
-        let mut t = tree();
-        let a = t.insert(&[1, 1]).end_node;
-        t.remove(a).unwrap();
-        t.set_class(a, 1);
-    }
-
-    // ------------------------------------------------------------------
-    // RemoveError rejection paths must leave the tree byte-for-byte
-    // untouched (ISSUE 8 satellite: these paths were under-tested).
-    // ------------------------------------------------------------------
-
-    /// Per-node observable state: id, depth, edge length, structure
-    /// version, stamp, pinned.
-    type NodeState = (NodeId, u64, u64, u32, u64, bool);
-
-    /// Full observable state: counters (live, tokens, store length,
-    /// candidates, pinned), dot export, and every node's [`NodeState`].
-    type Snapshot = (usize, u64, usize, usize, usize, String, Vec<NodeState>);
-
-    /// Full observable state: structure, versions, stamps, counters.
-    fn snapshot(t: &RadixTree<u32>) -> Snapshot {
-        let mut nodes: Vec<(NodeId, u64, u64, u32, u64, bool)> = t
-            .node_ids()
-            .map(|id| {
-                (
-                    id,
-                    t.depth(id),
-                    t.edge_len(id),
-                    t.structure_version(id),
-                    t.stamp(id),
-                    t.is_pinned(id),
-                )
-            })
-            .collect();
-        nodes.sort();
-        (
-            t.len(),
-            t.token_count(),
-            t.token_store_len(),
-            t.eviction_candidate_count(),
-            t.pinned_count(),
-            t.to_dot(),
-            nodes,
-        )
-    }
-
-    #[test]
-    fn rejected_removal_of_root_adjacent_branch_is_a_noop() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4]);
-        let out = t.insert(&[1, 2, 9, 9]);
-        let branch = out.split_node.unwrap();
-        assert_eq!(t.parent(branch), Some(NodeId::ROOT), "root-adjacent");
-        let before = snapshot(&t);
-        assert_eq!(t.remove(branch), Err(RemoveError::HasMultipleChildren));
-        assert_eq!(snapshot(&t), before, "rejected removal must not mutate");
-        t.assert_invariants();
-    }
-
-    #[test]
-    fn rejected_removal_of_pinned_mid_edge_node_is_a_noop() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3, 4, 5, 6]);
-        let deep = t.insert(&[1, 2, 3]).split_node.unwrap(); // mid-edge split
-        let leaf = t.match_prefix(&[1, 2, 3, 4, 5, 6]).deepest().unwrap();
-        t.pin(leaf);
-        assert!(t.is_pinned(deep), "mid-edge ancestor is pin-protected");
-        let before = snapshot(&t);
-        assert_eq!(t.remove(deep), Err(RemoveError::Pinned));
-        assert_eq!(t.remove(leaf), Err(RemoveError::Pinned));
-        assert_eq!(snapshot(&t), before, "rejected removal must not mutate");
-        t.assert_invariants();
-        t.unpin(leaf);
-    }
-
-    #[test]
-    fn rejected_removal_of_multi_child_node_is_a_noop() {
-        let mut t = tree();
-        t.insert(&[5, 1, 1]);
-        t.insert(&[5, 2, 2]);
-        let out = t.insert(&[5, 3, 3]);
-        let hub = t.parent(out.end_node).unwrap();
-        assert_eq!(t.child_count(hub), 3);
-        let before = snapshot(&t);
-        assert_eq!(t.remove(hub), Err(RemoveError::HasMultipleChildren));
-        // Dead ids and the root are also rejected without side effects.
-        let dead = {
-            let x = t.insert(&[9, 9]).end_node;
-            t.remove(x).unwrap();
-            x
-        };
-        let before_dead = snapshot(&t);
-        assert_eq!(t.remove(dead), Err(RemoveError::NotFound));
-        assert_eq!(t.remove(NodeId::ROOT), Err(RemoveError::IsRoot));
-        assert_eq!(snapshot(&t), before_dead);
-        // And the multi-child rejection from before left everything alone
-        // except the probe leaf we added and removed (store grew by 2).
-        let after = snapshot(&t);
-        assert_eq!(after.0, before.0);
-        assert_eq!(after.1, before.1);
-        t.assert_invariants();
-    }
-
-    // -- session cursors -------------------------------------------------
-
-    #[test]
-    fn resumed_match_equals_root_walk() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2, 3, 4]).end_node;
-        t.insert(&[1, 2, 9]); // split at depth 2 (above the cursor node)
-        let cur = t.cursor_at(end).expect("end node is live");
-        assert_eq!(cur.matched_len(), 4);
-
-        for query in [
-            vec![1, 2, 3, 4],
-            vec![1, 2, 3, 4, 5, 6],
-            vec![1, 2, 3, 4, 9],
-        ] {
-            let resumed = t.match_prefix_from(&cur, &query).expect("cursor is fresh");
-            let root = t.match_prefix(&query);
-            assert_eq!(resumed, root, "query {query:?}");
-        }
-    }
-
-    #[test]
-    fn resumed_insert_equals_root_insert() {
-        // Two trees, same history; one extends via the cursor.
-        let mut a: RadixTree<u32> = RadixTree::new();
-        let mut b: RadixTree<u32> = RadixTree::new();
-        let end_a = a.insert(&[5, 6, 7]).end_node;
-        b.insert(&[5, 6, 7]);
-        let cur = a.cursor_at(end_a).expect("live");
-
-        let seq = [5, 6, 7, 8, 9];
-        let via_cursor = a
-            .insert_parts_from(&cur, &seq, &[])
-            .expect("cursor is fresh");
-        let via_root = b.insert(&seq);
-        assert_eq!(via_cursor.end_node, via_root.end_node);
-        assert_eq!(via_cursor.split_node, via_root.split_node);
-        assert_eq!(via_cursor.new_leaf, via_root.new_leaf);
-        assert_eq!(via_cursor.added_tokens, via_root.added_tokens);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.token_count(), b.token_count());
-        for (ia, ib) in a.node_ids().zip(b.node_ids()) {
-            assert_eq!(a.path_tokens(ia), b.path_tokens(ib));
-        }
-        a.assert_invariants();
-
-        // The resumed speculation agrees with the root walk too.
-        let spec_c = a.speculate_insert_from(
-            &a.cursor_at(via_cursor.end_node).unwrap(),
-            &[5, 6, 7, 8, 9, 1],
-        );
-        let spec_r = a.speculate_insert(&[5, 6, 7, 8, 9, 1]);
-        assert_eq!(spec_c.expect("fresh"), spec_r);
-    }
-
-    #[test]
-    fn stale_generation_is_rejected() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2, 3]).end_node;
-        let cur = t.cursor_at(end).expect("live");
-        t.remove(end).expect("leaf removal");
-        // Recycle the slot so the generation tag does the rejecting.
-        t.insert(&[7, 8, 9]);
-        assert_eq!(
-            t.resume(&cur, &[1, 2, 3, 4]),
-            Err(CursorFault::StaleGeneration)
-        );
-        assert!(t.cursor_at(end).is_none());
-    }
-
-    #[test]
-    fn split_under_cursor_is_rejected() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2, 3, 4]).end_node;
-        let cur = t.cursor_at(end).expect("live");
-        // Splits the cursor node's own edge -> version bump -> fault.
-        t.insert(&[1, 2, 3]);
-        assert_eq!(
-            t.resume(&cur, &[1, 2, 3, 4, 5]),
-            Err(CursorFault::StructureChanged)
-        );
-        // A fresh cursor at the same node works again.
-        let fresh = t.cursor_at(end).expect("live");
-        let m = t
-            .match_prefix_from(&fresh, &[1, 2, 3, 4, 5])
-            .expect("fresh");
-        assert_eq!(m, t.match_prefix(&[1, 2, 3, 4, 5]));
-    }
-
-    #[test]
-    fn leaf_flip_under_cursor_is_rejected() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2]).end_node;
-        let cur = t.cursor_at(end).expect("live");
-        // A deeper insert gives the cursor node its first child: version
-        // bump (leaf-status flip), so the old cursor conservatively fails.
-        t.insert(&[1, 2, 3]);
-        assert_eq!(
-            t.resume(&cur, &[1, 2, 3]),
-            Err(CursorFault::StructureChanged)
-        );
-    }
-
-    #[test]
-    fn non_extending_queries_are_rejected() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2, 3, 4]).end_node;
-        let cur = t.cursor_at(end).expect("live");
-        assert_eq!(t.resume(&cur, &[1, 2]), Err(CursorFault::QueryTooShort));
-        // Divergence within the resume edge is caught...
-        assert_eq!(
-            t.resume(&cur, &[1, 2, 3, 9, 5]),
-            Err(CursorFault::EdgeDivergence)
-        );
-        // ...and a matching resume edge passes.
-        let at = t.resume(&cur, &[1, 2, 3, 4, 5]).expect("matching edge");
-        assert_eq!((at.node(), at.depth()), (end, 4));
-    }
-
-    #[test]
-    fn merge_preserving_path_keeps_cursor_valid() {
-        // Removing a single-child ancestor merges its edge into *its*
-        // child; any strictly deeper node keeps its path, depth, and
-        // version, so a cursor below the merge point stays valid.
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let top = t.insert(&[1, 2]).end_node;
-        t.insert(&[1, 2, 3]);
-        let deep = t.insert(&[1, 2, 3, 4, 5]).end_node;
-        let cur = t.cursor_at(deep).expect("live");
-        // `top` has a single child (the [1,2,3] node), which absorbs its
-        // edge; `deep` — one level further down — is untouched.
-        t.remove(top).expect("single-child merge");
-        let m = t
-            .match_prefix_from(&cur, &[1, 2, 3, 4, 5, 6])
-            .expect("path-invariant");
-        assert_eq!(m, t.match_prefix(&[1, 2, 3, 4, 5, 6]));
-    }
-
-    #[test]
-    fn root_cursor_resumes_from_scratch() {
-        let mut t: RadixTree<u32> = RadixTree::new();
-        t.insert(&[4, 5, 6]);
-        let cur = t.cursor_at(NodeId::ROOT).expect("root is always live");
-        assert_eq!(cur.matched_len(), 0);
-        let m = t.match_prefix_from(&cur, &[4, 5]).expect("root cursor");
-        assert_eq!(m, t.match_prefix(&[4, 5]));
-    }
-
-    /// Deterministic token stream for the parts-equivalence sweeps.
-    fn mix(seed: u64) -> u64 {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn assert_trees_equal(a: &RadixTree<u32>, b: &RadixTree<u32>) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.token_count(), b.token_count());
-        for (ia, ib) in a.node_ids().zip(b.node_ids()) {
-            assert_eq!(a.path_tokens(ia), b.path_tokens(ib));
-        }
-    }
-
-    #[test]
-    fn parts_insert_equals_single_slice_insert_at_every_seam() {
-        // Every split point of every sequence in a small workload: the
-        // two-segment insert must be outcome- and structure-identical to
-        // the single-slice insert of the concatenation, wherever the seam
-        // lands (inside a matched edge, at a node boundary, inside the
-        // appended suffix, or at either end).
-        let seqs: Vec<Vec<Token>> = (0..6u64)
-            .map(|s| {
-                (0..24u64)
-                    .map(|i| (mix(s * 131 + i / 8) % 5) as Token)
-                    .collect()
-            })
-            .collect();
-        for cut_round in 0..4usize {
-            let mut single: RadixTree<u32> = RadixTree::new();
-            let mut parts: RadixTree<u32> = RadixTree::new();
-            for (i, seq) in seqs.iter().enumerate() {
-                let cut = (i * 7 + cut_round * 5) % (seq.len() + 1);
-                let (head, tail) = seq.split_at(cut);
-                let a = single.insert(seq);
-                let b = parts.insert_parts(head, tail);
-                assert_eq!(a.added_tokens, b.added_tokens, "cut {cut}");
-                assert_eq!(a.new_leaf.is_some(), b.new_leaf.is_some(), "cut {cut}");
-                assert_eq!(a.split_node.is_some(), b.split_node.is_some(), "cut {cut}");
-            }
-            assert_trees_equal(&single, &parts);
-            parts.assert_invariants();
-        }
-    }
-
-    #[test]
-    fn resumed_parts_insert_equals_root_insert_of_concat() {
-        // The session-cache shape: a cursor at the previous turn's end,
-        // extended by (new input tokens, decoded output) as two slices.
-        let mut a: RadixTree<u32> = RadixTree::new();
-        let mut b: RadixTree<u32> = RadixTree::new();
-        let end_a = a.insert(&[5, 6, 7]).end_node;
-        b.insert(&[5, 6, 7]);
-        let cur = a.cursor_at(end_a).expect("live");
-
-        // head extends the cursor's sequence; tail is a separate slice.
-        let head = [5, 6, 7, 8, 9];
-        let tail = [10, 11];
-        let via_cursor = a.insert_parts_from(&cur, &head, &tail).expect("fresh");
-        let via_root = b.insert(&[5, 6, 7, 8, 9, 10, 11]);
-        assert_eq!(via_cursor.added_tokens, via_root.added_tokens);
-        assert_eq!(via_cursor.new_leaf.is_some(), via_root.new_leaf.is_some());
-        assert_trees_equal(&a, &b);
-        a.assert_invariants();
-    }
-
-    #[test]
-    fn parts_resume_validates_across_the_seam() {
-        // Resume edge [3, 4] straddles the head/tail seam when the query
-        // arrives as ([1, 2, 3], [4, 5]): both halves must be checked.
-        let mut t: RadixTree<u32> = RadixTree::new();
-        let end = t.insert(&[1, 2, 3, 4]).end_node;
-        t.insert(&[1, 2]); // split so `end`'s edge is [3, 4]
-        let cur = t.cursor_at(end).expect("live");
-        let ok = t
-            .insert_parts_from(&cur, &[1, 2, 3], &[4, 5])
-            .expect("seam-straddling resume");
-        assert_eq!(ok.added_tokens, 1);
-        // Divergence in the tail half of the straddled edge is caught.
-        let cur = t.cursor_at(end).expect("live");
-        assert!(matches!(
-            t.insert_parts_from(&cur, &[1, 2, 3], &[9, 5]),
-            Err(CursorFault::EdgeDivergence)
-        ));
-        // ...and in the head half too.
-        let cur = t.cursor_at(end).expect("live");
-        assert!(matches!(
-            t.insert_parts_from(&cur, &[1, 2, 9], &[4, 5]),
-            Err(CursorFault::EdgeDivergence)
-        ));
-        // Too-short virtual queries are rejected like single-slice ones.
-        let cur = t.cursor_at(end).expect("live");
-        assert!(matches!(
-            t.insert_parts_from(&cur, &[1, 2], &[3]),
-            Err(CursorFault::QueryTooShort)
-        ));
-    }
-
-    // -- the compare kernel ------------------------------------------------
-
-    /// The token-at-a-time loop `common_prefix_len` replaces.
-    fn scalar_prefix_len(a: &[Token], b: &[Token]) -> usize {
-        a.iter().zip(b).take_while(|(x, y)| x == y).count()
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn common_prefix_len_equals_the_scalar_reference(
-            a in proptest::collection::vec(0u32..3, 0..81),
-            b in proptest::collection::vec(0u32..3, 0..81),
-            shared in 0usize..=80,
-        ) {
-            // Force a long common run so whole blocks match, then let the
-            // random tails differ (or not) anywhere.
-            let mut b = b;
-            let n = shared.min(a.len()).min(b.len());
-            b[..n].copy_from_slice(&a[..n]);
-            proptest::prop_assert_eq!(common_prefix_len(&a, &b), scalar_prefix_len(&a, &b));
-            proptest::prop_assert_eq!(common_prefix_len(&b, &a), scalar_prefix_len(&a, &b));
-        }
-    }
-
-    #[test]
-    fn common_prefix_len_finds_a_single_mismatch_at_every_index() {
-        for len_a in 0..=80usize {
-            let a: Vec<Token> = (0..len_a as Token).map(|t| t * 7 + 1).collect();
-            // Equal content, every length relation: b a prefix of a, equal,
-            // and a prefix of b.
-            for len_b in 0..=80usize {
-                let b: Vec<Token> = (0..len_b as Token).map(|t| t * 7 + 1).collect();
-                assert_eq!(
-                    common_prefix_len(&a, &b),
-                    len_a.min(len_b),
-                    "{len_a}/{len_b}"
-                );
-            }
-            // One flipped token at every index, block edges (0, 15, 16,
-            // 17, 31, 32, ...) included.
-            for at in 0..len_a {
-                let mut b = a.clone();
-                b[at] ^= 1 << 31;
-                assert_eq!(
-                    common_prefix_len(&a, &b),
-                    at,
-                    "len {len_a}, mismatch at {at}"
-                );
-                assert_eq!(common_prefix_len(&a, &b[..=at]), at);
-                assert_eq!(scalar_prefix_len(&a, &b), at);
-            }
-        }
-    }
-
-    #[test]
-    fn seam_compare_agrees_with_the_joined_compare_at_every_offset() {
-        // One 40-token edge starting at depth `p`, compared against queries
-        // that match it fully, stop short of it, or differ at a block edge;
-        // every seam position from 0 to the query's end, i.e. in front of,
-        // inside and around each 16-token block boundary of the edge.
-        let seq: Vec<Token> = (100..156).collect();
-        for p in [0usize, 5, 16] {
-            let mut t = tree();
-            if p > 0 {
-                t.insert(&seq[..p]);
-            }
-            let end = t.insert(&seq[..p + 40]).end_node;
-            assert_eq!((t.depth(end), t.edge_len(end)), ((p + 40) as u64, 40));
-            let cur = t.cursor_at(end).expect("live");
-            let mut queries: Vec<Vec<Token>> = vec![seq.clone(), seq[..p + 33].to_vec()];
-            for m in [0usize, 1, 15, 16, 17, 31, 32, 39] {
-                let mut q = seq.clone();
-                q[p + m] = 7;
-                queries.push(q);
-            }
-            for q in &queries {
-                let joined = t.shared_edge_len(end, &q[p..]);
-                let edge: Vec<Token> = t.edge_parts(end).flatten().copied().collect();
-                assert_eq!(joined, scalar_prefix_len(&edge, &q[p..]));
-                let whole = t.resume(&cur, q);
-                for seam in 0..=q.len() {
-                    let (head, tail) = q.split_at(seam);
-                    assert_eq!(
-                        t.shared_edge_len_parts(end, head, tail, p),
-                        joined,
-                        "p {p}, seam {seam}, query {q:?}"
-                    );
-                    assert_eq!(
-                        t.resume_parts(&cur, head, tail),
-                        whole,
-                        "p {p}, seam {seam}"
-                    );
-                }
-            }
-        }
-    }
-
-    // -- generation horizon --------------------------------------------------
-
-    #[test]
-    fn a_slot_whose_generation_would_wrap_is_retired_not_reused() {
-        let mut t = tree();
-        t.insert(&[1, 2, 3]);
-        let leaf = t.insert(&[1, 2, 3, 9]).end_node;
-        let idx = leaf.index();
-        t.remove(leaf).expect("unpinned leaf");
-        // Fast-forward the free slot to its last generation; the LIFO free
-        // list hands it to the next insert.
-        match &mut t.slots[idx] {
-            Slot::Free { gen, .. } => *gen = u32::MAX,
-            Slot::Occupied { .. } => unreachable!("just removed"),
-        }
-        let last = t.insert(&[1, 2, 3, 4]).end_node;
-        assert_eq!((last.index(), last.generation()), (idx, u32::MAX));
-        let cur = t.cursor_at(last).expect("live");
-        t.remove(last).expect("unpinned leaf");
-        let capacity = t.arena_capacity();
-        // Churn: every insert after the retirement takes a fresh or a
-        // recycled slot, never the retired one.
-        for round in 0..32u32 {
-            let id = t.insert(&[50 + round]).end_node;
-            assert_ne!(id.index(), idx, "round {round}: retired slot was reused");
-            if round % 2 == 0 {
-                t.remove(id).expect("fresh leaf");
-            }
-        }
-        assert!(t.arena_capacity() > capacity);
-        for gen in [0, 1, u32::MAX] {
-            assert!(
-                !t.contains(NodeId::new(idx as u32, gen)),
-                "gen {gen} resolves"
-            );
-        }
-        assert_eq!(
-            t.resume(&cur, &[1, 2, 3, 4]),
-            Err(CursorFault::StaleGeneration)
-        );
-        t.assert_invariants();
-    }
-}
+mod tests;

@@ -6,7 +6,7 @@
 
 use marconi_radix::{NodeId, RadixTree, RemoveError, Token, TIER_BIT};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Longest prefix of `query` that is a prefix of any sequence in `seqs`.
 fn reference_longest_prefix(seqs: &[Vec<Token>], query: &[Token]) -> usize {
@@ -23,7 +23,7 @@ fn reference_longest_prefix(seqs: &[Vec<Token>], query: &[Token]) -> usize {
 
 /// Number of distinct non-empty prefixes across all sequences.
 fn reference_distinct_prefixes(seqs: &[Vec<Token>]) -> usize {
-    let mut set: HashSet<&[Token]> = HashSet::new();
+    let mut set: BTreeSet<&[Token]> = BTreeSet::new();
     for s in seqs {
         for end in 1..=s.len() {
             set.insert(&s[..end]);

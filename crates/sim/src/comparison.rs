@@ -5,8 +5,7 @@ use crate::gpu::GpuModel;
 use crate::report::SimReport;
 use marconi_core::oracle::{best_static_alpha, SequenceEvent};
 use marconi_core::{
-    BlockCache, BlockReuseReport, EvictionPolicy, HybridPrefixCache, PrefixCache, TunerConfig,
-    VanillaCache,
+    BlockReuseReport, CheckpointMode, EvictionPolicy, HybridPrefixCache, TunerConfig, VanillaCache,
 };
 use marconi_model::ModelConfig;
 use marconi_workload::Trace;
@@ -124,54 +123,14 @@ impl Comparison {
         let mut block_reuse = None;
         let mut oracle_alpha = None;
         for &system in &self.systems {
-            let report = match system {
-                SystemKind::Vanilla => self.run_one(VanillaCache::new(self.model.clone()), trace),
-                SystemKind::VllmPlus => {
-                    let cache = BlockCache::builder(self.model.clone())
-                        .capacity_bytes(self.capacity_bytes)
-                        .build();
-                    let mut engine = Engine::new(cache, GpuModel::a100_x4());
+            let gpu = GpuModel::a100_x4();
+            let report = match self.cache(system, trace, &mut oracle_alpha) {
+                None => Engine::new(VanillaCache::new(self.model.clone()), gpu).run(trace),
+                Some(cache) => {
+                    let mut engine = Engine::new(cache, gpu);
                     let report = engine.run(trace);
-                    block_reuse = Some(engine.cache().reuse_report());
+                    block_reuse = block_reuse.or(engine.cache().block_reuse());
                     report
-                }
-                SystemKind::SglangPlus => self.run_one(
-                    HybridPrefixCache::builder(self.model.clone())
-                        .capacity_bytes(self.capacity_bytes)
-                        .policy(EvictionPolicy::Lru)
-                        .build(),
-                    trace,
-                ),
-                SystemKind::Marconi => self.run_one(
-                    HybridPrefixCache::builder(self.model.clone())
-                        .capacity_bytes(self.capacity_bytes)
-                        .policy(EvictionPolicy::AutoTuned(self.tuner.clone()))
-                        .build(),
-                    trace,
-                ),
-                SystemKind::OracleStaticAlpha => {
-                    let events: Vec<SequenceEvent> = trace
-                        .requests
-                        .iter()
-                        .map(|r| SequenceEvent {
-                            input: r.input.clone(),
-                            output: r.output.clone(),
-                            at: r.arrival,
-                        })
-                        .collect();
-                    let outcome =
-                        best_static_alpha(&self.model, self.capacity_bytes, &events, &ORACLE_GRID);
-                    oracle_alpha = Some(outcome.best_alpha);
-                    self.run_one(
-                        HybridPrefixCache::builder(self.model.clone())
-                            .capacity_bytes(self.capacity_bytes)
-                            .policy(EvictionPolicy::FlopAware {
-                                alpha: outcome.best_alpha,
-                            })
-                            .name("oracle-v3")
-                            .build(),
-                        trace,
-                    )
                 }
             };
             reports.push((system, report));
@@ -183,9 +142,76 @@ impl Comparison {
         }
     }
 
-    fn run_one<C: PrefixCache>(&self, cache: C, trace: &Trace) -> SimReport {
-        Engine::new(cache, GpuModel::a100_x4()).run(trace)
+    /// The cache `system` runs on (`None`: vanilla, which caches nothing).
+    /// The oracle first replays `trace` over its α grid and records the α
+    /// it picked.
+    fn cache(
+        &self,
+        system: SystemKind,
+        trace: &Trace,
+        oracle_alpha: &mut Option<f64>,
+    ) -> Option<HybridPrefixCache> {
+        let builder =
+            HybridPrefixCache::builder(self.model.clone()).capacity_bytes(self.capacity_bytes);
+        let builder = match system {
+            SystemKind::Vanilla => return None,
+            SystemKind::VllmPlus => {
+                return Some(vllm_plus(self.model.clone(), self.capacity_bytes, 32))
+            }
+            SystemKind::SglangPlus => builder.policy(EvictionPolicy::Lru),
+            SystemKind::Marconi => builder.policy(EvictionPolicy::AutoTuned(self.tuner.clone())),
+            SystemKind::OracleStaticAlpha => {
+                let events: Vec<SequenceEvent> = trace
+                    .requests
+                    .iter()
+                    .map(|r| SequenceEvent {
+                        input: r.input.clone(),
+                        output: r.output.clone(),
+                        at: r.arrival,
+                    })
+                    .collect();
+                let outcome =
+                    best_static_alpha(&self.model, self.capacity_bytes, &events, &ORACLE_GRID);
+                *oracle_alpha = Some(outcome.best_alpha);
+                builder
+                    .policy(EvictionPolicy::FlopAware {
+                        alpha: outcome.best_alpha,
+                    })
+                    .name("oracle-v3")
+            }
+        };
+        Some(builder.build())
     }
+}
+
+/// The paper's vLLM+ baseline (§5.1) as a [`HybridPrefixCache`]: a
+/// checkpoint at every `block_size`-token block
+/// ([`CheckpointMode::EveryBlock`]), LRU over leaf blocks, and a hit
+/// refreshing every block it reads.
+///
+/// # Examples
+///
+/// ```
+/// use marconi_core::PrefixCache;
+/// use marconi_model::ModelConfig;
+/// use marconi_sim::vllm_plus;
+///
+/// let mut cache = vllm_plus(ModelConfig::hybrid_7b(), 4 << 30, 32);
+/// let input: Vec<u32> = (0..100).collect();
+/// cache.insert_at(&input, &[], 1.0);
+/// // 100 tokens = 3 full blocks of 32; hits are block-quantized.
+/// assert_eq!(cache.lookup_at(&input, 2.0).tokens_matched, 96);
+/// ```
+#[must_use]
+pub fn vllm_plus(model: ModelConfig, capacity_bytes: u64, block_size: u64) -> HybridPrefixCache {
+    HybridPrefixCache::builder(model)
+        .capacity_bytes(capacity_bytes)
+        .checkpoint_mode(CheckpointMode::EveryBlock { block_size })
+        .policy(EvictionPolicy::Lru)
+        .leaf_only_eviction(true)
+        .refresh_ancestors(true)
+        .name("vllm+")
+        .build()
 }
 
 #[cfg(test)]
@@ -264,5 +290,38 @@ mod tests {
         let vllm = cmp.report(SystemKind::VllmPlus).unwrap().token_hit_rate();
         assert!((sglang - marconi).abs() < 0.05);
         assert!((sglang - vllm).abs() < 0.1);
+    }
+
+    #[test]
+    fn vllm_plus_hits_on_the_tight_trace_are_pinned() {
+        // Per-request vLLM+ hit tokens, the cumulative stats and the Fig.
+        // 3a counters of the tight-capacity trace, pinned exactly.
+        let cmp = Comparison::new(ModelConfig::hybrid_7b(), tight_capacity())
+            .systems(&[SystemKind::VllmPlus])
+            .run(&trace());
+        let report = cmp.report(SystemKind::VllmPlus).unwrap();
+        let hits: Vec<u64> = report.records.iter().map(|r| r.hit_tokens).collect();
+        let mut want = vec![0u64; 40];
+        for (i, tokens) in [(7, 448), (8, 448), (18, 320), (31, 448)] {
+            want[i] = tokens;
+        }
+        for i in [33, 34, 35, 39] {
+            want[i] = 448;
+        }
+        assert_eq!(hits, want);
+        let stats = report.cache_stats;
+        assert_eq!(
+            (stats.hit_tokens, stats.ssm_states_admitted, stats.evictions),
+            (3456, 1497, 1483)
+        );
+        assert_eq!(
+            (stats.bytes_evicted, stats.peak_usage_bytes),
+            (42_763_550_720, 4_296_540_160)
+        );
+        let reuse = cmp.block_reuse.expect("vLLM+ ran");
+        assert_eq!(
+            (reuse.blocks_created, reuse.kv_reused, reuse.ssm_reused),
+            (1497, 66, 5)
+        );
     }
 }

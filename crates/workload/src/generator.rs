@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn turns_carry_full_history() {
         let t = small(DatasetKind::ShareGpt);
-        let mut by_session: std::collections::HashMap<u64, Vec<&Request>> = Default::default();
+        let mut by_session: std::collections::BTreeMap<u64, Vec<&Request>> = Default::default();
         for r in &t.requests {
             by_session.entry(r.session_id).or_default().push(r);
         }

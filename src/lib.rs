@@ -73,8 +73,8 @@ pub use marconi_workload as workload;
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
     pub use marconi_core::{
-        BlockCache, CacheStats, EvictionPolicy, HybridPrefixCache, LookupResult, PrefixCache,
-        ReloadPolicy, Tier, TieredPrefix, VanillaCache,
+        BlockReuseReport, CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache,
+        LookupResult, PrefixCache, ReloadPolicy, Tier, TieredPrefix, VanillaCache,
     };
     pub use marconi_metrics::{BoxStats, LatencySummary, Percentiles, TierSplit};
     pub use marconi_model::{
@@ -82,8 +82,8 @@ pub mod prelude {
     };
     pub use marconi_radix::{RadixTree, Token};
     pub use marconi_sim::{
-        BatchConfig, ClusterReport, Comparison, Engine, EventCluster, EventReport, EventSim,
-        GpuModel, RequestRecord, Router, RoutingPolicy, SimReport,
+        vllm_plus, BatchConfig, ClusterReport, Comparison, Engine, EventCluster, EventReport,
+        EventSim, GpuModel, RequestRecord, Router, RoutingPolicy, SimReport,
     };
     pub use marconi_trace::{
         MissReport, NullSink, ReloadDecision, RingRecorder, TraceEvent, TraceSink, Tracer,

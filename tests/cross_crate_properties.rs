@@ -75,7 +75,7 @@ proptest! {
             .capacity_bytes(1 << 44)
             .build();
         let mut seen_resume = false;
-        let mut prev_total: std::collections::HashMap<Vec<Token>, u64> = Default::default();
+        let mut prev_total: std::collections::BTreeMap<Vec<Token>, u64> = Default::default();
         for (i, (input, output)) in expand(&w).iter().enumerate() {
             let hit = cache.lookup_at(input, i as f64);
             // If this input extends a previously completed sequence, the
@@ -132,10 +132,7 @@ proptest! {
         let mut radix = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
             .capacity_bytes(1 << 44)
             .build();
-        let mut blocks = BlockCache::builder(ModelConfig::hybrid_7b())
-            .capacity_bytes(1 << 44)
-            .block_size(32)
-            .build();
+        let mut blocks = vllm_plus(ModelConfig::hybrid_7b(), 1 << 44, 32);
         for (i, (input, output)) in expand(&w).iter().enumerate() {
             let rh = radix.lookup_at(input, i as f64);
             let bh = blocks.lookup_at(input, i as f64);

@@ -39,9 +39,7 @@ fn every_system_respects_its_capacity() {
     let mut marconi = HybridPrefixCache::builder(model.clone())
         .capacity_bytes(capacity)
         .build();
-    let mut vllm = BlockCache::builder(model.clone())
-        .capacity_bytes(capacity)
-        .build();
+    let mut vllm = vllm_plus(model.clone(), capacity, 32);
     for r in &trace.requests {
         marconi.lookup_at(&r.input, r.arrival);
         marconi.insert_at(&r.input, &r.output, r.arrival);

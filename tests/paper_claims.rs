@@ -34,10 +34,7 @@ fn s3_single_sequence_fine_grained_footprint_explodes() {
 fn s3_block_reuse_gap() {
     // Fig. 3a: SSM states are reused far more rarely than KVs under
     // fine-grained checkpointing.
-    let mut cache = BlockCache::builder(ModelConfig::hybrid_7b())
-        .capacity_bytes(1 << 42)
-        .block_size(32)
-        .build();
+    let mut cache = vllm_plus(ModelConfig::hybrid_7b(), 1 << 42, 32);
     let trace = TraceGenerator::new(DatasetKind::Lmsys)
         .sessions(15)
         .seed(1)
@@ -46,7 +43,7 @@ fn s3_block_reuse_gap() {
         cache.lookup_at(&r.input, r.arrival);
         cache.insert_at(&r.input, &r.output, r.arrival);
     }
-    let reuse = cache.reuse_report();
+    let reuse = cache.block_reuse().expect("vLLM+ counts block reuse");
     assert!(
         reuse.kv_reuse_fraction() > 5.0 * reuse.ssm_reuse_fraction(),
         "kv {} vs ssm {}",
