@@ -602,7 +602,8 @@ impl ClusterReport {
         LoadImbalance::new(&loads)
     }
 
-    /// All per-request TTFTs across replicas, in global arrival order.
+    /// All per-request TTFTs across replicas, in global arrival order (id
+    /// order: requests that share an id follow replica order).
     #[must_use]
     pub fn ttfts_ms(&self) -> Vec<f64> {
         let mut with_ids: Vec<(u64, f64)> = self

@@ -309,7 +309,7 @@ impl EventCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, RoutingPolicy};
+    use crate::{Engine, RequestRecord, RoutingPolicy};
     use marconi_core::{
         AdmissionReport, CursorTable, EvictionPolicy, LookupResult, ReloadPolicy, SessionCursor,
     };
@@ -982,6 +982,79 @@ mod tests {
     fn equal_arrivals_are_in_order() {
         assert_eq!(run_sim(&two_arrivals(0.25, 0.25)).records.len(), 2);
         assert_eq!(run_engine(&two_arrivals(0.25, 0.25)).records.len(), 2);
+    }
+
+    /// Duplicate request ids are tolerated: an id only labels a record.
+    /// Every driver serves each request once, with the outcome it gets
+    /// under distinct ids. Records are sorted by id, so two requests that
+    /// share one sit in completion order, not arrival order; a record's
+    /// `arrival` names its request.
+    #[test]
+    fn duplicate_request_ids_are_served_once_each() {
+        let distinct = sharegpt(16, 7).time_scaled(40.0);
+        let mut shared = distinct.clone();
+        shared.requests.iter_mut().for_each(|r| r.id /= 2);
+        let cache = || marconi_cache(1 << 30, EvictionPolicy::Lru);
+        let engine = |t: &Trace| Engine::new(cache(), GpuModel::a100_x4()).run(t).records;
+        let sim = |t: &Trace| EventSim::new(cache(), GpuModel::a100_x4()).run(t).records;
+        let cluster = |t: &Trace| {
+            EventCluster::builder(ModelConfig::hybrid_7b())
+                .replicas(2)
+                .total_capacity_bytes(2 << 30)
+                .policy(EvictionPolicy::Lru)
+                .build()
+                .run(t)
+        };
+        let clusters = (cluster(&distinct), cluster(&shared));
+        let flat = |r: &ClusterReport| -> Vec<RequestRecord> {
+            r.replicas.iter().flat_map(|s| s.records.clone()).collect()
+        };
+        // What each request got, in arrival order, its id blanked.
+        let outcomes = |records: Vec<RequestRecord>| {
+            let mut v: Vec<_> = records
+                .iter()
+                .map(|r| RequestRecord { id: 0, ..*r })
+                .collect();
+            v.sort_by(|a, b| {
+                (a.arrival.total_cmp(&b.arrival)).then(a.session_id.cmp(&b.session_id))
+            });
+            v
+        };
+        let runs = [
+            ("Engine", engine(&distinct), engine(&shared)),
+            ("EventSim", sim(&distinct), sim(&shared)),
+            ("EventCluster", flat(&clusters.0), flat(&clusters.1)),
+        ];
+        for (driver, expected, got) in runs {
+            assert_eq!(
+                got.len(),
+                shared.len(),
+                "{driver}: each request served once"
+            );
+            assert_eq!(
+                outcomes(got),
+                outcomes(expected),
+                "{driver}: outcomes by request"
+            );
+        }
+        let loaded = sim(&shared);
+        let swapped = loaded
+            .windows(2)
+            .filter(|w| w[0].id == w[1].id && w[0].arrival > w[1].arrival);
+        assert!(
+            swapped.count() > 0,
+            "the loaded run completes some pair out of arrival order"
+        );
+        let ttfts = |r: &ClusterReport| {
+            let mut t = r.ttfts_ms();
+            t.sort_by(f64::total_cmp);
+            t
+        };
+        assert_eq!(
+            ttfts(&clusters.1),
+            ttfts(&clusters.0),
+            "every request's TTFT, once"
+        );
     }
 
     /// Segmentation never depends on the tracer: a cluster recording every
