@@ -297,9 +297,17 @@ impl HybridPrefixCache {
         self.tree.len()
     }
 
+    /// Slots of the radix tree's node arena, live or free (diagnostic):
+    /// its high-water mark, one more than the most nodes it has held.
+    #[must_use]
+    pub fn arena_capacity(&self) -> usize {
+        self.tree.arena_capacity()
+    }
+
     /// Current length, in tokens, of the radix tree's shared edge-label
-    /// store (diagnostic): live labels plus dead ranges not yet reclaimed,
-    /// bounded by `max(2^16, 4 × live tokens)` — see
+    /// store (diagnostic): live labels plus the dead tokens on pages not
+    /// yet written again. It never shrinks, and it is bounded by the peak
+    /// live tokens plus two pages per peak live label range — see
     /// [`RadixTree::token_store_len`].
     #[must_use]
     pub fn token_store_len(&self) -> usize {
@@ -317,11 +325,11 @@ impl HybridPrefixCache {
         self.candidates_scored
     }
 
-    /// Work the radix tree's token store has done so far, by cause
-    /// (diagnostic; see [`StoreCounters`]): tokens inserts appended, tokens
-    /// merges copied (none: merges splice labels), tokens compactions
-    /// moved, and compactions run. Deterministic work counters beside
-    /// [`candidates_scored`](Self::candidates_scored).
+    /// Work the radix tree's token store has done so far, and its peaks
+    /// (diagnostic; see [`StoreCounters`]): tokens inserts wrote, tokens
+    /// merges copied (none: merges splice labels), pages held and reused,
+    /// peak live tokens and ranges, and label-link slots. Deterministic
+    /// work counters beside [`candidates_scored`](Self::candidates_scored).
     #[must_use]
     pub fn store_counters(&self) -> StoreCounters {
         self.tree.store_counters()

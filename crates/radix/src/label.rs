@@ -59,7 +59,7 @@ struct Link {
 
 /// The range arena behind every chained label: a free-list slab of links,
 /// so it holds at most the links live labels use (plus freed ones it will
-/// hand out again), whether or not the store ever compacts.
+/// hand out again).
 #[derive(Debug, Clone)]
 pub(crate) struct Links {
     slots: Vec<Link>,
@@ -80,10 +80,14 @@ impl Default for Links {
 }
 
 impl Links {
-    /// Forgets every link: for a compaction that has just rewritten every
-    /// label as one range.
-    pub fn clear(&mut self) {
-        *self = Links::default();
+    /// Links in use by live labels.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Slots, live or free: the arena's high-water mark.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// A new one-link circle holding `range`.
@@ -142,7 +146,7 @@ impl Links {
 
     /// The label `front ‖ back`, in O(1): no token moves. Where `front`'s
     /// last range ends exactly where `back`'s first begins in the store —
-    /// a split pair, or anything compaction laid out back to back — the
+    /// a split pair, or two pieces one insert wrote back to back — the
     /// two become one range.
     pub fn join(&mut self, front: Label, back: Label) -> Label {
         let len = front.len + back.len;

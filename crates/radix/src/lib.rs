@@ -36,9 +36,10 @@
 //! generation-tagged nodes, sorted-vec children probed by binary search,
 //! edge labels as chains of `(offset, len)` ranges of one shared token
 //! store (splits and merges move no token; [`RadixTree::edge_parts`] reads
-//! a label's ranges) that only inserts write and that reclaims dead
-//! ranges in place — it never holds more than
-//! `max(2^16, 4 × live tokens)`, see [`RadixTree::token_store_len`] — and
+//! a label's ranges) that only inserts write, in fixed-size pages that are
+//! written again once every label on them has died — it never compacts,
+//! and it grows only when no page is free, see
+//! [`RadixTree::token_store_len`] — and
 //! the candidate set kept as one O(log n) recency index
 //! ([`RadixTree::touch`] / [`RadixTree::lru_candidates`]); see
 //! `docs/radix-engine.md` for design and measurements. (The pre-refactor
@@ -76,6 +77,7 @@
 mod label;
 mod node;
 mod recency;
+mod store;
 mod tree;
 
 pub use node::NodeId;

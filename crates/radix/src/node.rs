@@ -80,8 +80,9 @@ impl EdgeRef {
     /// # Panics
     ///
     /// In every build profile, if the range's end does not fit `u32`
-    /// addressing. The store reclaims dead ranges before it gets there, so
-    /// this fires only when *live* tokens exceed 2^32.
+    /// addressing. The store writes freed pages again before it grows, so
+    /// this fires only when its peak live tokens, plus two pages per live
+    /// label range, exceed 2^32.
     pub fn new(off: usize, len: usize) -> EdgeRef {
         let fits = off
             .checked_add(len)

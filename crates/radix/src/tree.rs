@@ -9,9 +9,9 @@
 //!   ascending first-token order, no per-node `BTreeMap` allocations);
 //! * edge labels are chains of `(offset, len)` ranges of one shared token
 //!   store, so splitting an edge cuts a chain and merging two splices
-//!   them, and neither moves a token; the store reclaims the ranges dead
-//!   edges leave behind by rewriting live labels down in place once dead
-//!   tokens dominate (see [`RadixTree`]);
+//!   them, and neither moves a token; the store is cut into fixed-size
+//!   pages with live counts, and a page whose labels have all died is
+//!   written again, so no token ever moves (see [`RadixTree`]);
 //! * the eviction candidates *are* one O(log n) recency index keyed by
 //!   caller-supplied stamps ([`RadixTree::touch`]) inside caller-named
 //!   bands ([`RadixTree::set_class`]) whose top class bit names a tier:
@@ -25,6 +25,7 @@ pub use cursor::{CursorFault, MatchCursor};
 use crate::label::{Label, Links};
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::{RecencyIndex, TIER_BIT};
+use crate::store::{TokenStore, PAGE_TOKENS};
 use crate::Token;
 use std::error::Error;
 use std::fmt;
@@ -65,44 +66,44 @@ use std::fmt;
 ///
 /// # The token store
 ///
-/// Inserts append their un-shared suffix to one shared store, and inserts
+/// Inserts write their un-shared suffix to one shared store, and inserts
 /// are the only operation that writes it: an edge label is a chain of
 /// store ranges, so a split cuts the chain and a merge splices two chains
 /// (coalescing the seam when the two ranges are adjacent, as a split pair
-/// is), both in place. Removals leave dead ranges behind, and the store
-/// *reclaims* them: at the end of every appending insert and every
-/// removal, if the store holds at least 2^16 tokens and at least 4× the
-/// live [`token_count`](RadixTree::token_count) (both fixed constants),
-/// every live label is rewritten as one range, packed down over the dead
-/// ones in place, and the store is truncated to exactly the live tokens.
-/// Hence the **store bound**, which holds after every `insert*` /
-/// `remove`:
+/// is), both in place. The store is cut into pages of 1 024 tokens, each
+/// with a count of its live tokens. A removal lowers the counts under the
+/// dead label's ranges, and a page at 0 joins a free list. An insert fills
+/// the current page, then free pages, lowest first, then fresh pages at
+/// the end; a label whose tokens land on pages that are not neighbours is
+/// a chain of one range per run of neighbouring pages. So no token ever
+/// moves, and the store grows only when no page is free: at that moment
+/// every page holds a live token, and the `r` live ranges overlap at most
+/// `live / 1024 + 2r` pages. Hence the **store bound**, which holds after
+/// every `insert*` / `remove`:
 ///
 /// ```text
-/// token_store_len() ≤ max(2^16, 4 × token_count())
+/// token_store_len() ≤ peak_live + 2 × 1024 × peak_ranges
 /// ```
 ///
-/// Labels are the only holders of store offsets — [`NodeId`]s and
-/// [`MatchCursor`]s carry none — so a compaction is invisible to every
-/// caller. Sliding in offset order keeps adjacent one-range labels
-/// adjacent, so a split pair still merges into one range afterwards, and
-/// the buffer is reused, not reallocated, so later appends land on pages
-/// already resident. A compaction moves each live token at most twice (a
-/// chained label out to a buffer and back; a one-range label once) and
-/// reclaims at least three dead tokens per live token, each of which an
-/// insert appended exactly once: amortised, fewer than one token is moved
-/// per token appended. [`store_counters`](RadixTree::store_counters)
-/// counts both sides exactly.
+/// with both peaks taken at the end of the inserts that wrote the store
+/// ([`StoreCounters`]). Labels are the only holders of store offsets —
+/// [`NodeId`]s and [`MatchCursor`]s carry none — so where a label's tokens
+/// land is invisible to every caller.
+/// [`store_counters`](RadixTree::store_counters) counts the store's work
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct RadixTree<D> {
     slots: Vec<Slot<D>>,
-    /// Shared backing store for every edge label; dead ranges are
-    /// reclaimed in place by `compact_store`.
-    store: Vec<Token>,
+    /// Shared backing store for every edge label, in pages.
+    store: TokenStore,
     /// Every range of a chained label past its first.
     links: Links,
-    /// Tokens written to `store`, by cause.
-    counters: StoreCounters,
+    /// Tokens the store grew by inside merges ([`StoreCounters`]).
+    merge_copied: u64,
+    /// Most live tokens, and most live label ranges, at the end of an
+    /// insert that wrote the store ([`StoreCounters`]).
+    peak_live: u64,
+    peak_ranges: u64,
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
@@ -129,29 +130,29 @@ pub struct RadixTree<D> {
     seam_short: bool,
 }
 
-/// Work the token store has done, as exact counts
-/// ([`RadixTree::store_counters`]). Machine-independent, so two commits
-/// replaying one trace can be compared for equality.
+/// Work the token store has done, and the peaks its bound is stated in,
+/// as exact counts ([`RadixTree::store_counters`]). Machine-independent,
+/// so two commits replaying one trace can be compared for equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Tokens inserts appended.
+    /// Tokens inserts wrote.
     pub appended: u64,
     /// Tokens the store grew by inside merges. Merges splice labels, so
     /// this stays 0; a merge that copied would show here.
     pub merge_copied: u64,
-    /// Tokens compactions copied to a new position.
-    pub compaction_moved: u64,
-    /// Compactions run.
-    pub compactions: u64,
+    /// Pages of 1 024 tokens the store holds: its high-water mark, since
+    /// it never shrinks.
+    pub pages: u64,
+    /// Free pages taken back to be written again.
+    pub pages_reused: u64,
+    /// Most live tokens the tree has held.
+    pub peak_live: u64,
+    /// Most live label ranges (labels plus their chain links) at the end
+    /// of an insert that wrote the store, the only moments it can grow.
+    pub peak_ranges: u64,
+    /// Slots of the label-link arena, live or free: its high-water mark.
+    pub link_slots: u64,
 }
-
-/// The store is never compacted below this many tokens (256 KiB of
-/// `u32`s): under it the dead ranges cost less than finding them.
-const STORE_COMPACT_FLOOR: usize = 1 << 16;
-
-/// Compaction waits until the store is this many times its live tokens, so
-/// each one reclaims at least three dead tokens per token it moves.
-const STORE_DEAD_FACTOR: u64 = 4;
 
 /// Tokens per step of [`common_prefix_len`].
 const COMPARE_BLOCK: usize = 16;
@@ -404,9 +405,11 @@ impl<D: Default> RadixTree<D> {
                     data: D::default(),
                 },
             }],
-            store: Vec::new(),
+            store: TokenStore::default(),
             links: Links::default(),
-            counters: StoreCounters::default(),
+            merge_copied: 0,
+            peak_live: 0,
+            peak_ranges: 0,
             free_head: None,
             node_count: 0,
             token_count: 0,
@@ -538,14 +541,14 @@ impl<D: Default> RadixTree<D> {
             match self.node(cur).children.get(next_tok) {
                 None => {
                     // No child shares the next token: append a fresh leaf.
-                    // The suffix is appended once to the shared store; the
-                    // leaf's edge is a slice of it.
+                    // The suffix is written once to the shared store; the
+                    // leaf's edge is the ranges it landed on.
                     let added = (total - pos) as u64;
-                    let edge = self.push_tokens_parts(head, tail, pos);
+                    let edge = self.store.push(&mut self.links, head, tail, pos);
                     let depth = self.node(cur).depth + added;
                     let leaf = self.alloc(Node {
                         parent: Some(cur),
-                        edge: Label::single(edge),
+                        edge,
                         children: ChildSet::default(),
                         depth,
                         version: 0,
@@ -571,7 +574,8 @@ impl<D: Default> RadixTree<D> {
                     // The new leaf is a candidate (class 0, stamp 0).
                     self.lru.insert(0, 0, leaf);
                     self.token_count += added;
-                    self.reclaim_store();
+                    self.peak_live = self.peak_live.max(self.token_count);
+                    self.peak_ranges = self.peak_ranges.max(self.live_ranges());
                     return InsertOutcome {
                         end_node: leaf,
                         split_node,
@@ -629,21 +633,6 @@ impl<D: Default> RadixTree<D> {
                 NodeId::new((self.slots.len() - 1) as u32, 0)
             }
         }
-    }
-
-    /// Appends the suffix of the virtual sequence `head ‖ tail` starting
-    /// at `pos` to the shared store (one or two `extend_from_slice`
-    /// memcpys, depending on whether the suffix straddles the seam).
-    fn push_tokens_parts(&mut self, head: &[Token], tail: &[Token], pos: usize) -> EdgeRef {
-        let edge = EdgeRef::new(self.store.len(), head.len() + tail.len() - pos);
-        if pos < head.len() {
-            self.store.extend_from_slice(&head[pos..]);
-            self.store.extend_from_slice(tail);
-        } else {
-            self.store.extend_from_slice(&tail[pos - head.len()..]);
-        }
-        self.counters.appended += u64::from(edge.len);
-        edge
     }
 
     /// Splits `child`'s edge after `shared` tokens, inserting a new
@@ -816,12 +805,19 @@ impl<D> RadixTree<D> {
     }
 
     /// Current length of the shared edge store in tokens: the live
-    /// [`token_count`](RadixTree::token_count) plus the dead ranges not yet
-    /// reclaimed, so at most `max(2^16, 4 × token_count())` (the store
-    /// bound; see the [type docs](RadixTree#the-token-store)).
+    /// [`token_count`](RadixTree::token_count) plus the dead tokens on
+    /// pages not yet written again. It never shrinks, and it is at most
+    /// `peak_live + 2 × 1024 × peak_ranges` (the store bound; see the
+    /// [type docs](RadixTree#the-token-store)).
     #[must_use]
     pub fn token_store_len(&self) -> usize {
         self.store.len()
+    }
+
+    /// Live label ranges: each live non-root node's first range, plus the
+    /// chain links past it.
+    fn live_ranges(&self) -> u64 {
+        (self.node_count + self.links.live()) as u64
     }
 
     /// Arena high-water mark: total slots ever allocated (live + free).
@@ -882,8 +878,9 @@ impl<D> RadixTree<D> {
 
     /// The tokens on the edge from the node's parent, as the slices of
     /// the token store that hold them, in order (none for the root). A
-    /// label that merges have joined is several slices until the next
-    /// compaction rewrites it as one; nothing is materialized.
+    /// label that merges have joined, or that an insert wrote across pages
+    /// that are not neighbours, is several slices; nothing is
+    /// materialized.
     ///
     /// # Panics
     ///
@@ -894,12 +891,21 @@ impl<D> RadixTree<D> {
             .map(|part| &self.store[part.range()])
     }
 
-    /// Work the token store has done so far, by cause: tokens inserts
-    /// appended, tokens merges copied (none: merges splice), tokens
-    /// compactions moved, and compactions run.
+    /// Work the token store has done so far, and its peaks: tokens
+    /// inserts wrote, tokens merges copied (none: merges splice), pages
+    /// held and reused, the peak live tokens and ranges, and the
+    /// label-link arena's slots.
     #[must_use]
     pub fn store_counters(&self) -> StoreCounters {
-        self.counters
+        StoreCounters {
+            appended: self.store.appended,
+            merge_copied: self.merge_copied,
+            pages: self.store.pages() as u64,
+            pages_reused: self.store.pages_reused,
+            peak_live: self.peak_live,
+            peak_ranges: self.peak_ranges,
+            link_slots: self.links.slots() as u64,
+        }
     }
 
     /// Parent of a node (`None` for the root).
@@ -1355,8 +1361,7 @@ impl<D> RadixTree<D> {
     ///   an O(1) splice of the two labels' chains of store ranges, and no
     ///   token is copied: where the node's last range ends exactly where
     ///   the child's first begins — always for a split pair — the two
-    ///   ranges become one, otherwise the child's label gains a seam until
-    ///   the next compaction rewrites it as one range.
+    ///   ranges become one, otherwise the child's label gains a seam.
     ///
     /// # Errors
     ///
@@ -1410,8 +1415,8 @@ impl<D> RadixTree<D> {
                     }
                 }
                 self.token_count -= u64::from(node.edge.len);
+                self.store.release(self.links.parts(node.edge));
                 self.links.release(node.edge);
-                self.reclaim_store();
                 Ok(Removed {
                     data: node.data,
                     freed_tokens: u64::from(node.edge.len),
@@ -1424,7 +1429,7 @@ impl<D> RadixTree<D> {
                 // and stay where they are in the store.
                 let stored = self.store.len();
                 let merged = self.links.join(node.edge, self.node(child).edge);
-                self.counters.merge_copied += (self.store.len() - stored) as u64;
+                self.merge_copied += (self.store.len() - stored) as u64;
                 let c = self.node_mut(child);
                 c.parent = Some(parent);
                 c.edge = merged;
@@ -1433,7 +1438,6 @@ impl<D> RadixTree<D> {
                 // the parent's — are unchanged, so candidacies hold.
                 self.bump(child);
                 self.node_mut(parent).children.insert(first_tok, child);
-                self.reclaim_store();
                 Ok(Removed {
                     data: node.data,
                     freed_tokens: 0,
@@ -1441,95 +1445,6 @@ impl<D> RadixTree<D> {
                 })
             }
         }
-    }
-
-    /// Compacts the store iff dead tokens dominate it: one length compare
-    /// on stores under the floor, two otherwise. Called wherever the store
-    /// grew or tokens died — the appending insert arm and both `remove`
-    /// arms — which is what makes the store bound hold after every op.
-    fn reclaim_store(&mut self) {
-        let len = self.store.len();
-        if len >= STORE_COMPACT_FLOOR && len as u64 >= STORE_DEAD_FACTOR * self.token_count {
-            self.compact_store();
-        }
-    }
-
-    /// Rewrites every live edge label as one range of a store holding
-    /// exactly the live tokens, in place, and empties the range arena.
-    /// O(arena + live nodes · log + live tokens); allocation-free apart
-    /// from the sort key vec and, when merges have chained labels since
-    /// the last compaction, one buffer of their tokens.
-    ///
-    /// Chained labels are copied out whole first. The one-range labels
-    /// then slide down over every dead range in ascending offset order —
-    /// which is what makes a plain forward `copy_within` safe (the write
-    /// cursor never passes an unread label) and what keeps adjacent labels
-    /// adjacent, so split pairs still merge into one range — and the
-    /// chained labels follow them, each as one range.
-    fn compact_store(&mut self) {
-        self.counters.compactions += 1;
-        let mut live: Vec<(u32, u32)> = Vec::with_capacity(self.node_count);
-        let mut chained: Vec<u32> = Vec::new();
-        let mut chained_len = 0usize;
-        for (i, slot) in self.slots.iter().enumerate().skip(1) {
-            if let Slot::Occupied { node, .. } = slot {
-                if node.edge.is_single() {
-                    live.push((node.edge.first.off, i as u32));
-                } else {
-                    chained.push(i as u32);
-                    chained_len += node.edge.len();
-                }
-            }
-        }
-        let mut staged: Vec<Token> = Vec::with_capacity(chained_len);
-        for &idx in &chained {
-            let Slot::Occupied { node, .. } = &self.slots[idx as usize] else {
-                unreachable!("collected from occupied slots only");
-            };
-            for part in self.links.parts(node.edge) {
-                staged.extend_from_slice(&self.store[part.range()]);
-            }
-        }
-        // Live labels are non-empty and disjoint, so offsets are unique
-        // and the order is total.
-        live.sort_unstable();
-        let mut write = 0usize;
-        let mut read = 0usize;
-        for (_, idx) in live {
-            let Slot::Occupied { node, .. } = &mut self.slots[idx as usize] else {
-                unreachable!("collected from occupied slots only");
-            };
-            let src = node.edge.first.range();
-            assert!(
-                src.start >= read,
-                "invariant: live edge labels never overlap in the token store"
-            );
-            read = src.end;
-            let len = src.len();
-            if src.start != write {
-                self.store.copy_within(src, write);
-                node.edge = Label::single(EdgeRef::new(write, len));
-                self.counters.compaction_moved += len as u64;
-            }
-            write += len;
-        }
-        self.store.truncate(write);
-        self.store.extend_from_slice(&staged);
-        for idx in chained {
-            let Slot::Occupied { node, .. } = &mut self.slots[idx as usize] else {
-                unreachable!("collected from occupied slots only");
-            };
-            let len = node.edge.len();
-            node.edge = Label::single(EdgeRef::new(write, len));
-            write += len;
-        }
-        // Out to the buffer and back in.
-        self.counters.compaction_moved += 2 * staged.len() as u64;
-        self.links.clear();
-        assert_eq!(
-            write as u64, self.token_count,
-            "invariant: live edge labels hold exactly token_count tokens"
-        );
     }
 
     fn free(&mut self, id: NodeId) -> Node<D> {
@@ -1582,6 +1497,17 @@ impl<D> RadixTree<D> {
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn debug_set_seam_short(&mut self, enabled: bool) {
         self.seam_short = enabled;
+    }
+
+    /// Enables the injected page-count fault: a removal lowers each live
+    /// count one token short, so pages whose labels have all died stay
+    /// off the free list and the store grows where it would have reused
+    /// them. For the differential harness's self-test; compiled like
+    /// [`debug_set_split_off_by_one`](RadixTree::debug_set_split_off_by_one).
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "fault-injection"))]
+    pub fn debug_set_page_count_short(&mut self, enabled: bool) {
+        self.store.count_short = enabled;
     }
 
     /// Exhaustively checks the structural invariants; for tests.
@@ -1665,8 +1591,8 @@ impl<D> RadixTree<D> {
         }
         assert_eq!(seen_nodes, self.node_count, "node_count drift");
         assert_eq!(seen_tokens, self.token_count, "token_count drift");
-        // Compaction slides ranges in offset order; that is only sound
-        // while live label ranges are pairwise disjoint.
+        // A page's live count is only its labels' tokens while live label
+        // ranges are pairwise disjoint.
         ranges.sort_unstable();
         for pair in ranges.windows(2) {
             let ((off, len, id), (next_off, _, next_id)) = (pair[0], pair[1]);
@@ -1676,11 +1602,18 @@ impl<D> RadixTree<D> {
             );
         }
         self.links.assert_accounting(links);
-        let len = self.store.len();
+        self.store.assert_accounting(
+            ranges
+                .iter()
+                .map(|&(off, len, _)| EdgeRef::new(off as usize, len as usize)),
+        );
+        let len = self.store.len() as u64;
+        let bound = self.peak_live + 2 * PAGE_TOKENS as u64 * self.peak_ranges;
         assert!(
-            len < STORE_COMPACT_FLOOR || (len as u64) < STORE_DEAD_FACTOR * self.token_count,
-            "store bound: {len} stored tokens for {} live",
-            self.token_count
+            len <= bound,
+            "store bound: {len} stored tokens, peaks {} live and {} ranges",
+            self.peak_live,
+            self.peak_ranges
         );
         // Every candidate has its entry in the band its class names
         // (above), so equal counts leave no room for a dead, stale-stamped,

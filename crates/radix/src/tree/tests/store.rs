@@ -1,5 +1,5 @@
 // The arena and the token store: generation tags, zero-copy splits,
-// merges that splice label chains, and store reclamation.
+// merges that splice label chains, and page reuse.
 
 #[test]
 fn generation_tags_detect_stale_ids() {
@@ -135,35 +135,6 @@ fn merging_an_already_merged_label_chains_three_ranges() {
 }
 
 #[test]
-fn compaction_relinearises_a_chained_label() {
-    let mut t = tree();
-    let (top, mid, leaf) = spaced_chain(&mut t);
-    t.remove(mid).unwrap();
-    t.remove(top).unwrap();
-    let cur = t.cursor_at(leaf).expect("live");
-    assert_eq!(t.edge_parts(leaf).count(), 3);
-    let before = t.store_counters();
-    churn_until_compacted(&mut t, 40_000);
-    let after = t.store_counters();
-    assert!(after.compactions > before.compactions);
-    assert!(after.compaction_moved >= 5, "the chain moved");
-    assert_eq!(t.token_store_len() as u64, t.token_count());
-    assert_eq!(parts(&t, leaf), [vec![0, 1, 2, 3, 4]]);
-    assert_eq!(t.path_tokens(leaf), [0, 1, 2, 3, 4]);
-    // The cursor taken across the seams still resumes, and still
-    // rejects a query that diverges where a seam was.
-    let at = t
-        .resume(&cur, &[0, 1, 2, 3, 4, 5])
-        .expect("cursor survives");
-    assert_eq!(at.node(), leaf);
-    assert_eq!(
-        t.resume(&cur, &[0, 1, 9, 3, 4]),
-        Err(CursorFault::EdgeDivergence)
-    );
-    t.assert_invariants();
-}
-
-#[test]
 fn walks_compare_across_label_seams() {
     let mut t = tree();
     let (top, mid, leaf) = spaced_chain(&mut t);
@@ -197,42 +168,60 @@ fn walks_compare_across_label_seams() {
     assert_eq!(t.match_prefix(&full).matched_len, 0);
 }
 
-// -- store reclamation ------------------------------------------------
+// -- page reuse ---------------------------------------------------------
+
+/// `n` fresh tokens from `base` on: nothing shared with the live tree.
+fn fresh(base: Token, n: usize) -> Vec<Token> {
+    (base..base + n as Token).collect()
+}
 
 /// Inserts and removes one throwaway leaf of `len` fresh tokens
 /// (distinct per `round`, so nothing is shared with the live tree).
-/// Returns whether the insert, and whether the removal, compacted the
-/// store (it only ever shrinks by compacting).
-fn churn_once(t: &mut RadixTree<u32>, round: u32, len: u32) -> (bool, bool) {
-    let base = 1_000_000 + round * len;
-    let seq: Vec<Token> = (base..base + len).collect();
-    let before = t.token_store_len();
-    let leaf = t.insert(&seq).end_node;
-    let on_insert = t.token_store_len() < before;
-    let before = t.token_store_len();
+fn churn_once(t: &mut RadixTree<u32>, round: u32, len: usize) {
+    let leaf = t
+        .insert(&fresh(1_000_000 + round * len as Token, len))
+        .end_node;
     t.remove(leaf)
         .expect("invariant: a fresh unpinned leaf is removable");
-    (on_insert, t.token_store_len() < before)
-}
-
-/// Churns until the store compacts; panics if it never does. With
-/// `len` ≥ 2^15 the compaction lands on a removal (such a leaf is more
-/// than a quarter of any store it can push over the floor), so the
-/// store comes back holding exactly the live tokens.
-fn churn_until_compacted(t: &mut RadixTree<u32>, len: u32) {
-    for round in 0..1_000 {
-        if churn_once(t, round, len) != (false, false) {
-            return;
-        }
-    }
-    panic!("store never compacted: {} tokens", t.token_store_len());
 }
 
 #[test]
-fn compaction_preserves_paths_and_outstanding_cursors() {
+fn a_label_written_across_recycled_pages_is_a_chain() {
+    let p = PAGE_TOKENS;
     let mut t = tree();
-    // Dead tokens in front of, between and behind the live labels, so
-    // every one of them actually moves.
+    // `a` takes page 0 and part of page 1; `b` the rest of page 1 and
+    // pages 2 and 3, ending 4 tokens short of page 4.
+    let a = t.insert(&fresh(10_000, p + 100)).end_node;
+    let b = t.insert(&fresh(20_000, 3 * p - 104)).end_node;
+    t.remove(a).unwrap();
+    // Page 0 is free; page 1 still holds `b`'s head.
+    assert_eq!(t.store_counters().pages, 4);
+    let seq = fresh(30_000, 10);
+    let c = t.insert(&seq).end_node;
+    // Four tokens finish page 3, and the other six go to page 0.
+    let parts: Vec<usize> = t.edge_parts(c).map(<[Token]>::len).collect();
+    assert_eq!(parts, [4, 6]);
+    assert_eq!(t.path_tokens(c), seq);
+    let counters = t.store_counters();
+    assert_eq!((counters.pages, counters.pages_reused), (4, 1));
+    assert_eq!(t.token_store_len(), 4 * p);
+    // A cursor resumes onto the chained label, and a query that diverges
+    // on the seam is rejected.
+    let cur = t.cursor_at(c).expect("live");
+    let mut query = seq.clone();
+    query.push(7);
+    assert_eq!(t.resume(&cur, &query).map(|at| at.node()), Ok(c));
+    query[4] = 7;
+    assert_eq!(t.resume(&cur, &query), Err(CursorFault::EdgeDivergence));
+    assert_eq!(t.match_prefix(&query).matched_len, 4);
+    assert!(t.contains(b));
+    t.assert_invariants();
+}
+
+#[test]
+fn page_reuse_preserves_paths_and_outstanding_cursors() {
+    let mut t = tree();
+    // Dead tokens in front of, between and behind the live labels.
     let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
     t.insert(&[1, 2, 3, 4, 5, 6]);
     let gap = t.insert(&(900..1300).collect::<Vec<Token>>()).end_node;
@@ -247,19 +236,26 @@ fn compaction_preserves_paths_and_outstanding_cursors() {
     let cursors: Vec<MatchCursor> = live.iter().map(|&id| t.cursor_at(id).unwrap()).collect();
     let versions: Vec<u32> = live.iter().map(|&id| t.structure_version(id)).collect();
 
-    churn_until_compacted(&mut t, 40_000);
-    assert_eq!(
-        t.token_store_len() as u64,
-        t.token_count(),
-        "a compaction leaves exactly the live tokens"
-    );
-    t.assert_invariants();
+    // Leaves of 40 000 tokens come and go: each one's pages are free
+    // again for the next, so the store soon stops growing, at one page
+    // for the live labels plus what one leaf can span.
+    for round in 0..5 {
+        churn_once(&mut t, round, 40_000);
+    }
+    let stored = t.token_store_len();
+    assert!(stored <= (2 + 40_000usize.div_ceil(PAGE_TOKENS)) * PAGE_TOKENS);
+    for round in 5..20 {
+        churn_once(&mut t, round, 40_000);
+        t.assert_invariants();
+    }
+    assert_eq!(t.token_store_len(), stored, "steady churn grew the store");
+    assert!(t.store_counters().pages_reused >= 15 * 39);
 
     for (i, &id) in live.iter().enumerate() {
         assert_eq!(t.path_tokens(id), paths[i], "{id}: path changed");
         assert_eq!(t.structure_version(id), versions[i], "{id}: version moved");
-        // Every cursor taken before the compaction still resumes, and
-        // resumes to the same answer as the root walk.
+        // Every cursor taken before the churn still resumes, and resumes
+        // to the same answer as the root walk.
         let mut query = paths[i].clone();
         query.push(77);
         assert_eq!(t.resume(&cursors[i], &query).map(|at| at.node()), Ok(id));
@@ -268,7 +264,7 @@ fn compaction_preserves_paths_and_outstanding_cursors() {
             t.match_prefix(&query)
         );
     }
-    // Probes stay read-only on a store that has been rewritten.
+    // Probes stay read-only on a store whose pages were written again.
     let before = (t.len(), t.token_count(), t.token_store_len());
     let _ = t.speculate_insert(&[1, 2, 3, 4, 0]);
     let _ = t.speculate_insert(&[1, 2]);
@@ -276,17 +272,19 @@ fn compaction_preserves_paths_and_outstanding_cursors() {
 }
 
 #[test]
-fn split_pair_stays_adjacent_across_a_compaction() {
+fn split_pair_stays_adjacent_on_a_recycled_page() {
     let mut t = tree();
-    let front = t.insert(&(500..900).collect::<Vec<Token>>()).end_node;
+    // One label fills page 0 exactly; once it dies, the next insert
+    // leaves the full page and takes it straight back.
+    let front = t.insert(&fresh(10_000, PAGE_TOKENS)).end_node;
+    t.remove(front).unwrap();
     t.insert(&[1, 2, 3, 4, 5, 6]);
     let out = t.insert(&[1, 2, 3, 9]);
-    t.remove(front).unwrap(); // the pair must slide down 400 tokens
-    churn_until_compacted(&mut t, 40_000);
-    assert_eq!(t.token_store_len() as u64, t.token_count());
+    assert_eq!(t.store_counters().pages_reused, 1);
+    assert_eq!(t.store_counters().pages, 1);
 
-    // split → compact → merge: the two halves are still one contiguous
-    // range, so the merge is offset arithmetic and appends nothing.
+    // split on a recycled page → merge: the two halves are still one
+    // contiguous range, so the merge is offset arithmetic.
     t.remove(out.new_leaf.unwrap()).unwrap();
     let before_merge = t.token_store_len();
     let merged = t.remove(out.split_node.unwrap()).unwrap();
@@ -299,33 +297,65 @@ fn split_pair_stays_adjacent_across_a_compaction() {
 }
 
 #[test]
-fn both_insert_and_remove_can_trigger_compaction() {
-    // Small leaves cross the 2^16 floor on an *append* (the dead ratio
-    // was already past 4x below the floor)...
+fn a_page_is_freed_when_its_last_live_token_dies() {
+    let p = PAGE_TOKENS;
     let mut t = tree();
-    t.insert(&[1, 2, 3]);
-    let on_insert = (0..200).any(|round| churn_once(&mut t, round, 1_000).0);
-    assert!(on_insert, "an appending insert must be able to compact");
-    // ...while leaves bigger than a quarter of the store only tip the
-    // ratio when they die.
-    let mut t = tree();
-    t.insert(&[1, 2, 3]);
-    let on_remove = (0..8).any(|round| churn_once(&mut t, round, 40_000).1);
-    assert!(on_remove, "a removal must be able to compact");
+    // `a` and `b` share page 1; `c` fills the rest of it and page 2.
+    let a = t.insert(&fresh(10_000, p + 10)).end_node;
+    let b = t.insert(&fresh(20_000, 10)).end_node;
+    let c = t.insert(&fresh(30_000, 2 * p - 20)).end_node;
+    assert_eq!(t.store_counters().pages, 3);
+    // `a` dies: page 0 is free, page 1 is not (`b` is on it).
+    t.remove(a).unwrap();
+    t.remove(c).unwrap();
+    let d = t.insert(&fresh(40_000, p)).end_node;
+    let counters = t.store_counters();
+    assert_eq!((counters.pages, counters.pages_reused), (3, 1));
+    assert_eq!(t.edge_parts(d).count(), 1, "page 0 alone took `d`");
+    // `b` dies too: pages 1 and 2 are free, and neighbours, so `e` lands
+    // on them as one range. Only `f` needs a fresh page.
+    t.remove(b).unwrap();
+    let e = t.insert(&fresh(50_000, 2 * p)).end_node;
+    let counters = t.store_counters();
+    assert_eq!((counters.pages, counters.pages_reused), (3, 3));
+    assert_eq!(parts(&t, e), [fresh(50_000, 2 * p)]);
+    t.insert(&fresh(60_000, 10));
+    assert_eq!(t.store_counters().pages, 4);
     t.assert_invariants();
 }
 
 #[test]
-fn stores_under_the_floor_are_never_compacted() {
+fn steady_churn_never_grows_the_store() {
     let mut t = tree();
     t.insert(&[1, 2, 3]);
-    let mut expect = t.token_store_len();
-    for round in 0..60 {
-        assert_eq!(churn_once(&mut t, round, 1_000), (false, false));
-        expect += 1_000;
-        assert_eq!(t.token_store_len(), expect);
+    // Leaves of up to 5 000 tokens, one live at a time: once the store
+    // has grown to hold the longest, it holds every later one.
+    let len = |round: u32| 1 + (round as usize * 7_919) % 5_000;
+    let rounds = 300;
+    let longest = (0..rounds).map(len).max().unwrap();
+    let mut grew_after = 0;
+    for round in 0..rounds {
+        let before = t.token_store_len();
+        churn_once(&mut t, round, len(round));
+        if t.token_store_len() > before {
+            grew_after = round;
+        }
     }
-    assert!(expect < STORE_COMPACT_FLOOR);
+    let counters = t.store_counters();
+    // Page 0 holds [1, 2, 3]; a leaf spans at most one page more than
+    // its length fills.
+    let pages = 1 + longest.div_ceil(PAGE_TOKENS) + 1;
+    assert!(
+        t.token_store_len() <= pages * PAGE_TOKENS,
+        "{} stored tokens for leaves of at most {longest}",
+        t.token_store_len()
+    );
+    assert!(
+        grew_after < rounds / 2,
+        "the store grew at round {grew_after}"
+    );
+    assert!(counters.pages_reused > u64::from(rounds), "{counters:?}");
+    t.assert_invariants();
 }
 
 // -- generation horizon --------------------------------------------------

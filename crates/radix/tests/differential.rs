@@ -14,23 +14,26 @@
 //!
 //! The harness itself is validated by seeded-mutation self-tests:
 //! [`RadixTree::debug_set_split_off_by_one`] injects an off-by-one into
-//! the hinted side's edge splitting, and
+//! the hinted side's edge splitting,
 //! [`RadixTree::debug_set_seam_short`] makes its compares stop one token
-//! short of a label seam; the harness must (and does) catch the resulting
-//! divergence — while the same streams pass with the faults off.
+//! short of a label seam, and [`RadixTree::debug_set_page_count_short`]
+//! lowers a page's live count one token short on every release; the
+//! harness must (and does) catch each — while the same streams pass with
+//! the faults off.
 
 use marconi_radix::{
     CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, RadixTree, Resumed, Token,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// Per-node payload: distinguishable values prove payloads ride along
 /// correctly through splits, merges, and slot reuse.
 type Payload = u32;
 
-/// Below this many stored tokens the store never compacts (mirrors the
-/// engine's private constant; the bound is part of its documented contract).
-const STORE_FLOOR: usize = 1 << 16;
+/// Tokens per store page (mirrors the engine's private constant; the
+/// store bound it enters is part of the engine's documented contract).
+const PAGE_TOKENS: usize = 1024;
 
 /// One operation replayed against both sides.
 #[derive(Debug, Clone)]
@@ -70,8 +73,7 @@ enum Op {
     Touch(u32, u64),
     /// Remove the `k % n`-th live unpinned single-child node whose child's
     /// label already has several ranges (any single-child node when none
-    /// has), so a merged label is merged again before a compaction
-    /// rewrites it as one range.
+    /// has), so a merged label is merged again.
     ChainMerge(u32),
     /// Insert the root path of the `k % n`-th chained node cut `delta`
     /// tokens past one of its label's seams (−1, 0 or +1), then `fresh`:
@@ -90,6 +92,7 @@ enum Fault {
     None,
     SplitOffByOne,
     SeamShort,
+    PageCountShort,
 }
 
 /// Returns `Err` on the first observable divergence.
@@ -128,6 +131,12 @@ struct Pair {
     fallbacks: u64,
     /// Coverage of the chain ops, asserted by the store-churn profile.
     chains: ChainCoverage,
+    /// Seams of labels one insert wrote across pages that are not
+    /// neighbours, as `(node, root depth)`: page boundaries, all of them.
+    page_seams: Vec<(NodeId, usize)>,
+    /// The largest `live + 2 × PAGE_TOKENS × live ranges` after any op:
+    /// what the store bound allows.
+    store_bound: Cell<usize>,
 }
 
 /// What the chain ops reached, so a profile can assert they did.
@@ -139,6 +148,12 @@ struct ChainCoverage {
     seam_splits: [u64; 3],
     /// Cursors resumed against a chained label's own path.
     chained_resumes: u64,
+    /// Inserts whose label landed on recycled pages as a chain.
+    paged_labels: u64,
+    /// Of `seam_splits`, the ones on a page boundary.
+    page_seam_splits: [u64; 3],
+    /// Of `chained_resumes`, the ones onto a label with a page seam.
+    paged_resumes: u64,
 }
 
 impl Pair {
@@ -146,6 +161,7 @@ impl Pair {
         let mut hinted = RadixTree::new();
         hinted.debug_set_split_off_by_one(fault == Fault::SplitOffByOne);
         hinted.debug_set_seam_short(fault == Fault::SeamShort);
+        hinted.debug_set_page_count_short(fault == Fault::PageCountShort);
         Pair {
             hinted,
             plain: RadixTree::new(),
@@ -157,7 +173,15 @@ impl Pair {
             resumes: 0,
             fallbacks: 0,
             chains: ChainCoverage::default(),
+            page_seams: Vec::new(),
+            store_bound: Cell::new(0),
         }
+    }
+
+    /// Whether `id`'s label has a seam at root depth `seam` that an insert
+    /// made on a page boundary.
+    fn is_page_seam(&self, id: NodeId, seam: usize) -> bool {
+        self.page_seams.contains(&(id, seam))
     }
 
     /// Live nodes whose label is more than one store range, by index.
@@ -235,6 +259,12 @@ impl Pair {
         seq: &[Token],
     ) -> Result<(), String> {
         check!("insert outcome", h, p);
+        if let Some(leaf) = h.new_leaf {
+            let seams = self.seams(leaf);
+            self.chains.paged_labels += u64::from(!seams.is_empty());
+            self.page_seams
+                .extend(seams.into_iter().map(|at| (leaf, at)));
+        }
         // Tag the end node so payloads are distinguishable when the state
         // check compares them across splits and slot reuse.
         *self.hinted.data_mut(h.end_node) = self.next_payload;
@@ -447,6 +477,9 @@ impl Pair {
                     .is_some_and(|mid| self.hinted.depth(mid) == cut as u64)
                 {
                     self.chains.seam_splits[(*delta + 1) as usize] += 1;
+                    if self.is_page_seam(id, seam) {
+                        self.chains.page_seam_splits[(*delta + 1) as usize] += 1;
+                    }
                 }
                 self.record_insert(&h, &p, &seq)?;
             }
@@ -483,6 +516,9 @@ impl Pair {
                     }
                 }
                 self.chains.chained_resumes += 1;
+                if self.seams(id).iter().any(|&at| self.is_page_seam(id, at)) {
+                    self.chains.paged_resumes += 1;
+                }
                 self.track(*k as usize, path, h_cur);
             }
         }
@@ -513,25 +549,37 @@ impl Pair {
             self.hinted.arena_capacity(),
             self.plain.arena_capacity()
         );
-        // Identical histories append — and reclaim — identically, so the
-        // two sides must compact at the very same op.
+        // Identical histories write — and free — the same pages, so the
+        // two sides must reuse, and grow, at the very same op.
         check!(
             "token_store_len",
             self.hinted.token_store_len(),
             self.plain.token_store_len()
         );
-        // The store bound. The trigger runs after an op's own append, so
-        // the bound holds with no allowance for the tokens that op added.
-        let bound = STORE_FLOOR.max(4 * self.hinted.token_count() as usize);
+        check!(
+            "store_counters",
+            self.hinted.store_counters(),
+            self.plain.store_counters()
+        );
+
+        let ids = self.live_ids();
+        // The store bound: the store grows only when every page holds a
+        // live token, and `r` live ranges overlap at most
+        // `live / PAGE_TOKENS + 2r` pages.
+        let ranges: usize = ids
+            .iter()
+            .map(|&id| self.hinted.edge_parts(id).count())
+            .sum();
+        let bound = (self.store_bound.get())
+            .max(self.hinted.token_count() as usize + 2 * PAGE_TOKENS * ranges);
+        self.store_bound.set(bound);
         if self.hinted.token_store_len() > bound {
             return Err(format!(
-                "store bound broken: {} stored tokens for {} live (bound {bound})",
+                "store bound broken: {} stored tokens, bound {bound}",
                 self.hinted.token_store_len(),
-                self.hinted.token_count()
             ));
         }
 
-        let ids = self.live_ids();
         let plain_ids: Vec<NodeId> = {
             let mut v: Vec<NodeId> = self.plain.node_ids().collect();
             v.sort_unstable_by_key(|id| id.index());
@@ -608,8 +656,18 @@ impl Pair {
             }
         }
 
-        self.hinted.assert_invariants();
-        self.plain.assert_invariants();
+        // The internal checks (page accounting among them) fail by
+        // panicking; a faulted side reports it like a divergence.
+        for (side, tree) in [("hinted", &self.hinted), ("plain", &self.plain)] {
+            std::panic::catch_unwind(|| tree.assert_invariants()).map_err(|panic| {
+                let why = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("?");
+                format!("invariants of the {side} tree: {why}")
+            })?;
+        }
         Ok(())
     }
 
@@ -832,23 +890,21 @@ impl Rng {
 /// What one store-churn stream reached.
 #[derive(Debug)]
 struct Churn {
-    /// Ops that compacted the store.
-    compactions: usize,
-    /// Of those, the ones that found a chained label to rewrite.
-    chained_compactions: usize,
+    /// Free pages the stream's inserts wrote again.
+    pages_reused: u64,
     chains: ChainCoverage,
 }
 
 /// Long-label churn: sequences of thousands of tokens through a tree held
-/// to about a dozen live nodes, so the dead ranges that removals leave
-/// behind push the store over its 2^16-token floor (and over 4x the live
-/// tokens) again and again. Merges chain labels (a merged label merged
-/// again gains a third range), inserts split them on and beside their
-/// seams, and fresh cursors are resumed onto them, all under the
-/// compactions that rewrite them. Every op runs the full hinted ≡ plain
-/// state check — which includes the store bound and store-length
-/// equality — so a compaction that moved a label wrongly, broke an
-/// adjacency, or fired on one side only fails at the op that did it.
+/// to about a dozen live nodes, so the pages that removals free are
+/// written again and again, and a label that lands on recycled pages that
+/// are not neighbours is a chain. Merges chain labels further (a merged
+/// label merged again gains a third range), inserts split them on and
+/// beside their seams — page boundaries among them — and fresh cursors
+/// are resumed onto them. Every op runs the full hinted ≡ plain state
+/// check — which includes the store bound, equal store counters and both
+/// trees' page accounting — so a page freed early or late, or a label
+/// written wrongly across pages, fails at the op that did it.
 fn store_churn_stream(seed: u64, ops: usize, fault: Fault) -> Result<Churn, String> {
     let mut rng = Rng(seed);
     let mut pair = Pair::new(fault);
@@ -858,7 +914,6 @@ fn store_churn_stream(seed: u64, ops: usize, fault: Fault) -> Result<Churn, Stri
         next_fresh += n as Token;
         (start..next_fresh).collect()
     };
-    let (mut compactions, mut chained_compactions) = (0, 0);
 
     for i in 0..ops {
         let live = pair.hinted.len();
@@ -901,16 +956,11 @@ fn store_churn_stream(seed: u64, ops: usize, fault: Fault) -> Result<Churn, Stri
         } else {
             Op::Touch(k, rng.below(1 << 40))
         };
-        let before = pair.hinted.token_store_len();
-        let chained = !pair.chained().is_empty();
         pair.apply(&op)
             .map_err(|e| format!("store churn (seed {seed:#x}) diverged at op {i} {op:?}: {e}"))?;
-        // The store only ever shrinks by compacting.
-        let compacted = pair.hinted.token_store_len() < before;
-        compactions += usize::from(compacted);
-        chained_compactions += usize::from(compacted && chained);
     }
     let (resumes, fallbacks) = (pair.resumes, pair.fallbacks);
+    let pages_reused = pair.hinted.store_counters().pages_reused;
     let chains = std::mem::take(&mut pair.chains);
     pair.finish()
         .map_err(|e| format!("store churn (seed {seed:#x}) diverged at the end: {e}"))?;
@@ -919,36 +969,36 @@ fn store_churn_stream(seed: u64, ops: usize, fault: Fault) -> Result<Churn, Stri
         "cursor paths went unexercised"
     );
     Ok(Churn {
-        compactions,
-        chained_compactions,
+        pages_reused,
         chains,
     })
 }
 
-/// Every seed must cross the compaction trigger several times, with the
-/// store bound and full-state parity asserted after every single op; and
-/// every chain op must have reached what it is there for: labels of three
-/// ranges and more, splits on a seam and one token to either side,
-/// cursors resumed onto chained edges, compactions that rewrite chains
-/// while those cursors are outstanding.
+/// Every seed must write freed pages again many times, with the store
+/// bound and full-state parity asserted after every single op; and every
+/// chain op must have reached what it is there for: labels of three
+/// ranges and more, labels written across recycled pages, splits on a
+/// seam and one token to either side (page boundaries included), and
+/// cursors resumed onto chained edges (paged ones included).
 #[test]
-fn differential_store_churn_crosses_the_floor_repeatedly() {
+fn differential_store_churn_reuses_pages_repeatedly() {
     for seed in [0x5709E, 0xC0FFEE, 0xDEAD_10CC, 0x1234] {
         let churn = store_churn_stream(seed, 600, Fault::None).unwrap_or_else(|e| panic!("{e}"));
         let Churn {
-            compactions,
-            chained_compactions,
+            pages_reused,
             chains,
         } = &churn;
         assert!(
-            *compactions >= 3,
-            "seed {seed:#x}: only {compactions} compactions in 600 ops"
+            *pages_reused >= 100,
+            "seed {seed:#x}: only {pages_reused} pages reused in 600 ops"
         );
         assert!(
-            *chained_compactions > 0
-                && chains.max_ranges >= 3
+            chains.max_ranges >= 3
+                && chains.paged_labels > 0
                 && chains.seam_splits.iter().all(|&n| n > 0)
-                && chains.chained_resumes > 0,
+                && chains.page_seam_splits.iter().all(|&n| n > 0)
+                && chains.chained_resumes > 0
+                && chains.paged_resumes > 0,
             "seed {seed:#x}: chain ops under-covered: {churn:?}"
         );
     }
@@ -978,6 +1028,30 @@ fn harness_catches_injected_seam_fault() {
     let err = store_churn_stream(0x5709E, 600, Fault::SeamShort)
         .expect_err("seam fault went uncaught on the churn stream");
     assert!(err.contains("hinted side"), "got: {err}");
+}
+
+/// The page-count fault — a release that lowers each page's live count
+/// one token short, so an emptied page never rejoins the free list — is
+/// caught: at the removal that empties page 0 of a hand-built tree, and
+/// on a store churn stream, while both pass with the fault off.
+#[test]
+fn harness_catches_injected_page_count_fault() {
+    let ops = vec![
+        // Page 0 and half of page 1, then freed: page 0 joins the free
+        // list, and the next label is written on it.
+        Op::Insert((1..=1500).collect()),
+        Op::Remove(0),
+        Op::Insert((3000..4000).collect()),
+    ];
+    run_stream(&ops, Fault::None).expect("clean sides must agree");
+    let err = run_stream(&ops, Fault::PageCountShort).expect_err("page-count fault went uncaught");
+    assert!(
+        err.contains("after op 1") && err.contains("invariants of the hinted tree"),
+        "got: {err}"
+    );
+    let err = store_churn_stream(0x5709E, 600, Fault::PageCountShort)
+        .expect_err("page-count fault went uncaught on the churn stream");
+    assert!(err.contains("hinted"), "got: {err}");
 }
 
 /// Grows both sides to `target` live nodes with a fork-and-extend trace

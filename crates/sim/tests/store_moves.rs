@@ -4,10 +4,11 @@
 //! replicas, LRU, a host tier four times the device, prefix-aware routing
 //! — summed over the replicas' [`StoreCounters`]. Edge merges splice
 //! labels, so they write no token to the store; inserts are the only
-//! writer, and compaction runs only when removals have left dead tokens
-//! to reclaim. The counts are machine-independent, so they are pinned
-//! exactly: a change that makes merges copy again, or compaction fire
-//! more often, fails here before it shows on a timing run.
+//! writer, and they write the pages removals have freed before they grow
+//! the store, so nothing is ever compacted. The counts are
+//! machine-independent, so they are pinned exactly: a change that makes
+//! merges copy again, or leaves freed pages unused, fails here before it
+//! shows on a timing run.
 
 use marconi_core::{EvictionPolicy, StoreCounters};
 use marconi_model::ModelConfig;
@@ -23,8 +24,9 @@ fn bytes(tokens: u64) -> u64 {
     tokens * ModelConfig::hybrid_7b().kv_bytes_per_token()
 }
 
-/// The replicas' store counters, summed, after one replay.
-fn replay() -> StoreCounters {
+/// The replicas' store counters and store lengths, summed, after one
+/// replay.
+fn replay() -> (StoreCounters, u64) {
     let trace = TraceGenerator::new(DatasetKind::ShareGpt)
         .sessions(400)
         .tenants(8)
@@ -41,24 +43,42 @@ fn replay() -> StoreCounters {
     let report = cluster.run(&trace);
     let stats = report.aggregate_stats();
     assert!(stats.evictions > 0 && stats.demotions > 0, "{stats:?}");
-    let mut sum = StoreCounters::default();
+    let (mut sum, mut stored) = (StoreCounters::default(), 0);
     for i in 0..cluster.replica_count() {
-        let c = cluster.replica_cache(i).store_counters();
+        let cache = cluster.replica_cache(i);
+        let c = cache.store_counters();
         sum.appended += c.appended;
         sum.merge_copied += c.merge_copied;
-        sum.compaction_moved += c.compaction_moved;
-        sum.compactions += c.compactions;
+        sum.pages += c.pages;
+        sum.pages_reused += c.pages_reused;
+        sum.peak_live += c.peak_live;
+        sum.peak_ranges += c.peak_ranges;
+        sum.link_slots += c.link_slots;
+        stored += cache.token_store_len() as u64;
     }
-    sum
+    (sum, stored)
 }
 
 /// Before merges spliced, the same replay appended the same 724 875
 /// tokens by inserts, merges copied 1 980 590 more, and 48 compactions
-/// moved 792 140.
+/// moved 792 140; before the store was paged, 12 compactions ran.
 #[test]
-fn merges_copy_nothing_and_compactions_are_pinned() {
-    let c = replay();
+fn merges_copy_nothing_and_pages_are_pinned() {
+    let (c, stored) = replay();
     assert_eq!(c.merge_copied, 0, "a merge copied tokens: {c:?}");
     assert_eq!(c.appended, 724_875, "inserts appended differently: {c:?}");
-    assert_eq!(c.compactions, 12, "compaction count moved: {c:?}");
+    assert_eq!(
+        (c.pages, c.pages_reused),
+        (130, 580),
+        "page use moved: {c:?}"
+    );
+    // The store's high-water over its peak live tokens (1.56 on this
+    // small shape, where each replica peaks at about 21 pages): what the
+    // paged store holds for what it is asked to, the tier-1 stand-in for
+    // the ledger's `cache_rss_mb`.
+    assert_eq!(
+        (stored, c.peak_live),
+        (133_120, 85_234),
+        "store/live moved: {c:?}"
+    );
 }

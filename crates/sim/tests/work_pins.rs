@@ -63,8 +63,11 @@ impl Work {
             let s = c.store_counters();
             store.appended += s.appended;
             store.merge_copied += s.merge_copied;
-            store.compaction_moved += s.compaction_moved;
-            store.compactions += s.compactions;
+            store.pages += s.pages;
+            store.pages_reused += s.pages_reused;
+            store.peak_live += s.peak_live;
+            store.peak_ranges += s.peak_ranges;
+            store.link_slots += s.link_slots;
         }
         let cursors = cursors.lock().expect("lock: the sink is not poisoned");
         Work {
@@ -78,14 +81,17 @@ impl Work {
         }
     }
 
-    fn row(&self) -> [u64; 9] {
+    fn row(&self) -> [u64; 12] {
         [
             self.candidates_scored,
             self.entries_skipped,
             self.store.appended,
             self.store.merge_copied,
-            self.store.compaction_moved,
-            self.store.compactions,
+            self.store.pages,
+            self.store.pages_reused,
+            self.store.peak_live,
+            self.store.peak_ranges,
+            self.store.link_slots,
             self.iterations,
             self.cursor_resumed,
             self.cursor_fallback,
@@ -197,24 +203,30 @@ fn tenants_cluster() -> Work {
     Work::new(&caches, iterations, &cursors)
 }
 
-/// Per workload: `candidates_scored`, `entries_skipped`, the four
-/// `StoreCounters` fields (appended, merge-copied, compaction-moved,
-/// compactions), `iterations` (0 under `Engine`, which has no executor),
-/// cursor resumes and cursor fallbacks. Captured before `PrefixMatch`
-/// stopped carrying its matched path.
-const PINS: [(&str, [u64; 9]); 4] = [
-    ("chat_fit", [0, 0, 298520, 0, 0, 0, 0, 1346, 8]),
+/// Per workload: `candidates_scored`, `entries_skipped`, the seven
+/// `StoreCounters` fields (appended, merge-copied, pages, pages reused,
+/// peak live tokens, peak ranges, link slots), `iterations` (0 under
+/// `Engine`, which has no executor), cursor resumes and cursor fallbacks.
+/// Captured before `PrefixMatch` stopped carrying its matched path; the
+/// store columns since the store was paged.
+const PINS: [(&str, [u64; 12]); 4] = [
+    (
+        "chat_fit",
+        [0, 0, 298520, 0, 292, 0, 298520, 893, 0, 0, 1346, 8],
+    ),
     (
         "agent_pressure",
-        [1524, 0, 1755897, 0, 95525, 24, 0, 20, 140],
+        [1524, 0, 1755897, 0, 49, 1666, 48772, 17, 12, 0, 20, 140],
     ),
     (
         "resident_10k",
-        [30699, 0, 1338846, 0, 386411, 25, 0, 766, 1474],
+        [30699, 0, 1338846, 0, 25, 1283, 20273, 35, 17, 0, 766, 1474],
     ),
     (
         "tenants_cluster",
-        [2895, 665, 330433, 0, 74477, 4, 135962, 1092, 933],
+        [
+            2895, 665, 330433, 0, 111, 214, 76541, 244, 137, 135962, 1092, 933,
+        ],
     ),
 ];
 
