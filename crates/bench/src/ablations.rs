@@ -1,6 +1,5 @@
-//! Ablations of Marconi's design choices (DESIGN.md's "Key design
-//! decisions"): eviction-policy family, checkpoint materialization mode,
-//! and the §4.3 implementation rules.
+//! Ablations of Marconi's design choices: eviction-policy family,
+//! checkpoint materialization mode, and the §4.3 implementation rules.
 
 use crate::pct;
 use marconi_core::{CheckpointMode, EvictionPolicy, HybridPrefixCache};

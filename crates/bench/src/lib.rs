@@ -1,16 +1,17 @@
 //! Figure- and table-reproduction harness for the Marconi paper.
 //!
 //! Every table and figure in the paper's evaluation maps to one function
-//! here (see DESIGN.md's per-experiment index). The `figures` binary
-//! dispatches to them:
+//! here; `figures list` names them, and the `figures` binary dispatches
+//! each name to its function:
 //!
 //! ```text
 //! cargo run --release -p marconi-bench --bin figures -- all
 //! cargo run --release -p marconi-bench --bin figures -- fig7 fig8
 //! ```
 //!
-//! Each experiment prints the same rows/series the paper reports, so the
-//! output can be diffed against EXPERIMENTS.md. Everything is seeded and
+//! Each experiment prints the same rows/series the paper reports, and
+//! each figure's ends with a `paper check:` line stating the shape the
+//! paper shows, so a run is read against the paper itself. Everything is seeded and
 //! deterministic.
 //!
 //! This library covers the *paper* results. The *systems* costs

@@ -74,14 +74,21 @@ impl HybridPrefixCache {
         delta as f64 / freed as f64
     }
 
-    /// Memoized `(freed_bytes, flop_efficiency)` for `id`.
+    /// Memoized `(freed_bytes, flop_efficiency)` for `id`, reused until the
+    /// node's leaf status, edge length, or depth changes (tracked by the
+    /// tree's structure version) or an SSM checkpoint lands on the node
+    /// (explicit invalidation in [`checkpoint`](Self::checkpoint)).
     ///
-    /// The FLOP math behind these scores walks the model's layer
-    /// configuration, which dominated the old per-victim re-scan; here it
-    /// runs once per node and is reused until the node's leaf status, edge
-    /// length, or depth changes (tracked by the tree's structure version)
-    /// or an SSM checkpoint lands on the node (explicit invalidation in
-    /// [`checkpoint`](Self::checkpoint)).
+    /// The arithmetic is cheap: [`ModelConfig::prefill_flops`] is three
+    /// `u128` polynomials, so the memo does not save FLOP math. It buys
+    /// two things: the banded walk scores a visited candidate from the
+    /// node's own payload, through `&self` and without reading its parent
+    /// (`banded_candidate`); and a classed candidate's efficiency stays the
+    /// one its class was derived from, because the events that invalidate
+    /// the memo are the ones that return the node to its tier's unclassed
+    /// band (`classify_candidates`).
+    ///
+    /// [`ModelConfig::prefill_flops`]: marconi_model::ModelConfig::prefill_flops
     pub(super) fn node_costs(&mut self, id: NodeId) -> (u64, f64) {
         let version = self.tree.structure_version(id);
         if let Some(memo) = self.tree.data(id).cost_memo {

@@ -5,7 +5,7 @@
 
 use super::HybridPrefixCache;
 use crate::tier::Tier;
-use marconi_radix::{CursorFault, InsertOutcome, MatchCursor, NodeId, PrefixMatch, Resumed, Token};
+use marconi_radix::{CursorFault, MatchCursor, NodeId, PrefixMatch, Resumed, Token};
 use marconi_trace::CursorFallbackCause;
 
 impl HybridPrefixCache {
@@ -33,34 +33,26 @@ impl HybridPrefixCache {
         Ok(at)
     }
 
-    /// Resolves a hint once: the checked resume point (if it validated)
-    /// and the telemetry outcome for
-    /// [`emit_cursor_outcome`](Self::emit_cursor_outcome).
+    /// Resolves a hint once: the checked resume point ([`Resumed::ROOT`]
+    /// when there is no hint or it failed validation) and the telemetry
+    /// outcome for [`emit_cursor_outcome`](Self::emit_cursor_outcome).
     pub(super) fn resolve_hint(
         &self,
         query: &[Token],
         hint: Option<MatchCursor>,
-    ) -> (Option<Resumed>, HintOutcome) {
+    ) -> (Resumed, HintOutcome) {
         match hint {
-            None => (None, HintOutcome::Cold),
+            None => (Resumed::ROOT, HintOutcome::Cold),
             Some(c) => match self.resolve_cursor(&c, query) {
                 Ok(at) => (
-                    Some(at),
+                    at,
                     HintOutcome::Resumed {
                         node: at.node(),
                         resumed_len: at.depth(),
                     },
                 ),
-                Err(cause) => (None, HintOutcome::Fallback(cause)),
+                Err(cause) => (Resumed::ROOT, HintOutcome::Fallback(cause)),
             },
-        }
-    }
-
-    /// `match_prefix` of `query`, walking from `at` when given.
-    pub(super) fn match_from(&self, at: Option<Resumed>, query: &[Token]) -> PrefixMatch {
-        match at {
-            Some(at) => self.tree.match_prefix_at(&at, query),
-            None => self.tree.match_prefix(query),
         }
     }
 
@@ -74,32 +66,7 @@ impl HybridPrefixCache {
         hint: Option<MatchCursor>,
     ) -> (PrefixMatch, HintOutcome) {
         let (at, outcome) = self.resolve_hint(query, hint);
-        (self.match_from(at, query), outcome)
-    }
-
-    /// Inserts the virtual concatenation `head ‖ tail` walking from `at`
-    /// when given, from the root otherwise — byte-identical trees either
-    /// way, the resume point being purely a walk shortcut.
-    ///
-    /// `at` is a point this admission already checked — the resolved hint,
-    /// or the speculation walk's deepest fully-matched node — passed only
-    /// when `head ‖ tail` starts with the tokens it was checked against
-    /// (for a checkpoint prefix: `at.depth() ≤` its length). It is not
-    /// re-checked: it stays valid for every walk of the admission however
-    /// the earlier inserts split or extended the tree around it (argument:
-    /// docs/session-fastpath.md, "Validation: each operation validates
-    /// once"). Callers with one slice pass an empty tail, so admitting an
-    /// input + output pair never allocates or copies the joined prompt.
-    pub(super) fn insert_via(
-        &mut self,
-        at: Option<Resumed>,
-        head: &[Token],
-        tail: &[Token],
-    ) -> InsertOutcome {
-        match at {
-            Some(at) => self.tree.insert_parts_at(&at, head, tail),
-            None => self.tree.insert_parts(head, tail),
-        }
+        (self.tree.match_prefix_at(&at, query), outcome)
     }
 }
 

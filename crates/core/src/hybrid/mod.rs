@@ -267,7 +267,7 @@ impl HybridPrefixCache {
     /// host-resident hit below an equally deep device-resident one.
     #[must_use]
     pub fn probe_tiers(&self, input: &[Token]) -> TieredPrefix {
-        let m = self.tree.match_prefix(input);
+        let m = self.tree.match_prefix_at(&Resumed::ROOT, input);
         let (_, tokens) = self.hit(&m);
         let (host_tokens, _, _) = self.host_share(&m, tokens);
         TieredPrefix {
@@ -502,9 +502,19 @@ impl HybridPrefixCache {
     /// down to that walk's deepest fully-matched node. Returns the
     /// sequence's end node (`None` for an empty one) and the checkpoints
     /// added.
+    ///
+    /// A walk starts from a point this admission already checked — the
+    /// resolved hint, the speculation walk's deepest fully-matched node, or
+    /// the root — and only when the sequence it walks starts with the
+    /// tokens that point was checked against (for a checkpoint prefix:
+    /// `depth() ≤` its length). Points are not re-checked: they stay valid
+    /// for every walk of the admission however the earlier inserts split
+    /// or extended the tree around them (argument: docs/session-fastpath.md,
+    /// "Validation: each operation validates once"). The trees are
+    /// byte-identical to root walks'; the start point is purely a shortcut.
     fn admit_sequence(
         &mut self,
-        resume: Option<Resumed>,
+        resume: Resumed,
         input: &[Token],
         output: &[Token],
         now: f64,
@@ -516,9 +526,9 @@ impl HybridPrefixCache {
         // segment; a predicted intermediate node marks a shared prefix
         // whose SSM state is checkpointed during prefill.
         if self.model.has_ssm() && !input.is_empty() {
-            let m = self.match_from(resume, input);
+            let m = self.tree.match_prefix_at(&resume, input);
             let deepest = m.resume_point();
-            walk_from = Some(deepest);
+            walk_from = deepest;
             if let Some(branch_depth) = m.speculation().creates_branch_at {
                 // Chunked state passing can only materialize states at
                 // chunk boundaries; two-pass/exact hits the branch itself.
@@ -528,11 +538,15 @@ impl HybridPrefixCache {
                     // deepest matched node: start from the hint if it is
                     // no deeper, from the root otherwise.
                     let at = if target >= deepest.depth() {
-                        Some(deepest)
+                        deepest
+                    } else if resume.depth() <= target {
+                        resume
                     } else {
-                        resume.filter(|r| r.depth() <= target)
+                        Resumed::ROOT
                     };
-                    let outcome = self.insert_via(at, &input[..target as usize], &[]);
+                    let outcome = self
+                        .tree
+                        .insert_parts_at(&at, &input[..target as usize], &[]);
                     self.stamp_new_nodes(&outcome, now);
                     self.emit_split(&outcome, now);
                     let node = outcome.end_node;
@@ -554,7 +568,7 @@ impl HybridPrefixCache {
         if input.is_empty() && output.is_empty() {
             return (None, admitted);
         }
-        let outcome = self.insert_via(walk_from, input, output);
+        let outcome = self.tree.insert_parts_at(&walk_from, input, output);
         self.stamp_new_nodes(&outcome, now);
         self.emit_split(&outcome, now);
         if self.model.has_ssm() {
@@ -579,7 +593,7 @@ impl HybridPrefixCache {
     ) -> (Option<NodeId>, u64) {
         let block = block_size as usize;
         let blocks = (input.len() + output.len()) / block;
-        let mut at = None;
+        let mut at = Resumed::ROOT;
         let mut end = None;
         let mut admitted = 0;
         for k in 1..=blocks {
@@ -589,11 +603,11 @@ impl HybridPrefixCache {
             } else {
                 (input, &output[..len - input.len()])
             };
-            let outcome = self.insert_via(at, head, tail);
+            let outcome = self.tree.insert_parts_at(&at, head, tail);
             self.stamp_new_nodes(&outcome, now);
             self.emit_split(&outcome, now);
             admitted += self.checkpoint(outcome.end_node, now);
-            at = Some(outcome.end_point());
+            at = outcome.end_point();
             end = Some(outcome.end_node);
         }
         (end, admitted)
@@ -622,10 +636,10 @@ impl PrefixCache for HybridPrefixCache {
     }
 
     fn longest_cached_prefix_len(&self, input: &[Token]) -> u64 {
-        // Mirror of `lookup_at`'s match logic over `&self`: `match_prefix`
+        // Mirror of `lookup_at`'s match logic over `&self`: the match walk
         // never mutates, no timestamps are stamped, no stats move, and no
         // speculative insertion fires — the whole point of the probe.
-        let m = self.tree.match_prefix(input);
+        let m = self.tree.match_prefix_at(&Resumed::ROOT, input);
         self.hit(&m).1
     }
 

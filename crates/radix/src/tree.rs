@@ -261,9 +261,9 @@ impl PrefixMatch {
 /// node's root path.
 ///
 /// Minted only by the validators ([`RadixTree::resume`] and the
-/// seam-aware check behind [`RadixTree::insert_parts_from`]) and by a
+/// seam-aware check behind [`RadixTree::insert_parts_from`]), by a
 /// finished walk ([`PrefixMatch::resume_point`],
-/// [`InsertOutcome::end_point`]), so
+/// [`InsertOutcome::end_point`]), or as [`Resumed::ROOT`], so
 /// [`match_prefix_at`](RadixTree::match_prefix_at) and
 /// [`insert_parts_at`](RadixTree::insert_parts_at) start from it without
 /// re-reading the resume edge. A point stays valid until its node is
@@ -279,6 +279,13 @@ pub struct Resumed {
 }
 
 impl Resumed {
+    /// The root at depth 0: the start of every root walk, valid for every
+    /// sequence in every tree.
+    pub const ROOT: Resumed = Resumed {
+        node: NodeId::ROOT,
+        depth: 0,
+    };
+
     /// The resume node.
     #[must_use]
     pub fn node(&self) -> NodeId {
@@ -1229,11 +1236,7 @@ impl<D> RadixTree<D> {
     /// Finds the longest stored prefix of `query`.
     #[must_use]
     pub fn match_prefix(&self, query: &[Token]) -> PrefixMatch {
-        let root = Resumed {
-            node: NodeId::ROOT,
-            depth: 0,
-        };
-        self.match_from(root, query)
+        self.match_from(Resumed::ROOT, query)
     }
 
     /// Resumes [`match_prefix`](RadixTree::match_prefix) from `cursor`:

@@ -29,7 +29,7 @@
 
 use crate::engine::Replica;
 use crate::event::EventCluster;
-use crate::executor::{BatchConfig, ServiceMode};
+use crate::executor::BatchConfig;
 use crate::gpu::GpuModel;
 use crate::report::SimReport;
 use marconi_core::{CacheStats, EvictionPolicy, HybridPrefixCache, PrefixCache, TieredPrefix};
@@ -90,6 +90,19 @@ impl<'a> ReplicaStatus<'a> {
     #[must_use]
     pub fn probe_tiers(&self, input: &[Token]) -> TieredPrefix {
         self.cache.probe_tiers(input)
+    }
+
+    /// Everything the prefix routers rank this replica by, probed once for
+    /// `input` (a probe walks the radix tree over the whole input).
+    fn probe_all(&self, input: &[Token]) -> ReplicaProbe {
+        let tiers = self.probe_tiers(input);
+        ReplicaProbe {
+            replica: self.index as u64,
+            matched_tokens: tiers.tokens,
+            host_tokens: tiers.host_tokens,
+            queued_tokens: self.queued_tokens,
+            routed_tokens: self.routed_tokens(),
+        }
     }
 
     /// Input tokens routed to this replica so far (the load measure).
@@ -183,33 +196,13 @@ impl Router for PrefixAware {
     }
 
     fn route(&mut self, req: &Request, replicas: &[ReplicaStatus<'_>]) -> usize {
-        // Probe each replica exactly once (a probe walks the radix tree
-        // over the full input — too expensive to re-run inside the
-        // comparator).
-        replicas
-            .iter()
-            .map(|r| (r.probe_tiers(&req.input), r))
-            .max_by(|(pa, a), (pb, b)| {
-                pa.tokens
-                    .cmp(&pb.tokens)
-                    // Deeper wins outright; on a depth tie the hit with
-                    // fewer host-resident tokens is worth more. With no
-                    // host tier anywhere this term always ties, preserving
-                    // the pre-tiering assignments exactly.
-                    .then(pb.host_tokens.cmp(&pa.host_tokens))
-                    .then(b.routed_tokens().cmp(&a.routed_tokens()))
-                    .then(b.index.cmp(&a.index))
-            })
-            .map(|(_, r)| r.index)
-            .expect("invariant: clusters have at least one replica")
+        best_ranked(req, replicas, false)
     }
 }
 
-/// Queue-aware routing: probe every replica for the longest reusable
-/// cached prefix (like [`PrefixAware`], including the device-over-host
-/// preference on depth ties) but then break ties toward the replica with
-/// the fewest *outstanding queued tokens*, then fewest routed tokens,
-/// then the lowest index.
+/// Queue-aware routing: [`PrefixAware`]'s order with one more tie-break
+/// between the host-resident and the routed tokens — the fewest
+/// *outstanding queued tokens*.
 ///
 /// In the zero-load limit ([`ClusterBuilder::instantaneous`]) every queue
 /// reads 0 and this degenerates to exactly [`PrefixAware`]; under a modeled
@@ -226,91 +219,70 @@ impl Router for QueueAware {
     }
 
     fn route(&mut self, req: &Request, replicas: &[ReplicaStatus<'_>]) -> usize {
-        replicas
-            .iter()
-            .map(|r| (r.probe_tiers(&req.input), r))
-            .max_by(|(pa, a), (pb, b)| {
-                pa.tokens
-                    .cmp(&pb.tokens)
-                    .then(pb.host_tokens.cmp(&pa.host_tokens))
-                    .then(b.queued_tokens.cmp(&a.queued_tokens))
-                    // Queues tie (e.g. an idle fleet, or the zero-load
-                    // limit where depth is always 0): spread by
-                    // cumulative routed load like `PrefixAware`, so the
-                    // policy never funnels cold traffic to replica 0.
-                    .then(b.routed_tokens().cmp(&a.routed_tokens()))
-                    .then(b.index.cmp(&a.index))
-            })
-            .map(|(_, r)| r.index)
-            .expect("invariant: clusters have at least one replica")
+        best_ranked(req, replicas, true)
     }
 }
 
-/// Snapshot of every replica's router-visible state for a
-/// [`TraceEvent::RouterDecision`], built only while a tracer is enabled.
-/// Uses the same non-mutating probes the routers use, so capturing it
-/// leaves every replica byte-identical.
-fn trace_probes(req: &Request, statuses: &[ReplicaStatus<'_>]) -> Vec<ReplicaProbe> {
-    statuses
-        .iter()
-        .map(|s| {
-            let tiers = s.probe_tiers(&req.input);
-            ReplicaProbe {
-                replica: s.index() as u64,
-                matched_tokens: tiers.tokens,
-                host_tokens: tiers.host_tokens,
-                queued_tokens: s.queued_tokens(),
-                routed_tokens: s.routed_tokens(),
-            }
-        })
-        .collect()
+/// The prefix routers' one order: a replica's rank, compared
+/// lexicographically, greater first. Its components, in order: matched
+/// tokens (more first), host-resident tokens (fewer first: a host hit pays
+/// a reload before it serves), queued tokens (fewer first; [`QueueAware`]
+/// only, a constant otherwise), routed tokens (fewer first, so cold
+/// traffic spreads instead of funnelling to replica 0), replica index
+/// (lower first). "Fewer first" components are stored complemented, and
+/// the index makes every rank unique.
+type Rank = [u64; 5];
+
+/// Each [`Rank`] component's name, as a traced `tie_break` label.
+const RANK_LABELS: [&str; 5] = [
+    "prefix-tokens",
+    "host-tokens",
+    "queue-depth",
+    "routed-tokens",
+    "replica-index",
+];
+
+fn rank(p: &ReplicaProbe, queue_aware: bool) -> Rank {
+    let queued = if queue_aware { p.queued_tokens } else { 0 };
+    [
+        p.matched_tokens,
+        !p.host_tokens,
+        !queued,
+        !p.routed_tokens,
+        !p.replica,
+    ]
 }
 
-/// Which comparator stage decided a routing choice, replayed
-/// observationally from the probes: the first stage of the
-/// prefix-/queue-aware total order at which a unique survivor remains.
-/// Hash- and rotation-based routers report their policy name; unknown
-/// custom routers report `custom`.
+/// The index of the replica of greatest [`Rank`].
+fn best_ranked(req: &Request, replicas: &[ReplicaStatus<'_>], queue_aware: bool) -> usize {
+    let best = replicas
+        .iter()
+        .map(|r| rank(&r.probe_all(&req.input), queue_aware))
+        .max()
+        .expect("invariant: clusters have at least one replica");
+    !best[4] as usize
+}
+
+/// Which [`Rank`] component decided a routing choice: the first at which
+/// the greatest rank is unique. Hash- and rotation-based routers report
+/// their policy name; unknown custom routers report `custom`.
 fn route_tie_break(router: &str, probes: &[ReplicaProbe]) -> &'static str {
     if probes.len() <= 1 {
         return "single-replica";
     }
-    match router {
+    let queue_aware = match router {
         "round-robin" => return "round-robin",
         "session-affinity" => return "session-affinity",
-        "prefix-aware" | "queue-aware" => {}
+        "prefix-aware" => false,
+        "queue-aware" => true,
         _ => return "custom",
-    }
-    /// One comparator stage: (label, probe key, whether max survives).
-    type Stage = (&'static str, fn(&ReplicaProbe) -> u64, bool);
-    let mut survivors: Vec<&ReplicaProbe> = probes.iter().collect();
-    let stages: [Stage; 4] = [
-        ("prefix-tokens", |p| p.matched_tokens, true),
-        ("host-tokens", |p| p.host_tokens, false),
-        ("queue-depth", |p| p.queued_tokens, false),
-        ("routed-tokens", |p| p.routed_tokens, false),
-    ];
-    for (label, key, prefer_max) in stages {
-        if label == "queue-depth" && router != "queue-aware" {
-            continue;
-        }
-        let best = survivors
-            .iter()
-            .map(|p| key(p))
-            .fold(None, |acc: Option<u64>, v| {
-                Some(match acc {
-                    None => v,
-                    Some(a) if prefer_max => a.max(v),
-                    Some(a) => a.min(v),
-                })
-            });
-        let Some(best) = best else { break };
-        survivors.retain(|p| key(p) == best);
-        if survivors.len() == 1 {
-            return label;
-        }
-    }
-    "replica-index"
+    };
+    let ranks: Vec<Rank> = probes.iter().map(|p| rank(p, queue_aware)).collect();
+    let best = ranks.iter().max().expect("invariant: probes are not empty");
+    let decided = (0..RANK_LABELS.len())
+        .find(|&i| ranks.iter().filter(|r| r[..=i] == best[..=i]).count() == 1)
+        .expect("invariant: the replica index makes every rank unique");
+    RANK_LABELS[decided]
 }
 
 /// The built-in routing policies, for sweeps and builders.
@@ -383,7 +355,7 @@ pub(crate) fn route<'c>(
         router.name()
     );
     if tracer.is_enabled() {
-        let probes = trace_probes(req, &statuses);
+        let probes: Vec<ReplicaProbe> = statuses.iter().map(|s| s.probe_all(&req.input)).collect();
         let tie_break = route_tie_break(router.name(), &probes);
         tracer.emit(|| TraceEvent::RouterDecision {
             ts: req.arrival,
@@ -404,7 +376,7 @@ pub struct ClusterBuilder {
     total_capacity: u64,
     total_host_capacity: u64,
     policy: EvictionPolicy,
-    service: ServiceMode,
+    gpu: GpuModel,
     batch: BatchConfig,
     router: Box<dyn Router>,
 }
@@ -417,7 +389,7 @@ impl ClusterBuilder {
             total_capacity: 16 << 30,
             total_host_capacity: 0,
             policy: EvictionPolicy::default(),
-            service: ServiceMode::Modeled(GpuModel::a100_x4()),
+            gpu: GpuModel::a100_x4(),
             batch: BatchConfig::default(),
             router: RoutingPolicy::QueueAware.build(),
         }
@@ -478,7 +450,7 @@ impl ClusterBuilder {
     /// Puts every replica in the infinite-throughput (zero-load) limit.
     #[must_use]
     pub fn instantaneous(mut self) -> Self {
-        self.service = ServiceMode::Instantaneous;
+        self.gpu = GpuModel::unbounded();
         self
     }
 
@@ -515,7 +487,7 @@ impl ClusterBuilder {
         EventCluster {
             replicas,
             router: self.router,
-            service: self.service,
+            gpu: self.gpu,
             batch: self.batch,
             tracer: Tracer::off(),
         }

@@ -11,9 +11,7 @@
 
 use crate::gpu::GpuModel;
 use crate::report::{RequestRecord, SimReport};
-use marconi_core::{
-    CursorTable, LookupResult, PinTicket, PrefixCache, ReloadPolicy, SessionCursor,
-};
+use marconi_core::{CursorTable, LookupResult, PinTicket, PrefixCache, SessionCursor};
 use marconi_trace::{ReloadDecision, TraceEvent, Tracer};
 use marconi_workload::{Request, Trace};
 use std::sync::Arc;
@@ -77,32 +75,24 @@ impl<C: PrefixCache> Replica<C> {
 
     /// Admits `req` at `now`: looks up the longest reusable prefix (pinning
     /// it when the request will be held in flight) and prices the reload of
-    /// its host-resident share — the minimum of the PCIe transfer and the
-    /// recompute under the cache's [`ReloadPolicy`] on `gpu`, or zero time
-    /// in the infinite-throughput limit (`gpu` absent).
+    /// its host-resident share on `gpu` under the cache's
+    /// [`ReloadPolicy`](marconi_core::ReloadPolicy).
     pub(crate) fn admit(
         &mut self,
         req: &Request,
         now: f64,
-        gpu: Option<&GpuModel>,
+        gpu: &GpuModel,
         hold: bool,
     ) -> Admitted {
         let cursor = self.cursors.take(req.session_id);
         let hit = self.cache.lookup_at_with(&req.input, now, cursor);
         let pin = hold.then(|| self.cache.pin_prefix_with(&req.input, cursor));
-        let policy = self.cache.reload_policy();
-        let (reload_s, reload) = match gpu {
-            Some(gpu) => gpu.reload_secs(policy, hit.host_bytes, hit.host_reload_flops),
-            // Infinite throughput also means infinite bandwidth: host hits
-            // reload in zero time, but the recorded arm still honors the
-            // cache's policy (an AlwaysRecompute cache never transfers).
-            None if !hit.needs_reload() => (0.0, None),
-            None if policy == ReloadPolicy::AlwaysRecompute => {
-                (0.0, Some(ReloadDecision::Recompute))
-            }
-            None => (0.0, Some(ReloadDecision::Load)),
-        };
-        if let (Some(gpu), Some(decision)) = (gpu, reload) {
+        let (reload_s, reload) = gpu.reload_secs(
+            self.cache.reload_policy(),
+            hit.host_bytes,
+            hit.host_reload_flops,
+        );
+        if let Some(decision) = reload {
             self.tracer.emit(|| TraceEvent::Reload {
                 ts: now,
                 cache: self.label.clone(),
@@ -301,7 +291,7 @@ impl<C: PrefixCache> Engine<C> {
             .iter()
             .map(|req| {
                 now = check_arrival(req, now);
-                let adm = self.replica.admit(req, now, Some(&self.gpu), false);
+                let adm = self.replica.admit(req, now, &self.gpu, false);
                 let model = self.replica.cache.model();
                 let ttft_ms = self
                     .gpu

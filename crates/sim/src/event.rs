@@ -22,7 +22,7 @@
 //! N = 1, router-less call.
 //!
 //! Determinism contract: the whole subsystem is a pure function of
-//! `(trace, cache configuration, BatchConfig, service mode)` — no wall
+//! `(trace, cache configuration, BatchConfig, GpuModel)` — no wall
 //! clock, no randomness anywhere; simultaneous events resolve executor
 //! events before arrivals, then by replica index, then FIFO. The
 //! zero-load anchor: the infinite-throughput limit
@@ -34,7 +34,7 @@
 
 use crate::cluster::{route, ClusterBuilder, ClusterReport, Router};
 use crate::engine::{check_arrival, Replica};
-use crate::executor::{BatchConfig, Executor, ServiceMode};
+use crate::executor::{BatchConfig, Executor};
 use crate::gpu::GpuModel;
 use crate::report::SimReport;
 use marconi_core::{CacheStats, HybridPrefixCache, PrefixCache};
@@ -67,15 +67,12 @@ pub type EventClusterReport = ClusterReport;
 /// while arrivals are in order.
 fn drive<'t, C: PrefixCache>(
     replicas: &mut [Replica<C>],
-    service: &ServiceMode,
+    gpu: &GpuModel,
     batch: &BatchConfig,
     trace: &'t Trace,
     mut route: impl FnMut(&'t Request, &[Replica<C>], &[Executor<'_>]) -> usize,
 ) -> Vec<SimReport> {
-    let mut execs: Vec<Executor<'_>> = replicas
-        .iter()
-        .map(|_| Executor::new(batch, service))
-        .collect();
+    let mut execs: Vec<Executor<'_>> = replicas.iter().map(|_| Executor::new(batch, gpu)).collect();
     let mut arrivals = trace.arrivals().peekable();
     let mut last_arrival = f64::NEG_INFINITY;
     loop {
@@ -138,23 +135,19 @@ fn drive<'t, C: PrefixCache>(
 #[derive(Debug)]
 pub struct EventSim<C> {
     replica: Replica<C>,
-    service: ServiceMode,
+    gpu: GpuModel,
     batch: BatchConfig,
 }
 
 impl<C: PrefixCache> EventSim<C> {
-    fn with_service(cache: C, service: ServiceMode) -> Self {
-        EventSim {
-            replica: Replica::new(cache, None),
-            service,
-            batch: BatchConfig::default(),
-        }
-    }
-
     /// Creates a simulator whose iteration latencies come from `gpu`.
     #[must_use]
     pub fn new(cache: C, gpu: GpuModel) -> Self {
-        Self::with_service(cache, ServiceMode::Modeled(gpu))
+        EventSim {
+            replica: Replica::new(cache, None),
+            gpu,
+            batch: BatchConfig::default(),
+        }
     }
 
     /// Creates a simulator in the infinite-throughput limit: every
@@ -163,7 +156,7 @@ impl<C: PrefixCache> EventSim<C> {
     /// byte-for-byte (the zero-load parity contract).
     #[must_use]
     pub fn instantaneous(cache: C) -> Self {
-        Self::with_service(cache, ServiceMode::Instantaneous)
+        Self::new(cache, GpuModel::unbounded())
     }
 
     /// Attaches a tracer to the executor's own decisions (queue
@@ -194,7 +187,7 @@ impl<C: PrefixCache> EventSim<C> {
     /// Panics if an arrival is not finite or precedes its predecessor's.
     pub fn run(&mut self, trace: &Trace) -> EventReport {
         let replica = std::slice::from_mut(&mut self.replica);
-        drive(replica, &self.service, &self.batch, trace, |_, _, _| 0)
+        drive(replica, &self.gpu, &self.batch, trace, |_, _, _| 0)
             .pop()
             .expect("invariant: one replica yields one report")
     }
@@ -227,7 +220,7 @@ impl<C: PrefixCache> EventSim<C> {
 pub struct EventCluster {
     pub(crate) replicas: Vec<Replica<HybridPrefixCache>>,
     pub(crate) router: Box<dyn Router>,
-    pub(crate) service: ServiceMode,
+    pub(crate) gpu: GpuModel,
     pub(crate) batch: BatchConfig,
     pub(crate) tracer: Tracer,
 }
@@ -289,7 +282,7 @@ impl EventCluster {
         let (router, tracer) = (&mut *self.router, &self.tracer);
         let replicas = drive(
             &mut self.replicas,
-            &self.service,
+            &self.gpu,
             &self.batch,
             trace,
             |req, replicas, execs| {
@@ -445,6 +438,50 @@ mod tests {
             reloads, unlabelled,
             "a single cache reloads under its own name"
         );
+    }
+
+    /// At zero load a host hit is priced like any other, on the unbounded
+    /// device: one `Reload` event per reloading request, every price +0.0,
+    /// and the arm the record carries — the cache policy's own.
+    #[test]
+    fn zero_load_host_hits_trace_their_reloads_at_zero_seconds() {
+        let m = ModelConfig::hybrid_7b();
+        for policy in [ReloadPolicy::ComputeOrLoad, ReloadPolicy::AlwaysRecompute] {
+            let cache = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(6000 * m.kv_bytes_per_token())
+                .host_capacity_bytes(16 << 30)
+                .policy(EvictionPolicy::Lru)
+                .reload_policy(policy)
+                .build();
+            let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+            let mut sim = EventSim::instantaneous(cache);
+            sim.set_tracer(tracer);
+            let report = sim.run(&sharegpt(16, 7));
+            let recorded: Vec<_> = report
+                .records
+                .iter()
+                .filter_map(|r| r.reload.map(|d| (r.reload_ms.to_bits(), d)))
+                .collect();
+            let traced: Vec<_> = recorder
+                .lock()
+                .expect("lock: test-local recorder")
+                .events()
+                .filter_map(|e| match e.event {
+                    TraceEvent::Reload {
+                        load_secs,
+                        recompute_secs,
+                        decision,
+                        ..
+                    } => {
+                        assert_eq!((load_secs.to_bits(), recompute_secs.to_bits()), (0, 0));
+                        Some((0, decision))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(!recorded.is_empty(), "{policy}: the run must hit the host");
+            assert_eq!(traced, recorded, "{policy}");
+        }
     }
 
     #[test]

@@ -70,31 +70,6 @@ impl BatchConfig {
     }
 }
 
-/// How iteration durations are produced.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ServiceMode {
-    /// Durations from the analytic [`GpuModel`]: iteration FLOPs over
-    /// sustained throughput, plus the fixed per-request overhead charged
-    /// once at admission.
-    Modeled(GpuModel),
-    /// Every iteration takes zero virtual time — the infinite-throughput
-    /// limit. With empty queues this reproduces the instantaneous
-    /// [`Engine`](crate::Engine) byte-for-byte (the zero-load parity
-    /// contract): every lookup and insertion lands at exactly the
-    /// request's arrival time, in arrival order.
-    Instantaneous,
-}
-
-impl ServiceMode {
-    /// The device model, absent in the infinite-throughput limit.
-    pub(crate) fn gpu(&self) -> Option<&GpuModel> {
-        match self {
-            ServiceMode::Modeled(gpu) => Some(gpu),
-            ServiceMode::Instantaneous => None,
-        }
-    }
-}
-
 /// A request resident in the running batch.
 #[derive(Debug)]
 struct Running<'a> {
@@ -163,7 +138,7 @@ impl Segment {
 #[derive(Debug)]
 pub(crate) struct Executor<'a> {
     batch: &'a BatchConfig,
-    service: &'a ServiceMode,
+    gpu: &'a GpuModel,
     queue: VecDeque<&'a Request>,
     queued_input_tokens: u64,
     running: Vec<Running<'a>>,
@@ -175,11 +150,11 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    pub(crate) fn new(batch: &'a BatchConfig, service: &'a ServiceMode) -> Self {
+    pub(crate) fn new(batch: &'a BatchConfig, gpu: &'a GpuModel) -> Self {
         batch.validate();
         Executor {
             batch,
-            service,
+            gpu,
             queue: VecDeque::new(),
             queued_input_tokens: 0,
             running: Vec::new(),
@@ -318,7 +293,7 @@ impl<'a> Executor<'a> {
                 .queued_input_tokens
                 .checked_sub(req.input_len())
                 .expect("invariant: every dequeued request was counted into queued_input_tokens");
-            let adm = replica.admit(req, now, self.service.gpu(), true);
+            let adm = replica.admit(req, now, self.gpu, true);
             reload_now += adm.reload_s;
             self.running.push(Running {
                 req,
@@ -440,14 +415,9 @@ impl<'a> Executor<'a> {
     /// to right, exactly as the stepped loop formed it; regrouping the
     /// per-admission terms would change its rounding.
     fn duration(&self, flops: u64, admitted: u32, reload_s: f64) -> f64 {
-        match self.service {
-            ServiceMode::Instantaneous => 0.0,
-            ServiceMode::Modeled(gpu) => {
-                gpu.secs_for_segment_flops(flops)
-                    + f64::from(admitted) * gpu.overhead_s()
-                    + reload_s
-            }
-        }
+        self.gpu.secs_for_segment_flops(flops)
+            + f64::from(admitted) * self.gpu.overhead_s()
+            + reload_s
     }
 }
 
@@ -481,8 +451,8 @@ mod tests {
             max_batch_requests: 2,
             prefill_chunk_tokens: 512,
         };
-        let service = ServiceMode::Modeled(GpuModel::a100_x4());
-        let mut ex = Executor::new(&batch, &service);
+        let gpu = GpuModel::a100_x4();
+        let mut ex = Executor::new(&batch, &gpu);
         for r in &trace.requests {
             ex.enqueue(r, &mut c, r.arrival);
         }
@@ -575,7 +545,7 @@ mod tests {
     /// leaves its decode segment whole; a free slot cuts it short.
     #[test]
     fn only_an_arrival_into_a_free_slot_cuts_a_segment() {
-        let service = ServiceMode::Modeled(GpuModel::a100_x4());
+        let gpu = GpuModel::a100_x4();
         let decoding = [request(0, 0.0, (0..64).collect(), 40)];
         for slots in [1, 2] {
             let batch = BatchConfig {
@@ -583,7 +553,7 @@ mod tests {
                 prefill_chunk_tokens: 4096,
             };
             let mut c = replica();
-            let mut ex = Executor::new(&batch, &service);
+            let mut ex = Executor::new(&batch, &gpu);
             feed(&mut ex, &mut c, &decoding);
             let prefilled = ex.next_event().expect("the prefill is in flight");
             ex.advance(&mut c, prefilled);
@@ -609,12 +579,12 @@ mod tests {
     /// iteration up to the first completion, in zero virtual time.
     #[test]
     fn an_instantaneous_run_plans_zero_length_segments() {
-        let (batch, service) = (BatchConfig::default(), ServiceMode::Instantaneous);
+        let (batch, gpu) = (BatchConfig::default(), GpuModel::unbounded());
         let mut c = replica();
         let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(64));
         c.tracer = tracer;
         let reqs = [request(0, 0.0, (0..64).collect(), 40)];
-        let mut ex = Executor::new(&batch, &service);
+        let mut ex = Executor::new(&batch, &gpu);
         feed(&mut ex, &mut c, &reqs);
         ex.advance(&mut c, 0.0);
         assert_eq!(ex.next_event(), Some(0.0), "a zero-length segment");
@@ -713,9 +683,8 @@ mod tests {
             crate::cluster::splitmix64(n)
         };
         for gpu in &gpus {
-            let service = ServiceMode::Modeled(gpu.clone());
             let batch = BatchConfig::default();
-            let ex = Executor::new(&batch, &service);
+            let ex = Executor::new(&batch, gpu);
             for _ in 0..1500 {
                 let single = next() % 4 == 0;
                 let len = if single { 1 } else { 2 + next() % 2000 };
@@ -802,8 +771,8 @@ mod tests {
             .seed(1)
             .generate();
         let mut c = replica();
-        let (batch, service) = (BatchConfig::default(), ServiceMode::Instantaneous);
-        let mut ex = Executor::new(&batch, &service);
+        let (batch, gpu) = (BatchConfig::default(), GpuModel::unbounded());
+        let mut ex = Executor::new(&batch, &gpu);
         // Bypass `enqueue`'s token bookkeeping to simulate drift, then let
         // admission (via `advance`'s restart path) dequeue the request.
         ex.queue.push_back(&trace.requests[0]);

@@ -79,6 +79,24 @@ impl GpuModel {
             .with_bandwidths(MemoryBandwidths::a100(4))
     }
 
+    /// The infinite-throughput limit: infinite FLOP/s and PCIe bandwidth,
+    /// no per-request overhead. For any finite count x, x / ∞ is exactly
+    /// +0.0, so every duration, TTFT and reload price this device gives is
+    /// +0.0 — the zero-load limit in which the event drivers reproduce the
+    /// analytic [`Engine`](crate::Engine) byte for byte. A struct literal,
+    /// because [`new`](GpuModel::new) rejects infinite throughput.
+    pub(crate) fn unbounded() -> Self {
+        GpuModel {
+            name: "unbounded".into(),
+            effective_flops: f64::INFINITY,
+            overhead_s: 0.0,
+            bandwidths: MemoryBandwidths {
+                hbm_bytes_per_s: f64::INFINITY,
+                pcie_bytes_per_s: f64::INFINITY,
+            },
+        }
+    }
+
     /// Device name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -310,6 +328,34 @@ mod tests {
             gpu.reload_secs(ReloadPolicy::ComputeOrLoad, 0, 0),
             (0.0, None)
         );
+    }
+
+    /// Every price the unbounded device gives is exactly +0.0, even for
+    /// the largest counts, and the reload arm is still each policy's own.
+    #[test]
+    fn the_unbounded_device_prices_everything_at_positive_zero() {
+        let gpu = GpuModel::unbounded();
+        let m = ModelConfig::hybrid_7b();
+        let zero = 0.0f64.to_bits();
+        assert_eq!(gpu.secs_for_flops(u128::MAX).to_bits(), zero);
+        assert_eq!(gpu.secs_for_segment_flops(u64::MAX).to_bits(), zero);
+        assert_eq!(gpu.transfer_secs(u64::MAX).to_bits(), zero);
+        assert_eq!(gpu.ttft_s(&m, 1 << 20, 0).to_bits(), zero);
+        for policy in [
+            ReloadPolicy::AlwaysReload,
+            ReloadPolicy::AlwaysRecompute,
+            ReloadPolicy::ComputeOrLoad,
+        ] {
+            assert_eq!(gpu.reload_secs(policy, 0, 0), (0.0, None), "{policy:?}");
+            let (secs, decision) = gpu.reload_secs(policy, u64::MAX, u128::MAX);
+            assert_eq!(secs.to_bits(), zero, "{policy:?}");
+            let arm = match policy {
+                ReloadPolicy::AlwaysRecompute => ReloadDecision::Recompute,
+                // Compute-or-load ties at 0 ≤ 0 and loads.
+                ReloadPolicy::AlwaysReload | ReloadPolicy::ComputeOrLoad => ReloadDecision::Load,
+            };
+            assert_eq!(decision, Some(arm), "{policy:?}");
+        }
     }
 
     #[test]

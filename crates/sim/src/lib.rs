@@ -5,8 +5,9 @@
 //! tokens, FLOPs, TTFT) and aggregate reports. TTFT comes from an analytic
 //! [`GpuModel`]: prefill is compute-bound, so time-to-first-token is the
 //! FLOPs of the *uncached* prefill portion divided by effective device
-//! throughput plus a fixed overhead (DESIGN.md documents this substitution
-//! for the paper's 4×A100 testbed).
+//! throughput plus a fixed overhead. It stands in for the paper's 4×A100
+//! testbed (§5.1): its constants are calibrated to the paper's TTFT range,
+//! and every cross-system comparison cancels them.
 //!
 //! The [`Comparison`] runner drives the same trace through Marconi and
 //! every baseline (vanilla, vLLM+, SGLang+, and the offline static-α
@@ -37,7 +38,7 @@
 //! [`ReplicaStatus`] carries live queue depth.
 //!
 //! **Determinism guarantees:** the event layer is a pure function of
-//! `(trace, cache config, BatchConfig, service mode)` — no wall clock and
+//! `(trace, cache config, BatchConfig, GpuModel)` — no wall clock and
 //! no unseeded randomness anywhere in the subsystem; simultaneous events
 //! resolve executor-before-arrival, then by replica index, then FIFO. In
 //! the infinite-throughput limit ([`EventSim::instantaneous`],

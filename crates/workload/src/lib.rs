@@ -5,8 +5,7 @@
 //! output-length profiles) and SWE-Bench driven by SWE-Agent (agentic
 //! software-engineering trajectories). Those token traces are not
 //! redistributable, so this crate generates *synthetic* traces that match
-//! the properties a prefix cache actually observes (DESIGN.md documents
-//! this substitution):
+//! the properties a prefix cache actually observes:
 //!
 //! * session/turn structure — each turn's input is the full conversation
 //!   history (previous input + decoded output) plus new user/environment

@@ -1,6 +1,7 @@
 //! Integration tests pinning the paper's qualitative claims, one per
 //! section of the evaluation. These are the "shape" guarantees the
-//! reproduction must preserve (EXPERIMENTS.md records the quantities).
+//! reproduction must preserve; the `figures` binary prints the quantities
+//! (`cargo run --release -p marconi-bench --bin figures -- all`).
 
 use marconi::prelude::*;
 
