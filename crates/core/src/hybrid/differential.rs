@@ -671,6 +671,37 @@ pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
     }
 }
 
+/// The no-cache limit: a stream seeded with `seed`, replayed at 0 bytes
+/// through every combination of the cache knobs, hinted and traced,
+/// matches the spec after every op and stores nothing. Every admission
+/// counts one insertion and nothing else, no cursor is minted (so no hint
+/// is ever offered), and the recorder logs the lookups alone.
+pub(super) fn assert_zero_byte_parity(policy: EvictionPolicy, seed: u64) {
+    let tokens = capacity() / ModelConfig::hybrid_7b().kv_bytes_per_token();
+    let stream = stream(seed, Drive::COLD.requests, 2 * tokens as usize);
+    let requests = stream.len() as u64;
+    for knobs in Knobs::matrix(true, true) {
+        let outcome = run(&policy, 0, knobs, &stream, None)
+            .unwrap_or_else(|e| panic!("diverged from the spec: {e}"));
+        let label = format!("{policy}, {knobs:?}");
+        let s = outcome.stats;
+        let lookups_only = CacheStats {
+            lookups: requests,
+            insertions: requests,
+            input_tokens: s.input_tokens,
+            ..CacheStats::default()
+        };
+        assert_eq!(s, lookups_only, "{label}");
+        assert_eq!((outcome.hints, outcome.events), (0, requests), "{label}");
+        for case in HOSTILE {
+            assert!(
+                outcome.cases.contains(&case),
+                "the stream must carry {case:?}"
+            );
+        }
+    }
+}
+
 /// The self-test: a spec whose candidate filter also drops the oldest
 /// eligible candidate must be reported as diverging, under every family,
 /// with Marconi's checkpoints and with vLLM+'s.

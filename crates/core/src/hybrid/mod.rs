@@ -726,6 +726,13 @@ impl PrefixCache for HybridPrefixCache {
         now: f64,
         hint: Option<SessionCursor>,
     ) -> (AdmissionReport, Option<SessionCursor>) {
+        // The no-cache limit ("vanilla inference"): with no byte on either
+        // tier, nothing is admitted, so nothing is checkpointed, evicted,
+        // sampled by the tuner or handed out as a cursor.
+        if self.capacity == 0 && self.host_capacity == 0 {
+            self.stats.insertions += 1;
+            return (AdmissionReport::default(), None);
+        }
         self.clock = self.clock.max(now);
         let mut report = AdmissionReport::default();
         let tokens_before = self.tree.token_count();

@@ -26,6 +26,8 @@
 //!   the device fallback demotes any node holding bytes once the
 //!   candidates are exhausted, host pressure deletes, and admitting a
 //!   sequence promotes its path;
+//! * the no-cache limit: with 0 bytes on both tiers an admission counts
+//!   one insertion and changes nothing else;
 //! * in-flight pins, and the two §4.3 ablations (ancestor refresh on a
 //!   hit, leaf-only eviction);
 //! * the α tuner, whose grid search replays clones of the spec itself.
@@ -402,6 +404,11 @@ impl SpecCache {
         now: f64,
         ids: &dyn NodeIds,
     ) -> (AdmissionReport, bool) {
+        // No byte on either tier: nothing is admitted.
+        if self.rules.capacity == 0 && self.rules.host_capacity == 0 {
+            self.stats.insertions += 1;
+            return (AdmissionReport::default(), false);
+        }
         let mut report = AdmissionReport::default();
         let tokens_before = self.tokens();
         let (admitted, end) = self.admit(input, output, now, &mut report);

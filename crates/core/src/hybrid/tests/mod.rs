@@ -7,7 +7,7 @@
 //! `cargo fmt` does not follow `include!`; CI runs `rustfmt --check` on
 //! the topic files by name.
 
-use super::differential::{assert_parity, auto_tuned, Drive};
+use super::differential::{assert_parity, assert_zero_byte_parity, auto_tuned, Drive};
 use super::*;
 use crate::oracle::{replay, SequenceEvent};
 use crate::policy::efficiency_class;

@@ -1,6 +1,7 @@
 // The differential harness against the executable spec, one test per
 // policy family and way of driving the cache; each covers every
-// combination of the cache knobs (`differential::Knobs::matrix`).
+// combination of the cache knobs (`differential::Knobs::matrix`). The
+// `zero_byte_` slice replays the no-cache limit, 0 bytes on both tiers.
 
 #[test]
 fn eviction_order_parity_lru() {
@@ -88,4 +89,24 @@ fn scale_replay_parity_gdsf() {
 #[test]
 fn scale_replay_parity_auto_tuned() {
     assert_parity(auto_tuned(), Drive::HINTED_AT_SCALE, 109);
+}
+
+#[test]
+fn zero_byte_parity_lru() {
+    assert_zero_byte_parity(EvictionPolicy::Lru, 19);
+}
+
+#[test]
+fn zero_byte_parity_flop_aware() {
+    assert_zero_byte_parity(EvictionPolicy::FlopAware { alpha: 2.0 }, 23);
+}
+
+#[test]
+fn zero_byte_parity_gdsf() {
+    assert_zero_byte_parity(EvictionPolicy::Gdsf, 29);
+}
+
+#[test]
+fn zero_byte_parity_auto_tuned() {
+    assert_zero_byte_parity(auto_tuned(), 31);
 }

@@ -10,7 +10,7 @@
 //! | Marconi | [`HybridPrefixCache`] | judicious (≤ 2 SSM states/sequence) | FLOP-aware, auto-tuned α |
 //! | SGLang+ | [`HybridPrefixCache`] with [`EvictionPolicy::Lru`] | judicious | LRU |
 //! | vLLM+ | [`HybridPrefixCache`] with [`CheckpointMode::EveryBlock`] | every token block | LRU over leaf blocks |
-//! | vanilla | [`VanillaCache`] | none | — |
+//! | vanilla | [`HybridPrefixCache`] with 0 bytes on both tiers | none | — |
 //! | oracle (artifact V3) | [`oracle::best_static_alpha`] | judicious | FLOP-aware, offline-optimal static α |
 //!
 //! ## The two policies (paper §4)
@@ -62,7 +62,6 @@ mod result;
 mod stats;
 mod tier;
 mod tuner;
-mod vanilla;
 
 pub use cursor::{CursorTable, SessionCursor};
 pub use hybrid::{CheckpointMode, HybridPrefixCache, HybridPrefixCacheBuilder};
@@ -71,7 +70,6 @@ pub use result::{AdmissionReport, BlockReuseReport, LookupResult};
 pub use stats::CacheStats;
 pub use tier::{ReloadPolicy, Tier, TieredPrefix};
 pub use tuner::{TunerConfig, TunerState};
-pub use vanilla::VanillaCache;
 
 /// The token-store work counters [`HybridPrefixCache::store_counters`]
 /// reports.
@@ -139,8 +137,11 @@ impl Drop for PinTicket {
     }
 }
 
-/// Common interface over all prefix-cache implementations, so the simulator
-/// and benches can drive Marconi and every baseline uniformly.
+/// The interface the serving loops drive a cache through.
+/// [`HybridPrefixCache`] is its one implementation and states every system
+/// the paper compares (the table in the crate docs); the trait lets the
+/// loops also drive wrappers around it, such as timers. No method has a
+/// default body: a wrapper states what it forwards.
 ///
 /// Timestamps (`now`) are caller-supplied so replay is deterministic and so
 /// recency can reflect *workload* time (request arrivals) rather than
@@ -191,11 +192,8 @@ pub trait PrefixCache {
     /// the serving layer's `GpuModel` applies it to a hit's
     /// [`host_bytes`](LookupResult::host_bytes) /
     /// [`host_reload_flops`](LookupResult::host_reload_flops). Irrelevant
-    /// (and defaulted) for single-tier caches, which never report host
-    /// bytes.
-    fn reload_policy(&self) -> ReloadPolicy {
-        ReloadPolicy::default()
-    }
+    /// for single-tier caches, which never report host bytes.
+    fn reload_policy(&self) -> ReloadPolicy;
 
     /// Pins the cached path a request's admission-time lookup hit, so the
     /// eviction/demotion machinery cannot reclaim it while the request is
@@ -206,60 +204,46 @@ pub trait PrefixCache {
     /// Call immediately after [`lookup_at`](PrefixCache::lookup_at) with
     /// the same `input`; redeem the ticket with
     /// [`unpin`](PrefixCache::unpin) at completion, *before* the
-    /// completing sequence is inserted. The default implementation pins
-    /// nothing — baselines without an eviction path have nothing to
-    /// protect.
-    fn pin_prefix(&mut self, _input: &[Token]) -> PinTicket {
-        PinTicket::default()
-    }
+    /// completing sequence is inserted. A miss pins nothing: the ticket is
+    /// empty.
+    fn pin_prefix(&mut self, input: &[Token]) -> PinTicket;
 
     /// Releases an in-flight pin issued by
     /// [`pin_prefix`](PrefixCache::pin_prefix). Redeeming an empty ticket
     /// is a no-op.
-    fn unpin(&mut self, _ticket: PinTicket) {}
+    fn unpin(&mut self, ticket: PinTicket);
 
     /// Bytes currently protected by in-flight pins — unreclaimable by
-    /// pressure until the owning requests complete. 0 for caches that do
-    /// not pin.
-    fn pinned_bytes(&self) -> u64 {
-        0
-    }
+    /// pressure until the owning requests complete.
+    fn pinned_bytes(&self) -> u64;
 
     /// [`lookup_at`](PrefixCache::lookup_at) with an optional session
-    /// hint: a cache that supports session cursors resumes the match walk
-    /// from the hinted node in O(new tokens), falling back to the
-    /// byte-identical root walk when the hint fails validation. The
-    /// default implementation ignores the hint — results are identical
-    /// either way; hints are purely a shortcut.
+    /// hint: the match walk resumes from the hinted node in O(new tokens),
+    /// falling back to the byte-identical root walk when the hint fails
+    /// validation. Results are identical either way; hints are purely a
+    /// shortcut.
     fn lookup_at_with(
         &mut self,
         input: &[Token],
         now: f64,
-        _hint: Option<SessionCursor>,
-    ) -> LookupResult {
-        self.lookup_at(input, now)
-    }
+        hint: Option<SessionCursor>,
+    ) -> LookupResult;
 
     /// [`insert_at`](PrefixCache::insert_at) with an optional session
     /// hint, returning the session's next cursor — a resume handle at the
-    /// admitted sequence's end node — when the cache supports cursors and
-    /// the node survived the admission's own eviction pressure on the
-    /// device tier. The default ignores the hint and mints nothing.
+    /// admitted sequence's end node — when that node survived the
+    /// admission's own eviction pressure on the device tier. An admission
+    /// that stores nothing mints none.
     fn insert_at_with(
         &mut self,
         input: &[Token],
         output: &[Token],
         now: f64,
-        _hint: Option<SessionCursor>,
-    ) -> (AdmissionReport, Option<SessionCursor>) {
-        (self.insert_at(input, output, now), None)
-    }
+        hint: Option<SessionCursor>,
+    ) -> (AdmissionReport, Option<SessionCursor>);
 
     /// [`pin_prefix`](PrefixCache::pin_prefix) with an optional session
     /// hint (same fallback contract as
-    /// [`lookup_at_with`](PrefixCache::lookup_at_with)). The default
-    /// ignores the hint.
-    fn pin_prefix_with(&mut self, input: &[Token], _hint: Option<SessionCursor>) -> PinTicket {
-        self.pin_prefix(input)
-    }
+    /// [`lookup_at_with`](PrefixCache::lookup_at_with)).
+    fn pin_prefix_with(&mut self, input: &[Token], hint: Option<SessionCursor>) -> PinTicket;
 }

@@ -694,6 +694,44 @@ mod tests {
         }
     }
 
+    /// A cluster with no capacity is the no-cache limit on every replica,
+    /// under every router and on the queued executor: each request is
+    /// admitted once, and no replica hits, checkpoints, evicts or holds a
+    /// byte.
+    #[test]
+    fn zero_capacity_cluster_caches_nothing() {
+        let trace = multi_tenant_trace(3);
+        for routing in RoutingPolicy::ALL {
+            let mut c = EventCluster::builder(ModelConfig::hybrid_7b())
+                .replicas(4)
+                .total_capacity_bytes(0)
+                .routing(routing)
+                .build();
+            let report = c.run(&trace);
+            let admitted: u64 = report
+                .replicas
+                .iter()
+                .map(|r| r.cache_stats.insertions)
+                .sum();
+            assert_eq!(admitted, trace.len() as u64, "{routing}");
+            for (i, rep) in report.replicas.iter().enumerate() {
+                let s = rep.cache_stats;
+                assert_eq!(
+                    (
+                        s.hit_tokens,
+                        s.ssm_states_admitted,
+                        s.evictions,
+                        s.demotions,
+                        s.peak_usage_bytes
+                    ),
+                    (0, 0, 0, 0, 0),
+                    "{routing}: replica {i}"
+                );
+                assert_eq!(c.replica_cache(i).node_count(), 0, "{routing}");
+            }
+        }
+    }
+
     #[test]
     fn prefix_aware_beats_session_affinity_beats_round_robin() {
         // The acceptance-criteria assertion: on a seeded multi-tenant trace

@@ -5,7 +5,7 @@ use crate::gpu::GpuModel;
 use crate::report::SimReport;
 use marconi_core::oracle::{best_static_alpha, SequenceEvent};
 use marconi_core::{
-    BlockReuseReport, CheckpointMode, EvictionPolicy, HybridPrefixCache, TunerConfig, VanillaCache,
+    BlockReuseReport, CheckpointMode, EvictionPolicy, HybridPrefixCache, TunerConfig,
 };
 use marconi_model::ModelConfig;
 use marconi_workload::Trace;
@@ -123,17 +123,10 @@ impl Comparison {
         let mut block_reuse = None;
         let mut oracle_alpha = None;
         for &system in &self.systems {
-            let gpu = GpuModel::a100_x4();
-            let report = match self.cache(system, trace, &mut oracle_alpha) {
-                None => Engine::new(VanillaCache::new(self.model.clone()), gpu).run(trace),
-                Some(cache) => {
-                    let mut engine = Engine::new(cache, gpu);
-                    let report = engine.run(trace);
-                    block_reuse = block_reuse.or(engine.cache().block_reuse());
-                    report
-                }
-            };
-            reports.push((system, report));
+            let cache = self.cache(system, trace, &mut oracle_alpha);
+            let mut engine = Engine::new(cache, GpuModel::a100_x4());
+            reports.push((system, engine.run(trace)));
+            block_reuse = block_reuse.or(engine.cache().block_reuse());
         }
         ComparisonResult {
             reports,
@@ -142,22 +135,19 @@ impl Comparison {
         }
     }
 
-    /// The cache `system` runs on (`None`: vanilla, which caches nothing).
-    /// The oracle first replays `trace` over its α grid and records the α
-    /// it picked.
+    /// The cache `system` runs on. The oracle first replays `trace` over
+    /// its α grid and records the α it picked.
     fn cache(
         &self,
         system: SystemKind,
         trace: &Trace,
         oracle_alpha: &mut Option<f64>,
-    ) -> Option<HybridPrefixCache> {
+    ) -> HybridPrefixCache {
         let builder =
             HybridPrefixCache::builder(self.model.clone()).capacity_bytes(self.capacity_bytes);
         let builder = match system {
-            SystemKind::Vanilla => return None,
-            SystemKind::VllmPlus => {
-                return Some(vllm_plus(self.model.clone(), self.capacity_bytes, 32))
-            }
+            SystemKind::Vanilla => return vanilla(self.model.clone()),
+            SystemKind::VllmPlus => return vllm_plus(self.model.clone(), self.capacity_bytes, 32),
             SystemKind::SglangPlus => builder.policy(EvictionPolicy::Lru),
             SystemKind::Marconi => builder.policy(EvictionPolicy::AutoTuned(self.tuner.clone())),
             SystemKind::OracleStaticAlpha => {
@@ -180,8 +170,35 @@ impl Comparison {
                     .name("oracle-v3")
             }
         };
-        Some(builder.build())
+        builder.build()
     }
+}
+
+/// The paper's "vanilla inference" baseline (§5.1), the denominator of
+/// every relative-TTFT plot (Fig. 9), as a [`HybridPrefixCache`] with no
+/// byte on either tier: every lookup misses, and an admission counts one
+/// insertion and stores nothing.
+///
+/// # Examples
+///
+/// ```
+/// use marconi_core::PrefixCache;
+/// use marconi_model::ModelConfig;
+/// use marconi_sim::vanilla;
+///
+/// let mut cache = vanilla(ModelConfig::hybrid_7b());
+/// cache.insert_at(&[1, 2, 3], &[4], 0.0);
+/// assert_eq!(cache.lookup_at(&[1, 2, 3], 1.0).tokens_matched, 0);
+/// assert_eq!(cache.usage_bytes(), 0);
+/// assert_eq!(cache.name(), "vanilla");
+/// ```
+#[must_use]
+pub fn vanilla(model: ModelConfig) -> HybridPrefixCache {
+    HybridPrefixCache::builder(model)
+        .capacity_bytes(0)
+        .policy(EvictionPolicy::Lru)
+        .name("vanilla")
+        .build()
 }
 
 /// The paper's vLLM+ baseline (§5.1) as a [`HybridPrefixCache`]: a
@@ -217,6 +234,7 @@ pub fn vllm_plus(model: ModelConfig, capacity_bytes: u64, block_size: u64) -> Hy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marconi_core::{AdmissionReport, PrefixCache};
     use marconi_workload::{DatasetKind, TraceGenerator};
 
     fn trace() -> Trace {
@@ -224,6 +242,72 @@ mod tests {
             .sessions(10)
             .seed(3)
             .generate()
+    }
+
+    #[test]
+    fn vanilla_never_hits() {
+        let mut v = vanilla(ModelConfig::hybrid_7b());
+        for i in 0..10u32 {
+            v.insert_at(&[i, i + 1, i + 2], &[i + 3], f64::from(i));
+            let r = v.lookup_at(&[i, i + 1, i + 2], f64::from(i));
+            assert!(!r.is_hit());
+        }
+        assert_eq!(v.stats().token_hit_rate(), 0.0);
+        assert_eq!(v.stats().lookups, 10);
+    }
+
+    #[test]
+    fn vanilla_probe_always_reports_nothing_cached() {
+        let mut v = vanilla(ModelConfig::hybrid_7b());
+        v.insert_at(&[1, 2, 3], &[4], 0.0);
+        assert_eq!(v.longest_cached_prefix_len(&[1, 2, 3]), 0);
+    }
+
+    /// The no-cache limit books no admission work: a traced replay of each
+    /// request's serving steps (lookup, pin, admission, unpin) stores,
+    /// checkpoints, evicts, pins and mints nothing, and records nothing
+    /// but its lookups.
+    #[test]
+    fn vanilla_books_no_admission_work() {
+        use marconi_trace::{RingRecorder, Tracer};
+        let trace = TraceGenerator::new(DatasetKind::SweBench)
+            .sessions(6)
+            .seed(5)
+            .generate();
+        let mut cache = vanilla(ModelConfig::hybrid_7b());
+        let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+        cache.set_tracer(tracer);
+        let mut cursor = None;
+        for r in &trace.requests {
+            assert!(!cache.lookup_at_with(&r.input, r.arrival, cursor).is_hit());
+            let ticket = cache.pin_prefix_with(&r.input, cursor);
+            assert!(ticket.is_empty(), "request {}: a pin", r.id);
+            assert_eq!(cache.pinned_bytes(), 0);
+            let (report, next) = cache.insert_at_with(&r.input, &r.output, r.arrival, cursor);
+            assert_eq!(report, AdmissionReport::default(), "request {}", r.id);
+            cache.unpin(ticket);
+            cursor = next;
+            assert!(cursor.is_none(), "request {}: a cursor", r.id);
+        }
+        let s = *cache.stats();
+        assert_eq!(
+            (s.lookups, s.insertions),
+            (trace.len() as u64, trace.len() as u64)
+        );
+        assert_eq!(
+            (
+                s.ssm_states_admitted,
+                s.evictions,
+                s.bytes_evicted,
+                s.peak_usage_bytes
+            ),
+            (0, 0, 0, 0)
+        );
+        assert_eq!(cache.node_count(), 0);
+        assert_eq!(cache.usage_bytes() + cache.host_usage_bytes(), 0);
+        let rec = recorder.lock().expect("lock: test-local recorder");
+        assert_eq!(rec.recorded(), trace.len() as u64);
+        assert!(rec.events().all(|e| e.event.kind() == "lookup"));
     }
 
     fn tight_capacity() -> u64 {

@@ -307,7 +307,7 @@ impl<C: PrefixCache> Engine<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marconi_core::{HybridPrefixCache, VanillaCache};
+    use marconi_core::HybridPrefixCache;
     use marconi_model::ModelConfig;
     use marconi_workload::{DatasetKind, TraceGenerator};
 
@@ -336,7 +336,7 @@ mod tests {
     fn vanilla_never_hits_and_is_slower() {
         let t = trace();
         let mut vanilla = Engine::new(
-            VanillaCache::new(ModelConfig::hybrid_7b()),
+            crate::vanilla(ModelConfig::hybrid_7b()),
             GpuModel::a100_x4(),
         );
         let mut marconi = Engine::new(

@@ -304,7 +304,8 @@ mod tests {
     use super::*;
     use crate::{Engine, RequestRecord, RoutingPolicy};
     use marconi_core::{
-        AdmissionReport, CursorTable, EvictionPolicy, LookupResult, ReloadPolicy, SessionCursor,
+        AdmissionReport, CursorTable, EvictionPolicy, LookupResult, PinTicket, ReloadPolicy,
+        SessionCursor,
     };
     use marconi_metrics::Percentiles;
     use marconi_trace::{RingRecorder, TraceEvent};
@@ -650,8 +651,7 @@ mod tests {
 
         let mut marconi = EventSim::new(marconi_cache(1 << 40, EvictionPolicy::Lru), gpu.clone());
         let marconi_report = marconi.run(&trace);
-        let mut vanilla =
-            EventSim::new(marconi_core::VanillaCache::new(model.clone()), gpu.clone());
+        let mut vanilla = EventSim::new(crate::vanilla(model), gpu.clone());
         let vanilla_report = vanilla.run(&trace);
 
         // Zero-load analytic P95 on the identical cache configuration.
@@ -1246,8 +1246,8 @@ mod tests {
     }
 
     /// A cache that never pins: every method but the pin family forwards to
-    /// the wrapped cache, so the trait's defaults hand out empty tickets.
-    /// The pre-pinning reference the mid-flight tests compare against.
+    /// the wrapped cache, and the pin family hands out empty tickets. The
+    /// pre-pinning reference the mid-flight tests compare against.
     struct Unpinned(HybridPrefixCache);
 
     impl PrefixCache for Unpinned {
@@ -1304,6 +1304,20 @@ mod tests {
             hint: Option<SessionCursor>,
         ) -> (AdmissionReport, Option<SessionCursor>) {
             self.0.insert_at_with(input, output, now, hint)
+        }
+
+        fn pin_prefix(&mut self, _input: &[Token]) -> PinTicket {
+            PinTicket::default()
+        }
+
+        fn pin_prefix_with(&mut self, _input: &[Token], _hint: Option<SessionCursor>) -> PinTicket {
+            PinTicket::default()
+        }
+
+        fn unpin(&mut self, _ticket: PinTicket) {}
+
+        fn pinned_bytes(&self) -> u64 {
+            0
         }
     }
 

@@ -65,9 +65,16 @@ impl GpuModel {
     }
 
     /// Overrides the memory-hierarchy bandwidths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either bandwidth is not positive and finite: the check
+    /// [`MemoryBandwidths::new`] makes, which a struct literal skips. A
+    /// zero, negative or NaN bandwidth would price reloads at ∞ or NaN.
     #[must_use]
     pub fn with_bandwidths(mut self, bandwidths: MemoryBandwidths) -> Self {
-        self.bandwidths = bandwidths;
+        self.bandwidths =
+            MemoryBandwidths::new(bandwidths.hbm_bytes_per_s, bandwidths.pcie_bytes_per_s);
         self
     }
 
@@ -296,6 +303,39 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn invalid_throughput_panics() {
         let _ = GpuModel::new("bad", 0.0, 0.0);
+    }
+
+    /// A struct literal skips `MemoryBandwidths::new`; `with_bandwidths`
+    /// makes its check.
+    fn literal(hbm_bytes_per_s: f64, pcie_bytes_per_s: f64) -> GpuModel {
+        GpuModel::a100_x4().with_bandwidths(MemoryBandwidths {
+            hbm_bytes_per_s,
+            pcie_bytes_per_s,
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "pcie bandwidth must be positive")]
+    fn zero_pcie_bandwidth_panics() {
+        let _ = literal(1e12, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hbm bandwidth must be positive")]
+    fn negative_hbm_bandwidth_panics() {
+        let _ = literal(-1e12, 1e10);
+    }
+
+    #[test]
+    #[should_panic(expected = "pcie bandwidth must be positive")]
+    fn nan_pcie_bandwidth_panics() {
+        let _ = literal(1e12, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "hbm bandwidth must be positive")]
+    fn infinite_hbm_bandwidth_panics() {
+        let _ = literal(f64::INFINITY, 1e10);
     }
 
     #[test]

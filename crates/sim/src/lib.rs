@@ -77,7 +77,7 @@ pub use cluster::{
     ClusterBuilder, ClusterReport, PrefixAware, QueueAware, ReplicaStatus, RoundRobin, Router,
     RoutingPolicy, SessionAffinity,
 };
-pub use comparison::{vllm_plus, Comparison, ComparisonResult, SystemKind};
+pub use comparison::{vanilla, vllm_plus, Comparison, ComparisonResult, SystemKind};
 pub use engine::Engine;
 pub use event::{EventCluster, EventClusterReport, EventReport, EventSim};
 pub use executor::BatchConfig;

@@ -57,7 +57,7 @@ fn main() {
         let trace = base.time_scaled(mult);
         let mut marconi = EventSim::new(marconi_cache(&model), gpu.clone());
         let mar = marconi.run(&trace);
-        let mut vanilla = EventSim::new(VanillaCache::new(model.clone()), gpu.clone());
+        let mut vanilla = EventSim::new(vanilla(model.clone()), gpu.clone());
         let van = vanilla.run(&trace);
         let s = |r: &EventReport| r.ttft_summary().expect("non-empty run");
         println!(

@@ -74,7 +74,7 @@ pub use marconi_workload as workload;
 pub mod prelude {
     pub use marconi_core::{
         BlockReuseReport, CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache,
-        LookupResult, PrefixCache, ReloadPolicy, Tier, TieredPrefix, VanillaCache,
+        LookupResult, PrefixCache, ReloadPolicy, Tier, TieredPrefix,
     };
     pub use marconi_metrics::{BoxStats, LatencySummary, Percentiles, TierSplit};
     pub use marconi_model::{
@@ -82,8 +82,8 @@ pub mod prelude {
     };
     pub use marconi_radix::{RadixTree, Token};
     pub use marconi_sim::{
-        vllm_plus, BatchConfig, ClusterReport, Comparison, Engine, EventCluster, EventReport,
-        EventSim, GpuModel, RequestRecord, Router, RoutingPolicy, SimReport,
+        vanilla, vllm_plus, BatchConfig, ClusterReport, Comparison, Engine, EventCluster,
+        EventReport, EventSim, GpuModel, RequestRecord, Router, RoutingPolicy, SimReport,
     };
     pub use marconi_trace::{
         MissReport, NullSink, ReloadDecision, RingRecorder, TraceEvent, TraceSink, Tracer,
