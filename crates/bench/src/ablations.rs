@@ -1,11 +1,10 @@
 //! Ablations of Marconi's design choices: eviction-policy family,
 //! checkpoint materialization mode, and the §4.3 implementation rules.
 
-use crate::pct;
+use crate::{fine_grained, pct};
+use marconi_core::HybridPrefixCacheBuilder as Builder;
 use marconi_core::{CheckpointMode, EvictionPolicy, HybridPrefixCache};
-use marconi_model::ModelConfig;
 use marconi_sim::{Engine, GpuModel};
-use marconi_workload::{ArrivalConfig, DatasetKind, Trace, TraceGenerator};
 use std::fmt::Write as _;
 
 /// One ablation configuration and its measured hit rate.
@@ -19,62 +18,46 @@ pub struct AblationPoint {
     pub evictions: u64,
 }
 
-fn ablation_trace() -> Trace {
-    // The fig10 regime: contended SWE-agent-like serving where eviction
-    // decisions matter.
-    TraceGenerator::new(DatasetKind::SweBench)
-        .sessions(36)
-        .arrival(ArrivalConfig::new(1.0, 20.0))
-        .seed(10)
-        .generate()
-}
-
-fn run_config(
-    trace: &Trace,
-    label: &str,
-    configure: impl FnOnce(
-        marconi_core::HybridPrefixCacheBuilder,
-    ) -> marconi_core::HybridPrefixCacheBuilder,
-) -> AblationPoint {
-    let builder =
-        HybridPrefixCache::builder(ModelConfig::hybrid_7b()).capacity_bytes(2_000_000_000);
-    let cache = configure(builder).build();
-    let mut engine = Engine::new(cache, GpuModel::a100_x4());
-    let report = engine.run(trace);
-    AblationPoint {
-        label: label.to_owned(),
-        hit_rate: report.token_hit_rate(),
-        evictions: report.cache_stats.evictions,
-    }
-}
-
-/// Runs the ablation grid.
+/// Runs the ablation grid on Fig. 10's cell: contended SWE-agent-like
+/// serving where eviction decisions matter.
 #[must_use]
 pub fn run() -> Vec<AblationPoint> {
-    let trace = ablation_trace();
+    let cell = fine_grained::cell();
+    let trace = cell.trace();
+    let run_config = |label: &str, configure: fn(Builder) -> Builder| {
+        let builder =
+            HybridPrefixCache::builder(cell.model.clone()).capacity_bytes(cell.capacity_bytes);
+        let mut engine = Engine::new(configure(builder).build(), GpuModel::a100_x4());
+        let report = engine.run(&trace);
+        AblationPoint {
+            label: label.to_owned(),
+            hit_rate: report.token_hit_rate(),
+            evictions: report.cache_stats.evictions,
+        }
+    };
     vec![
         // Eviction-policy family.
-        run_config(&trace, "lru (sglang+)", |b| b.policy(EvictionPolicy::Lru)),
-        run_config(&trace, "gdsf (classic cost-aware)", |b| {
+        run_config("lru (sglang+)", |b| b.policy(EvictionPolicy::Lru)),
+        run_config("gdsf (classic cost-aware)", |b| {
             b.policy(EvictionPolicy::Gdsf)
         }),
-        run_config(&trace, "flop-aware α=2 (static)", |b| {
+        run_config("flop-aware α=2 (static)", |b| {
             b.policy(EvictionPolicy::FlopAware { alpha: 2.0 })
         }),
-        run_config(&trace, "flop-aware auto-α (marconi)", |b| b),
+        run_config("flop-aware auto-α (marconi)", |b| b),
         // §4.1 checkpoint materialization.
-        run_config(&trace, "marconi + chunked ckpt (64)", |b| {
+        run_config("marconi + chunked ckpt (64)", |b| {
             b.checkpoint_mode(CheckpointMode::Chunked { chunk_size: 64 })
         }),
-        run_config(&trace, "marconi + chunked ckpt (256)", |b| {
+        run_config("marconi + chunked ckpt (256)", |b| {
             b.checkpoint_mode(CheckpointMode::Chunked { chunk_size: 256 })
         }),
         // §4.3 implementation rules, ablated one at a time on LRU (so the
         // effect is not masked by FLOP-aware scoring).
-        run_config(&trace, "lru + ancestor-refresh", |b| {
+        run_config("lru + ancestor-refresh", |b| {
             b.policy(EvictionPolicy::Lru).refresh_ancestors(true)
         }),
-        run_config(&trace, "lru + leaf-only eviction", |b| {
+        run_config("lru + leaf-only eviction", |b| {
             b.policy(EvictionPolicy::Lru).leaf_only_eviction(true)
         }),
     ]

@@ -172,4 +172,20 @@ mod tests {
         assert!(fig5().lines().count() > 8);
         assert!(fig14().lines().count() > 6);
     }
+
+    #[test]
+    fn analytic_figures_match_the_golden_verbatim() {
+        let golden = include_str!("../golden/figures_all.txt");
+        for (name, figure) in [
+            ("table1", table1()),
+            ("fig3b", fig3b()),
+            ("fig5", fig5()),
+            ("fig14", fig14()),
+        ] {
+            assert!(
+                golden.contains(&figure),
+                "{name} differs from the golden:\n{figure}"
+            );
+        }
+    }
 }

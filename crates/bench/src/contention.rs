@@ -1,72 +1,27 @@
 //! Fig. 11: impact of cache contention on FLOP-aware eviction's benefits.
 
-use crate::{pct, GB};
-use marconi_model::ModelConfig;
-use marconi_sim::{Comparison, SystemKind};
-use marconi_workload::{ArrivalConfig, DatasetKind, Trace, TraceGenerator};
+use crate::sweep::{run_cells, SweepCell, SweepConfig};
+use crate::{fine_grained, pct, GB};
+use marconi_sim::SystemKind;
 use std::fmt::Write as _;
 
-/// One cache-size data point.
-#[derive(Debug, Clone, Copy)]
-pub struct ContentionPoint {
-    /// Cache size in GB.
-    pub cache_gb: f64,
-    /// Marconi's token hit rate.
-    pub marconi: f64,
-    /// SGLang+'s token hit rate.
-    pub sglang: f64,
-}
-
-impl ContentionPoint {
-    /// Marconi's relative improvement over SGLang+.
-    #[must_use]
-    pub fn relative_win(&self) -> f64 {
-        if self.sglang == 0.0 {
-            return f64::INFINITY;
-        }
-        self.marconi / self.sglang - 1.0
-    }
-}
-
-fn contention_trace() -> Trace {
-    TraceGenerator::new(DatasetKind::SweBench)
-        .sessions(36)
-        .arrival(ArrivalConfig::new(1.0, 20.0))
-        .seed(10)
-        .generate()
-}
-
-/// Sweeps cache sizes (the paper's 60–140 GB axis) on a SWEBench-like
-/// trace.
+/// Sweeps cache sizes (the paper's 60–140 GB axis) over Fig. 10's
+/// SWEBench-like cell.
 #[must_use]
-pub fn run(cache_sizes_gb: &[f64]) -> Vec<ContentionPoint> {
-    let trace = contention_trace();
-    cache_sizes_gb
+pub fn run(cache_sizes_gb: &[f64]) -> Vec<SweepCell> {
+    let cells: Vec<SweepConfig> = cache_sizes_gb
         .iter()
-        .map(|&cache_gb| {
-            let capacity = (cache_gb * GB as f64) as u64;
-            let result = Comparison::new(ModelConfig::hybrid_7b(), capacity)
-                .systems(&[SystemKind::SglangPlus, SystemKind::Marconi])
-                .run(&trace);
-            ContentionPoint {
-                cache_gb,
-                marconi: result
-                    .report(SystemKind::Marconi)
-                    .expect("ran")
-                    .token_hit_rate(),
-                sglang: result
-                    .report(SystemKind::SglangPlus)
-                    .expect("ran")
-                    .token_hit_rate(),
-            }
+        .map(|&cache_gb| SweepConfig {
+            capacity_bytes: (cache_gb * GB as f64) as u64,
+            ..fine_grained::cell()
         })
-        .collect()
+        .collect();
+    run_cells(&cells, &[SystemKind::SglangPlus, SystemKind::Marconi])
 }
 
 /// Fig. 11 rendered as text.
 #[must_use]
 pub fn fig11() -> String {
-    let points = run(&[1.0, 1.5, 2.0, 3.0, 4.0]);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -77,14 +32,20 @@ pub fn fig11() -> String {
         "{:>10} {:>10} {:>10} {:>12}",
         "cache_gb", "marconi", "sglang+", "rel. win"
     );
-    for p in &points {
+    for cell in run(&[1.0, 1.5, 2.0, 3.0, 4.0]) {
+        let marconi = cell.hit_rate(SystemKind::Marconi);
+        let sglang = cell.hit_rate(SystemKind::SglangPlus);
         let _ = writeln!(
             out,
             "{:>10.1} {:>10} {:>10} {:>12}",
-            p.cache_gb,
-            pct(p.marconi),
-            pct(p.sglang),
-            pct(p.relative_win())
+            cell.config.capacity_bytes as f64 / GB as f64,
+            pct(marconi),
+            pct(sglang),
+            pct(if sglang == 0.0 {
+                f64::INFINITY
+            } else {
+                marconi / sglang - 1.0
+            })
         );
     }
     let _ = writeln!(
@@ -101,20 +62,23 @@ mod tests {
 
     #[test]
     fn hit_rate_grows_with_cache_size() {
-        let points = run(&[1.0, 4.0]);
-        assert!(points[1].marconi >= points[0].marconi);
-        assert!(points[1].sglang >= points[0].sglang);
+        let cells = run(&[1.0, 4.0]);
+        let (small, large) = (&cells[0], &cells[1]);
+        assert!(large.hit_rate(SystemKind::Marconi) >= small.hit_rate(SystemKind::Marconi));
+        assert!(large.hit_rate(SystemKind::SglangPlus) >= small.hit_rate(SystemKind::SglangPlus));
     }
 
     #[test]
     fn marconi_never_loses_to_lru_on_this_trace() {
-        for p in run(&[2.0, 3.0]) {
+        for cell in run(&[2.0, 3.0]) {
+            let marconi = cell.hit_rate(SystemKind::Marconi);
+            let sglang = cell.hit_rate(SystemKind::SglangPlus);
             assert!(
-                p.marconi >= p.sglang * 0.98,
+                marconi >= sglang * 0.98,
                 "cache {} GB: {} vs {}",
-                p.cache_gb,
-                p.marconi,
-                p.sglang
+                cell.config.capacity_bytes as f64 / GB as f64,
+                marconi,
+                sglang
             );
         }
     }

@@ -1,44 +1,42 @@
 //! Fig. 7 (Marconi vs vLLM+ hit rate), Fig. 8 (win over SGLang+), and
 //! Fig. 9 (P95 TTFT relative to vanilla), derived from the shared sweep.
 
-use crate::sweep::{run_dataset, SweepCell, MAIN_SYSTEMS};
+use crate::sweep::{grid, run_cells, SweepCell, MAIN_SYSTEMS};
 use crate::{pct, times};
 use marconi_metrics::{BoxStats, Percentiles};
 use marconi_sim::SystemKind;
 use marconi_workload::DatasetKind;
 use std::fmt::Write as _;
 
+/// One dataset with its grid's cells, run.
+pub type DatasetSweep = (DatasetKind, Vec<SweepCell>);
+
 /// Sweep results for all three datasets, shared across the three figures.
 #[must_use]
-pub fn run_all() -> Vec<(DatasetKind, Vec<SweepCell>)> {
+pub fn run_all() -> Vec<DatasetSweep> {
     DatasetKind::ALL
         .iter()
-        .map(|&d| (d, run_dataset(d, &MAIN_SYSTEMS)))
+        .map(|&d| (d, run_cells(&grid(d), &MAIN_SYSTEMS)))
         .collect()
 }
 
 /// Per-config token hit rates of one system.
 fn hit_rates(cells: &[SweepCell], system: SystemKind) -> Vec<f64> {
-    cells
-        .iter()
-        .filter_map(|c| c.result.report(system))
-        .map(|r| r.token_hit_rate())
-        .collect()
+    cells.iter().map(|c| c.hit_rate(system)).collect()
 }
 
 /// Fig. 7: box statistics of token hit rate over the config sweep,
 /// Marconi vs vLLM+.
 #[must_use]
-pub fn fig7(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
+pub fn fig7(sweeps: &[DatasetSweep]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "# Fig 7: token hit rate over the config sweep (boxes: P5|Q1|med|Q3|P95)"
     );
     for (dataset, cells) in sweeps {
-        for system in [SystemKind::VllmPlus, SystemKind::Marconi] {
-            let rates = hit_rates(cells, system);
-            let b = BoxStats::new(&rates).expect("non-empty sweep");
+        let [vllm, marconi] = [SystemKind::VllmPlus, SystemKind::Marconi].map(|system| {
+            let b = BoxStats::new(&hit_rates(cells, system)).expect("non-empty sweep");
             let _ = writeln!(
                 out,
                 "{:<10} {:<9} {} ",
@@ -46,9 +44,8 @@ pub fn fig7(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
                 system.to_string(),
                 b
             );
-        }
-        let vllm: f64 = mean(&hit_rates(cells, SystemKind::VllmPlus));
-        let marconi: f64 = mean(&hit_rates(cells, SystemKind::Marconi));
+            b.mean
+        });
         let ratio = if vllm > 0.0 {
             marconi / vllm
         } else {
@@ -70,7 +67,7 @@ pub fn fig7(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
 
 /// Fig. 8: Marconi's relative token-hit-rate win over SGLang+ per config.
 #[must_use]
-pub fn fig8(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
+pub fn fig8(sweeps: &[DatasetSweep]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -80,8 +77,8 @@ pub fn fig8(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
         let wins: Vec<f64> = cells
             .iter()
             .filter_map(|c| {
-                let m = c.result.report(SystemKind::Marconi)?.token_hit_rate();
-                let s = c.result.report(SystemKind::SglangPlus)?.token_hit_rate();
+                let m = c.hit_rate(SystemKind::Marconi);
+                let s = c.hit_rate(SystemKind::SglangPlus);
                 (s > 0.0).then(|| (m - s) / s * 100.0)
             })
             .collect();
@@ -98,7 +95,7 @@ pub fn fig8(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
 
 /// Fig. 9: CDF of P95 TTFT relative to vanilla inference over the sweep.
 #[must_use]
-pub fn fig9(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
+pub fn fig9(sweeps: &[DatasetSweep]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -114,11 +111,8 @@ pub fn fig9(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
             let ratios: Vec<f64> = cells
                 .iter()
                 .filter_map(|c| {
-                    let v = c
-                        .result
-                        .report(SystemKind::Vanilla)?
-                        .ttft_percentile_ms(0.95)?;
-                    let s = c.result.report(system)?.ttft_percentile_ms(0.95)?;
+                    let v = c.report(SystemKind::Vanilla).ttft_percentile_ms(0.95)?;
+                    let s = c.report(system).ttft_percentile_ms(0.95)?;
                     Some(s / v)
                 })
                 .collect();
@@ -145,26 +139,20 @@ pub fn fig9(sweeps: &[(DatasetKind, Vec<SweepCell>)]) -> String {
     out
 }
 
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_cell, SweepConfig};
+    use crate::sweep::{response_time_for, run_cell, tuner_for, SweepConfig};
+    use crate::GB;
+    use marconi_workload::ArrivalConfig;
 
     /// A single miniature sweep cell shared by the rendering tests.
-    fn mini_sweep() -> Vec<(DatasetKind, Vec<SweepCell>)> {
+    fn mini_sweep() -> Vec<DatasetSweep> {
+        let dataset = DatasetKind::ShareGpt;
         let config = SweepConfig {
-            dataset: DatasetKind::ShareGpt,
-            sessions_per_second: 1.0,
-            cache_gb: 4.0,
-            sessions: 8,
-            seed: 77,
+            arrival: ArrivalConfig::new(1.0, response_time_for(dataset)),
+            tuner: tuner_for(dataset),
+            ..SweepConfig::new(dataset, 8, 77, 4 * GB)
         };
         vec![(
             DatasetKind::ShareGpt,

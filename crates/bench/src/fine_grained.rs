@@ -2,36 +2,42 @@
 //! SWE-Bench-like trace — per-length hit-rate differences (a) and the TTFT
 //! distribution (b).
 
+use crate::sweep::{run_cell, SweepCell, SweepConfig};
 use crate::{pct, GB};
-use marconi_model::ModelConfig;
-use marconi_sim::{Comparison, ComparisonResult, SystemKind};
-use marconi_workload::{ArrivalConfig, DatasetKind, TraceGenerator};
+use marconi_sim::SystemKind;
+use marconi_workload::{ArrivalConfig, DatasetKind};
 use std::fmt::Write as _;
 
-/// Runs the single-trace comparison the figure dissects.
+/// The contended SWE-agent cell the figure dissects: 36 SWE-Bench-like
+/// sessions at seed 10, one session per second with 20 s between turns,
+/// on a 2 GB cache. Fig. 11 resizes it, and the ablations replay its
+/// trace.
 #[must_use]
-pub fn run() -> ComparisonResult {
-    let trace = TraceGenerator::new(DatasetKind::SweBench)
-        .sessions(36)
-        .arrival(ArrivalConfig::new(1.0, 20.0))
-        .seed(10)
-        .generate();
-    Comparison::new(ModelConfig::hybrid_7b(), 2 * GB)
-        .systems(&[
-            SystemKind::Vanilla,
-            SystemKind::SglangPlus,
-            SystemKind::Marconi,
-        ])
-        .run(&trace)
+pub fn cell() -> SweepConfig {
+    SweepConfig {
+        arrival: ArrivalConfig::new(1.0, 20.0),
+        ..SweepConfig::new(DatasetKind::SweBench, 36, 10, 2 * GB)
+    }
+}
+
+/// Runs the cell across vanilla, SGLang+ and Marconi.
+#[must_use]
+pub fn run() -> SweepCell {
+    let systems = [
+        SystemKind::Vanilla,
+        SystemKind::SglangPlus,
+        SystemKind::Marconi,
+    ];
+    run_cell(&cell(), &systems)
 }
 
 /// Fig. 10 rendered as text.
 #[must_use]
 pub fn fig10() -> String {
-    let result = run();
-    let marconi = result.report(SystemKind::Marconi).expect("marconi ran");
-    let sglang = result.report(SystemKind::SglangPlus).expect("sglang+ ran");
-    let vanilla = result.report(SystemKind::Vanilla).expect("vanilla ran");
+    let cell = run();
+    let marconi = cell.report(SystemKind::Marconi);
+    let sglang = cell.report(SystemKind::SglangPlus);
+    let vanilla = cell.report(SystemKind::Vanilla);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -118,9 +124,9 @@ mod tests {
 
     #[test]
     fn marconi_wins_aggregate_and_long_sequences() {
-        let result = run();
-        let marconi = result.report(SystemKind::Marconi).unwrap();
-        let sglang = result.report(SystemKind::SglangPlus).unwrap();
+        let cell = run();
+        let marconi = cell.report(SystemKind::Marconi);
+        let sglang = cell.report(SystemKind::SglangPlus);
         assert!(
             marconi.token_hit_rate() >= sglang.token_hit_rate(),
             "marconi {} vs sglang+ {}",

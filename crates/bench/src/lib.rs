@@ -1,18 +1,25 @@
 //! Figure- and table-reproduction harness for the Marconi paper.
 //!
 //! Every table and figure in the paper's evaluation maps to one function
-//! here; `figures list` names them, and the `figures` binary dispatches
-//! each name to its function:
+//! here, and the `figures` binary names each once, in one table:
 //!
 //! ```text
 //! cargo run --release -p marconi-bench --bin figures -- all
 //! cargo run --release -p marconi-bench --bin figures -- fig7 fig8
 //! ```
 //!
-//! Each experiment prints the same rows/series the paper reports, and
-//! each figure's ends with a `paper check:` line stating the shape the
-//! paper shows, so a run is read against the paper itself. Everything is seeded and
-//! deterministic.
+//! The end-to-end figures (Figs. 7–13) are lists of figure cells. A
+//! [`sweep::SweepConfig`] names a trace (dataset, sessions, arrival
+//! pattern, seed), a model, a cache capacity and Marconi's tuner, and
+//! [`sweep::run_cell`] compares systems on it. Fig. 3a and the ablations
+//! compare cache configurations, not systems: they replay a cell's trace
+//! through their own `Engine` loops. Table 1 and Figs. 3b, 5 and 14 are
+//! closed-form.
+//!
+//! Each experiment prints the rows the paper reports, and each figure's
+//! ends with a `paper check:` line stating the shape the paper shows.
+//! Everything is seeded and deterministic, and `golden/figures_all.txt`
+//! pins every byte `figures all` prints.
 //!
 //! This library covers the *paper* results. The *systems* costs
 //! (radix-tree operations, eviction, routing, end-to-end replay

@@ -1,10 +1,10 @@
 //! Fig. 3a: token-block reuse rates under fine-grained checkpointing.
 
+use crate::sweep::SweepConfig;
 use crate::{pct, times, GB};
 use marconi_core::BlockReuseReport;
-use marconi_model::ModelConfig;
 use marconi_sim::{vllm_plus, Engine, GpuModel};
-use marconi_workload::{DatasetKind, TraceGenerator};
+use marconi_workload::DatasetKind;
 use std::fmt::Write as _;
 
 /// One block-size data point.
@@ -14,6 +14,8 @@ pub struct ReusePoint {
     pub block_size: u64,
     /// The vLLM+ cache's cumulative reuse counters.
     pub report: BlockReuseReport,
+    /// Entries the vLLM+ cache evicted.
+    pub evictions: u64,
 }
 
 impl ReusePoint {
@@ -34,24 +36,22 @@ impl ReusePoint {
 pub fn run(block_sizes: &[u64]) -> Vec<ReusePoint> {
     // Long-context conversations: each resume touches hundreds of KV
     // blocks but exactly one SSM state, which is what makes SSM entries
-    // sparsely hit (§3).
-    let trace = TraceGenerator::new(DatasetKind::Lmsys)
-        .sessions(40)
-        .seed(42)
-        .generate();
+    // sparsely hit (§3). Ample capacity: measure reuse, not eviction.
+    let cell = SweepConfig::new(DatasetKind::Lmsys, 40, 42, 400 * GB);
+    let trace = cell.trace();
     block_sizes
         .iter()
         .map(|&block_size| {
-            // Ample capacity: measure reuse, not eviction.
-            let cache = vllm_plus(ModelConfig::hybrid_7b(), 400 * GB, block_size);
+            let cache = vllm_plus(cell.model.clone(), cell.capacity_bytes, block_size);
             let mut engine = Engine::new(cache, GpuModel::a100_x4());
-            let _ = engine.run(&trace);
+            let evictions = engine.run(&trace).cache_stats.evictions;
             ReusePoint {
                 block_size,
                 report: engine
                     .cache()
                     .block_reuse()
                     .expect("invariant: a vLLM+ cache counts block reuse"),
+                evictions,
             }
         })
         .collect()
@@ -118,19 +118,21 @@ mod tests {
 
     #[test]
     fn fig3a_counters_are_pinned() {
-        let counters: Vec<(u64, u64, u64, u64)> = run(&[32, 64, 128])
+        let counters: Vec<(u64, u64, u64, u64, u64)> = run(&[32, 64, 128])
             .iter()
             .map(|p| {
                 let r = p.report;
-                (p.block_size, r.blocks_created, r.kv_reused, r.ssm_reused)
+                let (created, kv, ssm) = (r.blocks_created, r.kv_reused, r.ssm_reused);
+                (p.block_size, created, kv, ssm, p.evictions)
             })
             .collect();
+        // The last column is the "ample capacity" regime: nothing evicted.
         assert_eq!(
             counters,
             [
-                (32, 8689, 6500, 143),
-                (64, 4337, 3242, 142),
-                (128, 2165, 1615, 138)
+                (32, 8689, 6500, 143, 0),
+                (64, 4337, 3242, 142, 0),
+                (128, 2165, 1615, 138, 0)
             ]
         );
     }

@@ -1,38 +1,84 @@
-//! Shared end-to-end configuration sweep for Fig. 7 / Fig. 8 / Fig. 9.
-//!
-//! The paper's main results vary the dataset, request arrival pattern, and
-//! cache size, then report distributions (boxes/CDFs) over the
-//! configuration sweep. This module runs the grid once so the three
-//! figures can share it.
+//! The figure cell: the paper's evaluation is a grid of cells — dataset ×
+//! arrival pattern × cache size × model — each compared across systems.
+//! Fig. 7 / Fig. 8 / Fig. 9 share one grid of them ([`grid`]), run once.
 
 use crate::GB;
 use marconi_core::TunerConfig;
 use marconi_model::ModelConfig;
-use marconi_sim::{Comparison, ComparisonResult, SystemKind};
-use marconi_workload::{ArrivalConfig, DatasetKind, TraceGenerator};
+use marconi_sim::{Comparison, ComparisonResult, SimReport, SystemKind};
+use marconi_workload::{ArrivalConfig, DatasetKind, Trace, TraceGenerator};
 
-/// One cell of the sweep grid.
+/// One figure cell: a trace (dataset, sessions, arrival pattern, seed), the
+/// model served, the cache capacity, and Marconi's α tuner.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Workload family.
     pub dataset: DatasetKind,
-    /// Session arrival rate (sessions/second).
-    pub sessions_per_second: f64,
-    /// Cache capacity in GB.
-    pub cache_gb: f64,
     /// Sessions in the trace.
     pub sessions: usize,
+    /// Session arrival rate and mean time between a session's turns.
+    pub arrival: ArrivalConfig,
     /// RNG seed.
     pub seed: u64,
+    /// The model served.
+    pub model: ModelConfig,
+    /// Cache capacity in bytes.
+    pub capacity_bytes: u64,
+    /// Marconi's online α tuner.
+    pub tuner: TunerConfig,
 }
 
-/// A sweep cell plus its comparison result.
+impl SweepConfig {
+    /// A cell of `sessions` `dataset` sessions at `seed` under the default
+    /// arrival pattern, serving the 7B hybrid from `capacity_bytes` of
+    /// cache with the default tuner.
+    #[must_use]
+    pub fn new(dataset: DatasetKind, sessions: usize, seed: u64, capacity_bytes: u64) -> Self {
+        SweepConfig {
+            dataset,
+            sessions,
+            arrival: ArrivalConfig::default(),
+            seed,
+            model: ModelConfig::hybrid_7b(),
+            capacity_bytes,
+            tuner: TunerConfig::default(),
+        }
+    }
+
+    /// The cell's trace.
+    #[must_use]
+    pub fn trace(&self) -> Trace {
+        TraceGenerator::new(self.dataset)
+            .sessions(self.sessions)
+            .arrival(self.arrival.clone())
+            .seed(self.seed)
+            .generate()
+    }
+}
+
+/// A cell plus its comparison result.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// The configuration that produced the result.
     pub config: SweepConfig,
     /// Per-system reports.
     pub result: ComparisonResult,
+}
+
+impl SweepCell {
+    /// `system`'s report; panics if the cell did not run `system`.
+    #[must_use]
+    pub fn report(&self, system: SystemKind) -> &SimReport {
+        self.result
+            .report(system)
+            .unwrap_or_else(|| panic!("the cell did not run {system}"))
+    }
+
+    /// `system`'s token hit rate; panics if the cell did not run `system`.
+    #[must_use]
+    pub fn hit_rate(&self, system: SystemKind) -> f64 {
+        self.report(system).token_hit_rate()
+    }
 }
 
 /// Per-dataset cache sizes chosen to span high → low contention around the
@@ -58,8 +104,10 @@ pub fn response_time_for(dataset: DatasetKind) -> f64 {
     }
 }
 
-/// Sessions per trace, sized so each dataset's sweep finishes quickly while
-/// still exercising eviction.
+/// Sessions per trace. No rule ties these counts to the cache sizes: they
+/// were first picked for run time, which no longer binds (the whole grid
+/// replays in about 2 s in release), and a trace may end before Marconi's
+/// tuner leaves bootstrapping.
 #[must_use]
 pub fn sessions_for(dataset: DatasetKind) -> usize {
     match dataset {
@@ -83,50 +131,41 @@ pub fn tuner_for(dataset: DatasetKind) -> TunerConfig {
     }
 }
 
-/// The full grid for one dataset: 3 arrival rates × 3 cache sizes.
+/// The Fig. 7–9 grid for one dataset: 3 arrival rates × 3 cache sizes.
 #[must_use]
 pub fn grid(dataset: DatasetKind) -> Vec<SweepConfig> {
     let mut configs = Vec::new();
     for &rate in &[0.5, 1.0, 2.0] {
         for &cache_gb in &cache_sizes_gb(dataset) {
+            let seed = 1000 + (cache_gb * 10.0) as u64 + (rate * 10.0) as u64;
+            let capacity = (cache_gb * GB as f64) as u64;
             configs.push(SweepConfig {
-                dataset,
-                sessions_per_second: rate,
-                cache_gb,
-                sessions: sessions_for(dataset),
-                seed: 1000 + (cache_gb * 10.0) as u64 + (rate * 10.0) as u64,
+                arrival: ArrivalConfig::new(rate, response_time_for(dataset)),
+                tuner: tuner_for(dataset),
+                ..SweepConfig::new(dataset, sessions_for(dataset), seed, capacity)
             });
         }
     }
     configs
 }
 
-/// Runs one sweep cell across the given systems.
+/// Runs one cell across the given systems.
 #[must_use]
 pub fn run_cell(config: &SweepConfig, systems: &[SystemKind]) -> SweepCell {
-    let trace = TraceGenerator::new(config.dataset)
-        .sessions(config.sessions)
-        .arrival(ArrivalConfig::new(
-            config.sessions_per_second,
-            response_time_for(config.dataset),
-        ))
-        .seed(config.seed)
-        .generate();
-    let capacity = (config.cache_gb * GB as f64) as u64;
-    let result = Comparison::new(ModelConfig::hybrid_7b(), capacity)
-        .marconi_tuner(tuner_for(config.dataset))
+    let result = Comparison::new(config.model.clone(), config.capacity_bytes)
+        .marconi_tuner(config.tuner.clone())
         .systems(systems)
-        .run(&trace);
+        .run(&config.trace());
     SweepCell {
         config: config.clone(),
         result,
     }
 }
 
-/// Runs the whole grid for a dataset.
+/// Runs each cell across the given systems.
 #[must_use]
-pub fn run_dataset(dataset: DatasetKind, systems: &[SystemKind]) -> Vec<SweepCell> {
-    grid(dataset).iter().map(|c| run_cell(c, systems)).collect()
+pub fn run_cells(configs: &[SweepConfig], systems: &[SystemKind]) -> Vec<SweepCell> {
+    configs.iter().map(|c| run_cell(c, systems)).collect()
 }
 
 /// The systems Fig. 7–9 need (everything except the slow oracle).
@@ -147,7 +186,7 @@ mod tests {
         assert_eq!(g.len(), 9);
         let rates: std::collections::BTreeSet<u64> = g
             .iter()
-            .map(|c| (c.sessions_per_second * 10.0) as u64)
+            .map(|c| (c.arrival.sessions_per_second * 10.0) as u64)
             .collect();
         assert_eq!(rates.len(), 3);
     }
