@@ -2,7 +2,7 @@
 //! state dimension (b).
 
 use crate::sweep::{run_cell, SweepCell, SweepConfig};
-use crate::times;
+use crate::{rate_ratio, times};
 use marconi_model::ModelConfig;
 use marconi_sim::SystemKind;
 use marconi_workload::{ArrivalConfig, DatasetKind};
@@ -52,15 +52,14 @@ fn run_model(model: ModelConfig) -> SweepCell {
 /// ratio over each baseline.
 fn row(label: &str, [vllm, sglang, marconi]: [f64; 3]) -> String {
     let norm = |x: f64| (marconi > 0.0).then(|| format!("{:.3}", x / marconi));
-    let ratio = |x: f64| (x > 0.0).then(|| times(marconi / x));
     format!(
         "{:<12} {:>9} {:>9} {:>9} {:>14} {:>14}\n",
         label,
         norm(marconi).unwrap_or_else(|| "n/a".to_owned()),
         norm(sglang).unwrap_or_else(|| "n/a".to_owned()),
         norm(vllm).unwrap_or_else(|| "n/a".to_owned()),
-        ratio(sglang).unwrap_or_else(|| "∞".to_owned()),
-        ratio(vllm).unwrap_or_else(|| "∞".to_owned()),
+        rate_ratio(marconi, sglang, times),
+        rate_ratio(marconi, vllm, times),
     )
 }
 
@@ -170,5 +169,16 @@ mod tests {
             ["(0,36)", "n/a", "n/a", "n/a", "0.0×", "0.0×"]
         );
         assert!(row("x", [0.0, 0.25, 0.5]).contains("    1.000     0.500     0.000"));
+    }
+
+    #[test]
+    fn zero_rates_everywhere_leave_every_column_undefined() {
+        let line = row("(0,36)", [0.0, 0.0, 0.0]);
+        assert_eq!(
+            line.split_whitespace().collect::<Vec<_>>(),
+            ["(0,36)", "n/a", "n/a", "n/a", "n/a", "n/a"]
+        );
+        // A positive rate over a zero baseline is infinite, not undefined.
+        assert!(row("x", [0.0, 0.0, 0.5]).ends_with("∞              ∞\n"));
     }
 }

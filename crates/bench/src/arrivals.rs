@@ -1,7 +1,7 @@
 //! Fig. 13: impact of request arrival patterns.
 
 use crate::sweep::{run_cells, SweepCell, SweepConfig};
-use crate::{pct, times, GB};
+use crate::{pct, rate_ratio, times, GB};
 use marconi_core::TunerConfig;
 use marconi_sim::SystemKind;
 use marconi_workload::{ArrivalConfig, DatasetKind};
@@ -46,11 +46,7 @@ fn render(
             label(&cell.config.arrival),
             pct(marconi),
             pct(sglang),
-            times(if sglang == 0.0 {
-                f64::INFINITY
-            } else {
-                marconi / sglang
-            })
+            rate_ratio(marconi, sglang, times)
         );
     }
     let _ = writeln!(out, "paper check: {check}");

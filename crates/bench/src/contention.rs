@@ -1,7 +1,7 @@
 //! Fig. 11: impact of cache contention on FLOP-aware eviction's benefits.
 
 use crate::sweep::{run_cells, SweepCell, SweepConfig};
-use crate::{fine_grained, pct, GB};
+use crate::{fine_grained, pct, rate_ratio, GB};
 use marconi_sim::SystemKind;
 use std::fmt::Write as _;
 
@@ -41,11 +41,7 @@ pub fn fig11() -> String {
             cell.config.capacity_bytes as f64 / GB as f64,
             pct(marconi),
             pct(sglang),
-            pct(if sglang == 0.0 {
-                f64::INFINITY
-            } else {
-                marconi / sglang - 1.0
-            })
+            rate_ratio(marconi, sglang, |r| pct(r - 1.0))
         );
     }
     let _ = writeln!(

@@ -59,6 +59,18 @@ pub fn times(x: f64) -> String {
     format!("{x:.1}×")
 }
 
+/// Formats the ratio `num / den` of two hit rates with `fmt`: `n/a` when
+/// both are 0, where the ratio is undefined, and `∞` when only `den` is.
+/// The one place a figure divides one system's hit rate by another's.
+#[must_use]
+pub fn rate_ratio(num: f64, den: f64, fmt: impl Fn(f64) -> String) -> String {
+    match (num == 0.0, den == 0.0) {
+        (true, true) => "n/a".to_owned(),
+        (false, true) => "∞".to_owned(),
+        _ => fmt(num / den),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,5 +79,13 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(0.254), "25.4%");
         assert_eq!(times(34.42), "34.4×");
+    }
+
+    #[test]
+    fn a_rate_ratio_is_undefined_only_at_zero_over_zero() {
+        assert_eq!(rate_ratio(0.0, 0.0, times), "n/a");
+        assert_eq!(rate_ratio(0.5, 0.0, times), "∞");
+        assert_eq!(rate_ratio(0.0, 0.5, times), "0.0×");
+        assert_eq!(rate_ratio(0.6, 0.5, |r| pct(r - 1.0)), "20.0%");
     }
 }

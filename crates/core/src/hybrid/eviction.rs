@@ -8,7 +8,9 @@ use crate::policy::{
 };
 use crate::result::AdmissionReport;
 use crate::tier::Tier;
-use marconi_radix::{NodeId, TIER_BIT};
+#[cfg(debug_assertions)]
+use marconi_radix::recency_stamp;
+use marconi_radix::{recency_time, NodeId, TIER_BIT};
 use marconi_trace::{Fingerprint, MissCause, PressureCause, TraceEvent, VictimAction};
 use std::cell::Cell;
 
@@ -229,6 +231,8 @@ impl HybridPrefixCache {
     /// source tier's bands. So is the leaf-only ablation's: its tree files
     /// leaves alone
     /// ([`with_leaf_candidates`](marconi_radix::RadixTree::with_leaf_candidates)).
+    /// The banded walk therefore tests the pin alone
+    /// ([`unpinned_or_skip`](Self::unpinned_or_skip)).
     /// Pins are filtered here, at pick time, rather than by pulling pinned
     /// nodes out of the candidate index: the index
     /// is an ordered set, so a pin has no order to perturb, and leaving
@@ -249,6 +253,34 @@ impl HybridPrefixCache {
             skipped.set(skipped.get() + 1);
         }
         eligible
+    }
+
+    /// The banded walk's candidate filter: [`eligible`](Self::eligible)
+    /// for an entry of the source tier's bands, which is on that tier by
+    /// its band key (debug [`scan_pick`](Self::scan_pick) asserts it), so
+    /// only the pin is left to test — one bit of the tree's pinned bitmap,
+    /// no node read. Adds 1 to `skipped` for a pinned entry.
+    fn unpinned_or_skip(&self, id: NodeId, skipped: &Cell<u64>) -> bool {
+        let pinned = self.tree.pinned_bit(id);
+        if pinned {
+            skipped.set(skipped.get() + 1);
+        }
+        !pinned
+    }
+
+    /// How many nodes are [`eligible`](Self::eligible) for `source`: the
+    /// pool a traced episode reports. With no pin in the tree every entry
+    /// of the source tier's bands is eligible, so it is their summed
+    /// lengths, O(bands); otherwise a count over the eligible nodes.
+    fn pool_len(&self, source: Source) -> usize {
+        match source {
+            Source::Candidates(tier) if self.tree.pinned_count() == 0 => self
+                .tree
+                .tier_bands(tier_bit(tier))
+                .map(|(_, band)| band.len())
+                .sum(),
+            _ => self.eligible_ids(source, &Cell::new(0)).count(),
+        }
     }
 
     /// The nodes [`eligible`](Self::eligible) for `source` at the live tree
@@ -299,7 +331,7 @@ impl HybridPrefixCache {
         let mut episode = self
             .tracer
             .is_enabled()
-            .then(|| (self.eligible_ids(source, &Cell::new(0)).count(), Vec::new()));
+            .then(|| (self.pool_len(source), Vec::new()));
         while self.over(tier) {
             let Some(victim) = self.pick(source) else {
                 break;
@@ -349,7 +381,10 @@ impl HybridPrefixCache {
     ///   ever classed, the tier's band 0 is all of its candidates and its
     ///   first eligible entry is the victim: O(log n + skipped), where
     ///   skipped counts only the pinned entries older than it
-    ///   ([`entries_skipped`](Self::entries_skipped)).
+    ///   ([`entries_skipped`](Self::entries_skipped)). The walk reads no
+    ///   node: an entry's recency is decoded from its stamp, its pin from
+    ///   the tree's pinned bitmap and its efficiency from the
+    ///   `filed_efficiency` column ([`banded_candidate`](Self::banded_candidate)).
     ///
     /// The fallback source is the arena, which has no bands and no recency
     /// order: there the same score is minimised by a full pass
@@ -390,8 +425,8 @@ impl HybridPrefixCache {
             let (this, skipped) = (&*self, &skipped);
             let bands = this.tree.tier_bands(tier).map(move |(class, band)| {
                 let candidates = band
-                    .filter(move |&(_, id)| this.eligible_or_skip(id, source, skipped))
-                    .map(move |(_, id)| this.banded_candidate(id, alpha != 0.0));
+                    .filter(move |&(_, id)| this.unpinned_or_skip(id, skipped))
+                    .map(move |(stamp, id)| this.banded_candidate(stamp, id, alpha != 0.0));
                 (class_lower_edge(class & !TIER_BIT), candidates)
             });
             pick_victim_banded(bands, alpha, &mut read)
@@ -407,22 +442,23 @@ impl HybridPrefixCache {
         victim
     }
 
-    /// An index entry as the banded walk scores it. `scored` is off at
-    /// `α = 0`, where no efficiency is memoized and none is read.
-    fn banded_candidate(&self, id: NodeId, scored: bool) -> Candidate<NodeId> {
-        let meta = self.tree.data(id);
+    /// An index entry `(stamp, id)` as the banded walk scores it, read
+    /// without touching the node: `last_access` is the stamp decoded
+    /// ([`stamp_access`](Self::stamp_access) writes the stamp as
+    /// `recency_stamp(last_access)`, and [`recency_time`] inverts it bit
+    /// for bit), and the efficiency is the one
+    /// [`classify_candidates`](Self::classify_candidates) filed the node
+    /// under, from the `filed_efficiency` column. `scored` is off at
+    /// `α = 0`, where nothing need be classed and no efficiency is read.
+    fn banded_candidate(&self, stamp: u64, id: NodeId, scored: bool) -> Candidate<NodeId> {
         let flop_efficiency = if scored {
-            let memo = meta
-                .cost_memo
-                .expect("invariant: a classed candidate carries the memo its class was read from");
-            debug_assert_eq!(memo.version, self.tree.structure_version(id));
-            memo.flop_efficiency
+            self.filed_efficiency[id.index()]
         } else {
             0.0
         };
         Candidate {
             id,
-            last_access: meta.last_access,
+            last_access: recency_time(stamp),
             flop_efficiency,
         }
     }
@@ -436,7 +472,9 @@ impl HybridPrefixCache {
     /// does on a new SSM state, the two events that invalidate a
     /// [`CostMemo`] — so a classed candidate always carries a live memo of
     /// the efficiency its class was derived from. A change of tier keeps
-    /// the efficiency class, and the memo with it.
+    /// the efficiency class, and the memo with it. The efficiency is also
+    /// written to the node's slot of the `filed_efficiency` column, where
+    /// the walk reads it; it stays valid exactly as long as the class.
     fn classify_candidates(&mut self, tier: u16) {
         loop {
             let unclassed = self
@@ -449,6 +487,12 @@ impl HybridPrefixCache {
                 break;
             };
             let (_, efficiency) = self.node_costs(id);
+            let slot = id.index();
+            if slot >= self.filed_efficiency.len() {
+                self.filed_efficiency
+                    .resize(self.tree.arena_capacity(), f64::NAN);
+            }
+            self.filed_efficiency[slot] = efficiency;
             self.tree.set_class(id, tier | efficiency_class(efficiency));
         }
     }
@@ -456,23 +500,46 @@ impl HybridPrefixCache {
     /// Debug-only cross-check of [`pick`](Self::pick): re-derives the
     /// victim from nothing but the arena — candidacy from each node's child
     /// count (no index), scores from the model (no memo), one policy
-    /// switch. Also what keeps the memos and the bands honest: a stale memo
-    /// shows up as a different victim here, a candidate filed under a band
-    /// its efficiency does not belong to fails the class assert, and one
-    /// filed under the other tier's bands fails the band-bit assert.
+    /// switch. Also what keeps the memos, the bands and what the walk reads
+    /// instead of nodes honest: a stale memo shows up as a different victim
+    /// here, a candidate filed under a band its efficiency does not belong
+    /// to fails the class assert, one filed under the other tier's bands
+    /// fails the band-bit assert, a stamp that is not the image of the
+    /// node's `last_access` fails the stamp assert, and a column entry
+    /// that is not its classed node's live memo fails the column assert.
     #[cfg(debug_assertions)]
     fn scan_pick(&self, source: Source) -> Option<NodeId> {
         if let Source::Candidates(tier) = source {
-            // The walk read the tier's bands alone: they must hold every
-            // candidate of the tier and nothing else.
+            // The walk read the tier's bands alone, and from them no node:
+            // they must hold every candidate of the tier and nothing else,
+            // each under the stamp and (classed) column entry it would read
+            // from the node.
             let mut filed = 0usize;
             for (class, band) in self.tree.tier_bands(tier_bit(tier)) {
-                for (_, id) in band {
+                for (stamp, id) in band {
                     assert_eq!(
                         self.tier(id),
                         tier,
                         "invariant: a candidate's band bit equals its tier ({id} in band {class:#x})"
                     );
+                    let meta = self.tree.data(id);
+                    assert_eq!(
+                        stamp,
+                        recency_stamp(meta.last_access),
+                        "invariant: a candidate's stamp is its last access ({id}: {})",
+                        meta.last_access
+                    );
+                    if class & !TIER_BIT != 0 {
+                        let memo = meta
+                            .cost_memo
+                            .filter(|memo| memo.version == self.tree.structure_version(id))
+                            .expect("invariant: a classed candidate carries a live memo");
+                        assert_eq!(
+                            self.filed_efficiency.get(id.index()).map(|e| e.to_bits()),
+                            Some(memo.flop_efficiency.to_bits()),
+                            "invariant: the efficiency column holds a classed candidate's memo ({id})"
+                        );
+                    }
                     filed += 1;
                 }
             }

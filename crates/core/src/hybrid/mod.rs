@@ -140,6 +140,13 @@ pub struct HybridPrefixCache {
     /// the serving layer; a behavioral knob mirrored by tuner replicas).
     reload_policy: ReloadPolicy,
     pub(crate) tree: RadixTree<NodeMeta>,
+    /// Per arena slot, the efficiency a candidate was filed under when
+    /// [`classify_candidates`](Self::classify_candidates) last classed the
+    /// slot's node: the banded walk reads a classed candidate's efficiency
+    /// here, from a dense column, not from its node. Meaningful only while
+    /// the node stays classed, which is exactly as long as the memo it was
+    /// copied from stays live.
+    filed_efficiency: Vec<f64>,
     ssm_states: u64,
     /// Tokens of edges whose node is host-resident (device tokens are the
     /// tree total minus this).
@@ -989,6 +996,7 @@ impl HybridPrefixCacheBuilder {
             } else {
                 RadixTree::new()
             },
+            filed_efficiency: Vec::new(),
             ssm_states: 0,
             host_tokens: 0,
             host_ssm_states: 0,

@@ -81,7 +81,7 @@ mod store;
 mod tree;
 
 pub use node::NodeId;
-pub use recency::{recency_stamp, TIER_BIT};
+pub use recency::{recency_stamp, recency_time, TIER_BIT};
 pub use tree::{
     CursorFault, InsertOutcome, MatchCursor, PrefixMatch, RadixTree, RemoveError, Removed, Resumed,
     Speculation, StoreCounters,

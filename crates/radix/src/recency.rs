@@ -196,6 +196,27 @@ pub fn recency_stamp(t: f64) -> u64 {
     }
 }
 
+/// The exact inverse of [`recency_stamp`]: the `f64` whose stamp is
+/// `stamp`, bit for bit — both zeros, subnormals, infinities and every NaN
+/// payload included. A caller that stamps an access as
+/// `recency_stamp(t)` reads `t` back from the index entry alone.
+///
+/// ```
+/// use marconi_radix::{recency_stamp, recency_time};
+///
+/// for t in [-0.0f64, 0.0, 5e-324, f64::NEG_INFINITY, f64::MAX, f64::NAN] {
+///     assert_eq!(recency_time(recency_stamp(t)).to_bits(), t.to_bits());
+/// }
+/// ```
+#[must_use]
+pub fn recency_time(stamp: u64) -> f64 {
+    f64::from_bits(if stamp >> 63 == 1 {
+        stamp & !(1 << 63)
+    } else {
+        !stamp
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +246,39 @@ mod tests {
         }
         // -0.0 and 0.0 are distinct under total_cmp and stay distinct.
         assert!(recency_stamp(-0.0) < recency_stamp(0.0));
+    }
+
+    #[test]
+    fn recency_time_inverts_the_stamp_bit_for_bit() {
+        let ts = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            // Quiet and signalling NaNs with payloads, of both signs.
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff8_0000_0000_0001),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+            2.5,
+            -1.0e300,
+        ];
+        for t in ts {
+            let stamp = recency_stamp(t);
+            assert_eq!(recency_time(stamp).to_bits(), t.to_bits(), "{t:e}");
+        }
+        // And the other way round: every stamp is the image of one float.
+        for stamp in [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, u64::MAX] {
+            assert_eq!(recency_stamp(recency_time(stamp)), stamp, "{stamp:#x}");
+        }
     }
 
     /// `(class, stamp, slot)` of every entry, in iteration order.

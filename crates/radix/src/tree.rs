@@ -61,8 +61,10 @@ use std::fmt;
 /// 6. [`pinned_count`](RadixTree::pinned_count) equals
 ///    `|{ live non-root n | pin_count(n) > 0 }|`, and a non-root parent's
 ///    pin count is at least each child's (counts are subtree-inclusive).
-///    Pins never touch the candidate index: a pinned candidate keeps its
-///    entry and is skipped by whoever reads it.
+///    The per-slot pinned bitmap ([`pinned_bit`](RadixTree::pinned_bit))
+///    has exactly those nodes' slots set. Pins never touch the candidate
+///    index: a pinned candidate keeps its entry and is skipped by whoever
+///    reads it.
 ///
 /// # The token store
 ///
@@ -119,6 +121,10 @@ pub struct RadixTree<D> {
     candidate_children: usize,
     /// Number of nodes with `pin_count > 0`.
     pinned_nodes: usize,
+    /// One bit per arena slot, set while the slot's node has
+    /// `pin_count > 0`: what [`pinned_bit`](RadixTree::pinned_bit) reads
+    /// without touching the node. Words past the end read as clear.
+    pinned_slots: Vec<u64>,
     /// Fault-injection knob for the differential harness's self-test: when
     /// set, edge splits cut one token too deep. Compiled only into test
     /// builds, so a release split reads no fault flag.
@@ -423,6 +429,7 @@ impl<D: Default> RadixTree<D> {
             lru: RecencyIndex::default(),
             candidate_children: 1,
             pinned_nodes: 0,
+            pinned_slots: Vec::new(),
             #[cfg(any(test, feature = "fault-injection"))]
             split_off_by_one: false,
             #[cfg(any(test, feature = "fault-injection"))]
@@ -680,7 +687,10 @@ impl<D: Default> RadixTree<D> {
             class: tier,
             data: D::default(),
         });
-        self.pinned_nodes += usize::from(inherited_pins > 0);
+        if inherited_pins > 0 {
+            self.pinned_nodes += 1;
+            self.set_pinned_bit(mid, true);
+        }
         {
             let c = self.node_mut(child);
             c.edge = tail;
@@ -1109,14 +1119,15 @@ impl<D> RadixTree<D> {
     /// tier: `tier` is `0` or [`TIER_BIT`], and the bands are those whose
     /// class carries exactly that top bit. The tier is the top of the band
     /// key, so this costs one binary search over the bands, and a walk of
-    /// one tier never reads an entry of the other.
+    /// one tier never reads an entry of the other. Each band knows its
+    /// length, so a tier's candidate count is O(bands).
     pub fn tier_bands(
         &self,
         tier: u16,
     ) -> impl DoubleEndedIterator<
         Item = (
             u16,
-            impl DoubleEndedIterator<Item = (u64, NodeId)> + Clone + '_,
+            impl DoubleEndedIterator<Item = (u64, NodeId)> + ExactSizeIterator + Clone + '_,
         ),
     > + Clone
            + '_ {
@@ -1148,7 +1159,10 @@ impl<D> RadixTree<D> {
             n.pin_count += 1;
             let first = n.pin_count == 1;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
-            self.pinned_nodes += usize::from(first);
+            if first {
+                self.pinned_nodes += 1;
+                self.set_pinned_bit(cur, true);
+            }
             cur = parent;
         }
     }
@@ -1171,7 +1185,10 @@ impl<D> RadixTree<D> {
                 .expect("invariant: unpin without a matching pin");
             let now_free = n.pin_count == 0;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
-            self.pinned_nodes -= usize::from(now_free);
+            if now_free {
+                self.pinned_nodes -= 1;
+                self.set_pinned_bit(cur, false);
+            }
             cur = parent;
         }
     }
@@ -1185,6 +1202,34 @@ impl<D> RadixTree<D> {
     #[must_use]
     pub fn is_pinned(&self, id: NodeId) -> bool {
         self.node(id).pin_count > 0
+    }
+
+    /// [`is_pinned`](RadixTree::is_pinned) from the per-slot pinned
+    /// bitmap: one bit of a dense array, no node read. Equal to
+    /// `is_pinned(id)` for every live `id` — an entry of the candidate
+    /// index, say. The slot is not checked against the id's generation, so
+    /// a stale id reads whatever node now holds its slot.
+    #[must_use]
+    pub fn pinned_bit(&self, id: NodeId) -> bool {
+        let slot = id.index();
+        self.pinned_slots
+            .get(slot / 64)
+            .is_some_and(|word| word >> (slot % 64) & 1 == 1)
+    }
+
+    /// Sets or clears `id`'s slot in the pinned bitmap, growing it on
+    /// demand. A slot is freed only unpinned ([`remove`](RadixTree::remove)
+    /// refuses a pinned node), so a recycled slot starts clear.
+    fn set_pinned_bit(&mut self, id: NodeId, pinned: bool) {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.pinned_slots.len() {
+            self.pinned_slots.resize(word + 1, 0);
+        }
+        if pinned {
+            self.pinned_slots[word] |= bit;
+        } else {
+            self.pinned_slots[word] &= !bit;
+        }
     }
 
     /// Iterates over all currently protected nodes (pin count > 0), in
@@ -1214,6 +1259,7 @@ impl<D> RadixTree<D> {
             }
         }
         self.pinned_nodes = 0;
+        self.pinned_slots.fill(0);
     }
 
     /// Structure version of a node: bumped whenever the node's leaf status,
@@ -1562,6 +1608,12 @@ impl<D> RadixTree<D> {
                 );
                 seen_candidates += usize::from(self.is_candidate(id));
                 seen_pinned += usize::from(n.pin_count > 0);
+                assert_eq!(
+                    self.pinned_bit(id),
+                    n.pin_count > 0,
+                    "{id}: pinned bitmap drift (pin_count = {})",
+                    n.pin_count
+                );
                 if n.parent != Some(NodeId::ROOT) {
                     assert!(
                         p.pin_count >= n.pin_count,
@@ -1575,6 +1627,7 @@ impl<D> RadixTree<D> {
                 assert!(n.parent.is_none(), "root has a parent");
                 assert_eq!(n.depth, 0, "root depth nonzero");
                 assert_eq!(n.pin_count, 0, "root must never be pinned");
+                assert!(!self.pinned_bit(id), "root's pinned bit is set");
             }
             let mut prev_tok: Option<Token> = None;
             for (tok, cid) in n.children.iter() {
@@ -1657,6 +1710,14 @@ impl<D> RadixTree<D> {
         }
         assert_eq!(tiered, indexed, "the tier runs do not cover the index");
         assert_eq!(seen_pinned, self.pinned_nodes, "pinned-node count drift");
+        // Every live node's bit matches its count (above), so equal totals
+        // leave no bit set on a free slot.
+        let bits: usize = self
+            .pinned_slots
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum();
+        assert_eq!(bits, self.pinned_nodes, "pinned bitmap holds a free slot");
     }
 
     /// Graphviz `dot` rendering of the tree structure (edge labels

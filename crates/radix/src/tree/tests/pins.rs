@@ -106,3 +106,68 @@ fn unbalanced_unpin_panics_in_every_profile() {
     t.unpin(leaf);
     t.unpin(leaf);
 }
+
+// The per-slot pinned bitmap: `pinned_bit` reads one bit, no node, and
+// must agree with `is_pinned` on every live node.
+
+#[test]
+fn a_split_under_a_pin_sets_the_new_nodes_bit() {
+    let mut t = tree();
+    let leaf = t.insert(&[1, 2, 3, 4]).end_node;
+    t.pin(leaf);
+    assert!(t.pinned_bit(leaf));
+    let out = t.insert(&[1, 2, 9, 9]);
+    let mid = out.split_node.expect("split");
+    assert!(
+        t.pinned_bit(mid),
+        "the split head inherits the pin, bit included"
+    );
+    assert!(!t.pinned_bit(out.new_leaf.expect("new leaf")));
+    t.assert_invariants();
+    t.unpin(leaf);
+    assert!(!t.pinned_bit(mid) && !t.pinned_bit(leaf));
+    t.assert_invariants();
+}
+
+#[test]
+fn the_last_unpin_clears_the_bit() {
+    let mut t = tree();
+    let leaf = t.insert(&[1, 2, 3]).end_node;
+    t.pin(leaf);
+    t.pin(leaf);
+    t.unpin(leaf);
+    assert!(t.pinned_bit(leaf), "one of two pins still holds");
+    t.assert_invariants();
+    t.unpin(leaf);
+    assert!(!t.pinned_bit(leaf));
+    t.assert_invariants();
+}
+
+#[test]
+fn clear_pins_clears_every_bit() {
+    let mut t = tree();
+    let ids: Vec<NodeId> = (0..100u32).map(|i| t.insert(&[i, 7]).end_node).collect();
+    for &id in &ids {
+        t.pin(id);
+    }
+    assert!(ids.iter().all(|&id| t.pinned_bit(id)));
+    t.clear_pins();
+    assert!(ids.iter().all(|&id| !t.pinned_bit(id)));
+    t.assert_invariants();
+}
+
+#[test]
+fn a_recycled_slot_starts_with_its_bit_clear() {
+    let mut t = tree();
+    let a = t.insert(&[1]).end_node;
+    t.pin(a);
+    t.unpin(a);
+    t.remove(a).unwrap();
+    let b = t.insert(&[2]).end_node;
+    assert_eq!(a.index(), b.index(), "slot reused");
+    assert!(!t.pinned_bit(b));
+    // A slot past the bitmap's end reads clear.
+    let far = (0..200u32).map(|i| t.insert(&[1000 + i]).end_node).last();
+    assert!(!t.pinned_bit(far.expect("inserted")));
+    t.assert_invariants();
+}
