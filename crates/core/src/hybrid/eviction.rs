@@ -1,15 +1,13 @@
 //! Victim selection and the pressure loop (paper §4.3).
 
 use super::tiering::tier_bit;
-use super::{CheckpointMode, CostMemo, HybridPrefixCache};
+use super::{CheckpointMode, HybridPrefixCache};
 use crate::policy::{
     class_lower_edge, efficiency_class, pick_victim_banded, pick_victim_index, Candidate,
     EvictionPolicy,
 };
 use crate::result::AdmissionReport;
 use crate::tier::Tier;
-#[cfg(debug_assertions)]
-use marconi_radix::recency_stamp;
 use marconi_radix::{recency_time, NodeId, TIER_BIT};
 use marconi_trace::{Fingerprint, MissCause, PressureCause, TraceEvent, VictimAction};
 use std::cell::Cell;
@@ -49,7 +47,7 @@ impl HybridPrefixCache {
     /// Bytes that evicting `id` would free: a leaf releases its edge KVs
     /// and checkpoint ([`node_bytes`](Self::node_bytes)); an intermediate
     /// node only its checkpoint (the child absorbs the edge KVs, §4.3).
-    fn freed_bytes(&self, id: NodeId) -> u64 {
+    pub(super) fn freed_bytes(&self, id: NodeId) -> u64 {
         if self.tree.is_leaf(id) {
             self.node_bytes(id)
         } else if self.tree.data(id).has_ssm_state {
@@ -76,48 +74,6 @@ impl HybridPrefixCache {
         delta as f64 / freed as f64
     }
 
-    /// Memoized `(freed_bytes, flop_efficiency)` for `id`, reused until the
-    /// node's leaf status, edge length, or depth changes (tracked by the
-    /// tree's structure version) or an SSM checkpoint lands on the node
-    /// (explicit invalidation in [`checkpoint`](Self::checkpoint)).
-    ///
-    /// The arithmetic is cheap: [`ModelConfig::prefill_flops`] is three
-    /// `u128` polynomials, so the memo does not save FLOP math. It buys
-    /// two things: the banded walk scores a visited candidate from the
-    /// node's own payload, through `&self` and without reading its parent
-    /// (`banded_candidate`); and a classed candidate's efficiency stays the
-    /// one its class was derived from, because the events that invalidate
-    /// the memo are the ones that return the node to its tier's unclassed
-    /// band (`classify_candidates`).
-    ///
-    /// [`ModelConfig::prefill_flops`]: marconi_model::ModelConfig::prefill_flops
-    pub(super) fn node_costs(&mut self, id: NodeId) -> (u64, f64) {
-        let version = self.tree.structure_version(id);
-        if let Some(memo) = self.tree.data(id).cost_memo {
-            if memo.version == version {
-                debug_assert_eq!(
-                    memo.freed_bytes,
-                    self.freed_bytes(id),
-                    "stale freed_bytes memo on {id}"
-                );
-                debug_assert_eq!(
-                    memo.flop_efficiency.to_bits(),
-                    self.node_flop_efficiency(id).to_bits(),
-                    "stale flop_efficiency memo on {id}"
-                );
-                return (memo.freed_bytes, memo.flop_efficiency);
-            }
-        }
-        let freed = self.freed_bytes(id);
-        let eff = self.node_flop_efficiency(id);
-        self.tree.data_mut(id).cost_memo = Some(CostMemo {
-            version,
-            freed_bytes: freed,
-            flop_efficiency: eff,
-        });
-        (freed, eff)
-    }
-
     /// Refreshes a node's GDSF priority `H = L + F·C/S` after an access.
     ///
     /// No-op unless the active policy is [`EvictionPolicy::Gdsf`]: the
@@ -128,7 +84,7 @@ impl HybridPrefixCache {
         if !matches!(self.policy, EvictionPolicy::Gdsf) {
             return;
         }
-        let (_, cost_per_byte) = self.node_costs(id);
+        let cost_per_byte = self.node_flop_efficiency(id);
         let clock = self.gdsf_clock;
         let meta = self.tree.data_mut(id);
         if bump_frequency {
@@ -143,10 +99,10 @@ impl HybridPrefixCache {
     /// lower ids — a strict total order, so the minimum is independent of
     /// iteration order.
     fn gdsf_order(&self, a: NodeId, b: NodeId) -> std::cmp::Ordering {
-        let (ma, mb) = (self.tree.data(a), self.tree.data(b));
-        ma.gdsf_priority
-            .total_cmp(&mb.gdsf_priority)
-            .then(ma.last_access.total_cmp(&mb.last_access))
+        let priority = |id| self.tree.data(id).gdsf_priority;
+        priority(a)
+            .total_cmp(&priority(b))
+            .then(self.last_access(a).total_cmp(&self.last_access(b)))
             .then(a.cmp(&b))
     }
 
@@ -231,8 +187,10 @@ impl HybridPrefixCache {
     /// source tier's bands. So is the leaf-only ablation's: its tree files
     /// leaves alone
     /// ([`with_leaf_candidates`](marconi_radix::RadixTree::with_leaf_candidates)).
-    /// The banded walk therefore tests the pin alone
-    /// ([`unpinned_or_skip`](Self::unpinned_or_skip)).
+    /// Every read of the index therefore tests the pin alone
+    /// ([`unpinned_or_skip`](Self::unpinned_or_skip)); this full test is
+    /// for the arena, which the fallback and debug
+    /// [`scan_pick`](Self::scan_pick) read.
     /// Pins are filtered here, at pick time, rather than by pulling pinned
     /// nodes out of the candidate index: the index
     /// is an ordered set, so a pin has no order to perturb, and leaving
@@ -244,22 +202,12 @@ impl HybridPrefixCache {
             && (source != Source::DeviceFallback || self.node_bytes(id) > 0)
     }
 
-    /// [`eligible`](Self::eligible), adding 1 to `skipped` for an entry it
-    /// rejects — what [`entries_skipped`](Self::entries_skipped) counts
-    /// for the reads of the candidate index.
-    fn eligible_or_skip(&self, id: NodeId, source: Source, skipped: &Cell<u64>) -> bool {
-        let eligible = self.eligible(id, source);
-        if !eligible {
-            skipped.set(skipped.get() + 1);
-        }
-        eligible
-    }
-
-    /// The banded walk's candidate filter: [`eligible`](Self::eligible)
-    /// for an entry of the source tier's bands, which is on that tier by
-    /// its band key (debug [`scan_pick`](Self::scan_pick) asserts it), so
-    /// only the pin is left to test — one bit of the tree's pinned bitmap,
-    /// no node read. Adds 1 to `skipped` for a pinned entry.
+    /// The candidate index's filter: [`eligible`](Self::eligible) for an
+    /// entry of the source tier's bands, which is on that tier by its band
+    /// key (debug [`scan_pick`](Self::scan_pick) asserts it), so only the
+    /// pin is left to test — one bit of the tree's pinned bitmap, no node
+    /// read. Adds 1 to `skipped` for a pinned entry — what
+    /// [`entries_skipped`](Self::entries_skipped) counts.
     fn unpinned_or_skip(&self, id: NodeId, skipped: &Cell<u64>) -> bool {
         let pinned = self.tree.pinned_bit(id);
         if pinned {
@@ -307,7 +255,7 @@ impl HybridPrefixCache {
             .into_iter()
             .flatten()
             .map(|(_, id)| id)
-            .filter(move |&id| self.eligible_or_skip(id, source, skipped))
+            .filter(move |&id| self.unpinned_or_skip(id, skipped))
             .chain(
                 arena
                     .into_iter()
@@ -369,7 +317,7 @@ impl HybridPrefixCache {
     ///   argument). The tier is the top bit of the band key, so the walk
     ///   reads only the source tier's bands and never meets an entry of the
     ///   other tier. When `α ≠ 0` every candidate still in that tier's
-    ///   band 0 is first filed under the band of its memoized efficiency
+    ///   band 0 is first filed under the band of its efficiency
     ///   ([`classify_candidates`](Self::classify_candidates)), so the tier
     ///   holds two oldest-first bands per efficiency octave; the walk takes
     ///   the stamp range from the band ends and the efficiency range from
@@ -412,8 +360,8 @@ impl HybridPrefixCache {
                 .into_iter()
                 .map(|id| Candidate {
                     id,
-                    last_access: self.tree.data(id).last_access,
-                    flop_efficiency: self.node_costs(id).1,
+                    last_access: self.last_access(id),
+                    flop_efficiency: self.node_flop_efficiency(id),
                 })
                 .collect();
             pick_victim_index(&scored, alpha).map(|i| scored[i].id)
@@ -437,16 +385,15 @@ impl HybridPrefixCache {
         assert_eq!(
             victim,
             self.scan_pick(source),
-            "victim selection diverged from the index-free, memo-free arena scan"
+            "victim selection diverged from the index-free, column-free arena scan"
         );
         victim
     }
 
     /// An index entry `(stamp, id)` as the banded walk scores it, read
-    /// without touching the node: `last_access` is the stamp decoded
-    /// ([`stamp_access`](Self::stamp_access) writes the stamp as
-    /// `recency_stamp(last_access)`, and [`recency_time`] inverts it bit
-    /// for bit), and the efficiency is the one
+    /// without touching the node: `last_access` is the stamp decoded, as
+    /// [`last_access`](Self::last_access) decodes it, and the efficiency is
+    /// the one
     /// [`classify_candidates`](Self::classify_candidates) filed the node
     /// under, from the `filed_efficiency` column. `scored` is off at
     /// `α = 0`, where nothing need be classed and no efficiency is read.
@@ -465,16 +412,15 @@ impl HybridPrefixCache {
 
     /// Files every still-unclassed candidate of one tier (`tier` is that
     /// tier's class bit, so its band 0 is class `tier`) under the band of
-    /// its efficiency, so the scored walk finds the tier fully banded. Band
-    /// 0 of a tier holds exactly its candidates created or structurally
-    /// changed since its last scored pick — the tree returns a node there
-    /// on every structure-version bump and [`checkpoint`](Self::checkpoint)
-    /// does on a new SSM state, the two events that invalidate a
-    /// [`CostMemo`] — so a classed candidate always carries a live memo of
-    /// the efficiency its class was derived from. A change of tier keeps
-    /// the efficiency class, and the memo with it. The efficiency is also
-    /// written to the node's slot of the `filed_efficiency` column, where
-    /// the walk reads it; it stays valid exactly as long as the class.
+    /// its efficiency, so the scored walk finds the tier fully banded, and
+    /// writes the efficiency to the node's slot of the `filed_efficiency`
+    /// column, where the walk reads it. Band 0 of a tier holds exactly its
+    /// candidates created or structurally changed since its last scored
+    /// pick — the tree returns a node there on every structure-version
+    /// bump and [`checkpoint`](Self::checkpoint) does on a new SSM state,
+    /// the two events that change a node's efficiency — so a classed
+    /// node's column entry is always its live efficiency. A change of tier
+    /// keeps the efficiency, so it keeps the class and the entry.
     fn classify_candidates(&mut self, tier: u16) {
         loop {
             let unclassed = self
@@ -486,7 +432,7 @@ impl HybridPrefixCache {
             let Some((_, id)) = unclassed else {
                 break;
             };
-            let (_, efficiency) = self.node_costs(id);
+            let efficiency = self.node_flop_efficiency(id);
             let slot = id.index();
             if slot >= self.filed_efficiency.len() {
                 self.filed_efficiency
@@ -499,47 +445,28 @@ impl HybridPrefixCache {
 
     /// Debug-only cross-check of [`pick`](Self::pick): re-derives the
     /// victim from nothing but the arena — candidacy from each node's child
-    /// count (no index), scores from the model (no memo), one policy
-    /// switch. Also what keeps the memos, the bands and what the walk reads
-    /// instead of nodes honest: a stale memo shows up as a different victim
-    /// here, a candidate filed under a band its efficiency does not belong
-    /// to fails the class assert, one filed under the other tier's bands
-    /// fails the band-bit assert, a stamp that is not the image of the
-    /// node's `last_access` fails the stamp assert, and a column entry
-    /// that is not its classed node's live memo fails the column assert.
+    /// count (no index), efficiencies from the model (no column), one
+    /// policy switch. Also what keeps the bands and the column the walk
+    /// reads instead of nodes honest: a candidate filed under a band its
+    /// efficiency does not belong to fails the class assert, one filed
+    /// under the other tier's bands fails the band-bit assert, and a
+    /// classed node whose column entry is not its live efficiency fails
+    /// the column assert. Recency has one home, the stamp, so there is no
+    /// second copy to compare it with here; the differential harness
+    /// checks it against the spec's own per-node times.
     #[cfg(debug_assertions)]
     fn scan_pick(&self, source: Source) -> Option<NodeId> {
         if let Source::Candidates(tier) = source {
-            // The walk read the tier's bands alone, and from them no node:
-            // they must hold every candidate of the tier and nothing else,
-            // each under the stamp and (classed) column entry it would read
-            // from the node.
+            // The walk read the tier's bands alone: they must hold every
+            // candidate of the tier and nothing else.
             let mut filed = 0usize;
             for (class, band) in self.tree.tier_bands(tier_bit(tier)) {
-                for (stamp, id) in band {
+                for (_, id) in band {
                     assert_eq!(
                         self.tier(id),
                         tier,
                         "invariant: a candidate's band bit equals its tier ({id} in band {class:#x})"
                     );
-                    let meta = self.tree.data(id);
-                    assert_eq!(
-                        stamp,
-                        recency_stamp(meta.last_access),
-                        "invariant: a candidate's stamp is its last access ({id}: {})",
-                        meta.last_access
-                    );
-                    if class & !TIER_BIT != 0 {
-                        let memo = meta
-                            .cost_memo
-                            .filter(|memo| memo.version == self.tree.structure_version(id))
-                            .expect("invariant: a classed candidate carries a live memo");
-                        assert_eq!(
-                            self.filed_efficiency.get(id.index()).map(|e| e.to_bits()),
-                            Some(memo.flop_efficiency.to_bits()),
-                            "invariant: the efficiency column holds a classed candidate's memo ({id})"
-                        );
-                    }
                     filed += 1;
                 }
             }
@@ -564,15 +491,22 @@ impl HybridPrefixCache {
             .map(|id| {
                 let flop_efficiency = self.node_flop_efficiency(id);
                 let class = self.tree.class(id) & !TIER_BIT;
-                assert!(
-                    class == 0 || class == efficiency_class(flop_efficiency),
-                    "invariant: a classed candidate sits in the band of its efficiency \
-                     ({id}: class {class}, lower edge {}, efficiency {flop_efficiency})",
-                    class_lower_edge(class)
-                );
+                if class != 0 {
+                    assert!(
+                        class == efficiency_class(flop_efficiency),
+                        "invariant: a classed candidate sits in the band of its efficiency \
+                         ({id}: class {class}, lower edge {}, efficiency {flop_efficiency})",
+                        class_lower_edge(class)
+                    );
+                    assert_eq!(
+                        self.filed_efficiency.get(id.index()).map(|e| e.to_bits()),
+                        Some(flop_efficiency.to_bits()),
+                        "invariant: the efficiency column holds a classed node's efficiency ({id})"
+                    );
+                }
                 Candidate {
                     id,
-                    last_access: self.tree.data(id).last_access,
+                    last_access: self.last_access(id),
                     flop_efficiency,
                 }
             })

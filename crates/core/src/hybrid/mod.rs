@@ -20,7 +20,9 @@ use crate::tier::{ReloadPolicy, Tier, TieredPrefix};
 use crate::tuner::{Tuner, TunerState};
 use crate::{PinTicket, PrefixCache};
 use marconi_model::ModelConfig;
-use marconi_radix::{recency_stamp, NodeId, PrefixMatch, RadixTree, Resumed, StoreCounters, Token};
+use marconi_radix::{
+    recency_stamp, recency_time, NodeId, PrefixMatch, RadixTree, Resumed, StoreCounters, Token,
+};
 #[cfg(test)]
 use marconi_trace::VictimAction;
 use marconi_trace::{MissLedger, TraceEvent, Tracer};
@@ -28,13 +30,14 @@ use std::sync::Arc;
 use tiering::tier_bit;
 
 /// Per-node cache metadata: edge KVs are implicit (the edge's tokens); the
-/// node additionally records SSM-checkpoint presence, recency, and the
-/// counters GDSF-style policies need. The memory tier the node's state
-/// lives on is not here but in the tree, as the top bit of the node's class
-/// ([`HybridPrefixCache::tier`]), so the candidate index is keyed by it.
+/// node additionally records SSM-checkpoint presence and the counters
+/// GDSF-style policies need. Two eviction inputs live in the tree, not
+/// here: the node's recency is its recency stamp
+/// ([`HybridPrefixCache::last_access`]), and its tier is the top bit of its
+/// class ([`HybridPrefixCache::tier`]), so the candidate index is keyed by
+/// both.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NodeMeta {
-    last_access: f64,
     has_ssm_state: bool,
     /// Fig. 3a latches, set under [`CheckpointMode::EveryBlock`] only: a
     /// later hit read this block's KVs, and a later hit was served from
@@ -45,21 +48,6 @@ pub(crate) struct NodeMeta {
     frequency: u32,
     /// GDSF priority `H = L + F·C/S`, refreshed on access.
     gdsf_priority: f64,
-    /// Memoized eviction-scoring inputs, or `None` when never computed /
-    /// explicitly invalidated (SSM-checkpoint admission). Also implicitly
-    /// invalidated whenever the node's leaf status, edge length, or depth
-    /// changes, via the tree's structure version.
-    cost_memo: Option<CostMemo>,
-}
-
-/// Memoized per-node `freed_bytes` / `flop_efficiency`, valid while the
-/// node's [`structure_version`](RadixTree::structure_version) still equals
-/// `version`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CostMemo {
-    version: u32,
-    freed_bytes: u64,
-    flop_efficiency: f64,
 }
 
 /// Where SSM checkpoints are placed along an admitted sequence: Marconi's
@@ -144,8 +132,9 @@ pub struct HybridPrefixCache {
     /// [`classify_candidates`](Self::classify_candidates) last classed the
     /// slot's node: the banded walk reads a classed candidate's efficiency
     /// here, from a dense column, not from its node. Meaningful only while
-    /// the node stays classed, which is exactly as long as the memo it was
-    /// copied from stays live.
+    /// the node stays classed: every event that changes its efficiency
+    /// (a structure-version bump, a new checkpoint) returns it to its
+    /// tier's unclassed band first.
     filed_efficiency: Vec<f64>,
     ssm_states: u64,
     /// Tokens of edges whose node is host-resident (device tokens are the
@@ -449,15 +438,22 @@ impl HybridPrefixCache {
         })
     }
 
-    /// Records an access on `id`: the float timestamp in the node's
-    /// metadata (what scores are computed from) and its order-preserving
-    /// integer image in the tree's recency index (the order every band is
-    /// walked in). Every `last_access` write must go through here so the
-    /// two views can never drift — the banded walk's bounds assume each
-    /// band is sorted by the very stamps it scores.
+    /// Records an access on `id`: the order-preserving integer image of
+    /// `now` in the tree's recency index, the one home of the node's
+    /// recency — every band is walked in its order, and
+    /// [`last_access`](Self::last_access) reads `now` back from it.
     fn stamp_access(&mut self, id: NodeId, now: f64) {
-        self.tree.data_mut(id).last_access = now;
         self.tree.touch(id, recency_stamp(now));
+    }
+
+    /// The time of `id`'s last access: its recency stamp decoded, which
+    /// [`recency_time`] does bit for bit. Every node is stamped by the
+    /// operation that creates it ([`stamp_new_nodes`](Self::stamp_new_nodes)),
+    /// and every reader is a pick or a trace of one, which runs after that
+    /// operation's inserts, so no reader meets a never-stamped node (stamp
+    /// 0, which would decode to a NaN).
+    pub(super) fn last_access(&self, id: NodeId) -> f64 {
+        recency_time(self.tree.stamp(id))
     }
 
     /// Marks an SSM checkpoint on `id` if absent; returns 1 if newly added.
@@ -468,10 +464,8 @@ impl HybridPrefixCache {
             return 0;
         }
         meta.has_ssm_state = true;
-        // The checkpoint changes what evicting this node frees: drop the
-        // memoized scores, and the band derived from them — back to band 0
-        // of the node's tier.
-        meta.cost_memo = None;
+        // The checkpoint changes what evicting this node frees, so its
+        // efficiency band no longer holds: back to band 0 of its tier.
         let tier = self.tier(id);
         if tier == Tier::Host {
             // Checkpointing a still-host-resident node (promotion runs

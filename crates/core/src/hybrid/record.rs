@@ -94,19 +94,17 @@ impl HybridPrefixCache {
     }
 
     /// Assembles the per-victim score breakdown for an eviction-episode
-    /// event. Reads the same memoized inputs the scorer reads; populating
-    /// the memo is invisible to every decision and log.
-    pub(super) fn victim_record(&mut self, victim: NodeId, action: VictimAction) -> VictimRecord {
-        let (freed, eff) = self.node_costs(victim);
+    /// event, from the victim's own inputs at the moment it was picked.
+    pub(super) fn victim_record(&self, victim: NodeId, action: VictimAction) -> VictimRecord {
         let bytes = match action {
-            VictimAction::Evicted => freed,
+            VictimAction::Evicted => self.freed_bytes(victim),
             VictimAction::Demoted => self.node_bytes(victim),
         };
         VictimRecord {
             node: victim.index() as u64,
             depth: self.tree.depth(victim),
-            last_access: self.tree.data(victim).last_access,
-            flop_efficiency: eff,
+            last_access: self.last_access(victim),
+            flop_efficiency: self.node_flop_efficiency(victim),
             bytes,
             action,
         }

@@ -160,10 +160,9 @@ fn reuse_flags_latch_once() {
 
 #[test]
 fn the_reuse_latches_fit_in_node_meta_padding() {
-    // `last_access`, `gdsf_priority` and the `Option<CostMemo>` (32 bytes)
-    // plus `frequency` and three flags: 55 bytes, padded to 56 as before
-    // the two latches.
-    assert_eq!(std::mem::size_of::<NodeMeta>(), 56);
+    // `gdsf_priority`, `frequency` and three flags: 15 bytes, padded to
+    // 16 — the two latches cost nothing.
+    assert_eq!(std::mem::size_of::<NodeMeta>(), 16);
 }
 
 #[test]

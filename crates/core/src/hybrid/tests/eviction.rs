@@ -112,18 +112,94 @@ fn scored_picks_band_the_index_and_lru_picks_never_do() {
         let class = scored.tree.class(id);
         // Nodes the last admission created or restructured wait in
         // band 0 for the next scored pick; every other candidate is
-        // filed under its efficiency, with the memo it was read from.
+        // filed under its efficiency, which its column entry holds.
         if class != 0 {
-            let memo = scored.tree.data(id).cost_memo;
-            let memo = memo.expect("invariant: a classed candidate carries its memo");
-            assert_eq!(memo.version, scored.tree.structure_version(id));
-            assert_eq!(class, efficiency_class(memo.flop_efficiency));
-            assert_eq!(class, efficiency_class(scored.node_flop_efficiency(id)));
+            let efficiency = scored.node_flop_efficiency(id);
+            assert_eq!(
+                scored.filed_efficiency[id.index()].to_bits(),
+                efficiency.to_bits()
+            );
+            assert_eq!(class, efficiency_class(efficiency));
         }
     }
     // Selecting reads candidates; so the counter moved under both.
     assert!(lru.candidates_scored() >= lru.stats().evictions);
     assert!(scored.candidates_scored() >= scored.stats().evictions);
+}
+
+/// A traced victim record carries the victim's own score inputs: its
+/// `last_access` is the last time the test accessed the victim's path,
+/// its efficiency is the one the path had just before the pick, bit for
+/// bit, and its bytes are what deleting it freed. The sequences share no
+/// prefix, so every one is a checkpointed leaf under the root, whose
+/// efficiency no other admission or victim changes; an unbounded clone
+/// admitting the same sequence gives every path's efficiency at the
+/// episode's first pick.
+#[test]
+fn traced_victim_records_carry_the_victims_own_inputs() {
+    use marconi_trace::{RingRecorder, Tracer};
+    use std::collections::BTreeMap;
+    let m = ModelConfig::hybrid_7b();
+    let mut c = HybridPrefixCache::builder(m.clone())
+        .capacity_bytes(600 * m.kv_bytes_per_token() + 4 * m.ssm_checkpoint_bytes())
+        .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
+        .build();
+    let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 12));
+    c.set_tracer(tracer);
+    let path_of = |i: u32| seq(i * 10_000..i * 10_000 + (32 << (i % 4)));
+    let mut last_now: BTreeMap<Vec<Token>, f64> = BTreeMap::new();
+    let (mut checked, mut refreshed) = (0, 0);
+    for i in 0..24u32 {
+        let path = path_of(i);
+        let now = f64::from(i);
+        let mut probe = c.clone();
+        probe.set_tracer(Tracer::off());
+        probe.capacity = u64::MAX;
+        probe.insert_at(&path, &[], now);
+        let efficiency: BTreeMap<Vec<Token>, f64> = probe
+            .tree
+            .eviction_candidates()
+            .map(|id| (probe.tree.path_tokens(id), probe.node_flop_efficiency(id)))
+            .collect();
+
+        let logged = c.eviction_log.len();
+        let recorded = recorder.lock().expect("lock: test-local recorder").len();
+        c.insert_at(&path, &[], now);
+        last_now.insert(path, now);
+        let rec = recorder.lock().expect("lock: test-local recorder");
+        let victims = rec.events().skip(recorded).flat_map(|e| match &e.event {
+            TraceEvent::EvictionEpisode { victims, .. } => victims.clone(),
+            _ => Vec::new(),
+        });
+        let victims: Vec<_> = victims.collect();
+        assert_eq!(victims.len(), c.eviction_log.len() - logged);
+        for (record, (action, path, id)) in victims.iter().zip(&c.eviction_log[logged..]) {
+            assert_eq!((record.node, record.action), (id.index() as u64, *action));
+            assert_eq!(record.last_access.to_bits(), last_now[path].to_bits());
+            assert_eq!(
+                record.flop_efficiency.to_bits(),
+                efficiency[path].to_bits(),
+                "victim {id} at admission {i}"
+            );
+            assert_eq!(
+                record.bytes,
+                path.len() as u64 * m.kv_bytes_per_token() + m.ssm_checkpoint_bytes()
+            );
+            checked += 1;
+            refreshed += usize::from(last_now[path].fract() != 0.0);
+        }
+        drop(rec);
+
+        // Re-access an earlier path between admissions, so a victim's
+        // last access is not always its admission.
+        let old = path_of(i * 7 % (i + 1));
+        let later = now + 0.5;
+        if c.lookup_at(&old, later).tokens_matched == old.len() as u64 {
+            last_now.insert(old, later);
+        }
+    }
+    assert!(checked >= 10, "{checked} victims checked");
+    assert!(refreshed > 0, "no victim was re-accessed before its pick");
 }
 
 /// The seeded fault for the class invariant: a candidate filed one band

@@ -87,8 +87,9 @@ impl HybridPrefixCache {
     }
 
     /// Moves a device-resident node's state to the host tier; returns the
-    /// bytes moved. Tree structure (and therefore every memoized score) is
-    /// untouched — only residency accounting and the node's band change.
+    /// bytes moved. Tree structure (and therefore every node's efficiency
+    /// and its filed column entry) is untouched — only residency
+    /// accounting and the node's band change.
     fn demote(&mut self, id: NodeId) -> u64 {
         debug_assert_eq!(self.tier(id), Tier::Device, "double demotion of {id}");
         let bytes = self.node_bytes(id);

@@ -19,11 +19,10 @@
 //!   lives in one `(stamp, id)`-ordered index updated at the tree
 //!   mutations that change a child count (O(log n) each), so enumerating it
 //!   costs O(candidates) rather than O(arena);
-//!   [`RadixTree::structure_version`] lets callers memoize per-node derived
-//!   costs with O(1) staleness checks, and [`RadixTree::set_class`] lets
-//!   them band the index by such a cost
-//!   ([`RadixTree::candidate_bands`]) — a class is dropped whenever the
-//!   version moves, so it lives exactly as long as the memo. Its top bit,
+//!   [`RadixTree::set_class`] lets callers band the index by a per-node
+//!   cost derived from the node's shape ([`RadixTree::candidate_bands`]) —
+//!   a class is dropped whenever [`RadixTree::structure_version`] moves, so
+//!   it lives exactly as long as the shape it was derived from. Its top bit,
 //!   [`TIER_BIT`], is the exception: it names the node's tier, survives
 //!   every version bump, and splits the index into per-tier runs of bands
 //!   ([`RadixTree::tier_bands`]).

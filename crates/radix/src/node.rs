@@ -175,8 +175,8 @@ pub(crate) struct Node<D> {
     /// Token depth: number of tokens from the root through this node's edge.
     pub depth: u64,
     /// Structure version: bumped whenever this node's leaf status, edge
-    /// length, or depth changes, so payload-side caches keyed on the cheap
-    /// structural inputs (e.g. Marconi's per-node FLOP-efficiency memo) can
+    /// length, or depth changes, so what was derived from those cheap
+    /// structural inputs (the node's class, a cursor through the node) can
     /// be invalidated in O(1) without callbacks.
     pub version: u32,
     /// Number of in-flight pins rooted in this node's subtree (self
@@ -214,8 +214,8 @@ impl<D> Node<D> {
     ///
     /// In every build profile, on the 2^32-th bump within one slot
     /// occupancy (versions restart at 0 when a slot is recycled): cursors
-    /// and payload memos compare versions for equality, so a wrap would let
-    /// a stale one validate.
+    /// compare versions for equality, so a wrap would let a stale one
+    /// validate.
     pub fn bump_version(&mut self) {
         self.version = self
             .version

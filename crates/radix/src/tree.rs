@@ -697,7 +697,7 @@ impl<D: Default> RadixTree<D> {
             c.parent = Some(mid);
         }
         // The child's edge shortened (and its parent changed): bump so
-        // memoized per-node costs recompute.
+        // its class, derived from its shape, resets.
         self.bump(child);
         let first = self.store[head.first.off as usize];
         self.node_mut(parent).children.insert(first, mid);
@@ -1264,12 +1264,13 @@ impl<D> RadixTree<D> {
 
     /// Structure version of a node: bumped whenever the node's leaf status,
     /// edge length, or depth changes (the inputs to Marconi's per-node
-    /// freed-bytes / FLOP-efficiency scores). Callers memoizing derived
-    /// quantities per node can compare versions to detect staleness in O(1).
+    /// freed-bytes / FLOP-efficiency scores). Every bump also returns the
+    /// node to class 0 of its tier ([`set_class`](RadixTree::set_class)),
+    /// so a class derived from those inputs never outlives them; callers
+    /// holding per-node state derived from them can compare versions to
+    /// detect staleness in O(1), as a match cursor does.
     ///
-    /// Versions restart at 0 when an arena slot is recycled; since the
-    /// payload is reset to `D::default()` at the same moment, a memo stored
-    /// *in* the payload can never observe a stale match.
+    /// Versions restart at 0 when an arena slot is recycled.
     ///
     /// # Panics
     ///
@@ -1483,7 +1484,7 @@ impl<D> RadixTree<D> {
                 c.parent = Some(parent);
                 c.edge = merged;
                 // The child's edge grew (and its parent changed): bump so
-                // memoized per-node costs recompute. Its child count — and
+                // its class, derived from its shape, resets. Its child count — and
                 // the parent's — are unchanged, so candidacies hold.
                 self.bump(child);
                 self.node_mut(parent).children.insert(first_tok, child);
