@@ -10,17 +10,19 @@
 //! α and the tuner's state, the bytes under pins, and the victims in
 //! order (as root-path token sequences, demoted or deleted), and Fig. 3a's
 //! block-reuse counters; every [`RESIDENT_EVERY`] requests and at the end,
-//! on the whole resident set (path, checkpoint, tier).
+//! on the whole resident set (path, checkpoint, tier, and the spec's slot
+//! beside the cache's arena index, so a drift in slot allocation fails even
+//! when no tie flips).
 
-use super::spec::{Fault, Hostile, NodeIds, Rules, SpecCache};
+use super::spec::{Fault, Hostile, Rules, SpecCache};
 use super::{CheckpointMode, HybridPrefixCache};
 use crate::policy::EvictionPolicy;
 use crate::stats::CacheStats;
 use crate::tier::Tier;
-use crate::tuner::{Tuner, TunerConfig};
+use crate::tuner::{TunerConfig, TunerState};
 use crate::{CursorTable, LookupResult, PrefixCache};
 use marconi_model::ModelConfig;
-use marconi_radix::{NodeId, Token};
+use marconi_radix::Token;
 use marconi_trace::{RingRecorder, Tracer};
 use std::collections::VecDeque;
 
@@ -247,6 +249,8 @@ pub(super) fn stream(seed: u64, requests: usize, oversized: usize) -> Vec<Reques
 pub(super) struct Outcome {
     pub stats: CacheStats,
     pub tuned: bool,
+    /// The spec's picks that slot order decided.
+    pub slot_ties: u64,
     /// Recorded trace events (traced runs).
     pub events: u64,
     pub episodes: u64,
@@ -258,55 +262,6 @@ pub(super) struct Outcome {
     /// Hints taken from another session's cursor.
     pub foreign_hints: u64,
     pub cases: Vec<Hostile>,
-}
-
-/// The cache's ids for the spec: the live tree, then the victims logged.
-/// `snapshot` is the tuner's snapshot when the op about to run completes
-/// its bootstrap window.
-struct CacheIds<'a> {
-    cache: &'a HybridPrefixCache,
-    snapshot: Option<HybridPrefixCache>,
-}
-
-impl NodeIds for CacheIds<'_> {
-    fn id(&self, path: &[Token]) -> NodeId {
-        self.cache
-            .node_id_at(path)
-            .expect("invariant: the cache held every node the spec ranks")
-    }
-
-    fn replay(&self, alpha: f64) -> Box<dyn NodeIds> {
-        let snapshot = self
-            .snapshot
-            .as_ref()
-            .expect("invariant: a sweep has a snapshot");
-        Box::new(ReplayIds(snapshot.replica(alpha)))
-    }
-
-    fn serve(&mut self, _: &[Token], _: &[Token], _: f64) {
-        unreachable!("only replays are served")
-    }
-}
-
-/// The ids of one tuner replay: the cache's own replica, replayed in
-/// lockstep with the spec's.
-struct ReplayIds(HybridPrefixCache);
-
-impl NodeIds for ReplayIds {
-    fn id(&self, path: &[Token]) -> NodeId {
-        self.0
-            .node_id_at(path)
-            .expect("invariant: the replica held every node the spec ranks")
-    }
-
-    fn replay(&self, _: f64) -> Box<dyn NodeIds> {
-        unreachable!("replicas do not tune")
-    }
-
-    fn serve(&mut self, input: &[Token], output: &[Token], at: f64) {
-        self.0.lookup_at(input, at);
-        self.0.insert_at(input, output, at);
-    }
 }
 
 /// The builder and the spec rules for one configuration.
@@ -398,22 +353,9 @@ pub(super) fn run(
             }
 
             let logged = cache.eviction_log.len();
-            let snapshot = match &cache.tuner {
-                Some(Tuner::Bootstrapping {
-                    snapshot,
-                    recorded,
-                    target,
-                    ..
-                }) if recorded.len() as u64 + 1 >= *target => Some(snapshot.as_ref().clone()),
-                _ => None,
-            };
             let (report, cursor) = cache.insert_at_with(&r.input, &r.output, r.at, hint);
-            let ids = CacheIds {
-                cache: &cache,
-                snapshot,
-            };
             let victims_before = spec.victims().len();
-            let (want, minted) = spec.insert(&r.input, &r.output, r.at, &ids);
+            let (want, minted) = spec.insert(&r.input, &r.output, r.at);
             if report != want {
                 return Err(at(&format!("admission {report:?}, spec {want:?}")));
             }
@@ -460,7 +402,8 @@ pub(super) fn run(
     outcome.stats = cache.stats;
     outcome.unbooked =
         cache.eviction_log.len() as u64 - cache.stats.evictions - cache.stats.demotions;
-    outcome.tuned = matches!(cache.tuner, Some(Tuner::Tuned { .. }));
+    outcome.tuned = matches!(cache.tuner_state(), Some(TunerState::Tuned { .. }));
+    outcome.slot_ties = spec.slot_ties();
     if let Some(recorder) = recorder {
         let rec = recorder.lock().expect("lock: test-local recorder");
         outcome.events = rec.recorded();
@@ -531,6 +474,7 @@ fn compare(cache: &HybridPrefixCache, spec: &SpecCache, resident: bool) -> Resul
                     cache.tree.path_tokens(id),
                     cache.tree.data(id).has_ssm_state,
                     cache.tier(id),
+                    id.index(),
                 )
             })
             .collect();
@@ -538,10 +482,22 @@ fn compare(cache: &HybridPrefixCache, spec: &SpecCache, resident: bool) -> Resul
         let want = spec.resident();
         if got != want {
             let first = got.iter().zip(&want).position(|(a, b)| a != b);
+            let entry = |set: &[(Vec<Token>, bool, Tier, usize)]| {
+                first.map(|i| {
+                    let (path, checkpoint, tier, slot) = &set[i];
+                    format!(
+                        "len {} from {:?}, checkpoint {checkpoint}, {tier:?}, slot {slot}",
+                        path.len(),
+                        path.first()
+                    )
+                })
+            };
             return Err(format!(
-                "resident set: {} nodes, spec {}; first difference at {first:?}",
+                "resident set: {} nodes, spec {}; first difference {:?}, spec {:?}",
                 got.len(),
-                want.len()
+                want.len(),
+                entry(&got),
+                entry(&want)
             ));
         }
     }
@@ -607,14 +563,17 @@ impl Drive {
 /// takes a split point that is no block (and only `EveryBlock` runs
 /// do), a traced run
 /// records eviction episodes, a hinted traced run resumes, the tuner
-/// tunes, and the stream carries every hostile case.
+/// tunes, the stream carries every hostile case, and the whole matrix
+/// breaks at least one tie by slot.
 pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
     let capacity = capacity() * drive.scale;
     let tokens = capacity / ModelConfig::hybrid_7b().kv_bytes_per_token();
     let stream = stream(seed, drive.requests, 2 * tokens as usize);
+    let mut slot_ties = 0;
     for knobs in Knobs::matrix(drive.hinted, drive.traced) {
         let outcome = run(&policy, capacity, knobs, &stream, None)
             .unwrap_or_else(|e| panic!("diverged from the spec: {e}"));
+        slot_ties += outcome.slot_ties;
         let label = format!("{policy}, {knobs:?}");
         assert!(
             outcome.stats.evictions > 0,
@@ -669,6 +628,10 @@ pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
             );
         }
     }
+    assert!(
+        slot_ties > 0,
+        "the knob matrix must break a tie by slot ({policy}, {drive:?})"
+    );
 }
 
 /// The no-cache limit: a stream seeded with `seed`, replayed at 0 bytes
@@ -727,5 +690,35 @@ fn parity_harness_reports_a_spec_that_skips_the_oldest_candidate() {
         )
         .expect_err("a faulted spec must diverge");
         assert!(err.contains("request"), "{err}");
+    }
+}
+
+/// The self-test of the slot rule: a spec that hands a new node the least
+/// recently freed slot must be reported as diverging under LRU, with
+/// Marconi's checkpoints and with vLLM+'s, and the unfaulted spec must pass
+/// the same streams.
+#[test]
+fn parity_harness_reports_a_spec_that_reuses_the_oldest_free_slot() {
+    let stream = stream(5, 64, 20_000);
+    let marconi = Knobs::matrix(false, false).next().expect("non-empty");
+    let vllm = Knobs::matrix(false, false)
+        .find(|k| matches!(k.checkpoint, CheckpointMode::EveryBlock { .. }))
+        .expect("the matrix covers EveryBlock");
+    let policy = EvictionPolicy::Lru;
+    for knobs in [marconi, vllm] {
+        run(&policy, capacity(), knobs, &stream, None)
+            .unwrap_or_else(|e| panic!("the unfaulted spec diverged: {e}"));
+        let err = run(
+            &policy,
+            capacity(),
+            knobs,
+            &stream,
+            Some(Fault::OldestFreeSlot),
+        )
+        .expect_err("a faulted spec must diverge");
+        assert!(err.contains("request"), "{err}");
+        // The slot column of the resident set catches it before any tie
+        // flips a victim.
+        assert!(err.contains("resident set"), "{err}");
     }
 }

@@ -178,9 +178,9 @@ pub struct HybridPrefixCache {
     /// tracing stays off-is-free.
     pub(crate) miss_ledger: MissLedger,
     /// Every victim in order, demoted or deleted, with the root path it
-    /// had when taken: what the differential harness compares with the
-    /// executable spec, and where [`node_id_at`](Self::node_id_at) finds
-    /// the ids of nodes that are gone.
+    /// had when taken and its id: the differential harness compares the
+    /// paths with the executable spec's victims, and the replica and
+    /// end-state comparisons the whole entries.
     #[cfg(test)]
     pub(crate) eviction_log: Vec<(VictimAction, Vec<Token>, NodeId)>,
 }
@@ -376,26 +376,6 @@ impl HybridPrefixCache {
         self.clock += 1.0;
         let now = self.clock;
         self.insert_at(input, output, now)
-    }
-
-    /// Test-only: the id of the node whose root path is `path` — the live
-    /// node, or else the latest victim logged with that path. A node keeps
-    /// its root path for life, and an operation takes all its victims after
-    /// creating all its nodes, so right after an operation this names every
-    /// node that existed during it. The executable spec's one input from
-    /// the implementation: it breaks exact ties by these ids.
-    #[cfg(test)]
-    pub(super) fn node_id_at(&self, path: &[Token]) -> Option<NodeId> {
-        let m = self.tree.match_prefix(path);
-        match m.deepest() {
-            Some(id) if !m.ends_mid_edge && m.matched_len == path.len() as u64 => Some(id),
-            _ => self
-                .eviction_log
-                .iter()
-                .rev()
-                .find(|(_, p, _)| p == path)
-                .map(|&(.., id)| id),
-        }
     }
 
     // ------------------------------------------------------------------

@@ -37,13 +37,15 @@
 //! operation must behave exactly like an unhinted one, so the spec has
 //! no hints) — nor pure-Transformer models.
 //!
-//! **The one implementation detail it takes as input** is the cache's
-//! [`NodeId`]. Candidates that tie on (score, last access) go in id order,
-//! and ids are handed out by the radix arena's free list, which no rule of
-//! the paper fixes. The spec names a node by its root path (which a node
-//! keeps for its whole life: splits put the new node above it and merges
-//! fold the removed parent into it) and asks [`NodeIds`] for its id, only
-//! for candidates that tie at the minimum.
+//! **Ties break by slot.** Candidates that tie on (score, last access) go
+//! in slot order, and slots are handed out by the radix arena's rule, which
+//! no rule of the paper fixes; the spec restates it rather than reading it
+//! from the cache: slot 0 is the root; a new node takes the most recently
+//! freed slot, or else a fresh one past the last; a split's node is
+//! allocated before the leaf that hangs off it; a removed node frees its
+//! own slot (a child that absorbs its label keeps its own). So a node's
+//! slot is the cache's `NodeId::index()` for the same root path, which the
+//! harness checks with every resident-set comparison.
 
 use super::CheckpointMode;
 use crate::result::{AdmissionReport, BlockReuseReport, LookupResult};
@@ -51,23 +53,8 @@ use crate::stats::CacheStats;
 use crate::tier::Tier;
 use crate::tuner::{TunerConfig, TunerState};
 use marconi_model::ModelConfig;
-use marconi_radix::{NodeId, Token};
+use marconi_radix::Token;
 use marconi_trace::VictimAction;
-use std::cmp::Ordering;
-
-/// Where the spec reads the cache's node ids.
-pub(super) trait NodeIds {
-    /// The cache's id of the node whose root path is `path`, as of the
-    /// operation the spec is replaying.
-    fn id(&self, path: &[Token]) -> NodeId;
-
-    /// The ids of the tuner's replay of its bootstrap window at `alpha`.
-    fn replay(&self, alpha: f64) -> Box<dyn NodeIds>;
-
-    /// Advances a replay's ids past one more request (`input`, `output`,
-    /// arriving at `at`), before the spec's replica serves it.
-    fn serve(&mut self, input: &[Token], output: &[Token], at: f64);
-}
 
 /// The inputs outside the paper's happy path that the spec defines
 /// behaviour for, each one a case the harness's op stream carries.
@@ -102,6 +89,8 @@ pub(super) enum Hostile {
 pub(super) enum Fault {
     /// The candidate filter also drops the oldest eligible candidate.
     SkipOldestCandidate,
+    /// A new node takes the least recently freed slot, not the most.
+    OldestFreeSlot,
 }
 
 /// The behavioural knobs: the builder's, read as the paper states them.
@@ -211,6 +200,8 @@ pub(super) struct SpecCache {
     /// Slot 0 is the root; a removed node's slot stays empty until `free`
     /// hands it to a new node.
     nodes: Vec<Option<Node>>,
+    /// Freed slots, the most recently freed last: [`push`](Self::push)
+    /// takes it.
     free: Vec<usize>,
     /// One entry per outstanding pin: the pinned node (its ancestors are
     /// protected with it).
@@ -224,6 +215,8 @@ pub(super) struct SpecCache {
     /// hit has read.
     reused: (u64, u64),
     fault: Option<Fault>,
+    /// Picks that slot order decided: ≥ 2 candidates at the minimum key.
+    slot_ties: u64,
 }
 
 impl SpecCache {
@@ -251,6 +244,7 @@ impl SpecCache {
             victims: Vec::new(),
             reused: (0, 0),
             fault: None,
+            slot_ties: 0,
         }
     }
 
@@ -264,6 +258,10 @@ impl SpecCache {
 
     pub(super) fn alpha(&self) -> f64 {
         self.rules.alpha
+    }
+
+    pub(super) fn slot_ties(&self) -> u64 {
+        self.slot_ties
     }
 
     pub(super) fn victims(&self) -> &[(VictimAction, Vec<Token>)] {
@@ -309,11 +307,11 @@ impl SpecCache {
             .sum()
     }
 
-    /// Every node as `(root path, checkpointed, tier)`, sorted.
-    pub(super) fn resident(&self) -> Vec<(Vec<Token>, bool, Tier)> {
+    /// Every node as `(root path, checkpointed, tier, slot)`, sorted.
+    pub(super) fn resident(&self) -> Vec<(Vec<Token>, bool, Tier, usize)> {
         let mut out: Vec<_> = self
             .live()
-            .map(|n| (self.path(n), self.node(n).checkpoint, self.node(n).tier))
+            .map(|n| (self.path(n), self.node(n).checkpoint, self.node(n).tier, n))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -402,7 +400,6 @@ impl SpecCache {
         input: &[Token],
         output: &[Token],
         now: f64,
-        ids: &dyn NodeIds,
     ) -> (AdmissionReport, bool) {
         // No byte on either tier: nothing is admitted.
         if self.rules.capacity == 0 && self.rules.host_capacity == 0 {
@@ -425,8 +422,8 @@ impl SpecCache {
         self.stats.insertions += 1;
         self.stats.ssm_states_admitted += admitted;
         self.stats.peak_usage_bytes = self.stats.peak_usage_bytes.max(self.usage(Tier::Device));
-        self.relieve_pressure(&mut report, ids);
-        self.observe_for_tuning(input, output, now, ids);
+        self.relieve_pressure(&mut report);
+        self.observe_for_tuning(input, output, now);
         let cursor = end.is_some_and(|n| {
             self.nodes[n]
                 .as_ref()
@@ -587,14 +584,14 @@ impl SpecCache {
 
     /// Device pressure, then (with a host tier) the device fallback, then
     /// host pressure, until both tiers fit or a round takes no victim.
-    fn relieve_pressure(&mut self, report: &mut AdmissionReport, ids: &dyn NodeIds) {
+    fn relieve_pressure(&mut self, report: &mut AdmissionReport) {
         loop {
             let before = self.stats.evictions + self.stats.demotions;
-            self.pressure(Source::Candidates(Tier::Device), report, ids);
+            self.pressure(Source::Candidates(Tier::Device), report);
             if self.rules.host_capacity > 0 {
-                self.pressure(Source::DeviceFallback, report, ids);
+                self.pressure(Source::DeviceFallback, report);
             }
-            self.pressure(Source::Candidates(Tier::Host), report, ids);
+            self.pressure(Source::Candidates(Tier::Host), report);
             let fits = !self.over(Tier::Device) && !self.over(Tier::Host);
             if fits || self.stats.evictions + self.stats.demotions == before {
                 break;
@@ -613,10 +610,10 @@ impl SpecCache {
     /// Takes victims from `source` while its tier is over budget: a device
     /// victim with bytes moves to the host when there is one; every other
     /// victim is deleted.
-    fn pressure(&mut self, source: Source, report: &mut AdmissionReport, ids: &dyn NodeIds) {
+    fn pressure(&mut self, source: Source, report: &mut AdmissionReport) {
         let tier = source.tier();
         while self.over(tier) {
-            let Some(v) = self.pick(source, ids) else {
+            let Some(v) = self.pick(source) else {
                 break;
             };
             let path = self.path(v);
@@ -651,8 +648,8 @@ impl SpecCache {
 
     /// The victim: the eligible node with the lowest GDSF priority, or
     /// the lowest `S(n)` normalised over the eligible nodes; ties go to
-    /// the older node, then the lower cache id.
-    fn pick(&mut self, source: Source, ids: &dyn NodeIds) -> Option<usize> {
+    /// the older node, then the lower slot.
+    fn pick(&mut self, source: Source) -> Option<usize> {
         let pinned = self.pinned();
         let mut eligible: Vec<usize> = self
             .live()
@@ -693,17 +690,12 @@ impl SpecCache {
                 .collect()
         };
         let by_key = |a: &(f64, f64), b: &(f64, f64)| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1));
-        let min = keys.iter().min_by(|a, b| by_key(a, b))?;
-        let tied: Vec<usize> = eligible
+        let (&victim, &min) = eligible
             .iter()
             .zip(&keys)
-            .filter(|(_, k)| by_key(k, min) == Ordering::Equal)
-            .map(|(&n, _)| n)
-            .collect();
-        let victim = match tied[..] {
-            [only] => only,
-            _ => tied.into_iter().min_by_key(|&n| ids.id(&self.path(n)))?,
-        };
+            .min_by(|a, b| by_key(a.1, b.1).then(a.0.cmp(b.0)))?;
+        let tied = keys.iter().filter(|k| by_key(k, &min).is_eq()).count();
+        self.slot_ties += u64::from(tied > 1);
         if self.rules.gdsf && min.0.is_finite() {
             self.gdsf_clock = self.gdsf_clock.max(min.0);
         }
@@ -862,13 +854,7 @@ impl SpecCache {
     /// Waits for the first victim, records a window of 5–15× the requests
     /// seen until then against a snapshot, and adopts the α whose replay
     /// of the window hits most tokens (the smaller α on a tie).
-    fn observe_for_tuning(
-        &mut self,
-        input: &[Token],
-        output: &[Token],
-        now: f64,
-        ids: &dyn NodeIds,
-    ) {
+    fn observe_for_tuning(&mut self, input: &[Token], output: &[Token], now: f64) {
         let Some((config, tuning)) = self.tuning.take() else {
             return;
         };
@@ -900,11 +886,9 @@ impl SpecCache {
                     let mut best: Option<(f64, f64)> = None;
                     for &alpha in &config.alpha_grid {
                         let mut replica = snapshot.replica(alpha);
-                        let mut replay_ids = ids.replay(alpha);
                         for (input, output, at) in &window {
-                            replay_ids.serve(input, output, *at);
                             replica.lookup(input, *at);
-                            replica.insert(input, output, *at, &*replay_ids);
+                            replica.insert(input, output, *at);
                         }
                         let rate = replica.stats.token_hit_rate();
                         if best.is_none_or(|(a, r)| {
@@ -931,6 +915,7 @@ impl SpecCache {
         r.tuning = None;
         r.stats = CacheStats::default();
         r.victims.clear();
+        r.slot_ties = 0;
         r
     }
 
@@ -947,7 +932,11 @@ impl SpecCache {
     }
 
     fn push(&mut self, node: Node) -> usize {
-        if let Some(n) = self.free.pop() {
+        let reused = match self.fault {
+            Some(Fault::OldestFreeSlot) if !self.free.is_empty() => Some(self.free.remove(0)),
+            _ => self.free.pop(),
+        };
+        if let Some(n) = reused {
             self.nodes[n] = Some(node);
             return n;
         }
