@@ -7,11 +7,15 @@
 //! [`insert_at_with`](crate::PrefixCache::insert_at_with) at the end node
 //! of the admitted sequence, handed back by the serving layer on the
 //! session's next turn, and validated in O(1) + O(resume edge) before the
-//! walk resumes from the deep node. Any validation failure — stale
-//! generation, structure drift, token divergence, or a demoted resume
-//! path — falls back to the byte-identical root walk, so hints are *only*
-//! a shortcut, never a semantic input (the parity contract in
-//! `docs/session-fastpath.md`).
+//! walk resumes from the deep node. The handle is a live node and its
+//! depth: a live node's root path and depth never change, so validation
+//! checks only that the node still lives (its generation) and that the
+//! query extends it (length and resume edge). Either failure — stale
+//! generation or a diverged query — falls back to the byte-identical root
+//! walk, so hints are *only* a shortcut, never a semantic input (the
+//! parity contract in `docs/session-fastpath.md`). Residency plays no
+//! part: a host-resident resume node is priced by the walk's match, the
+//! same from either start.
 //!
 //! [`CursorTable`] is the bounded per-session store the sim layers use:
 //! an O(1) LRU — a hash index over a slab threaded by a recency list —
@@ -35,7 +39,8 @@ type FixedHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Def
 ///
 /// Wraps the radix layer's [`MatchCursor`]. The handle is `Copy` and
 /// carries no lifetime: it never dangles, because every use revalidates
-/// the node's generation and structure version before trusting it.
+/// the node's generation, and the query under its edge, before trusting
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "a session cursor only helps if passed back on the next turn"]
 pub struct SessionCursor {

@@ -39,9 +39,13 @@ pub(super) fn families() -> [EvictionPolicy; 4] {
     ]
 }
 
+/// The auto-tuned family: a bootstrap window as long as the run before
+/// the first eviction, short enough that some sweeps of the matrix end in
+/// an exact hit-rate tie between grid α values (each α is still adopted
+/// somewhere in the matrix).
 pub(super) fn auto_tuned() -> EvictionPolicy {
     EvictionPolicy::AutoTuned(TunerConfig {
-        bootstrap_multiplier: 5.0,
+        bootstrap_multiplier: 1.0,
         alpha_grid: vec![0.0, 1.0, 4.0],
     })
 }
@@ -251,6 +255,8 @@ pub(super) struct Outcome {
     pub tuned: bool,
     /// The spec's picks that slot order decided.
     pub slot_ties: u64,
+    /// The spec's α sweeps that the tie-break toward the smaller α decided.
+    pub alpha_ties: u64,
     /// Recorded trace events (traced runs).
     pub events: u64,
     pub episodes: u64,
@@ -404,6 +410,7 @@ pub(super) fn run(
         cache.eviction_log.len() as u64 - cache.stats.evictions - cache.stats.demotions;
     outcome.tuned = matches!(cache.tuner_state(), Some(TunerState::Tuned { .. }));
     outcome.slot_ties = spec.slot_ties();
+    outcome.alpha_ties = spec.alpha_ties();
     if let Some(recorder) = recorder {
         let rec = recorder.lock().expect("lock: test-local recorder");
         outcome.events = rec.recorded();
@@ -564,16 +571,18 @@ impl Drive {
 /// do), a traced run
 /// records eviction episodes, a hinted traced run resumes, the tuner
 /// tunes, the stream carries every hostile case, and the whole matrix
-/// breaks at least one tie by slot.
+/// breaks at least one tie by slot and, for the auto-tuned family, at
+/// least one α sweep's tie toward the smaller α.
 pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
     let capacity = capacity() * drive.scale;
     let tokens = capacity / ModelConfig::hybrid_7b().kv_bytes_per_token();
     let stream = stream(seed, drive.requests, 2 * tokens as usize);
-    let mut slot_ties = 0;
+    let (mut slot_ties, mut alpha_ties) = (0, 0);
     for knobs in Knobs::matrix(drive.hinted, drive.traced) {
         let outcome = run(&policy, capacity, knobs, &stream, None)
             .unwrap_or_else(|e| panic!("diverged from the spec: {e}"));
         slot_ties += outcome.slot_ties;
+        alpha_ties += outcome.alpha_ties;
         let label = format!("{policy}, {knobs:?}");
         assert!(
             outcome.stats.evictions > 0,
@@ -632,6 +641,12 @@ pub(super) fn assert_parity(policy: EvictionPolicy, drive: Drive, seed: u64) {
         slot_ties > 0,
         "the knob matrix must break a tie by slot ({policy}, {drive:?})"
     );
+    if matches!(policy, EvictionPolicy::AutoTuned(_)) {
+        assert!(
+            alpha_ties > 0,
+            "the knob matrix must break an α sweep's tie ({policy}, {drive:?})"
+        );
+    }
 }
 
 /// The no-cache limit: a stream seeded with `seed`, replayed at 0 bytes

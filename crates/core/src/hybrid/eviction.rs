@@ -416,10 +416,10 @@ impl HybridPrefixCache {
     /// writes the efficiency to the node's slot of the `filed_efficiency`
     /// column, where the walk reads it. Band 0 of a tier holds exactly its
     /// candidates created or structurally changed since its last scored
-    /// pick — the tree returns a node there on every structure-version
-    /// bump and [`checkpoint`](Self::checkpoint) does on a new SSM state,
-    /// the two events that change a node's efficiency — so a classed
-    /// node's column entry is always its live efficiency. A change of tier
+    /// pick — the tree returns a node there on every change to its leaf
+    /// status or edge length and [`checkpoint`](Self::checkpoint) does on
+    /// a new SSM state, the two events that change a node's efficiency —
+    /// so a classed node's column entry is always its live efficiency. A change of tier
     /// keeps the efficiency, so it keeps the class and the entry.
     fn classify_candidates(&mut self, tier: u16) {
         loop {

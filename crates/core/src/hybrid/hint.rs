@@ -4,55 +4,42 @@
 //! docs/session-fastpath.md.
 
 use super::HybridPrefixCache;
-use crate::tier::Tier;
 use marconi_radix::{CursorFault, MatchCursor, NodeId, PrefixMatch, Resumed, Token};
 use marconi_trace::CursorFallbackCause;
 
 impl HybridPrefixCache {
-    /// Validates a radix cursor against this cache's state: the tree-level
-    /// checks (generation, structure version, token divergence) plus the
-    /// cache-level rule that the resume node's state must still be
-    /// device-resident (a demoted resume path means the session has gone
-    /// cold; distrust the hint). Returns the checked resume point, which
-    /// every walk of the operation then starts from without re-checking.
-    fn resolve_cursor(
-        &self,
-        cursor: &MatchCursor,
-        query: &[Token],
-    ) -> Result<Resumed, CursorFallbackCause> {
-        let at = self.tree.resume(cursor, query).map_err(|f| match f {
-            CursorFault::StaleGeneration => CursorFallbackCause::StaleGeneration,
-            CursorFault::StructureChanged => CursorFallbackCause::StructureChanged,
-            CursorFault::QueryTooShort | CursorFault::EdgeDivergence => {
-                CursorFallbackCause::QueryDiverged
-            }
-        })?;
-        if self.tier(at.node()) != Tier::Device {
-            return Err(CursorFallbackCause::ResumeDemoted);
-        }
-        Ok(at)
-    }
-
-    /// Resolves a hint once: the checked resume point ([`Resumed::ROOT`]
-    /// when there is no hint or it failed validation) and the telemetry
+    /// Resolves a hint once against the tree (generation, query length,
+    /// resume edge): the checked resume point ([`Resumed::ROOT`] when
+    /// there is no hint or it failed validation), which every walk of the
+    /// operation then starts from without re-checking, and the telemetry
     /// outcome for [`emit_cursor_outcome`](Self::emit_cursor_outcome).
+    /// Residency has no say: a host-resident resume node is the same
+    /// node, and the walk prices its hit exactly as the root walk does.
     pub(super) fn resolve_hint(
         &self,
         query: &[Token],
         hint: Option<MatchCursor>,
     ) -> (Resumed, HintOutcome) {
-        match hint {
-            None => (Resumed::ROOT, HintOutcome::Cold),
-            Some(c) => match self.resolve_cursor(&c, query) {
-                Ok(at) => (
-                    at,
-                    HintOutcome::Resumed {
-                        node: at.node(),
-                        resumed_len: at.depth(),
-                    },
-                ),
-                Err(cause) => (Resumed::ROOT, HintOutcome::Fallback(cause)),
-            },
+        let Some(cursor) = hint else {
+            return (Resumed::ROOT, HintOutcome::Cold);
+        };
+        match self.tree.resume(&cursor, query) {
+            Ok(at) => (
+                at,
+                HintOutcome::Resumed {
+                    node: at.node(),
+                    resumed_len: at.depth(),
+                },
+            ),
+            Err(fault) => {
+                let cause = match fault {
+                    CursorFault::StaleGeneration => CursorFallbackCause::StaleGeneration,
+                    CursorFault::QueryTooShort | CursorFault::EdgeDivergence => {
+                        CursorFallbackCause::QueryDiverged
+                    }
+                };
+                (Resumed::ROOT, HintOutcome::Fallback(cause))
+            }
         }
     }
 

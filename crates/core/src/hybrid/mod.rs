@@ -133,8 +133,8 @@ pub struct HybridPrefixCache {
     /// slot's node: the banded walk reads a classed candidate's efficiency
     /// here, from a dense column, not from its node. Meaningful only while
     /// the node stays classed: every event that changes its efficiency
-    /// (a structure-version bump, a new checkpoint) returns it to its
-    /// tier's unclassed band first.
+    /// (a change to its leaf status or edge length, a new checkpoint)
+    /// returns it to its tier's unclassed band first.
     filed_efficiency: Vec<f64>,
     ssm_states: u64,
     /// Tokens of edges whose node is host-resident (device tokens are the
@@ -765,13 +765,12 @@ impl PrefixCache for HybridPrefixCache {
             self.emit_gauges(now);
         }
 
-        // Mint the next turn's cursor only now: eviction and demotion have
-        // settled, so a handed-out cursor always points at a live,
-        // device-resident end node (and is still revalidated on return).
-        let next = end_node.and_then(|id| {
-            let cursor = self.tree.cursor_at(id)?;
-            (self.tier(id) == Tier::Device).then_some(SessionCursor { cursor })
-        });
+        // Mint the next turn's cursor only now, once eviction has settled:
+        // a handed-out cursor names a live end node (and is still
+        // revalidated on return), whichever tier holds it.
+        let next = end_node
+            .and_then(|id| self.tree.cursor_at(id))
+            .map(|cursor| SessionCursor { cursor });
         (report, next)
     }
 

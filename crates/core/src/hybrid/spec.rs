@@ -217,6 +217,9 @@ pub(super) struct SpecCache {
     fault: Option<Fault>,
     /// Picks that slot order decided: ≥ 2 candidates at the minimum key.
     slot_ties: u64,
+    /// α sweeps whose best hit rate ≥ 2 grid values reached, so the
+    /// tie-break toward the smaller α decided the adopted one.
+    alpha_ties: u64,
 }
 
 impl SpecCache {
@@ -245,6 +248,7 @@ impl SpecCache {
             reused: (0, 0),
             fault: None,
             slot_ties: 0,
+            alpha_ties: 0,
         }
     }
 
@@ -262,6 +266,10 @@ impl SpecCache {
 
     pub(super) fn slot_ties(&self) -> u64 {
         self.slot_ties
+    }
+
+    pub(super) fn alpha_ties(&self) -> u64 {
+        self.alpha_ties
     }
 
     pub(super) fn victims(&self) -> &[(VictimAction, Vec<Token>)] {
@@ -393,8 +401,9 @@ impl SpecCache {
     }
 
     /// An admission (§4.1), then pressure, then the tuner. The flag is
-    /// `true` when the admitted sequence's node is still on the device
-    /// afterwards — when the cache hands out a session cursor.
+    /// `true` when the admitted sequence's end node is still live
+    /// afterwards, on either tier — when the cache hands out a session
+    /// cursor.
     pub(super) fn insert(
         &mut self,
         input: &[Token],
@@ -424,11 +433,7 @@ impl SpecCache {
         self.stats.peak_usage_bytes = self.stats.peak_usage_bytes.max(self.usage(Tier::Device));
         self.relieve_pressure(&mut report);
         self.observe_for_tuning(input, output, now);
-        let cursor = end.is_some_and(|n| {
-            self.nodes[n]
-                .as_ref()
-                .is_some_and(|n| n.tier == Tier::Device)
-        });
+        let cursor = end.is_some_and(|n| self.nodes[n].is_some());
         (report, cursor)
     }
 
@@ -884,6 +889,7 @@ impl SpecCache {
                     }
                 } else {
                     let mut best: Option<(f64, f64)> = None;
+                    let mut rates = Vec::with_capacity(config.alpha_grid.len());
                     for &alpha in &config.alpha_grid {
                         let mut replica = snapshot.replica(alpha);
                         for (input, output, at) in &window {
@@ -891,13 +897,17 @@ impl SpecCache {
                             replica.insert(input, output, *at);
                         }
                         let rate = replica.stats.token_hit_rate();
+                        rates.push(rate);
                         if best.is_none_or(|(a, r)| {
                             rate.total_cmp(&r).then(a.total_cmp(&alpha)).is_gt()
                         }) {
                             best = Some((alpha, rate));
                         }
                     }
-                    self.rules.alpha = best.expect("invariant: the α grid is non-empty").0;
+                    let (alpha, rate) = best.expect("invariant: the α grid is non-empty");
+                    let reached = rates.iter().filter(|r| r.total_cmp(&rate).is_eq());
+                    self.alpha_ties += u64::from(reached.count() > 1);
+                    self.rules.alpha = alpha;
                     Tuning::Tuned
                 }
             }

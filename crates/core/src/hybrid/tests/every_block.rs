@@ -166,6 +166,14 @@ fn the_reuse_latches_fit_in_node_meta_padding() {
 }
 
 #[test]
+fn session_cursors_are_a_node_id_and_a_depth() {
+    // A generation-tagged id (8 bytes) and the node's depth (8): nothing
+    // else is needed to resume, since a live node never moves.
+    assert_eq!(std::mem::size_of::<marconi_radix::MatchCursor>(), 16);
+    assert_eq!(std::mem::size_of::<SessionCursor>(), 16);
+}
+
+#[test]
 fn insert_extends_existing_chain() {
     let mut c = vllm(1 << 42);
     c.insert_sequence(&seq(0..64), &[]);

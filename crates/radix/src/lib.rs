@@ -21,11 +21,11 @@
 //!   costs O(candidates) rather than O(arena);
 //!   [`RadixTree::set_class`] lets callers band the index by a per-node
 //!   cost derived from the node's shape ([`RadixTree::candidate_bands`]) —
-//!   a class is dropped whenever [`RadixTree::structure_version`] moves, so
-//!   it lives exactly as long as the shape it was derived from. Its top bit,
-//!   [`TIER_BIT`], is the exception: it names the node's tier, survives
-//!   every version bump, and splits the index into per-tier runs of bands
-//!   ([`RadixTree::tier_bands`]).
+//!   a class is dropped whenever the node's leaf status or edge length
+//!   changes, so it lives exactly as long as the shape it was derived from.
+//!   Its top bit, [`TIER_BIT`], is the exception: it names the node's tier,
+//!   survives every shape change, and splits the index into per-tier runs
+//!   of bands ([`RadixTree::tier_bands`]).
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
 //!   intermediate node lets its child *absorb* the edge KVs while the SSM
 //!   state is released. The merge splices the two labels' chains of store
@@ -51,7 +51,10 @@
 //! [`RadixTree::match_prefix_from`] / [`RadixTree::insert_parts_from`] /
 //! [`RadixTree::speculate_insert_from`] resume from it in O(new tokens),
 //! falling back to the root walk on any [`CursorFault`]; see
-//! `docs/session-fastpath.md`. Since PR 25 a validation yields a
+//! `docs/session-fastpath.md`. A cursor is a live node and its depth: a
+//! live node's root path and depth never change, so validation checks the
+//! generation, the query's length and the query under the node's own edge,
+//! and nothing else. Since PR 25 a validation yields a
 //! [`Resumed`] point that [`RadixTree::match_prefix_at`] /
 //! [`RadixTree::insert_parts_at`] walk from without re-checking, so a
 //! caller running several walks over one sequence validates once.

@@ -172,13 +172,11 @@ pub(crate) struct Node<D> {
     pub edge: Label,
     /// Children keyed by the first token of their edge.
     pub children: ChildSet,
-    /// Token depth: number of tokens from the root through this node's edge.
+    /// Token depth: number of tokens from the root through this node's
+    /// edge. Fixed for the node's whole life, like its root path: a split
+    /// inserts its new node above, and a merge folds the removed parent's
+    /// edge into this one.
     pub depth: u64,
-    /// Structure version: bumped whenever this node's leaf status, edge
-    /// length, or depth changes, so what was derived from those cheap
-    /// structural inputs (the node's class, a cursor through the node) can
-    /// be invalidated in O(1) without callbacks.
-    pub version: u32,
     /// Number of in-flight pins rooted in this node's subtree (self
     /// included). A nonzero count marks the node *protected*: the KVs on
     /// its edge are being read by an in-flight request, so it must be
@@ -195,33 +193,13 @@ pub(crate) struct Node<D> {
     /// Caller-supplied class (see
     /// [`RadixTree::set_class`](crate::RadixTree::set_class)): which band
     /// of the recency index holds this node's entry while it is a
-    /// candidate. 0 ("unclassed") on a new node; after every
-    /// [`bump_version`](Node::bump_version) only its tier bit
+    /// candidate. 0 ("unclassed") on a new node; after every change to
+    /// its leaf status or edge length only its tier bit
     /// ([`TIER_BIT`](crate::TIER_BIT)) is left, and a split's new node
     /// starts with the tier bit of the node it split off.
     pub class: u16,
     /// Caller payload.
     pub data: D,
-}
-
-impl<D> Node<D> {
-    /// Records a change to this node's leaf status, edge length or depth:
-    /// the one place a structure version moves. Callers inside the tree go
-    /// through `RadixTree::bump`, which also returns the node to class 0
-    /// of its tier.
-    ///
-    /// # Panics
-    ///
-    /// In every build profile, on the 2^32-th bump within one slot
-    /// occupancy (versions restart at 0 when a slot is recycled): cursors
-    /// compare versions for equality, so a wrap would let a stale one
-    /// validate.
-    pub fn bump_version(&mut self) {
-        self.version = self
-            .version
-            .checked_add(1)
-            .expect("invariant: a node sees fewer than 2^32 structure changes per slot occupancy");
-    }
 }
 
 /// Arena slot: occupied node or free. Both arms carry the slot's current

@@ -24,12 +24,12 @@
 //! sites where that function changes value,
 //! [`RadixTree::touch`](crate::RadixTree::touch) re-keys an entry inside
 //! its band and `set_class` moves it between bands, each in O(log n). The
-//! class bits below [`TIER_BIT`] live exactly as long as the node's
-//! structure version: every version bump puts the node back in class 0 of
-//! its tier, so a class derived from the versioned inputs (leaf status,
-//! edge length, depth) cannot outlive them. The tier bit outlives every
-//! bump — residency belongs to the tokens, not to the shape — and the new
-//! node of an edge split copies it from the node whose tokens it takes.
+//! class bits below [`TIER_BIT`] live exactly as long as the node's shape:
+//! every change to its leaf status or edge length puts the node back in
+//! class 0 of its tier (its depth never changes), so a class derived from
+//! that shape cannot outlive it. The tier bit outlives every shape change
+//! — residency belongs to the tokens, not to the shape — and the new node
+//! of an edge split copies it from the node whose tokens it takes.
 //! An ordered set has no insertion order, so nothing that leaves membership
 //! alone — a pin, say — can perturb the order victims come out in.
 //!
@@ -42,7 +42,7 @@ use std::collections::{btree_set, BTreeSet};
 
 /// The top bit of a class: the node's tier. Set, the node sits in the
 /// upper tier's bands, which all sort after every band without it. A
-/// version bump keeps it and an edge split copies it to the new node (see
+/// shape change keeps it and an edge split copies it to the new node (see
 /// [`RadixTree::set_class`](crate::RadixTree::set_class)).
 pub const TIER_BIT: u16 = 1 << 15;
 

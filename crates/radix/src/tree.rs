@@ -51,9 +51,10 @@ use std::fmt;
 ///    band named by the node's current [`class`](RadixTree::class) and
 ///    keyed by its current [`touch`](RadixTree::touch) stamp, and no entry
 ///    for anything else. A node's class is 0 from creation, and class 0
-///    of its tier ([`TIER_BIT`]) from every structure-version bump, until
-///    the caller's next [`set_class`](RadixTree::set_class); a split's new
-///    node starts in class 0 of the split child's tier.
+///    of its tier ([`TIER_BIT`]) from every change to its leaf status or
+///    edge length, until the caller's next
+///    [`set_class`](RadixTree::set_class); a split's new node starts in
+///    class 0 of the split child's tier.
 ///    [`lru_candidates`](RadixTree::lru_candidates),
 ///    [`eviction_candidates`](RadixTree::eviction_candidates) and
 ///    [`eviction_candidate_count`](RadixTree::eviction_candidate_count) are
@@ -411,7 +412,6 @@ impl<D: Default> RadixTree<D> {
                     edge: Label::EMPTY,
                     children: ChildSet::default(),
                     depth: 0,
-                    version: 0,
                     pin_count: 0,
                     stamp: 0,
                     class: 0,
@@ -565,7 +565,6 @@ impl<D: Default> RadixTree<D> {
                         edge,
                         children: ChildSet::default(),
                         depth,
-                        version: 0,
                         pin_count: 0,
                         stamp: 0,
                         class: 0,
@@ -581,9 +580,9 @@ impl<D: Default> RadixTree<D> {
                     }
                     self.node_mut(cur).children.insert(next_tok, leaf);
                     if children_before == 0 {
-                        // `cur`'s leaf status flipped: structural caches on
-                        // it (freed bytes) are stale.
-                        self.bump(cur);
+                        // `cur`'s leaf status flipped: a class derived from
+                        // its shape (freed bytes) is stale.
+                        self.reset_class(cur);
                     }
                     // The new leaf is a candidate (class 0, stamp 0).
                     self.lru.insert(0, 0, leaf);
@@ -681,7 +680,6 @@ impl<D: Default> RadixTree<D> {
             edge: head,
             children: mid_children,
             depth: mid_depth,
-            version: 0,
             pin_count: inherited_pins,
             stamp: 0,
             class: tier,
@@ -696,9 +694,9 @@ impl<D: Default> RadixTree<D> {
             c.edge = tail;
             c.parent = Some(mid);
         }
-        // The child's edge shortened (and its parent changed): bump so
-        // its class, derived from its shape, resets.
-        self.bump(child);
+        // The child's edge shortened (and its parent changed): its class,
+        // derived from its shape, resets.
+        self.reset_class(child);
         let first = self.store[head.first.off as usize];
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
@@ -1028,20 +1026,19 @@ impl<D> RadixTree<D> {
     /// The recency index keeps one `(stamp, id)`-ordered band per class
     /// ([`candidate_bands`](RadixTree::candidate_bands)). The top bit,
     /// [`TIER_BIT`], names the node's tier, and the tree reads it in two
-    /// places: a version bump keeps it, and an edge split copies it from
+    /// places: a shape change keeps it, and an edge split copies it from
     /// the child to the new intermediate (the head tokens it takes over
     /// stay where they were). Re-keying a node between tiers is this
     /// call with the bit flipped; [`tier_bands`](RadixTree::tier_bands)
     /// then reads one tier's bands alone. The other bits are the caller's
-    /// and last exactly as long as the node's
-    /// [`structure_version`](RadixTree::structure_version): new nodes start
-    /// in class 0 and every version bump returns the node to class 0 of its
-    /// tier, so a class derived from the versioned inputs (leaf status,
-    /// edge length, depth) can never outlive them — a caller whose class
-    /// also depends on its own payload clears those bits when that payload
-    /// changes. [`touch`](RadixTree::touch) keeps the class. Setting the
-    /// class of a non-candidate just records it; the node carries it into
-    /// the index if it later becomes a candidate.
+    /// and last exactly as long as the node's shape: new nodes start in
+    /// class 0, and every change to a node's leaf status or edge length
+    /// returns it to class 0 of its tier (its depth never changes), so a
+    /// class derived from that shape can never outlive it — a caller whose
+    /// class also depends on its own payload clears those bits when that
+    /// payload changes. [`touch`](RadixTree::touch) keeps the class.
+    /// Setting the class of a non-candidate just records it; the node
+    /// carries it into the index if it later becomes a candidate.
     ///
     /// # Panics
     ///
@@ -1062,7 +1059,7 @@ impl<D> RadixTree<D> {
     }
 
     /// The node's current class (0 if never classed; only its tier bit
-    /// since its last structure-version bump).
+    /// since its leaf status or edge length last changed).
     ///
     /// # Panics
     ///
@@ -1072,13 +1069,11 @@ impl<D> RadixTree<D> {
         self.node(id).class
     }
 
-    /// Records a change to `id`'s leaf status, edge length or depth: bumps
-    /// its structure version and returns it to class 0 of its tier,
-    /// re-keying its index entry if it is a candidate.
-    fn bump(&mut self, id: NodeId) {
-        let node = self.node_mut(id);
-        node.bump_version();
-        let tier = node.class & TIER_BIT;
+    /// Records a change to `id`'s leaf status or edge length: returns it
+    /// to class 0 of its tier, re-keying its index entry if it is a
+    /// candidate.
+    fn reset_class(&mut self, id: NodeId) {
+        let tier = self.node(id).class & TIER_BIT;
         self.set_class(id, tier);
     }
 
@@ -1262,24 +1257,6 @@ impl<D> RadixTree<D> {
         self.pinned_slots.fill(0);
     }
 
-    /// Structure version of a node: bumped whenever the node's leaf status,
-    /// edge length, or depth changes (the inputs to Marconi's per-node
-    /// freed-bytes / FLOP-efficiency scores). Every bump also returns the
-    /// node to class 0 of its tier ([`set_class`](RadixTree::set_class)),
-    /// so a class derived from those inputs never outlives them; callers
-    /// holding per-node state derived from them can compare versions to
-    /// detect staleness in O(1), as a match cursor does.
-    ///
-    /// Versions restart at 0 when an arena slot is recycled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` refers to a removed node.
-    #[must_use]
-    pub fn structure_version(&self, id: NodeId) -> u32 {
-        self.node(id).version
-    }
-
     /// Finds the longest stored prefix of `query`.
     #[must_use]
     pub fn match_prefix(&self, query: &[Token]) -> PrefixMatch {
@@ -1449,9 +1426,9 @@ impl<D> RadixTree<D> {
                 let node = self.free(id);
                 if parent != NodeId::ROOT && self.node(parent).children.len() == 1 {
                     // The parent is about to become a leaf: its freed-bytes
-                    // shape changes. Bumped while its candidacy still
+                    // shape changes. Reset while its candidacy still
                     // reflects its one child.
-                    self.bump(parent);
+                    self.reset_class(parent);
                 }
                 self.node_mut(parent).children.remove(first_tok);
                 if parent != NodeId::ROOT {
@@ -1459,8 +1436,8 @@ impl<D> RadixTree<D> {
                     if p.children.len() == self.candidate_children {
                         // Down to the candidate bound: a candidate again (or
                         // for the first time), in the band its class names
-                        // (no version moved while it was out, or the bump
-                        // above just reset it).
+                        // (its shape did not change while it was out, or
+                        // the reset above just cleared it).
                         self.lru.insert(p.class, p.stamp, parent);
                     }
                 }
@@ -1483,10 +1460,10 @@ impl<D> RadixTree<D> {
                 let c = self.node_mut(child);
                 c.parent = Some(parent);
                 c.edge = merged;
-                // The child's edge grew (and its parent changed): bump so
-                // its class, derived from its shape, resets. Its child count — and
-                // the parent's — are unchanged, so candidacies hold.
-                self.bump(child);
+                // The child's edge grew (and its parent changed): its
+                // class, derived from its shape, resets. Its child count —
+                // and the parent's — are unchanged, so candidacies hold.
+                self.reset_class(child);
                 self.node_mut(parent).children.insert(first_tok, child);
                 Ok(Removed {
                     data: node.data,

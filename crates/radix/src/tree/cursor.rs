@@ -17,18 +17,17 @@ use std::fmt;
 /// The fields are private: [`RadixTree::cursor_at`] writes them, and only
 /// the generation-checked [`RadixTree::resume`] reads the node id. A cursor
 /// is a pure value — holding one pins nothing and never blocks eviction; a
-/// stale cursor simply fails validation.
+/// stale cursor simply fails validation. It is a live node and that node's
+/// depth, nothing more: a live node's root path and depth never change, so
+/// while the node lives, the cursor names the same prefix it was taken at.
 #[must_use]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchCursor {
     /// Resume node; dereferenced only via the gen-checked [`RadixTree::resume`].
     node: NodeId,
-    /// The node's token depth when the cursor was taken — the length of
-    /// the already-matched prefix a resumed walk skips.
+    /// The node's token depth — the length of the already-matched prefix a
+    /// resumed walk skips.
     matched_len: u64,
-    /// The node's [`RadixTree::structure_version`] when the cursor was
-    /// taken; any bump (edge split, leaf-status flip) invalidates.
-    structure_version: u32,
 }
 
 impl MatchCursor {
@@ -46,10 +45,6 @@ pub enum CursorFault {
     /// The resume node was removed (its slot is free or recycled under a
     /// newer generation).
     StaleGeneration,
-    /// The resume node's structure version or depth changed — an edge
-    /// split landed on it, or its leaf status flipped — since the cursor
-    /// was taken.
-    StructureChanged,
     /// The query is shorter than the cursor's matched prefix, so it cannot
     /// extend it.
     QueryTooShort,
@@ -62,7 +57,6 @@ impl fmt::Display for CursorFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CursorFault::StaleGeneration => write!(f, "resume node was removed"),
-            CursorFault::StructureChanged => write!(f, "resume node's structure changed"),
             CursorFault::QueryTooShort => write!(f, "query does not extend the cursor"),
             CursorFault::EdgeDivergence => write!(f, "query diverges on the resume edge"),
         }
@@ -70,8 +64,8 @@ impl fmt::Display for CursorFault {
 }
 
 impl<D> RadixTree<D> {
-    /// Takes a resume cursor at a live node: a generation-tagged snapshot
-    /// of `(node, depth, structure_version)` that a later
+    /// Takes a resume cursor at a live node: the generation-tagged node and
+    /// its depth, which a later
     /// [`match_prefix_from`] / [`insert_parts_from`] / [`speculate_insert_from`]
     /// can resume from in O(new tokens).
     ///
@@ -79,11 +73,13 @@ impl<D> RadixTree<D> {
     /// root-walk counterparts only for queries whose first
     /// `matched_len()` tokens equal the node's root path. Callers must
     /// therefore only reuse a cursor for queries *extending* the sequence
-    /// it was taken at. Validation catches every structural hazard
-    /// (generation mismatch, version bump, resume-edge divergence) and
-    /// falls back cheaply; full-prefix verification is deliberately not
-    /// performed — it would restore the O(prompt) cost the cursor exists
-    /// to avoid.
+    /// it was taken at. Validation catches a removed node (generation
+    /// mismatch) and a query that does not extend the node's path where
+    /// it can be seen cheaply (too short, or diverging on the resume
+    /// edge); full-prefix verification is deliberately not performed — it
+    /// would restore the O(prompt) cost the cursor exists to avoid. Splits,
+    /// merges and leaf flips after minting need no check: none of them
+    /// moves a live node's root path or depth.
     ///
     /// Returns `None` for a dead id.
     ///
@@ -96,7 +92,6 @@ impl<D> RadixTree<D> {
         Some(MatchCursor {
             node: id,
             matched_len: n.depth,
-            structure_version: n.version,
         })
     }
 
@@ -105,15 +100,15 @@ impl<D> RadixTree<D> {
     ///
     /// 1. **generation** — the slot is live under the cursor's generation
     ///    (a freed or recycled slot fails, never aliases);
-    /// 2. **structure version** — unchanged since the cursor was taken, so
-    ///    no split landed on the node's edge and its leaf status is as
-    ///    captured (conservative: any bump invalidates);
-    /// 3. **depth** — still equals the cursor's `matched_len` (an internal
-    ///    consistency check; a live node's depth is path-invariant);
-    /// 4. **query length** — `query` is long enough to extend the cursor;
-    /// 5. **resume edge** — the query tokens under the node's own edge
+    /// 2. **query length** — `query` is long enough to extend the cursor;
+    /// 3. **resume edge** — the query tokens under the node's own edge
     ///    match it (O(edge) divergence check against the label's store
     ///    ranges; catches cursors replayed against a foreign query).
+    ///
+    /// Nothing else a walk reads can have moved: a live node keeps its
+    /// root path and depth for its whole life (a split inserts its new
+    /// node above, a merge folds the removed parent's edge into the child),
+    /// so a live node's depth still equals the cursor's `matched_len`.
     ///
     /// # Errors
     ///
@@ -133,9 +128,10 @@ impl<D> RadixTree<D> {
     ) -> Result<Resumed, CursorFault> {
         let id = cursor.node;
         let n = self.get_node(id).ok_or(CursorFault::StaleGeneration)?;
-        if n.version != cursor.structure_version || n.depth != cursor.matched_len {
-            return Err(CursorFault::StructureChanged);
-        }
+        assert_eq!(
+            n.depth, cursor.matched_len,
+            "invariant: a live node's depth never changes"
+        );
         let len = cursor.matched_len as usize;
         if head.len() + tail.len() < len {
             return Err(CursorFault::QueryTooShort);

@@ -123,15 +123,15 @@ fn set_class_moves_a_candidate_between_bands_and_touch_keeps_it_there() {
 
 #[test]
 fn every_version_bump_returns_the_node_to_class_zero_of_its_tier() {
-    // The four bump sites: leaf gains a child, edge split shortens the
-    // child, parent becomes a leaf, merge grows the child. Each clears
-    // the caller's bits and keeps the tier bit, in either tier.
+    // The four shape changes: leaf gains a child, edge split shortens
+    // the child, parent becomes a leaf, merge grows the child. Each
+    // clears the caller's bits and keeps the tier bit, in either tier.
     for tier in [0, TIER_BIT] {
         let mut t = tree();
         let a = t.insert(&[1, 2, 3, 4]).end_node;
         t.set_class(a, tier | 5);
         let below = t.insert(&[1, 2, 3, 4, 5]).end_node; // a: leaf -> 1 child
-        assert_eq!((t.class(a), t.structure_version(a)), (tier, 1));
+        assert_eq!(t.class(a), tier);
         t.set_class(a, tier | 5);
         let mid = t.insert(&[1, 2, 9]).split_node.unwrap(); // a's edge split
         assert_eq!(t.class(a), tier);
@@ -142,7 +142,7 @@ fn every_version_bump_returns_the_node_to_class_zero_of_its_tier() {
         t.set_class(a, tier | 5);
         t.set_class(mid, 6);
         let sibling = t.match_prefix(&[1, 2, 9]).deepest().unwrap();
-        t.remove(sibling).unwrap(); // mid: 2 -> 1 children, no bump
+        t.remove(sibling).unwrap(); // mid: 2 -> 1 children, same shape
         let mut own_bands = vec![(tier | 5, a), (6, mid)];
         own_bands.sort();
         assert_eq!(banded(&t), own_bands, "re-enters its own band");
@@ -231,7 +231,7 @@ fn a_leaf_candidate_tree_files_its_leaves_alone() {
     assert!(t.eviction_candidates().all(|id| id == b || id == c));
     t.assert_invariants();
     // Down to no child, a node is a candidate again, in class 0 of its
-    // tier (the leaf flip bumped its version) and under its old stamp.
+    // tier (the leaf flip reset its class) and under its old stamp.
     t.touch(a, 7);
     t.set_class(a, TIER_BIT | 3);
     t.remove(b).unwrap();

@@ -1,5 +1,6 @@
 // Session cursors and two-slice inserts: resumed walks equal root
-// walks, and every stale cursor is rejected.
+// walks, a removed node or a query that does not extend the cursor is
+// rejected, and a shape change under a live cursor is not.
 
 #[test]
 fn resumed_match_equals_root_walk() {
@@ -70,36 +71,37 @@ fn stale_generation_is_rejected() {
 }
 
 #[test]
-fn split_under_cursor_is_rejected() {
+fn split_under_cursor_resumes() {
     let mut t: RadixTree<u32> = RadixTree::new();
     let end = t.insert(&[1, 2, 3, 4]).end_node;
     let cur = t.cursor_at(end).expect("live");
-    // Splits the cursor node's own edge -> version bump -> fault.
+    // Splits the cursor node's own edge: the node keeps its depth and
+    // root path, so the cursor still resumes, only against a shorter edge.
     t.insert(&[1, 2, 3]);
-    assert_eq!(
-        t.resume(&cur, &[1, 2, 3, 4, 5]),
-        Err(CursorFault::StructureChanged)
-    );
-    // A fresh cursor at the same node works again.
-    let fresh = t.cursor_at(end).expect("live");
-    let m = t
-        .match_prefix_from(&fresh, &[1, 2, 3, 4, 5])
-        .expect("fresh");
+    assert_eq!(t.edge_len(end), 1);
+    let at = t.resume(&cur, &[1, 2, 3, 4, 5]).expect("live node");
+    assert_eq!((at.node(), at.depth()), (end, 4));
+    let m = t.match_prefix_from(&cur, &[1, 2, 3, 4, 5]).expect("live");
     assert_eq!(m, t.match_prefix(&[1, 2, 3, 4, 5]));
+    // The edge check now covers the shortened edge alone.
+    assert_eq!(
+        t.resume(&cur, &[1, 2, 3, 9, 5]),
+        Err(CursorFault::EdgeDivergence)
+    );
 }
 
 #[test]
-fn leaf_flip_under_cursor_is_rejected() {
+fn leaf_flip_under_cursor_resumes() {
     let mut t: RadixTree<u32> = RadixTree::new();
     let end = t.insert(&[1, 2]).end_node;
     let cur = t.cursor_at(end).expect("live");
-    // A deeper insert gives the cursor node its first child: version
-    // bump (leaf-status flip), so the old cursor conservatively fails.
+    // A deeper insert gives the cursor node its first child: a leaf
+    // flip, which moves no path, so the cursor resumes into the child.
     t.insert(&[1, 2, 3]);
-    assert_eq!(
-        t.resume(&cur, &[1, 2, 3]),
-        Err(CursorFault::StructureChanged)
-    );
+    assert!(!t.is_leaf(end));
+    let m = t.match_prefix_from(&cur, &[1, 2, 3]).expect("live");
+    assert_eq!(m, t.match_prefix(&[1, 2, 3]));
+    assert_eq!(m.matched_len, 3);
 }
 
 #[test]
@@ -121,8 +123,8 @@ fn non_extending_queries_are_rejected() {
 #[test]
 fn merge_preserving_path_keeps_cursor_valid() {
     // Removing a single-child ancestor merges its edge into *its*
-    // child; any strictly deeper node keeps its path, depth, and
-    // version, so a cursor below the merge point stays valid.
+    // child; any strictly deeper node keeps its path, depth and edge,
+    // so a cursor below the merge point stays valid.
     let mut t: RadixTree<u32> = RadixTree::new();
     let top = t.insert(&[1, 2]).end_node;
     t.insert(&[1, 2, 3]);

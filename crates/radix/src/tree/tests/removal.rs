@@ -1,23 +1,23 @@
 // `remove`'s rejection paths leave the tree untouched.
 
-/// Per-node observable state: id, depth, edge length, structure
-/// version, stamp, pinned.
-type NodeState = (NodeId, u64, u64, u32, u64, bool);
+/// Per-node observable state: id, depth, edge length, class, stamp,
+/// pinned.
+type NodeState = (NodeId, u64, u64, u16, u64, bool);
 
 /// Full observable state: counters (live, tokens, store length,
 /// candidates, pinned), dot export, and every node's [`NodeState`].
 type Snapshot = (usize, u64, usize, usize, usize, String, Vec<NodeState>);
 
-/// Full observable state: structure, versions, stamps, counters.
+/// Full observable state: structure, classes, stamps, counters.
 fn snapshot(t: &RadixTree<u32>) -> Snapshot {
-    let mut nodes: Vec<(NodeId, u64, u64, u32, u64, bool)> = t
+    let mut nodes: Vec<NodeState> = t
         .node_ids()
         .map(|id| {
             (
                 id,
                 t.depth(id),
                 t.edge_len(id),
-                t.structure_version(id),
+                t.class(id),
                 t.stamp(id),
                 t.is_pinned(id),
             )

@@ -234,7 +234,8 @@ fn page_reuse_preserves_paths_and_outstanding_cursors() {
     let live: Vec<NodeId> = t.node_ids().collect();
     let paths: Vec<Vec<Token>> = live.iter().map(|&id| t.path_tokens(id)).collect();
     let cursors: Vec<MatchCursor> = live.iter().map(|&id| t.cursor_at(id).unwrap()).collect();
-    let versions: Vec<u32> = live.iter().map(|&id| t.structure_version(id)).collect();
+    let shape = |t: &RadixTree<u32>, id| (t.depth(id), t.edge_len(id), t.is_leaf(id));
+    let shapes: Vec<_> = live.iter().map(|&id| shape(&t, id)).collect();
 
     // Leaves of 40 000 tokens come and go: each one's pages are free
     // again for the next, so the store soon stops growing, at one page
@@ -253,7 +254,7 @@ fn page_reuse_preserves_paths_and_outstanding_cursors() {
 
     for (i, &id) in live.iter().enumerate() {
         assert_eq!(t.path_tokens(id), paths[i], "{id}: path changed");
-        assert_eq!(t.structure_version(id), versions[i], "{id}: version moved");
+        assert_eq!(shape(&t, id), shapes[i], "{id}: shape changed");
         // Every cursor taken before the churn still resumes, and resumes
         // to the same answer as the root walk.
         let mut query = paths[i].clone();

@@ -1,5 +1,5 @@
 // Inserts, matches and removals, and what the accessors report about
-// the shape they leave: depths, edges, structure versions, paths.
+// the shape they leave: depths, edges, classes, paths.
 
 #[test]
 fn empty_tree() {
@@ -203,59 +203,61 @@ fn match_prefix_exposes_mid_edge_child() {
     assert_eq!(m.mid_edge_child, None);
 }
 
+// A caller's class (5 below) lives as long as the node's shape: leaf
+// status and edge length. Its depth and root path never change.
+
 #[test]
-fn structure_version_bumps_only_on_shape_changes() {
+fn class_resets_only_on_shape_changes() {
     let mut t = tree();
     let a = t.insert(&[1, 2, 3, 4]);
     let leaf = a.end_node;
-    let v0 = t.structure_version(leaf);
+    t.set_class(leaf, 5);
 
-    // Splitting the leaf's edge shortens it: version bumps.
+    // Splitting the leaf's edge shortens it: the class resets.
     let b = t.insert(&[1, 2, 9, 9]);
     let branch = b.split_node.unwrap();
-    assert!(t.structure_version(leaf) > v0, "split must bump the child");
+    assert_eq!(t.class(leaf), 0, "a split must reset the child");
+    assert_eq!(t.depth(leaf), 4, "a split leaves the child's depth");
 
     // Adding a *third* child to the branch leaves every existing node's
     // shape alone.
-    let v_leaf = t.structure_version(leaf);
-    let v_branch = t.structure_version(branch);
+    t.set_class(leaf, 5);
+    t.set_class(branch, 5);
     t.insert(&[1, 2, 7, 7]);
-    assert_eq!(t.structure_version(leaf), v_leaf);
-    assert_eq!(t.structure_version(branch), v_branch);
+    assert_eq!((t.class(leaf), t.class(branch)), (5, 5));
 
     // Extending past the leaf gives it its first child: leaf status
-    // flipped, version bumps.
+    // flipped, the class resets.
     t.insert(&[1, 2, 3, 4, 5, 6]);
-    assert!(t.structure_version(leaf) > v_leaf);
+    assert_eq!(t.class(leaf), 0);
 }
 
 #[test]
-fn structure_version_bumps_on_merge_and_leaf_loss() {
+fn class_resets_on_merge_and_leaf_loss() {
     let mut t = tree();
     t.insert(&[1, 2, 3, 4]);
     let out = t.insert(&[1, 2]); // split: mid with a single child
     let mid = out.split_node.unwrap();
     let m = t.match_prefix(&[1, 2, 3, 4]);
     let child = m.deepest().unwrap();
-    let v_child = t.structure_version(child);
+    t.set_class(child, 5);
     // Removing the single-child mid merges its edge into the child.
     let removed = t.remove(mid).unwrap();
     assert_eq!(removed.merged_into, Some(child));
-    assert!(
-        t.structure_version(child) > v_child,
-        "absorbing an edge must bump the child"
-    );
+    assert_eq!(t.class(child), 0, "absorbing an edge must reset the child");
+    assert_eq!(t.path_tokens(child), [1, 2, 3, 4], "a merge keeps the path");
 
-    // Removing a node's last child turns the parent into a leaf: bump.
+    // Removing a node's last child turns the parent into a leaf: reset.
     let mut t = tree();
     t.insert(&[1, 2]);
     let ext = t.insert(&[1, 2, 3, 4]);
     let parent = t.parent(ext.end_node).unwrap();
-    let v_parent = t.structure_version(parent);
+    t.set_class(parent, 5);
     t.remove(ext.end_node).unwrap();
-    assert!(
-        t.structure_version(parent) > v_parent,
-        "losing the last child must bump the parent"
+    assert_eq!(
+        t.class(parent),
+        0,
+        "losing the last child must reset the parent"
     );
 }
 

@@ -10,7 +10,10 @@
 //! *plain* side always walks from the root. Because the hinted path must
 //! be byte-identical to the unhinted one, every op outcome and the full
 //! observable state — ids included, since identical histories allocate
-//! identical arena slots — must stay equal after every op.
+//! identical arena slots — must stay equal after every op. The op-stream
+//! profiles also check, after every op, that each node live both before
+//! and after it kept its depth and root path: the one fact a cursor's
+//! validation rests on (`docs/session-fastpath.md`).
 //!
 //! The harness itself is validated by seeded-mutation self-tests:
 //! [`RadixTree::debug_set_split_off_by_one`] injects an off-by-one into
@@ -602,11 +605,6 @@ impl Pair {
                 self.plain.child_count(id)
             );
             check!(
-                at("structure_version"),
-                self.hinted.structure_version(id),
-                self.plain.structure_version(id)
-            );
-            check!(
                 at("is_pinned"),
                 self.hinted.is_pinned(id),
                 self.plain.is_pinned(id)
@@ -671,6 +669,32 @@ impl Pair {
         Ok(())
     }
 
+    /// Every live non-root node's id, depth and root path (hinted side).
+    fn paths(&self) -> Vec<(NodeId, u64, Vec<Token>)> {
+        self.live_ids()
+            .into_iter()
+            .map(|id| (id, self.hinted.depth(id), self.hinted.path_tokens(id)))
+            .collect()
+    }
+
+    /// The fact cursor validation rests on: every node of `before` still
+    /// live kept its depth and its root path.
+    fn check_paths_kept(&self, before: &[(NodeId, u64, Vec<Token>)]) -> Result<(), String> {
+        for (id, depth, path) in before {
+            if !self.hinted.contains(*id) {
+                continue;
+            }
+            let now = (self.hinted.depth(*id), self.hinted.path_tokens(*id));
+            if now != (*depth, path.clone()) {
+                return Err(format!(
+                    "live node {id} moved: depth {depth} -> {}, path {path:?} -> {:?}",
+                    now.0, now.1
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Releases held pins and runs a final state check.
     fn finish(mut self) -> Result<(), String> {
         while let Some(id) = self.pins.pop() {
@@ -684,13 +708,16 @@ impl Pair {
     }
 }
 
-/// Replays `ops` through both sides, checking after every op. Returns the
+/// Replays `ops` through both sides, checking after every op, and that
+/// the op moved no live node's depth or root path. Returns the
 /// resume/fallback counts on success so callers can assert coverage.
 fn run_stream(ops: &[Op], fault: Fault) -> Result<(u64, u64), String> {
     let mut pair = Pair::new(fault);
     pair.check_state()?;
     for (i, op) in ops.iter().enumerate() {
+        let before = pair.paths();
         pair.apply(op)
+            .and_then(|()| pair.check_paths_kept(&before))
             .map_err(|e| format!("after op {i} {op:?}: {e}"))?;
     }
     let counts = (pair.resumes, pair.fallbacks);

@@ -148,9 +148,10 @@ proptest! {
         let mut held: Vec<NodeId> = Vec::new();
         let mut next_seq = 0usize;
         for (op, pick, stamp) in ops {
-            let before: Vec<(NodeId, u32, u16)> = tree
+            let shape = |tree: &RadixTree<()>, id| (tree.is_leaf(id), tree.edge_len(id));
+            let before: Vec<(NodeId, (bool, u64), u16)> = tree
                 .node_ids()
-                .map(|id| (id, tree.structure_version(id), tree.class(id)))
+                .map(|id| (id, shape(&tree, id), tree.class(id)))
                 .collect();
             let mut reclassed = None;
             let mut inserted = None;
@@ -195,21 +196,22 @@ proptest! {
                     next_seq += 1;
                 }
             }
-            // A class lives exactly as long as the structure version: a
-            // bump lands the node in class 0 of its tier, and nothing else
-            // (bar the `set_class` above) moves a class — not a touch, not
-            // a pin, not leaving and re-entering the candidate set.
-            for (id, version, class) in before {
+            // A class lives exactly as long as the node's shape: an op
+            // that changes its leaf status or edge length lands it in
+            // class 0 of its tier, and nothing else (bar the `set_class`
+            // above) moves a class — not a touch, not a pin, not leaving
+            // and re-entering the candidate set.
+            for (id, was, class) in before {
                 if !tree.contains(id) || reclassed == Some(id) {
                     continue;
                 }
-                if tree.structure_version(id) == version {
-                    prop_assert_eq!(tree.class(id), class, "{} changed class unbumped", id);
+                if shape(&tree, id) == was {
+                    prop_assert_eq!(tree.class(id), class, "{} changed class, same shape", id);
                 } else {
                     prop_assert_eq!(
                         tree.class(id),
                         class & TIER_BIT,
-                        "{} kept a class, or lost its tier, across a bump",
+                        "{} kept a class, or lost its tier, across a shape change",
                         id
                     );
                 }

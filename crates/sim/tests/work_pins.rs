@@ -208,11 +208,15 @@ fn tenants_cluster() -> Work {
 /// peak live tokens, peak ranges, link slots), `iterations` (0 under
 /// `Engine`, which has no executor), cursor resumes and cursor fallbacks.
 /// Captured before `PrefixMatch` stopped carrying its matched path; the
-/// store columns since the store was paged.
+/// store columns since the store was paged; the cursor columns since a
+/// cursor became a live node and its depth (no structure-version or
+/// residency check on resume, and a cursor minted at a host-resident end
+/// node too), which turned every structure-changed and resume-demoted
+/// fallback into a resume.
 const PINS: [(&str, [u64; 12]); 4] = [
     (
         "chat_fit",
-        [0, 0, 298520, 0, 292, 0, 298520, 893, 0, 0, 1346, 8],
+        [0, 0, 298520, 0, 292, 0, 298520, 893, 0, 0, 1354, 0],
     ),
     (
         "agent_pressure",
@@ -220,12 +224,12 @@ const PINS: [(&str, [u64; 12]); 4] = [
     ),
     (
         "resident_10k",
-        [30699, 0, 1338846, 0, 25, 1283, 20273, 35, 17, 0, 766, 1474],
+        [30699, 0, 1338846, 0, 25, 1283, 20273, 35, 17, 0, 798, 1442],
     ),
     (
         "tenants_cluster",
         [
-            2895, 665, 330433, 0, 111, 214, 76541, 244, 137, 135962, 1092, 933,
+            2895, 665, 330433, 0, 111, 214, 76541, 244, 137, 135962, 2019, 15,
         ],
     ),
 ];

@@ -157,16 +157,9 @@ impl MissCause {
 pub enum CursorFallbackCause {
     /// The resume node was evicted (its arena slot was freed or reused).
     StaleGeneration,
-    /// The resume node's structure version moved past the cursor (an edge
-    /// merge absorbed into it, its leaf status flipped, or its edge
-    /// changed), so the memoized match can no longer be trusted.
-    StructureChanged,
     /// The query does not extend the cursor's matched prefix (shorter than
     /// the match, or diverging at the resume edge).
     QueryDiverged,
-    /// The resume node's state was demoted off the device tier; the
-    /// session has gone cold enough that the hint is not trusted.
-    ResumeDemoted,
 }
 
 impl CursorFallbackCause {
@@ -175,9 +168,7 @@ impl CursorFallbackCause {
     pub fn label(self) -> &'static str {
         match self {
             CursorFallbackCause::StaleGeneration => "stale-generation",
-            CursorFallbackCause::StructureChanged => "structure-changed",
             CursorFallbackCause::QueryDiverged => "query-diverged",
-            CursorFallbackCause::ResumeDemoted => "resume-demoted",
         }
     }
 }
